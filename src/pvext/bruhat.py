@@ -17,7 +17,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import chevalley, linalg
-from .errors import CellDegeneration, NotUnimodular
+from .errors import (
+    CellDegeneration,
+    NotUnimodular,
+    StructureViolation,
+    VerificationFailure,
+)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def bruhat_decompose(mat, convention="negative"):
     else:
         raise ValueError("convention must be 'positive' or 'negative'")
     if not linalg.mat_eq(form.recompose(), m):
-        raise AssertionError("Bruhat recomposition failed")
+        raise VerificationFailure("Bruhat recomposition failed")
     return form
 
 
@@ -114,7 +119,8 @@ def _decompose_positive(m):
     for j in range(n):
         while True:
             b = max((i for i in range(n) if work[i][j]), default=None)
-            assert b is not None
+            if b is None:
+                raise StructureViolation("column %d is zero" % j)
             k = col_of_row.get(b)
             if k is None:
                 pivot_of_col[j] = b
@@ -142,7 +148,7 @@ def _decompose_positive(m):
     for i in range(n):
         for j in range(n):
             if i != j and t[i][j]:
-                raise AssertionError("torus factor is not diagonal")
+                raise StructureViolation("torus factor is not diagonal")
     uprime = linalg.rational_inverse(wmat)
     u = linalg.rational_inverse(vmat)
     uprime, u = _reduce_uprime(uprime, u, perm, nw, t)
@@ -196,10 +202,10 @@ def _reduce_uprime(uprime, u, perm, nw, t):
     new_u = linalg.mat_mul(conj, u)
     for i in range(n):
         if new_u[i][i] != 1:
-            raise AssertionError("absorbed factor is not unipotent")
+            raise StructureViolation("absorbed factor is not unipotent")
         for j in range(i):
             if new_u[i][j]:
-                raise AssertionError("absorbed factor is not upper")
+                raise StructureViolation("absorbed factor is not upper")
     return residual, new_u
 
 
@@ -225,7 +231,7 @@ def _decompose_negative(m):
     for a in range(n):
         for b in range(n):
             if a != b and tweak[a][b]:
-                raise AssertionError("representative change is not a torus factor")
+                raise StructureViolation("representative change is not a torus factor")
     t = _freeze(linalg.mat_mul(tweak, [list(r) for r in t]))
     _check_uprime_pattern([list(r) for r in uprime], perm, upper=False)
     return BruhatForm(
@@ -261,7 +267,7 @@ def _check_uprime_pattern(uprime, perm, upper):
             else:
                 ok = i > j and inv[i] < inv[j]
             if not ok:
-                raise AssertionError("u' outside U'_w at (%d, %d)" % (i, j))
+                raise StructureViolation("u' outside U'_w at (%d, %d)" % (i, j))
 
 
 @lru_cache(maxsize=None)
@@ -281,7 +287,8 @@ def _root_entry_positions(n, upper):
             for j in range(n)
             if mat[i][j]
         ]
-        assert len(live) == 1
+        if len(live) != 1:
+            raise StructureViolation("root vector of %r is not one matrix unit" % (b,))
         positions.append(live[0])
     return positions
 
@@ -305,7 +312,7 @@ def _peel_coefficients(u, upper):
         for factor in factors:
             residual = linalg.mat_mul(factor, residual)
     if not linalg.mat_eq(residual, linalg.eye(n)):
-        raise AssertionError("one-parameter peeling failed")
+        raise VerificationFailure("one-parameter peeling failed")
     return tuple(coeffs)
 
 

@@ -18,21 +18,12 @@ from fractions import Fraction
 from importlib import resources
 
 from . import linalg, rootsys
-from .domains import lift_rational
 from .errors import (
-    DimMismatch,
     NonDiagonalCartan,
     NotInLieAlgebra,
     SpanFailure,
     UnsupportedRep,
 )
-
-
-def bracket(a, b):
-    """Commutator AB - BA of two square matrices of equal dimension."""
-    if len(a) != len(b):
-        raise DimMismatch("bracket of %dx%d with %dx%d" % (len(a), len(a), len(b), len(b)))
-    return linalg.bracket(a, b)
 
 
 def _load_calibration():
@@ -99,22 +90,11 @@ class ChevalleyRep:
 
     def cartan_combination(self, coeffs):
         """The integer matrix sum(c_i H_i)."""
-        acc = linalg.zeros(self.dim)
-        for c, h in zip(coeffs, self.H):
-            acc = linalg.mat_add(acc, linalg.mat_scale(h, Fraction(c)))
-        return acc
+        return _cartan_combination(self.H, coeffs)
 
     def coroot_coefficients(self, root):
         """Integer coefficients of H_root over H_1..H_l."""
-        rs = self.rs
-        d_root = rs.inner(root, root) / 2
-        d = rs.root_lengths()
-        out = []
-        for j in range(rs.rank):
-            c = Fraction(root.coeffs[j]) * d[j] / d_root
-            assert c.denominator == 1
-            out.append(int(c))
-        return tuple(out)
+        return _coroot_coefficients(self.rs, root)
 
 
 # ----- simple generators per type -----
@@ -210,7 +190,7 @@ def build_rep(rs_or_type, rank=None):
 
     n, E, F = _simple_generators(rs)
     l = rs.rank
-    H = [bracket(E[i], F[i]) for i in range(l)]
+    H = [linalg.bracket(E[i], F[i]) for i in range(l)]
     for i in range(l):
         if not _is_diagonal(H[i]):
             raise SpanFailure("H_%d is not diagonal" % (i + 1))
@@ -231,22 +211,24 @@ def build_rep(rs_or_type, rank=None):
         r, _ = rootsys.root_string(rs, beta, rs.simple(i))
         scale = Fraction(1, r + 1)
         sign = signs.get(gamma.coeffs, 1)
-        xg = linalg.mat_scale(bracket(X[rs.simple(i).coeffs], X[beta.coeffs]), scale * sign)
+        xg = linalg.mat_scale(
+            linalg.bracket(X[rs.simple(i).coeffs], X[beta.coeffs]), scale * sign
+        )
         xn = linalg.mat_scale(
-            bracket(X[(-rs.simple(i)).coeffs], X[(-beta).coeffs]), -scale * sign
+            linalg.bracket(X[(-rs.simple(i)).coeffs], X[(-beta).coeffs]), -scale * sign
         )
         if linalg.mat_is_zero(xg) or linalg.mat_is_zero(xn):
             raise SpanFailure("vanishing root vector for %r" % (gamma,))
         hg = _coroot_matrix(rs, H, gamma)
-        br = bracket(xg, xn)
+        br = linalg.bracket(xg, xn)
         if linalg.mat_eq(br, hg):
             pass
         elif linalg.mat_eq(br, linalg.mat_neg(hg)):
             xn = linalg.mat_neg(xn)
         else:
             raise SpanFailure("[X,Y] not proportional to the coroot for %r" % (gamma,))
-        X[gamma.coeffs] = _as_integer(xg, gamma)
-        X[(-gamma).coeffs] = _as_integer(xn, -gamma)
+        X[gamma.coeffs] = _as_integer(xg, "root vector for %r" % (gamma,))
+        X[(-gamma).coeffs] = _as_integer(xn, "root vector for %r" % (-gamma,))
 
     nconst = _verify_axioms(rs, H, X)
     exp_powers = {
@@ -271,22 +253,32 @@ def _decomposition_step(rs, gamma):
     raise SpanFailure("no descent for %r" % (gamma,))
 
 
-def _coroot_matrix(rs, H, root):
+def _coroot_coefficients(rs, root):
     d_root = rs.inner(root, root) / 2
     d = rs.root_lengths()
-    acc = linalg.zeros(len(H[0]))
+    out = []
     for j in range(rs.rank):
         c = Fraction(root.coeffs[j]) * d[j] / d_root
-        assert c.denominator == 1
-        acc = linalg.mat_add(acc, linalg.mat_scale(H[j], c))
+        if c.denominator != 1:
+            raise SpanFailure("non-integral coroot coefficient for %r" % (root,))
+        out.append(int(c))
+    return tuple(out)
+
+
+def _cartan_combination(H, coeffs):
+    acc = linalg.zeros(len(H[0]))
+    for c, h in zip(coeffs, H):
+        acc = linalg.mat_add(acc, linalg.mat_scale(h, Fraction(c)))
     return acc
 
 
-def _as_integer(mat, root):
-    for row in mat:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise SpanFailure("non-integral root vector for %r" % (root,))
+def _coroot_matrix(rs, H, root):
+    return _cartan_combination(H, _coroot_coefficients(rs, root))
+
+
+def _as_integer(mat, what):
+    if any(Fraction(x).denominator != 1 for row in mat for x in row):
+        raise SpanFailure("%s is not integral" % what)
     return mat
 
 
@@ -303,10 +295,7 @@ def _divided_powers(mat):
             break
         if k > n:
             raise SpanFailure("root vector is not nilpotent")
-        for row in cur:
-            for x in row:
-                assert Fraction(x).denominator == 1, "divided power not integral"
-        powers.append(cur)
+        powers.append(_as_integer(cur, "divided power %d" % k))
     return tuple(powers)
 
 
@@ -315,7 +304,7 @@ def _verify_axioms(rs, H, X):
     l = rs.rank
     for i in range(l):
         for j in range(l):
-            if not linalg.mat_is_zero(bracket(H[i], H[j])):
+            if not linalg.mat_is_zero(linalg.bracket(H[i], H[j])):
                 raise SpanFailure("[H_%d, H_%d] != 0" % (i + 1, j + 1))
     for root in rs.roots:
         mat = X[root.coeffs]
@@ -323,13 +312,13 @@ def _verify_axioms(rs, H, X):
             want = linalg.mat_scale(
                 mat, Fraction(rootsys.cartan_integer(rs, root, rs.simple(i + 1)))
             )
-            if not linalg.mat_eq(bracket(H[i], mat), want):
+            if not linalg.mat_eq(linalg.bracket(H[i], mat), want):
                 raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
     nconst = {}
     roots = list(rs.roots)
     for a in roots:
         for b in roots:
-            br = bracket(X[a.coeffs], X[b.coeffs])
+            br = linalg.bracket(X[a.coeffs], X[b.coeffs])
             total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
             if all(v == 0 for v in total):
                 want = _coroot_matrix(rs, H, a)
@@ -394,10 +383,7 @@ def _assemble(rs, n, H, X, nconst, exp_powers):
         solve_inverse=tuple(tuple(row) for row in inverse),
         basis_order=tuple(basis_order),
     )
-    w = tuple(
-        bracket(rep.x_neg(i), rep.a0_plus()) for i in range(1, rs.m + 1)
-    )
-    object.__setattr__(rep, "W", w)
+    object.__setattr__(rep, "W", compute_W(rep))
     return rep
 
 
@@ -422,7 +408,7 @@ def _solving_recipe(columns, n):
 def compute_W(rep, s=None):
     """W_i = [X_i, A_0^+(s)]; the default s is (1, ..., 1)."""
     a0 = rep.a0_plus(s)
-    return tuple(bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1))
+    return tuple(linalg.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1))
 
 
 def complementary_roots(rep):
@@ -527,7 +513,7 @@ def decompose_in_basis(rep, a):
             acc = term if acc is None else acc + term
         coeffs.append(acc)
     sample = next((e for row in a for e in row if e), Fraction(0))
-    zero = lift_rational(0, sample) if not isinstance(sample, Fraction) else Fraction(0)
+    zero = Fraction(0) if isinstance(sample, Fraction) else type(sample).zero()
     coeffs = [zero if c is None else c for c in coeffs]
     # residual check: reconstruct and compare entrywise
     recon = [[zero for _ in range(n)] for _ in range(n)]
@@ -558,7 +544,7 @@ def unipotent_element(rep, root, x):
     n = rep.dim
     if isinstance(x, int):
         x = Fraction(x)
-    one = lift_rational(1, x) if not isinstance(x, Fraction) else Fraction(1)
+    one = Fraction(1) if isinstance(x, Fraction) else type(x).rational(1)
     zero = one * 0
     out = [[one if i == j else zero for j in range(n)] for i in range(n)]
     xk = one
@@ -580,7 +566,7 @@ def torus_element(rep, i, z):
     n = rep.dim
     if isinstance(z, int):
         z = Fraction(z)
-    one = Fraction(1) if isinstance(z, Fraction) else lift_rational(1, z)
+    one = Fraction(1) if isinstance(z, Fraction) else type(z).rational(1)
     entries = [z ** int(h[j][j]) for j in range(n)]
     zero = one * 0
     return [

@@ -15,7 +15,7 @@ from importlib import resources
 
 from . import bruhat as bruhat_mod
 from . import chevalley, construct, gauge
-from .diffpoly import DiffPoly, parse as parse_poly
+from .diffpoly import DiffPoly, frac_text, lift_matrix, parse as parse_poly
 from .errors import PvextError, UnsupportedType
 
 _TYPES = ("A", "B", "C", "D", "G2")
@@ -138,7 +138,11 @@ def cmd_verify(args):
 def _parse_matrix_entry(raw):
     if isinstance(raw, dict):
         return DiffPoly.from_json_obj(raw)
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (bool, float)):
+        raise ValueError(
+            "matrix entry %r is not exact; write fractions as strings like \"1/10\"" % (raw,)
+        )
+    if isinstance(raw, int):
         return Fraction(raw)
     text = str(raw).strip()
     if any(ch.isalpha() or ch == "η" for ch in text):
@@ -153,27 +157,32 @@ def _load_matrix(path):
         isinstance(row, list) and len(row) == len(data) for row in data
     ):
         raise ValueError("matrix file must hold a square array of rows")
-    return [[_parse_matrix_entry(x) for x in row] for row in data]
+    try:
+        return [[_parse_matrix_entry(x) for x in row] for row in data]
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError("malformed matrix entry: %r" % (exc,)) from None
 
 
-def _frac_str(q):
-    q = Fraction(q)
-    return "%d/%d" % (q.numerator, q.denominator)
+def _rational_entry(x):
+    if isinstance(x, Fraction):
+        return x
+    if not x.is_rational():
+        raise ValueError("bruhat needs rational entries, got %s" % x.text())
+    return x.rational_value()
 
 
 def cmd_bruhat(args):
-    m = _load_matrix(args.matrix)
-    m = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row] for row in m]
+    m = [[_rational_entry(x) for x in row] for row in _load_matrix(args.matrix)]
     form = bruhat_mod.bruhat_decompose(m, convention=args.convention)
     obj = {
         "w": list(form.perm),
         "word": list(form.word),
-        "uprime": [[_frac_str(x) for x in row] for row in form.uprime],
-        "t": [_frac_str(form.t[i][i]) for i in range(len(form.t))],
-        "u": [[_frac_str(x) for x in row] for row in form.u],
-        "x": [_frac_str(x) for x in form.x],
-        "z": [_frac_str(x) for x in form.z],
-        "y": [_frac_str(x) for x in form.y],
+        "uprime": [[frac_text(x) for x in row] for row in form.uprime],
+        "t": [frac_text(form.t[i][i]) for i in range(len(form.t))],
+        "u": [[frac_text(x) for x in row] for row in form.u],
+        "x": [frac_text(x) for x in form.x],
+        "z": [frac_text(x) for x in form.z],
+        "y": [frac_text(x) for x in form.y],
     }
     _write_output(json.dumps(obj, sort_keys=True, indent=1), args.output)
     return 0
@@ -182,8 +191,12 @@ def cmd_bruhat(args):
 def cmd_gauge_normalize(args):
     type_label, rank = _require_system(args)
     rep = chevalley.build_rep(type_label, rank)
-    a = _load_matrix(args.matrix)
-    a = [[x if isinstance(x, DiffPoly) else DiffPoly.rational(x) for x in row] for row in a]
+    a = lift_matrix(_load_matrix(args.matrix))
+    if len(a) != rep.dim:
+        raise ValueError(
+            "type %s rank %d needs a %dx%d matrix, the file holds %dx%d"
+            % (type_label, rank, rep.dim, rep.dim, len(a), len(a))
+        )
     g, factors, f = gauge.normalize_to_AG(rep, a)
     obj = {
         "transform": construct.matrix_json(g),

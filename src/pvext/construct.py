@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import chevalley, linalg, rootsys, symgroup
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, frac_text, lift, lift_matrix
 from .errors import (
     IdentityFailure,
     RankFailure,
@@ -61,45 +61,57 @@ class InvariantSet:
     pbar: dict = field(default_factory=dict)
 
 
-def _dp_eye(n):
-    return linalg.eye(n, DiffPoly.rational(1), DiffPoly.zero())
-
-
-def _dp_matrix(m):
-    return [
-        [x if isinstance(x, DiffPoly) else DiffPoly.rational(x) for x in row]
-        for row in m
-    ]
-
-
-def _mat_derive(m):
-    return [
-        [x.derive() if isinstance(x, DiffPoly) else Fraction(0) for x in row]
-        for row in m
-    ]
-
-
 def unipotent_product(rep, args):
-    """u_1(a_1) ... u_m(a_m) over the coefficient domain of the arguments."""
-    out = _dp_eye(rep.dim)
+    """u_1(a_1) ... u_m(a_m) over DiffPoly; rational arguments are lifted."""
+    out = linalg.eye(rep.dim, DiffPoly.rational(1), DiffPoly.zero())
     for i, a in enumerate(args, start=1):
         factor = chevalley.unipotent_element(rep, rep.rs.neg_order[i - 1], a)
-        out = linalg.mat_mul(out, _dp_matrix(factor))
+        out = linalg.mat_mul(out, lift_matrix(factor))
     return out
 
 
-def _heights(rep):
-    return rep.rs.heights_of_order()
+@dataclass(frozen=True)
+class PipelineContext:
+    """What the construct stages share, built once per run.
+
+    u = u_1(eta_1)...u_m(eta_m) with its Neumann inverse and
+    ldelta(u) = du u^{-1}; the heights of the ordered negative roots, the
+    1-based indices in each height band, and the complementary indices.
+    """
+
+    rep: object
+    u: list
+    uinv: list
+    ldelta_u: list
+    heights: tuple
+    bands: dict  # height -> tuple of 1-based indices, ascending
+    comp: frozenset
+
+    def band(self, height):
+        return self.bands.get(height, ())
+
+    def max_index_of_height(self, height):
+        band = self.band(height)
+        return band[-1] if band else 0
 
 
-def _band(rep, height):
-    """1-based indices of the ordered negative roots at the given height."""
-    return [i + 1 for i, h in enumerate(_heights(rep)) if h == height]
-
-
-def _max_index_of_height(rep, height):
-    band = _band(rep, height)
-    return band[-1] if band else 0
+def pipeline_context(rep):
+    """Build the PipelineContext of a representation; run_pipeline calls it once."""
+    u = unipotent_product(rep, [DiffPoly.eta(i) for i in range(1, rep.m + 1)])
+    uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
+    heights = rep.rs.heights_of_order()
+    bands = {}
+    for i, h in enumerate(heights, start=1):
+        bands[h] = bands.get(h, ()) + (i,)
+    return PipelineContext(
+        rep=rep,
+        u=u,
+        uinv=uinv,
+        ldelta_u=linalg.mat_mul(linalg.mat_derive(u), uinv),
+        heights=heights,
+        bands=bands,
+        comp=frozenset(rep.rs.comp_roots),
+    )
 
 
 def _xcoef(rep, dec, i):
@@ -125,23 +137,21 @@ def _check_positive_part(rep, dec, where, allow_cartan=False):
             raise StructureViolation("%s: positive component %r" % (where, pos))
 
 
-def logderiv_unipotent(rep):
+def logderiv_unipotent(ctx):
     """Stage 1: decompose ldelta(u_1(eta_1)...u_m(eta_m)).
 
     Returns Stage1Coeffs; the coefficient of X_i is eta_i' + v_i with the
     shape claims of the first coefficient lemma asserted.
     """
+    rep = ctx.rep
     m = rep.m
-    u = unipotent_product(rep, [DiffPoly.eta(i) for i in range(1, m + 1)])
-    uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
-    dec = chevalley.decompose_in_basis(rep, linalg.mat_mul(_mat_derive(u), uinv))
+    dec = chevalley.decompose_in_basis(rep, ctx.ldelta_u)
     for i in range(1, rep.rank + 1):
         if dec.get(("H", i)):
             raise StructureViolation("ldelta(u) has a Cartan component")
     for b in rep.rs.neg_order:
         if dec.get(("X", (-b).coeffs)):
             raise StructureViolation("ldelta(u) has a positive component")
-    heights = _heights(rep)
     v = {}
     for i in range(1, m + 1):
         vi = _xcoef(rep, dec, i) - DiffPoly.eta(i, 1)
@@ -149,7 +159,7 @@ def logderiv_unipotent(rep):
             if vi:
                 raise StructureViolation("v_%d should vanish" % i)
             continue
-        s2 = _max_index_of_height(rep, heights[i - 1] + 1)
+        s2 = ctx.max_index_of_height(ctx.heights[i - 1] + 1)
         for mon in vi.terms:
             if max(jv.order for jv, _ in mon) != 1:
                 raise StructureViolation("v_%d has a term of order != 1" % i)
@@ -161,15 +171,14 @@ def logderiv_unipotent(rep):
     return Stage1Coeffs(v=v)
 
 
-def adjoint_on_A0(rep):
+def adjoint_on_A0(ctx):
     """Stage 2: decompose Ad(u(eta_m))(A_0^+) and assert its shape."""
+    rep = ctx.rep
     m, l = rep.m, rep.rank
-    u = unipotent_product(rep, [DiffPoly.eta(i) for i in range(1, m + 1)])
-    uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
-    ad = linalg.mat_mul(linalg.mat_mul(u, _dp_matrix(rep.a0_plus())), uinv)
+    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, lift_matrix(rep.a0_plus())), ctx.uinv)
     dec = chevalley.decompose_in_basis(rep, ad)
     _check_positive_part(rep, dec, "Ad(u)(A_0^+)", allow_cartan=True)
-    heights = _heights(rep)
+    heights = ctx.heights
 
     g = tuple(dec.get(("H", i), DiffPoly.zero()) for i in range(1, l + 1))
     gmat = []
@@ -185,10 +194,9 @@ def adjoint_on_A0(rep):
         raise StructureViolation("Cartan coefficients are linearly dependent")
 
     ell, p = [], []
-    comp = set(rep.rs.comp_roots)
     for i in range(1, m + 1):
         coef = _xcoef(rep, dec, i)
-        band = _band(rep, heights[i - 1] - 1)
+        band = ctx.band(heights[i - 1] - 1)
         li = coef.linear_part()
         pi = coef.nonlinear_part()
         if li and not band:
@@ -197,7 +205,7 @@ def adjoint_on_A0(rep):
             jv = mon[0][0]
             if jv.order != 0 or not (band[0] <= jv.var <= band[-1]):
                 raise StructureViolation("ell_%d outside its height band" % i)
-        i2 = _max_index_of_height(rep, heights[i - 1])
+        i2 = ctx.max_index_of_height(heights[i - 1])
         if pi.order() != 0:
             raise StructureViolation("p_%d contains derivatives" % i)
         if pi and pi.min_term_degree() < 2:
@@ -208,9 +216,9 @@ def adjoint_on_A0(rep):
         p.append(pi)
 
     # the per-height non-complementary systems are square of full rank
-    for q in sorted(set(heights), reverse=True):
-        eqs = [i for i in _band(rep, q) if i not in comp]
-        unknowns = _band(rep, q - 1)
+    for q in sorted(ctx.bands, reverse=True):
+        eqs = [i for i in ctx.band(q) if i not in ctx.comp]
+        unknowns = ctx.band(q - 1)
         if len(eqs) != len(unknowns):
             raise RankFailure("height %d system is not square" % q)
         if not eqs:
@@ -223,13 +231,14 @@ def adjoint_on_A0(rep):
     return Stage2Coeffs(g=g, ell=tuple(ell), p=tuple(p))
 
 
-def build_A_L(rep, stage2):
+def build_A_L(ctx, stage2):
     """Solve for the constants c and the linear forms gbar, assemble A_L.
 
     c is determined by Ad(n(wbar))(A_0^-(c)) = A_0^+ and gbar by
     Ad(n(wbar))(sum gbar_i H_i) = sum -g_i H_i; both identities are
     re-verified by direct conjugation on the assembled data.
     """
+    rep = ctx.rep
     rs = rep.rs
     l = rs.rank
     nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rs))
@@ -256,18 +265,13 @@ def build_A_L(rep, stage2):
     rhs = [[-stage2.g[k] for k in range(l)]]
     gbar = tuple(linalg.solve_exact(columns, rhs)[0])
 
-    al = linalg.zeros(rep.dim, DiffPoly.zero())
-    for i in range(l):
-        al = linalg.mat_add(al, [[gbar[i] * x for x in row] for row in rep.H[i]])
-    al = linalg.mat_add(al, _dp_matrix(rep.a0_minus(c)))
-
-    # re-verify the Cartan identity by direct conjugation
     combo = linalg.zeros(rep.dim, DiffPoly.zero())
     for i in range(l):
-        combo = linalg.mat_add(
-            combo, [[gbar[i] * x for x in row] for row in rep.H[i]]
-        )
-    lhs = linalg.mat_mul(linalg.mat_mul(_dp_matrix(nw), combo), _dp_matrix(nwinv))
+        combo = linalg.mat_add(combo, [[gbar[i] * x for x in row] for row in rep.H[i]])
+    al = linalg.mat_add(combo, lift_matrix(rep.a0_minus(c)))
+
+    # re-verify the Cartan identity by direct conjugation
+    lhs = linalg.mat_mul(linalg.mat_mul(lift_matrix(nw), combo), lift_matrix(nwinv))
     want = linalg.zeros(rep.dim, DiffPoly.zero())
     for i in range(l):
         want = linalg.mat_add(
@@ -320,7 +324,31 @@ def _dp_order_le_one_eval(poly, values, derivs):
     return total
 
 
-def liouville_solutions(rep, data, stage1):
+def _torus_factors(rep, z):
+    """t_1(z_1), ..., t_l(z_l) as structured factors."""
+    return [symgroup.torus_matrix(rep, i, zi) for i, zi in enumerate(z, start=1)]
+
+
+def _unipotent_factors(rep, args):
+    """u_1(a_1), ..., u_m(a_m) as structured factors."""
+    return [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
+
+
+def _require_equal(lhs, rhs, error, what):
+    """Raise `error` naming the first entry where two matrices differ."""
+    for r, (row_l, row_r) in enumerate(zip(lhs, rhs)):
+        for c, (x, y) in enumerate(zip(row_l, row_r)):
+            if x != y:
+                raise error("%s is nonzero at entry (%d, %d)" % (what, r, c))
+
+
+def _check_tower(tower, A_L, error):
+    """Raise `error` unless ldelta of the factor product t(z)u(y) is A_L."""
+    al = [[LiouvExpr.scalar(x) for x in row] for row in A_L]
+    _require_equal(symgroup.log_derivative(tower), al, error, "ldelta(t(z)u(y)) - A_L")
+
+
+def liouville_solutions(ctx, data, stage1):
     """Fill in the Liouvillian tower: exponentials z and integrals y.
 
     z_i = e^{int gbar_i}.  For the simple-root indices the integrand of y_i
@@ -329,11 +357,12 @@ def liouville_solutions(rep, data, stage1):
     The assembled tower is verified symbolically:
     ldelta(t(z) u(y)) = A_L.
     """
+    rep = ctx.rep
     rs = rep.rs
     l, m = rs.rank, rs.m
     z = tuple(LiouvExpr.exp_integral(LiouvExpr.scalar(g)) for g in data.gbar)
 
-    torus_factors = [symgroup.torus_matrix(rep, i + 1, z[i]) for i in range(l)]
+    torus_factors = _torus_factors(rep, z)
     values = {}
     derivs = {}
     y = []
@@ -354,18 +383,8 @@ def liouville_solutions(rep, data, stage1):
         values[i] = yi
         derivs[i] = integrand
 
-    factors = torus_factors + [
-        symgroup.unipotent_matrix(rep, rs.neg_order[i - 1], y[i - 1])
-        for i in range(1, m + 1)
-    ]
-    ld = symgroup.log_derivative(factors)
-    al = [[LiouvExpr.scalar(x) for x in row] for row in data.A_L]
-    for r in range(rep.dim):
-        for cidx in range(rep.dim):
-            if ld[r][cidx] != al[r][cidx]:
-                raise VerificationFailure(
-                    "ldelta(t(z)u(y)) != A_L at entry (%d, %d)" % (r, cidx)
-                )
+    tower = torus_factors + _unipotent_factors(rep, y)
+    _check_tower(tower, data.A_L, VerificationFailure)
     return LiouvilleData(
         c=data.c,
         gbar=data.gbar,
@@ -377,36 +396,31 @@ def liouville_solutions(rep, data, stage1):
     )
 
 
-def logderiv_Y(rep, data, stage2=None):
+def logderiv_Y(ctx, data, stage2):
     """Coefficients h_i of ldelta(Y) for Y = u(eta_m) n(wbar) t(z) u(y).
 
     Computed as ldelta(u(eta_m)) + Ad(u(eta_m) n(wbar))(A_L); the Cartan
     components must vanish and the positive part must be exactly A_0^+.
     """
-    m, l = rep.m, rep.rank
-    heights = _heights(rep)
-    u = unipotent_product(rep, [DiffPoly.eta(i) for i in range(1, m + 1)])
-    uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
-    nw = _dp_matrix([list(r) for r in data.nw])
-    nwinv = _dp_matrix(linalg.rational_inverse([list(r) for r in data.nw]))
+    rep = ctx.rep
+    nw = lift_matrix(data.nw)
+    nwinv = lift_matrix(linalg.rational_inverse([list(r) for r in data.nw]))
     al = [list(r) for r in data.A_L]
     total = linalg.mat_add(
-        linalg.mat_mul(_mat_derive(u), uinv),
+        ctx.ldelta_u,
         linalg.mat_mul(
-            linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(u, nw), al), nwinv), uinv
+            linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(ctx.u, nw), al), nwinv), ctx.uinv
         ),
     )
     dec = chevalley.decompose_in_basis(rep, total)
     _check_positive_part(rep, dec, "ldelta(Y)")
 
-    if stage2 is None:
-        stage2 = adjoint_on_A0(rep)
     h = []
-    for i in range(1, m + 1):
+    for i in range(1, rep.m + 1):
         hi = _xcoef(rep, dec, i)
         qi = hi - DiffPoly.eta(i, 1) - stage2.ell[i - 1]
-        s2 = _max_index_of_height(rep, heights[i - 1] + 1)
-        i2 = _max_index_of_height(rep, heights[i - 1])
+        s2 = ctx.max_index_of_height(ctx.heights[i - 1] + 1)
+        i2 = ctx.max_index_of_height(ctx.heights[i - 1])
         for mon in qi.terms:
             if sum(e for _, e in mon) < 2:
                 raise StructureViolation("q_%d has a linear term" % i)
@@ -425,26 +439,24 @@ def logderiv_Y(rep, data, stage2=None):
     return h
 
 
-def eliminate_noncomplementary(rep, h_all):
+def eliminate_noncomplementary(ctx, h_all):
     """Solve the non-complementary equations h_i = 0 height by height.
 
     Returns the InvariantSet skeleton carrying eta_i = f_i for every index
     i > l, together with the linear/nonlinear splits lbar/pbar and the
     full-rank facts of the equivalent triangular system.
     """
-    rs = rep.rs
-    l, m = rs.rank, rs.m
-    heights = _heights(rep)
-    comp = set(rs.comp_roots)
-    noncomp_simple = [i for i in _band(rep, -1) if i not in comp]
+    l = ctx.rep.rank
+    comp = ctx.comp
+    noncomp_simple = [i for i in ctx.band(-1) if i not in comp]
 
     sigma = {i: DiffPoly.eta(i) for i in range(1, l + 1)}
     lbar, pbar = {}, {}
     prev_matrix = None
     prev_band = None
-    for q in sorted(set(heights), reverse=True):
-        eqs = [i for i in _band(rep, q) if i not in comp]
-        unknowns = _band(rep, q - 1)
+    for q in sorted(ctx.bands, reverse=True):
+        eqs = [i for i in ctx.band(q) if i not in comp]
+        unknowns = ctx.band(q - 1)
         if not eqs:
             if unknowns:
                 raise RankFailure("no equations for the height %d band" % (q - 1))
@@ -513,22 +525,19 @@ def eliminate_noncomplementary(rep, h_all):
     return f, lbar, pbar, sigma
 
 
-def invariants(rep, h_all, parts=None):
+def invariants(ctx, h_all, parts):
     """Reduce the complementary h_j to invariants in eta_1..eta_l.
 
-    `parts` is the tuple returned by eliminate_noncomplementary (recomputed
-    when omitted).  Splits each invariant into its linear and nonlinear
-    part and asserts the order bounds and the two full-rank criteria (the
-    ignored-derivative square system and its prolongation to the maximal
-    order).
+    `parts` is the tuple returned by eliminate_noncomplementary.  Splits
+    each invariant into its linear and nonlinear part and asserts the order
+    bounds and the two full-rank criteria (the ignored-derivative square
+    system and its prolongation to the maximal order).
     """
-    rs = rep.rs
-    l = rs.rank
-    heights = _heights(rep)
-    if parts is None:
-        parts = eliminate_noncomplementary(rep, h_all)
+    rep = ctx.rep
+    l = rep.rank
+    heights = ctx.heights
     f, lbar, pbar, sigma = parts
-    comp = sorted(rs.comp_roots)
+    comp = sorted(ctx.comp)
     h, lhat, phat = {}, {}, {}
     for j in comp:
         hj = h_all[j - 1].substitute(sigma)
@@ -573,10 +582,11 @@ def invariants(rep, h_all, parts=None):
     return InvariantSet(f=f, h=h, lhat=lhat, phat=phat, lbar=lbar, pbar=pbar)
 
 
-def assemble_A_G(rep, inv):
-    """A_G(h) = A_0^+ + sum over complementary roots of h_j X_j."""
-    out = _dp_matrix(rep.a0_plus())
-    for j, hj in sorted(inv.h.items()):
+def assemble_A_G(rep, h):
+    """A_G(h) = A_0^+ + sum of h_j X_j over the complementary indices j;
+    `h` maps each complementary index to its DiffPoly coefficient."""
+    out = lift_matrix(rep.a0_plus())
+    for j, hj in sorted(h.items()):
         out = linalg.mat_add(out, [[hj * x for x in row] for row in rep.x_neg(j)])
     return out
 
@@ -588,14 +598,9 @@ def specialize(rep, inv, sigma):
     specialized invariant values keyed by complementary index together with
     the specialized defining matrix A_G(sigma(h)).
     """
-    total = {}
-    for var, value in sigma.items():
-        total[var] = value if isinstance(value, DiffPoly) else DiffPoly.rational(value)
+    total = {var: lift(value) for var, value in sigma.items()}
     values = {j: hj.substitute(total) for j, hj in sorted(inv.h.items())}
-    matrix = _dp_matrix(rep.a0_plus())
-    for j, hj in sorted(values.items()):
-        matrix = linalg.mat_add(matrix, [[hj * x for x in row] for row in rep.x_neg(j)])
-    return values, matrix
+    return values, assemble_A_G(rep, values)
 
 
 def verify_end_to_end(rep, data, inv):
@@ -604,61 +609,20 @@ def verify_end_to_end(rep, data, inv):
     Y = u(eta_1..eta_l, f_(l+1)..f_m) n(wbar) t(z) u(y).  The Liouvillian
     identity ldelta(t(z)u(y)) = A_L is re-verified first.
     """
-    rs = rep.rs
-    l, m = rs.rank, rs.m
-    tower = [symgroup.torus_matrix(rep, i + 1, data.z[i]) for i in range(l)] + [
-        symgroup.unipotent_matrix(rep, rs.neg_order[i - 1], data.y[i - 1])
-        for i in range(1, m + 1)
-    ]
-    ld = symgroup.log_derivative(tower)
-    al = [[LiouvExpr.scalar(x) for x in row] for row in data.A_L]
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            if ld[i][j] != al[i][j]:
-                raise IdentityFailure(
-                    "ldelta(t(z)u(y)) - A_L is nonzero at entry (%d, %d)" % (i, j)
-                )
-    args = []
-    for i in range(1, m + 1):
-        if i <= l:
-            args.append(LiouvExpr.scalar(DiffPoly.eta(i)))
-        else:
-            args.append(LiouvExpr.scalar(inv.f[i]))
-    factors = [
-        symgroup.unipotent_matrix(rep, rs.neg_order[i - 1], args[i - 1])
-        for i in range(1, m + 1)
-    ]
-    y_mat = [[LiouvExpr.rational(1) if i == j else LiouvExpr.zero()
-              for j in range(rep.dim)] for i in range(rep.dim)]
-    for factor in factors:
-        y_mat = linalg.mat_mul(y_mat, [list(r) for r in factor.rows])
-    y_mat = linalg.mat_mul(
-        y_mat, [[LiouvExpr.rational(x) for x in row] for row in data.nw]
+    l, m = rep.rank, rep.m
+    tower = _torus_factors(rep, data.z) + _unipotent_factors(rep, data.y)
+    _check_tower(tower, data.A_L, IdentityFailure)
+    args = [LiouvExpr.scalar(DiffPoly.eta(i) if i <= l else inv.f[i]) for i in range(1, m + 1)]
+    y_mat = linalg.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
+    for factor in _unipotent_factors(rep, args):
+        y_mat = linalg.mat_mul(y_mat, factor.rows)
+    y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in data.nw])
+    for factor in tower:
+        y_mat = linalg.mat_mul(y_mat, factor.rows)
+    ag = [[LiouvExpr.scalar(x) for x in row] for row in assemble_A_G(rep, inv.h)]
+    _require_equal(
+        linalg.mat_derive(y_mat), linalg.mat_mul(ag, y_mat), IdentityFailure, "d(Y) - A_G(h) Y"
     )
-    for i in range(l):
-        y_mat = linalg.mat_mul(
-            y_mat, [list(r) for r in symgroup.torus_matrix(rep, i + 1, data.z[i]).rows]
-        )
-    for i in range(1, m + 1):
-        y_mat = linalg.mat_mul(
-            y_mat,
-            [
-                list(r)
-                for r in symgroup.unipotent_matrix(
-                    rep, rs.neg_order[i - 1], data.y[i - 1]
-                ).rows
-            ],
-        )
-    ag = assemble_A_G(rep, inv)
-    ag_expr = [[LiouvExpr.scalar(x) for x in row] for row in ag]
-    lhs = [[x.derive() for x in row] for row in y_mat]
-    rhs = linalg.mat_mul(ag_expr, y_mat)
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            if lhs[i][j] != rhs[i][j]:
-                raise IdentityFailure(
-                    "d(Y) - A_G(h) Y is nonzero at entry (%d, %d)" % (i, j)
-                )
     return {
         "entries_checked": rep.dim * rep.dim,
         "liouville_identity": "ok",
@@ -680,15 +644,16 @@ class PipelineResult:
 def run_pipeline(type_label, rank, with_liouville=True):
     """Run every stage for the given system and return the full result."""
     rep = chevalley.build_rep(type_label, rank)
-    stage1 = logderiv_unipotent(rep)
-    stage2 = adjoint_on_A0(rep)
-    data = build_A_L(rep, stage2)
+    ctx = pipeline_context(rep)
+    stage1 = logderiv_unipotent(ctx)
+    stage2 = adjoint_on_A0(ctx)
+    data = build_A_L(ctx, stage2)
     if with_liouville:
-        data = liouville_solutions(rep, data, stage1)
-    h_all = logderiv_Y(rep, data, stage2)
-    parts = eliminate_noncomplementary(rep, h_all)
-    inv = invariants(rep, h_all, parts)
-    ag = assemble_A_G(rep, inv)
+        data = liouville_solutions(ctx, data, stage1)
+    h_all = logderiv_Y(ctx, data, stage2)
+    parts = eliminate_noncomplementary(ctx, h_all)
+    inv = invariants(ctx, h_all, parts)
+    ag = assemble_A_G(rep, inv.h)
     return PipelineResult(
         rep=rep,
         stage1=stage1,
@@ -704,12 +669,7 @@ def run_pipeline(type_label, rank, with_liouville=True):
 
 
 def _entry_json(x):
-    if isinstance(x, (int, Fraction)):
-        q = Fraction(x)
-        return "%d/%d" % (q.numerator, q.denominator)
-    if isinstance(x, DiffPoly):
-        return x.to_json_obj()
-    return x.to_json_obj()
+    return frac_text(x) if isinstance(x, (int, Fraction)) else x.to_json_obj()
 
 
 def matrix_json(m):
@@ -732,7 +692,7 @@ def report_json_obj(result):
             "p": [p.to_json_obj() for p in result.stage2.p],
         },
         "A_L": matrix_json(result.liouville.A_L),
-        "c": ["%d/%d" % (Fraction(x).numerator, Fraction(x).denominator) for x in result.liouville.c],
+        "c": [frac_text(x) for x in result.liouville.c],
         "gbar": [g.to_json_obj() for g in result.liouville.gbar],
         "z": [z.to_json_obj() for z in result.liouville.z],
         "y": [y.to_json_obj() for y in result.liouville.y],

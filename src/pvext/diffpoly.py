@@ -13,6 +13,20 @@ from typing import NamedTuple
 from .errors import MissingAssignment
 
 
+def frac_text(q):
+    """The canonical "p/q" text of an int or Fraction, e.g. "3/1"."""
+    return "%d/%d" % (q.numerator, q.denominator)
+
+
+def lift(x):
+    """x as a DiffPoly; a rational becomes a constant polynomial."""
+    return x if isinstance(x, DiffPoly) else DiffPoly.rational(x)
+
+
+def lift_matrix(m):
+    return [[lift(x) for x in row] for row in m]
+
+
 class JetVar(NamedTuple):
     """The formal symbol eta_var^(order); ordered by (var, order)."""
 
@@ -297,6 +311,12 @@ class DiffPoly:
     def constant_term(self):
         return self.terms.get((), Fraction(0))
 
+    def is_rational(self):
+        return not self.terms or list(self.terms) == [()]
+
+    def rational_value(self):
+        return self.constant_term()
+
     def coefficient_of_jet(self, var, order):
         """Coefficient of the degree-one term eta_var^(order)."""
         return self.terms.get(((JetVar(var, order), 1),), Fraction(0))
@@ -316,9 +336,7 @@ class DiffPoly:
         items = []
         for mon, c in self.sorted_terms():
             factors = [[jv.var, jv.order, e] for jv, e in sorted(mon, reverse=True)]
-            items.append(
-                {"c": "%d/%d" % (c.numerator, c.denominator), "m": factors}
-            )
+            items.append({"c": frac_text(c), "m": factors})
         return {"terms": items}
 
     @classmethod

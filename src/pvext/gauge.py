@@ -11,13 +11,9 @@ transform of the input with the assembled element.
 
 from fractions import Fraction
 
-from . import chevalley, linalg, symgroup
-from .diffpoly import DiffPoly
+from . import chevalley, construct, linalg, symgroup
+from .diffpoly import DiffPoly, lift_matrix
 from .errors import NonUnitScaling, NotInLieAlgebra, VerificationFailure
-
-
-def _dp(x):
-    return x if isinstance(x, DiffPoly) else DiffPoly.rational(x)
 
 
 def is_in_plane(rep, a):
@@ -26,9 +22,8 @@ def is_in_plane(rep, a):
     Requires zero coefficients on the non-simple positive roots and
     nonzero constant coefficients s_i on the simple positive roots.
     """
-    rows = [[_dp(x) for x in row] for row in a]
     try:
-        dec = chevalley.decompose_in_basis(rep, rows)
+        dec = chevalley.decompose_in_basis(rep, lift_matrix(a))
     except NotInLieAlgebra:
         return False, None
     s = []
@@ -58,7 +53,7 @@ def _nth_root(q, n):
             return None if r is None or k % 2 == 0 else -r
         if value in (0, 1):
             return value
-        lo, hi = 0, max(2, int(value ** (1.0 / k)) + 2)
+        lo, hi = 0, 1 << (value.bit_length() // k + 1)
         while lo < hi:
             mid = (lo + hi) // 2
             if mid ** k < value:
@@ -126,7 +121,7 @@ def normalize_to_AG(rep, a):
     ok, s = is_in_plane(rep, a)
     if not ok:
         raise VerificationFailure("matrix is not in the plane A_0^+(s) + b^-")
-    current = [[_dp(x) for x in row] for row in a]
+    current = lift_matrix(a)
     factors = []
     if any(Fraction(v) != 1 for v in s):
         z = _torus_rescaling(rep, s)
@@ -135,8 +130,7 @@ def normalize_to_AG(rep, a):
             torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
         tm = symgroup.SymMatrix(tuple(tuple(r) for r in torus), "torus_diagonal")
         factors.append(tm)
-        current = symgroup.gauge(tm, current)
-        current = [[_dp(x) for x in row] for row in current]
+        current = lift_matrix(symgroup.gauge(tm, current))
 
     rs = rep.rs
     heights = rs.heights_of_order()
@@ -170,8 +164,7 @@ def normalize_to_AG(rep, a):
         for k, xk in zip(sources, xs):
             factor = symgroup.unipotent_matrix(rep, rs.neg_order[k - 1], -xk)
             factors.append(factor)
-            current = symgroup.gauge(factor, current)
-            current = [[_dp(x) for x in row] for row in current]
+            current = lift_matrix(symgroup.gauge(factor, current))
 
     # deepest complementary components are whatever remains
     dec = chevalley.decompose_in_basis(rep, current)
@@ -183,10 +176,8 @@ def normalize_to_AG(rep, a):
     for factor in reversed(factors):
         g = linalg.mat_mul([list(r) for r in factor.rows], g)
 
-    want = [[_dp(x) for x in row] for row in rep.a0_plus()]
-    for j, fj in sorted(f.items()):
-        want = linalg.mat_add(want, [[fj * x for x in row] for row in rep.x_neg(j)])
-    transformed = _gauge_by_factors(factors, [[_dp(x) for x in row] for row in a])
+    want = construct.assemble_A_G(rep, f)
+    transformed = _gauge_by_factors(factors, lift_matrix(a))
     if not linalg.mat_eq(transformed, want):
         raise VerificationFailure("gauge normalization post-check failed")
     if not linalg.mat_eq(current, want):
@@ -197,6 +188,5 @@ def normalize_to_AG(rep, a):
 def _gauge_by_factors(factors, a):
     out = a
     for factor in factors:
-        out = symgroup.gauge(factor, out)
-        out = [[_dp(x) for x in row] for row in out]
+        out = lift_matrix(symgroup.gauge(factor, out))
     return out

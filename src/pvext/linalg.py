@@ -49,17 +49,13 @@ def mat_mul(a, b):
         for col in bt:
             acc = None
             for x, y in zip(row, col):
-                if _is_zero(x) or _is_zero(y):
+                if not x or not y:
                     continue
                 term = x * y
                 acc = term if acc is None else acc + term
             orow.append(acc if acc is not None else row[0] * 0)
         out.append(orow)
     return out
-
-
-def _is_zero(x):
-    return not x
 
 
 def mat_is_zero(a):
@@ -70,8 +66,12 @@ def mat_eq(a, b):
     return mat_is_zero(mat_sub(a, b))
 
 
-def mat_map(a, fn):
-    return [[fn(x) for x in row] for row in a]
+def mat_derive(a):
+    """Entrywise derivation; rational entries are constants."""
+    return [
+        [Fraction(0) if isinstance(x, (int, Fraction)) else x.derive() for x in row]
+        for row in a
+    ]
 
 
 def bracket(a, b):

@@ -9,7 +9,7 @@ and ascending lexicographic order on coefficient vectors otherwise.
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import DependentRoots, NotARoot, UnsupportedType
+from .errors import DependentRoots, NotARoot, StructureViolation, UnsupportedType
 
 
 @dataclass(frozen=True)
@@ -273,7 +273,8 @@ def cartan_integer(rs, beta, alpha):
     if not rs.contains(alpha):
         raise NotARoot("%r" % (alpha,))
     value = 2 * rs.inner(beta, alpha) / rs.inner(alpha, alpha)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise StructureViolation("<%r, %r> is not an integer" % (beta, alpha))
     return int(value)
 
 
@@ -361,6 +362,7 @@ def longest_weyl_word(rs):
     for root in rs.roots:
         image = act(root)
         if root.height() > 0 and image.height() > 0:
-            raise AssertionError("longest element failed to negate %r" % (root,))
-    assert len(word) == rs.m
+            raise StructureViolation("longest element failed to negate %r" % (root,))
+    if len(word) != rs.m:
+        raise StructureViolation("longest word has length %d, not %d" % (len(word), rs.m))
     return WeylWord(tuple(word))

@@ -11,8 +11,6 @@ from fractions import Fraction
 
 from . import chevalley, linalg
 from .diffpoly import DiffPoly
-from .domains import derive as entry_derive
-from .domains import is_rational, lift_rational
 from .errors import NotClosedFormInvertible
 from .liouville_expr import LiouvExpr
 
@@ -57,7 +55,7 @@ class SymMatrix:
         elif self.tag == "constant":
             for row in rows:
                 for x in row:
-                    if not (isinstance(x, (int, Fraction)) or is_rational(x)):
+                    if not (isinstance(x, (int, Fraction)) or x.is_rational()):
                         raise ValueError("constant tag needs rational entries")
 
     @property
@@ -87,14 +85,14 @@ class SymMatrix:
         )
 
     def derived(self):
-        return [[entry_derive(x) for x in row] for row in self.rows]
+        return linalg.mat_derive(self.rows)
 
 
 def _one_like(rows):
     sample = next((x for row in rows for x in row if x), Fraction(1))
     if isinstance(sample, (int, Fraction)):
         return Fraction(1)
-    return lift_rational(1, sample)
+    return type(sample).rational(1)
 
 
 def _entry_inverse(x):
@@ -110,11 +108,7 @@ def _entry_inverse(x):
 
 
 def _as_fraction(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    from .domains import as_rational
-
-    return as_rational(x)
+    return Fraction(x) if isinstance(x, (int, Fraction)) else x.rational_value()
 
 
 def _as_symmatrix(m, tag="general"):
@@ -163,16 +157,6 @@ def gauge(g, a):
     return linalg.mat_add(adjoint(g, a), log_derivative(g))
 
 
-def decompose_in_basis(rep, a):
-    """Coefficients of a matrix over the Chevalley basis {H_i} u {X_alpha}.
-
-    Raises NotInLieAlgebra when the matrix lies outside the span; the
-    residual check is exact and entrywise.
-    """
-    rows = a.lists() if isinstance(a, SymMatrix) else a
-    return chevalley.decompose_in_basis(rep, rows)
-
-
 def unipotent_matrix(rep, root, x):
     return SymMatrix(
         tuple(tuple(r) for r in chevalley.unipotent_element(rep, root, x)),
@@ -185,7 +169,3 @@ def torus_matrix(rep, i, z):
         tuple(tuple(r) for r in chevalley.torus_element(rep, i, z)),
         "torus_diagonal",
     )
-
-
-def constant_matrix(m):
-    return SymMatrix(tuple(tuple(r) for r in m), "constant")

@@ -280,7 +280,7 @@ def test_criterion_8d_logderiv_decomposable():
         for _ in range(15):
             factors = [_random_factor(rep, rng) for _ in range(rng.randint(1, 4))]
             ld = symgroup.log_derivative(factors)
-            symgroup.decompose_in_basis(rep, _dp_lift(ld))
+            chevalley.decompose_in_basis(rep, _dp_lift(ld))
     announce(8, "(d) every generated group element has decomposable log derivative")
 
 

@@ -122,3 +122,40 @@ def test_malformed_matrix_file(tmp_path, capsys):
     assert code == 1
     code, _, err = run_cli(["bruhat", "--matrix", str(tmp_path / "missing.json")], capsys)
     assert code == 1
+
+
+def test_bruhat_rejects_json_floats(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps([[0.1, 0], [0, 10]]))
+    code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+    assert code == 1 and out == ""
+    assert "0.1" in err and "Traceback" not in err
+
+
+def test_bruhat_rejects_polynomial_entries(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps([["1", "n1"], ["0", "1"]]))
+    code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+    assert code == 1 and out == ""
+    assert "rational entries" in err
+    # a polynomial string that is a constant is still accepted
+    m.write_text(json.dumps([["1", "n1 - n1"], ["0", "1"]]))
+    assert run_cli(["bruhat", "--matrix", str(m)], capsys)[0] == 0
+
+
+def test_gauge_normalize_checks_the_matrix_size(tmp_path, capsys):
+    m = tmp_path / "plane.json"
+    m.write_text(json.dumps([["0", "1"], ["n1' + n1^2", "0"]]))
+    code, out, err = run_cli(
+        ["gauge-normalize", "--type", "A", "--rank", "2", "--matrix", str(m)], capsys
+    )
+    assert code == 1 and out == ""
+    assert "3x3" in err and "2x2" in err
+
+
+def test_malformed_entries_are_input_errors(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    for entry in ({"x": 1}, {"terms": 3}, "1/0", None):
+        m.write_text(json.dumps([[entry, "0"], ["0", "1"]]))
+        code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+        assert code == 1 and out == "" and "input error" in err, entry

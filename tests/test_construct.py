@@ -1,4 +1,7 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -362,6 +365,39 @@ def test_end_to_end_across_types():
     # beyond the required systems: the defining identity holds for the
     # higher-rank and B/C/D pipelines as well
     for t, r in [("A", 4), ("A", 5), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("D", 4)]:
-        res = construct.run_pipeline(t, r)
+        res = get_pipeline(t, r)
         report = construct.verify_end_to_end(res.rep, res.liouville, res.invariants)
         assert report["status"] == "ok"
+
+
+# Report digests of the grid systems, recorded by perfbench/record_digests.py.
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("label", sorted(set(DIGESTS) - {"D5"}))
+def test_report_matches_recorded_digest(label):
+    # D5 takes seconds to derive; the benchmark's derive workload covers it
+    report = construct.report_json(get_pipeline(label[0], int(label[1:])))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIGESTS[label]
+
+
+def test_pipeline_builds_u_and_its_inverse_once(monkeypatch):
+    products, inverted = [], []
+    product, inverse = construct.unipotent_product, linalg.unipotent_inverse
+
+    def counting_product(rep, args):
+        products.append(product(rep, args))
+        return products[-1]
+
+    def counting_inverse(m, *rest):
+        inverted.append(m)
+        return inverse(m, *rest)
+
+    monkeypatch.setattr(construct, "unipotent_product", counting_product)
+    monkeypatch.setattr(linalg, "unipotent_inverse", counting_inverse)
+    construct.run_pipeline("A", 3)
+    assert len(products) == 1
+    # u(eta) is inverted once; the Liouville stage inverts only u_i(y_i) factors
+    assert sum(1 for m in inverted if m is products[0]) == 1

@@ -148,3 +148,11 @@ def test_rescaling_a2_cube():
     a = linalg.mat_add(a, [[DiffPoly.eta(1) * x for x in row] for row in rep.H[0]])
     g, factors, f = gauge.normalize_to_AG(rep, a)
     assert set(f) == set(rep.rs.comp_roots)
+
+
+def test_nth_root_is_exact_beyond_float_range():
+    assert gauge._nth_root(Fraction(10 ** 400), 2) == 10 ** 200
+    assert gauge._nth_root(Fraction(-(10 ** 300), 7 ** 399), 3) == Fraction(-(10 ** 100), 7 ** 133)
+    assert gauge._nth_root(Fraction(10 ** 400 + 1), 2) is None
+    assert gauge._nth_root(Fraction(2), 2) is None
+    assert gauge._nth_root(Fraction(27, 8), 3) == Fraction(3, 2)

@@ -99,14 +99,14 @@ def test_decompose_v6_fixture(rep_a3):
     u = construct.unipotent_product(rep_a3, [DiffPoly.eta(i) for i in range(1, 7)])
     uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
     du = [[x.derive() for x in row] for row in u]
-    dec = symgroup.decompose_in_basis(rep_a3, linalg.mat_mul(du, uinv))
+    dec = chevalley.decompose_in_basis(rep_a3, linalg.mat_mul(du, uinv))
     coef = dec[("X", (-1, -1, -1))]
     assert coef == parse("n6' + n3 n4' - n5' n1 + n3' n2 n1")
 
 
 def test_decompose_rejects_trace(rep_a3):
     with pytest.raises(NotInLieAlgebra):
-        symgroup.decompose_in_basis(rep_a3, linalg.eye(4))
+        chevalley.decompose_in_basis(rep_a3, linalg.eye(4))
 
 
 def test_general_inverse_refused():
@@ -180,7 +180,7 @@ def test_log_derivative_lands_in_lie_algebra():
         for _ in range(10):
             factors = _random_structured_factors(rep, rng, 3)
             ld = symgroup.log_derivative(factors)
-            symgroup.decompose_in_basis(rep, _dp_lift(ld))
+            chevalley.decompose_in_basis(rep, _dp_lift(ld))
 
 
 def test_adjoint_preserves_brackets():
