@@ -10,7 +10,8 @@ Entry points:
     rootsys.build_root_system    root systems of types A, B, C, D, G2
     chevalley.build_rep          concrete Chevalley bases with axiom checks
     construct.run_pipeline       the full derivation for a type and rank
-    construct.verify_end_to_end  the defining identity d(Y) = A_G(h) Y
+    construct.verify_end_to_end  the defining identity d(Y) = A_G(h) Y, checked
+                                 as an equivalent differential-polynomial identity
     bruhat.bruhat_decompose      exact Bruhat normal forms for SL_n
     gauge.normalize_to_AG        gauge normalization to the generic shape
 """

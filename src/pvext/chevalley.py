@@ -35,12 +35,6 @@ def _load_calibration():
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _system_key(rs):
-    if rs.type_label == "G2":
-        return "G2"
-    return "%s%d" % (rs.type_label, rs.rank)
-
-
 @dataclass(frozen=True)
 class ChevalleyRep:
     """A root system together with concrete matrices for its Chevalley basis."""
@@ -87,6 +81,16 @@ class ChevalleyRep:
             root = self.rs.simple(i) if sign > 0 else -self.rs.simple(i)
             acc = linalg.mat_add(acc, linalg.mat_scale(self.X[root.coeffs], values[i - 1]))
         return acc
+
+    def w_coefficients(self, k):
+        """decompose_in_basis(W_k) for 1-based k, computed once per rep."""
+        cache = getattr(self, "_w_coefficients_cache", None)
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_w_coefficients_cache", cache)
+        if k not in cache:
+            cache[k] = decompose_in_basis(self, self.W[k - 1])
+        return cache[k]
 
     def cartan_combination(self, coeffs):
         """The integer matrix sum(c_i H_i)."""
@@ -181,7 +185,7 @@ def build_rep(rs_or_type, rank=None):
         rs = rs_or_type
     else:
         rs = rootsys.build_root_system(rs_or_type, rank)
-    calibration = _load_calibration().get(_system_key(rs), {})
+    calibration = _load_calibration().get(rs.label, {})
     signs = {
         tuple(int(v) for v in key.split(",")): int(value)
         for key, value in calibration.items()
@@ -482,7 +486,7 @@ def _verify_w_basis(rep):
             continue
         coeff = []
         for k in sources:
-            decomposed = decompose_in_basis(rep, rep.W[k - 1])
+            decomposed = rep.w_coefficients(k)
             coeff.append([decomposed.get(("X", rs.neg_order[i - 1].coeffs), Fraction(0))
                           for i in noncomp_members])
         if len(coeff) != len(noncomp_members):

@@ -334,18 +334,23 @@ def _unipotent_factors(rep, args):
     return [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
 
 
-def _require_equal(lhs, rhs, error, what):
-    """Raise `error` naming the first entry where two matrices differ."""
+def _require_equal(rep, lhs, rhs, error, what):
+    """Raise `error`, naming the system and the first entry where two
+    matrices differ."""
     for r, (row_l, row_r) in enumerate(zip(lhs, rhs)):
         for c, (x, y) in enumerate(zip(row_l, row_r)):
             if x != y:
-                raise error("%s is nonzero at entry (%d, %d)" % (what, r, c))
+                raise error(
+                    "%s: %s is nonzero at entry (%d, %d)" % (rep.rs.label, what, r, c)
+                )
 
 
-def _check_tower(tower, A_L, error):
+def _check_tower(rep, tower, A_L, error):
     """Raise `error` unless ldelta of the factor product t(z)u(y) is A_L."""
     al = [[LiouvExpr.scalar(x) for x in row] for row in A_L]
-    _require_equal(symgroup.log_derivative(tower), al, error, "ldelta(t(z)u(y)) - A_L")
+    _require_equal(
+        rep, symgroup.log_derivative(tower), al, error, "ldelta(t(z)u(y)) - A_L"
+    )
 
 
 def liouville_solutions(ctx, data, stage1):
@@ -384,7 +389,7 @@ def liouville_solutions(ctx, data, stage1):
         derivs[i] = integrand
 
     tower = torus_factors + _unipotent_factors(rep, y)
-    _check_tower(tower, data.A_L, VerificationFailure)
+    _check_tower(rep, tower, data.A_L, VerificationFailure)
     return LiouvilleData(
         c=data.c,
         gbar=data.gbar,
@@ -604,25 +609,35 @@ def specialize(rep, inv, sigma):
 
 
 def verify_end_to_end(rep, data, inv):
-    """Check d(Y) - A_G(h) Y = 0 entrywise over the expression algebra.
+    """Check d(Y) = A_G(h) Y through an equivalent DiffPoly identity.
 
-    Y = u(eta_1..eta_l, f_(l+1)..f_m) n(wbar) t(z) u(y).  The Liouvillian
-    identity ldelta(t(z)u(y)) = A_L is re-verified first.
+    Write the fundamental matrix Y = U N T with U = u(eta_1..eta_l,
+    f_(l+1)..f_m) over DiffPoly, N = n(wbar) rational and T = t(z) u(y)
+    Liouvillian.  The tower identity ldelta(T) = A_L is re-verified first,
+    so dT = A_L T.  Since dN = 0,
+
+        d(Y) - A_G(h) Y = dU N T + U N A_L T - A_G(h) U N T = M T,
+        M = dU N + U N A_L - A_G(h) U N.
+
+    T is invertible: t(z) is diagonal with products of the exponentials
+    z_i^(+-1) on the diagonal, and u(y) is unipotent.  So M T = 0 if and
+    only if M = 0, and row r of d(Y) - A_G(h) Y vanishes if and only if
+    row r of M does.  Every factor of M has DiffPoly or rational entries,
+    and DiffPoly embeds in the Liouvillian algebra through
+    LiouvExpr.scalar, an injective ring map that commutes with the
+    derivation; so M = 0 over the Liouvillian algebra if and only if
+    M = 0 entrywise over DiffPoly, which is what is checked.
     """
     l, m = rep.rank, rep.m
     tower = _torus_factors(rep, data.z) + _unipotent_factors(rep, data.y)
-    _check_tower(tower, data.A_L, IdentityFailure)
-    args = [LiouvExpr.scalar(DiffPoly.eta(i) if i <= l else inv.f[i]) for i in range(1, m + 1)]
-    y_mat = linalg.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
-    for factor in _unipotent_factors(rep, args):
-        y_mat = linalg.mat_mul(y_mat, factor.rows)
-    y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in data.nw])
-    for factor in tower:
-        y_mat = linalg.mat_mul(y_mat, factor.rows)
-    ag = [[LiouvExpr.scalar(x) for x in row] for row in assemble_A_G(rep, inv.h)]
-    _require_equal(
-        linalg.mat_derive(y_mat), linalg.mat_mul(ag, y_mat), IdentityFailure, "d(Y) - A_G(h) Y"
+    _check_tower(rep, tower, data.A_L, IdentityFailure)
+    u = unipotent_product(
+        rep, [DiffPoly.eta(i) if i <= l else inv.f[i] for i in range(1, m + 1)]
     )
+    un = linalg.mat_mul(u, lift_matrix(data.nw))
+    lhs = linalg.mat_add(linalg.mat_derive(un), linalg.mat_mul(un, data.A_L))
+    rhs = linalg.mat_mul(assemble_A_G(rep, inv.h), un)
+    _require_equal(rep, lhs, rhs, IdentityFailure, "(d(Y) - A_G(h) Y) T^-1")
     return {
         "entries_checked": rep.dim * rep.dim,
         "liouville_identity": "ok",

@@ -65,6 +65,13 @@ class RootSystem:
     def m(self):
         return len(self.neg_order)
 
+    @property
+    def label(self):
+        """The system's name: "G2", or type and rank such as "B4"."""
+        if self.type_label == "G2":
+            return "G2"
+        return "%s%d" % (self.type_label, self.rank)
+
     def positive_roots(self):
         return tuple(-b for b in self.neg_order)
 
@@ -317,11 +324,21 @@ def root_string(rs, alpha, beta):
     return (r, q)
 
 
+def _reflect_simple(rs, i, beta):
+    """w_{alpha_i}(beta), 1-based i; <beta, alpha_i> comes straight from
+    the integer Cartan matrix, so no bilinear form is evaluated."""
+    if not rs.contains(beta):
+        raise NotARoot("%r" % (beta,))
+    coeffs = list(beta.coeffs)
+    coeffs[i - 1] -= pairing(rs.cartan, beta.coeffs, i - 1)
+    return Root(tuple(coeffs))
+
+
 def simple_reflection_action(rs, i):
     """The action of w_{alpha_i} on coefficient vectors, 1-based i."""
 
     def act(root):
-        return reflect(rs, rs.simple(i), root)
+        return _reflect_simple(rs, i, root)
 
     return act
 
@@ -333,7 +350,7 @@ def weyl_action(rs, word):
 
     def act(root):
         for i in reversed(word):
-            root = reflect(rs, rs.simple(i), root)
+            root = _reflect_simple(rs, i, root)
         return root
 
     return act

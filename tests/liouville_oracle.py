@@ -1,0 +1,33 @@
+"""The defining identity checked the slow way, as a test oracle.
+
+Multiplies the fundamental matrix Y = u(eta_1..eta_l, f_(l+1)..f_m)
+n(wbar) t(z) u(y) out over the Liouvillian expression algebra and compares
+d(Y) with A_G(h) Y entrywise.  It relies on no identity of the pipeline,
+so it cross-checks construct.verify_end_to_end, which checks an equivalent
+polynomial identity.  It takes seconds from rank 4 on, so the tests run it
+on small systems only.
+"""
+
+from pvext import construct, linalg, symgroup
+from pvext.diffpoly import DiffPoly
+from pvext.errors import IdentityFailure
+from pvext.liouville_expr import LiouvExpr
+
+
+def verify_by_liouville_product(rep, data, inv):
+    """Raise IdentityFailure unless d(Y) = A_G(h) Y over LiouvExpr."""
+    l, m = rep.rank, rep.m
+    args = [
+        LiouvExpr.scalar(DiffPoly.eta(i) if i <= l else inv.f[i]) for i in range(1, m + 1)
+    ]
+    y_mat = linalg.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
+    for root, a in zip(rep.rs.neg_order, args):
+        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, a).lists())
+    y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in data.nw])
+    for i, zi in enumerate(data.z, start=1):
+        y_mat = linalg.mat_mul(y_mat, symgroup.torus_matrix(rep, i, zi).lists())
+    for root, yi in zip(rep.rs.neg_order, data.y):
+        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, yi).lists())
+    ag = [[LiouvExpr.scalar(x) for x in row] for row in construct.assemble_A_G(rep, inv.h)]
+    if not linalg.mat_eq(linalg.mat_derive(y_mat), linalg.mat_mul(ag, y_mat)):
+        raise IdentityFailure("d(Y) - A_G(h) Y is nonzero over LiouvExpr")

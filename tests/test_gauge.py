@@ -156,3 +156,22 @@ def test_nth_root_is_exact_beyond_float_range():
     assert gauge._nth_root(Fraction(10 ** 400 + 1), 2) is None
     assert gauge._nth_root(Fraction(2), 2) is None
     assert gauge._nth_root(Fraction(27, 8), 3) == Fraction(3, 2)
+
+
+def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
+    # W_k and X_j depend only on the rep: after one call on a rep, only the
+    # running matrix is decomposed
+    a = linalg.mat_add(rep_a3.a0_plus(), rep_a3.x_neg(rep_a3.m))
+    gauge.normalize_to_AG(rep_a3, a)
+    seen = []
+    decompose = chevalley.decompose_in_basis
+
+    def recording(rep, a):
+        seen.append(a)
+        return decompose(rep, a)
+
+    monkeypatch.setattr(chevalley, "decompose_in_basis", recording)
+    gauge.normalize_to_AG(rep_a3, a)
+    constants = list(rep_a3.W) + [rep_a3.x_neg(j) for j in range(1, rep_a3.m + 1)]
+    assert seen
+    assert not any(a is c for a in seen for c in constants)

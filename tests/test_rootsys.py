@@ -164,6 +164,34 @@ def test_longest_word_g2():
     assert rootsys.longest_weyl_word(rs).word == (2, 1, 2, 1, 2, 1)
 
 
+# The longest words of the grid systems, pinned: A_L, c and gbar depend on them.
+LONGEST_WORDS = {
+    "A1": (1,),
+    "A2": (2, 1, 2),
+    "A3": (3, 2, 3, 1, 2, 3),
+    "A4": (4, 3, 4, 2, 3, 4, 1, 2, 3, 4),
+    "A5": (5, 4, 5, 3, 4, 5, 2, 3, 4, 5, 1, 2, 3, 4, 5),
+    "B2": (2, 1, 2, 1),
+    "B3": (3, 2, 3, 2, 1, 2, 3, 2, 1),
+    "B4": (4, 3, 4, 3, 2, 3, 4, 3, 2, 1, 2, 3, 4, 3, 2, 1),
+    "C2": (2, 1, 2, 1),
+    "C3": (3, 2, 3, 2, 1, 2, 3, 2, 1),
+    "C4": (4, 3, 4, 3, 2, 3, 4, 3, 2, 1, 2, 3, 4, 3, 2, 1),
+    "D3": (3, 2, 1, 3, 2, 1),
+    "D4": (4, 3, 2, 4, 3, 2, 1, 2, 4, 3, 2, 1),
+    "D5": (5, 4, 3, 5, 4, 3, 2, 3, 5, 4, 3, 2, 1, 2, 3, 5, 4, 3, 2, 1),
+    "G2": (2, 1, 2, 1, 2, 1),
+}
+
+
+@pytest.mark.parametrize("label", sorted(LONGEST_WORDS))
+def test_longest_word_is_pinned_across_the_grid(label):
+    type_label, rank = ("G2", 2) if label == "G2" else (label[0], int(label[1:]))
+    rs = rootsys.build_root_system(type_label, rank)
+    assert rs.label == label
+    assert rootsys.longest_weyl_word(rs).word == LONGEST_WORDS[label]
+
+
 def test_longest_word_a3_action():
     rs = rootsys.build_root_system("A", 3)
     word = rootsys.longest_weyl_word(rs)
