@@ -4,7 +4,8 @@ For each supported root system this module builds integer matrices for the
 Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
 provides the group elements u_alpha(x), t_i(z) and the Weyl representatives
-n(w).  Every Chevalley axiom is checked exhaustively at build time.
+n(w).  Every Chevalley axiom is checked exhaustively at build time, with
+sparse integer brackets.
 
 Sign conventions for the non-simple root vectors are loaded from a
 calibration table (see data/calibration.json); roots without an entry keep
@@ -105,70 +106,158 @@ class ChevalleyRep:
 
 
 def _simple_generators(rs):
-    """(dim, E, F) with E[i], F[i] the matrices of the simple root vectors."""
+    """(dim, E, F) with E[i], F[i] the sparse matrices of the simple root vectors."""
     l = rs.rank
     t = rs.type_label
     if t == "A":
         n = l + 1
-        E = [_entries(n, [(i, i + 1, 1)]) for i in range(l)]
-        F = [_entries(n, [(i + 1, i, 1)]) for i in range(l)]
+        E = [_entries([(i, i + 1, 1)]) for i in range(l)]
+        F = [_entries([(i + 1, i, 1)]) for i in range(l)]
         return n, E, F
     if t == "C":
         n = 2 * l
         # basis: eps_1..eps_l, -eps_l..-eps_1
         E, F = [], []
         for i in range(l - 1):
-            E.append(_entries(n, [(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]))
-            F.append(_entries(n, [(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]))
-        E.append(_entries(n, [(l - 1, l, 1)]))
-        F.append(_entries(n, [(l, l - 1, 1)]))
+            E.append(_entries([(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]))
+            F.append(_entries([(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]))
+        E.append(_entries([(l - 1, l, 1)]))
+        F.append(_entries([(l, l - 1, 1)]))
         return n, E, F
     if t == "B":
         n = 2 * l + 1
         # basis: eps_1..eps_l, 0, -eps_l..-eps_1
         E, F = [], []
         for i in range(l - 1):
-            E.append(_entries(n, [(i, i + 1, 1), (2 * l - 1 - i, 2 * l - i, -1)]))
-            F.append(_entries(n, [(i + 1, i, 1), (2 * l - i, 2 * l - 1 - i, -1)]))
-        E.append(_entries(n, [(l - 1, l, 1), (l, l + 1, 2)]))
-        F.append(_entries(n, [(l, l - 1, 2), (l + 1, l, 1)]))
+            E.append(_entries([(i, i + 1, 1), (2 * l - 1 - i, 2 * l - i, -1)]))
+            F.append(_entries([(i + 1, i, 1), (2 * l - i, 2 * l - 1 - i, -1)]))
+        E.append(_entries([(l - 1, l, 1), (l, l + 1, 2)]))
+        F.append(_entries([(l, l - 1, 2), (l + 1, l, 1)]))
         return n, E, F
     if t == "D":
         n = 2 * l
         # basis: eps_1..eps_l, -eps_l..-eps_1
         E, F = [], []
         for i in range(l - 1):
-            E.append(_entries(n, [(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]))
-            F.append(_entries(n, [(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]))
-        E.append(_entries(n, [(l - 2, l, 1), (l - 1, l + 1, -1)]))
-        F.append(_entries(n, [(l, l - 2, 1), (l + 1, l - 1, -1)]))
+            E.append(_entries([(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]))
+            F.append(_entries([(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]))
+        E.append(_entries([(l - 2, l, 1), (l - 1, l + 1, -1)]))
+        F.append(_entries([(l, l - 2, 1), (l + 1, l - 1, -1)]))
         return n, E, F
     if t == "G2":
         # 7-dimensional representation; basis ordered to match the fixed
         # Weyl representatives: v1 of weight 0, then the weight vectors
         # 2a1+a2, -a1, -a1-a2, -2a1-a2, a1, a1+a2.
         n = 7
-        e1 = _entries(n, [(0, 2, 1), (5, 0, -2), (3, 4, 1), (1, 6, -1)])
-        f1 = _entries(n, [(2, 0, 2), (0, 5, -1), (4, 3, 1), (6, 1, -1)])
-        e2 = _entries(n, [(2, 3, -1), (6, 5, 1)])
-        f2 = _entries(n, [(3, 2, -1), (5, 6, 1)])
+        e1 = _entries([(0, 2, 1), (5, 0, -2), (3, 4, 1), (1, 6, -1)])
+        f1 = _entries([(2, 0, 2), (0, 5, -1), (4, 3, 1), (6, 1, -1)])
+        e2 = _entries([(2, 3, -1), (6, 5, 1)])
+        f2 = _entries([(3, 2, -1), (5, 6, 1)])
         return n, [e1, e2], [f1, f2]
     raise UnsupportedRep("no representation for type %s" % t)
 
 
-def _entries(n, triples):
-    m = linalg.zeros(n)
-    for r, c, v in triples:
-        m[r][c] = Fraction(v)
-    return m
-
-
-def _diag_of(m):
-    return [m[i][i] for i in range(len(m))]
-
-
 def _is_diagonal(m):
     return all(i == j or not x for i, row in enumerate(m) for j, x in enumerate(row))
+
+
+# ----- sparse integer matrices -----
+#
+# build_rep and the axiom sweep work on sparse integer matrices: a dict
+# row -> {col: int} holding exactly the non-zero entries, with no empty
+# rows.  Two such maps are equal iff the matrices are, and all arithmetic
+# on them is exact.  The public ChevalleyRep fields stay dense Fraction
+# lists, built by _dense.
+
+
+def _entries(triples):
+    out = {}
+    for r, c, v in triples:
+        out.setdefault(r, {})[c] = v
+    return out
+
+
+def _sparse(mat, what):
+    """The sparse integer map of a dense matrix; SpanFailure unless integral."""
+    out = {}
+    for i, row in enumerate(mat):
+        cells = {}
+        for j, x in enumerate(row):
+            if x:
+                x = Fraction(x)
+                if x.denominator != 1:
+                    raise SpanFailure("%s is not integral" % what)
+                cells[j] = x.numerator
+        if cells:
+            out[i] = cells
+    return out
+
+
+def _dense(n, a):
+    zero = Fraction(0)
+    out = [[zero] * n for _ in range(n)]
+    for i, row in a.items():
+        for j, v in row.items():
+            out[i][j] = Fraction(v)
+    return out
+
+
+def _sp_mul(a, b):
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + x * y
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _sp_add(a, b, s=1):
+    """a + s b."""
+    out = {i: dict(row) for i, row in a.items()}
+    for i, row in b.items():
+        acc = out.setdefault(i, {})
+        for j, v in row.items():
+            x = acc.get(j, 0) + s * v
+            if x:
+                acc[j] = x
+            else:
+                acc.pop(j, None)
+        if not acc:
+            del out[i]
+    return out
+
+
+def _sp_scale(a, c):
+    if not c:
+        return {}
+    return {i: {j: c * v for j, v in row.items()} for i, row in a.items()}
+
+
+def _sp_divide(a, k, what):
+    """a / k; SpanFailure unless every entry is divisible by k."""
+    if any(v % k for row in a.values() for v in row.values()):
+        raise SpanFailure("%s is not integral" % what)
+    return {i: {j: v // k for j, v in row.items()} for i, row in a.items()}
+
+
+def _sp_bracket(a, b):
+    return _sp_add(_sp_mul(a, b), _sp_mul(b, a), -1)
+
+
+def _sp_combination(mats, coeffs):
+    acc = {}
+    for c, m in zip(coeffs, mats):
+        acc = _sp_add(acc, m, c)
+    return acc
+
+
+def _cells(a):
+    """The non-zero entries of a sparse matrix as {(row, col): int}."""
+    return {(i, j): v for i, row in a.items() for j, v in row.items()}
 
 
 # ----- build -----
@@ -194,56 +283,78 @@ def build_rep(rs_or_type, rank=None):
 
     n, E, F = _simple_generators(rs)
     l = rs.rank
-    H = [linalg.bracket(E[i], F[i]) for i in range(l)]
+    sh = [_sp_bracket(E[i], F[i]) for i in range(l)]
     for i in range(l):
-        if not _is_diagonal(H[i]):
+        if any(set(row) != {r} for r, row in sh[i].items()):
             raise SpanFailure("H_%d is not diagonal" % (i + 1))
 
-    X = {}
+    sx = {}
     for i in range(l):
-        X[rs.simple(i + 1).coeffs] = E[i]
-        X[(-rs.simple(i + 1)).coeffs] = F[i]
+        sx[rs.simple(i + 1).coeffs] = E[i]
+        sx[(-rs.simple(i + 1)).coeffs] = F[i]
 
     # bracket recursion over positive roots of ascending height
     positives = sorted(
         (r for r in rs.roots if r.height() > 0), key=lambda r: (r.height(), r.coeffs)
     )
     for gamma in positives:
-        if gamma.coeffs in X:
+        if gamma.coeffs in sx:
             continue
         i, beta = _decomposition_step(rs, gamma)
         r, _ = rootsys.root_string(rs, beta, rs.simple(i))
-        scale = Fraction(1, r + 1)
         sign = signs.get(gamma.coeffs, 1)
-        xg = linalg.mat_scale(
-            linalg.bracket(X[rs.simple(i).coeffs], X[beta.coeffs]), scale * sign
+        xg = _sp_divide(
+            _sp_scale(_sp_bracket(sx[rs.simple(i).coeffs], sx[beta.coeffs]), sign),
+            r + 1,
+            "root vector for %r" % (gamma,),
         )
-        xn = linalg.mat_scale(
-            linalg.bracket(X[(-rs.simple(i)).coeffs], X[(-beta).coeffs]), -scale * sign
+        xn = _sp_divide(
+            _sp_scale(_sp_bracket(sx[(-rs.simple(i)).coeffs], sx[(-beta).coeffs]), -sign),
+            r + 1,
+            "root vector for %r" % (-gamma,),
         )
-        if linalg.mat_is_zero(xg) or linalg.mat_is_zero(xn):
+        if not xg or not xn:
             raise SpanFailure("vanishing root vector for %r" % (gamma,))
-        hg = _coroot_matrix(rs, H, gamma)
-        br = linalg.bracket(xg, xn)
-        if linalg.mat_eq(br, hg):
+        hg = _sp_combination(sh, _coroot_coefficients(rs, gamma))
+        br = _sp_bracket(xg, xn)
+        if br == hg:
             pass
-        elif linalg.mat_eq(br, linalg.mat_neg(hg)):
-            xn = linalg.mat_neg(xn)
+        elif br == _sp_scale(hg, -1):
+            xn = _sp_scale(xn, -1)
         else:
             raise SpanFailure("[X,Y] not proportional to the coroot for %r" % (gamma,))
-        X[gamma.coeffs] = _as_integer(xg, "root vector for %r" % (gamma,))
-        X[(-gamma).coeffs] = _as_integer(xn, "root vector for %r" % (-gamma,))
+        sx[gamma.coeffs] = xg
+        sx[(-gamma).coeffs] = xn
 
+    H = [_dense(n, h) for h in sh]
+    X = {coeffs: _dense(n, mat) for coeffs, mat in sx.items()}
     nconst = _verify_axioms(rs, H, X)
-    exp_powers = {
-        coeffs: _divided_powers(mat) for coeffs, mat in X.items()
-    }
+    exp_powers = {coeffs: _divided_powers(mat, n) for coeffs, mat in sx.items()}
 
-    # W basis and complementary roots against the provisional ordering
-    rep0 = _assemble(rs, n, H, X, nconst, exp_powers)
-    comp = _complementary_root_values(rep0)
-    rs_final = rootsys.finalize_order(rs, comp)
-    rep = _assemble(rs_final, n, H, X, nconst, exp_powers)
+    # complementary roots against the provisional ordering, then the recipe
+    # and W for the final one
+    a0 = _sp_combination([sx[rs.simple(i + 1).coeffs] for i in range(l)], [1] * l)
+    w = {b.coeffs: _sp_bracket(sx[b.coeffs], a0) for b in rs.neg_order}
+    rs = rootsys.finalize_order(rs, _complementary_root_values(rs, sx, w))
+    basis_order = [("H", i + 1) for i in range(l)]
+    basis_order += [("X", b.coeffs) for b in rs.neg_order]
+    basis_order += [("X", (-b).coeffs) for b in rs.neg_order]
+    positions, inverse = _solving_recipe(
+        [sh[key - 1] if kind == "H" else sx[key] for kind, key in basis_order], n
+    )
+    rep = ChevalleyRep(
+        rs=rs,
+        dim=n,
+        H=tuple(H),
+        X=X,
+        nconst=nconst,
+        W=(),
+        exp_powers=exp_powers,
+        solve_positions=tuple(positions),
+        solve_inverse=tuple(tuple(row) for row in inverse),
+        basis_order=tuple(basis_order),
+    )
+    object.__setattr__(rep, "W", compute_W(rep))
     _verify_w_basis(rep)
     return rep
 
@@ -276,62 +387,72 @@ def _cartan_combination(H, coeffs):
     return acc
 
 
-def _coroot_matrix(rs, H, root):
-    return _cartan_combination(H, _coroot_coefficients(rs, root))
-
-
-def _as_integer(mat, what):
-    if any(Fraction(x).denominator != 1 for row in mat for x in row):
-        raise SpanFailure("%s is not integral" % what)
-    return mat
-
-
-def _divided_powers(mat):
-    """I, X, X^2/2!, ... until zero; asserts integrality of every power."""
-    n = len(mat)
+def _divided_powers(mat, n):
+    """I, X, X^2/2!, ... as dense matrices, for a sparse X, until zero;
+    every power must be integral."""
     powers = [linalg.eye(n)]
-    cur = linalg.eye(n)
+    cur = {i: {i: 1} for i in range(n)}
     k = 0
     while True:
         k += 1
-        cur = linalg.mat_scale(linalg.mat_mul(cur, mat), Fraction(1, k))
-        if linalg.mat_is_zero(cur):
+        cur = _sp_divide(_sp_mul(cur, mat), k, "divided power %d" % k)
+        if not cur:
             break
         if k > n:
             raise SpanFailure("root vector is not nilpotent")
-        powers.append(_as_integer(cur, "divided power %d" % k))
+        powers.append(_dense(n, cur))
     return tuple(powers)
 
 
 def _verify_axioms(rs, H, X):
-    """Exhaustive Chevalley-basis checks; returns the structure constants."""
+    """Exhaustive Chevalley-basis checks; returns the structure constants.
+
+    H (the list of H_i) and X (root coefficients -> X_root) hold dense
+    matrices, as on a ChevalleyRep.  The checks, for all roots a, b and
+    all i, j:
+
+    - [H_i, H_j] = 0;
+    - [H_i, X_a] = <a, a_i> X_a, the pairing read from the Cartan matrix;
+    - [X_a, X_-a] = H_a, the combination of the H_i from the coroot;
+    - [X_a, X_b] = N X_(a+b) with |N| = r + 1 when a + b is a root, where
+      b - r a, ..., b + q a is the a-string through b; N is returned as
+      nconst[(a, b)];
+    - [X_a, X_b] = 0 when a + b is neither 0 nor a root.
+
+    Each matrix is read once into a sparse integer map, and the identities
+    are checked with sparse integer brackets.  This checks the same
+    identities exactly as dense Fraction brackets would: a map holds
+    precisely the non-zero entries, integer sums and products are exact,
+    and two maps are equal iff the matrices are.  A non-integral entry
+    raises SpanFailure; a Chevalley basis in this representation is
+    integral, which build_rep checks for every root vector and divided
+    power anyway.
+    """
     l = rs.rank
+    sh = [_sparse(h, "H_%d" % (i + 1)) for i, h in enumerate(H)]
+    sx = {coeffs: _sparse(mat, "X_%r" % (coeffs,)) for coeffs, mat in X.items()}
     for i in range(l):
         for j in range(l):
-            if not linalg.mat_is_zero(linalg.bracket(H[i], H[j])):
+            if _sp_bracket(sh[i], sh[j]):
                 raise SpanFailure("[H_%d, H_%d] != 0" % (i + 1, j + 1))
     for root in rs.roots:
-        mat = X[root.coeffs]
+        mat = sx[root.coeffs]
         for i in range(l):
-            want = linalg.mat_scale(
-                mat, Fraction(rootsys.cartan_integer(rs, root, rs.simple(i + 1)))
-            )
-            if not linalg.mat_eq(linalg.bracket(H[i], mat), want):
+            want = _sp_scale(mat, rootsys.pairing(rs.cartan, root.coeffs, i))
+            if _sp_bracket(sh[i], mat) != want:
                 raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
     nconst = {}
     roots = list(rs.roots)
     for a in roots:
         for b in roots:
-            br = linalg.bracket(X[a.coeffs], X[b.coeffs])
+            br = _sp_bracket(sx[a.coeffs], sx[b.coeffs])
             total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
             if all(v == 0 for v in total):
-                want = _coroot_matrix(rs, H, a)
-                if not linalg.mat_eq(br, want):
+                if br != _sp_combination(sh, _coroot_coefficients(rs, a)):
                     raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
                 continue
             if total in rs._root_set:
-                target = X[total]
-                coeff = _proportionality(br, target)
+                coeff = _proportionality(br, sx[total])
                 if coeff is None:
                     raise SpanFailure(
                         "[X_%r, X_%r] not proportional to X_sum" % (a.coeffs, b.coeffs)
@@ -343,69 +464,57 @@ def _verify_axioms(rs, H, X):
                         % (coeff, r + 1, a.coeffs, b.coeffs)
                     )
                 nconst[(a.coeffs, b.coeffs)] = coeff
-            else:
-                if not linalg.mat_is_zero(br):
-                    raise SpanFailure(
-                        "[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs)
-                    )
+            elif br:
+                raise SpanFailure(
+                    "[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs)
+                )
     return nconst
 
 
 def _proportionality(mat, target):
-    """c with mat == c * target, or None."""
+    """The Fraction c with mat == c * target for sparse maps, or None."""
+    if mat.keys() != target.keys():
+        return None
     c = None
-    for row_m, row_t in zip(mat, target):
-        for x, t in zip(row_m, row_t):
-            if t:
-                cand = Fraction(x) / Fraction(t)
-                if c is None:
-                    c = cand
-                elif c != cand:
-                    return None
-            elif x:
+    for i, row in target.items():
+        got = mat[i]
+        if got.keys() != row.keys():
+            return None
+        for j, t in row.items():
+            cand = Fraction(got[j], t)
+            if c is None:
+                c = cand
+            elif c != cand:
                 return None
     return c if c is not None else Fraction(0)
 
 
-def _assemble(rs, n, H, X, nconst, exp_powers):
-    basis_order = [("H", i + 1) for i in range(rs.rank)]
-    basis_order += [("X", b.coeffs) for b in rs.neg_order]
-    basis_order += [("X", (-b).coeffs) for b in rs.neg_order]
-    mats = [H[key - 1] if kind == "H" else X[key] for kind, key in basis_order]
-    flat = [[row[j] for row in mat for j in range(n)] for mat in mats]
-    columns = list(zip(*flat))  # n^2 rows, one per entry position
-    positions, inverse = _solving_recipe(columns, n)
-    rep = ChevalleyRep(
-        rs=rs,
-        dim=n,
-        H=tuple(H),
-        X=dict(X),
-        nconst=dict(nconst),
-        W=(),
-        exp_powers=dict(exp_powers),
-        solve_positions=tuple(positions),
-        solve_inverse=tuple(tuple(row) for row in inverse),
-        basis_order=tuple(basis_order),
-    )
-    object.__setattr__(rep, "W", compute_W(rep))
-    return rep
+def _solving_recipe(basis, n):
+    """Pick entry positions making the basis square-invertible.
 
-
-def _solving_recipe(columns, n):
-    """Pick entry positions making the basis square-invertible."""
-    b = len(columns[0])
+    `basis` lists sparse integer matrices.  Positions are tried in row-major
+    order, and one is kept when its row of basis entries is independent of
+    the rows kept so far, until there is one per basis element.  One
+    linalg.Echelon pass decides this; its docstring proves that it accepts
+    a row exactly when rank(kept + [row]) == len(kept) + 1.
+    """
+    rows = [{} for _ in range(n * n)]
+    for k, mat in enumerate(basis):
+        for i, row in mat.items():
+            for j, v in row.items():
+                rows[i * n + j][k] = v
+    echelon = linalg.Echelon()
     chosen = []
-    chosen_rows = []
-    for pos in range(n * n):
-        if len(chosen) == b:
+    for pos, row in enumerate(rows):
+        if len(chosen) == len(basis):
             break
-        trial = chosen_rows + [columns[pos]]
-        if linalg.rank(trial) == len(trial):
+        if echelon.add(row):
             chosen.append(pos)
-            chosen_rows.append(columns[pos])
-    if len(chosen) != b:
+    if len(chosen) != len(basis):
         raise SpanFailure("Chevalley basis is not linearly independent")
-    inverse = linalg.rational_inverse([list(row) for row in chosen_rows])
+    inverse = linalg.rational_inverse(
+        [[rows[pos].get(k, 0) for k in range(len(basis))] for pos in chosen]
+    )
     return chosen, inverse
 
 
@@ -424,33 +533,39 @@ def complementary_roots(rep):
     puts these roots last within their height blocks, and the returned
     indices refer to that final ordering.
     """
-    chosen = _complementary_root_values(rep)
-    order = rootsys.order_negative_roots(rep.rs, chosen)
+    rs = rep.rs
+    chosen = _complementary_root_values(
+        rs,
+        {coeffs: _sparse(mat, "X_%r" % (coeffs,)) for coeffs, mat in rep.X.items()},
+        {b.coeffs: _sparse(w, "W") for b, w in zip(rs.neg_order, rep.W)},
+    )
+    order = rootsys.order_negative_roots(rs, chosen)
     return tuple(sorted(order.index(r) + 1 for r in chosen))
 
 
-def _complementary_root_values(rep):
-    rs = rep.rs
+def _complementary_root_values(rs, X, W):
+    """The complementary roots, chosen in the order of rs.neg_order.
+
+    X and W map a root's coefficients to the sparse matrices X_root and
+    W_root = [X_root, A_0^+].  Per level, the W of the level below must be
+    independent, and root vectors of the level are added greedily while
+    they stay independent (one linalg.Echelon pass per level).
+    """
     heights = rs.heights_of_order()
-    w = compute_W(rep)
     comp = []
-    level_heights = sorted({h for h in heights}, reverse=True)
-    for q in level_heights:
-        members = [i for i, h in enumerate(heights) if h == q]
-        sources = [i for i, h in enumerate(heights) if h == q - 1]
-        span_vectors = [_flatten(w[i]) for i in sources]
-        base_rank = linalg.rank(span_vectors) if span_vectors else 0
-        if base_rank != len(sources):
+    for q in sorted(set(heights), reverse=True):
+        members = [b for b in rs.neg_order if b.height() == q]
+        sources = [b for b in rs.neg_order if b.height() == q - 1]
+        span = linalg.Echelon()
+        if not all(span.add(_cells(W[b.coeffs])) for b in sources):
             raise SpanFailure("W vectors at height %d are dependent" % q)
         need = len(members) - len(sources)
         got = 0
-        for i in reversed(members):
+        for b in reversed(members):
             if got == need:
                 break
-            candidate = span_vectors + [_flatten(rep.x_neg(i + 1))]
-            if linalg.rank(candidate) == len(candidate):
-                span_vectors = candidate
-                comp.append(rs.neg_order[i])
+            if span.add(_cells(X[b.coeffs])):
+                comp.append(b)
                 got += 1
         if got != need:
             raise SpanFailure("cannot complete level %d" % q)
@@ -475,7 +590,6 @@ def _verify_w_basis(rep):
     heights = rs.heights_of_order()
     comp = set(rs.comp_roots)
     for q in sorted({h for h in heights}, reverse=True):
-        rows = []
         noncomp_members = [
             i + 1
             for i, h in enumerate(heights)

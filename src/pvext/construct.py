@@ -17,6 +17,7 @@ from . import chevalley, linalg, rootsys, symgroup
 from .diffpoly import DiffPoly, frac_text, lift, lift_matrix
 from .errors import (
     IdentityFailure,
+    RankCeiling,
     RankFailure,
     StructureViolation,
     VerificationFailure,
@@ -656,8 +657,21 @@ class PipelineResult:
     A_G: tuple
 
 
+# The derivation's cost grows steeply with the rank (D5 takes seconds); a
+# larger request is refused up front instead of running for hours.
+MAX_RANK = 8
+
+
 def run_pipeline(type_label, rank, with_liouville=True):
-    """Run every stage for the given system and return the full result."""
+    """Run every stage for the given system and return the full result.
+
+    Raises RankCeiling for a rank above MAX_RANK.
+    """
+    if rank > MAX_RANK:
+        raise RankCeiling(
+            "%s rank %d is above the derivation's rank ceiling of %d"
+            % (type_label, rank, MAX_RANK)
+        )
     rep = chevalley.build_rep(type_label, rank)
     ctx = pipeline_context(rep)
     stage1 = logderiv_unipotent(ctx)

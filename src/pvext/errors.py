@@ -17,6 +17,10 @@ class DependentRoots(PvextError):
     """Root string requested for linearly dependent roots."""
 
 
+class RankCeiling(PvextError):
+    """The full derivation refuses ranks above its ceiling."""
+
+
 class UnsupportedRep(PvextError):
     """No concrete matrix representation is available for this system."""
 

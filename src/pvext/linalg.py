@@ -2,10 +2,12 @@
 
 Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions);
-routines that need division are restricted to Fraction entries.
+routines that need division are restricted to Fraction entries.  Echelon
+selects independent rows of sparse integer vectors in one pass.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DimMismatch, NoRationalSolution
 
@@ -213,3 +215,56 @@ def rank(m):
         if r == rows:
             break
     return r
+
+
+class Echelon:
+    """Greedy selection of independent integer rows, one fraction-free pass.
+
+    Rows are sparse maps {column: int} with sortable column keys.  `add`
+    accepts a row exactly when it is outside the span of the rows accepted
+    so far, i.e. when rank(accepted + [row]) == len(accepted) + 1, without
+    recomputing that rank.
+
+    Proof.  Each accepted row is stored reduced, as (pivot column, row):
+    when the k-th row is reduced it is zero at the pivot columns of rows
+    1..k-1, and its pivot is one of its non-zero columns.  Reducing a new
+    row v against stored row k replaces v by p v - v[c] r_k (c the pivot
+    column of r_k, p = r_k[c] != 0), which is zero at c, keeps the zeros at
+    the earlier pivot columns (r_k is zero there) and does not change
+    whether v lies in the span S of the stored rows.  After the pass v is
+    zero at every pivot column.  A non-zero vector of S has a non-zero
+    entry at some pivot column: in sum a_k r_k take the least k with
+    a_k != 0; every later row is zero at c_k, so the entry at c_k is
+    a_k r_k[c_k] != 0.  Hence the reduced v is zero iff v was in S.  The
+    accepted rows are independent by induction, so "v not in S" is
+    "rank(accepted + [v]) == len(accepted) + 1", the test the rank-per-
+    candidate selection made.  The elimination is fraction-free, in the
+    style of Bareiss (Math. Comp. 22, 1968); dividing a stored row by the
+    gcd of its entries keeps them small and changes no span.
+    """
+
+    def __init__(self):
+        self._rows = []  # (pivot column, reduced row) in acceptance order
+
+    def add(self, row):
+        """Accept `row` iff it is independent of the accepted rows."""
+        rest = {c: v for c, v in row.items() if v}
+        for col, piv in self._rows:
+            f = rest.get(col)
+            if not f:
+                continue
+            p = piv[col]
+            rest = {c: p * v for c, v in rest.items()}
+            for c, v in piv.items():
+                x = rest.get(c, 0) - f * v
+                if x:
+                    rest[c] = x
+                else:
+                    rest.pop(c, None)
+        if not rest:
+            return False
+        g = gcd(*rest.values())
+        if g != 1:
+            rest = {c: v // g for c, v in rest.items()}
+        self._rows.append((min(rest), rest))
+        return True

@@ -1,0 +1,137 @@
+"""The Chevalley-basis checks and choices made the slow way, as a test oracle.
+
+Dense brackets for the axiom sweep, and one exact rank per candidate row
+for the solving recipe and the complementary roots.  This is how
+pvext.chevalley did it before its sparse integer sweep and single echelon
+pass; the tests require both to agree on every grid system.  D5 takes
+about a second.
+"""
+
+from fractions import Fraction
+
+from pvext import chevalley, linalg, rootsys
+from pvext.errors import SpanFailure
+
+
+def _coroot_matrix(rs, H, root):
+    return chevalley._cartan_combination(H, chevalley._coroot_coefficients(rs, root))
+
+
+def _proportionality(mat, target):
+    """c with mat == c * target, or None."""
+    c = None
+    for row_m, row_t in zip(mat, target):
+        for x, t in zip(row_m, row_t):
+            if t:
+                cand = Fraction(x) / Fraction(t)
+                if c is None:
+                    c = cand
+                elif c != cand:
+                    return None
+            elif x:
+                return None
+    return c if c is not None else Fraction(0)
+
+
+def _integer_matrix(mat):
+    if any(Fraction(x).denominator != 1 for row in mat for x in row):
+        raise SpanFailure("not an integer matrix")
+    return [[int(x) for x in row] for row in mat]
+
+
+def verify_axioms(rs, H, X):
+    """Exhaustive dense checks; returns the structure constants.
+
+    The brackets are multiplied out densely over Python ints, which is as
+    exact as over Fractions and several times faster.
+    """
+    l = rs.rank
+    H = [_integer_matrix(h) for h in H]
+    X = {coeffs: _integer_matrix(mat) for coeffs, mat in X.items()}
+    for i in range(l):
+        for j in range(l):
+            if not linalg.mat_is_zero(linalg.bracket(H[i], H[j])):
+                raise SpanFailure("[H_%d, H_%d] != 0" % (i + 1, j + 1))
+    for root in rs.roots:
+        mat = X[root.coeffs]
+        for i in range(l):
+            want = linalg.mat_scale(
+                mat, Fraction(rootsys.cartan_integer(rs, root, rs.simple(i + 1)))
+            )
+            if not linalg.mat_eq(linalg.bracket(H[i], mat), want):
+                raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
+    nconst = {}
+    roots = list(rs.roots)
+    for k, a in enumerate(roots):
+        for b in roots[k:]:
+            # [X_b, X_a] = -[X_a, X_b], so each bracket is multiplied out once
+            br = linalg.bracket(X[a.coeffs], X[b.coeffs])
+            _check_bracket(rs, H, X, a, b, br, nconst)
+            if b != a:
+                _check_bracket(rs, H, X, b, a, linalg.mat_neg(br), nconst)
+    return nconst
+
+
+def _check_bracket(rs, H, X, a, b, br, nconst):
+    total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    if all(v == 0 for v in total):
+        if not linalg.mat_eq(br, _coroot_matrix(rs, H, a)):
+            raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
+    elif total in rs._root_set:
+        coeff = _proportionality(br, X[total])
+        if coeff is None:
+            raise SpanFailure("[X_a, X_b] not proportional to X_sum")
+        r, _ = rootsys.root_string(rs, b, a)
+        if abs(coeff) != r + 1:
+            raise SpanFailure("|N| != r+1")
+        nconst[(a.coeffs, b.coeffs)] = coeff
+    elif not linalg.mat_is_zero(br):
+        raise SpanFailure("[X_a, X_b] should vanish")
+
+
+def solving_recipe(rep):
+    """(positions, inverse) for rep.basis_order, one rank per candidate."""
+    n = rep.dim
+    mats = [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
+    columns = list(zip(*[[row[j] for row in mat for j in range(n)] for mat in mats]))
+    b = len(columns[0])
+    chosen, chosen_rows = [], []
+    for pos in range(n * n):
+        if len(chosen) == b:
+            break
+        trial = chosen_rows + [columns[pos]]
+        if linalg.rank(trial) == len(trial):
+            chosen.append(pos)
+            chosen_rows.append(columns[pos])
+    if len(chosen) != b:
+        raise SpanFailure("Chevalley basis is not linearly independent")
+    return chosen, linalg.rational_inverse([list(row) for row in chosen_rows])
+
+
+def complementary_root_values(rs, X):
+    """The complementary roots for the order of rs.neg_order, one rank per
+    candidate."""
+    a0 = linalg.zeros(len(X[rs.roots[0].coeffs]))
+    for i in range(1, rs.rank + 1):
+        a0 = linalg.mat_add(a0, X[rs.simple(i).coeffs])
+    flat = lambda mat: [x for row in mat for x in row]
+    w = [flat(linalg.bracket(X[b.coeffs], a0)) for b in rs.neg_order]
+    heights = rs.heights_of_order()
+    comp = []
+    for q in sorted(set(heights), reverse=True):
+        members = [i for i, h in enumerate(heights) if h == q]
+        span = [w[i] for i, h in enumerate(heights) if h == q - 1]
+        if span and linalg.rank(span) != len(span):
+            raise SpanFailure("W vectors at height %d are dependent" % q)
+        need = len(members) - len(span)
+        for i in reversed(members):
+            if need == 0:
+                break
+            candidate = span + [flat(X[rs.neg_order[i].coeffs])]
+            if linalg.rank(candidate) == len(candidate):
+                span = candidate
+                comp.append(rs.neg_order[i])
+                need -= 1
+        if need:
+            raise SpanFailure("cannot complete level %d" % q)
+    return comp

@@ -1,12 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from pvext import chevalley, linalg, rootsys
 from pvext.diffpoly import DiffPoly
-from pvext.errors import DimMismatch, NotInLieAlgebra
+from pvext.errors import DimMismatch, NotInLieAlgebra, SpanFailure
 from pvext.rootsys import Root
 
+import chevalley_oracle
 from conftest import get_rep
 
 
@@ -161,6 +163,84 @@ def test_axioms_exhaustive():
         for (a, b), n in rep.nconst.items():
             ra, _ = rootsys.root_string(rep.rs, Root(b), Root(a))
             assert abs(n) == ra + 1
+
+
+GRID = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "D5", "G2")
+
+
+def _system(label):
+    return ("G2", 2) if label == "G2" else (label[0], int(label[1:]))
+
+
+@pytest.mark.parametrize("label", GRID)
+def test_build_agrees_with_the_dense_oracle(label):
+    rep = get_rep(*_system(label))
+    assert chevalley_oracle.verify_axioms(rep.rs, rep.H, rep.X) == rep.nconst
+    positions, inverse = chevalley_oracle.solving_recipe(rep)
+    assert tuple(positions) == rep.solve_positions
+    assert tuple(tuple(row) for row in inverse) == rep.solve_inverse
+    rs0 = rootsys.build_root_system(*_system(label))
+    comp = chevalley_oracle.complementary_root_values(rs0, rep.X)
+    assert rootsys.finalize_order(rs0, comp) == rep.rs
+
+
+def _corrupted_basis(rep, case):
+    H = [[list(row) for row in h] for h in rep.H]
+    X = {coeffs: [list(row) for row in mat] for coeffs, mat in rep.X.items()}
+    highest = (-rep.rs.neg_order[-1]).coeffs
+    if case == "scaled":
+        X[highest] = linalg.mat_scale(X[highest], 2)
+    elif case == "stray":
+        mat = X[rep.rs.simple(1).coeffs]
+        i, j = next((i, j) for i in range(rep.dim) for j in range(rep.dim)
+                    if i != j and not mat[i][j])
+        mat[i][j] = Fraction(1)
+    elif case == "negated":
+        X[rep.rs.neg_order[-1].coeffs] = linalg.mat_neg(X[rep.rs.neg_order[-1].coeffs])
+    else:
+        H[0][0][0] += 1
+    return H, X
+
+
+@pytest.mark.parametrize("case", ["scaled", "stray", "negated", "cartan"])
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_verify_axioms_rejects_corrupted_basis(label, case):
+    rep = get_rep(*_system(label))
+    H, X = _corrupted_basis(rep, case)
+    with pytest.raises(SpanFailure):
+        chevalley._verify_axioms(rep.rs, H, X)
+
+
+def test_echelon_accepts_exactly_the_rank_raising_rows():
+    rng = random.Random(4)
+    for _ in range(200):
+        echelon, accepted = linalg.Echelon(), []
+        for _ in range(rng.randint(1, 8)):
+            row = [rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(5)]
+            raises = linalg.rank(accepted + [row]) == len(accepted) + 1
+            assert echelon.add(dict(enumerate(row))) == raises
+            if raises:
+                accepted.append(row)
+
+
+def test_build_rep_solves_the_recipe_once(monkeypatch):
+    calls = {"recipe": 0, "inverse": 0, "W": 0, "rank": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(chevalley, "_solving_recipe", counted("recipe", chevalley._solving_recipe))
+    monkeypatch.setattr(linalg, "rational_inverse", counted("inverse", linalg.rational_inverse))
+    monkeypatch.setattr(chevalley, "compute_W", counted("W", chevalley.compute_W))
+    monkeypatch.setattr(linalg, "rank", counted("rank", linalg.rank))
+    chevalley.build_rep("D", 5)
+    assert calls["recipe"] == 1 and calls["inverse"] == 1
+    assert calls["W"] <= 2
+    # one rank per candidate position and root made this 181
+    assert calls["rank"] <= 10
 
 
 def test_ad_weyl_sends_root_vectors_to_root_vectors():

@@ -1,4 +1,5 @@
 import json
+import time
 
 from pvext import cli
 
@@ -35,6 +36,17 @@ def test_derive_bad_type(capsys):
 
 def test_derive_bad_rank(capsys):
     assert run_cli(["derive", "--type", "D", "--rank", "2"], capsys)[0] == 1
+
+
+def test_derive_refuses_ranks_above_the_ceiling(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["derive", "--type", "A", "--rank", "9"], capsys)
+    assert code == 2 and out == ""
+    assert "RankCeiling" in err and "ceiling of 8" in err
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(json.dumps({"big": {"type": "B", "rank": 40, "report": {}}}))
+    assert run_cli(["verify", "--fixtures", str(fixtures)], capsys)[0] == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_default_fixtures(capsys):
