@@ -276,41 +276,46 @@ def _sl_rep(n):
 
 
 def _root_entry_positions(n, upper):
-    """Ordered entry positions of the one-parameter coordinates."""
+    """(row, column, entry) of the one matrix unit of each ordered root vector."""
     rep = _sl_rep(n)
-    positions = []
+    units = []
     for b in rep.rs.neg_order:
         mat = rep.X[b.coeffs] if not upper else rep.X[(-b).coeffs]
         live = [
-            (i, j)
+            (i, j, mat[i][j])
             for i in range(n)
             for j in range(n)
             if mat[i][j]
         ]
         if len(live) != 1:
             raise StructureViolation("root vector of %r is not one matrix unit" % (b,))
-        positions.append(live[0])
-    return positions
+        units.append(live[0])
+    return units
 
 
 def _peel_coefficients(u, upper):
-    """Coefficients x with u = u_1(x_1)...u_m(x_m) in the root ordering."""
+    """Coefficients x with u = u_1(x_1)...u_m(x_m) in the root ordering.
+
+    The root vector of u_i is s E_rc for one matrix unit E_rc (r != c), so
+    E_rc^2 = 0 and u_i(-x) = 1 - x s E_rc: multiplying by it on the left is
+    the row operation row_r -= x s row_c.
+    """
     n = len(u)
     rep = _sl_rep(n)
-    positions = _root_entry_positions(n, upper)
+    units = _root_entry_positions(n, upper)
     heights = rep.rs.heights_of_order()
     residual = [list(map(Fraction, row)) for row in u]
     coeffs = [Fraction(0)] * rep.rs.m
     for q in sorted(set(heights), reverse=True):
         block = [i for i, h in enumerate(heights) if h == q]
-        factors = []
         for i in block:
-            r, c = positions[i]
+            r, c, _ = units[i]
             coeffs[i] = residual[r][c]
-            root = rep.rs.neg_order[i] if not upper else -rep.rs.neg_order[i]
-            factors.append(chevalley.unipotent_element(rep, root, -coeffs[i]))
-        for factor in factors:
-            residual = linalg.mat_mul(factor, residual)
+        for i in block:
+            r, c, s = units[i]
+            f = coeffs[i] * s
+            if f:
+                residual[r] = [a - f * b for a, b in zip(residual[r], residual[c])]
     if not linalg.mat_eq(residual, linalg.eye(n)):
         raise VerificationFailure("one-parameter peeling failed")
     return tuple(coeffs)

@@ -13,7 +13,6 @@ the sign produced by the bracket recursion.
 """
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -28,10 +27,6 @@ from .errors import (
 
 
 def _load_calibration():
-    path = os.environ.get("PV_CALIBRATION")
-    if path:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
     ref = resources.files("pvext").joinpath("data/calibration.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
@@ -278,7 +273,6 @@ def build_rep(rs_or_type, rank=None):
     signs = {
         tuple(int(v) for v in key.split(",")): int(value)
         for key, value in calibration.items()
-        if "," in key
     }
 
     n, E, F = _simple_generators(rs)

@@ -112,12 +112,23 @@ def _json_diff(a, b, path=""):
     return None
 
 
+def _load_fixtures(path):
+    """Fixtures by name: each a {"type": str, "rank": int, "report": dict}."""
+    with open(path, "r", encoding="utf-8") as handle:
+        fixtures = json.load(handle)
+    if not isinstance(fixtures, dict) or not all(
+        isinstance(spec, dict)
+        and isinstance(spec.get("type"), str)
+        and type(spec.get("rank")) is int
+        and isinstance(spec.get("report"), dict)
+        for spec in fixtures.values()
+    ):
+        raise ValueError('fixtures must map names to {"type", "rank", "report"}')
+    return fixtures
+
+
 def cmd_verify(args):
-    if args.fixtures:
-        with open(args.fixtures, "r", encoding="utf-8") as handle:
-            fixtures = json.load(handle)
-    else:
-        fixtures = _default_fixtures()
+    fixtures = _load_fixtures(args.fixtures) if args.fixtures else _default_fixtures()
     failures = []
     for name in sorted(fixtures):
         spec = fixtures[name]

@@ -12,6 +12,7 @@ an unverified result.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import chevalley, linalg, rootsys, symgroup
 from .diffpoly import DiffPoly, frac_text, lift, lift_matrix
@@ -62,21 +63,28 @@ class InvariantSet:
     pbar: dict = field(default_factory=dict)
 
 
+def _unipotent_factors(rep, args):
+    """u_1(a_1), ..., u_m(a_m) as group factors."""
+    return [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
+
+
+def _product(mats):
+    return [list(r) for r in reduce(linalg.mat_mul, mats)]
+
+
 def unipotent_product(rep, args):
-    """u_1(a_1) ... u_m(a_m) over DiffPoly; rational arguments are lifted."""
-    out = linalg.eye(rep.dim, DiffPoly.rational(1), DiffPoly.zero())
-    for i, a in enumerate(args, start=1):
-        factor = chevalley.unipotent_element(rep, rep.rs.neg_order[i - 1], a)
-        out = linalg.mat_mul(out, lift_matrix(factor))
-    return out
+    """The matrix u_1(a_1) ... u_m(a_m) over DiffPoly; rationals are lifted."""
+    return _product(
+        chevalley.unipotent_element(rep, b, lift(a)) for b, a in zip(rep.rs.neg_order, args)
+    )
 
 
 @dataclass(frozen=True)
 class PipelineContext:
     """What the construct stages share, built once per run.
 
-    u = u_1(eta_1)...u_m(eta_m) with its Neumann inverse and
-    ldelta(u) = du u^{-1}; the heights of the ordered negative roots, the
+    u = u_1(eta_1)...u_m(eta_m) with its inverse u_m(-eta_m)...u_1(-eta_1)
+    and ldelta(u) = du u^{-1}; the heights of the ordered negative roots, the
     1-based indices in each height band, and the complementary indices.
     """
 
@@ -98,8 +106,9 @@ class PipelineContext:
 
 def pipeline_context(rep):
     """Build the PipelineContext of a representation; run_pipeline calls it once."""
-    u = unipotent_product(rep, [DiffPoly.eta(i) for i in range(1, rep.m + 1)])
-    uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
+    factors = _unipotent_factors(rep, [DiffPoly.eta(i) for i in range(1, rep.m + 1)])
+    u = _product(f.rows for f in factors)
+    uinv = _product(f.inv for f in reversed(factors))
     heights = rep.rs.heights_of_order()
     bands = {}
     for i, h in enumerate(heights, start=1):
@@ -326,13 +335,8 @@ def _dp_order_le_one_eval(poly, values, derivs):
 
 
 def _torus_factors(rep, z):
-    """t_1(z_1), ..., t_l(z_l) as structured factors."""
+    """t_1(z_1), ..., t_l(z_l) as group factors."""
     return [symgroup.torus_matrix(rep, i, zi) for i, zi in enumerate(z, start=1)]
-
-
-def _unipotent_factors(rep, args):
-    """u_1(a_1), ..., u_m(a_m) as structured factors."""
-    return [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
 
 
 def _require_equal(rep, lhs, rhs, error, what):

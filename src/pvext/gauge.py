@@ -113,7 +113,7 @@ def normalize_to_AG(rep, a):
 
     Returns (g, factors, f): g is the transforming matrix (unipotent when
     s = (1,..,1), otherwise a unipotent times a constant torus element),
-    factors is the ordered list of structured factors, applied first to
+    factors is the ordered list of group factors, applied first to
     last, so g = factors[-1] ... factors[0]; f maps each complementary
     index to its DiffPoly coefficient.  Always post-verified exactly:
     gauge(g, a) = A_G(f).
@@ -128,7 +128,7 @@ def normalize_to_AG(rep, a):
         torus = linalg.eye(rep.dim)
         for j in range(rep.rank):
             torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
-        tm = symgroup.SymMatrix(tuple(tuple(r) for r in torus), "torus_diagonal")
+        tm = symgroup.constant_matrix(torus)
         factors.append(tm)
         current = lift_matrix(symgroup.gauge(tm, current))
 
@@ -175,7 +175,7 @@ def normalize_to_AG(rep, a):
 
     g = linalg.eye(rep.dim)
     for factor in reversed(factors):
-        g = linalg.mat_mul([list(r) for r in factor.rows], g)
+        g = linalg.mat_mul(factor.rows, g)
 
     want = construct.assemble_A_G(rep, f)
     transformed = _gauge_by_factors(factors, lift_matrix(a))

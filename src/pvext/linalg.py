@@ -68,12 +68,14 @@ def mat_eq(a, b):
     return mat_is_zero(mat_sub(a, b))
 
 
+def derive(x):
+    """The derivative of a ring element; rationals are constants."""
+    return Fraction(0) if isinstance(x, (int, Fraction)) else x.derive()
+
+
 def mat_derive(a):
-    """Entrywise derivation; rational entries are constants."""
-    return [
-        [Fraction(0) if isinstance(x, (int, Fraction)) else x.derive() for x in row]
-        for row in a
-    ]
+    """Entrywise derivation."""
+    return [[derive(x) for x in row] for row in a]
 
 
 def bracket(a, b):
@@ -81,27 +83,6 @@ def bracket(a, b):
     if len(a) != len(b):
         raise DimMismatch("bracket of unequal sizes")
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def unipotent_inverse(m, one=Fraction(1)):
-    """Inverse of a unipotent matrix via the finite Neumann series.
-
-    Requires (m - 1) nilpotent; terminates in at most dim(m) steps.
-    """
-    n = len(m)
-    zero = one * 0
-    nil = mat_sub(m, eye(n, one, zero))
-    inv = eye(n, one, zero)
-    power = eye(n, one, zero)
-    for _ in range(n):
-        power = mat_neg(mat_mul(power, nil))
-        if mat_is_zero(power):
-            break
-        inv = mat_add(inv, power)
-    else:
-        if not mat_is_zero(mat_neg(mat_mul(power, nil))):
-            raise DimMismatch("matrix is not unipotent")
-    return inv
 
 
 # ----- Fraction-only routines -----

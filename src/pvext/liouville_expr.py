@@ -401,30 +401,3 @@ def equals(e1, e2):
 
 def derive_expr(e):
     return as_expr(e).derive()
-
-
-def build_matrix_entries(rep, product_spec):
-    """Literal matrix product of group factors, entries normalized.
-
-    product_spec is an ordered list of factor descriptors:
-      ("unipotent", root, arg)   u_root(arg), arg a DiffPoly/LiouvExpr
-      ("torus", i, z)            t_i(z), z an invertible scalar
-      ("constant", matrix)       a rational matrix, e.g. n(w)
-      ("matrix", matrix)         an explicit LiouvExpr matrix
-    An empty product is the identity.
-    """
-    from . import chevalley, linalg
-
-    out = linalg.eye(rep.dim, LiouvExpr.one(), LiouvExpr.zero())
-    for item in product_spec:
-        kind = item[0]
-        if kind == "unipotent":
-            factor = chevalley.unipotent_element(rep, item[1], as_expr(item[2]))
-        elif kind == "torus":
-            factor = chevalley.torus_element(rep, item[1], as_expr(item[2]))
-        elif kind in ("constant", "matrix"):
-            factor = [[as_expr(x) for x in row] for row in item[1]]
-        else:
-            raise ValueError("unknown factor kind %r" % kind)
-        out = linalg.mat_mul(out, factor)
-    return out

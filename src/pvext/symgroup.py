@@ -1,171 +1,113 @@
-"""Symbolic matrix calculus: logarithmic derivative, adjoint, gauge action.
+"""Group elements as words in one-parameter subgroups.
 
-Matrices carry a structural tag that determines how they are inverted:
-unipotent matrices through the finite Neumann series, diagonal torus
-matrices entrywise, constant rational matrices by exact elimination.
-General symbolic inversion is refused rather than attempted.
+A Factor is one letter of such a word: u_root(x), t_i(z) or a constant
+rational matrix such as n(w).  Each carries its matrix, its inverse and its
+logarithmic derivative ldelta = d(M) M^{-1}, all three in closed form from
+the group law, so no symbolic inversion is ever attempted.  On products of
+factors this module computes the logarithmic derivative by the product
+rule, the adjoint action and the gauge action.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chevalley, linalg
-from .diffpoly import DiffPoly
 from .errors import NotClosedFormInvertible
-from .liouville_expr import LiouvExpr
-
-TAGS = ("unipotent_lower", "torus_diagonal", "constant", "general")
 
 
 @dataclass(frozen=True)
-class SymMatrix:
-    """A square matrix over an exact coefficient domain with a structure tag."""
+class Factor:
+    """A group element with its inverse and ldelta; ldelta None means 0."""
 
     rows: tuple
-    tag: str = "general"
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if self.tag not in TAGS:
-            raise ValueError("unknown tag %r" % self.tag)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix is not square")
-        if self.tag == "unipotent_lower":
-            one = _one_like(rows)
-            for i in range(n):
-                if rows[i][i] != one:
-                    raise ValueError("unipotent tag needs unit diagonal")
-            nil = linalg.mat_sub(self.lists(), linalg.eye(n, one, one * 0))
-            power = nil
-            for _ in range(n):
-                if linalg.mat_is_zero(power):
-                    break
-                power = linalg.mat_mul(power, nil)
-            if not linalg.mat_is_zero(power):
-                raise ValueError("unipotent tag needs nilpotent off-diagonal part")
-        elif self.tag == "torus_diagonal":
-            for i in range(n):
-                for j in range(n):
-                    if i != j and rows[i][j]:
-                        raise ValueError("torus tag needs a diagonal matrix")
-                if not rows[i][i]:
-                    raise ValueError("torus tag needs invertible entries")
-        elif self.tag == "constant":
-            for row in rows:
-                for x in row:
-                    if not (isinstance(x, (int, Fraction)) or x.is_rational()):
-                        raise ValueError("constant tag needs rational entries")
-
-    @property
-    def n(self):
-        return len(self.rows)
+    inv: tuple
+    ldelta: tuple = None
 
     def lists(self):
         return [list(r) for r in self.rows]
 
     def inverse(self):
-        if self.tag == "unipotent_lower":
-            return linalg.unipotent_inverse(self.lists(), _one_like(self.rows))
-        if self.tag == "torus_diagonal":
-            n = self.n
-            one = _one_like(self.rows)
-            zero = one * 0
-            out = [[zero for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                out[i][i] = _entry_inverse(self.rows[i][i])
-            return out
-        if self.tag == "constant":
-            return linalg.rational_inverse(
-                [[_as_fraction(x) for x in row] for row in self.rows]
-            )
-        raise NotClosedFormInvertible(
-            "no closed-form inverse for tag %r" % self.tag
-        )
-
-    def derived(self):
-        return linalg.mat_derive(self.rows)
+        return [list(r) for r in self.inv]
 
 
-def _one_like(rows):
-    sample = next((x for row in rows for x in row if x), Fraction(1))
-    if isinstance(sample, (int, Fraction)):
-        return Fraction(1)
-    return type(sample).rational(1)
+def _freeze(m):
+    return tuple(tuple(row) for row in m)
 
 
-def _entry_inverse(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1) / Fraction(x)
-    if isinstance(x, DiffPoly):
-        if list(x.terms) == [()]:
-            return DiffPoly.rational(Fraction(1) / x.constant_term())
-        raise NotClosedFormInvertible("non-constant polynomial diagonal entry")
-    if isinstance(x, LiouvExpr):
-        return x ** -1
-    raise NotClosedFormInvertible("cannot invert %r" % type(x))
+def _scaled(mat, c):
+    return _freeze(linalg.mat_scale(mat, c))
 
 
-def _as_fraction(x):
-    return Fraction(x) if isinstance(x, (int, Fraction)) else x.rational_value()
+def unipotent_matrix(rep, root, x):
+    """u_root(x) = exp(x X_root), its inverse u_root(-x), ldelta x' X_root.
 
-
-def _as_symmatrix(m, tag="general"):
-    if isinstance(m, SymMatrix):
-        return m
-    return SymMatrix(tuple(tuple(r) for r in m), tag)
-
-
-def log_derivative(m):
-    """ldelta(M) = d(M) M^{-1} for a structurally invertible matrix.
-
-    Accepts a SymMatrix or an ordered list of SymMatrix factors; products
-    use ldelta(AB) = ldelta(A) + Ad(A)(ldelta(B)).
+    X = X_root is constant and nilpotent, so exp(xX) = sum_k x^k X^k / k!
+    is a finite sum.  Differentiating it term by term,
+    d exp(xX) = sum_k k x^(k-1) x' X^k / k! = x' X exp(xX), since X^k
+    commutes with x' X; so ldelta(exp(xX)) = x' X.  xX and -xX commute,
+    so exp(xX) exp(-xX) = exp(0) = 1.
     """
-    if isinstance(m, (list, tuple)) and m and isinstance(m[0], SymMatrix):
-        return _log_derivative_product(list(m))
-    m = _as_symmatrix(m)
-    if m.tag == "constant":
-        zero = Fraction(0)
-        return [[zero for _ in range(m.n)] for _ in range(m.n)]
-    return linalg.mat_mul(m.derived(), m.inverse())
+    return Factor(
+        _freeze(chevalley.unipotent_element(rep, root, x)),
+        _freeze(chevalley.unipotent_element(rep, root, -x)),
+        _scaled(rep.X[root.coeffs], linalg.derive(x)),
+    )
 
 
-def _log_derivative_product(factors):
-    head = factors[0]
-    if len(factors) == 1:
-        return log_derivative(head)
-    tail = _log_derivative_product(factors[1:])
-    return linalg.mat_add(log_derivative(head), adjoint(head, tail))
+def torus_matrix(rep, i, z):
+    """t_i(z) = z^(H_i) = diag(z^(h_j)), its inverse t_i(1/z), ldelta (z'/z) H_i.
+
+    The h_j are the integer diagonal entries of H_i.  On the diagonal,
+    d(z^h) z^(-h) = h z^(h-1) z' z^(-h) = h z'/z, and z^h z^(-h) = 1.
+    """
+    zinv = z ** -1
+    return Factor(
+        _freeze(chevalley.torus_element(rep, i, z)),
+        _freeze(chevalley.torus_element(rep, i, zinv)),
+        _scaled(rep.H[i - 1], linalg.derive(z) * zinv),
+    )
+
+
+def constant_matrix(m):
+    """A constant invertible rational matrix, e.g. n(w); its ldelta is 0."""
+    rows = _freeze(m)
+    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
+        raise ValueError("a constant factor needs rational entries")
+    return Factor(rows, _freeze(linalg.rational_inverse(rows)))
+
+
+def _factors(g):
+    """g as a list of factors; a plain matrix has no closed-form inverse."""
+    factors = [g] if isinstance(g, Factor) else list(g)
+    if not factors or not all(isinstance(f, Factor) for f in factors):
+        raise NotClosedFormInvertible("not a product of group factors")
+    return factors
+
+
+def log_derivative(g):
+    """ldelta(g) = d(g) g^{-1} for a factor or an ordered list of factors.
+
+    Products use ldelta(AB) = ldelta(A) + Ad(A)(ldelta(B)).
+    """
+    factors = _factors(g)
+    out = None
+    for f in reversed(factors):
+        if out is not None:
+            out = adjoint(f, out)
+        if f.ldelta is not None:
+            out = f.ldelta if out is None else linalg.mat_add(f.ldelta, out)
+    if out is None:
+        return linalg.zeros(len(factors[0].rows))
+    return [list(r) for r in out]
 
 
 def adjoint(g, a):
-    """Ad(g)(A) = g A g^{-1}; g must be structurally invertible."""
-    if isinstance(g, (list, tuple)) and g and isinstance(g[0], SymMatrix):
-        out = a
-        for factor in reversed(g):
-            out = adjoint(factor, out)
-        return out
-    g = _as_symmatrix(g)
-    rows = a.lists() if isinstance(a, SymMatrix) else [list(r) for r in a]
-    return linalg.mat_mul(linalg.mat_mul(g.lists(), rows), g.inverse())
+    """Ad(g)(A) = g A g^{-1} for a factor or an ordered list of factors."""
+    for f in reversed(_factors(g)):
+        a = linalg.mat_mul(linalg.mat_mul(f.rows, a), f.inv)
+    return a
 
 
 def gauge(g, a):
     """Gauge transformation Ad(g)(A) + ldelta(g)."""
     return linalg.mat_add(adjoint(g, a), log_derivative(g))
-
-
-def unipotent_matrix(rep, root, x):
-    return SymMatrix(
-        tuple(tuple(r) for r in chevalley.unipotent_element(rep, root, x)),
-        "unipotent_lower",
-    )
-
-
-def torus_matrix(rep, i, z):
-    return SymMatrix(
-        tuple(tuple(r) for r in chevalley.torus_element(rep, i, z)),
-        "torus_diagonal",
-    )

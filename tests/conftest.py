@@ -1,6 +1,6 @@
 import pytest
 
-from pvext import chevalley, construct
+from pvext import chevalley, construct, linalg
 
 _REPS = {}
 _PIPELINES = {}
@@ -50,3 +50,22 @@ def sl4_result():
 @pytest.fixture(scope="session")
 def g2_result():
     return get_pipeline("G2", 2)
+
+
+def neumann_inverse(m, one):
+    """Inverse of a unipotent matrix by the finite Neumann series.
+
+    The reference the group-law inverses are compared against: with
+    N = m - 1 nilpotent, m^{-1} = 1 - N + N^2 - ..., and N^dim = 0.
+    """
+    n = len(m)
+    zero = one * 0
+    nil = linalg.mat_sub(m, linalg.eye(n, one, zero))
+    inv = linalg.eye(n, one, zero)
+    power = linalg.eye(n, one, zero)
+    for _ in range(n):
+        power = linalg.mat_neg(linalg.mat_mul(power, nil))
+        inv = linalg.mat_add(inv, power)
+    if not linalg.mat_is_zero(linalg.mat_mul(power, nil)):
+        raise ValueError("matrix is not unipotent")
+    return inv

@@ -155,29 +155,9 @@ def _g2_printed_h6():
 def test_criterion_6_g2_invariants(g2_result):
     inv = g2_result.invariants
     assert inv.h[2] == parse("n2' + 3(n1' + n1^2) + n2^2 - 3 n1 n2")
-    printed = _g2_printed_h6()
-    exact = inv.h[6] == printed
-    if exact:
-        # no downgrade: the calibration file must agree
-        import json
-        from importlib import resources
-
-        cal = json.loads(
-            resources.files("pvext").joinpath("data/calibration.json").read_text()
-        )
-        assert cal["G2"]["h6_downgrade"] is False
-        announce(6, "G2 h_1 exact; h_6 matches the printed expansion term for term")
-        return
-    # downgrade path (not expected to run): identical support up to signs,
-    # linear part of order five in eta_1, and criterion 7 still passing
-    assert set(inv.h[6].terms) == set(printed.terms)
-    assert all(
-        abs(a) == abs(printed.terms[m]) for m, a in inv.h[6].terms.items()
-    )
-    assert inv.lhat[6].order() == 5 and inv.lhat[6].variables() == [1]
-    raise AssertionError(
-        "G2 h_6 matched only up to signs; record the downgrade in the calibration file"
-    )
+    # the shipped sign calibration reproduces the printed h_6 term for term
+    assert inv.h[6] == _g2_printed_h6()
+    announce(6, "G2 h_1 exact; h_6 matches the printed expansion term for term")
 
 
 # --------------------------------------------------------------- criterion 7
@@ -241,9 +221,7 @@ def _random_factor(rep, rng):
         z = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
         return symgroup.torus_matrix(rep, rng.randint(1, rep.rank), z)
     word = tuple(rng.randint(1, rep.rank) for _ in range(rng.randint(1, 3)))
-    return symgroup.SymMatrix(
-        tuple(tuple(r) for r in chevalley.weyl_representative(rep, word)), "constant"
-    )
+    return symgroup.constant_matrix(chevalley.weyl_representative(rep, word))
 
 
 def _dp_lift(m):

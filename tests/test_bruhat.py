@@ -159,3 +159,22 @@ def test_positive_convention_coefficients_rebuild():
                 rebuilt, chevalley.unipotent_element(rep, -root, form.y[i])
             )
         assert linalg.mat_eq(rebuilt, [list(r) for r in form.u])
+
+
+@pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
+def test_peeling_is_row_operations(monkeypatch, upper):
+    # each u_i(-x) is one row operation: peeling multiplies no matrices
+    from pvext import chevalley
+
+    rng = random.Random(109)
+    rep = bruhat._sl_rep(5)
+    roots = [(-b if upper else b) for b in rep.rs.neg_order]
+    x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in roots]
+    u = linalg.eye(5)
+    for root, xi in zip(roots, x):
+        u = linalg.mat_mul(u, chevalley.unipotent_element(rep, root, xi))
+    calls = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    assert bruhat._peel_coefficients(u, upper) == tuple(x)
+    assert not calls

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 from pvext import cli
@@ -171,3 +172,78 @@ def test_malformed_entries_are_input_errors(tmp_path, capsys):
         m.write_text(json.dumps([[entry, "0"], ["0", "1"]]))
         code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
         assert code == 1 and out == "" and "input error" in err, entry
+
+
+def _identity_with(rng, n, value):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[rng.randrange(n)][rng.randrange(n)] = value
+    return rows
+
+
+# Malformed matrix payloads, each a function of (rng, n).
+_MALFORMED_MATRICES = [
+    lambda rng, n: [[1] * n for _ in range(n - 1)] + [[1] * (n - 1)],  # ragged
+    lambda rng, n: [[[1]] * n for _ in range(n)],  # nested
+    lambda rng, n: _identity_with(rng, n, 0.5),  # float
+    lambda rng, n: _identity_with(rng, n, True),  # bool
+    lambda rng, n: _identity_with(rng, n, None),  # null
+    lambda rng, n: _identity_with(rng, n, "1/0"),
+    lambda rng, n: _identity_with(rng, n, "n1' + n1^2"),  # polynomial
+    lambda rng, n: _identity_with(rng, n, {"terms": [{"c": "1/0"}]}),
+    lambda rng, n: _identity_with(rng, n, "1/"),
+    lambda rng, n: [[int(i == j) for j in range(n + 1)] for i in range(n + 1)],  # wrong size
+    lambda rng, n: [],
+    lambda rng, n: {"rows": n},
+]
+
+# Malformed fixture files for verify.
+_MALFORMED_FIXTURES = [
+    {"x": {"type": "A"}},
+    {"x": {"type": "A", "rank": "2", "report": {}}},
+    {"x": {"type": "A", "rank": 2, "report": []}},
+    {"x": {"type": "G2", "rank": 2.5, "report": {}}},
+    {"x": {"type": "E", "rank": 3, "report": {}}},
+    {"x": []},
+    ["A", 2],
+    3,
+]
+
+
+def _fuzz_argv(rng, path):
+    system = [
+        "--type", rng.choice(["A", "B", "C", "D", "G2", "E", ""]),
+        "--rank", rng.choice(["1", "2", "3", "0", "-1", "x", "2.5"]),
+    ]
+    command = rng.choice(["derive", "verify", "bruhat", "gauge-normalize"])
+    if command == "derive":
+        argv = ["derive"] + system + ["--format", rng.choice(["json", "text", "xml"])]
+        payload = None
+    elif command == "verify":
+        argv = ["verify", "--fixtures", str(path)]
+        payload = rng.choice(_MALFORMED_FIXTURES + _MALFORMED_MATRICES[:2])
+    elif command == "bruhat":
+        argv = ["bruhat", "--matrix", str(path)]
+        argv += ["--convention", rng.choice(["negative", "positive", "diagonal"])]
+        payload = None
+    else:
+        argv = ["gauge-normalize"] + system + ["--matrix", str(path)]
+        payload = None
+    if command in ("bruhat", "gauge-normalize"):
+        payload = rng.choice(_MALFORMED_MATRICES)
+    if callable(payload):
+        payload = payload(rng, rng.randint(2, 4))
+    if rng.random() < 0.2:
+        del argv[rng.randrange(len(argv))]
+    return argv, payload
+
+
+def test_cli_exit_codes_under_fuzzing(tmp_path, capsys):
+    # every malformed input maps to a documented exit code, never a traceback
+    rng = random.Random(5)
+    path = tmp_path / "input.json"
+    for _ in range(120):
+        argv, payload = _fuzz_argv(rng, path)
+        path.write_text(json.dumps(payload))
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv

@@ -6,12 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from pvext import chevalley, construct, linalg
+from pvext import chevalley, construct, linalg, symgroup
 from pvext.diffpoly import DiffPoly, parse
 from pvext.errors import IdentityFailure
-from pvext.liouville_expr import ExpIntegral, Integral, Scalar
+from pvext.liouville_expr import ExpIntegral, Integral, LiouvExpr, Scalar
 
-from conftest import get_pipeline, get_rep
+from conftest import get_pipeline, get_rep, neumann_inverse
 from liouville_oracle import verify_by_liouville_product
 
 
@@ -37,7 +37,7 @@ def test_a2_v3_two_ways():
     # basis decomposition against the raw matrix entry of d(u) u^{-1}
     rep = get_rep("A", 2)
     u = construct.unipotent_product(rep, [eta(1), eta(2), eta(3)])
-    uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
+    uinv = neumann_inverse(u, DiffPoly.rational(1))
     ld = linalg.mat_mul([[x.derive() for x in row] for row in u], uinv)
     dec = chevalley.decompose_in_basis(rep, ld)
     coef = dec[("X", (-1, -1))]
@@ -442,20 +442,52 @@ def test_report_matches_recorded_digest(label):
 
 
 def test_pipeline_builds_u_and_its_inverse_once(monkeypatch):
-    products, inverted = [], []
-    product, inverse = construct.unipotent_product, linalg.unipotent_inverse
+    contexts, eta_factors = [], []
+    context, factor = construct.pipeline_context, symgroup.unipotent_matrix
 
-    def counting_product(rep, args):
-        products.append(product(rep, args))
-        return products[-1]
+    def counting_context(rep):
+        contexts.append(context(rep))
+        return contexts[-1]
 
-    def counting_inverse(m, *rest):
-        inverted.append(m)
-        return inverse(m, *rest)
+    def counting_factor(rep, root, x):
+        if isinstance(x, DiffPoly):
+            eta_factors.append(x)
+        return factor(rep, root, x)
 
-    monkeypatch.setattr(construct, "unipotent_product", counting_product)
-    monkeypatch.setattr(linalg, "unipotent_inverse", counting_inverse)
+    monkeypatch.setattr(construct, "pipeline_context", counting_context)
+    monkeypatch.setattr(symgroup, "unipotent_matrix", counting_factor)
     construct.run_pipeline("A", 3)
-    assert len(products) == 1
-    # u(eta) is inverted once; the Liouville stage inverts only u_i(y_i) factors
-    assert sum(1 for m in inverted if m is products[0]) == 1
+    assert len(contexts) == 1
+    # each u_i(eta_i) is built once and carries its own inverse; the
+    # Liouville stage builds only u_i(y_i) factors, over LiouvExpr
+    assert eta_factors == [eta(i) for i in range(1, 7)]
+
+
+@pytest.mark.parametrize("system", [("A", 3), ("G2", 2), ("B", 3), ("D", 5)])
+def test_context_inverse_matches_the_neumann_series(system):
+    ctx = construct.pipeline_context(get_rep(*system))
+    assert linalg.mat_eq(ctx.uinv, neumann_inverse(ctx.u, DiffPoly.rational(1)))
+
+
+def _corrupted_tower(data, part):
+    """The Liouvillian data with one tower entry perturbed."""
+    drift = LiouvExpr.integral(LiouvExpr.scalar(eta(1)))
+    y = list(data.y)
+    if part == "first y":
+        y[0] = y[0] + drift
+    elif part == "last y":
+        y[-1] = y[-1] + drift
+    else:
+        z = list(data.z)
+        z[0] = LiouvExpr.exp_integral(LiouvExpr.scalar(data.gbar[0] + eta(1)))
+        return dataclasses.replace(data, z=tuple(z))
+    return dataclasses.replace(data, y=tuple(y))
+
+
+@pytest.mark.parametrize("part", ["first y", "last y", "z_1"])
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_end_to_end_detects_tower_corruption(system, part):
+    res = get_pipeline(*system)
+    broken = _corrupted_tower(res.liouville, part)
+    with pytest.raises(IdentityFailure, match=r"ldelta\(t\(z\)u\(y\)\) - A_L"):
+        construct.verify_end_to_end(res.rep, broken, res.invariants)

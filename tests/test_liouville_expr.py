@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-from pvext import linalg
 from pvext.diffpoly import DiffPoly, parse
 from pvext.liouville_expr import (
     ExpIntegral,
@@ -10,13 +9,10 @@ from pvext.liouville_expr import (
     Product,
     Scalar,
     Sum,
-    build_matrix_entries,
     derive_expr,
     equals,
     normalize,
 )
-
-from conftest import get_rep
 
 
 def test_derive_integral():
@@ -113,33 +109,6 @@ def test_json_round_trip():
         assert LiouvExpr.from_json_obj(obj) == e
         # canonical: serialization of the round-trip is byte-identical
         assert LiouvExpr.from_json_obj(obj).canonical_string() == e.canonical_string()
-
-
-def test_build_matrix_entries_torus_diag():
-    rep = get_rep("A", 3)
-    z1 = ExpIntegral(Scalar(parse("0 - n3")))
-    t = build_matrix_entries(rep, [("torus", 1, z1)])
-    assert t[0][0] == z1
-    assert t[1][1] == ExpIntegral(Scalar(parse("0 - n3")), -1)
-    assert t[2][2] == LiouvExpr.one() and t[3][3] == LiouvExpr.one()
-    assert t[0][1] == LiouvExpr.zero()
-
-
-def test_build_matrix_entries_empty_product():
-    rep = get_rep("A", 2)
-    assert linalg.mat_eq(
-        build_matrix_entries(rep, []),
-        linalg.eye(3, LiouvExpr.one(), LiouvExpr.zero()),
-    )
-
-
-def test_build_matrix_entries_unipotent():
-    rep = get_rep("A", 3)
-    y1 = Integral(ExpIntegral(Scalar(parse("-2 n3 + n2")))) * Fraction(-1)
-    u = build_matrix_entries(rep, [("unipotent", rep.rs.neg_order[0], y1)])
-    assert u[1][0] == y1
-    assert u[0][0] == LiouvExpr.one()
-    assert u[1][1] == LiouvExpr.one()
 
 
 def test_scalar_queries():

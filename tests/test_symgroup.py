@@ -6,13 +6,13 @@ import pytest
 from pvext import chevalley, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
 from pvext.errors import NotClosedFormInvertible, NotInLieAlgebra
-from pvext.liouville_expr import ExpIntegral, LiouvExpr, Scalar
+from pvext.liouville_expr import ExpIntegral, Integral, LiouvExpr, Scalar
 
-from conftest import get_rep
+from conftest import get_rep, neumann_inverse
 
 
 def test_logderiv_identity(rep_a3):
-    m = symgroup.SymMatrix(tuple(tuple(r) for r in linalg.eye(4)), "constant")
+    m = symgroup.constant_matrix(linalg.eye(4))
     assert linalg.mat_is_zero(symgroup.log_derivative(m))
 
 
@@ -34,7 +34,7 @@ def test_logderiv_torus_exponential(rep_a3):
 
 def test_adjoint_identity(rep_a2):
     a = [[DiffPoly.eta(1) * x for x in row] for row in rep_a2.H[0]]
-    g = symgroup.SymMatrix(tuple(tuple(r) for r in linalg.eye(3)), "constant")
+    g = symgroup.constant_matrix(linalg.eye(3))
     assert linalg.mat_eq(symgroup.adjoint(g, a), a)
 
 
@@ -71,7 +71,7 @@ def test_adjoint_formula_on_opposite_vector(rep_a3):
 
 def test_gauge_identity_and_zero(rep_a2):
     a = [[DiffPoly.eta(1) * x for x in row] for row in rep_a2.a0_plus()]
-    ident = symgroup.SymMatrix(tuple(tuple(r) for r in linalg.eye(3)), "constant")
+    ident = symgroup.constant_matrix(linalg.eye(3))
     assert linalg.mat_eq(symgroup.gauge(ident, a), a)
     u = symgroup.unipotent_matrix(rep_a2, rep_a2.rs.neg_order[0], DiffPoly.eta(1))
     zero = linalg.zeros(3, DiffPoly.zero())
@@ -97,7 +97,7 @@ def test_decompose_v6_fixture(rep_a3):
     from pvext import construct
 
     u = construct.unipotent_product(rep_a3, [DiffPoly.eta(i) for i in range(1, 7)])
-    uinv = linalg.unipotent_inverse(u, DiffPoly.rational(1))
+    uinv = neumann_inverse(u, DiffPoly.rational(1))
     du = [[x.derive() for x in row] for row in u]
     dec = chevalley.decompose_in_basis(rep_a3, linalg.mat_mul(du, uinv))
     coef = dec[("X", (-1, -1, -1))]
@@ -110,9 +110,11 @@ def test_decompose_rejects_trace(rep_a3):
 
 
 def test_general_inverse_refused():
-    m = symgroup.SymMatrix(((DiffPoly.eta(1), DiffPoly.zero()), (DiffPoly.zero(), DiffPoly.eta(2))))
+    m = ((DiffPoly.eta(1), DiffPoly.zero()), (DiffPoly.zero(), DiffPoly.eta(2)))
     with pytest.raises(NotClosedFormInvertible):
         symgroup.log_derivative(m)
+    with pytest.raises(NotClosedFormInvertible):
+        symgroup.adjoint(m, m)
 
 
 def _random_structured_factors(rep, rng, count):
@@ -129,10 +131,7 @@ def _random_structured_factors(rep, rng, count):
         else:
             word = tuple(rng.randint(1, rep.rank) for _ in range(rng.randint(1, 3)))
             factors.append(
-                symgroup.SymMatrix(
-                    tuple(tuple(r) for r in chevalley.weyl_representative(rep, word)),
-                    "constant",
-                )
+                symgroup.constant_matrix(chevalley.weyl_representative(rep, word))
             )
     return factors
 
@@ -197,9 +196,29 @@ def test_adjoint_preserves_brackets():
 
 
 def test_tag_truthfulness():
+    # a constant factor is rational; its inverse comes from exact elimination
     with pytest.raises(ValueError):
-        symgroup.SymMatrix(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(2))), "unipotent_lower")
-    with pytest.raises(ValueError):
-        symgroup.SymMatrix(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0))), "torus_diagonal")
-    with pytest.raises(ValueError):
-        symgroup.SymMatrix(((DiffPoly.eta(1), DiffPoly.zero()), (DiffPoly.zero(), DiffPoly.eta(1))), "constant")
+        symgroup.constant_matrix(((DiffPoly.eta(1), DiffPoly.zero()), (DiffPoly.zero(), DiffPoly.eta(1))))
+    g = symgroup.constant_matrix(((1, 2), (0, 1)))
+    assert g.ldelta is None
+    assert linalg.mat_eq(g.inverse(), [[1, -2], [0, 1]])
+
+
+def test_torus_factor_over_liouvexpr():
+    rep = get_rep("A", 3)
+    z1 = ExpIntegral(Scalar(parse("0 - n3")))
+    t = symgroup.torus_matrix(rep, 1, z1)
+    assert t.rows[0][0] == z1
+    assert t.rows[1][1] == ExpIntegral(Scalar(parse("0 - n3")), -1)
+    assert t.rows[2][2] == LiouvExpr.one() and t.rows[3][3] == LiouvExpr.one()
+    assert t.rows[0][1] == LiouvExpr.zero()
+    assert t.inv[0][0] == t.rows[1][1] and t.inv[1][1] == z1
+
+
+def test_unipotent_factor_over_liouvexpr():
+    rep = get_rep("A", 3)
+    y1 = Integral(ExpIntegral(Scalar(parse("-2 n3 + n2")))) * Fraction(-1)
+    u = symgroup.unipotent_matrix(rep, rep.rs.neg_order[0], y1)
+    assert u.rows[1][0] == y1 and u.inv[1][0] == -y1
+    assert u.rows[0][0] == LiouvExpr.one()
+    assert u.rows[1][1] == LiouvExpr.one()
