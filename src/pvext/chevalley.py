@@ -615,18 +615,8 @@ def decompose_in_basis(rep, a):
     """
     n = rep.dim
     entries = [a[pos // n][pos % n] for pos in rep.solve_positions]
-    coeffs = []
-    for row in rep.solve_inverse:
-        acc = None
-        for q, e in zip(row, entries):
-            if not q or not e:
-                continue
-            term = e * q
-            acc = term if acc is None else acc + term
-        coeffs.append(acc)
-    sample = next((e for row in a for e in row if e), Fraction(0))
-    zero = Fraction(0) if isinstance(sample, Fraction) else type(sample).zero()
-    coeffs = [zero if c is None else c for c in coeffs]
+    zero = linalg.zero_of(next((e for row in a for e in row if e), Fraction(0)))
+    coeffs = [linalg.dot(entries, row, zero) for row in rep.solve_inverse]
     # residual check: reconstruct and compare entrywise
     recon = [[zero for _ in range(n)] for _ in range(n)]
     for (kind, key), c in zip(rep.basis_order, coeffs):

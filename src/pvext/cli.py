@@ -16,7 +16,7 @@ from importlib import resources
 from . import bruhat as bruhat_mod
 from . import chevalley, construct, gauge
 from .diffpoly import DiffPoly, frac_text, lift_matrix, parse as parse_poly
-from .errors import PvextError, UnsupportedType
+from .errors import ExponentOverflow, PvextError, UnsupportedType
 
 _TYPES = ("A", "B", "C", "D", "G2")
 
@@ -170,7 +170,7 @@ def _load_matrix(path):
         raise ValueError("matrix file must hold a square array of rows")
     try:
         return [[_parse_matrix_entry(x) for x in row] for row in data]
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ZeroDivisionError, ExponentOverflow) as exc:
         raise ValueError("malformed matrix entry: %r" % (exc,)) from None
 
 

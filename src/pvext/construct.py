@@ -170,12 +170,12 @@ def logderiv_unipotent(ctx):
                 raise StructureViolation("v_%d should vanish" % i)
             continue
         s2 = ctx.max_index_of_height(ctx.heights[i - 1] + 1)
-        for mon in vi.terms:
-            if max(jv.order for jv, _ in mon) != 1:
+        if vi:
+            if vi.order() != 1 or vi.min_term_order() != 1:
                 raise StructureViolation("v_%d has a term of order != 1" % i)
-            if sum(e for _, e in mon) < 2:
+            if vi.min_term_degree() < 2:
                 raise StructureViolation("v_%d has a linear term" % i)
-            if any(jv.var > s2 for jv, _ in mon):
+            if vi.variables()[-1] > s2:
                 raise StructureViolation("v_%d uses variables beyond eta_%d" % (i, s2))
         v[i] = vi
     return Stage1Coeffs(v=v)
@@ -211,8 +211,7 @@ def adjoint_on_A0(ctx):
         pi = coef.nonlinear_part()
         if li and not band:
             raise StructureViolation("ell_%d nonzero with empty band" % i)
-        for mon in li.terms:
-            jv = mon[0][0]
+        for jv in li.jet_variables():
             if jv.order != 0 or not (band[0] <= jv.var <= band[-1]):
                 raise StructureViolation("ell_%d outside its height band" % i)
         i2 = ctx.max_index_of_height(heights[i - 1])
@@ -308,7 +307,7 @@ def _extract_constant(expr):
     if len(expr.terms) != 1:
         return Fraction(1), expr
     coeff = next(iter(expr.terms.values()))
-    if list(coeff.terms) != [()]:
+    if not coeff.is_rational():
         return Fraction(1), expr
     q = coeff.constant_term()
     if q == 1:
@@ -319,19 +318,15 @@ def _extract_constant(expr):
 def _dp_order_le_one_eval(poly, values, derivs):
     """Evaluate a DiffPoly of order <= 1 with eta_i -> values[i] and
     eta_i' -> derivs[i], over LiouvExpr."""
-    total = LiouvExpr.zero()
-    for mon, coeff in poly.terms.items():
-        acc = LiouvExpr.rational(coeff)
-        for jv, e in mon:
-            if jv.order == 0:
-                base = values[jv.var]
-            elif jv.order == 1:
-                base = derivs[jv.var]
-            else:
-                raise StructureViolation("integrand of order > 1")
-            acc = acc * (base ** e)
-        total = total + acc
-    return total
+
+    def value_of(jv):
+        if jv.order == 0:
+            return values[jv.var]
+        if jv.order == 1:
+            return derivs[jv.var]
+        raise StructureViolation("integrand of order > 1")
+
+    return poly.evaluate(value_of, LiouvExpr)
 
 
 def _torus_factors(rep, z):
@@ -431,20 +426,19 @@ def logderiv_Y(ctx, data, stage2):
         qi = hi - DiffPoly.eta(i, 1) - stage2.ell[i - 1]
         s2 = ctx.max_index_of_height(ctx.heights[i - 1] + 1)
         i2 = ctx.max_index_of_height(ctx.heights[i - 1])
-        for mon in qi.terms:
-            if sum(e for _, e in mon) < 2:
-                raise StructureViolation("q_%d has a linear term" % i)
-            for jv, _ in mon:
-                if jv.order > 1:
-                    raise StructureViolation("q_%d has order > 1" % i)
-                if jv.order == 1 and jv.var > s2:
-                    raise StructureViolation(
-                        "q_%d differentiates eta_%d beyond eta_%d" % (i, jv.var, s2)
-                    )
-                if jv.var > i2:
-                    raise StructureViolation(
-                        "q_%d uses eta_%d beyond eta_%d" % (i, jv.var, i2)
-                    )
+        if qi and qi.min_term_degree() < 2:
+            raise StructureViolation("q_%d has a linear term" % i)
+        for jv in qi.jet_variables():
+            if jv.order > 1:
+                raise StructureViolation("q_%d has order > 1" % i)
+            if jv.order == 1 and jv.var > s2:
+                raise StructureViolation(
+                    "q_%d differentiates eta_%d beyond eta_%d" % (i, jv.var, s2)
+                )
+            if jv.var > i2:
+                raise StructureViolation(
+                    "q_%d uses eta_%d beyond eta_%d" % (i, jv.var, i2)
+                )
         h.append(hi)
     return h
 
@@ -452,15 +446,24 @@ def logderiv_Y(ctx, data, stage2):
 def eliminate_noncomplementary(ctx, h_all):
     """Solve the non-complementary equations h_i = 0 height by height.
 
-    Returns the InvariantSet skeleton carrying eta_i = f_i for every index
-    i > l, together with the linear/nonlinear splits lbar/pbar and the
-    full-rank facts of the equivalent triangular system.
+    Returns (f, lbar, pbar, sigma, images): eta_i = f_i for every index
+    i > l, the linear/nonlinear splits lbar/pbar of the f_i, the
+    substitution sigma (eta_i -> eta_i for i <= l, f_i above) and the cache
+    of its images that `invariants` reuses.  Every substitution here and
+    there shares that one cache.  It is never stale: a cached entry is a
+    power of a derivative of sigma[v] for some v already in sigma, and sigma
+    only gains keys.  The keys 1..l are set first, and each later key is an
+    index of the band of height q - 1 < -1, set once when the height-q
+    system is solved; the bands are disjoint and none holds an index
+    <= l.  The full-rank facts of the equivalent triangular system are
+    asserted on the way.
     """
     l = ctx.rep.rank
     comp = ctx.comp
     noncomp_simple = [i for i in ctx.band(-1) if i not in comp]
 
     sigma = {i: DiffPoly.eta(i) for i in range(1, l + 1)}
+    images = {}
     lbar, pbar = {}, {}
     prev_matrix = None
     prev_band = None
@@ -482,7 +485,7 @@ def eliminate_noncomplementary(ctx, h_all):
                 (DiffPoly.eta(k) * coef for k, coef in zip(unknowns, row)),
                 DiffPoly.zero(),
             )
-            rhs.append((-rest).substitute(sigma))
+            rhs.append((-rest).substitute(sigma, images))
         if linalg.rank(a) != len(eqs):
             raise RankFailure("height %d system is rank-deficient" % q)
         solution = linalg.solve_exact(a, [rhs])[0]
@@ -490,8 +493,7 @@ def eliminate_noncomplementary(ctx, h_all):
         for k, fk in zip(unknowns, solution):
             lin, nonlin = fk.linear_part(), fk.nonlinear_part()
             want_order = abs(q)
-            for mon in lin.terms:
-                jv = mon[0][0]
+            for jv in lin.jet_variables():
                 if jv.order != want_order:
                     raise StructureViolation(
                         "lbar_%d is not purely of order %d" % (k, want_order)
@@ -500,13 +502,12 @@ def eliminate_noncomplementary(ctx, h_all):
                     raise StructureViolation(
                         "lbar_%d involves eta_%d" % (k, jv.var)
                     )
-            for mon in nonlin.terms:
-                if sum(e for _, e in mon) < 2:
-                    raise StructureViolation("pbar_%d has a linear term" % k)
-                if max(jv.order for jv, _ in mon) > abs(q + 1):
-                    raise StructureViolation(
-                        "pbar_%d exceeds order %d" % (k, abs(q + 1))
-                    )
+            if nonlin and nonlin.min_term_degree() < 2:
+                raise StructureViolation("pbar_%d has a linear term" % k)
+            if nonlin.order() > abs(q + 1):
+                raise StructureViolation(
+                    "pbar_%d exceeds order %d" % (k, abs(q + 1))
+                )
             sigma[k] = fk
             lbar[k], pbar[k] = lin, nonlin
             band_matrix.append(
@@ -532,7 +533,7 @@ def eliminate_noncomplementary(ctx, h_all):
         prev_matrix = band_matrix
         prev_band = unknowns
     f = {k: v for k, v in sigma.items() if k > l}
-    return f, lbar, pbar, sigma
+    return f, lbar, pbar, sigma, images
 
 
 def invariants(ctx, h_all, parts):
@@ -546,25 +547,23 @@ def invariants(ctx, h_all, parts):
     rep = ctx.rep
     l = rep.rank
     heights = ctx.heights
-    f, lbar, pbar, sigma = parts
+    f, lbar, pbar, sigma, images = parts
     comp = sorted(ctx.comp)
     h, lhat, phat = {}, {}, {}
     for j in comp:
-        hj = h_all[j - 1].substitute(sigma)
+        hj = h_all[j - 1].substitute(sigma, images)
         lin, nonlin = hj.linear_part(), hj.nonlinear_part()
         want_order = abs(heights[j - 1])
-        for mon in lin.terms:
-            if mon[0][0].order != want_order:
-                raise StructureViolation(
-                    "lhat_%d is not purely of order %d" % (j, want_order)
-                )
-        for mon in nonlin.terms:
-            if sum(e for _, e in mon) < 2:
-                raise StructureViolation("phat_%d has a linear term" % j)
-            if max(jv.order for jv, _ in mon) > want_order - 1:
-                raise StructureViolation(
-                    "phat_%d exceeds order %d" % (j, want_order - 1)
-                )
+        if any(jv.order != want_order for jv in lin.jet_variables()):
+            raise StructureViolation(
+                "lhat_%d is not purely of order %d" % (j, want_order)
+            )
+        if nonlin and nonlin.min_term_degree() < 2:
+            raise StructureViolation("phat_%d has a linear term" % j)
+        if nonlin.order() > want_order - 1:
+            raise StructureViolation(
+                "phat_%d exceeds order %d" % (j, want_order - 1)
+            )
         h[j], lhat[j], phat[j] = hj, lin, nonlin
 
     ignore = [

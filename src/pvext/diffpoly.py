@@ -2,15 +2,37 @@
 
 A differential polynomial lives in the ring Q{eta_1, ..., eta_m}.  The jet
 variable eta_i^(k) is the k-th formal derivative of the indeterminate eta_i.
-Monomials are stored sparsely as sorted tuples of ((var, order), exponent)
-pairs mapping to nonzero Fraction coefficients, so equality of canonical
-forms is structural equality.
+
+Storage uses the packed exponent vectors of Monagan and Pearce ("Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  A monomial is one int cut into FIELD_BITS-wide fields: field 0 holds
+the total degree, and field s + 1 the exponent of the jet variable in slot
+s.  Slots are handed out to jet variables on first use from one
+process-wide registry, so the product of two monomials is the sum of their
+ints.  A polynomial is one positive int denominator and a map from packed
+monomials to nonzero int numerators, kept in lowest terms (the gcd of the
+denominator and all numerators is 1), so equality is structural equality.
+
+Every exponent and every total degree is at most EXPONENT_LIMIT (255).  An
+exponent never exceeds the total degree of its monomial, so a product
+whose two degree bounds add up to at most the limit carries out of no
+field; a product that would exceed it raises ExponentOverflow instead of
+wrapping.  At most MAX_SLOTS distinct jet variables can be registered.
 """
 
+import threading
 from fractions import Fraction
+from math import gcd
+from operator import index
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import MissingAssignment
+from .errors import ExponentOverflow, MissingAssignment
+
+FIELD_BITS = 8
+EXPONENT_LIMIT = (1 << FIELD_BITS) - 1
+MAX_SLOTS = 4096
+_MASK = EXPONENT_LIMIT
 
 
 def frac_text(q):
@@ -34,57 +56,164 @@ class JetVar(NamedTuple):
     order: int
 
 
-def _merge_monomials(m1, m2):
-    """Multiply two monomials (sorted pair tuples)."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
+# ----- the slot registry -----
+
+_LOCK = threading.Lock()
+_SLOT = {}  # JetVar -> slot
+_JETS = []  # slot -> JetVar
+
+
+def _slot(jv):
+    """The slot of a jet variable, registering it on first use."""
+    slot = _SLOT.get(jv)
+    if slot is None:
+        with _LOCK:
+            slot = _SLOT.get(jv)
+            if slot is None:
+                if len(_JETS) >= MAX_SLOTS:
+                    raise ExponentOverflow(
+                        "more than %d distinct jet variables" % MAX_SLOTS
+                    )
+                slot = len(_JETS)
+                _JETS.append(jv)
+                _SLOT[jv] = slot
+    return slot
+
+
+def _unit(slot):
+    """The packed monomial of the jet variable in `slot`, to the first power."""
+    return (1 << (FIELD_BITS * (slot + 1))) | 1
+
+
+def _factors(key):
+    """The (slot, exponent) pairs of a packed monomial, lowest slot first."""
     out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        j1, e1 = m1[i]
-        j2, e2 = m2[j]
-        if j1 == j2:
-            out.append((j1, e1 + e2))
-            i += 1
-            j += 1
-        elif j1 < j2:
-            out.append(m1[i])
-            i += 1
+    rest = key >> FIELD_BITS
+    while rest:
+        shift = ((rest & -rest).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        e = (rest >> shift) & _MASK
+        out.append((shift // FIELD_BITS, e))
+        rest ^= e << shift
+    return out
+
+
+def _monomial(key):
+    """A packed monomial as the sorted tuple of (JetVar, exponent) pairs."""
+    return tuple(sorted((_JETS[slot], e) for slot, e in _factors(key)))
+
+
+def _derivative_step(slot):
+    """What the derivation adds to a monomial to trade one power of the
+    slot's jet variable for one power of its next derivative; the degree
+    is kept."""
+    jv = _JETS[slot]
+    return _unit(_slot(JetVar(jv.var, jv.order + 1))) - _unit(slot)
+
+
+def _ratio(c, d):
+    """(numerator, denominator) of c/d in lowest terms, for d > 0."""
+    g = gcd(c, d)
+    return c // g, d // g
+
+
+def _check_degrees(p, q):
+    """Raise ExponentOverflow unless p*q fits the packed fields.
+
+    The leading homogeneous part of a product over a domain is the product
+    of the leading parts, so p*q has a monomial of degree deg p + deg q:
+    the check rejects exactly the products that would not fit.
+    """
+    if p.degree() + q.degree() > EXPONENT_LIMIT:
+        raise ExponentOverflow(
+            "a product of degree %d exceeds the exponent limit %d"
+            % (p.degree() + q.degree(), EXPONENT_LIMIT)
+        )
+
+
+def _drop_zeros(t, keys):
+    for k in keys:
+        if not t[k]:
+            del t[k]
+
+
+def _normal(t, d):
+    """The DiffPoly t/d in lowest terms; t has no zero numerators."""
+    if d != 1:
+        if not t:
+            d = 1
         else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+            g = gcd(d, *t.values())
+            if g != 1:
+                d //= g
+                t = {k: c // g for k, c in t.items()}
+    return DiffPoly(t, d)
 
 
-def _monomial_degree(mon):
-    return sum(e for _, e in mon)
+class _Sum:
+    """A sum of rational multiples of DiffPolys, accumulated in one map
+    over a common denominator."""
 
+    __slots__ = ("t", "d")
 
-def _monomial_order(mon):
-    return max((jv[1] for jv, _ in mon), default=0)
+    def __init__(self):
+        self.t = {}
+        self.d = 1
 
+    def _scale_to(self, d):
+        """Make d divide the common denominator; return the common one / d."""
+        if self.d % d:
+            common = self.d // gcd(self.d, d) * d
+            f = common // self.d
+            self.t = {k: c * f for k, c in self.t.items()}
+            self.d = common
+        return self.d // d
 
-def term_sort_key(mon):
-    """Canonical graded-lexicographic key; used descending for serialization."""
-    return (_monomial_degree(mon), mon)
+    def add(self, p, q=1):
+        """Add q * p for a DiffPoly p and an int or Fraction q."""
+        s = q.numerator * self._scale_to(p._d * q.denominator)
+        t = self.t
+        get = t.get
+        for k, c in p._t.items():
+            t[k] = get(k, 0) + s * c
+
+    def add_product(self, p, q, n=1):
+        """Add n * p * q for DiffPolys p, q and an int n, without building
+        the product."""
+        a, b = p._t, q._t
+        if not a or not b:
+            return
+        _check_degrees(p, q)
+        s = n * self._scale_to(p._d * q._d)
+        if len(a) > len(b):
+            a, b = b, a
+        t = self.t
+        get = t.get
+        for k1, c1 in a.items():
+            c1 *= s
+            for k2, c2 in b.items():
+                k = k1 + k2
+                t[k] = get(k, 0) + c1 * c2
+
+    def result(self, d=1):
+        """The accumulated sum divided by d."""
+        return _normal({k: c for k, c in self.t.items() if c}, self.d * d)
 
 
 class DiffPoly:
     """A differential polynomial with exact rational coefficients.
 
-    The zero polynomial is the empty term map.  Instances are treated as
-    immutable values: all arithmetic returns fresh objects.
+    The zero polynomial is the empty map over denominator 1.  Instances are
+    treated as immutable values: all arithmetic returns fresh objects.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t", "_d", "_deg")
 
-    def __init__(self, terms=None):
-        self.terms = dict(terms) if terms else {}
+    def __init__(self, t=None, d=1):
+        """Internal: `t` maps packed monomials to nonzero int numerators over
+        the positive int `d`, in lowest terms.  Use the constructors below."""
+        self._t = {} if t is None else t
+        self._d = d
+        self._deg = None
 
     # ----- constructors -----
 
@@ -97,103 +226,120 @@ class DiffPoly:
         q = Fraction(value)
         if q == 0:
             return cls()
-        return cls({(): q})
+        return cls({0: q.numerator}, q.denominator)
 
     @classmethod
     def eta(cls, var, order=0, coeff=1):
         """The single jet variable coeff * eta_var^(order)."""
-        q = Fraction(coeff)
-        if q == 0:
-            return cls()
-        return cls({((JetVar(var, order), 1),): q})
+        return cls.monomial([(var, order, 1)], coeff)
 
     @classmethod
     def monomial(cls, jets, coeff=1):
-        """Build coeff * prod eta_v^(k)^e from an iterable of (v, k, e)."""
+        """Build coeff * prod eta_v^(k)^e from an iterable of (v, k, e).
+
+        Variables and orders are ints, orders and exponents nonnegative
+        (ValueError otherwise); a total degree above EXPONENT_LIMIT raises
+        ExponentOverflow.
+        """
         q = Fraction(coeff)
+        exps = {}
+        for v, k, e in jets:
+            jv = JetVar(index(v), index(k))
+            if jv.order < 0 or index(e) < 0:
+                raise ValueError("negative order or exponent in a monomial")
+            exps[jv] = exps.get(jv, 0) + e
+        degree = sum(exps.values())
+        if degree > EXPONENT_LIMIT:
+            raise ExponentOverflow(
+                "a monomial of degree %d exceeds the exponent limit %d"
+                % (degree, EXPONENT_LIMIT)
+            )
         if q == 0:
             return cls()
-        acc = {}
-        for v, k, e in jets:
-            jv = JetVar(v, k)
-            acc[jv] = acc.get(jv, 0) + e
-        mon = tuple(sorted((jv, e) for jv, e in acc.items() if e != 0))
-        return cls({mon: q})
+        key = sum(e * _unit(_slot(jv)) for jv, e in exps.items() if e)
+        return cls({key: q.numerator}, q.denominator)
 
     # ----- ring structure -----
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._t)
 
     def is_zero(self):
-        return not self.terms
+        return not self._t
 
     def __eq__(self, other):
         if isinstance(other, DiffPoly):
-            return self.terms == other.terms
+            return self._d == other._d and self._t == other._t
         if isinstance(other, (int, Fraction)):
             return self == DiffPoly.rational(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._d, frozenset(self._t.items())))
+
+    def __reduce__(self):
+        # packed keys depend on this process's slot registry; a pickle
+        # carries the canonical terms instead
+        return (DiffPoly.from_json_obj, (self.to_json_obj(),))
 
     def __neg__(self):
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return DiffPoly({k: -c for k, c in self._t.items()}, self._d)
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other."""
         if isinstance(other, (int, Fraction)):
             other = DiffPoly.rational(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return DiffPoly(out)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            out = dict(self._t)
+        else:
+            common = d1 // gcd(d1, d2) * d2
+            f = common // d1
+            out = {k: c * f for k, c in self._t.items()}
+            sign *= common // d2
+            d1 = common
+        get = out.get
+        for k, c in other._t.items():
+            out[k] = get(k, 0) + sign * c
+        _drop_zeros(out, other._t)
+        return _normal(out, d1)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DiffPoly.rational(other)
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if q == 0:
+            if not other:
                 return DiffPoly()
-            return DiffPoly({m: c * q for m, c in self.terms.items()})
+            n = other.numerator
+            return _normal({k: c * n for k, c in self._t.items()}, self._d * other.denominator)
         if not isinstance(other, DiffPoly):
             return NotImplemented
+        a, b = self._t, other._t
+        if not a or not b:
+            return DiffPoly()
+        _check_degrees(self, other)
+        if len(a) > len(b):
+            a, b = b, a
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return DiffPoly(out)
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        if len(a) > 1:
+            _drop_zeros(out, [k for k, c in out.items() if not c])
+        return _normal(out, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -209,121 +355,194 @@ class DiffPoly:
             n >>= 1
         return result
 
+    @staticmethod
+    def dot(xs, ys):
+        """sum x*y over paired DiffPoly or rational entries, accumulated in
+        one map; the zero polynomial when every product vanishes."""
+        acc = _Sum()
+        for x, y in zip(xs, ys):
+            if not x or not y:
+                continue
+            if isinstance(x, DiffPoly):
+                if isinstance(y, DiffPoly):
+                    acc.add_product(x, y)
+                else:
+                    acc.add(x, y)
+            else:
+                acc.add(lift(y), x)
+        return acc.result()
+
     # ----- differential structure -----
 
     def derive(self, times=1):
         """Apply the derivation eta_i^(k) -> eta_i^(k+1), Leibniz on products."""
         p = self
+        steps = {}
         for _ in range(times):
             out = {}
-            for mon, c in p.terms.items():
-                for idx, (jv, e) in enumerate(mon):
-                    coeff = c * e
-                    rest = list(mon)
-                    if e == 1:
-                        del rest[idx]
-                    else:
-                        rest[idx] = (jv, e - 1)
-                    bumped = _merge_monomials(
-                        tuple(rest), ((JetVar(jv.var, jv.order + 1), 1),)
-                    )
-                    s = out.get(bumped)
-                    if s is None:
-                        out[bumped] = coeff
-                    else:
-                        s = s + coeff
-                        if s:
-                            out[bumped] = s
-                        else:
-                            del out[bumped]
-            p = DiffPoly(out)
+            get = out.get
+            for key, c in p._t.items():
+                for slot, e in _factors(key):
+                    step = steps.get(slot)
+                    if step is None:
+                        step = steps[slot] = _derivative_step(slot)
+                    k = key + step
+                    out[k] = get(k, 0) + c * e
+            _drop_zeros(out, [k for k, c in out.items() if not c])
+            p = _normal(out, p._d)
         return p
 
-    def substitute(self, sigma):
+    def substitute(self, sigma, images=None):
         """Differential substitution eta_i^(k) -> sigma[i] derived k times.
 
         sigma maps var indices to DiffPoly images and must cover every
         variable occurring in the polynomial (MissingAssignment otherwise).
+        `images` is a dict that caches the powers of the images of jet
+        variables; one dict may serve several calls as long as no key of
+        sigma changes its value in between.
         """
-        cache = {}
+        if images is None:
+            images = {}
 
-        def image(jv):
-            got = cache.get(jv)
-            if got is not None:
-                return got
-            if jv.order == 0:
-                try:
-                    img = sigma[jv.var]
-                except KeyError:
-                    raise MissingAssignment(
-                        "no assignment for eta_%d" % jv.var
-                    ) from None
+        def power(slot, e):
+            got = images.get((slot, e))
+            if got is None:
+                if e > 1:
+                    got = power(slot, 1) ** e
+                elif _JETS[slot].order == 0:
+                    try:
+                        got = lift(sigma[_JETS[slot].var])
+                    except KeyError:
+                        raise MissingAssignment(
+                            "no assignment for eta_%d" % _JETS[slot].var
+                        ) from None
+                else:
+                    jv = _JETS[slot]
+                    got = power(_slot(JetVar(jv.var, jv.order - 1)), 1).derive()
+                images[slot, e] = got
+            return got
+
+        acc = _Sum()
+        for key, c in self._t.items():
+            factors = _factors(key)
+            if not factors:
+                acc.add(DiffPoly.rational(c))
+                continue
+            prod = power(*factors[0])
+            for slot, e in factors[1:-1]:
+                prod = prod * power(slot, e)
+            if len(factors) == 1:
+                acc.add(prod, c)
             else:
-                img = image(JetVar(jv.var, jv.order - 1)).derive()
-            cache[jv] = img
-            return img
+                acc.add_product(prod, power(*factors[-1]), c)
+        return acc.result(self._d)
 
-        total = DiffPoly()
-        for mon, c in self.terms.items():
-            acc = DiffPoly.rational(c)
-            for jv, e in mon:
-                acc = acc * (image(jv) ** e)
+    def evaluate(self, value_of, ring):
+        """The image under the ring map sending each jet variable jv to
+        value_of(jv); `ring` is a class with zero() and rational(q)."""
+        total = ring.zero()
+        for key, c in self._t.items():
+            acc = ring.rational(Fraction(c, self._d))
+            for slot, e in _factors(key):
+                acc = acc * (value_of(_JETS[slot]) ** e)
             total = total + acc
         return total
 
     # ----- structural queries -----
 
+    def jet_variables(self):
+        """Sorted list of the jet variables occurring in the polynomial."""
+        union = 0
+        for key in self._t:
+            union |= key
+        return sorted(_JETS[slot] for slot, _ in _factors(union))
+
+    def variables(self):
+        """Sorted list of var indices occurring in the polynomial."""
+        return sorted({jv.var for jv in self.jet_variables()})
+
     def order(self):
         """Highest derivative order present; 0 for the zero polynomial."""
-        return max((_monomial_order(m) for m in self.terms), default=0)
+        return max((jv.order for jv in self.jet_variables()), default=0)
+
+    def min_term_order(self):
+        """Least order of a term (a constant term has order 0); 0 for zero."""
+        return min(
+            (max((_JETS[s].order for s, _ in _factors(k)), default=0) for k in self._t),
+            default=0,
+        )
 
     def degree(self):
         """Highest total monomial degree; 0 for the zero polynomial."""
-        return max((_monomial_degree(m) for m in self.terms), default=0)
+        if self._deg is None:
+            self._deg = max((k & _MASK for k in self._t), default=0)
+        return self._deg
+
+    def min_term_degree(self):
+        return min((k & _MASK for k in self._t), default=0)
+
+    def _part(self, keep):
+        return _normal({k: c for k, c in self._t.items() if keep(k & _MASK)}, self._d)
 
     def linear_part(self):
-        return DiffPoly(
-            {m: c for m, c in self.terms.items() if _monomial_degree(m) == 1}
-        )
+        return self._part(lambda degree: degree == 1)
 
     def nonlinear_part(self):
-        return DiffPoly(
-            {m: c for m, c in self.terms.items() if _monomial_degree(m) != 1}
-        )
+        return self._part(lambda degree: degree != 1)
 
     def homogeneous_components(self):
         """Map total degree -> homogeneous part, sorted by degree."""
         comps = {}
-        for m, c in self.terms.items():
-            comps.setdefault(_monomial_degree(m), {})[m] = c
-        return {d: DiffPoly(t) for d, t in sorted(comps.items())}
-
-    def variables(self):
-        """Sorted list of var indices occurring in the polynomial."""
-        return sorted({jv.var for m in self.terms for jv, _ in m})
-
-    def jet_variables(self):
-        return sorted({jv for m in self.terms for jv, _ in m})
-
-    def min_term_degree(self):
-        return min((_monomial_degree(m) for m in self.terms), default=0)
+        for k, c in self._t.items():
+            comps.setdefault(k & _MASK, {})[k] = c
+        return {deg: _normal(t, self._d) for deg, t in sorted(comps.items())}
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return Fraction(self._t.get(0, 0), self._d)
 
     def is_rational(self):
-        return not self.terms or list(self.terms) == [()]
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def rational_value(self):
         return self.constant_term()
 
     def coefficient_of_jet(self, var, order):
         """Coefficient of the degree-one term eta_var^(order)."""
-        return self.terms.get(((JetVar(var, order), 1),), Fraction(0))
+        slot = _SLOT.get(JetVar(var, order))
+        if slot is None:
+            return Fraction(0)
+        return Fraction(self._t.get(_unit(slot), 0), self._d)
 
-    def sorted_terms(self):
-        """Terms in canonical order (graded lex, leading term first)."""
-        return sorted(self.terms.items(), key=lambda t: term_sort_key(t[0]), reverse=True)
+    @property
+    def terms(self):
+        """Read-only decoded view: sorted (JetVar, exponent) tuple -> Fraction."""
+        d = self._d
+        return MappingProxyType(
+            {_monomial(k): Fraction(c, d) for k, c in self._t.items()}
+        )
+
+    def _sorted_terms(self):
+        """(jets, [(monomial, numerator)]) in canonical order, leading term
+        first: graded lexicographic on the sorted (JetVar, exponent) tuples.
+
+        `jets` lists the polynomial's jet variables in ascending order, and
+        a monomial is the ascending list of rank << FIELD_BITS | exponent,
+        rank the index of the jet variable in `jets`.  Ranks order as the
+        jet variables do and exponents fit the low field, so these lists
+        compare exactly as the (JetVar, exponent) tuples would, with ints
+        in place of tuples.
+        """
+        union = 0
+        for key in self._t:
+            union |= key
+        jets = sorted(_JETS[slot] for slot, _ in _factors(union))
+        rank = {_SLOT[jv]: r << FIELD_BITS for r, jv in enumerate(jets)}
+        items = [
+            (k & _MASK, sorted([rank[slot] | e for slot, e in _factors(k)]), c)
+            for k, c in self._t.items()
+        ]
+        items.sort(reverse=True)
+        return jets, [(mon, c) for _, mon, c in items]
 
     # ----- serialization -----
 
@@ -333,42 +552,48 @@ class DiffPoly:
         Monomial factors are listed with the highest jet first, matching the
         written convention eta_2' * eta_1.
         """
-        items = []
-        for mon, c in self.sorted_terms():
-            factors = [[jv.var, jv.order, e] for jv, e in sorted(mon, reverse=True)]
-            items.append({"c": frac_text(c), "m": factors})
-        return {"terms": items}
+        d = self._d
+        jets, terms = self._sorted_terms()
+        return {
+            "terms": [
+                {
+                    "c": "%d/1" % c if d == 1 else "%d/%d" % _ratio(c, d),
+                    "m": [[*jets[x >> FIELD_BITS], x & _MASK] for x in reversed(mon)],
+                }
+                for mon, c in terms
+            ]
+        }
 
     @classmethod
     def from_json_obj(cls, obj):
-        out = {}
+        acc = _Sum()
         for item in obj["terms"]:
-            c = Fraction(item["c"])
-            mon = tuple(sorted((JetVar(v, k), e) for v, k, e in item["m"]))
-            if c:
-                out[mon] = c
-        return cls(out)
+            acc.add(cls.monomial(item["m"], Fraction(item["c"])))
+        return acc.result()
 
     def __repr__(self):
         return "DiffPoly(%s)" % self.text()
 
     def text(self):
         """Human-readable rendering in the written notation."""
-        if not self.terms:
+        if not self._t:
             return "0"
         chunks = []
-        for mon, c in self.sorted_terms():
+        jets, terms = self._sorted_terms()
+        for mon, c in terms:
+            n, d = _ratio(c, self._d)
+            coeff = str(n) if d == 1 else "%d/%d" % (n, d)
             factors = "".join(
-                _jet_text(jv, e) for jv, e in sorted(mon, reverse=True)
+                _jet_text(jets[x >> FIELD_BITS], x & _MASK) for x in reversed(mon)
             )
             if not factors:
-                body = str(c)
-            elif c == 1:
+                body = coeff
+            elif (n, d) == (1, 1):
                 body = factors
-            elif c == -1:
+            elif (n, d) == (-1, 1):
                 body = "-" + factors
             else:
-                body = str(c) + factors
+                body = coeff + factors
             if chunks and not body.startswith("-"):
                 chunks.append("+" + body)
             else:
@@ -478,7 +703,10 @@ class _Parser:
             self.pos += 1
             if self.peek() == "-":
                 self.error("negative powers are not supported")
-            return p ** int(self.number())
+            n = int(self.number())
+            if n > EXPONENT_LIMIT:
+                self.error("exponent %d is above the limit %d" % (n, EXPONENT_LIMIT))
+            return p ** n
         return p
 
     def number(self):
@@ -523,5 +751,12 @@ class _Parser:
 
 
 def parse(text):
-    """Parse the written notation, e.g. "n1'' + 3 n1 n1' - 1/2 n3^2"."""
-    return _Parser(text).parse()
+    """Parse the written notation, e.g. "n1'' + 3 n1 n1' - 1/2 n3^2".
+
+    The written input is the polynomial's source, so a written exponent or a
+    product degree above EXPONENT_LIMIT is a ValueError here.
+    """
+    try:
+        return _Parser(text).parse()
+    except ExponentOverflow as exc:
+        raise ValueError("parse error: %s" % exc) from None

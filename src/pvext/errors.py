@@ -79,3 +79,7 @@ class CellDegeneration(PvextError):
 
 class NonUnitScaling(PvextError):
     """Normalization needs a torus rescaling with no rational solution."""
+
+
+class ExponentOverflow(PvextError):
+    """A monomial would not fit the packed exponent fields of a DiffPoly."""

@@ -29,7 +29,7 @@ def is_in_plane(rep, a):
     s = []
     for i in range(1, rep.rank + 1):
         coef = dec.get(("X", rep.rs.simple(i).coeffs), DiffPoly.zero())
-        if coef.is_zero() or list(coef.terms) != [()]:
+        if coef.is_zero() or not coef.is_rational():
             return False, None
         s.append(coef.constant_term())
     for b in rep.rs.neg_order:

@@ -9,6 +9,7 @@ selects independent rows of sparse integer vectors in one pass.
 from fractions import Fraction
 from math import gcd
 
+from .diffpoly import DiffPoly
 from .errors import DimMismatch, NoRationalSolution
 
 
@@ -32,32 +33,39 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
 def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
+    return [[c * x for x in row] for row in a]
+
+
+def zero_of(x):
+    """The zero of the ring x lives in; rationals give Fraction(0)."""
+    return Fraction(0) if isinstance(x, (int, Fraction)) else type(x).zero()
+
+
+def dot(xs, ys, zero):
+    """The sum of x*y over the pairs, `zero` when every product vanishes.
+
+    Over DiffPoly the products accumulate into one map (DiffPoly.dot)
+    instead of a fresh polynomial per partial sum.
+    """
+    if isinstance(zero, DiffPoly):
+        return DiffPoly.dot(xs, ys)
+    acc = None
+    for x, y in zip(xs, ys):
+        if x and y:
+            term = x * y
+            acc = term if acc is None else acc + term
+    return zero if acc is None else acc
 
 
 def mat_mul(a, b):
+    """a b; an entry where every product vanishes is the zero of a's ring."""
     n = len(a)
     if n != len(b):
         raise DimMismatch("matrix sizes differ")
     bt = list(zip(*b))
-    out = []
-    for row in a:
-        orow = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if not x or not y:
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            orow.append(acc if acc is not None else row[0] * 0)
-        out.append(orow)
-    return out
+    zero = zero_of(a[0][0]) if n else Fraction(0)
+    return [[dot(row, col, zero) for col in bt] for row in a]
 
 
 def mat_is_zero(a):

@@ -196,7 +196,7 @@ class LiouvExpr:
         (e, atoms), c = next(iter(self.terms.items()))
         if atoms:
             raise ValueError("integral atoms are not invertible")
-        if not (c.is_zero() or list(c.terms) == [()]):
+        if not c.is_rational():
             raise ValueError("coefficient is not rational")
         q = c.constant_term()
         g = -_by_id(e) if e != _NO_EXP else LiouvExpr.zero()
@@ -232,8 +232,7 @@ class LiouvExpr:
             return True
         if list(self.terms) != [(_NO_EXP, ())]:
             return False
-        c = self.terms[(_NO_EXP, ())]
-        return list(c.terms) == [()]
+        return self.terms[(_NO_EXP, ())].is_rational()
 
     def rational_value(self):
         if not self.terms:
@@ -318,7 +317,7 @@ class LiouvExpr:
         chunks = []
         for (e, atoms), c in self._sorted_terms():
             bits = []
-            if len(c.terms) == 1 and list(c.terms) == [()]:
+            if c.is_rational():
                 q = c.constant_term()
                 if q == -1:
                     bits.append("-")

@@ -68,7 +68,7 @@ def verify_axioms(rs, H, X):
             br = linalg.bracket(X[a.coeffs], X[b.coeffs])
             _check_bracket(rs, H, X, a, b, br, nconst)
             if b != a:
-                _check_bracket(rs, H, X, b, a, linalg.mat_neg(br), nconst)
+                _check_bracket(rs, H, X, b, a, linalg.mat_scale(br, -1), nconst)
     return nconst
 
 

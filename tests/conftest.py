@@ -64,7 +64,7 @@ def neumann_inverse(m, one):
     inv = linalg.eye(n, one, zero)
     power = linalg.eye(n, one, zero)
     for _ in range(n):
-        power = linalg.mat_neg(linalg.mat_mul(power, nil))
+        power = [[-x for x in row] for row in linalg.mat_mul(power, nil)]
         inv = linalg.mat_add(inv, power)
     if not linalg.mat_is_zero(linalg.mat_mul(power, nil)):
         raise ValueError("matrix is not unipotent")

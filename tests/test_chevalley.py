@@ -67,7 +67,7 @@ def test_bracket_basics(rep_a3):
 
 def test_bracket_w1_is_minus_h1(rep_a3):
     got = linalg.bracket(rep_a3.x_neg(1), rep_a3.a0_plus())
-    assert linalg.mat_eq(got, linalg.mat_neg(rep_a3.H[0]))
+    assert linalg.mat_eq(got, linalg.mat_scale(rep_a3.H[0], -1))
 
 
 def test_bracket_a2_structure_constant(rep_a2):
@@ -81,13 +81,13 @@ def test_bracket_a2_structure_constant(rep_a2):
 def test_w_fixtures(rep_a3, rep_a1):
     w = chevalley.compute_W(rep_a3)
     assert linalg.mat_eq(
-        w[5], linalg.mat_add(linalg.mat_neg(rep_a3.x_neg(4)), rep_a3.x_neg(5))
+        w[5], linalg.mat_add(linalg.mat_scale(rep_a3.x_neg(4), -1), rep_a3.x_neg(5))
     )
     assert linalg.mat_eq(
-        w[3], linalg.mat_add(linalg.mat_neg(rep_a3.x_neg(1)), rep_a3.x_neg(2))
+        w[3], linalg.mat_add(linalg.mat_scale(rep_a3.x_neg(1), -1), rep_a3.x_neg(2))
     )
     w1 = chevalley.compute_W(rep_a1)
-    assert linalg.mat_eq(w1[0], linalg.mat_neg(rep_a1.H[0]))
+    assert linalg.mat_eq(w1[0], linalg.mat_scale(rep_a1.H[0], -1))
 
 
 def test_complementary_roots(rep_a3, rep_g2, rep_a1):
@@ -196,7 +196,7 @@ def _corrupted_basis(rep, case):
                     if i != j and not mat[i][j])
         mat[i][j] = Fraction(1)
     elif case == "negated":
-        X[rep.rs.neg_order[-1].coeffs] = linalg.mat_neg(X[rep.rs.neg_order[-1].coeffs])
+        X[rep.rs.neg_order[-1].coeffs] = linalg.mat_scale(X[rep.rs.neg_order[-1].coeffs], -1)
     else:
         H[0][0][0] += 1
     return H, X
@@ -254,7 +254,7 @@ def test_ad_weyl_sends_root_vectors_to_root_vectors():
                 ad = linalg.mat_mul(linalg.mat_mul(nw, rep.X[root.coeffs]), nwinv)
                 image = rep.X[act(root).coeffs]
                 plus = linalg.mat_eq(ad, image)
-                minus = linalg.mat_eq(ad, linalg.mat_neg(image))
+                minus = linalg.mat_eq(ad, linalg.mat_scale(image, -1))
                 assert plus or minus
 
 

@@ -174,6 +174,21 @@ def test_malformed_entries_are_input_errors(tmp_path, capsys):
         assert code == 1 and out == "" and "input error" in err, entry
 
 
+def test_exponents_above_the_limit(tmp_path, capsys):
+    m = tmp_path / "plane.json"
+    argv = ["gauge-normalize", "--type", "A", "--rank", "1", "--matrix", str(m)]
+    # a written exponent above the limit is an input error
+    for entry in ("n1^999", {"terms": [{"c": "1/1", "m": [[1, 0, 999]]}]}):
+        m.write_text(json.dumps([["0", "1"], [entry, "0"]]))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "" and "input error" in err, entry
+    # a product that outgrows the limit during the computation is not
+    m.write_text(json.dumps([["n1^130", "1"], ["0", "-n1^130"]]))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "ExponentOverflow" in err and "Traceback" not in err
+
+
 def _identity_with(rng, n, value):
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     rows[rng.randrange(n)][rng.randrange(n)] = value
@@ -191,6 +206,10 @@ _MALFORMED_MATRICES = [
     lambda rng, n: _identity_with(rng, n, "n1' + n1^2"),  # polynomial
     lambda rng, n: _identity_with(rng, n, {"terms": [{"c": "1/0"}]}),
     lambda rng, n: _identity_with(rng, n, "1/"),
+    lambda rng, n: _identity_with(rng, n, "n1^999"),
+    lambda rng, n: _identity_with(rng, n, "(n1 n2)^200"),
+    lambda rng, n: _identity_with(rng, n, {"terms": [{"c": "1/1", "m": [[1, 0, 999]]}]}),
+    lambda rng, n: _identity_with(rng, n, {"terms": [{"c": "1/1", "m": [[1, 0, -1]]}]}),
     lambda rng, n: [[int(i == j) for j in range(n + 1)] for i in range(n + 1)],  # wrong size
     lambda rng, n: [],
     lambda rng, n: {"rows": n},

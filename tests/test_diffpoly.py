@@ -1,10 +1,15 @@
+import json
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from pvext.diffpoly import DiffPoly, JetVar, parse, structure
-from pvext.errors import MissingAssignment
+from pvext import diffpoly
+from pvext.diffpoly import EXPONENT_LIMIT, DiffPoly, JetVar, parse, structure
+from pvext.errors import ExponentOverflow, MissingAssignment
 
 
 def test_addition_cancels():
@@ -131,3 +136,55 @@ def test_pow():
     p = parse("n1 + 1")
     assert p ** 3 == p * p * p
     assert p ** 0 == DiffPoly.rational(1)
+
+
+def test_products_up_to_the_exponent_limit_fit():
+    top = DiffPoly.eta(1) ** EXPONENT_LIMIT
+    assert top.degree() == EXPONENT_LIMIT
+    assert top.terms == {((JetVar(1, 0), EXPONENT_LIMIT),): 1}
+    assert (DiffPoly.eta(1) ** 128 * DiffPoly.eta(2) ** 127).degree() == EXPONENT_LIMIT
+
+
+def test_a_product_beyond_the_exponent_limit_raises():
+    with pytest.raises(ExponentOverflow):
+        DiffPoly.eta(1) ** EXPONENT_LIMIT * DiffPoly.eta(1)
+    with pytest.raises(ExponentOverflow):
+        DiffPoly.eta(1) ** (EXPONENT_LIMIT + 1)
+    with pytest.raises(ExponentOverflow):
+        DiffPoly.monomial([(1, 0, 200), (2, 3, 56)])
+    # the derivative keeps the degree, so it stays within the limit
+    top = DiffPoly.eta(1) ** EXPONENT_LIMIT
+    assert top.derive() == DiffPoly.monomial([(1, 0, 254), (1, 1, 1)], EXPONENT_LIMIT)
+
+
+def test_written_exponents_above_the_limit_are_parse_errors():
+    assert parse("n1^255").degree() == EXPONENT_LIMIT
+    for text in ("n1^999", "n1^256", "2^999", "(n1 n2)^200"):
+        with pytest.raises(ValueError):
+            parse(text)
+
+
+def test_a_full_slot_registry_refuses_new_jet_variables(monkeypatch):
+    known = DiffPoly.eta(1)
+    monkeypatch.setattr(diffpoly, "MAX_SLOTS", len(diffpoly._JETS))
+    with pytest.raises(ExponentOverflow):
+        DiffPoly.eta(10 ** 6)
+    with pytest.raises(ValueError):
+        parse("n1 + n1000001")
+    assert known * known == DiffPoly.monomial([(1, 0, 2)])
+
+
+def test_a_pickle_survives_another_slot_registry():
+    p = parse("1/2 n1' n2^3 - 4 n7[5]")
+    # the reading process registers other jet variables first
+    code = (
+        "import json, pickle, sys\n"
+        "from pvext.diffpoly import DiffPoly\n"
+        "DiffPoly.eta(99, 7) * DiffPoly.eta(2, 0)\n"
+        "print(json.dumps(pickle.loads(sys.stdin.buffer.read()).to_json_obj()))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(p), capture_output=True, check=True
+    )
+    assert json.loads(out.stdout) == p.to_json_obj()
+    assert pickle.loads(pickle.dumps(p)) == p

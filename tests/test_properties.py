@@ -1,10 +1,12 @@
-"""Property tests: the group law of the factors and the DiffPoly round trips.
+"""Property tests: the group law of the factors, the DiffPoly round trips,
+and the packed DiffPoly kernel against the tuple/Fraction reference.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
 """
 
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from pvext import linalg, symgroup
 from pvext.diffpoly import DiffPoly, parse
 from pvext.liouville_expr import LiouvExpr
 
+import diffpoly_oracle as oracle
 from conftest import get_rep
 
 SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
@@ -99,3 +102,77 @@ def test_json_round_trip(p):
 def test_derive_commutes_with_substitute(p, images):
     sigma = dict(enumerate(images, start=1))
     assert p.derive().substitute(sigma) == p.substitute(sigma).derive()
+
+
+@st.composite
+def poly_pairs(draw, max_var=3, max_order=2, max_terms=4):
+    """One random polynomial built twice: (packed kernel, reference)."""
+    p, ref = DiffPoly.zero(), oracle.DiffPoly.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        coeff = draw(coefficients)
+        jets = [
+            (draw(st.integers(1, max_var)), draw(st.integers(0, max_order)),
+             draw(st.integers(1, 3)))
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        p = p + DiffPoly.monomial(jets, coeff)
+        ref = ref + oracle.DiffPoly.monomial(jets, coeff)
+    return p, ref
+
+
+def _agree(p, ref):
+    """The kernel polynomial and the reference are the same polynomial and
+    render the same text and JSON."""
+    return (
+        dict(p.terms) == ref.terms
+        and p.text() == ref.text()
+        and p.to_json_obj() == ref.to_json_obj()
+    )
+
+
+@settings(derandomize=True, deadline=None)
+@given(poly_pairs(), poly_pairs(), st.integers(0, 3))
+def test_kernel_ring_operations_agree_with_the_reference(a, b, n):
+    (p, ref_p), (q, ref_q) = a, b
+    assert _agree(p, ref_p)
+    assert _agree(p + q, ref_p + ref_q)
+    assert _agree(p - q, ref_p - ref_q)
+    assert _agree(p * q, ref_p * ref_q)
+    assert _agree(p ** n, ref_p ** n)
+
+
+@settings(derandomize=True, deadline=None)
+@given(poly_pairs(), st.integers(1, 2))
+def test_kernel_structure_agrees_with_the_reference(a, times):
+    p, ref = a
+    assert _agree(p.derive(times), ref.derive(times))
+    assert _agree(p.linear_part(), ref.linear_part())
+    components = p.homogeneous_components()
+    ref_components = ref.homogeneous_components()
+    assert list(components) == list(ref_components)
+    assert all(_agree(components[d], ref_components[d]) for d in components)
+    for var in range(1, 4):
+        for order in range(4):
+            assert p.coefficient_of_jet(var, order) == ref.coefficient_of_jet(var, order)
+
+
+@settings(derandomize=True, deadline=None)
+@given(poly_pairs(), st.lists(poly_pairs(max_order=1, max_terms=2), min_size=3, max_size=3))
+def test_kernel_substitution_agrees_with_the_reference(a, images):
+    p, ref = a
+    sigma = {i: image for i, (image, _) in enumerate(images, start=1)}
+    ref_sigma = {i: image for i, (_, image) in enumerate(images, start=1)}
+    assert _agree(p.substitute(sigma), ref.substitute(ref_sigma))
+
+
+@settings(derandomize=True, deadline=None)
+@given(polys(), st.fractions(min_value=-6, max_value=6, max_denominator=6))
+def test_equal_polynomials_are_equal_after_cancellation_and_rescaling(p, q):
+    half = DiffPoly.eta(1, coeff=Fraction(1, 2))
+    assert half + half == DiffPoly.eta(1)
+    assert hash(half + half) == hash(DiffPoly.eta(1))
+    assert (half * 2)._d == 1
+    if q:
+        rescaled = p * q * (1 / q)
+        assert rescaled == p and hash(rescaled) == hash(p)
+    assert (p + p) - p == p and hash((p + p) - p) == hash(p)
