@@ -21,13 +21,18 @@ from .errors import ExponentOverflow, PvextError, UnsupportedType
 _TYPES = ("A", "B", "C", "D", "G2")
 
 
-def _write_output(text, path):
+def _write_output(chunks, path):
+    """Write the text chunks to the file at `path` as they are, or to stdout
+    ending in exactly one newline."""
     if path:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        tail = ""
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+            tail = chunk[-1:] or tail
+        if tail != "\n":
             sys.stdout.write("\n")
 
 
@@ -74,9 +79,9 @@ def cmd_derive(args):
     type_label, rank = _require_system(args)
     result = construct.run_pipeline(type_label, rank)
     if args.format == "json":
-        _write_output(construct.report_json(result), args.output)
+        _write_output(construct.report_chunks(result), args.output)
     else:
-        _write_output(_report_text(result), args.output)
+        _write_output([_report_text(result)], args.output)
     return 0
 
 
@@ -86,14 +91,15 @@ def _default_fixtures():
 
 
 def _json_diff(a, b, path=""):
-    """First differing path between two JSON-like values, or None."""
+    """First path where the expected JSON-like value a and the derived b
+    differ, or None."""
     if type(a) is not type(b):
         return "%s: type %s != %s" % (path or "/", type(a).__name__, type(b).__name__)
     if isinstance(a, dict):
         for key in sorted(set(a) | set(b)):
-            if key not in a:
-                return "%s/%s: missing on the derived side" % (path, key)
             if key not in b:
+                return "%s/%s: missing on the derived side" % (path, key)
+            if key not in a:
                 return "%s/%s: unexpected on the derived side" % (path, key)
             got = _json_diff(a[key], b[key], "%s/%s" % (path, key))
             if got:
@@ -133,10 +139,11 @@ def cmd_verify(args):
     for name in sorted(fixtures):
         spec = fixtures[name]
         result = construct.run_pipeline(spec["type"], spec["rank"])
-        derived = json.loads(construct.report_json(result))
-        expected = spec["report"]
-        if json.dumps(derived, sort_keys=True) != json.dumps(expected, sort_keys=True):
-            where = _json_diff(expected, derived)
+        derived = construct.report_json(result)
+        if derived != json.dumps(spec["report"], sort_keys=True, indent=1):
+            where = _json_diff(spec["report"], json.loads(derived)) or (
+                "/: same values, different bytes"
+            )
             failures.append("%s: %s" % (name, where))
             sys.stderr.write("fixture %s MISMATCH at %s\n" % (name, where))
         else:
@@ -195,7 +202,7 @@ def cmd_bruhat(args):
         "z": [frac_text(x) for x in form.z],
         "y": [frac_text(x) for x in form.y],
     }
-    _write_output(json.dumps(obj, sort_keys=True, indent=1), args.output)
+    _write_output([json.dumps(obj, sort_keys=True, indent=1)], args.output)
     return 0
 
 
@@ -214,7 +221,7 @@ def cmd_gauge_normalize(args):
         "f": {str(k): v.to_json_obj() for k, v in sorted(f.items())},
         "f_text": {str(k): v.text() for k, v in sorted(f.items())},
     }
-    _write_output(json.dumps(obj, sort_keys=True, indent=1), args.output)
+    _write_output([json.dumps(obj, sort_keys=True, indent=1)], args.output)
     return 0
 
 

@@ -9,10 +9,10 @@ violation raises StructureViolation or RankFailure rather than producing
 an unverified result.
 """
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from json.encoder import encode_basestring_ascii
 
 from . import chevalley, linalg, rootsys, symgroup
 from .diffpoly import DiffPoly, frac_text, lift, lift_matrix
@@ -708,40 +708,88 @@ def matrix_json(m):
     return [[_entry_json(x) for x in row] for row in m]
 
 
-def report_json_obj(result):
-    """The full pipeline report with deterministic key order."""
+def _report_tree(result):
+    """The report as a tree of dicts, lists, strings, ints and the pipeline's
+    own DiffPoly and LiouvExpr values, which `_json_chunks` renders."""
     inv = result.invariants
-    report = {
+    return {
         "system": {
             "type": result.rep.rs.type_label,
             "rank": result.rep.rs.rank,
             "root_system": result.rep.rs.to_json_obj(),
         },
-        "stage1": {"v": {str(i): v.to_json_obj() for i, v in sorted(result.stage1.v.items())}},
-        "stage2": {
-            "g": [g.to_json_obj() for g in result.stage2.g],
-            "ell": [e.to_json_obj() for e in result.stage2.ell],
-            "p": [p.to_json_obj() for p in result.stage2.p],
-        },
-        "A_L": matrix_json(result.liouville.A_L),
+        "stage1": {"v": {str(i): v for i, v in result.stage1.v.items()}},
+        "stage2": {"g": result.stage2.g, "ell": result.stage2.ell, "p": result.stage2.p},
+        "A_L": result.liouville.A_L,
         "c": [frac_text(x) for x in result.liouville.c],
-        "gbar": [g.to_json_obj() for g in result.liouville.gbar],
-        "z": [z.to_json_obj() for z in result.liouville.z],
-        "y": [y.to_json_obj() for y in result.liouville.y],
-        "h_raw": [h.to_json_obj() for h in result.h_raw],
-        "f": {str(k): v.to_json_obj() for k, v in sorted(inv.f.items())},
+        "gbar": result.liouville.gbar,
+        "z": result.liouville.z,
+        "y": result.liouville.y,
+        "h_raw": result.h_raw,
+        "f": {str(k): v for k, v in inv.f.items()},
         "invariants": {
-            str(k): {
-                "h": inv.h[k].to_json_obj(),
-                "linear": inv.lhat[k].to_json_obj(),
-                "nonlinear": inv.phat[k].to_json_obj(),
-            }
-            for k in sorted(inv.h)
+            str(k): {"h": inv.h[k], "linear": inv.lhat[k], "nonlinear": inv.phat[k]}
+            for k in inv.h
         },
-        "A_G": matrix_json(result.A_G),
+        "A_G": result.A_G,
     }
-    return report
+
+
+_CONTAINERS = (dict, list, tuple, LiouvExpr)
+
+
+def _json_chunks(value, depth):
+    """The text json.dumps(value, sort_keys=True, indent=1) writes for a
+    container nested `depth` levels deep, in chunks.
+
+    Dicts (string keys, in sorted() order, as sort_keys sorts them), lists
+    and tuples render as json renders them, and a LiouvExpr as its small
+    to_json_obj tree; their scalar items render by `_scalar_json`.
+    """
+    if isinstance(value, LiouvExpr):
+        value = value.to_json_obj()
+    if isinstance(value, dict):
+        opener, closer = "{", "}"
+        keys = sorted(value)
+        if not all(isinstance(key, str) for key in keys):
+            raise TypeError("report keys must be strings, got %r" % (keys,))
+        items = [(encode_basestring_ascii(key) + ": ", value[key]) for key in keys]
+    else:
+        opener, closer = "[", "]"
+        items = [("", item) for item in value]
+    if not items:
+        yield opener + closer
+        return
+    pad = "\n" + " " * (depth + 1)
+    for i, (prefix, item) in enumerate(items):
+        head = (opener if i == 0 else ",") + pad + prefix
+        if isinstance(item, _CONTAINERS):
+            yield head
+            yield from _json_chunks(item, depth + 1)
+        else:
+            yield head + _scalar_json(item, depth + 1)
+    yield "\n" + " " * depth + closer
+
+
+def _scalar_json(value, depth):
+    """The json text of a string, an int or a DiffPoly (rendered from its
+    terms) nested `depth` levels deep.  Any other value is a TypeError:
+    nothing is rendered by str()."""
+    if isinstance(value, DiffPoly):
+        return value.to_json_text(depth)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    raise TypeError("cannot render a %s in the report" % type(value).__name__)
+
+
+def report_chunks(result):
+    """The JSON report, json.dumps(..., sort_keys=True, indent=1) of the
+    pipeline result, as a stream of text chunks."""
+    return _json_chunks(_report_tree(result), 0)
 
 
 def report_json(result):
-    return json.dumps(report_json_obj(result), sort_keys=True, indent=1)
+    """The JSON report as one string."""
+    return "".join(report_chunks(result))

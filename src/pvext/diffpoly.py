@@ -564,6 +564,46 @@ class DiffPoly:
             ]
         }
 
+    def to_json_text(self, depth=0):
+        """to_json_obj() as json.dumps(..., sort_keys=True, indent=1) writes
+        it, with every line after the first indented by `depth` more spaces.
+
+        The text is built from the terms directly.  Each factor [v, k, e] and
+        each distinct coefficient is rendered once and reused by every term
+        it occurs in; coefficients need no escaping, as "p/q" is ASCII
+        digits, '-' and '/'.
+        """
+        pad = ["\n" + " " * (depth + i) for i in range(6)]
+        if not self._t:
+            return '{%s"terms": []%s}' % (pad[1], pad[0])
+        d = self._d
+        jets, terms = self._sorted_terms()
+        factor_text = {}
+        for mon, _ in terms:
+            for x in mon:
+                if x not in factor_text:
+                    v, k = jets[x >> FIELD_BITS]
+                    factor_text[x] = "[%s%d,%s%d,%s%d%s]" % (
+                        pad[5], v, pad[5], k, pad[5], x & _MASK, pad[4]
+                    )
+        with_m = '%s{%s"c": "%%s",%s"m": [%s%%s%s]%s}' % (
+            pad[2], pad[3], pad[3], pad[4], pad[3], pad[2]
+        )
+        without_m = '%s{%s"c": "%%s",%s"m": []%s}' % (pad[2], pad[3], pad[3], pad[2])
+        join_m = "," + pad[4]
+        coeff_text = {}
+        out = []
+        for mon, c in terms:
+            coeff = coeff_text.get(c)
+            if coeff is None:
+                coeff = coeff_text[c] = "%d/%d" % _ratio(c, d)
+            if mon:
+                factors = join_m.join([factor_text[x] for x in reversed(mon)])
+                out.append(with_m % (coeff, factors))
+            else:
+                out.append(without_m % coeff)
+        return '{%s"terms": [%s%s]%s}' % (pad[1], ",".join(out), pad[1], pad[0])
+
     @classmethod
     def from_json_obj(cls, obj):
         acc = _Sum()
@@ -703,24 +743,29 @@ class _Parser:
             self.pos += 1
             if self.peek() == "-":
                 self.error("negative powers are not supported")
-            n = int(self.number())
+            n = self.integer()
             if n > EXPONENT_LIMIT:
                 self.error("exponent %d is above the limit %d" % (n, EXPONENT_LIMIT))
             return p ** n
         return p
 
-    def number(self):
+    def integer(self):
+        """A run of decimal digits: exponents, indices, orders, and the two
+        halves of a rational."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
             self.error("expected a number")
-        num = int(self.text[start : self.pos])
+        return int(self.text[start : self.pos])
+
+    def number(self):
+        num = self.integer()
         if self.peek() == "/":
             save = self.pos
             self.pos += 1
             if self.peek().isdigit():
-                return Fraction(num, int(self.number()))
+                return Fraction(num, self.integer())
             self.pos = save
         return Fraction(num)
 
@@ -736,14 +781,14 @@ class _Parser:
             self.error("expected a variable")
         if self.peek() == "_":
             self.pos += 1
-        var = int(self.number())
+        var = self.integer()
         order = 0
         while self.peek() == "'":
             self.pos += 1
             order += 1
         if self.peek() == "[":
             self.pos += 1
-            order = int(self.number())
+            order = self.integer()
             if self.peek() != "]":
                 self.error("expected ']'")
             self.pos += 1

@@ -2,7 +2,11 @@ import json
 import random
 import time
 
-from pvext import cli
+import pytest
+
+from pvext import cli, construct
+
+from conftest import get_pipeline
 
 
 def run_cli(argv, capsys):
@@ -85,6 +89,41 @@ def test_derive_verify_round_trip(tmp_path, capsys):
     assert code == 0 and "roundtrip ok" in out_text
 
 
+def test_verify_compares_bytes(monkeypatch, capsys):
+    # the same values written in other bytes are a mismatch
+    indented = construct.report_json
+    monkeypatch.setattr(
+        construct, "report_json", lambda result: json.dumps(json.loads(indented(result)))
+    )
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == 3 and out == ""
+    assert "fixture SL4 MISMATCH at /: same values, different bytes" in err
+
+
+def test_verify_names_a_section_the_fixture_lacks(tmp_path, capsys):
+    from importlib import resources
+
+    fixtures = json.loads(
+        resources.files("pvext").joinpath("data/fixtures.json").read_text()
+    )
+    del fixtures["G2"]["report"]["A_G"]
+    bad = tmp_path / "fixtures.json"
+    bad.write_text(json.dumps(fixtures))
+    code, out, err = run_cli(["verify", "--fixtures", str(bad)], capsys)
+    assert code == 3 and "fixture SL4 ok" in out
+    assert "fixture G2 MISMATCH at /A_G: unexpected on the derived side" in err
+
+
+@pytest.mark.parametrize("system", [("A", 3), ("G2", 2)], ids=["A3", "G2"])
+def test_derive_streams_the_json_report(system, tmp_path, capsys):
+    want = construct.report_json(get_pipeline(*system))
+    argv = ["derive", "--type", system[0], "--rank", str(system[1]), "--format", "json"]
+    path = tmp_path / "report.json"
+    assert run_cli(argv + ["--output", str(path)], capsys) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == want
+    assert run_cli(argv, capsys) == (0, want + "\n", "")
+
+
 def test_bruhat_identity(tmp_path, capsys):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([["1", "0"], ["0", "1"]]))
@@ -143,6 +182,13 @@ def test_bruhat_rejects_json_floats(tmp_path, capsys):
     code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
     assert code == 1 and out == ""
     assert "0.1" in err and "Traceback" not in err
+
+
+def test_bruhat_rejects_rational_exponents(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps([["1", "n1^7/2"], ["0", "1"]]))
+    code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+    assert code == 1 and out == "" and "parse error" in err
 
 
 def test_bruhat_rejects_polynomial_entries(tmp_path, capsys):

@@ -13,6 +13,7 @@ from pvext.liouville_expr import ExpIntegral, Integral, LiouvExpr, Scalar
 
 from conftest import get_pipeline, get_rep, neumann_inverse
 from liouville_oracle import verify_by_liouville_product
+from report_oracle import report_json_obj
 
 
 def eta(i, k=0):
@@ -346,10 +347,9 @@ def test_end_to_end_detects_corruption():
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
 )
-# Report digests of systems beyond the grid.  B5 and C5 take seconds each
-# and are checked against their digests outside this suite.
+# Report digests of systems beyond the grid.
 BEYOND_GRID = json.loads((Path(__file__).resolve().parent / "digests_beyond_grid.json").read_text())
-DIGESTS_TESTED = dict(DIGESTS, A6=BEYOND_GRID["A6"], A7=BEYOND_GRID["A7"])
+DIGESTS_TESTED = dict(DIGESTS, **BEYOND_GRID)
 
 
 def test_end_to_end_across_types():
@@ -427,9 +427,40 @@ def test_pipeline_determinism():
 
 
 def test_report_contains_all_sections(sl4_result):
-    report = construct.report_json_obj(sl4_result)
+    report = report_json_obj(sl4_result)
     for key in ("stage1", "stage2", "A_L", "z", "y", "h_raw", "f", "invariants", "A_G"):
         assert key in report
+
+
+GRID = [("A", r) for r in range(1, 6)] + [
+    (t, r) for t in "BC" for r in (2, 3, 4)
+] + [("D", 3), ("D", 4), ("D", 5), ("G2", 2)]
+
+
+@pytest.mark.parametrize(
+    "system", GRID + [("A", 6)], ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
+)
+def test_report_writer_matches_the_dict_oracle(system):
+    res = get_pipeline(*system)
+    got = construct.report_json(res)
+    want = json.dumps(report_json_obj(res), sort_keys=True, indent=1)
+    # a plain flag: pytest's own diff of two megabyte strings takes minutes
+    same = got == want
+    assert same, _first_difference(got, want)
+
+
+def _first_difference(got, want):
+    at = next(
+        (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
+    )
+    lo = max(at - 40, 0)
+    return "first difference at offset %d: %r != %r" % (at, got[lo : at + 40], want[lo : at + 40])
+
+
+def test_report_writer_refuses_values_it_cannot_render():
+    for value in ([Fraction(1, 2)], {"x": 1.5}, {"x": True}, {1: "a"}, [None]):
+        with pytest.raises(TypeError):
+            "".join(construct._json_chunks(value, 0))
 
 
 def test_structural_claims_across_systems():

@@ -164,6 +164,15 @@ def test_written_exponents_above_the_limit_are_parse_errors():
             parse(text)
 
 
+def test_exponents_indices_and_orders_are_whole_numbers():
+    # a rational exponent, index or order is a parse error, not truncated
+    for text in ("n1^7/2", "n1^3/2", "n3/2", "n1[5/2]"):
+        with pytest.raises(ValueError):
+            parse(text)
+    want = DiffPoly.monomial([(3, 0, 2)], Fraction(1, 2)) + DiffPoly.eta(1, 5)
+    assert parse("1/2 n3^2 + n1[5]") == want
+
+
 def test_a_full_slot_registry_refuses_new_jet_variables(monkeypatch):
     known = DiffPoly.eta(1)
     monkeypatch.setattr(diffpoly, "MAX_SLOTS", len(diffpoly._JETS))

@@ -8,7 +8,7 @@ checks the same cases.
 import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvext import linalg, symgroup
@@ -95,6 +95,20 @@ def test_text_parse_round_trip(p):
 def test_json_round_trip(p):
     obj = json.loads(json.dumps(p.to_json_obj()))
     assert DiffPoly.from_json_obj(obj) == p
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.one_of(polys(), st.builds(DiffPoly.rational, coefficients)),
+    st.integers(0, 6),
+)
+@example(DiffPoly.zero(), 0)
+@example(DiffPoly.rational(Fraction(-3, 2)), 6)
+@example(DiffPoly.eta(2, 1) + 4, 2)
+def test_json_text_is_the_indented_json_of_the_object(p, depth):
+    # the zero polynomial and constants (empty "m" lists) are always checked
+    want = json.dumps(p.to_json_obj(), sort_keys=True, indent=1)
+    assert p.to_json_text(depth) == want.replace("\n", "\n" + " " * depth)
 
 
 @settings(derandomize=True, deadline=None)
