@@ -49,16 +49,6 @@ def _frac_matrix(m):
     return [[Fraction(x) for x in row] for row in m]
 
 
-def _simple_block(n, i):
-    """The canonical representative of the i-th simple reflection."""
-    out = linalg.eye(n)
-    out[i - 1][i - 1] = Fraction(0)
-    out[i][i] = Fraction(0)
-    out[i - 1][i] = Fraction(1)
-    out[i][i - 1] = Fraction(-1)
-    return out
-
-
 def reduced_word(perm):
     """Deterministic reduced word (smallest descent first) for a permutation
     given in one-line notation, 1-based values."""
@@ -77,10 +67,31 @@ def reduced_word(perm):
 
 
 def representative_matrix(n, word):
+    """n(w): the product of the [[0,1],[-1,0]] blocks along the word, built
+    as column moves.
+
+    The i-th block sits in rows and columns i, i+1 (1-based).  Multiplying
+    by it on the right makes column i the negated column i+1 and column i+1
+    the old column i; every other column stays.
+    """
     out = linalg.eye(n)
     for i in word:
-        out = linalg.mat_mul(out, _simple_block(n, i))
+        for row in out:
+            row[i - 1], row[i] = -row[i], row[i - 1]
     return out
+
+
+def _representative_inverse(nw):
+    """n(w)^{-1}, which is the transpose of n(w).
+
+    Proof.  The i-th block B_i is the identity outside rows and columns
+    i, i+1, where it is [[0,1],[-1,0]]; its columns i and i+1 are -e_{i+1}
+    and e_i, the others are the other unit vectors, an orthonormal set, so
+    B_i^T B_i = 1.  A product of matrices with Q^T Q = 1 has it too:
+    (PQ)^T PQ = Q^T P^T P Q = 1.  So n(w)^T n(w) = 1, and for a square
+    matrix a left inverse is the inverse.
+    """
+    return [list(col) for col in zip(*nw)]
 
 
 def longest_permutation(n):
@@ -144,7 +155,7 @@ def _decompose_positive(m):
     perm = tuple(pivot_of_col[j] + 1 for j in range(n))
     word = reduced_word(perm)
     nw = representative_matrix(n, word)
-    t = linalg.mat_mul(linalg.rational_inverse(nw), work)
+    t = linalg.mat_mul(_representative_inverse(nw), work)
     for i in range(n):
         for j in range(n):
             if i != j and t[i][j]:
@@ -195,10 +206,11 @@ def _reduce_uprime(uprime, u, perm, nw, t):
         residual = linalg.mat_mul(residual, gen)
         gen[i - 1][j - 1] = c
         push = linalg.mat_mul(gen, push)
-    nt = linalg.mat_mul(nw, t)
-    conj = linalg.mat_mul(
-        linalg.mat_mul(linalg.rational_inverse(nt), push), nt
-    )
+    # (n(w) t)^{-1} = t^{-1} n(w)^T; the caller has checked that t is diagonal
+    nt_inv = [
+        [x / t[i][i] for x in row] for i, row in enumerate(_representative_inverse(nw))
+    ]
+    conj = linalg.mat_mul(linalg.mat_mul(nt_inv, push), linalg.mat_mul(nw, t))
     new_u = linalg.mat_mul(conj, u)
     for i in range(n):
         if new_u[i][i] != 1:
@@ -211,23 +223,18 @@ def _reduce_uprime(uprime, u, perm, nw, t):
 
 def _decompose_negative(m):
     n = len(m)
-    j = [[Fraction(1) if i + k == n - 1 else Fraction(0) for k in range(n)] for i in range(n)]
-    conj = linalg.mat_mul(linalg.mat_mul(j, m), j)
-    pos = _decompose_positive(conj)
-    flip = lambda mat: _freeze(linalg.mat_mul(linalg.mat_mul(j, [list(r) for r in mat]), j))
+    pos = _decompose_positive(_flip(m))
     perm = tuple(n + 1 - pos.perm[n - 1 - k] for k in range(n))
     word = reduced_word(perm)
-    uprime = flip(pos.uprime)
-    t = flip(pos.t)
-    u = flip(pos.u)
+    uprime = _freeze(_flip(pos.uprime))
+    t = _freeze(_flip(pos.t))
+    u = _freeze(_flip(pos.u))
     nw = representative_matrix(n, word)
     # adjust the torus factor for the representative change
-    flipped_rep = linalg.mat_mul(
-        linalg.mat_mul(j, representative_matrix(n, pos.word)), j
-    )
+    flipped_rep = _flip(representative_matrix(n, pos.word))
     # both matrices represent the same Weyl element, so they differ by a
     # torus factor that folds into t
-    tweak = linalg.mat_mul(linalg.rational_inverse(nw), flipped_rep)
+    tweak = linalg.mat_mul(_representative_inverse(nw), flipped_rep)
     for a in range(n):
         for b in range(n):
             if a != b and tweak[a][b]:
@@ -245,6 +252,12 @@ def _decompose_negative(m):
         z=_torus_coordinates([list(r) for r in t]),
         y=_peel_coefficients([list(r) for r in u], upper=False),
     )
+
+
+def _flip(m):
+    """J m J for the antidiagonal permutation matrix J: m with both indices
+    reversed."""
+    return [list(row[::-1]) for row in reversed(m)]
 
 
 def _freeze(m):

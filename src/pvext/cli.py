@@ -118,10 +118,19 @@ def _json_diff(a, b, path=""):
     return None
 
 
+def _read_json(path):
+    """The JSON value in the file at `path`; nesting too deep for the decoder
+    is a ValueError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply" % path) from None
+
+
 def _load_fixtures(path):
     """Fixtures by name: each a {"type": str, "rank": int, "report": dict}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        fixtures = json.load(handle)
+    fixtures = _read_json(path)
     if not isinstance(fixtures, dict) or not all(
         isinstance(spec, dict)
         and isinstance(spec.get("type"), str)
@@ -165,12 +174,13 @@ def _parse_matrix_entry(raw):
     text = str(raw).strip()
     if any(ch.isalpha() or ch == "η" for ch in text):
         return parse_poly(text)
+    if not text.isascii():
+        raise ValueError("matrix entry %r is not written in ASCII" % text)
     return Fraction(text)
 
 
 def _load_matrix(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(path)
     if not isinstance(data, list) or not data or not all(
         isinstance(row, list) and len(row) == len(data) for row in data
     ):

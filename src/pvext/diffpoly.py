@@ -356,11 +356,12 @@ class DiffPoly:
         return result
 
     @staticmethod
-    def dot(xs, ys):
-        """sum x*y over paired DiffPoly or rational entries, accumulated in
-        one map; the zero polynomial when every product vanishes."""
+    def dot(pairs):
+        """sum x*y over the pairs (x, y) of DiffPoly or rational entries,
+        accumulated in one map; the zero polynomial when every product
+        vanishes."""
         acc = _Sum()
-        for x, y in zip(xs, ys):
+        for x, y in pairs:
             if not x or not y:
                 continue
             if isinstance(x, DiffPoly):
@@ -666,18 +667,24 @@ def structure(p):
 # ----- parsing (fixtures, CLI input) -----
 
 
+_DIGITS = frozenset("0123456789")
+_NESTING_LIMIT = 100
+
+
 class _Parser:
     """Recursive-descent parser for the written notation.
 
     Grammar: sum of terms; a term is a product of factors by juxtaposition
     or '*'; factors are rationals, jet variables like n1'' / eta2[4] with an
-    optional ^k power, or parenthesized sums.  Variables accept the prefixes
-    'n', 'eta' and the unicode eta.
+    optional ^k power, or parenthesized sums, nested at most _NESTING_LIMIT
+    deep.  Variables accept the prefixes 'n', 'eta' and the unicode eta.
+    Digits are the ASCII 0-9 only.
     """
 
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, msg):
         raise ValueError("parse error at %d: %s" % (self.pos, msg))
@@ -718,7 +725,7 @@ class _Parser:
             if ch == "*":
                 self.pos += 1
                 p = p * self.factor()
-            elif ch and (ch.isdigit() or ch.isalpha() or ch == "(" or ch == "η"):
+            elif ch in _DIGITS or ch.isalpha() or ch == "(" or ch == "η":
                 p = p * self.factor()
             else:
                 return p
@@ -726,13 +733,17 @@ class _Parser:
     def factor(self):
         ch = self.peek()
         if ch == "(":
+            if self.depth == _NESTING_LIMIT:
+                self.error("nested too deeply")
             self.pos += 1
+            self.depth += 1
             p = self.sum()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return self.power(p)
-        if ch.isdigit():
+        if ch in _DIGITS:
             return self.power(DiffPoly.rational(self.number()))
         if ch.isalpha() or ch == "η":
             return self.power(self.jet())
@@ -753,7 +764,7 @@ class _Parser:
         """A run of decimal digits: exponents, indices, orders, and the two
         halves of a rational."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if start == self.pos:
             self.error("expected a number")
@@ -764,7 +775,7 @@ class _Parser:
         if self.peek() == "/":
             save = self.pos
             self.pos += 1
-            if self.peek().isdigit():
+            if self.peek() in _DIGITS:
                 return Fraction(num, self.integer())
             self.pos = save
         return Fraction(num)

@@ -1,9 +1,11 @@
-"""Exact dense matrix helpers shared across the package.
+"""Exact matrix helpers shared across the package.
 
 Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions);
-routines that need division are restricted to Fraction entries.  Echelon
-selects independent rows of sparse integer vectors in one pass.
+routines that need division are restricted to Fraction entries.  The product
+runs row by row over the non-zero entries, since the group elements it
+multiplies are mostly zeros.  Echelon selects independent rows of sparse
+integer vectors in one pass.
 """
 
 from fractions import Fraction
@@ -49,7 +51,7 @@ def dot(xs, ys, zero):
     instead of a fresh polynomial per partial sum.
     """
     if isinstance(zero, DiffPoly):
-        return DiffPoly.dot(xs, ys)
+        return DiffPoly.dot(zip(xs, ys))
     acc = None
     for x, y in zip(xs, ys):
         if x and y:
@@ -59,13 +61,44 @@ def dot(xs, ys, zero):
 
 
 def mat_mul(a, b):
-    """a b; an entry where every product vanishes is the zero of a's ring."""
+    """a b; an entry where every product vanishes is the zero of a's ring.
+
+    Gustavson's row-by-row product (ACM TOMS 4, 1978): the non-zero (j, y)
+    of each row k of b are listed once, and each non-zero a[i][k] adds
+    a[i][k]*y into entry (i, j).  Every entry sums its products in ascending
+    k, as the row-by-column dot product does, so the values and the
+    Liouvillian normal forms are the same.  Over DiffPoly the products of an
+    entry accumulate into one map (DiffPoly.dot).
+    """
     n = len(a)
     if n != len(b):
         raise DimMismatch("matrix sizes differ")
-    bt = list(zip(*b))
-    zero = zero_of(a[0][0]) if n else Fraction(0)
-    return [[dot(row, col, zero) for col in bt] for row in a]
+    if not n:
+        return []
+    zero = zero_of(a[0][0])
+    width = len(b[0])
+    live = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    if isinstance(zero, DiffPoly):
+        for row in a:
+            pairs = {}
+            for x, bk in zip(row, live):
+                if x:
+                    for j, y in bk:
+                        pairs.setdefault(j, []).append((x, y))
+            out.append(
+                [DiffPoly.dot(pairs[j]) if j in pairs else zero for j in range(width)]
+            )
+        return out
+    for row in a:
+        acc = {}
+        for x, bk in zip(row, live):
+            if x:
+                for j, y in bk:
+                    term = x * y
+                    acc[j] = term if j not in acc else acc[j] + term
+        out.append([acc.get(j, zero) for j in range(width)])
+    return out
 
 
 def mat_is_zero(a):
@@ -108,10 +141,13 @@ def rational_inverse(m):
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
+        live = [(c, y) for c, y in enumerate(aug[col]) if y]
         for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+            row = aug[r]
+            f = row[col]
+            if r != col and f:
+                for c, y in live:
+                    row[c] -= f * y
     return [row[n:] for row in aug]
 
 

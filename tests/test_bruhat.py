@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,8 @@ import pytest
 
 from pvext import bruhat, linalg
 from pvext.errors import CellDegeneration, NotUnimodular
+
+import linalg_oracle
 
 
 def random_sl(n, rng, steps=8):
@@ -178,3 +181,60 @@ def test_peeling_is_row_operations(monkeypatch, upper):
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
     assert bruhat._peel_coefficients(u, upper) == tuple(x)
     assert not calls
+
+
+def _words():
+    """Reduced words of every permutation in S_n for n <= 5, then seeded
+    words of random letters for n = 6..8."""
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(1, n + 1)):
+            yield n, bruhat.reduced_word(perm)
+    rng = random.Random(113)
+    for n in range(6, 9):
+        for _ in range(40):
+            yield n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 3 * n)))
+
+
+def test_representative_is_the_block_product_and_its_transpose_the_inverse():
+    for n, word in _words():
+        nw = bruhat.representative_matrix(n, word)
+        want = linalg_oracle.representative_matrix(n, word)
+        assert [[type(x) for x in row] for row in nw] == [
+            [type(x) for x in row] for row in want
+        ]
+        assert nw == want
+        assert bruhat._representative_inverse(nw) == linalg.rational_inverse(nw)
+
+
+def test_representative_is_column_moves(monkeypatch):
+    calls = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    bruhat.representative_matrix(8, bruhat.reduced_word(tuple(range(8, 0, -1))))
+    assert not calls
+
+
+@pytest.mark.parametrize("convention", ["negative", "positive"])
+def test_representative_is_never_inverted(monkeypatch, convention):
+    # n(w) is inverted by its transpose, never by elimination
+    rng = random.Random(114)
+    args = []
+    rational_inverse = linalg.rational_inverse
+    monkeypatch.setattr(
+        linalg, "rational_inverse", lambda m: args.append(m) or rational_inverse(m)
+    )
+    seen = 0
+    for n in (3, 4, 5):
+        for _ in range(20):
+            del args[:]
+            form = bruhat.bruhat_decompose(random_sl(n, rng), convention)
+            if not form.word:
+                continue
+            seen += 1
+            flipped = tuple(n + 1 - form.perm[n - 1 - k] for k in range(n))
+            reps = [
+                bruhat.representative_matrix(n, form.word),
+                bruhat.representative_matrix(n, bruhat.reduced_word(flipped)),
+            ]
+            assert args and not any(linalg.mat_eq(m, nw) for m in args for nw in reps)
+    assert seen > 30

@@ -202,6 +202,28 @@ def test_bruhat_rejects_polynomial_entries(tmp_path, capsys):
     assert run_cli(["bruhat", "--matrix", str(m)], capsys)[0] == 0
 
 
+def test_bruhat_rejects_non_ascii_digits(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    for entry, reason in (("n\u0661^\u0662 + \u0663", "parse error"), ("\u0663", "ASCII")):
+        m.write_text(json.dumps([["1", entry], ["0", "1"]]))
+        code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+        assert code == 1 and out == "" and reason in err, entry
+        assert "Traceback" not in err
+
+
+def test_deeply_nested_input_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for argv in (["bruhat", "--matrix", str(deep)], ["verify", "--fixtures", str(deep)]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == "", argv
+        assert "nested too deeply" in err and "Traceback" not in err
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps([["1", "(" * 5000 + "n1" + ")" * 5000], ["0", "1"]]))
+    code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+    assert code == 1 and out == "" and "nested too deeply" in err
+
+
 def test_gauge_normalize_checks_the_matrix_size(tmp_path, capsys):
     m = tmp_path / "plane.json"
     m.write_text(json.dumps([["0", "1"], ["n1' + n1^2", "0"]]))

@@ -173,6 +173,20 @@ def test_exponents_indices_and_orders_are_whole_numbers():
     assert parse("1/2 n3^2 + n1[5]") == want
 
 
+def test_digits_are_ascii_only():
+    # other scripts' digits (Arabic-Indic, fullwidth) are not read as numbers
+    for text in ("n\u0661^\u0662 + \u0663", "\u0663", "n1^\u0662", "n\uff11", "1/\u0663"):
+        with pytest.raises(ValueError):
+            parse(text)
+    assert parse("n1^2 + 3") == DiffPoly.eta(1) ** 2 + 3
+
+
+def test_parentheses_nest_to_a_limit():
+    assert parse("(" * 100 + "n1" + ")" * 100) == DiffPoly.eta(1)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        parse("(" * 101 + "n1" + ")" * 101)
+
+
 def test_a_full_slot_registry_refuses_new_jet_variables(monkeypatch):
     known = DiffPoly.eta(1)
     monkeypatch.setattr(diffpoly, "MAX_SLOTS", len(diffpoly._JETS))

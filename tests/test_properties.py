@@ -1,5 +1,6 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
-and the packed DiffPoly kernel against the tuple/Fraction reference.
+the packed DiffPoly kernel against the tuple/Fraction reference, and the
+row-sparse matrix product against the dense one.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -16,6 +17,7 @@ from pvext.diffpoly import DiffPoly, parse
 from pvext.liouville_expr import LiouvExpr
 
 import diffpoly_oracle as oracle
+import linalg_oracle
 from conftest import get_rep
 
 SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
@@ -190,3 +192,58 @@ def test_equal_polynomials_are_equal_after_cancellation_and_rescaling(p, q):
         rescaled = p * q * (1 / q)
         assert rescaled == p and hash(rescaled) == hash(p)
     assert (p + p) - p == p and hash((p + p) - p) == hash(p)
+
+
+fraction_entries = st.one_of(st.just(Fraction(0)), coefficients)
+poly_entries = st.one_of(st.just(DiffPoly.zero()), polys(max_terms=2))
+liouv_entries = st.one_of(st.just(LiouvExpr.zero()), liouv_args())
+
+
+@st.composite
+def matrix_pairs(draw, a_entries, b_entries):
+    """An n x n matrix a and an n x width matrix b, some rows of a and some
+    columns of b all zero."""
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(1, 5))
+    a = [[draw(a_entries) for _ in range(n)] for _ in range(n)]
+    b = [[draw(b_entries) for _ in range(width)] for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        a[i] = [linalg.zero_of(x) for x in a[i]]
+    for j in draw(st.sets(st.integers(0, width - 1), max_size=2)):
+        for row in b:
+            row[j] = linalg.zero_of(row[j])
+    return a, b
+
+
+def _layout(x):
+    """x with the order of its stored terms, which equality ignores."""
+    if isinstance(x, DiffPoly):
+        return list(x._t.items()), x._d
+    if isinstance(x, LiouvExpr):
+        return [(key, _layout(c)) for key, c in x.terms.items()]
+    return x
+
+
+def _same_matrices(got, want):
+    """Entry for entry the same value of the same type, with its terms
+    stored in the same order."""
+    return [[(type(x), x, _layout(x)) for x in row] for row in got] == [
+        [(type(x), x, _layout(x)) for x in row] for row in want
+    ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        matrix_pairs(fraction_entries, fraction_entries),
+        matrix_pairs(poly_entries, poly_entries),
+        matrix_pairs(fraction_entries, poly_entries),
+        matrix_pairs(poly_entries, fraction_entries),
+        matrix_pairs(liouv_entries, liouv_entries),
+    )
+)
+@example(([[Fraction(0)]], [[DiffPoly.eta(1), DiffPoly.zero()]]))
+@example(([[DiffPoly.zero(), 1], [0, 0]], [[Fraction(1), 0], [0, 0]]))
+def test_row_sparse_product_agrees_with_the_dense_product(ab):
+    a, b = ab
+    assert _same_matrices(linalg.mat_mul(a, b), linalg_oracle.mat_mul(a, b))
