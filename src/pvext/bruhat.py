@@ -121,10 +121,19 @@ def bruhat_decompose(mat, convention="negative"):
 
 
 def _decompose_positive(m):
+    """u' n(w) t u for the positive convention, by column and row moves.
+
+    The moves give W m V = n(w) t with V, W unit upper triangular, and u, u'
+    are V^{-1}, W^{-1}, accumulated one elementary inverse per move.  Column
+    move "col j -= f col k" (k < j) is m -> mE with E = 1 - f e_k e_j^T, so
+    u -> E^{-1} u, E^{-1} = 1 + f e_k e_j^T: "row k += f row j" on u.  Row
+    move "row i -= f row p" (i < p) is m -> Fm with F = 1 - f e_i e_p^T, so
+    u' -> u' F^{-1}, F^{-1} = 1 + f e_i e_p^T: "col p += f col i" on u'.
+    """
     n = len(m)
     work = [list(row) for row in m]
     # column elimination: adding earlier columns to later ones
-    vmat = linalg.eye(n)  # accumulated right factor, upper unipotent
+    u = linalg.eye(n)  # inverse of the accumulated right factor
     pivot_of_col = {}
     col_of_row = {}
     for j in range(n):
@@ -140,17 +149,17 @@ def _decompose_positive(m):
             factor = work[b][j] / work[b][k]
             for i in range(n):
                 work[i][j] -= factor * work[i][k]
-            for i in range(n):
-                vmat[i][j] -= factor * vmat[i][k]
+            u[k] = [a + factor * c for a, c in zip(u[k], u[j])]
     # row elimination: clear above each pivot
-    wmat = linalg.eye(n)  # accumulated left operations, upper unipotent
+    uprime = linalg.eye(n)  # inverse of the accumulated left operations
     for j in sorted(range(n), key=lambda c: pivot_of_col[c]):
         p = pivot_of_col[j]
         for i in range(p):
             if work[i][j]:
                 factor = work[i][j] / work[p][j]
                 work[i] = [a - factor * b for a, b in zip(work[i], work[p])]
-                wmat[i] = [a - factor * b for a, b in zip(wmat[i], wmat[p])]
+                for row in uprime:
+                    row[p] += factor * row[i]
     # work = n(w) t now; perm maps column k -> row perm(k)
     perm = tuple(pivot_of_col[j] + 1 for j in range(n))
     word = reduced_word(perm)
@@ -160,8 +169,6 @@ def _decompose_positive(m):
         for j in range(n):
             if i != j and t[i][j]:
                 raise StructureViolation("torus factor is not diagonal")
-    uprime = linalg.rational_inverse(wmat)
-    u = linalg.rational_inverse(vmat)
     uprime, u = _reduce_uprime(uprime, u, perm, nw, t)
     _check_uprime_pattern(uprime, perm, upper=True)
     return BruhatForm(
@@ -288,6 +295,7 @@ def _sl_rep(n):
     return chevalley.build_rep("A", n - 1)
 
 
+@lru_cache(maxsize=None)
 def _root_entry_positions(n, upper):
     """(row, column, entry) of the one matrix unit of each ordered root vector."""
     rep = _sl_rep(n)
@@ -303,7 +311,7 @@ def _root_entry_positions(n, upper):
         if len(live) != 1:
             raise StructureViolation("root vector of %r is not one matrix unit" % (b,))
         units.append(live[0])
-    return units
+    return tuple(units)
 
 
 def _peel_coefficients(u, upper):

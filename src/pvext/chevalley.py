@@ -58,9 +58,6 @@ class ChevalleyRep:
         """X_i for the i-th ordered negative root, 1-based."""
         return self.X[self.rs.neg_order[i - 1].coeffs]
 
-    def x_root(self, root):
-        return self.X[root.coeffs]
-
     def a0_plus(self, s=None):
         return self._a0(+1, s)
 
@@ -644,10 +641,8 @@ def unipotent_element(rep, root, x):
     coeffs = root.coeffs if isinstance(root, rootsys.Root) else tuple(root)
     powers = rep.exp_powers[coeffs]
     n = rep.dim
-    if isinstance(x, int):
-        x = Fraction(x)
-    one = Fraction(1) if isinstance(x, Fraction) else type(x).rational(1)
-    zero = one * 0
+    zero = linalg.zero_of(x)
+    one = zero + 1
     out = [[one if i == j else zero for j in range(n)] for i in range(n)]
     xk = one
     for k in range(1, len(powers)):
@@ -668,12 +663,9 @@ def torus_element(rep, i, z):
     n = rep.dim
     if isinstance(z, int):
         z = Fraction(z)
-    one = Fraction(1) if isinstance(z, Fraction) else type(z).rational(1)
     entries = [z ** int(h[j][j]) for j in range(n)]
-    zero = one * 0
-    return [
-        [entries[r] if r == c else zero for c in range(n)] for r in range(n)
-    ]
+    zero = linalg.zero_of(z)
+    return [[entries[r] if r == c else zero for c in range(n)] for r in range(n)]
 
 
 _SL4_WBAR = (

@@ -171,7 +171,10 @@ def _parse_matrix_entry(raw):
         )
     if isinstance(raw, int):
         return Fraction(raw)
-    text = str(raw).strip()
+    if not isinstance(raw, str):
+        kind = "an array" if isinstance(raw, list) else "null"
+        raise ValueError("matrix entry is %s; write entries as numbers or strings" % kind)
+    text = raw.strip()
     if any(ch.isalpha() or ch == "η" for ch in text):
         return parse_poly(text)
     if not text.isascii():

@@ -1,11 +1,11 @@
 """Exact matrix helpers shared across the package.
 
 Matrices are plain lists of row lists.  Entries live in any commutative ring
-with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions);
-routines that need division are restricted to Fraction entries.  The product
-runs row by row over the non-zero entries, since the group elements it
-multiplies are mostly zeros.  Echelon selects independent rows of sparse
-integer vectors in one pass.
+with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
+The product runs row by row over the non-zero entries, since the group
+elements it multiplies are mostly zeros.  rank, det, solve_exact and
+rational_inverse share one Gauss-Jordan pass over Fraction matrices.
+Echelon selects independent rows of sparse integer vectors in one pass.
 """
 
 from fractions import Fraction
@@ -129,117 +129,81 @@ def bracket(a, b):
 # ----- Fraction-only routines -----
 
 
+def _reduce(a, extra=None):
+    """Gauss-Jordan elimination of the Fraction matrix a; row i carries
+    extra[i] along, and pivots lie in a only, so extra may hold DiffPolys.
+
+    Returns the rows of [a | extra] in reduced row echelon form, the pivot
+    column of each leading row, and the product of the pivots (each before
+    its row is scaled to 1) times the sign of the row swaps: det(a) when a
+    is square of full rank.  Row updates skip the pivot row's zeros.
+
+    The pivot order changes no result below.  Rank, determinant, inverse
+    and the solution of a full-column-rank system are unique.  Column c
+    gets no pivot, in any Gauss-Jordan order, exactly when it lies in the
+    span of columns 0..c-1: row moves keep the relations among columns, and
+    in the reduced form a pivotless column is the combination of the
+    earlier pivot columns given by its entries, while a pivot column has a
+    1 where they have 0.  So the first column without a pivot is the same
+    in every order.
+    """
+    extra = extra or [()] * len(a)
+    rows = [[Fraction(x) for x in row] + list(e) for row, e in zip(a, extra)]
+    pivots, det = [], Fraction(1)
+    for col in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        det *= rows[r][col] if p == r else -rows[r][col]
+        inv = 1 / rows[r][col]
+        prow = rows[r] = [x * inv for x in rows[r]]
+        live = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                for c, y in live:
+                    row[c] -= f * y
+        pivots.append(col)
+    return rows, pivots, det
+
+
 def rational_inverse(m):
     """Exact inverse of an invertible Fraction matrix."""
     n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise NoRationalSolution("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        live = [(c, y) for c, y in enumerate(aug[col]) if y]
-        for r in range(n):
-            row = aug[r]
-            f = row[col]
-            if r != col and f:
-                for c, y in live:
-                    row[c] -= f * y
-    return [row[n:] for row in aug]
+    rows, pivots, _ = _reduce(m, eye(n))
+    if len(pivots) < n:
+        raise NoRationalSolution("matrix is singular")
+    return [row[n:] for row in rows]
 
 
 def det(m):
-    """Exact determinant of a Fraction matrix."""
-    n = len(m)
-    a = [list(map(Fraction, row)) for row in m]
-    sign = Fraction(1)
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * result
+    """Exact determinant of a square Fraction matrix."""
+    _, pivots, d = _reduce(m)
+    return d if len(pivots) == len(m) else Fraction(0)
 
 
 def solve_exact(a, rhs_cols):
     """Solve a x = b for each column b in rhs_cols.
 
-    The coefficient matrix `a` (list of rows, possibly rectangular) is over
-    Fractions and must have full column rank; the system must be consistent,
-    else NoRationalSolution.  Pivoting is deterministic: first nonzero entry
-    in row-major order.  Right-hand side entries may be ring elements
-    (DiffPoly); only `a` needs division.
+    The Fraction matrix `a` (possibly rectangular) must have full column
+    rank and the system must be consistent, else NoRationalSolution.  The
+    right-hand sides may hold DiffPolys; only `a` needs division.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    a = [list(map(Fraction, row)) for row in a]
-    rhs = [list(col) for col in rhs_cols]
-    nrhs = len(rhs)
-    piv_of_col = {}
-    used_rows = []
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rows) if r not in used_rows and a[r][col]), None
-        )
-        if pivot is None:
-            raise NoRationalSolution("column %d has no pivot" % col)
-        piv_of_col[col] = pivot
-        used_rows.append(pivot)
-        inv = 1 / a[pivot][col]
-        a[pivot] = [x * inv for x in a[pivot]]
-        for k in range(nrhs):
-            rhs[k][pivot] = rhs[k][pivot] * inv
-        for r in range(rows):
-            if r != pivot and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[pivot])]
-                for k in range(nrhs):
-                    rhs[k][r] = rhs[k][r] - rhs[k][pivot] * f
-    for r in range(rows):
-        if r not in used_rows:
-            for k in range(nrhs):
-                if rhs[k][r]:
-                    raise NoRationalSolution("inconsistent system")
-    out = []
-    for k in range(nrhs):
-        out.append([rhs[k][piv_of_col[c]] for c in range(cols)])
-    return out
+    cols = len(a[0]) if a else 0
+    rows, pivots, _ = _reduce(a, list(zip(*rhs_cols)))
+    if len(pivots) < cols:
+        col = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+        raise NoRationalSolution("column %d has no pivot" % col)
+    if any(x for row in rows[cols:] for x in row[cols:]):
+        raise NoRationalSolution("inconsistent system")
+    return [[row[cols + k] for row in rows[:cols]] for k in range(len(rhs_cols))]
 
 
 def rank(m):
     """Exact rank of a Fraction matrix."""
-    if not m:
-        return 0
-    a = [list(map(Fraction, row)) for row in m]
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][col]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_reduce(m)[1])
 
 
 class Echelon:

@@ -239,14 +239,6 @@ class LiouvExpr:
             return Fraction(0)
         return self.terms[(_NO_EXP, ())].constant_term()
 
-    def is_scalar(self):
-        return not self.terms or list(self.terms) == [(_NO_EXP, ())]
-
-    def scalar_value(self):
-        if not self.terms:
-            return DiffPoly.zero()
-        return self.terms[(_NO_EXP, ())]
-
     # ----- serialization -----
 
     def _sorted_terms(self):

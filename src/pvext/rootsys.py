@@ -72,9 +72,6 @@ class RootSystem:
             return "G2"
         return "%s%d" % (self.type_label, self.rank)
 
-    def positive_roots(self):
-        return tuple(-b for b in self.neg_order)
-
     def simple(self, i):
         """The i-th simple root, 1-based."""
         return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
@@ -89,13 +86,6 @@ class RootSystem:
             cache = frozenset(r.coeffs for r in self.roots)
             object.__setattr__(self, "_root_set_cache", cache)
         return cache
-
-    def index_of_negative(self, root):
-        """1-based position of a negative root in neg_order."""
-        try:
-            return self.neg_order.index(root) + 1
-        except ValueError:
-            raise NotARoot("%r is not an ordered negative root" % (root,))
 
     def heights_of_order(self):
         return tuple(b.height() for b in self.neg_order)

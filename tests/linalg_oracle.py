@@ -1,16 +1,19 @@
-"""The dense exact matrix product and the Weyl representatives built with it,
-as a test oracle.
+"""The dense exact matrix product, the Weyl representatives built with it,
+and the four separate Gauss-Jordan loops, as a test oracle.
 
 This is how pvext.linalg multiplied matrices before its row-by-row product
 over the non-zero entries, and how pvext.bruhat built n(w) before its column
 moves: one row-by-column dot product per entry, and one matrix product per
 letter of the word.  The tests require both to agree, value and type.
+rational_inverse, det, solve_exact and rank are the loops pvext.linalg ran
+before one shared elimination pass backed all four; the tests require the
+same values and the same exceptions.
 """
 
 from fractions import Fraction
 
 from pvext import linalg
-from pvext.errors import DimMismatch
+from pvext.errors import DimMismatch, NoRationalSolution
 
 
 def mat_mul(a, b):
@@ -38,3 +41,116 @@ def representative_matrix(n, word):
     for i in word:
         out = mat_mul(out, simple_block(n, i))
     return out
+
+
+def rational_inverse(m):
+    """Exact inverse of an invertible Fraction matrix."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            raise NoRationalSolution("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        live = [(c, y) for c, y in enumerate(aug[col]) if y]
+        for r in range(n):
+            row = aug[r]
+            f = row[col]
+            if r != col and f:
+                for c, y in live:
+                    row[c] -= f * y
+    return [row[n:] for row in aug]
+
+
+def det(m):
+    """Exact determinant of a Fraction matrix."""
+    n = len(m)
+    a = [list(map(Fraction, row)) for row in m]
+    sign = Fraction(1)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            sign = -sign
+        result *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return sign * result
+
+
+def solve_exact(a, rhs_cols):
+    """Solve a x = b for each column b in rhs_cols.
+
+    The coefficient matrix `a` (list of rows, possibly rectangular) is over
+    Fractions and must have full column rank; the system must be consistent,
+    else NoRationalSolution.  Pivoting is deterministic: first nonzero entry
+    in row-major order.  Right-hand side entries may be ring elements
+    (DiffPoly); only `a` needs division.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    a = [list(map(Fraction, row)) for row in a]
+    rhs = [list(col) for col in rhs_cols]
+    nrhs = len(rhs)
+    piv_of_col = {}
+    used_rows = []
+    for col in range(cols):
+        pivot = next(
+            (r for r in range(rows) if r not in used_rows and a[r][col]), None
+        )
+        if pivot is None:
+            raise NoRationalSolution("column %d has no pivot" % col)
+        piv_of_col[col] = pivot
+        used_rows.append(pivot)
+        inv = 1 / a[pivot][col]
+        a[pivot] = [x * inv for x in a[pivot]]
+        for k in range(nrhs):
+            rhs[k][pivot] = rhs[k][pivot] * inv
+        for r in range(rows):
+            if r != pivot and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[pivot])]
+                for k in range(nrhs):
+                    rhs[k][r] = rhs[k][r] - rhs[k][pivot] * f
+    for r in range(rows):
+        if r not in used_rows:
+            for k in range(nrhs):
+                if rhs[k][r]:
+                    raise NoRationalSolution("inconsistent system")
+    out = []
+    for k in range(nrhs):
+        out.append([rhs[k][piv_of_col[c]] for c in range(cols)])
+    return out
+
+
+def rank(m):
+    """Exact rank of a Fraction matrix."""
+    if not m:
+        return 0
+    a = [list(map(Fraction, row)) for row in m]
+    rows, cols = len(a), len(a[0])
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == rows:
+            break
+    return r

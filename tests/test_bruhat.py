@@ -216,7 +216,8 @@ def test_representative_is_column_moves(monkeypatch):
 
 @pytest.mark.parametrize("convention", ["negative", "positive"])
 def test_representative_is_never_inverted(monkeypatch, convention):
-    # n(w) is inverted by its transpose, never by elimination
+    # n(w) is inverted by its transpose and the elimination factors by
+    # accumulating their elementary inverses, never by Gauss-Jordan
     rng = random.Random(114)
     args = []
     rational_inverse = linalg.rational_inverse
@@ -226,15 +227,7 @@ def test_representative_is_never_inverted(monkeypatch, convention):
     seen = 0
     for n in (3, 4, 5):
         for _ in range(20):
-            del args[:]
             form = bruhat.bruhat_decompose(random_sl(n, rng), convention)
-            if not form.word:
-                continue
-            seen += 1
-            flipped = tuple(n + 1 - form.perm[n - 1 - k] for k in range(n))
-            reps = [
-                bruhat.representative_matrix(n, form.word),
-                bruhat.representative_matrix(n, bruhat.reduced_word(flipped)),
-            ]
-            assert args and not any(linalg.mat_eq(m, nw) for m in args for nw in reps)
+            seen += bool(form.word)
+    assert not args
     assert seen > 30

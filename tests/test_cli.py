@@ -242,6 +242,17 @@ def test_malformed_entries_are_input_errors(tmp_path, capsys):
         assert code == 1 and out == "" and "input error" in err, entry
 
 
+def test_non_scalar_entries_get_a_short_error(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    deep = "[" * 900 + "]" * 900
+    for text, kind in (("[[%s]]" % deep, "array"), ("[[[1,2]]]", "array"), ("[[null]]", "null")):
+        m.write_text(text)
+        code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+        assert code == 1 and out == "", text[:20]
+        assert kind in err and "Traceback" not in err
+        assert len(err.encode()) < 200, err
+
+
 def test_exponents_above_the_limit(tmp_path, capsys):
     m = tmp_path / "plane.json"
     argv = ["gauge-normalize", "--type", "A", "--rank", "1", "--matrix", str(m)]

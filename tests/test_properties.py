@@ -1,6 +1,7 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
-the packed DiffPoly kernel against the tuple/Fraction reference, and the
-row-sparse matrix product against the dense one.
+the packed DiffPoly kernel against the tuple/Fraction reference, the
+row-sparse matrix product against the dense one, and the shared
+Gauss-Jordan pass against the four loops it replaced.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -247,3 +248,56 @@ def _same_matrices(got, want):
 def test_row_sparse_product_agrees_with_the_dense_product(ab):
     a, b = ab
     assert _same_matrices(linalg.mat_mul(a, b), linalg_oracle.mat_mul(a, b))
+
+
+@st.composite
+def eliminations(draw):
+    """A Fraction matrix a of 0-6 rows and 1-6 columns, some rows made
+    dependent on others, and right-hand side columns for it: consistent
+    (a x for a drawn x) or drawn freely, all Fraction or all DiffPoly."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    a = [[draw(fraction_entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)) if rows > 1 else ():
+        j = draw(st.integers(0, rows - 1).filter(lambda j: j != i))
+        f = draw(coefficients)
+        a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+    entries = draw(st.sampled_from([fraction_entries, poly_entries]))
+    zero = linalg.zero_of(draw(entries))
+    nrhs = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        xs = [[draw(entries) for _ in range(cols)] for _ in range(nrhs)]
+        rhs = [[sum((c * v for c, v in zip(row, x)), zero) for row in a] for x in xs]
+    else:
+        rhs = [[zero + draw(entries) for _ in range(rows)] for _ in range(nrhs)]
+    return a, rhs
+
+
+def _outcome(routine, *args):
+    """The value a routine returns, or the type and message it raises."""
+    try:
+        return "value", routine(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(eliminations())
+@example(([], [[]]))
+@example(([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [[Fraction(1), Fraction(2)]]))
+@example(([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [[Fraction(1), Fraction(3)]]))
+@example(([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]], [[DiffPoly.eta(1)] * 2]))
+def test_shared_elimination_agrees_with_the_separate_loops(case):
+    a, rhs = case
+    k = min(len(a), len(a[0]) if a else 0)
+    square = [row[:k] for row in a[:k]]
+    for name, args in (
+        ("rank", (a,)),
+        ("det", (square,)),
+        ("rational_inverse", (square,)),
+        ("solve_exact", (a, rhs)),
+    ):
+        got = _outcome(getattr(linalg, name), *args)
+        want = _outcome(getattr(linalg_oracle, name), *args)
+        assert got == want, name
+        if got[0] == "value" and isinstance(got[1], list):
+            assert _same_matrices(got[1], want[1]), name
