@@ -106,7 +106,17 @@ def mat_is_zero(a):
 
 
 def mat_eq(a, b):
-    return mat_is_zero(mat_sub(a, b))
+    """a == b, entry by entry, without building a - b.
+
+    x == y is the test "not (x - y)": a Fraction is kept in lowest terms
+    over a positive denominator, a DiffPoly as non-zero integer numerators
+    over one positive reduced denominator, a LiouvExpr as a map onto
+    non-zero DiffPoly coefficients, and == coerces a rational into the
+    other ring, so x - y is zero exactly when the canonical forms agree.
+    """
+    if len(a) != len(b):
+        raise DimMismatch("matrix sizes differ")
+    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def derive(x):

@@ -7,6 +7,7 @@ import pytest
 from pvext import bruhat, linalg
 from pvext.errors import CellDegeneration, NotUnimodular
 
+import bruhat_oracle
 import linalg_oracle
 
 
@@ -127,6 +128,22 @@ def test_not_unimodular():
         bruhat.bruhat_decompose([[2, 0], [0, 1]])
 
 
+def test_not_unimodular_takes_one_determinant(monkeypatch):
+    calls = []
+    det = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: calls.append(1) or det(m))
+    with pytest.raises(NotUnimodular, match="determinant is 2"):
+        bruhat.bruhat_decompose([[2, 0], [0, 1]])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("convention", ["negative", "positive"])
+def test_sl1_is_the_trivial_form(convention):
+    one = ((Fraction(1),),)
+    form = bruhat.bruhat_decompose([[1]], convention)
+    assert form == bruhat.BruhatForm(convention, one, (1,), (), one, one, (), (), ())
+
+
 def test_coefficients_reproduce_factors():
     # x/z/y tuples rebuild the factors through the one-parameter products
     rng = random.Random(107)
@@ -203,7 +220,7 @@ def test_representative_is_the_block_product_and_its_transpose_the_inverse():
             [type(x) for x in row] for row in want
         ]
         assert nw == want
-        assert bruhat._representative_inverse(nw) == linalg.rational_inverse(nw)
+        assert [list(c) for c in zip(*nw)] == linalg.rational_inverse(nw)
 
 
 def test_representative_is_column_moves(monkeypatch):
@@ -216,8 +233,8 @@ def test_representative_is_column_moves(monkeypatch):
 
 @pytest.mark.parametrize("convention", ["negative", "positive"])
 def test_representative_is_never_inverted(monkeypatch, convention):
-    # n(w) is inverted by its transpose and the elimination factors by
-    # accumulating their elementary inverses, never by Gauss-Jordan
+    # the elimination factor is inverted by accumulating its elementary
+    # inverses, never by Gauss-Jordan, and n(w) is not inverted at all
     rng = random.Random(114)
     args = []
     rational_inverse = linalg.rational_inverse
@@ -231,3 +248,62 @@ def test_representative_is_never_inverted(monkeypatch, convention):
             seen += bool(form.word)
     assert not args
     assert seen > 30
+
+
+def _signed_permutations_times_torus(n, rng):
+    """Every signed permutation matrix of size n times a seeded torus
+    element, scaled to determinant one."""
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for j in range(n):
+                m[perm[j]][j] = signs[j] * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            m[perm[0]][0] /= linalg.det(m)
+            yield m
+
+
+def _oracle_inputs():
+    rng = random.Random(115)
+    for n in range(2, 9):
+        for _ in range(12):
+            yield random_sl(n, rng, steps=rng.choice([3, 8, 20]))
+    for n in range(2, 5):
+        yield from _signed_permutations_times_torus(n, rng)
+    yield [[Fraction(2), 0], [0, 1]]
+    yield [[Fraction(0)] * 3 for _ in range(3)]
+
+
+def _outcome(convention, decompose, m):
+    try:
+        form = decompose(m, convention)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return form, repr(form)
+
+
+@pytest.mark.parametrize("convention", ["negative", "positive"])
+def test_decomposition_agrees_with_the_old_chain(convention):
+    # the normal form is unique, so the oracle's row pass, push of u' into u
+    # and representative change must end where the column reduction does
+    seen = set()
+    for m in _oracle_inputs():
+        got = _outcome(convention, bruhat.bruhat_decompose, m)
+        assert got == _outcome(convention, bruhat_oracle.bruhat_decompose, m)
+        seen.add(got[0].perm if isinstance(got[0], bruhat.BruhatForm) else got[0])
+    assert NotUnimodular in seen and len(seen) > 30
+
+
+@pytest.mark.parametrize("convention", ["negative", "positive"])
+def test_decomposition_multiplies_only_to_recompose(monkeypatch, convention):
+    rng = random.Random(116)
+    inputs = [random_sl(n, rng) for n in (3, 4, 5, 6) for _ in range(5)]
+    for n in (3, 4, 5, 6):
+        bruhat._sl_rep(n)
+    calls = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+    for m in inputs:
+        del calls[:]
+        form = bruhat.bruhat_decompose(m, convention)
+        assert len(calls) == 3
+        assert form.word

@@ -133,6 +133,15 @@ def test_bruhat_identity(tmp_path, capsys):
     assert obj["w"] == [1, 2] and obj["x"] == ["0/1"]
 
 
+def test_bruhat_sl1(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps([["1"]]))
+    code, out, _ = run_cli(["bruhat", "--matrix", str(m)], capsys)
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["w"] == [1] and obj["t"] == ["1/1"] and obj["x"] == obj["z"] == obj["y"] == []
+
+
 def test_bruhat_not_unimodular(tmp_path, capsys):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([["2", "0"], ["0", "1"]]))

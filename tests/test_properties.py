@@ -1,7 +1,8 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
 the packed DiffPoly kernel against the tuple/Fraction reference, the
-row-sparse matrix product against the dense one, and the shared
-Gauss-Jordan pass against the four loops it replaced.
+row-sparse matrix product against the dense one, entrywise matrix equality
+against the zero difference, and the shared Gauss-Jordan pass against the
+four loops it replaced.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -9,12 +10,15 @@ checks the same cases.
 
 import json
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvext import linalg, symgroup
 from pvext.diffpoly import DiffPoly, parse
+from pvext.errors import DimMismatch
 from pvext.liouville_expr import LiouvExpr
 
 import diffpoly_oracle as oracle
@@ -248,6 +252,47 @@ def _same_matrices(got, want):
 def test_row_sparse_product_agrees_with_the_dense_product(ab):
     a, b = ab
     assert _same_matrices(linalg.mat_mul(a, b), linalg_oracle.mat_mul(a, b))
+
+
+@st.composite
+def comparisons(draw, entries):
+    """Two n x n matrices: a copy of the first, its Fraction entries maybe
+    lifted to DiffPoly, with up to two entries drawn again."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    lift = draw(st.booleans())
+    b = [
+        [DiffPoly.rational(x) if lift and isinstance(x, Fraction) else x for x in row]
+        for row in a
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        b[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(entries)
+    return a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.one_of(
+        comparisons(fraction_entries),
+        comparisons(poly_entries),
+        comparisons(st.one_of(fraction_entries, poly_entries)),
+        comparisons(liouv_entries),
+    )
+)
+@example(([[Fraction(1, 2), Fraction(0)]] * 2, [[DiffPoly.rational(Fraction(1, 2)), 0]] * 2))
+@example(([[Fraction(1, 2)]], [[DiffPoly.eta(1, coeff=Fraction(1, 2))]]))
+def test_entrywise_equality_agrees_with_the_zero_difference(ab):
+    a, b = ab
+    want = linalg.mat_is_zero(linalg.mat_sub(a, b))
+    with mock.patch.object(linalg, "mat_sub", wraps=linalg.mat_sub) as mat_sub:
+        assert linalg.mat_eq(a, b) == want
+        assert linalg.mat_eq(b, a) == want
+    assert not mat_sub.called
+
+
+def test_entrywise_equality_rejects_unequal_row_counts():
+    with pytest.raises(DimMismatch):
+        linalg.mat_eq([[Fraction(1)]], [[Fraction(1)], [Fraction(0)]])
 
 
 @st.composite
