@@ -37,7 +37,7 @@ def main():
     for j, fj in sorted(f.items()):
         print("  f[%d] = %s" % (j, fj.text()))
 
-    result = construct.run_pipeline("A", 3, with_liouville=False)
+    result = construct.run_pipeline("A", 3)
     print("equal to the construction's invariants:", f == result.invariants.h)
 
 

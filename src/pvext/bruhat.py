@@ -88,12 +88,14 @@ def longest_permutation(n):
 def bruhat_decompose(mat, convention="negative"):
     """The unique factorization u' n(w) t u of an exact SL_n matrix.
 
-    Raises NotUnimodular unless det = 1.  The negative convention works on
-    J m J (J reverses both indices) and flips the result back.  One column
-    reduction gives C = m V and u = V^{-1} (_column_reduce).  n(w) has one
-    entry e_j = +-1 in column j, at the pivot row p = perm(j); with
-    t_j = C[p][j] e_j and column p of u' = column j of C over C[p][j],
-    column j of u' n(w) t is column j of C, so m = C u = u' n(w) t u.
+    Raises DimMismatch unless the matrix is square (linalg.det refuses it
+    before any elimination) and NotUnimodular unless det = 1.  The negative
+    convention works on J m J (J reverses both indices) and flips the result
+    back.  One column reduction gives C = m V and u = V^{-1}
+    (_column_reduce).  n(w) has one entry e_j = +-1 in column j, at the pivot
+    row p = perm(j); with t_j = C[p][j] e_j and column p of u' = column j of
+    C over C[p][j], column j of u' n(w) t is column j of C, so
+    m = C u = u' n(w) t u.
 
     Proof that this is the normal form.  _check_uprime_pattern puts u' in
     the pattern of U'_w; peeling u' and u back to the identity puts both in

@@ -85,15 +85,6 @@ class ChevalleyRep:
             cache[k] = decompose_in_basis(self, self.W[k - 1])
         return cache[k]
 
-    def cartan_combination(self, coeffs):
-        """The integer matrix sum(c_i H_i)."""
-        return _cartan_combination(self.H, coeffs)
-
-    def coroot_coefficients(self, root):
-        """Integer coefficients of H_root over H_1..H_l."""
-        return _coroot_coefficients(self.rs, root)
-
-
 # ----- simple generators per type -----
 
 
@@ -371,13 +362,6 @@ def _coroot_coefficients(rs, root):
     return tuple(out)
 
 
-def _cartan_combination(H, coeffs):
-    acc = linalg.zeros(len(H[0]))
-    for c, h in zip(coeffs, H):
-        acc = linalg.mat_add(acc, linalg.mat_scale(h, Fraction(c)))
-    return acc
-
-
 def _divided_powers(mat, n):
     """I, X, X^2/2!, ... as dense matrices, for a sparse X, until zero;
     every power must be integral."""
@@ -509,29 +493,10 @@ def _solving_recipe(basis, n):
     return chosen, inverse
 
 
-def compute_W(rep, s=None):
-    """W_i = [X_i, A_0^+(s)]; the default s is (1, ..., 1)."""
-    a0 = rep.a0_plus(s)
+def compute_W(rep):
+    """W_i = [X_i, A_0^+]."""
+    a0 = rep.a0_plus()
     return tuple(linalg.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1))
-
-
-def complementary_roots(rep):
-    """The l complementary roots as 1-based indices of the final ordering.
-
-    Selection scans height levels downward, completing the span of the W
-    vectors landing in each level by root vectors tried from the greatest
-    candidate index to the least; the choice forces the reordering that
-    puts these roots last within their height blocks, and the returned
-    indices refer to that final ordering.
-    """
-    rs = rep.rs
-    chosen = _complementary_root_values(
-        rs,
-        {coeffs: _sparse(mat, "X_%r" % (coeffs,)) for coeffs, mat in rep.X.items()},
-        {b.coeffs: _sparse(w, "W") for b, w in zip(rs.neg_order, rep.W)},
-    )
-    order = rootsys.order_negative_roots(rs, chosen)
-    return tuple(sorted(order.index(r) + 1 for r in chosen))
 
 
 def _complementary_root_values(rs, X, W):

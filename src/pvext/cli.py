@@ -199,7 +199,7 @@ def _rational_entry(x):
         return x
     if not x.is_rational():
         raise ValueError("bruhat needs rational entries, got %s" % x.text())
-    return x.rational_value()
+    return x.constant_term()
 
 
 def cmd_bruhat(args):

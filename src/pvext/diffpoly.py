@@ -491,21 +491,11 @@ class DiffPoly:
     def nonlinear_part(self):
         return self._part(lambda degree: degree != 1)
 
-    def homogeneous_components(self):
-        """Map total degree -> homogeneous part, sorted by degree."""
-        comps = {}
-        for k, c in self._t.items():
-            comps.setdefault(k & _MASK, {})[k] = c
-        return {deg: _normal(t, self._d) for deg, t in sorted(comps.items())}
-
     def constant_term(self):
         return Fraction(self._t.get(0, 0), self._d)
 
     def is_rational(self):
         return not self._t or (len(self._t) == 1 and 0 in self._t)
-
-    def rational_value(self):
-        return self.constant_term()
 
     def coefficient_of_jet(self, var, order):
         """Coefficient of the degree-one term eta_var^(order)."""
@@ -651,17 +641,6 @@ def _jet_text(jv, e):
     if e != 1:
         s += "^%d" % e
     return s
-
-
-def structure(p):
-    """(order, degree, linear part, nonlinear part, homogeneous components)."""
-    return (
-        p.order(),
-        p.degree(),
-        p.linear_part(),
-        p.nonlinear_part(),
-        p.homogeneous_components(),
-    )
 
 
 # ----- parsing (fixtures, CLI input) -----

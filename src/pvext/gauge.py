@@ -5,8 +5,9 @@ complementary-root components by a unipotent element (after a torus
 rescaling when s != (1,..,1)).  The construction proceeds height by
 height: at each level the correction splits over the W-basis, the W part
 is removed by one-parameter gauges and the complementary residue is the
-output f.  The result is always post-verified by recomputing the gauge
-transform of the input with the assembled element.
+output f.  Two exact identities close every normalization: the residual
+matrix is A_G(f), and the returned element g satisfies
+g' + g a = A_G(f) g, i.e. gauge(g, a) = A_G(f).
 """
 
 from fractions import Fraction
@@ -115,13 +116,27 @@ def normalize_to_AG(rep, a):
     s = (1,..,1), otherwise a unipotent times a constant torus element),
     factors is the ordered list of group factors, applied first to
     last, so g = factors[-1] ... factors[0]; f maps each complementary
-    index to its DiffPoly coefficient.  Always post-verified exactly:
-    gauge(g, a) = A_G(f).
+    index to its DiffPoly coefficient.
+
+    Two exact checks, each raising VerificationFailure:
+
+    - The residual: `current`, the input after the factors' gauges in
+      turn, equals A_G(f).  Applying the factors to a once more would
+      repeat exactly the operations that built `current`, and so could
+      only agree with this check; it is not made.
+    - The returned g: g' + g a = A_G(f) g.  This is gauge(g, a) = A_G(f).
+      Proof: gauge(g, a) = g a g^{-1} + g' g^{-1}, and g is invertible
+      (each factor has its inverse in closed form).  Multiplying
+      g a g^{-1} + g' g^{-1} = A_G(f) on the right by g gives the identity
+      checked, and multiplying that by g^{-1} gives back the first.  It
+      holds for g = factors[-1] ... factors[0] because
+      gauge(h, gauge(k, a)) = gauge(h k, a).
     """
     ok, s = is_in_plane(rep, a)
     if not ok:
         raise VerificationFailure("matrix is not in the plane A_0^+(s) + b^-")
-    current = lift_matrix(a)
+    a = lift_matrix(a)
+    current = a
     factors = []
     if any(Fraction(v) != 1 for v in s):
         z = _torus_rescaling(rep, s)
@@ -174,20 +189,14 @@ def normalize_to_AG(rep, a):
             f[j] = dec.get(("X", rs.neg_order[j - 1].coeffs), DiffPoly.zero())
 
     g = linalg.eye(rep.dim)
-    for factor in reversed(factors):
+    for factor in factors:
         g = linalg.mat_mul(factor.rows, g)
 
     want = construct.assemble_A_G(rep, f)
-    transformed = _gauge_by_factors(factors, lift_matrix(a))
-    if not linalg.mat_eq(transformed, want):
-        raise VerificationFailure("gauge normalization post-check failed")
     if not linalg.mat_eq(current, want):
         raise VerificationFailure("residual matrix is not A_G(f)")
+    lg = lift_matrix(g)
+    lhs = linalg.mat_add(linalg.mat_derive(lg), linalg.mat_mul(lg, a))
+    if not linalg.mat_eq(lhs, linalg.mat_mul(want, lg)):
+        raise VerificationFailure("the returned g fails g' + g a = A_G(f) g")
     return g, factors, f
-
-
-def _gauge_by_factors(factors, a):
-    out = a
-    for factor in factors:
-        out = lift_matrix(symgroup.gauge(factor, out))
-    return out

@@ -101,10 +101,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
 def mat_eq(a, b):
     """a == b, entry by entry, without building a - b.
 
@@ -114,7 +110,7 @@ def mat_eq(a, b):
     non-zero DiffPoly coefficients, and == coerces a rational into the
     other ring, so x - y is zero exactly when the canonical forms agree.
     """
-    if len(a) != len(b):
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
         raise DimMismatch("matrix sizes differ")
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
@@ -179,8 +175,14 @@ def _reduce(a, extra=None):
     return rows, pivots, det
 
 
+def _require_square(m):
+    if any(len(row) != len(m) for row in m):
+        raise DimMismatch("matrix is not square")
+
+
 def rational_inverse(m):
     """Exact inverse of an invertible Fraction matrix."""
+    _require_square(m)
     n = len(m)
     rows, pivots, _ = _reduce(m, eye(n))
     if len(pivots) < n:
@@ -190,6 +192,7 @@ def rational_inverse(m):
 
 def det(m):
     """Exact determinant of a square Fraction matrix."""
+    _require_square(m)
     _, pivots, d = _reduce(m)
     return d if len(pivots) == len(m) else Fraction(0)
 

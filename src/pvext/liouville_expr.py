@@ -225,20 +225,6 @@ class LiouvExpr:
                 total = total + _by_id(ident) * stub
         return total
 
-    # ----- queries -----
-
-    def is_rational(self):
-        if not self.terms:
-            return True
-        if list(self.terms) != [(_NO_EXP, ())]:
-            return False
-        return self.terms[(_NO_EXP, ())].is_rational()
-
-    def rational_value(self):
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[(_NO_EXP, ())].constant_term()
-
     # ----- serialization -----
 
     def _sorted_terms(self):
@@ -276,29 +262,6 @@ class LiouvExpr:
 
     def canonical_string(self):
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        op = obj["op"]
-        if op == "scalar":
-            return cls.scalar(DiffPoly.from_json_obj(obj["p"]))
-        if op == "int":
-            return cls.integral(cls.from_json_obj(obj["arg"]))
-        if op == "expint":
-            return cls.exp_integral(cls.from_json_obj(obj["g"]), obj.get("k", 1))
-        if op == "pow":
-            return cls.from_json_obj(obj["base"]) ** obj["k"]
-        if op == "sum":
-            out = cls.zero()
-            for item in obj["args"]:
-                out = out + cls.from_json_obj(item)
-            return out
-        if op == "prod":
-            out = cls.one()
-            for item in obj["args"]:
-                out = out * cls.from_json_obj(item)
-            return out
-        raise ValueError("unknown expression node %r" % op)
 
     def __repr__(self):
         return "LiouvExpr(%s)" % self.text()
@@ -350,45 +313,3 @@ def as_expr(value):
         raise TypeError("cannot coerce %r to LiouvExpr" % type(value))
     return LiouvExpr.scalar(coerced)
 
-
-# ----- spec-facing node constructors -----
-
-
-def Scalar(p):
-    return LiouvExpr.scalar(p)
-
-
-def Integral(e):
-    return LiouvExpr.integral(e)
-
-
-def ExpIntegral(g, exponent=1):
-    return LiouvExpr.exp_integral(g, exponent)
-
-
-def Sum(parts):
-    out = LiouvExpr.zero()
-    for p in parts:
-        out = out + as_expr(p)
-    return out
-
-
-def Product(parts):
-    out = LiouvExpr.one()
-    for p in parts:
-        out = out * as_expr(p)
-    return out
-
-
-def normalize(e):
-    """Expressions are normalized eagerly; this is the identity, provided
-    for symmetry with `equals`."""
-    return as_expr(e)
-
-
-def equals(e1, e2):
-    return as_expr(e1) == as_expr(e2)
-
-
-def derive_expr(e):
-    return as_expr(e).derive()

@@ -37,9 +37,6 @@ class Root:
     def is_simple(self):
         return sum(abs(k) for k in self.coeffs) == 1 and self.height() == 1
 
-    def to_json_obj(self):
-        return list(self.coeffs)
-
 
 @dataclass(frozen=True)
 class WeylWord:
@@ -204,8 +201,8 @@ def build_root_system(type_label, rank):
     """Construct the full root system with the provisional negative ordering.
 
     Complementary-root indices start empty; they are computed from a matrix
-    representation and installed by chevalley.complementary_roots, after
-    which order_negative_roots is applied again.
+    representation by chevalley.build_rep and installed by finalize_order,
+    which applies order_negative_roots again.
     """
     minimum = _ADMISSIBLE.get(type_label)
     if minimum is None:
@@ -263,26 +260,6 @@ def finalize_order(rs, comp_roots):
     return replace(rs, neg_order=order, comp_roots=comp_idx)
 
 
-def cartan_integer(rs, beta, alpha):
-    """<beta, alpha> = 2(beta, alpha)/(alpha, alpha), an exact integer."""
-    if not rs.contains(beta):
-        raise NotARoot("%r" % (beta,))
-    if not rs.contains(alpha):
-        raise NotARoot("%r" % (alpha,))
-    value = 2 * rs.inner(beta, alpha) / rs.inner(alpha, alpha)
-    if value.denominator != 1:
-        raise StructureViolation("<%r, %r> is not an integer" % (beta, alpha))
-    return int(value)
-
-
-def reflect(rs, alpha, beta):
-    """w_alpha(beta) = beta - <beta, alpha> alpha."""
-    n = cartan_integer(rs, beta, alpha)
-    return Root(
-        tuple(b - n * a for b, a in zip(beta.coeffs, alpha.coeffs))
-    )
-
-
 def root_string(rs, alpha, beta):
     """(r, q) with alpha - r*beta ... alpha + q*beta the beta-string."""
     if not rs.contains(alpha) or not rs.contains(beta):
@@ -322,15 +299,6 @@ def _reflect_simple(rs, i, beta):
     coeffs = list(beta.coeffs)
     coeffs[i - 1] -= pairing(rs.cartan, beta.coeffs, i - 1)
     return Root(tuple(coeffs))
-
-
-def simple_reflection_action(rs, i):
-    """The action of w_{alpha_i} on coefficient vectors, 1-based i."""
-
-    def act(root):
-        return _reflect_simple(rs, i, root)
-
-    return act
 
 
 def weyl_action(rs, word):

@@ -23,12 +23,6 @@ class Factor:
     inv: tuple
     ldelta: tuple = None
 
-    def lists(self):
-        return [list(r) for r in self.rows]
-
-    def inverse(self):
-        return [list(r) for r in self.inv]
-
 
 def _freeze(m):
     return tuple(tuple(row) for row in m)

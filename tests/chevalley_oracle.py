@@ -4,17 +4,42 @@ Dense brackets for the axiom sweep, and one exact rank per candidate row
 for the solving recipe and the complementary roots.  This is how
 pvext.chevalley did it before its sparse integer sweep and single echelon
 pass; the tests require both to agree on every grid system.  D5 takes
-about a second.
+about a second.  cartan_integer computes <beta, alpha> from the bilinear
+form instead of the Cartan matrix, and coroot_matrix builds H_root densely;
+the tests check pairings and adjoint formulas against them.
 """
 
 from fractions import Fraction
 
 from pvext import chevalley, linalg, rootsys
-from pvext.errors import SpanFailure
+from pvext.errors import NotARoot, SpanFailure, StructureViolation
+
+from linalg_oracle import mat_is_zero
 
 
-def _coroot_matrix(rs, H, root):
-    return chevalley._cartan_combination(H, chevalley._coroot_coefficients(rs, root))
+def cartan_integer(rs, beta, alpha):
+    """<beta, alpha> = 2(beta, alpha)/(alpha, alpha), an exact integer."""
+    if not rs.contains(beta):
+        raise NotARoot("%r" % (beta,))
+    if not rs.contains(alpha):
+        raise NotARoot("%r" % (alpha,))
+    value = 2 * rs.inner(beta, alpha) / rs.inner(alpha, alpha)
+    if value.denominator != 1:
+        raise StructureViolation("<%r, %r> is not an integer" % (beta, alpha))
+    return int(value)
+
+
+def cartan_combination(H, coeffs):
+    """The matrix sum(c_i H_i)."""
+    acc = linalg.zeros(len(H[0]))
+    for c, h in zip(coeffs, H):
+        acc = linalg.mat_add(acc, linalg.mat_scale(h, Fraction(c)))
+    return acc
+
+
+def coroot_matrix(rs, H, root):
+    """H_root as a combination of H_1..H_l."""
+    return cartan_combination(H, chevalley._coroot_coefficients(rs, root))
 
 
 def _proportionality(mat, target):
@@ -50,13 +75,13 @@ def verify_axioms(rs, H, X):
     X = {coeffs: _integer_matrix(mat) for coeffs, mat in X.items()}
     for i in range(l):
         for j in range(l):
-            if not linalg.mat_is_zero(linalg.bracket(H[i], H[j])):
+            if not mat_is_zero(linalg.bracket(H[i], H[j])):
                 raise SpanFailure("[H_%d, H_%d] != 0" % (i + 1, j + 1))
     for root in rs.roots:
         mat = X[root.coeffs]
         for i in range(l):
             want = linalg.mat_scale(
-                mat, Fraction(rootsys.cartan_integer(rs, root, rs.simple(i + 1)))
+                mat, Fraction(cartan_integer(rs, root, rs.simple(i + 1)))
             )
             if not linalg.mat_eq(linalg.bracket(H[i], mat), want):
                 raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
@@ -75,7 +100,7 @@ def verify_axioms(rs, H, X):
 def _check_bracket(rs, H, X, a, b, br, nconst):
     total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
     if all(v == 0 for v in total):
-        if not linalg.mat_eq(br, _coroot_matrix(rs, H, a)):
+        if not linalg.mat_eq(br, coroot_matrix(rs, H, a)):
             raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
     elif total in rs._root_set:
         coeff = _proportionality(br, X[total])
@@ -85,7 +110,7 @@ def _check_bracket(rs, H, X, a, b, br, nconst):
         if abs(coeff) != r + 1:
             raise SpanFailure("|N| != r+1")
         nconst[(a.coeffs, b.coeffs)] = coeff
-    elif not linalg.mat_is_zero(br):
+    elif not mat_is_zero(br):
         raise SpanFailure("[X_a, X_b] should vanish")
 
 

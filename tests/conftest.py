@@ -2,6 +2,8 @@ import pytest
 
 from pvext import chevalley, construct, linalg
 
+from linalg_oracle import mat_is_zero
+
 _REPS = {}
 _PIPELINES = {}
 
@@ -13,12 +15,10 @@ def get_rep(type_label, rank):
     return _REPS[key]
 
 
-def get_pipeline(type_label, rank, with_liouville=True):
-    key = (type_label, rank, with_liouville)
+def get_pipeline(type_label, rank):
+    key = (type_label, rank)
     if key not in _PIPELINES:
-        _PIPELINES[key] = construct.run_pipeline(
-            type_label, rank, with_liouville=with_liouville
-        )
+        _PIPELINES[key] = construct.run_pipeline(type_label, rank)
     return _PIPELINES[key]
 
 
@@ -66,6 +66,6 @@ def neumann_inverse(m, one):
     for _ in range(n):
         power = [[-x for x in row] for row in linalg.mat_mul(power, nil)]
         inv = linalg.mat_add(inv, power)
-    if not linalg.mat_is_zero(linalg.mat_mul(power, nil)):
+    if not mat_is_zero(linalg.mat_mul(power, nil)):
         raise ValueError("matrix is not unipotent")
     return inv

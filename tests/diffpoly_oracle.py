@@ -273,13 +273,6 @@ class DiffPoly:
             {m: c for m, c in self.terms.items() if _monomial_degree(m) != 1}
         )
 
-    def homogeneous_components(self):
-        """Map total degree -> homogeneous part, sorted by degree."""
-        comps = {}
-        for m, c in self.terms.items():
-            comps.setdefault(_monomial_degree(m), {})[m] = c
-        return {d: DiffPoly(t) for d, t in sorted(comps.items())}
-
     def variables(self):
         """Sorted list of var indices occurring in the polynomial."""
         return sorted({jv.var for m in self.terms for jv, _ in m})
@@ -295,9 +288,6 @@ class DiffPoly:
 
     def is_rational(self):
         return not self.terms or list(self.terms) == [()]
-
-    def rational_value(self):
-        return self.constant_term()
 
     def coefficient_of_jet(self, var, order):
         """Coefficient of the degree-one term eta_var^(order)."""

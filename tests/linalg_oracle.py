@@ -7,7 +7,8 @@ moves: one row-by-column dot product per entry, and one matrix product per
 letter of the word.  The tests require both to agree, value and type.
 rational_inverse, det, solve_exact and rank are the loops pvext.linalg ran
 before one shared elimination pass backed all four; the tests require the
-same values and the same exceptions.
+same values and the same exceptions.  mat_is_zero is the zero test the
+tests compare matrices with.
 """
 
 from fractions import Fraction
@@ -24,6 +25,10 @@ def mat_mul(a, b):
     bt = list(zip(*b))
     zero = linalg.zero_of(a[0][0]) if n else Fraction(0)
     return [[linalg.dot(row, col, zero) for col in bt] for row in a]
+
+
+def mat_is_zero(a):
+    return all(not x for row in a for x in row)
 
 
 def simple_block(n, i):

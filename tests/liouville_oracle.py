@@ -22,12 +22,12 @@ def verify_by_liouville_product(rep, data, inv):
     ]
     y_mat = linalg.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
     for root, a in zip(rep.rs.neg_order, args):
-        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, a).lists())
+        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, a).rows)
     y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in data.nw])
     for i, zi in enumerate(data.z, start=1):
-        y_mat = linalg.mat_mul(y_mat, symgroup.torus_matrix(rep, i, zi).lists())
+        y_mat = linalg.mat_mul(y_mat, symgroup.torus_matrix(rep, i, zi).rows)
     for root, yi in zip(rep.rs.neg_order, data.y):
-        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, yi).lists())
+        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, yi).rows)
     ag = [[LiouvExpr.scalar(x) for x in row] for row in construct.assemble_A_G(rep, inv.h)]
     if not linalg.mat_eq(linalg.mat_derive(y_mat), linalg.mat_mul(ag, y_mat)):
         raise IdentityFailure("d(Y) - A_G(h) Y is nonzero over LiouvExpr")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pvext import bruhat, linalg
-from pvext.errors import CellDegeneration, NotUnimodular
+from pvext.errors import CellDegeneration, DimMismatch, NotUnimodular
 
 import bruhat_oracle
 import linalg_oracle
@@ -126,6 +126,13 @@ def test_act_cell_degeneration():
 def test_not_unimodular():
     with pytest.raises(NotUnimodular):
         bruhat.bruhat_decompose([[2, 0], [0, 1]])
+
+
+def test_non_square_matrix_is_refused():
+    for m in ([[1, 0, 5], [0, 1, 7]], [[1, 2], [3]]):
+        for convention in ("positive", "negative"):
+            with pytest.raises(DimMismatch):
+                bruhat.bruhat_decompose(m, convention=convention)
 
 
 def test_not_unimodular_takes_one_determinant(monkeypatch):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pvext import diffpoly
-from pvext.diffpoly import EXPONENT_LIMIT, DiffPoly, JetVar, parse, structure
+from pvext.diffpoly import EXPONENT_LIMIT, DiffPoly, JetVar, parse
 from pvext.errors import ExponentOverflow, MissingAssignment
 
 
@@ -58,17 +58,16 @@ def test_substitute_missing():
 
 
 def test_structure_queries():
-    order, degree, lin, nonlin, comps = structure(parse("n1'' + 3 n1 n1'"))
-    assert order == 2 and degree == 2
-    assert lin == parse("n1''")
-    assert nonlin == parse("3 n1 n1'")
-    assert set(comps) == {1, 2}
+    p = parse("n1'' + 3 n1 n1'")
+    assert p.order() == 2 and p.degree() == 2
+    assert p.linear_part() == parse("n1''")
+    assert p.nonlinear_part() == parse("3 n1 n1'")
 
 
 def test_structure_zero_convention():
-    order, degree, lin, nonlin, _ = structure(DiffPoly.zero())
-    assert order == 0 and degree == 0
-    assert lin.is_zero() and nonlin.is_zero()
+    p = DiffPoly.zero()
+    assert p.order() == 0 and p.degree() == 0
+    assert p.linear_part().is_zero() and p.nonlinear_part().is_zero()
 
 
 def test_linear_part_mixed():

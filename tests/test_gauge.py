@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from pvext import chevalley, gauge, linalg
-from pvext.diffpoly import DiffPoly, parse
+from pvext import chevalley, cli, construct, gauge, linalg
+from pvext.diffpoly import DiffPoly, lift_matrix, parse
 from pvext.errors import NonUnitScaling, VerificationFailure
 
 from conftest import get_pipeline, get_rep
@@ -67,7 +68,7 @@ def test_cross_check_with_construct_invariants():
     # gauge-normalizing A_0^+ + sum eta_i H_i reproduces the pipeline's
     # invariants: the same triangular eliminations running in another guise
     for t, r in [("A", 2), ("A", 3), ("G2", 2)]:
-        res = get_pipeline(t, r, with_liouville=False)
+        res = get_pipeline(t, r)
         rep = res.rep
         a = dp_matrix(rep.a0_plus())
         for i in range(rep.rank):
@@ -175,3 +176,50 @@ def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
     constants = list(rep_a3.W) + [rep_a3.x_neg(j) for j in range(1, rep_a3.m + 1)]
     assert seen
     assert not any(a is c for a in seen for c in constants)
+
+
+def _gauges_to(g, a, want):
+    """g' + g a == want g: gauge(g, a) == want for an invertible g."""
+    g, a = lift_matrix(g), lift_matrix(a)
+    lhs = linalg.mat_add(linalg.mat_derive(g), linalg.mat_mul(g, a))
+    return linalg.mat_eq(lhs, linalg.mat_mul(want, g))
+
+
+SCALES = (Fraction(2), Fraction(1, 2), Fraction(3, 2))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G2", 2), ("D", 4)],
+    ids=["A2", "A3", "B3", "C3", "G2", "D4"],
+)
+@pytest.mark.parametrize("rescaled", [False, True], ids=["s=1", "rescaled"])
+def test_returned_transform_gauges_the_input_to_A_G(system, rescaled):
+    rep = get_rep(*system)
+    rng = random.Random("%s%d:%s" % (system + (rescaled,)))
+    # each s_i a d-th power, d = |det C|, so that the torus rescaling is rational
+    d = round(abs(linalg.det([[Fraction(c) for c in row] for row in rep.rs.cartan])))
+    for _ in range(2):
+        s = [rng.choice(SCALES) ** d for _ in range(rep.rank)]
+        a = dp_matrix(rep.a0_plus(s if rescaled else None))
+        for mat in list(rep.H) + [rep.X[b.coeffs] for b in rep.rs.neg_order[:3]]:
+            p = _random_poly(rng, rep.rank, max_degree=1)
+            a = linalg.mat_add(a, [[p * x for x in row] for row in mat])
+        g, factors, f = gauge.normalize_to_AG(rep, a)
+        assert (factors[0].ldelta is None) == rescaled  # the constant torus factor
+        assert _gauges_to(g, a, construct.assemble_A_G(rep, f))
+
+
+def test_cli_transform_gauges_the_input_to_A_G(tmp_path, capsys, rep_a2):
+    # A_0^+ + eta_1 H_1 + eta_2 H_2 needs three factors that do not commute
+    a = dp_matrix(rep_a2.a0_plus())
+    for i in range(2):
+        a = linalg.mat_add(a, [[DiffPoly.eta(i + 1) * x for x in row] for row in rep_a2.H[i]])
+    m = tmp_path / "plane.json"
+    m.write_text(json.dumps([[x.to_json_obj() for x in row] for row in a]))
+    assert cli.main(["gauge-normalize", "--type", "A", "--rank", "2", "--matrix", str(m)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    g = [[DiffPoly.from_json_obj(x) if isinstance(x, dict) else Fraction(x) for x in row]
+         for row in out["transform"]]
+    f = {int(k): DiffPoly.from_json_obj(v) for k, v in out["f"].items()}
+    assert _gauges_to(g, a, construct.assemble_A_G(rep_a2, f))
