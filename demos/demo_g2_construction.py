@@ -23,7 +23,7 @@ def main():
         for row in chevalley.simple_representative(rep, i):
             print("     ", [int(x) for x in row])
     word = rootsys.longest_weyl_word(rs)
-    print("longest word:", word.word, "(the alternating word of length 6)")
+    print("longest word:", word, "(the alternating word of length 6)")
     print()
 
     print("solution tower (z exponentials, y nested integrals):")

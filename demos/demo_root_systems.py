@@ -22,7 +22,7 @@ def show(type_label, rank):
         mark = "  <- complementary" if i in comp else ""
         print("  b_%-2d = %-18r height %2d%s" % (i, list(beta.coeffs), beta.height(), mark))
     word = rootsys.longest_weyl_word(rs)
-    print("longest Weyl word:", word.word)
+    print("longest Weyl word:", word)
     act = rootsys.weyl_action(rs, word)
     for i in range(1, rs.rank + 1):
         print("  wbar(alpha_%d) = %r" % (i, list(act(rs.simple(i)).coeffs)))

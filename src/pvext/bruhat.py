@@ -232,10 +232,8 @@ def _peel_blocks(n, upper):
         if len(live) != 1:
             raise StructureViolation("root vector of %r is not one matrix unit" % (b,))
         units.append(live[0])
-    heights = rep.rs.heights_of_order()
     return tuple(
-        tuple((i,) + units[i] for i, h in enumerate(heights) if h == q)
-        for q in sorted(set(heights), reverse=True)
+        tuple((i - 1,) + units[i - 1] for i in band) for band in rep.rs.bands.values()
     )
 
 

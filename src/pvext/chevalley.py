@@ -4,12 +4,12 @@ For each supported root system this module builds integer matrices for the
 Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
 provides the group elements u_alpha(x), t_i(z) and the Weyl representatives
-n(w).  Every Chevalley axiom is checked exhaustively at build time, with
-sparse integer brackets.
+n(w) as products of the simple representatives.  Every Chevalley axiom is
+checked exhaustively at build time, with sparse integer brackets.
 
-Sign conventions for the non-simple root vectors are loaded from a
-calibration table (see data/calibration.json); roots without an entry keep
-the sign produced by the bracket recursion.
+Sign flips for non-simple root vectors are loaded from a calibration table
+(see data/calibration.json), which lists only the roots whose sign is -1;
+every other root keeps the sign produced by the bracket recursion.
 """
 
 import json
@@ -128,9 +128,8 @@ def _simple_generators(rs):
         F.append(_entries([(l, l - 2, 1), (l + 1, l - 1, -1)]))
         return n, E, F
     if t == "G2":
-        # 7-dimensional representation; basis ordered to match the fixed
-        # Weyl representatives: v1 of weight 0, then the weight vectors
-        # 2a1+a2, -a1, -a1-a2, -2a1-a2, a1, a1+a2.
+        # 7-dimensional representation; basis: v1 of weight 0, then the
+        # weight vectors 2a1+a2, -a1, -a1-a2, -2a1-a2, a1, a1+a2.
         n = 7
         e1 = _entries([(0, 2, 1), (5, 0, -2), (3, 4, 1), (1, 6, -1)])
         f1 = _entries([(2, 0, 2), (0, 5, -1), (4, 3, 1), (6, 1, -1)])
@@ -313,8 +312,8 @@ def build_rep(rs_or_type, rank=None):
     nconst = _verify_axioms(rs, H, X)
     exp_powers = {coeffs: _divided_powers(mat, n) for coeffs, mat in sx.items()}
 
-    # complementary roots against the provisional ordering, then the recipe
-    # and W for the final one
+    # W_b = [X_b, A_0^+]; complementary roots against the provisional
+    # ordering, then the recipe and W for the final one
     a0 = _sp_combination([sx[rs.simple(i + 1).coeffs] for i in range(l)], [1] * l)
     w = {b.coeffs: _sp_bracket(sx[b.coeffs], a0) for b in rs.neg_order}
     rs = rootsys.finalize_order(rs, _complementary_root_values(rs, sx, w))
@@ -330,13 +329,12 @@ def build_rep(rs_or_type, rank=None):
         H=tuple(H),
         X=X,
         nconst=nconst,
-        W=(),
+        W=tuple(_dense(n, w[b.coeffs]) for b in rs.neg_order),
         exp_powers=exp_powers,
         solve_positions=tuple(positions),
         solve_inverse=tuple(tuple(row) for row in inverse),
         basis_order=tuple(basis_order),
     )
-    object.__setattr__(rep, "W", compute_W(rep))
     _verify_w_basis(rep)
     return rep
 
@@ -493,12 +491,6 @@ def _solving_recipe(basis, n):
     return chosen, inverse
 
 
-def compute_W(rep):
-    """W_i = [X_i, A_0^+]."""
-    a0 = rep.a0_plus()
-    return tuple(linalg.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1))
-
-
 def _complementary_root_values(rs, X, W):
     """The complementary roots, chosen in the order of rs.neg_order.
 
@@ -507,19 +499,18 @@ def _complementary_root_values(rs, X, W):
     independent, and root vectors of the level are added greedily while
     they stay independent (one linalg.Echelon pass per level).
     """
-    heights = rs.heights_of_order()
     comp = []
-    for q in sorted(set(heights), reverse=True):
-        members = [b for b in rs.neg_order if b.height() == q]
-        sources = [b for b in rs.neg_order if b.height() == q - 1]
+    for q, members in rs.bands.items():
+        sources = rs.band(q - 1)
         span = linalg.Echelon()
-        if not all(span.add(_cells(W[b.coeffs])) for b in sources):
+        if not all(span.add(_cells(W[rs.neg_order[k - 1].coeffs])) for k in sources):
             raise SpanFailure("W vectors at height %d are dependent" % q)
         need = len(members) - len(sources)
         got = 0
-        for b in reversed(members):
+        for k in reversed(members):
             if got == need:
                 break
+            b = rs.neg_order[k - 1]
             if span.add(_cells(X[b.coeffs])):
                 comp.append(b)
                 got += 1
@@ -543,17 +534,11 @@ def _verify_w_basis(rep):
         vectors.append(_flatten(rep.x_neg(idx)))
     if linalg.rank(vectors) != rs.m + rs.rank:
         raise SpanFailure("W basis of b^- has deficient rank")
-    heights = rs.heights_of_order()
-    comp = set(rs.comp_roots)
-    for q in sorted({h for h in heights}, reverse=True):
-        noncomp_members = [
-            i + 1
-            for i, h in enumerate(heights)
-            if h == q and (i + 1) not in comp
-        ]
-        sources = [i + 1 for i, h in enumerate(heights) if h == q - 1]
+    for q, members in rs.bands.items():
+        sources = rs.band(q - 1)
         if not sources:
             continue
+        noncomp_members = [i for i in members if i not in rs.comp_roots]
         coeff = []
         for k in sources:
             decomposed = rep.w_coefficients(k)
@@ -633,56 +618,6 @@ def torus_element(rep, i, z):
     return [[entries[r] if r == c else zero for c in range(n)] for r in range(n)]
 
 
-_SL4_WBAR = (
-    (0, 0, 0, 1),
-    (0, 0, -1, 0),
-    (0, 1, 0, 0),
-    (-1, 0, 0, 0),
-)
-
-_G2_N1 = (
-    (-1, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, -1),
-    (0, 0, 0, 0, 0, -1, 0),
-    (0, 0, 0, 0, 1, 0, 0),
-    (0, 0, 0, -1, 0, 0, 0),
-    (0, 0, -1, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0),
-)
-
-_G2_N2 = (
-    (1, 0, 0, 0, 0, 0, 0),
-    (0, 1, 0, 0, 0, 0, 0),
-    (0, 0, 0, -1, 0, 0, 0),
-    (0, 0, 1, 0, 0, 0, 0),
-    (0, 0, 0, 0, 1, 0, 0),
-    (0, 0, 0, 0, 0, 0, -1),
-    (0, 0, 0, 0, 0, 1, 0),
-)
-
-
-def _overrides(rep):
-    """Representative overrides keyed by the Weyl element's action."""
-    rs = rep.rs
-    table = {}
-    if rs.type_label == "A" and rs.rank == 3:
-        word = rootsys.longest_weyl_word(rs)
-        table[_element_key(rs, word.word)] = _to_fraction_matrix(_SL4_WBAR)
-    if rs.type_label == "G2":
-        table[_element_key(rs, (1,))] = _to_fraction_matrix(_G2_N1)
-        table[_element_key(rs, (2,))] = _to_fraction_matrix(_G2_N2)
-    return table
-
-
-def _to_fraction_matrix(rows):
-    return [[Fraction(v) for v in row] for row in rows]
-
-
-def _element_key(rs, word):
-    act = rootsys.weyl_action(rs, word)
-    return tuple(act(rs.simple(i)).coeffs for i in range(1, rs.rank + 1))
-
-
 def simple_representative(rep, i):
     """n(w_i) = u_{alpha_i}(1) u_{-alpha_i}(-1) u_{alpha_i}(1)."""
     rs = rep.rs
@@ -692,12 +627,8 @@ def simple_representative(rep, i):
 
 
 def weyl_representative(rep, word):
-    """Representative n(w) for a Weyl word; override table consulted first."""
-    if isinstance(word, rootsys.WeylWord):
-        word = word.word
-    override = _overrides(rep).get(_element_key(rep.rs, word))
-    if override is not None:
-        return override
+    """n(w) = n(w_{i_1}) ... n(w_{i_k}) for a word (i_1, ..., i_k) of
+    1-based simple indices."""
     out = linalg.eye(rep.dim)
     for i in word:
         out = linalg.mat_mul(out, simple_representative(rep, i))

@@ -84,24 +84,14 @@ class PipelineContext:
     """What the construct stages share, built once per run.
 
     u = u_1(eta_1)...u_m(eta_m) with its inverse u_m(-eta_m)...u_1(-eta_1)
-    and ldelta(u) = du u^{-1}; the heights of the ordered negative roots, the
-    1-based indices in each height band, and the complementary indices.
+    and ldelta(u) = du u^{-1}.  The height bands of the ordered negative
+    roots are rep.rs.bands.
     """
 
     rep: object
     u: list
     uinv: list
     ldelta_u: list
-    heights: tuple
-    bands: dict  # height -> tuple of 1-based indices, ascending
-    comp: frozenset
-
-    def band(self, height):
-        return self.bands.get(height, ())
-
-    def max_index_of_height(self, height):
-        band = self.band(height)
-        return band[-1] if band else 0
 
 
 def pipeline_context(rep):
@@ -109,18 +99,8 @@ def pipeline_context(rep):
     factors = _unipotent_factors(rep, [DiffPoly.eta(i) for i in range(1, rep.m + 1)])
     u = _product(f.rows for f in factors)
     uinv = _product(f.inv for f in reversed(factors))
-    heights = rep.rs.heights_of_order()
-    bands = {}
-    for i, h in enumerate(heights, start=1):
-        bands[h] = bands.get(h, ()) + (i,)
     return PipelineContext(
-        rep=rep,
-        u=u,
-        uinv=uinv,
-        ldelta_u=linalg.mat_mul(linalg.mat_derive(u), uinv),
-        heights=heights,
-        bands=bands,
-        comp=frozenset(rep.rs.comp_roots),
+        rep=rep, u=u, uinv=uinv, ldelta_u=linalg.mat_mul(linalg.mat_derive(u), uinv)
     )
 
 
@@ -154,6 +134,7 @@ def logderiv_unipotent(ctx):
     shape claims of the first coefficient lemma asserted.
     """
     rep = ctx.rep
+    rs = rep.rs
     m = rep.m
     dec = chevalley.decompose_in_basis(rep, ctx.ldelta_u)
     for i in range(1, rep.rank + 1):
@@ -169,7 +150,7 @@ def logderiv_unipotent(ctx):
             if vi:
                 raise StructureViolation("v_%d should vanish" % i)
             continue
-        s2 = ctx.max_index_of_height(ctx.heights[i - 1] + 1)
+        s2 = max(rs.band(rs.neg_order[i - 1].height() + 1), default=0)
         if vi:
             if vi.order() != 1 or vi.min_term_order() != 1:
                 raise StructureViolation("v_%d has a term of order != 1" % i)
@@ -188,7 +169,7 @@ def adjoint_on_A0(ctx):
     ad = linalg.mat_mul(linalg.mat_mul(ctx.u, lift_matrix(rep.a0_plus())), ctx.uinv)
     dec = chevalley.decompose_in_basis(rep, ad)
     _check_positive_part(rep, dec, "Ad(u)(A_0^+)", allow_cartan=True)
-    heights = ctx.heights
+    rs = rep.rs
 
     g = tuple(dec.get(("H", i), DiffPoly.zero()) for i in range(1, l + 1))
     gmat = []
@@ -206,7 +187,8 @@ def adjoint_on_A0(ctx):
     ell, p = [], []
     for i in range(1, m + 1):
         coef = _xcoef(rep, dec, i)
-        band = ctx.band(heights[i - 1] - 1)
+        height = rs.neg_order[i - 1].height()
+        band = rs.band(height - 1)
         li = coef.linear_part()
         pi = coef.nonlinear_part()
         if li and not band:
@@ -214,7 +196,7 @@ def adjoint_on_A0(ctx):
         for jv in li.jet_variables():
             if jv.order != 0 or not (band[0] <= jv.var <= band[-1]):
                 raise StructureViolation("ell_%d outside its height band" % i)
-        i2 = ctx.max_index_of_height(heights[i - 1])
+        i2 = rs.band(height)[-1]
         if pi.order() != 0:
             raise StructureViolation("p_%d contains derivatives" % i)
         if pi and pi.min_term_degree() < 2:
@@ -225,9 +207,9 @@ def adjoint_on_A0(ctx):
         p.append(pi)
 
     # the per-height non-complementary systems are square of full rank
-    for q in sorted(ctx.bands, reverse=True):
-        eqs = [i for i in ctx.band(q) if i not in ctx.comp]
-        unknowns = ctx.band(q - 1)
+    for q, band in rs.bands.items():
+        eqs = [i for i in band if i not in rs.comp_roots]
+        unknowns = rs.band(q - 1)
         if len(eqs) != len(unknowns):
             raise RankFailure("height %d system is not square" % q)
         if not eqs:
@@ -408,6 +390,7 @@ def logderiv_Y(ctx, data, stage2):
     components must vanish and the positive part must be exactly A_0^+.
     """
     rep = ctx.rep
+    rs = rep.rs
     nw = lift_matrix(data.nw)
     nwinv = lift_matrix(linalg.rational_inverse([list(r) for r in data.nw]))
     al = [list(r) for r in data.A_L]
@@ -424,8 +407,9 @@ def logderiv_Y(ctx, data, stage2):
     for i in range(1, rep.m + 1):
         hi = _xcoef(rep, dec, i)
         qi = hi - DiffPoly.eta(i, 1) - stage2.ell[i - 1]
-        s2 = ctx.max_index_of_height(ctx.heights[i - 1] + 1)
-        i2 = ctx.max_index_of_height(ctx.heights[i - 1])
+        height = rs.neg_order[i - 1].height()
+        s2 = max(rs.band(height + 1), default=0)
+        i2 = rs.band(height)[-1]
         if qi and qi.min_term_degree() < 2:
             raise StructureViolation("q_%d has a linear term" % i)
         for jv in qi.jet_variables():
@@ -458,18 +442,19 @@ def eliminate_noncomplementary(ctx, h_all):
     <= l.  The full-rank facts of the equivalent triangular system are
     asserted on the way.
     """
-    l = ctx.rep.rank
-    comp = ctx.comp
-    noncomp_simple = [i for i in ctx.band(-1) if i not in comp]
+    rs = ctx.rep.rs
+    l = rs.rank
+    comp = rs.comp_roots
+    noncomp_simple = [i for i in rs.band(-1) if i not in comp]
 
     sigma = {i: DiffPoly.eta(i) for i in range(1, l + 1)}
     images = {}
     lbar, pbar = {}, {}
     prev_matrix = None
     prev_band = None
-    for q in sorted(ctx.bands, reverse=True):
-        eqs = [i for i in ctx.band(q) if i not in comp]
-        unknowns = ctx.band(q - 1)
+    for q, band in rs.bands.items():
+        eqs = [i for i in band if i not in comp]
+        unknowns = rs.band(q - 1)
         if not eqs:
             if unknowns:
                 raise RankFailure("no equations for the height %d band" % (q - 1))
@@ -546,9 +531,9 @@ def invariants(ctx, h_all, parts):
     """
     rep = ctx.rep
     l = rep.rank
-    heights = ctx.heights
+    heights = rep.rs.heights_of_order()
     f, lbar, pbar, sigma, images = parts
-    comp = sorted(ctx.comp)
+    comp = rep.rs.comp_roots
     h, lhat, phat = {}, {}, {}
     for j in comp:
         hj = h_all[j - 1].substitute(sigma, images)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import chevalley, construct, linalg, symgroup
 from .diffpoly import DiffPoly, lift_matrix
-from .errors import NonUnitScaling, NotInLieAlgebra, VerificationFailure
+from .errors import DimMismatch, NonUnitScaling, NotInLieAlgebra, VerificationFailure
 
 
 def is_in_plane(rep, a):
@@ -116,7 +116,8 @@ def normalize_to_AG(rep, a):
     s = (1,..,1), otherwise a unipotent times a constant torus element),
     factors is the ordered list of group factors, applied first to
     last, so g = factors[-1] ... factors[0]; f maps each complementary
-    index to its DiffPoly coefficient.
+    index to its DiffPoly coefficient.  Raises DimMismatch unless a is
+    rep.dim x rep.dim.
 
     Two exact checks, each raising VerificationFailure:
 
@@ -132,6 +133,8 @@ def normalize_to_AG(rep, a):
       holds for g = factors[-1] ... factors[0] because
       gauge(h, gauge(k, a)) = gauge(h k, a).
     """
+    if len(a) != rep.dim or any(len(row) != rep.dim for row in a):
+        raise DimMismatch("matrix is not %d x %d" % (rep.dim, rep.dim))
     ok, s = is_in_plane(rep, a)
     if not ok:
         raise VerificationFailure("matrix is not in the plane A_0^+(s) + b^-")
@@ -148,18 +151,16 @@ def normalize_to_AG(rep, a):
         current = lift_matrix(symgroup.gauge(tm, current))
 
     rs = rep.rs
-    heights = rs.heights_of_order()
-    comp = set(rs.comp_roots)
+    comp = rs.comp_roots
     f = {}
-    for level in range(0, min(heights) - 1, -1):
-        sources = [i + 1 for i, h in enumerate(heights) if h == level - 1]
-        comp_here = [i + 1 for i, h in enumerate(heights) if h == level and (i + 1) in comp]
+    for level in [0] + list(rs.bands):
+        band, sources = rs.band(level), rs.band(level - 1)
+        comp_here = [i for i in band if i in comp]
         dec = chevalley.decompose_in_basis(rep, current)
         if level == 0:
             coords = [("H", i) for i in range(1, rs.rank + 1)]
         else:
-            coords = [("X", rs.neg_order[i - 1].coeffs) for i, h_ in
-                      ((i + 1, h) for i, h in enumerate(heights) if h == level)]
+            coords = [("X", rs.neg_order[i - 1].coeffs) for i in band]
         target = [dec.get(c, DiffPoly.zero()) for c in coords]
         columns = []
         for k in sources:
@@ -184,7 +185,7 @@ def normalize_to_AG(rep, a):
 
     # deepest complementary components are whatever remains
     dec = chevalley.decompose_in_basis(rep, current)
-    for j in sorted(comp):
+    for j in comp:
         if j not in f:
             f[j] = dec.get(("X", rs.neg_order[j - 1].coeffs), DiffPoly.zero())
 

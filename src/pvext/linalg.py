@@ -29,12 +29,6 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a, b):
-    if len(a) != len(b):
-        raise DimMismatch("matrix sizes differ")
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
@@ -125,13 +119,6 @@ def mat_derive(a):
     return [[derive(x) for x in row] for row in a]
 
 
-def bracket(a, b):
-    """Commutator ab - ba."""
-    if len(a) != len(b):
-        raise DimMismatch("bracket of unequal sizes")
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 # ----- Fraction-only routines -----
 
 
@@ -152,7 +139,11 @@ def _reduce(a, extra=None):
     earlier pivot columns given by its entries, while a pivot column has a
     1 where they have 0.  So the first column without a pivot is the same
     in every order.
+
+    Raises DimMismatch unless the rows of a have one length.
     """
+    if any(len(row) != len(a[0]) for row in a):
+        raise DimMismatch("matrix rows have unequal lengths")
     extra = extra or [()] * len(a)
     rows = [[Fraction(x) for x in row] + list(e) for row, e in zip(a, extra)]
     pivots, det = [], Fraction(1)
@@ -201,9 +192,12 @@ def solve_exact(a, rhs_cols):
     """Solve a x = b for each column b in rhs_cols.
 
     The Fraction matrix `a` (possibly rectangular) must have full column
-    rank and the system must be consistent, else NoRationalSolution.  The
+    rank and the system must be consistent, else NoRationalSolution.  Each
+    column b must have one entry per row of `a`, else DimMismatch.  The
     right-hand sides may hold DiffPolys; only `a` needs division.
     """
+    if any(len(b) != len(a) for b in rhs_cols):
+        raise DimMismatch("right-hand side length differs from %d rows" % len(a))
     cols = len(a[0]) if a else 0
     rows, pivots, _ = _reduce(a, list(zip(*rhs_cols)))
     if len(pivots) < cols:

@@ -8,6 +8,7 @@ and ascending lexicographic order on coefficient vectors otherwise.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DependentRoots, NotARoot, StructureViolation, UnsupportedType
 
@@ -39,17 +40,6 @@ class Root:
 
 
 @dataclass(frozen=True)
-class WeylWord:
-    """A word in the simple reflections, 1-based indices, applied left first
-    when acting on roots through `weyl_action`."""
-
-    word: tuple
-
-    def __len__(self):
-        return len(self.word)
-
-
-@dataclass(frozen=True)
 class RootSystem:
     type_label: str
     rank: int
@@ -76,13 +66,24 @@ class RootSystem:
     def contains(self, root):
         return root.coeffs in self._root_set
 
-    @property
+    # Derived data is cached on first use, outside the fields, so that
+    # `replace` never carries a stale copy.
+    @cached_property
     def _root_set(self):
-        cache = getattr(self, "_root_set_cache", None)
-        if cache is None:
-            cache = frozenset(r.coeffs for r in self.roots)
-            object.__setattr__(self, "_root_set_cache", cache)
-        return cache
+        return frozenset(r.coeffs for r in self.roots)
+
+    @cached_property
+    def bands(self):
+        """Height -> the ascending 1-based indices of neg_order at that
+        height, inserted in neg_order's order of heights -1, -2, ..."""
+        out = {}
+        for i, b in enumerate(self.neg_order, start=1):
+            out.setdefault(b.height(), []).append(i)
+        return {h: tuple(band) for h, band in out.items()}
+
+    def band(self, height):
+        """The indices of one height; () when no root has it."""
+        return self.bands.get(height, ())
 
     def heights_of_order(self):
         return tuple(b.height() for b in self.neg_order)
@@ -266,29 +267,16 @@ def root_string(rs, alpha, beta):
         raise NotARoot("string endpoints must be roots")
     if alpha.coeffs == beta.coeffs or alpha.coeffs == (-beta).coeffs:
         raise DependentRoots("string through a dependent pair")
-    r = 0
-    cur = alpha.coeffs
-    while True:
-        cur = tuple(a - b for a, b in zip(cur, beta.coeffs))
-        try:
-            if Root(cur).coeffs in rs._root_set:
-                r += 1
-                continue
-        except NotARoot:
-            pass
-        break
-    q = 0
-    cur = alpha.coeffs
-    while True:
-        cur = tuple(a + b for a, b in zip(cur, beta.coeffs))
-        try:
-            if Root(cur).coeffs in rs._root_set:
-                q += 1
-                continue
-        except NotARoot:
-            pass
-        break
-    return (r, q)
+
+    def steps(sign):
+        k, cur = 0, alpha.coeffs
+        while True:
+            cur = tuple(a + sign * b for a, b in zip(cur, beta.coeffs))
+            if cur not in rs._root_set:
+                return k
+            k += 1
+
+    return (steps(-1), steps(1))
 
 
 def _reflect_simple(rs, i, beta):
@@ -302,9 +290,8 @@ def _reflect_simple(rs, i, beta):
 
 
 def weyl_action(rs, word):
-    """Compose the reflections of a WeylWord; rightmost acts first."""
-    if isinstance(word, WeylWord):
-        word = word.word
+    """Compose the reflections of a word (a tuple of 1-based simple
+    indices); rightmost acts first."""
 
     def act(root):
         for i in reversed(word):
@@ -340,4 +327,4 @@ def longest_weyl_word(rs):
             raise StructureViolation("longest element failed to negate %r" % (root,))
     if len(word) != rs.m:
         raise StructureViolation("longest word has length %d, not %d" % (len(word), rs.m))
-    return WeylWord(tuple(word))
+    return tuple(word)

@@ -8,7 +8,8 @@ letter of the word.  The tests require both to agree, value and type.
 rational_inverse, det, solve_exact and rank are the loops pvext.linalg ran
 before one shared elimination pass backed all four; the tests require the
 same values and the same exceptions.  mat_is_zero is the zero test the
-tests compare matrices with.
+tests compare matrices with, and mat_sub and bracket are the difference and
+the commutator the tests build expected matrices with.
 """
 
 from fractions import Fraction
@@ -29,6 +30,19 @@ def mat_mul(a, b):
 
 def mat_is_zero(a):
     return all(not x for row in a for x in row)
+
+
+def mat_sub(a, b):
+    if len(a) != len(b):
+        raise DimMismatch("matrix sizes differ")
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def bracket(a, b):
+    """Commutator ab - ba."""
+    if len(a) != len(b):
+        raise DimMismatch("bracket of unequal sizes")
+    return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
 def simple_block(n, i):

@@ -9,6 +9,7 @@ from pvext.errors import DimMismatch, NotInLieAlgebra, SpanFailure
 from pvext.rootsys import Root
 
 import chevalley_oracle
+import linalg_oracle
 from linalg_oracle import mat_is_zero
 from conftest import get_rep
 
@@ -24,7 +25,7 @@ def test_a3_standard_matrices(rep_a3):
     for i in range(1, 4):
         assert linalg.mat_eq(rep.X[rep.rs.simple(i).coeffs], E(4, i, i + 1))
         assert linalg.mat_eq(rep.X[(-rep.rs.simple(i)).coeffs], E(4, i + 1, i))
-        want_h = linalg.mat_sub(E(4, i, i), E(4, i + 1, i + 1))
+        want_h = linalg_oracle.mat_sub(E(4, i, i), E(4, i + 1, i + 1))
         assert linalg.mat_eq(rep.H[i - 1], want_h)
 
 
@@ -61,33 +62,33 @@ def test_g2_weyl_representatives_match_fixed_matrices(rep_g2):
 
 
 def test_bracket_basics(rep_a3):
-    assert mat_is_zero(linalg.bracket(rep_a3.H[0], rep_a3.H[1]))
+    assert mat_is_zero(linalg_oracle.bracket(rep_a3.H[0], rep_a3.H[1]))
     with pytest.raises(DimMismatch):
-        linalg.bracket(linalg.zeros(2), linalg.zeros(3))
+        linalg_oracle.bracket(linalg.zeros(2), linalg.zeros(3))
 
 
 def test_bracket_w1_is_minus_h1(rep_a3):
-    got = linalg.bracket(rep_a3.x_neg(1), rep_a3.a0_plus())
+    got = linalg_oracle.bracket(rep_a3.x_neg(1), rep_a3.a0_plus())
     assert linalg.mat_eq(got, linalg.mat_scale(rep_a3.H[0], -1))
 
 
 def test_bracket_a2_structure_constant(rep_a2):
     a, b = rep_a2.rs.simple(1), rep_a2.rs.simple(2)
-    got = linalg.bracket(rep_a2.X[a.coeffs], rep_a2.X[b.coeffs])
+    got = linalg_oracle.bracket(rep_a2.X[a.coeffs], rep_a2.X[b.coeffs])
     n = rep_a2.nconst[(a.coeffs, b.coeffs)]
     assert abs(n) == 1
     assert linalg.mat_eq(got, linalg.mat_scale(rep_a2.X[(1, 1)], n))
 
 
 def test_w_fixtures(rep_a3, rep_a1):
-    w = chevalley.compute_W(rep_a3)
+    w = rep_a3.W
     assert linalg.mat_eq(
         w[5], linalg.mat_add(linalg.mat_scale(rep_a3.x_neg(4), -1), rep_a3.x_neg(5))
     )
     assert linalg.mat_eq(
         w[3], linalg.mat_add(linalg.mat_scale(rep_a3.x_neg(1), -1), rep_a3.x_neg(2))
     )
-    w1 = chevalley.compute_W(rep_a1)
+    w1 = rep_a1.W
     assert linalg.mat_eq(w1[0], linalg.mat_scale(rep_a1.H[0], -1))
 
 
@@ -137,7 +138,7 @@ def test_torus_element(rep_a3):
     assert linalg.mat_eq(ad, linalg.mat_scale(rep_a3.x_neg(1), z ** -2))
 
 
-def test_weyl_representative_overrides(rep_a3):
+def test_sl4_longest_representative_is_pinned(rep_a3):
     word = rootsys.longest_weyl_word(rep_a3.rs)
     nw = chevalley.weyl_representative(rep_a3, word)
     want = [
@@ -148,7 +149,7 @@ def test_weyl_representative_overrides(rep_a3):
     ]
     assert linalg.mat_eq(nw, [[Fraction(v) for v in row] for row in want])
     assert linalg.mat_eq(
-        chevalley.weyl_representative(rep_a3, rootsys.WeylWord(())), linalg.eye(4)
+        chevalley.weyl_representative(rep_a3, ()), linalg.eye(4)
     )
 
 
@@ -176,9 +177,25 @@ def test_build_agrees_with_the_dense_oracle(label):
     positions, inverse = chevalley_oracle.solving_recipe(rep)
     assert tuple(positions) == rep.solve_positions
     assert tuple(tuple(row) for row in inverse) == rep.solve_inverse
+    a0 = rep.a0_plus()
+    assert rep.W == tuple(linalg_oracle.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1))
     rs0 = rootsys.build_root_system(*_system(label))
     comp = chevalley_oracle.complementary_root_values(rs0, rep.X)
     assert rootsys.finalize_order(rs0, comp) == rep.rs
+
+
+@pytest.mark.parametrize("label", GRID)
+def test_longest_representative_sends_root_vectors_to_root_vectors(label):
+    # Ad(n(wbar)) X_beta = +-X_{wbar beta} for every root beta
+    rep = get_rep(*_system(label))
+    word = rootsys.longest_weyl_word(rep.rs)
+    nw = chevalley.weyl_representative(rep, word)
+    nwinv = linalg.rational_inverse(nw)
+    act = rootsys.weyl_action(rep.rs, word)
+    for root in rep.rs.roots:
+        ad = linalg.mat_mul(linalg.mat_mul(nw, rep.X[root.coeffs]), nwinv)
+        image = rep.X[act(root).coeffs]
+        assert linalg.mat_eq(ad, image) or linalg.mat_eq(ad, linalg.mat_scale(image, -1))
 
 
 def _corrupted_basis(rep, case):
@@ -221,7 +238,7 @@ def test_echelon_accepts_exactly_the_rank_raising_rows():
 
 
 def test_build_rep_solves_the_recipe_once(monkeypatch):
-    calls = {"recipe": 0, "inverse": 0, "W": 0, "rank": 0}
+    calls = {"recipe": 0, "inverse": 0, "rank": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -231,11 +248,9 @@ def test_build_rep_solves_the_recipe_once(monkeypatch):
 
     monkeypatch.setattr(chevalley, "_solving_recipe", counted("recipe", chevalley._solving_recipe))
     monkeypatch.setattr(linalg, "rational_inverse", counted("inverse", linalg.rational_inverse))
-    monkeypatch.setattr(chevalley, "compute_W", counted("W", chevalley.compute_W))
     monkeypatch.setattr(linalg, "rank", counted("rank", linalg.rank))
     chevalley.build_rep("D", 5)
     assert calls["recipe"] == 1 and calls["inverse"] == 1
-    assert calls["W"] <= 2
     # one rank per candidate position and root made this 181
     assert calls["rank"] <= 10
 
@@ -304,4 +319,5 @@ def test_calibration_file_signs():
     assert data["G2"]["3,2"] == -1
     # every key is the coordinate tuple of a root
     assert all("," in k for table in data.values() for k in table)
-    assert all(v == 1 for k, v in data["A3"].items())
+    # the table lists sign flips only; every other root keeps +1
+    assert all(v == -1 for table in data.values() for v in table.values())

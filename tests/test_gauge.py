@@ -6,7 +6,7 @@ import pytest
 
 from pvext import chevalley, cli, construct, gauge, linalg
 from pvext.diffpoly import DiffPoly, lift_matrix, parse
-from pvext.errors import NonUnitScaling, VerificationFailure
+from pvext.errors import DimMismatch, NonUnitScaling, VerificationFailure
 
 from conftest import get_pipeline, get_rep
 
@@ -56,6 +56,12 @@ def test_rescaling_radical_refused(rep_a1):
     a = [[DiffPoly.zero(), DiffPoly.rational(2)], [DiffPoly.zero(), DiffPoly.zero()]]
     with pytest.raises(NonUnitScaling):
         gauge.normalize_to_AG(rep_a1, a)
+
+
+def test_normalize_refuses_a_matrix_of_another_size(rep_a1):
+    for a in ([[0, 1, 0], [0, 0, 0]], [[0, 1]], [[0, 1], [0]]):
+        with pytest.raises(DimMismatch):
+            gauge.normalize_to_AG(rep_a1, [[Fraction(x) for x in row] for row in a])
 
 
 def test_not_in_plane_rejected(rep_a2):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -158,12 +159,12 @@ def test_root_string_dependent():
 
 def test_longest_word_a1():
     rs = rootsys.build_root_system("A", 1)
-    assert rootsys.longest_weyl_word(rs).word == (1,)
+    assert rootsys.longest_weyl_word(rs) == (1,)
 
 
 def test_longest_word_g2():
     rs = rootsys.build_root_system("G2", 2)
-    assert rootsys.longest_weyl_word(rs).word == (2, 1, 2, 1, 2, 1)
+    assert rootsys.longest_weyl_word(rs) == (2, 1, 2, 1, 2, 1)
 
 
 # The longest words of the grid systems, pinned: A_L, c and gbar depend on them.
@@ -191,7 +192,7 @@ def test_longest_word_is_pinned_across_the_grid(label):
     type_label, rank = ("G2", 2) if label == "G2" else (label[0], int(label[1:]))
     rs = rootsys.build_root_system(type_label, rank)
     assert rs.label == label
-    assert rootsys.longest_weyl_word(rs).word == LONGEST_WORDS[label]
+    assert rootsys.longest_weyl_word(rs) == LONGEST_WORDS[label]
 
 
 def test_longest_word_a3_action():
@@ -221,6 +222,39 @@ def test_height_additive():
                 total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
                 if _contains_safe(rs, total):
                     assert Root(total).height() == a.height() + b.height()
+
+
+BAND_SYSTEMS = tuple(sorted(LONGEST_WORDS)) + ("A6", "A7", "B5", "C5", "D6")
+
+
+def _grouping(rs):
+    """Height -> the 1-based neg_order indices of that height, built from
+    the coefficient sums, highest height first."""
+    heights = [sum(b.coeffs) for b in rs.neg_order]
+    return {
+        q: tuple(i for i, h in enumerate(heights, start=1) if h == q)
+        for q in sorted(set(heights), reverse=True)
+    }
+
+
+@pytest.mark.parametrize("label", BAND_SYSTEMS)
+def test_height_bands_partition_the_order(label):
+    type_label, rank = ("G2", 2) if label == "G2" else (label[0], int(label[1:]))
+    rs = rootsys.build_root_system(type_label, rank)
+    systems = [rs]
+    if label in LONGEST_WORDS:
+        from conftest import get_rep
+
+        systems.append(get_rep(type_label, rank).rs)
+    for rs in systems:
+        assert list(rs.bands.items()) == list(_grouping(rs).items())
+        assert sorted(i for band in rs.bands.values() for i in band) == list(range(1, rs.m + 1))
+        assert list(rs.bands) == list(range(-1, -len(rs.bands) - 1, -1))
+        assert rs.band(0) == () and rs.band(-len(rs.bands) - 1) == ()
+    # the cached bands are not carried into a reordered copy
+    flipped = replace(rs, neg_order=rs.neg_order[::-1])
+    assert flipped.bands == _grouping(flipped)
+    assert rs.m == 1 or flipped.bands != rs.bands
 
 
 def test_ordering_deterministic():
