@@ -15,7 +15,7 @@ from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 from . import chevalley, linalg, rootsys, symgroup
-from .diffpoly import DiffPoly, frac_text, lift, lift_matrix
+from .diffpoly import DiffPoly, MonomialTable, frac_text, lift, lift_matrix
 from .errors import (
     IdentityFailure,
     RankCeiling,
@@ -720,59 +720,79 @@ def _report_tree(result):
     }
 
 
-_CONTAINERS = (dict, list, tuple, LiouvExpr)
+def _same(p):
+    return p
 
 
-def _json_chunks(value, depth):
-    """The text json.dumps(value, sort_keys=True, indent=1) writes for a
-    container nested `depth` levels deep, in chunks.
+def _json_chunks(value):
+    """The text json.dumps(value, sort_keys=True, indent=1) writes, in
+    chunks, from one generator frame that keeps the open containers on a
+    stack.
 
     Dicts (string keys, in sorted() order, as sort_keys sorts them), lists
     and tuples render as json renders them, and a LiouvExpr as its small
-    to_json_obj tree; their scalar items render by `_scalar_json`.
+    to_json_obj tree, with its DiffPolys kept.  Strings and ints render as
+    json renders them, and a DiffPoly from its terms, through one
+    MonomialTable shared by every polynomial of the value.  Any other value
+    is a TypeError: nothing is rendered by str().
     """
-    if isinstance(value, LiouvExpr):
-        value = value.to_json_obj()
-    if isinstance(value, dict):
-        opener, closer = "{", "}"
-        keys = sorted(value)
-        if not all(isinstance(key, str) for key in keys):
-            raise TypeError("report keys must be strings, got %r" % (keys,))
-        items = [(encode_basestring_ascii(key) + ": ", value[key]) for key in keys]
-    else:
-        opener, closer = "[", "]"
-        items = [("", item) for item in value]
-    if not items:
-        yield opener + closer
-        return
-    pad = "\n" + " " * (depth + 1)
-    for i, (prefix, item) in enumerate(items):
-        head = (opener if i == 0 else ",") + pad + prefix
-        if isinstance(item, _CONTAINERS):
-            yield head
-            yield from _json_chunks(item, depth + 1)
+    table = MonomialTable()
+    stack = []  # per open container: iterator over (text before, item), closing text
+    head = ""
+    while True:
+        if isinstance(value, LiouvExpr):
+            value = value._json_tree(_same)
+        if isinstance(value, (dict, list, tuple)):
+            pad = "\n" + " " * (len(stack) + 1)
+            seps = [pad] + ["," + pad] * (len(value) - 1)
+            if isinstance(value, dict):
+                if not all(isinstance(key, str) for key in value):
+                    raise TypeError("report keys must be strings, got %r" % (list(value),))
+                opener, closer = "{", "}"
+                items = [
+                    (sep + encode_basestring_ascii(key) + ": ", value[key])
+                    for sep, key in zip(seps, sorted(value))
+                ]
+            else:
+                opener, closer = "[", "]"
+                items = zip(seps, value)
+            if value:
+                stack.append((iter(items), pad[:-1] + closer))
+                head += opener
+            else:
+                head += opener + closer
         else:
-            yield head + _scalar_json(item, depth + 1)
-    yield "\n" + " " * depth + closer
-
-
-def _scalar_json(value, depth):
-    """The json text of a string, an int or a DiffPoly (rendered from its
-    terms) nested `depth` levels deep.  Any other value is a TypeError:
-    nothing is rendered by str()."""
-    if isinstance(value, DiffPoly):
-        return value.to_json_text(depth)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    raise TypeError("cannot render a %s in the report" % type(value).__name__)
+            if isinstance(value, DiffPoly):
+                text = table.json_text(value)
+                if stack:
+                    text = text.replace("\n", "\n" + " " * len(stack))
+            elif isinstance(value, str):
+                text = encode_basestring_ascii(value)
+            elif type(value) is int:
+                text = int.__repr__(value)
+            else:
+                raise TypeError("cannot render a %s in the report" % type(value).__name__)
+            yield head + text
+            head = ""
+        while stack:
+            items, closer = stack[-1]
+            item = next(items, None)
+            if item is not None:
+                sep, value = item
+                head += sep
+                break
+            head += closer
+            stack.pop()
+        else:
+            if head:
+                yield head
+            return
 
 
 def report_chunks(result):
     """The JSON report, json.dumps(..., sort_keys=True, indent=1) of the
     pipeline result, as a stream of text chunks."""
-    return _json_chunks(_report_tree(result), 0)
+    return _json_chunks(_report_tree(result))
 
 
 def report_json(result):

@@ -22,8 +22,9 @@ wrapping.  At most MAX_SLOTS distinct jet variables can be registered.
 
 import threading
 from fractions import Fraction
+from functools import reduce
 from math import gcd
-from operator import index
+from operator import index, or_
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -83,6 +84,12 @@ def _slot(jv):
 def _unit(slot):
     """The packed monomial of the jet variable in `slot`, to the first power."""
     return (1 << (FIELD_BITS * (slot + 1))) | 1
+
+
+def _union(keys):
+    """The bitwise or of packed monomials: its fields are nonzero exactly in
+    the slots that occur."""
+    return reduce(or_, keys, 0)
 
 
 def _factors(key):
@@ -275,6 +282,9 @@ class DiffPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a rational polynomial equals its Fraction, so it hashes as one
+        if self.is_rational():
+            return hash(self.constant_term())
         return hash((self._d, frozenset(self._t.items())))
 
     def __reduce__(self):
@@ -453,10 +463,7 @@ class DiffPoly:
 
     def jet_variables(self):
         """Sorted list of the jet variables occurring in the polynomial."""
-        union = 0
-        for key in self._t:
-            union |= key
-        return sorted(_JETS[slot] for slot, _ in _factors(union))
+        return sorted(_JETS[slot] for slot, _ in _factors(_union(self._t)))
 
     def variables(self):
         """Sorted list of var indices occurring in the polynomial."""
@@ -512,29 +519,6 @@ class DiffPoly:
             {_monomial(k): Fraction(c, d) for k, c in self._t.items()}
         )
 
-    def _sorted_terms(self):
-        """(jets, [(monomial, numerator)]) in canonical order, leading term
-        first: graded lexicographic on the sorted (JetVar, exponent) tuples.
-
-        `jets` lists the polynomial's jet variables in ascending order, and
-        a monomial is the ascending list of rank << FIELD_BITS | exponent,
-        rank the index of the jet variable in `jets`.  Ranks order as the
-        jet variables do and exponents fit the low field, so these lists
-        compare exactly as the (JetVar, exponent) tuples would, with ints
-        in place of tuples.
-        """
-        union = 0
-        for key in self._t:
-            union |= key
-        jets = sorted(_JETS[slot] for slot, _ in _factors(union))
-        rank = {_SLOT[jv]: r << FIELD_BITS for r, jv in enumerate(jets)}
-        items = [
-            (k & _MASK, sorted([rank[slot] | e for slot, e in _factors(k)]), c)
-            for k, c in self._t.items()
-        ]
-        items.sort(reverse=True)
-        return jets, [(mon, c) for _, mon, c in items]
-
     # ----- serialization -----
 
     def to_json_obj(self):
@@ -543,57 +527,17 @@ class DiffPoly:
         Monomial factors are listed with the highest jet first, matching the
         written convention eta_2' * eta_1.
         """
-        d = self._d
-        jets, terms = self._sorted_terms()
+        t, d = self._t, self._d
+        table = MonomialTable(self)
         return {
             "terms": [
                 {
-                    "c": "%d/1" % c if d == 1 else "%d/%d" % _ratio(c, d),
-                    "m": [[*jets[x >> FIELD_BITS], x & _MASK] for x in reversed(mon)],
+                    "c": "%d/1" % t[k] if d == 1 else "%d/%d" % _ratio(t[k], d),
+                    "m": [[*table.jets[x >> FIELD_BITS], x & _MASK] for x in table[k][:0:-1]],
                 }
-                for mon, c in terms
+                for k in table.ordered(self)
             ]
         }
-
-    def to_json_text(self, depth=0):
-        """to_json_obj() as json.dumps(..., sort_keys=True, indent=1) writes
-        it, with every line after the first indented by `depth` more spaces.
-
-        The text is built from the terms directly.  Each factor [v, k, e] and
-        each distinct coefficient is rendered once and reused by every term
-        it occurs in; coefficients need no escaping, as "p/q" is ASCII
-        digits, '-' and '/'.
-        """
-        pad = ["\n" + " " * (depth + i) for i in range(6)]
-        if not self._t:
-            return '{%s"terms": []%s}' % (pad[1], pad[0])
-        d = self._d
-        jets, terms = self._sorted_terms()
-        factor_text = {}
-        for mon, _ in terms:
-            for x in mon:
-                if x not in factor_text:
-                    v, k = jets[x >> FIELD_BITS]
-                    factor_text[x] = "[%s%d,%s%d,%s%d%s]" % (
-                        pad[5], v, pad[5], k, pad[5], x & _MASK, pad[4]
-                    )
-        with_m = '%s{%s"c": "%%s",%s"m": [%s%%s%s]%s}' % (
-            pad[2], pad[3], pad[3], pad[4], pad[3], pad[2]
-        )
-        without_m = '%s{%s"c": "%%s",%s"m": []%s}' % (pad[2], pad[3], pad[3], pad[2])
-        join_m = "," + pad[4]
-        coeff_text = {}
-        out = []
-        for mon, c in terms:
-            coeff = coeff_text.get(c)
-            if coeff is None:
-                coeff = coeff_text[c] = "%d/%d" % _ratio(c, d)
-            if mon:
-                factors = join_m.join([factor_text[x] for x in reversed(mon)])
-                out.append(with_m % (coeff, factors))
-            else:
-                out.append(without_m % coeff)
-        return '{%s"terms": [%s%s]%s}' % (pad[1], ",".join(out), pad[1], pad[0])
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -610,12 +554,12 @@ class DiffPoly:
         if not self._t:
             return "0"
         chunks = []
-        jets, terms = self._sorted_terms()
-        for mon, c in terms:
-            n, d = _ratio(c, self._d)
+        table = MonomialTable(self)
+        for k in table.ordered(self):
+            n, d = _ratio(self._t[k], self._d)
             coeff = str(n) if d == 1 else "%d/%d" % (n, d)
             factors = "".join(
-                _jet_text(jets[x >> FIELD_BITS], x & _MASK) for x in reversed(mon)
+                _jet_text(table.jets[x >> FIELD_BITS], x & _MASK) for x in table[k][:0:-1]
             )
             if not factors:
                 body = coeff
@@ -630,6 +574,97 @@ class DiffPoly:
             else:
                 chunks.append(body)
         return " ".join(chunks)
+
+
+class MonomialTable(dict):
+    """The canonical order of packed monomials, computed once per monomial
+    and shared by every polynomial sorted or rendered against the table:
+    packed monomial -> sort key.
+
+    The sort key is the flat tuple (degree, c_1, ..., c_r) of the factor
+    codes c = rank << FIELD_BITS | exponent in ascending order, rank the
+    place of the factor's jet variable among the ranked ones.  Ranks order
+    as the jet variables do and exponents fit the low field, so the codes
+    compare as the (JetVar, exponent) pairs would.  Of two keys of one
+    degree neither is a prefix of the other (its other exponents would add
+    up to 0), so the keys order as the graded lexicographic order on the
+    sorted (JetVar, exponent) tuples, the canonical order.  The table also
+    keeps the JSON text [v, k, e] of each factor code, at depth 0.
+
+    MonomialTable(p) ranks the jet variables of p; MonomialTable() ranks
+    every registered one.  A polynomial with a jet the table has not ranked
+    (one registered after the table was built) makes it rank all registered
+    jets again and drop what it has cached, before it is sorted.
+    """
+
+    __slots__ = ("jets", "_code", "_shared", "_mask", "_factor_json")
+
+    def __init__(self, p=None):
+        super().__init__()
+        self._rank(range(len(_JETS)) if p is None else [s for s, _ in _factors(_union(p._t))])
+
+    def _rank(self, slots):
+        order = sorted(slots, key=_JETS.__getitem__)
+        self.jets = [_JETS[s] for s in order]
+        self._code = {s: r << FIELD_BITS for r, s in enumerate(order)}
+        self._shared = {}
+        self._mask = reduce(or_, [_MASK << FIELD_BITS * (s + 1) for s in order], _MASK)
+        self._factor_json = _FactorJson(self.jets)
+        self.clear()
+
+    def __missing__(self, key):
+        code, share = self._code, self._shared.setdefault
+        codes = [code[s] | e for s, e in _factors(key)]
+        # one int object per distinct code, not one per key
+        got = self[key] = (key & _MASK, *sorted(map(share, codes, codes)))
+        return got
+
+    def ordered(self, p):
+        """The packed monomials of p in canonical order, leading term first."""
+        t = p._t
+        if _union(t) & ~self._mask:
+            self._rank(range(len(_JETS)))
+        return sorted(t, key=self.__getitem__, reverse=True)
+
+    def json_text(self, p):
+        """p.to_json_obj() as json.dumps(..., sort_keys=True, indent=1)
+        writes it, from the table's keys and factor texts.  Each distinct
+        coefficient is rendered once per polynomial; it needs no escaping,
+        as "p/q" is ASCII digits, '-' and '/'."""
+        t, d = p._t, p._d
+        if not t:
+            return '{\n "terms": []\n}'
+        keys = self.ordered(p)
+        factor_json = self._factor_json  # after ordered(), which may re-rank
+        coeff_text = {}
+        out = []
+        for k in keys:
+            c = t[k]
+            coeff = coeff_text.get(c)
+            if coeff is None:
+                coeff = coeff_text[c] = "%d/%d" % _ratio(c, d)
+            codes = self[k][:0:-1]
+            if codes:
+                factors = ",\n    ".join([factor_json[x] for x in codes])
+                out.append('\n  {\n   "c": "%s",\n   "m": [\n    %s\n   ]\n  }' % (coeff, factors))
+            else:
+                out.append('\n  {\n   "c": "%s",\n   "m": []\n  }' % coeff)
+        return '{\n "terms": [%s\n ]\n}' % ",".join(out)
+
+
+class _FactorJson(dict):
+    """Factor code -> the JSON text of its [v, k, e] at depth 0."""
+
+    __slots__ = ("jets",)
+
+    def __init__(self, jets):
+        super().__init__()
+        self.jets = jets
+
+    def __missing__(self, x):
+        v, k = self.jets[x >> FIELD_BITS]
+        got = self[x] = "[\n     %d,\n     %d,\n     %d\n    ]" % (v, k, x & _MASK)
+        return got
 
 
 def _jet_text(jv, e):

@@ -122,6 +122,11 @@ class LiouvExpr:
         return self == LiouvExpr.scalar(coerced)
 
     def __hash__(self):
+        # a pure scalar equals its coefficient, so it hashes as that DiffPoly
+        if not self.terms:
+            return hash(0)
+        if list(self.terms) == [(_NO_EXP, ())]:
+            return hash(self.terms[_NO_EXP, ()])
         return hash(frozenset((k, hash(c)) for k, c in self.terms.items()))
 
     def __neg__(self):
@@ -238,17 +243,22 @@ class LiouvExpr:
 
     def to_json_obj(self):
         """Canonical tree: sum of products of scalar/expint/int factors."""
+        return self._json_tree(DiffPoly.to_json_obj)
+
+    def _json_tree(self, poly):
+        """The to_json_obj() tree with poly(c) in place of the JSON object
+        of each DiffPoly c in it."""
         if not self.terms:
-            return {"op": "scalar", "p": DiffPoly.zero().to_json_obj()}
+            return {"op": "scalar", "p": poly(DiffPoly.zero())}
         terms = []
         for (e, atoms), c in self._sorted_terms():
-            factors = [{"op": "scalar", "p": c.to_json_obj()}]
+            factors = [{"op": "scalar", "p": poly(c)}]
             if e != _NO_EXP:
                 factors.append(
-                    {"op": "expint", "k": 1, "g": _by_id(e).to_json_obj()}
+                    {"op": "expint", "k": 1, "g": _by_id(e)._json_tree(poly)}
                 )
             for ident, k in sorted(atoms, key=lambda ik: (_id_string(ik[0]), ik[1])):
-                node = {"op": "int", "arg": _by_id(ident).to_json_obj()}
+                node = {"op": "int", "arg": _by_id(ident)._json_tree(poly)}
                 if k != 1:
                     node = {"op": "pow", "k": k, "base": node}
                 factors.append(node)

@@ -1,0 +1,61 @@
+"""Check the JSON reports of the rank-6 systems against recorded digests.
+
+    python3 tests/check_rank6_digests.py           # B6, C6 and D6
+    python3 tests/check_rank6_digests.py D6        # some of them
+
+Each system runs `run_pipeline` and streams `construct.report_chunks`
+through SHA-256 in a fresh process, one system at a time, and the digest
+is compared with `tests/digests_rank6.json`.  One line per system gives
+the digest, the wall seconds of the pipeline and the report, and the
+child's peak resident set (`ru_maxrss`).  The exit status is 1 when a
+digest differs.  Standard library only; pvext is imported from `src/`.
+These systems take tens of seconds each, so pytest does not collect this
+file.
+"""
+
+import hashlib
+import json
+import multiprocessing
+import resource
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "digests_rank6.json"
+SRC = HERE.parent / "src"
+
+
+def _report_digest(label):
+    """(SHA-256 of the report, wall seconds, peak RSS in MB) of one system."""
+    sys.path.insert(0, str(SRC))
+    from pvext import construct
+
+    start = time.perf_counter()
+    digest = hashlib.sha256()
+    result = construct.run_pipeline(label[0], int(label[1:]))
+    for chunk in construct.report_chunks(result):
+        digest.update(chunk.encode("utf-8"))
+    wall = time.perf_counter() - start
+    return digest.hexdigest(), wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def main(labels):
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    spawn = multiprocessing.get_context("spawn")
+    failed = False
+    for label in labels or sorted(want):
+        with spawn.Pool(1) as pool:
+            digest, wall, rss = pool.apply(_report_digest, (label,))
+        ok = digest == want.get(label)
+        failed |= not ok
+        print(
+            "%s %s %s wall %.2f s peak RSS %.1f MB"
+            % (label, digest, "ok" if ok else "MISMATCH", wall, rss),
+            flush=True,
+        )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

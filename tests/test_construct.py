@@ -458,9 +458,22 @@ def _first_difference(got, want):
 
 
 def test_report_writer_refuses_values_it_cannot_render():
-    for value in ([Fraction(1, 2)], {"x": 1.5}, {"x": True}, {1: "a"}, [None]):
-        with pytest.raises(TypeError):
-            "".join(construct._json_chunks(value, 0))
+    refused = [
+        ([Fraction(1, 2)], "cannot render a Fraction in the report"),
+        ({"x": 1.5}, "cannot render a float in the report"),
+        ({"x": True}, "cannot render a bool in the report"),
+        ([None], "cannot render a NoneType in the report"),
+        ({1: "a"}, r"report keys must be strings, got \[1\]"),
+        ({"a": 1, 2: "b"}, r"report keys must be strings, got \['a', 2\]"),
+    ]
+    for value, message in refused:
+        with pytest.raises(TypeError, match="^%s$" % message):
+            "".join(construct._json_chunks(value))
+
+
+def test_report_writer_renders_empty_containers_as_json_does():
+    for value in ({}, [], [[]], {"a": {}}, [{}, [], [[], {}]], {"a": [], "b": {"c": []}}):
+        assert "".join(construct._json_chunks(value)) == json.dumps(value, sort_keys=True, indent=1)
 
 
 def test_structural_claims_across_systems():

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvext import linalg, symgroup
-from pvext.diffpoly import DiffPoly, parse
+from pvext import construct, diffpoly, linalg, symgroup
+from pvext.diffpoly import DiffPoly, JetVar, parse
 from pvext.errors import DimMismatch
 from pvext.liouville_expr import LiouvExpr
 
@@ -112,9 +112,21 @@ def test_json_round_trip(p):
 @example(DiffPoly.rational(Fraction(-3, 2)), 6)
 @example(DiffPoly.eta(2, 1) + 4, 2)
 def test_json_text_is_the_indented_json_of_the_object(p, depth):
-    # the zero polynomial and constants (empty "m" lists) are always checked
-    want = json.dumps(p.to_json_obj(), sort_keys=True, indent=1)
-    assert p.to_json_text(depth) == want.replace("\n", "\n" + " " * depth)
+    # the zero polynomial and constants (empty "m" lists) are always checked;
+    # the report writer renders p nested `depth` lists deep
+    obj, value = p.to_json_obj(), p
+    for _ in range(depth):
+        obj, value = [obj], [value]
+    want = json.dumps(obj, sort_keys=True, indent=1)
+    assert "".join(construct._json_chunks(value)) == want
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.one_of(st.just(LiouvExpr.zero()), liouv_args()), max_size=3))
+def test_report_writer_renders_a_liouvexpr_as_its_json_object(exprs):
+    # the writer keeps the DiffPolys of the tree and renders them itself
+    want = json.dumps([x.to_json_obj() for x in exprs], sort_keys=True, indent=1)
+    assert "".join(construct._json_chunks(exprs)) == want
 
 
 @settings(derandomize=True, deadline=None)
@@ -193,6 +205,47 @@ def test_equal_polynomials_are_equal_after_cancellation_and_rescaling(p, q):
         rescaled = p * q * (1 / q)
         assert rescaled == p and hash(rescaled) == hash(p)
     assert (p + p) - p == p and hash((p + p) - p) == hash(p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(coefficients, polys())
+def test_equal_values_hash_alike_across_types(q, p):
+    # a rational polynomial equals its Fraction, and a pure-scalar LiouvExpr
+    # its coefficient, so each must hash as that value does
+    constant = DiffPoly.rational(q)
+    assert constant == q and hash(constant) == hash(q) and q in {constant}
+    for value in (q, constant, p):
+        scalar = LiouvExpr.scalar(value)
+        assert scalar == value and hash(scalar) == hash(value) and scalar in {value}
+    assert DiffPoly.rational(3) in {3} and 3 in {DiffPoly.rational(3)}
+
+
+def _fresh_jet(var):
+    """An order of eta_var that no jet variable registered so far has."""
+    order = 100
+    while JetVar(var, order) in diffpoly._SLOT:
+        order += 1
+    return order
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(poly_pairs(), st.integers(0, 6)), min_size=1, max_size=5))
+def test_one_monomial_table_renders_many_polynomials(cases):
+    # eta_3 is ranked after every eta_2 jet, the late jet eta_2^(k) between
+    # them: its registration moves the rank of every eta_3 jet
+    eta3 = (DiffPoly.eta(3), oracle.DiffPoly.eta(3))
+    cases.append((eta3, 0))
+    table = diffpoly.MonomialTable()
+    order = _fresh_jet(2)
+    late = (DiffPoly.eta(2, order), oracle.DiffPoly.eta(2, order))
+    cases += [
+        ((p * (late[0] + 1) + late[0] + eta3[0], ref * (late[1] + 1) + late[1] + eta3[1]), depth)
+        for (p, ref), depth in cases
+    ]
+    for (p, ref), depth in cases:
+        want = json.dumps(ref.to_json_obj(), sort_keys=True, indent=1)
+        got = table.json_text(p).replace("\n", "\n" + " " * depth)
+        assert got == want.replace("\n", "\n" + " " * depth)
 
 
 fraction_entries = st.one_of(st.just(Fraction(0)), coefficients)
