@@ -69,11 +69,11 @@ class ChevalleyRep:
         values = [Fraction(1)] * l if s is None else [Fraction(v) for v in s]
         if any(not v for v in values):
             raise ValueError("principal nilpotent coefficients must be nonzero")
-        acc = linalg.zeros(self.dim)
+        terms = []
         for i in range(1, l + 1):
             root = self.rs.simple(i) if sign > 0 else -self.rs.simple(i)
-            acc = linalg.mat_add(acc, linalg.mat_scale(self.X[root.coeffs], values[i - 1]))
-        return acc
+            terms.append((values[i - 1], self.X[root.coeffs]))
+        return linalg.combination(terms, self.dim, Fraction(0))
 
     def w_coefficients(self, k):
         """decompose_in_basis(W_k) for 1-based k, computed once per rep."""
@@ -245,17 +245,13 @@ def _cells(a):
 # ----- build -----
 
 
-def build_rep(rs_or_type, rank=None):
-    """Build the calibrated Chevalley representation for a root system.
+def build_rep(type_label, rank):
+    """Build the calibrated Chevalley representation of a (type, rank) pair.
 
-    Accepts a RootSystem (with or without complementary data) or a
-    (type, rank) pair.  The returned representation carries the finalized
-    negative-root ordering, with complementary roots installed.
+    The returned representation carries the finalized negative-root
+    ordering, with complementary roots installed.
     """
-    if isinstance(rs_or_type, rootsys.RootSystem):
-        rs = rs_or_type
-    else:
-        rs = rootsys.build_root_system(rs_or_type, rank)
+    rs = rootsys.build_root_system(type_label, rank)
     calibration = _load_calibration().get(rs.label, {})
     signs = {
         tuple(int(v) for v in key.split(",")): int(value)
@@ -564,22 +560,14 @@ def decompose_in_basis(rep, a):
     entries = [a[pos // n][pos % n] for pos in rep.solve_positions]
     zero = linalg.zero_of(next((e for row in a for e in row if e), Fraction(0)))
     coeffs = [linalg.dot(entries, row, zero) for row in rep.solve_inverse]
-    # residual check: reconstruct and compare entrywise
-    recon = [[zero for _ in range(n)] for _ in range(n)]
-    for (kind, key), c in zip(rep.basis_order, coeffs):
-        if not c:
-            continue
-        mat = rep.H[key - 1] if kind == "H" else rep.X[key]
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j]:
-                    recon[i][j] = recon[i][j] + c * mat[i][j]
+    # residual check: reconstruct and compare every entry (exact, by the
+    # proof in linalg.mat_eq)
+    basis = [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
+    recon = linalg.combination(zip(coeffs, basis), n, zero)
     for i in range(n):
         for j in range(n):
             if recon[i][j] != a[i][j]:
-                diff = a[i][j] - recon[i][j]
-                if diff:
-                    raise NotInLieAlgebra("entry (%d, %d) is outside the span" % (i, j))
+                raise NotInLieAlgebra("entry (%d, %d) is outside the span" % (i, j))
     return {bk: c for bk, c in zip(rep.basis_order, coeffs)}
 
 
@@ -587,22 +575,14 @@ def decompose_in_basis(rep, a):
 
 
 def unipotent_element(rep, root, x):
-    """exp(x X_root) as a finite sum over the divided powers of X_root."""
-    coeffs = root.coeffs if isinstance(root, rootsys.Root) else tuple(root)
-    powers = rep.exp_powers[coeffs]
-    n = rep.dim
+    """exp(x X_root) for a Root: the finite sum of x^k X_root^k / k! over
+    the divided powers of X_root."""
+    powers = rep.exp_powers[root.coeffs]
     zero = linalg.zero_of(x)
-    one = zero + 1
-    out = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    xk = one
-    for k in range(1, len(powers)):
-        xk = xk * x
-        mat = powers[k]
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j]:
-                    out[i][j] = out[i][j] + xk * mat[i][j]
-    return out
+    xk = [zero + 1]
+    for _ in powers[1:]:
+        xk.append(xk[-1] * x)
+    return linalg.combination(zip(xk, powers), rep.dim, zero)
 
 
 def torus_element(rep, i, z):

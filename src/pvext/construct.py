@@ -9,7 +9,7 @@ violation raises StructureViolation or RankFailure rather than producing
 an unverified result.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from json.encoder import encode_basestring_ascii
@@ -166,7 +166,7 @@ def adjoint_on_A0(ctx):
     """Stage 2: decompose Ad(u(eta_m))(A_0^+) and assert its shape."""
     rep = ctx.rep
     m, l = rep.m, rep.rank
-    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, lift_matrix(rep.a0_plus())), ctx.uinv)
+    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, rep.a0_plus()), ctx.uinv)
     dec = chevalley.decompose_in_basis(rep, ad)
     _check_positive_part(rep, dec, "Ad(u)(A_0^+)", allow_cartan=True)
     rs = rep.rs
@@ -256,18 +256,14 @@ def build_A_L(ctx, stage2):
     rhs = [[-stage2.g[k] for k in range(l)]]
     gbar = tuple(linalg.solve_exact(columns, rhs)[0])
 
-    combo = linalg.zeros(rep.dim, DiffPoly.zero())
-    for i in range(l):
-        combo = linalg.mat_add(combo, [[gbar[i] * x for x in row] for row in rep.H[i]])
-    al = linalg.mat_add(combo, lift_matrix(rep.a0_minus(c)))
+    combo = linalg.combination(zip(gbar, rep.H), rep.dim, DiffPoly.zero())
+    al = linalg.mat_add(combo, rep.a0_minus(c))
 
     # re-verify the Cartan identity by direct conjugation
-    lhs = linalg.mat_mul(linalg.mat_mul(lift_matrix(nw), combo), lift_matrix(nwinv))
-    want = linalg.zeros(rep.dim, DiffPoly.zero())
-    for i in range(l):
-        want = linalg.mat_add(
-            want, [[-stage2.g[i] * x for x in row] for row in rep.H[i]]
-        )
+    lhs = linalg.mat_mul(linalg.mat_mul(lift_matrix(nw), combo), nwinv)
+    want = linalg.combination(
+        [(-g, h) for g, h in zip(stage2.g, rep.H)], rep.dim, DiffPoly.zero()
+    )
     if not linalg.mat_eq(lhs, want):
         raise VerificationFailure("gbar conjugation identity failed")
 
@@ -328,10 +324,12 @@ def _require_equal(rep, lhs, rhs, error, what):
 
 
 def _check_tower(rep, tower, A_L, error):
-    """Raise `error` unless ldelta of the factor product t(z)u(y) is A_L."""
-    al = [[LiouvExpr.scalar(x) for x in row] for row in A_L]
+    """Raise `error` unless ldelta of the factor product t(z)u(y) is A_L.
+
+    A LiouvExpr compares equal to a DiffPoly exactly when it is that
+    polynomial as a scalar, so A_L is compared without lifting it."""
     _require_equal(
-        rep, symgroup.log_derivative(tower), al, error, "ldelta(t(z)u(y)) - A_L"
+        rep, symgroup.log_derivative(tower), A_L, error, "ldelta(t(z)u(y)) - A_L"
     )
 
 
@@ -356,8 +354,7 @@ def liouville_solutions(ctx, data, stage1):
     integrands = []
     for i in range(1, m + 1):
         if i <= l:
-            xmat = [[LiouvExpr.rational(x) for x in row] for row in rep.x_neg(i)]
-            ad = symgroup.adjoint(torus_factors, xmat)
+            ad = symgroup.adjoint(torus_factors, rep.x_neg(i))
             dec = chevalley.decompose_in_basis(rep, ad)
             chi = dec[("X", rs.neg_order[i - 1].coeffs)]
             integrand = (chi ** -1) * data.c[i - 1]
@@ -372,15 +369,7 @@ def liouville_solutions(ctx, data, stage1):
 
     tower = torus_factors + _unipotent_factors(rep, y)
     _check_tower(rep, tower, data.A_L, VerificationFailure)
-    return LiouvilleData(
-        c=data.c,
-        gbar=data.gbar,
-        A_L=data.A_L,
-        nw=data.nw,
-        z=z,
-        y=tuple(y),
-        y_integrands=tuple(integrands),
-    )
+    return replace(data, z=z, y=tuple(y), y_integrands=tuple(integrands))
 
 
 def logderiv_Y(ctx, data, stage2):
@@ -391,15 +380,10 @@ def logderiv_Y(ctx, data, stage2):
     """
     rep = ctx.rep
     rs = rep.rs
-    nw = lift_matrix(data.nw)
-    nwinv = lift_matrix(linalg.rational_inverse([list(r) for r in data.nw]))
-    al = [list(r) for r in data.A_L]
-    total = linalg.mat_add(
-        ctx.ldelta_u,
-        linalg.mat_mul(
-            linalg.mat_mul(linalg.mat_mul(linalg.mat_mul(ctx.u, nw), al), nwinv), ctx.uinv
-        ),
-    )
+    nwinv = linalg.rational_inverse(data.nw)
+    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, data.nw), data.A_L)
+    ad = linalg.mat_mul(linalg.mat_mul(ad, nwinv), ctx.uinv)
+    total = linalg.mat_add(ctx.ldelta_u, ad)
     dec = chevalley.decompose_in_basis(rep, total)
     _check_positive_part(rep, dec, "ldelta(Y)")
 
@@ -579,10 +563,9 @@ def invariants(ctx, h_all, parts):
 def assemble_A_G(rep, h):
     """A_G(h) = A_0^+ + sum of h_j X_j over the complementary indices j;
     `h` maps each complementary index to its DiffPoly coefficient."""
-    out = lift_matrix(rep.a0_plus())
-    for j, hj in sorted(h.items()):
-        out = linalg.mat_add(out, [[hj * x for x in row] for row in rep.x_neg(j)])
-    return out
+    terms = [(DiffPoly.rational(1), rep.a0_plus())]
+    terms += [(hj, rep.x_neg(j)) for j, hj in sorted(h.items())]
+    return linalg.combination(terms, rep.dim, DiffPoly.zero())
 
 
 def specialize(rep, inv, sigma):
@@ -623,7 +606,7 @@ def verify_end_to_end(rep, data, inv):
     u = unipotent_product(
         rep, [DiffPoly.eta(i) if i <= l else inv.f[i] for i in range(1, m + 1)]
     )
-    un = linalg.mat_mul(u, lift_matrix(data.nw))
+    un = linalg.mat_mul(u, data.nw)
     lhs = linalg.mat_add(linalg.mat_derive(un), linalg.mat_mul(un, data.A_L))
     rhs = linalg.mat_mul(assemble_A_G(rep, inv.h), un)
     _require_equal(rep, lhs, rhs, IdentityFailure, "(d(Y) - A_G(h) Y) T^-1")

@@ -80,19 +80,13 @@ def _torus_rescaling(rep, s):
     z = []
     for j in range(l):
         value = Fraction(1)
-        pending = []
         for i in range(l):
             # log z = C^{-1} (-log s), so z_j = prod_i s_i^(-cinv[j][i])
             e = -cinv[j][i]
             if not e:
                 continue
             base = Fraction(s[i])
-            if e.denominator == 1:
-                value *= base ** int(e)
-            else:
-                pending.append((base, e))
-        for base, e in pending:
-            root = _nth_root(base ** e.numerator if e.numerator >= 0 else 1 / (base ** -e.numerator), e.denominator)
+            root = _nth_root(base ** e.numerator, e.denominator)
             if root is None:
                 raise NonUnitScaling(
                     "rescaling needs the radical (%s)^(1/%d)" % (base ** abs(e.numerator), e.denominator)

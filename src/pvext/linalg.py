@@ -3,8 +3,10 @@
 Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
 The product runs row by row over the non-zero entries, since the group
-elements it multiplies are mostly zeros.  rank, det, solve_exact and
-rational_inverse share one Gauss-Jordan pass over Fraction matrices.
+elements it multiplies are mostly zeros; `combination` forms every sum of
+ring multiples of rational Chevalley-basis matrices the same way.  rank,
+det, solve_exact and rational_inverse share one Gauss-Jordan pass over
+Fraction matrices.
 Echelon selects independent rows of sparse integer vectors in one pass.
 """
 
@@ -15,22 +17,49 @@ from .diffpoly import DiffPoly
 from .errors import DimMismatch, NoRationalSolution
 
 
-def zeros(n, zero=Fraction(0)):
-    return [[zero for _ in range(n)] for _ in range(n)]
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def eye(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def zeros(n):
+    return [[_ZERO] * n for _ in range(n)]
+
+
+def eye(n):
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
+
+
+def _require_shape(a, b):
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise DimMismatch("matrix sizes differ")
 
 
 def mat_add(a, b):
-    if len(a) != len(b):
-        raise DimMismatch("matrix sizes differ")
+    _require_shape(a, b)
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
+def combination(terms, n, zero):
+    """The n x n matrix sum of c*M over the (c, M) pairs of `terms`.
+
+    Each M is a rational basis matrix (H_i, X_alpha, a divided power of
+    X_alpha), and each c lies in the ring of `zero` (Fraction, DiffPoly or
+    LiouvExpr).  Only the non-zero entries of each M are multiplied and
+    added, as in mat_mul; a term with c = 0 is skipped, and c * 1 is taken
+    as c.  Entry (i, j) is c_1 M_1[i][j] + c_2 M_2[i][j] + ... over the
+    terms in their order, with the zero products left out: it equals the
+    entry of the dense sum zero + c_1 M_1 + c_2 M_2 + ..., and an entry no
+    term reaches is `zero` itself.
+    """
+    out = [[zero] * n for _ in range(n)]
+    for c, mat in terms:
+        if not c:
+            continue
+        for row, mrow in zip(out, mat):
+            for j, x in enumerate(mrow):
+                if x:
+                    term = c if x == 1 else c * x
+                    row[j] = term if row[j] is zero else row[j] + term
+    return out
 
 
 def zero_of(x):
@@ -56,6 +85,8 @@ def dot(xs, ys, zero):
 
 def mat_mul(a, b):
     """a b; an entry where every product vanishes is the zero of a's ring.
+    DimMismatch unless every row of a has one entry per row of b and the
+    rows of b have one length.
 
     Gustavson's row-by-row product (ACM TOMS 4, 1978): the non-zero (j, y)
     of each row k of b are listed once, and each non-zero a[i][k] adds
@@ -64,13 +95,12 @@ def mat_mul(a, b):
     Liouvillian normal forms are the same.  Over DiffPoly the products of an
     entry accumulate into one map (DiffPoly.dot).
     """
-    n = len(a)
-    if n != len(b):
-        raise DimMismatch("matrix sizes differ")
-    if not n:
-        return []
+    width = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
+        raise DimMismatch("columns of a differ from rows of b")
+    if not a or not b:
+        return [[] for _ in a]
     zero = zero_of(a[0][0])
-    width = len(b[0])
     live = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     if isinstance(zero, DiffPoly):
@@ -104,8 +134,7 @@ def mat_eq(a, b):
     non-zero DiffPoly coefficients, and == coerces a rational into the
     other ring, so x - y is zero exactly when the canonical forms agree.
     """
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
-        raise DimMismatch("matrix sizes differ")
+    _require_shape(a, b)
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 

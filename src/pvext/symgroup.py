@@ -29,7 +29,8 @@ def _freeze(m):
 
 
 def _scaled(mat, c):
-    return _freeze(linalg.mat_scale(mat, c))
+    """c M for a rational basis matrix M, in the ring of c."""
+    return _freeze(linalg.combination([(c, mat)], len(mat), linalg.zero_of(c)))
 
 
 def unipotent_matrix(rep, root, x):

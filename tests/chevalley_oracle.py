@@ -34,7 +34,7 @@ def cartan_combination(H, coeffs):
     """The matrix sum(c_i H_i)."""
     acc = linalg.zeros(len(H[0]))
     for c, h in zip(coeffs, H):
-        acc = linalg.mat_add(acc, linalg.mat_scale(h, Fraction(c)))
+        acc = linalg.mat_add(acc, linalg_oracle.mat_scale(h, Fraction(c)))
     return acc
 
 
@@ -81,7 +81,7 @@ def verify_axioms(rs, H, X):
     for root in rs.roots:
         mat = X[root.coeffs]
         for i in range(l):
-            want = linalg.mat_scale(
+            want = linalg_oracle.mat_scale(
                 mat, Fraction(cartan_integer(rs, root, rs.simple(i + 1)))
             )
             if not linalg.mat_eq(linalg_oracle.bracket(H[i], mat), want):
@@ -94,7 +94,7 @@ def verify_axioms(rs, H, X):
             br = linalg_oracle.bracket(X[a.coeffs], X[b.coeffs])
             _check_bracket(rs, H, X, a, b, br, nconst)
             if b != a:
-                _check_bracket(rs, H, X, b, a, linalg.mat_scale(br, -1), nconst)
+                _check_bracket(rs, H, X, b, a, linalg_oracle.mat_scale(br, -1), nconst)
     return nconst
 
 

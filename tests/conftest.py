@@ -61,9 +61,9 @@ def neumann_inverse(m, one):
     """
     n = len(m)
     zero = one * 0
-    nil = linalg_oracle.mat_sub(m, linalg.eye(n, one, zero))
-    inv = linalg.eye(n, one, zero)
-    power = linalg.eye(n, one, zero)
+    nil = linalg_oracle.mat_sub(m, linalg_oracle.eye(n, one, zero))
+    inv = linalg_oracle.eye(n, one, zero)
+    power = linalg_oracle.eye(n, one, zero)
     for _ in range(n):
         power = [[-x for x in row] for row in linalg.mat_mul(power, nil)]
         inv = linalg.mat_add(inv, power)

@@ -9,7 +9,9 @@ rational_inverse, det, solve_exact and rank are the loops pvext.linalg ran
 before one shared elimination pass backed all four; the tests require the
 same values and the same exceptions.  mat_is_zero is the zero test the
 tests compare matrices with, and mat_sub and bracket are the difference and
-the commutator the tests build expected matrices with.
+the commutator the tests build expected matrices with.  mat_scale, zeros
+and eye over any ring are the dense fold the tests hold
+pvext.linalg.combination to, and build expected matrices with.
 """
 
 from fractions import Fraction
@@ -18,13 +20,24 @@ from pvext import linalg
 from pvext.errors import DimMismatch, NoRationalSolution
 
 
+def zeros(n, zero=Fraction(0)):
+    return [[zero for _ in range(n)] for _ in range(n)]
+
+
+def eye(n, one=Fraction(1), zero=Fraction(0)):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
 def mat_mul(a, b):
     """a b; an entry where every product vanishes is the zero of a's ring."""
-    n = len(a)
-    if n != len(b):
-        raise DimMismatch("matrix sizes differ")
+    if any(len(row) != len(b) for row in a) or len({len(row) for row in b}) > 1:
+        raise DimMismatch("columns of a differ from rows of b")
     bt = list(zip(*b))
-    zero = linalg.zero_of(a[0][0]) if n else Fraction(0)
+    zero = linalg.zero_of(a[0][0]) if a and b else Fraction(0)
     return [[linalg.dot(row, col, zero) for col in bt] for row in a]
 
 
@@ -33,7 +46,7 @@ def mat_is_zero(a):
 
 
 def mat_sub(a, b):
-    if len(a) != len(b):
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
         raise DimMismatch("matrix sizes differ")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

@@ -13,6 +13,8 @@ from pvext.diffpoly import DiffPoly
 from pvext.errors import IdentityFailure
 from pvext.liouville_expr import LiouvExpr
 
+import linalg_oracle
+
 
 def verify_by_liouville_product(rep, data, inv):
     """Raise IdentityFailure unless d(Y) = A_G(h) Y over LiouvExpr."""
@@ -20,7 +22,7 @@ def verify_by_liouville_product(rep, data, inv):
     args = [
         LiouvExpr.scalar(DiffPoly.eta(i) if i <= l else inv.f[i]) for i in range(1, m + 1)
     ]
-    y_mat = linalg.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
+    y_mat = linalg_oracle.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
     for root, a in zip(rep.rs.neg_order, args):
         y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, a).rows)
     y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in data.nw])

@@ -135,6 +135,12 @@ def test_non_square_matrix_is_refused():
                 bruhat.bruhat_decompose(m, convention=convention)
 
 
+def test_acting_on_a_non_square_normal_form_is_refused():
+    # the 2 x 3 input has no product with a 2 x 2 g
+    with pytest.raises(DimMismatch):
+        bruhat.act_on_normal_form([[0, 1, 5], [-1, 0, 7]], linalg.eye(2))
+
+
 def test_not_unimodular_takes_one_determinant(monkeypatch):
     calls = []
     det = linalg.det

@@ -1,8 +1,8 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
 the packed DiffPoly kernel against the tuple/Fraction reference, the
-row-sparse matrix product against the dense one, entrywise matrix equality
-against the zero difference, and the shared Gauss-Jordan pass against the
-four loops it replaced.
+row-sparse matrix product and the sparse basis combination against the
+dense ones, entrywise matrix equality against the zero difference, and the
+shared Gauss-Jordan pass against the four loops it replaced.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -255,13 +255,13 @@ liouv_entries = st.one_of(st.just(LiouvExpr.zero()), liouv_args())
 
 @st.composite
 def matrix_pairs(draw, a_entries, b_entries):
-    """An n x n matrix a and an n x width matrix b, some rows of a and some
-    columns of b all zero."""
-    n = draw(st.integers(1, 4))
+    """A rows x n matrix a and an n x width matrix b, some rows of a and
+    some columns of b all zero."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     width = draw(st.integers(1, 5))
-    a = [[draw(a_entries) for _ in range(n)] for _ in range(n)]
+    a = [[draw(a_entries) for _ in range(n)] for _ in range(rows)]
     b = [[draw(b_entries) for _ in range(width)] for _ in range(n)]
-    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
         a[i] = [linalg.zero_of(x) for x in a[i]]
     for j in draw(st.sets(st.integers(0, width - 1), max_size=2)):
         for row in b:
@@ -301,6 +301,87 @@ def _same_matrices(got, want):
 def test_row_sparse_product_agrees_with_the_dense_product(ab):
     a, b = ab
     assert _same_matrices(linalg.mat_mul(a, b), linalg_oracle.mat_mul(a, b))
+
+
+@pytest.mark.parametrize("mat_mul", [linalg.mat_mul, linalg_oracle.mat_mul])
+def test_product_checks_the_inner_dimensions(mat_mul):
+    # 2 x 3 times 2 x 1 has no product; 1 x 2 times 2 x 1 has one
+    with pytest.raises(DimMismatch):
+        mat_mul(_fractions([[1, 2, 3], [4, 5, 6]]), _fractions([[1], [1]]))
+    with pytest.raises(DimMismatch):
+        mat_mul(_fractions([[1, 2], [3]]), _fractions([[1], [1]]))
+    with pytest.raises(DimMismatch):
+        mat_mul(_fractions([[1, 1]]), _fractions([[1], [1, 2]]))
+    assert mat_mul(_fractions([[1, 2]]), _fractions([[1], [1]])) == [[3]]
+
+
+def test_sum_checks_the_full_shape():
+    for a, b in (([[1, 2]], [[1]]), ([[1]], [[1], [2]]), ([[1], [2, 3]], [[1], [2]])):
+        with pytest.raises(DimMismatch):
+            linalg.mat_add(_fractions(a), _fractions(b))
+
+
+@st.composite
+def combinations(draw):
+    """(terms, n, zero, unreached): 0-4 pairs (c, M) with c in the ring of
+    `zero`, zero coefficients included, and M an n x n rational matrix that
+    is zero at the positions in `unreached`."""
+    n = draw(st.integers(1, 4))
+    coeffs, zero = draw(
+        st.sampled_from(
+            [
+                (fraction_entries, Fraction(0)),
+                (poly_entries, DiffPoly.zero()),
+                (liouv_entries, LiouvExpr.zero()),
+            ]
+        )
+    )
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    unreached = draw(st.sets(cells, max_size=3))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        entries = st.one_of(fraction_entries, st.sampled_from([Fraction(1), Fraction(-1)]))
+        mat = [
+            [Fraction(0) if (i, j) in unreached else draw(entries) for j in range(n)]
+            for i in range(n)
+        ]
+        terms.append((draw(coeffs), mat))
+    return terms, n, zero, unreached
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(combinations())
+@example(([], 2, DiffPoly.zero(), set()))
+@example(([(Fraction(0), [[Fraction(1)]])], 1, LiouvExpr.zero(), set()))
+@example(([(DiffPoly.rational(1), [[1, 0], [0, 0]]), (DiffPoly.eta(1), [[1, 0], [2, 0]])], 2,
+          DiffPoly.zero(), {(0, 1), (1, 1)}))
+def test_combination_agrees_with_the_dense_fold(case):
+    terms, n, zero, unreached = case
+    want = linalg_oracle.zeros(n, zero)
+    for c, mat in terms:
+        want = linalg.mat_add(want, linalg_oracle.mat_scale(mat, c))
+    got = linalg.combination(terms, n, zero)
+    assert _same_matrices(got, want)
+    assert all(got[i][j] is zero for i, j in unreached)
+
+
+class _Recorder:
+    """A non-zero coefficient that records every entry it multiplies."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __mul__(self, x):
+        self.seen.append(x)
+        return x
+
+
+def test_combination_multiplies_only_the_non_zero_entries():
+    c = _Recorder()
+    mat = _fractions([[0, 2, 0], [0, 0, 0], [-1, 0, 0]])
+    got = linalg.combination([(c, mat)], 3, Fraction(0))
+    assert got == mat
+    assert c.seen == [2, -1]
 
 
 @st.composite
