@@ -213,28 +213,28 @@ def _check_uprime_pattern(uprime, perm, upper):
 
 
 @lru_cache(maxsize=None)
-def _sl_rep(n):
-    return chevalley.build_rep("A", n - 1)
-
-
-@lru_cache(maxsize=None)
-def _peel_blocks(n, upper):
-    """The ordered root vectors in blocks of equal height, highest first:
-    (index, row, column, entry) of the one matrix unit of each.  SL_1 has
-    no roots."""
+def _peel_blocks(n):
+    """The ordered root vectors of SL_n in blocks of equal height, highest
+    first: (index, row, column, entry) of the one matrix unit of each, for
+    the negative roots and then for the positive ones.  Both pairs come
+    from one build_rep, and only they are cached, not the representation.
+    SL_1 has no roots."""
     if n == 1:
-        return ()
-    rep = _sl_rep(n)
-    units = []
-    for b in rep.rs.neg_order:
-        mat = rep.X[b.coeffs] if not upper else rep.X[(-b).coeffs]
-        live = [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
-        if len(live) != 1:
-            raise StructureViolation("root vector of %r is not one matrix unit" % (b,))
-        units.append(live[0])
-    return tuple(
-        tuple((i - 1,) + units[i - 1] for i in band) for band in rep.rs.bands.values()
-    )
+        return (), ()
+    rep = chevalley.build_rep("A", n - 1)
+    out = []
+    for sign in (1, -1):
+        units = []
+        for b in rep.rs.neg_order:
+            mat = rep.X[tuple(sign * k for k in b.coeffs)]
+            live = [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
+            if len(live) != 1:
+                raise StructureViolation("root vector of %r is not one matrix unit" % (b,))
+            units.append(live[0])
+        out.append(tuple(
+            tuple((i - 1,) + units[i - 1] for i in band) for band in rep.rs.bands.values()
+        ))
+    return tuple(out)
 
 
 def _peel_coefficients(u, upper):
@@ -247,7 +247,7 @@ def _peel_coefficients(u, upper):
     n = len(u)
     residual = [list(map(Fraction, row)) for row in u]
     coeffs = [Fraction(0)] * (n * (n - 1) // 2)
-    for block in _peel_blocks(n, upper):
+    for block in _peel_blocks(n)[upper]:
         for i, r, c, _ in block:
             coeffs[i] = residual[r][c]
         for i, r, c, s in block:

@@ -19,6 +19,7 @@ from importlib import resources
 
 from . import linalg, rootsys
 from .errors import (
+    DimMismatch,
     NonDiagonalCartan,
     NotInLieAlgebra,
     SpanFailure,
@@ -67,6 +68,8 @@ class ChevalleyRep:
     def _a0(self, sign, s):
         l = self.rank
         values = [Fraction(1)] * l if s is None else [Fraction(v) for v in s]
+        if len(values) != l:
+            raise DimMismatch("%d principal nilpotent coefficients for rank %d" % (len(values), l))
         if any(not v for v in values):
             raise ValueError("principal nilpotent coefficients must be nonzero")
         terms = []
@@ -306,7 +309,8 @@ def build_rep(type_label, rank):
     H = [_dense(n, h) for h in sh]
     X = {coeffs: _dense(n, mat) for coeffs, mat in sx.items()}
     nconst = _verify_axioms(rs, H, X)
-    exp_powers = {coeffs: _divided_powers(mat, n) for coeffs, mat in sx.items()}
+    one = linalg.eye(n)
+    exp_powers = {coeffs: _divided_powers(one, X[coeffs], mat) for coeffs, mat in sx.items()}
 
     # W_b = [X_b, A_0^+]; complementary roots against the provisional
     # ordering, then the recipe and W for the final one
@@ -331,7 +335,7 @@ def build_rep(type_label, rank):
         solve_inverse=tuple(tuple(row) for row in inverse),
         basis_order=tuple(basis_order),
     )
-    _verify_w_basis(rep)
+    _verify_w_basis(rep, w, sx)
     return rep
 
 
@@ -345,23 +349,36 @@ def _decomposition_step(rs, gamma):
 
 
 def _coroot_coefficients(rs, root):
-    d_root = rs.inner(root, root) / 2
-    d = rs.root_lengths()
+    """The integer coefficients of the coroot H_root over H_1, ..., H_l.
+
+    For root = sum c_j alpha_j and d_j = (alpha_j, alpha_j)/2, the coroot
+    2 root/(root, root) is sum_j (c_j d_j / d) alpha_j^vee with
+    d = (root, root)/2, so coefficient j is 2 c_j d_j / (root, root).  And
+    (root, root) = sum_j c_j (alpha_j, root) = sum_j c_j d_j <root, alpha_j>,
+    the pairing read from the integer Cartan matrix; every quantity is an
+    integer, and a remainder raises SpanFailure.
+    """
+    c = root.coeffs
+    weighted = [cj * dj for cj, dj in zip(c, rs.root_lengths())]
+    norm = sum(w * rootsys.pairing(rs.cartan, c, j) for j, w in enumerate(weighted))
     out = []
-    for j in range(rs.rank):
-        c = Fraction(root.coeffs[j]) * d[j] / d_root
-        if c.denominator != 1:
+    for w in weighted:
+        q, r = divmod(2 * w, norm)
+        if r:
             raise SpanFailure("non-integral coroot coefficient for %r" % (root,))
-        out.append(int(c))
+        out.append(q)
     return tuple(out)
 
 
-def _divided_powers(mat, n):
-    """I, X, X^2/2!, ... as dense matrices, for a sparse X, until zero;
-    every power must be integral."""
-    powers = [linalg.eye(n)]
-    cur = {i: {i: 1} for i in range(n)}
-    k = 0
+def _divided_powers(one, dense, mat):
+    """I, X, X^2/2!, ... until zero, for X given both dense and as the
+    sparse `mat`; every power must be integral.  The tuple holds the
+    identity `one` and `dense` themselves, which the rep shares and never
+    writes to."""
+    n = len(one)
+    powers = [one, dense]
+    cur = mat
+    k = 1
     while True:
         k += 1
         cur = _sp_divide(_sp_mul(cur, mat), k, "divided power %d" % k)
@@ -396,6 +413,12 @@ def _verify_axioms(rs, H, X):
     raises SpanFailure; a Chevalley basis in this representation is
     integral, which build_rep checks for every root vector and divided
     power anyway.
+
+    The bracket br = X_a X_b - X_b X_a is multiplied out once per unordered
+    pair {a, b}.  The identities of the ordered pair (a, b) are checked on
+    br and those of (b, a) on -br, which is [X_b, X_a] exactly, since
+    [X_b, X_a] = X_b X_a - X_a X_b = -[X_a, X_b]; so every ordered pair is
+    still checked, on the matrix the ordered sweep would have formed.
     """
     l = rs.rank
     sh = [_sparse(h, "H_%d" % (i + 1)) for i, h in enumerate(H)]
@@ -411,51 +434,56 @@ def _verify_axioms(rs, H, X):
             if _sp_bracket(sh[i], mat) != want:
                 raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
     nconst = {}
-    roots = list(rs.roots)
-    for a in roots:
-        for b in roots:
+    roots = rs.roots
+    for k, a in enumerate(roots):
+        for b in roots[k:]:
             br = _sp_bracket(sx[a.coeffs], sx[b.coeffs])
-            total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-            if all(v == 0 for v in total):
-                if br != _sp_combination(sh, _coroot_coefficients(rs, a)):
-                    raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
-                continue
-            if total in rs._root_set:
-                coeff = _proportionality(br, sx[total])
-                if coeff is None:
-                    raise SpanFailure(
-                        "[X_%r, X_%r] not proportional to X_sum" % (a.coeffs, b.coeffs)
-                    )
-                r, _ = rootsys.root_string(rs, b, a)
-                if abs(coeff) != r + 1:
-                    raise SpanFailure(
-                        "|N| = %s != r+1 = %d for %r, %r"
-                        % (coeff, r + 1, a.coeffs, b.coeffs)
-                    )
-                nconst[(a.coeffs, b.coeffs)] = coeff
-            elif br:
-                raise SpanFailure(
-                    "[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs)
-                )
+            _check_bracket(rs, sh, sx, a, b, br, nconst)
+            if b != a:
+                _check_bracket(rs, sh, sx, b, a, _sp_scale(br, -1), nconst)
     return nconst
 
 
+def _check_bracket(rs, sh, sx, a, b, br, nconst):
+    """The identities of the ordered pair (a, b) on br = [X_a, X_b]."""
+    total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    if not any(total):
+        if br != _sp_combination(sh, _coroot_coefficients(rs, a)):
+            raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
+    elif total in rs._root_set:
+        coeff = _proportionality(br, sx[total])
+        if coeff is None:
+            raise SpanFailure(
+                "[X_%r, X_%r] not proportional to X_sum" % (a.coeffs, b.coeffs)
+            )
+        r, _ = rootsys.root_string(rs, b, a)
+        if abs(coeff) != r + 1:
+            raise SpanFailure(
+                "|N| = %s != r+1 = %d for %r, %r" % (coeff, r + 1, a.coeffs, b.coeffs)
+            )
+        nconst[(a.coeffs, b.coeffs)] = coeff
+    elif br:
+        raise SpanFailure("[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs))
+
+
 def _proportionality(mat, target):
-    """The Fraction c with mat == c * target for sparse maps, or None."""
+    """The Fraction c with mat == c * target for sparse integer maps, or
+    None.  With p/q the ratio at the first entry of target, mat == (p/q)
+    target iff both have the same cells and q mat[i][j] == p target[i][j]
+    at each of them, a test in integers."""
     if mat.keys() != target.keys():
         return None
-    c = None
+    p = q = None
     for i, row in target.items():
         got = mat[i]
         if got.keys() != row.keys():
             return None
         for j, t in row.items():
-            cand = Fraction(got[j], t)
-            if c is None:
-                c = cand
-            elif c != cand:
+            if q is None:
+                p, q = got[j], t
+            elif got[j] * q != p * t:
                 return None
-    return c if c is not None else Fraction(0)
+    return Fraction(0) if q is None else Fraction(p, q)
 
 
 def _solving_recipe(basis, n):
@@ -517,18 +545,23 @@ def _complementary_root_values(rs, X, W):
     return comp
 
 
-def _flatten(mat):
-    return [x for row in mat for x in row]
-
-
-def _verify_w_basis(rep):
+def _verify_w_basis(rep, W, X):
     """{W_i} plus the complementary root vectors spans b^- with full rank,
-    and the per-height non-complementary blocks are square invertible."""
+    and the per-height non-complementary blocks are square invertible.
+
+    W and X map a root's coefficients to the sparse integer matrices W_root
+    and X_root that rep.W and rep.X hold densely.  The full-rank test feeds
+    their cells to one linalg.Echelon: the cells of a matrix are the
+    non-zero entries of its flattened vector, keyed by (row, column) for
+    row * n + column, which relabels the columns and keeps the rank, and
+    the number of vectors Echelon accepts is their rank, by the proof in
+    its docstring.
+    """
     rs = rep.rs
-    vectors = [_flatten(w) for w in rep.W]
-    for idx in rs.comp_roots:
-        vectors.append(_flatten(rep.x_neg(idx)))
-    if linalg.rank(vectors) != rs.m + rs.rank:
+    vectors = [W[b.coeffs] for b in rs.neg_order]
+    vectors += [X[rs.neg_order[idx - 1].coeffs] for idx in rs.comp_roots]
+    span = linalg.Echelon()
+    if sum(span.add(_cells(v)) for v in vectors) != rs.m + rs.rank:
         raise SpanFailure("W basis of b^- has deficient rank")
     for q, members in rs.bands.items():
         sources = rs.band(q - 1)
@@ -608,8 +641,9 @@ def simple_representative(rep, i):
 
 def weyl_representative(rep, word):
     """n(w) = n(w_{i_1}) ... n(w_{i_k}) for a word (i_1, ..., i_k) of
-    1-based simple indices."""
+    1-based simple indices; each distinct n(w_i) is built once."""
+    simple = {i: simple_representative(rep, i) for i in dict.fromkeys(word)}
     out = linalg.eye(rep.dim)
     for i in word:
-        out = linalg.mat_mul(out, simple_representative(rep, i))
+        out = linalg.mat_mul(out, simple[i])
     return out

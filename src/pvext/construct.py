@@ -15,7 +15,7 @@ from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 from . import chevalley, linalg, rootsys, symgroup
-from .diffpoly import DiffPoly, MonomialTable, frac_text, lift, lift_matrix
+from .diffpoly import DiffPoly, MonomialTable, frac_text, lift
 from .errors import (
     IdentityFailure,
     RankCeiling,
@@ -48,6 +48,7 @@ class LiouvilleData:
     gbar: tuple
     A_L: tuple
     nw: tuple
+    nwinv: tuple
     z: tuple = ()
     y: tuple = ()
     y_integrands: tuple = ()
@@ -260,7 +261,7 @@ def build_A_L(ctx, stage2):
     al = linalg.mat_add(combo, rep.a0_minus(c))
 
     # re-verify the Cartan identity by direct conjugation
-    lhs = linalg.mat_mul(linalg.mat_mul(lift_matrix(nw), combo), nwinv)
+    lhs = linalg.mat_mul(linalg.mat_mul(nw, combo), nwinv)
     want = linalg.combination(
         [(-g, h) for g, h in zip(stage2.g, rep.H)], rep.dim, DiffPoly.zero()
     )
@@ -272,6 +273,7 @@ def build_A_L(ctx, stage2):
         gbar=gbar,
         A_L=tuple(tuple(r) for r in al),
         nw=tuple(tuple(r) for r in nw),
+        nwinv=tuple(tuple(r) for r in nwinv),
     )
 
 
@@ -380,9 +382,8 @@ def logderiv_Y(ctx, data, stage2):
     """
     rep = ctx.rep
     rs = rep.rs
-    nwinv = linalg.rational_inverse(data.nw)
     ad = linalg.mat_mul(linalg.mat_mul(ctx.u, data.nw), data.A_L)
-    ad = linalg.mat_mul(linalg.mat_mul(ad, nwinv), ctx.uinv)
+    ad = linalg.mat_mul(linalg.mat_mul(ad, data.nwinv), ctx.uinv)
     total = linalg.mat_add(ctx.ldelta_u, ad)
     dec = chevalley.decompose_in_basis(rep, total)
     _check_positive_part(rep, dec, "ldelta(Y)")

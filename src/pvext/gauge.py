@@ -142,7 +142,7 @@ def normalize_to_AG(rep, a):
             torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
         tm = symgroup.constant_matrix(torus)
         factors.append(tm)
-        current = lift_matrix(symgroup.gauge(tm, current))
+        current = symgroup.gauge(tm, current)
 
     rs = rep.rs
     comp = rs.comp_roots
@@ -175,7 +175,7 @@ def normalize_to_AG(rep, a):
         for k, xk in zip(sources, xs):
             factor = symgroup.unipotent_matrix(rep, rs.neg_order[k - 1], -xk)
             factors.append(factor)
-            current = lift_matrix(symgroup.gauge(factor, current))
+            current = symgroup.gauge(factor, current)
 
     # deepest complementary components are whatever remains
     dec = chevalley.decompose_in_basis(rep, current)

@@ -4,20 +4,22 @@ Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
 The product runs row by row over the non-zero entries, since the group
 elements it multiplies are mostly zeros; `combination` forms every sum of
-ring multiples of rational Chevalley-basis matrices the same way.  rank,
-det, solve_exact and rational_inverse share one Gauss-Jordan pass over
-Fraction matrices.
-Echelon selects independent rows of sparse integer vectors in one pass.
+ring multiples of rational Chevalley-basis matrices the same way.  The
+rational linear algebra runs over the integers: det, solve_exact and
+rational_inverse share one fraction-free Gauss-Jordan pass over rows scaled
+to integers, and rank counts the scaled rows that Echelon, a fraction-free
+selection of independent sparse integer rows, accepts.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .diffpoly import DiffPoly
 from .errors import DimMismatch, NoRationalSolution
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
+_RATIONAL = (int, Fraction)
 
 
 def zeros(n):
@@ -64,7 +66,7 @@ def combination(terms, n, zero):
 
 def zero_of(x):
     """The zero of the ring x lives in; rationals give Fraction(0)."""
-    return Fraction(0) if isinstance(x, (int, Fraction)) else type(x).zero()
+    return _ZERO if isinstance(x, _RATIONAL) else type(x).zero()
 
 
 def dot(xs, ys, zero):
@@ -84,9 +86,11 @@ def dot(xs, ys, zero):
 
 
 def mat_mul(a, b):
-    """a b; an entry where every product vanishes is the zero of a's ring.
-    DimMismatch unless every row of a has one entry per row of b and the
-    rows of b have one length.
+    """a b; an entry where every product vanishes is the zero of the ring
+    of a[0][0], or of b[0][0] when a[0][0] is rational, so a rational
+    factor times a DiffPoly matrix has DiffPoly zeros.  DimMismatch unless
+    every row of a has one entry per row of b and the rows of b have one
+    length.
 
     Gustavson's row-by-row product (ACM TOMS 4, 1978): the non-zero (j, y)
     of each row k of b are listed once, and each non-zero a[i][k] adds
@@ -100,7 +104,7 @@ def mat_mul(a, b):
         raise DimMismatch("columns of a differ from rows of b")
     if not a or not b:
         return [[] for _ in a]
-    zero = zero_of(a[0][0])
+    zero = zero_of(b[0][0] if isinstance(a[0][0], _RATIONAL) else a[0][0])
     live = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     if isinstance(zero, DiffPoly):
@@ -140,7 +144,7 @@ def mat_eq(a, b):
 
 def derive(x):
     """The derivative of a ring element; rationals are constants."""
-    return Fraction(0) if isinstance(x, (int, Fraction)) else x.derive()
+    return _ZERO if isinstance(x, _RATIONAL) else x.derive()
 
 
 def mat_derive(a):
@@ -148,17 +152,68 @@ def mat_derive(a):
     return [[derive(x) for x in row] for row in a]
 
 
-# ----- Fraction-only routines -----
+# ----- rational routines, computed over the integers -----
+
+
+def _integer_row(row, extra=()):
+    """(row + extra) times the lcm d of the denominators of its rational
+    entries, and d: the rationals become ints, ring elements are multiplied
+    by d."""
+    d = lcm(*(x.denominator for x in row),
+            *(x.denominator for x in extra if isinstance(x, _RATIONAL)))
+    out = [x.numerator * (d // x.denominator) for x in row]
+    for x in extra:
+        if isinstance(x, _RATIONAL):
+            out.append(x.numerator * (d // x.denominator))
+        else:
+            out.append(x if d == 1 else x * d)
+    return out, d
+
+
+def _remove_content(row):
+    """Divide a row by the gcd g of its int entries and return g (1 when
+    the row has none or they are coprime); ring entries are multiplied by 1/g."""
+    g = gcd(*(x for x in row if type(x) is int))
+    if g > 1:
+        inv = Fraction(1, g)
+        row[:] = [x // g if type(x) is int else x * inv for x in row]
+        return g
+    return 1
 
 
 def _reduce(a, extra=None):
-    """Gauss-Jordan elimination of the Fraction matrix a; row i carries
-    extra[i] along, and pivots lie in a only, so extra may hold DiffPolys.
+    """Fraction-free Gauss-Jordan elimination of the rational matrix a; row
+    i carries extra[i] along, and pivots lie in a only, so extra may hold
+    DiffPolys.
 
-    Returns the rows of [a | extra] in reduced row echelon form, the pivot
-    column of each leading row, and the product of the pivots (each before
-    its row is scaled to 1) times the sign of the row swaps: det(a) when a
-    is square of full rank.  Row updates skip the pivot row's zeros.
+    Returns the rows of [a | extra], each scaled to integers and reduced
+    but not divided by its pivot, the pivot column of each leading row, and
+    det(a) when a is square (0 when it is singular).  Entry j of leading
+    row r stands for rows[r][j] / rows[r][pivots[r]]: dividing there, once
+    per entry, gives the reduced row echelon form.
+
+    Each row is first multiplied by the lcm of its rational denominators.
+    A row update is m*row - k*pivot_row, with m > 0 and k the pivot p and
+    the row's entry f in the pivot column divided by +-gcd(p, f); it visits
+    only the row's non-zero entries and the pivot row's non-zero columns.
+    A row that was multiplied by m != 1 is divided by the gcd of its
+    integer entries, which keeps the entries small.
+
+    Proof that this is the Gauss-Jordan pass over Fractions, which kept
+    pivot rows scaled to 1 and replaced a row by row - f*(pivot_row / p).
+    Both passes pick the same pivot (the first non-zero entry of the column
+    among the rows not yet leading) and update the same rows in the same
+    order, and by induction each row here is a non-zero scalar multiple of
+    the same row there: scaling by the lcm, by m or by 1/g is multiplying
+    by a non-zero rational, and m*row - k*pivot_row = m*(row - f*(pivot_row
+    / p)) when both rows are multiples of theirs.  Multiples share their
+    zero entries, so the pivots agree, and dividing each leading row by its
+    pivot entry gives the unique reduced form, with the same values.  A
+    DiffPoly entry is combined by the same +, - and scalar products in the
+    same order, so its terms are stored in the same order too.  The
+    determinant: the final coefficient block of a square full-rank a is
+    diagonal, and det(final) = (-1)^swaps * prod(lcms) * prod(m) /
+    prod(g) * det(a), each factor a row swap or scaling.
 
     The pivot order changes no result below.  Rank, determinant, inverse
     and the solution of a full-column-rank system are unique.  Column c
@@ -171,28 +226,52 @@ def _reduce(a, extra=None):
 
     Raises DimMismatch unless the rows of a have one length.
     """
-    if any(len(row) != len(a[0]) for row in a):
+    width = len(a[0]) if a else 0
+    if any(len(row) != width for row in a):
         raise DimMismatch("matrix rows have unequal lengths")
-    extra = extra or [()] * len(a)
-    rows = [[Fraction(x) for x in row] + list(e) for row, e in zip(a, extra)]
-    pivots, det = [], Fraction(1)
-    for col in range(len(a[0]) if a else 0):
+    rows, num, den = [], 1, 1
+    for row, e in zip(a, extra or [()] * len(a)):
+        row, d = _integer_row(row, e)
+        rows.append(row)
+        den *= d
+    pivots = []
+    for col in range(width):
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        det *= rows[r][col] if p == r else -rows[r][col]
-        inv = 1 / rows[r][col]
-        prow = rows[r] = [x * inv for x in rows[r]]
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            num = -num
+        prow = rows[r]
+        piv = prow[col]
         live = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
         for i, row in enumerate(rows):
             f = row[col]
-            if f and i != r:
-                for c, y in live:
-                    row[c] -= f * y
+            if not f or i == r:
+                continue
+            g = gcd(piv, f) if piv > 0 else -gcd(piv, f)
+            m, k = piv // g, f // g
+            if m != 1:
+                row[:] = [m * x if x else x for x in row]
+                den *= m
+            for c, y in live:
+                row[c] -= k * y
+            if m != 1:
+                num *= _remove_content(row)
         pivots.append(col)
-    return rows, pivots, det
+    if len(pivots) != len(rows) or len(rows) != width:
+        return rows, pivots, _ZERO
+    for i, row in enumerate(rows):
+        num *= row[i]
+    return rows, pivots, Fraction(num, den)
+
+
+def _divide(x, p):
+    """x / p for a non-zero int p: a Fraction for an int x, else x * (1/p)."""
+    if type(x) is int:
+        return Fraction(x, p) if x else _ZERO
+    return x * Fraction(1, p)
 
 
 def _require_square(m):
@@ -201,26 +280,26 @@ def _require_square(m):
 
 
 def rational_inverse(m):
-    """Exact inverse of an invertible Fraction matrix."""
+    """Exact inverse of an invertible rational matrix; the identity block
+    rides along as ints."""
     _require_square(m)
     n = len(m)
-    rows, pivots, _ = _reduce(m, eye(n))
+    rows, pivots, _ = _reduce(m, [[int(i == j) for j in range(n)] for i in range(n)])
     if len(pivots) < n:
         raise NoRationalSolution("matrix is singular")
-    return [row[n:] for row in rows]
+    return [[_divide(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def det(m):
-    """Exact determinant of a square Fraction matrix."""
+    """Exact determinant of a square rational matrix."""
     _require_square(m)
-    _, pivots, d = _reduce(m)
-    return d if len(pivots) == len(m) else Fraction(0)
+    return _reduce(m)[2]
 
 
 def solve_exact(a, rhs_cols):
     """Solve a x = b for each column b in rhs_cols.
 
-    The Fraction matrix `a` (possibly rectangular) must have full column
+    The rational matrix `a` (possibly rectangular) must have full column
     rank and the system must be consistent, else NoRationalSolution.  Each
     column b must have one entry per row of `a`, else DimMismatch.  The
     right-hand sides may hold DiffPolys; only `a` needs division.
@@ -234,12 +313,26 @@ def solve_exact(a, rhs_cols):
         raise NoRationalSolution("column %d has no pivot" % col)
     if any(x for row in rows[cols:] for x in row[cols:]):
         raise NoRationalSolution("inconsistent system")
-    return [[row[cols + k] for row in rows[:cols]] for k in range(len(rhs_cols))]
+    return [[_divide(row[cols + k], row[r]) for r, row in enumerate(rows[:cols])]
+            for k in range(len(rhs_cols))]
 
 
 def rank(m):
-    """Exact rank of a Fraction matrix."""
-    return len(_reduce(m)[1])
+    """Exact rank of a rational matrix.
+
+    Each row is multiplied by the lcm of its denominators, which keeps the
+    rank, and the rank is the number of rows Echelon.add accepts: its
+    docstring proves that it accepts a row exactly when the row raises the
+    rank of the rows accepted before it.  Raises DimMismatch unless the
+    rows have one length.
+    """
+    width = len(m[0]) if m else 0
+    if any(len(row) != width for row in m):
+        raise DimMismatch("matrix rows have unequal lengths")
+    echelon = Echelon()
+    return sum(
+        echelon.add({c: x for c, x in enumerate(_integer_row(row)[0]) if x}) for row in m
+    )
 
 
 class Echelon:
@@ -253,8 +346,9 @@ class Echelon:
     Proof.  Each accepted row is stored reduced, as (pivot column, row):
     when the k-th row is reduced it is zero at the pivot columns of rows
     1..k-1, and its pivot is one of its non-zero columns.  Reducing a new
-    row v against stored row k replaces v by p v - v[c] r_k (c the pivot
-    column of r_k, p = r_k[c] != 0), which is zero at c, keeps the zeros at
+    row v against stored row k replaces v by m v - q r_k, where c is the
+    pivot column of r_k and m > 0 and q are p = r_k[c] != 0 and v[c]
+    divided by +-gcd(p, v[c]); this is zero at c, keeps the zeros at
     the earlier pivot columns (r_k is zero there) and does not change
     whether v lies in the span S of the stored rows.  After the pass v is
     zero at every pivot column.  A non-zero vector of S has a non-zero
@@ -279,9 +373,12 @@ class Echelon:
             if not f:
                 continue
             p = piv[col]
-            rest = {c: p * v for c, v in rest.items()}
+            g = gcd(p, f) if p > 0 else -gcd(p, f)
+            m, k = p // g, f // g
+            if m != 1:
+                rest = {c: m * v for c, v in rest.items()}
             for c, v in piv.items():
-                x = rest.get(c, 0) - f * v
+                x = rest.get(c, 0) - k * v
                 if x:
                     rest[c] = x
                 else:

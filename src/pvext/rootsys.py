@@ -7,7 +7,6 @@ and ascending lexicographic order on coefficient vectors otherwise.
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DependentRoots, NotARoot, StructureViolation, UnsupportedType
@@ -89,18 +88,9 @@ class RootSystem:
         return tuple(b.height() for b in self.neg_order)
 
     def root_lengths(self):
-        """(alpha_i, alpha_i)/2 per simple root, short roots normalized to 1."""
+        """The integer (alpha_i, alpha_i)/2 per simple root, short roots
+        normalized to 1."""
         return _simple_half_lengths(self.type_label, self.rank)
-
-    def inner(self, a, b):
-        """Symmetric bilinear form with short roots of squared length 2."""
-        d = self.root_lengths()
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                # (alpha_i, alpha_j) = d_j * C[i][j]
-                total += a.coeffs[i] * b.coeffs[j] * d[j] * self.cartan[i][j]
-        return total
 
     def to_json_obj(self):
         return {
@@ -139,13 +129,13 @@ def _cartan_matrix(type_label, rank):
 def _simple_half_lengths(type_label, rank):
     l = rank
     if type_label == "A" or type_label == "D":
-        return tuple(Fraction(1) for _ in range(l))
+        return (1,) * l
     if type_label == "B":
-        return tuple([Fraction(2)] * (l - 1) + [Fraction(1)])
+        return (2,) * (l - 1) + (1,)
     if type_label == "C":
-        return tuple([Fraction(1)] * (l - 1) + [Fraction(2)])
+        return (1,) * (l - 1) + (2,)
     if type_label == "G2":
-        return (Fraction(1), Fraction(3))
+        return (1, 3)
     raise UnsupportedType(type_label)
 
 

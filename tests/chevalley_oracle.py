@@ -4,18 +4,44 @@ Dense brackets for the axiom sweep, and one exact rank per candidate row
 for the solving recipe and the complementary roots.  This is how
 pvext.chevalley did it before its sparse integer sweep and single echelon
 pass; the tests require both to agree on every grid system.  D5 takes
-about a second.  cartan_integer computes <beta, alpha> from the bilinear
-form instead of the Cartan matrix, and coroot_matrix builds H_root densely;
-the tests check pairings and adjoint formulas against them.
+about a second.  inner is the bilinear form, from which cartan_integer
+computes <beta, alpha> instead of reading the Cartan matrix and
+coroot_coefficients the coroot in Fractions; coroot_matrix builds H_root
+densely.  The tests check pairings, coroots and adjoint formulas against
+them.
 """
 
 from fractions import Fraction
 
-from pvext import chevalley, linalg, rootsys
+from pvext import linalg, rootsys
 from pvext.errors import NotARoot, SpanFailure, StructureViolation
 
 import linalg_oracle
 from linalg_oracle import mat_is_zero
+
+
+def inner(rs, a, b):
+    """Symmetric bilinear form with short roots of squared length 2."""
+    d = rs.root_lengths()
+    total = Fraction(0)
+    for i in range(rs.rank):
+        for j in range(rs.rank):
+            # (alpha_i, alpha_j) = d_j * C[i][j]
+            total += a.coeffs[i] * b.coeffs[j] * d[j] * rs.cartan[i][j]
+    return total
+
+
+def coroot_coefficients(rs, root):
+    """The coefficients of H_root over H_1..H_l from the bilinear form:
+    c_j d_j / ((root, root)/2), as Fractions that must be integers."""
+    d_root = inner(rs, root, root) / 2
+    out = []
+    for c, d in zip(root.coeffs, rs.root_lengths()):
+        value = Fraction(c) * d / d_root
+        if value.denominator != 1:
+            raise SpanFailure("non-integral coroot coefficient for %r" % (root,))
+        out.append(int(value))
+    return tuple(out)
 
 
 def cartan_integer(rs, beta, alpha):
@@ -24,7 +50,7 @@ def cartan_integer(rs, beta, alpha):
         raise NotARoot("%r" % (beta,))
     if not rs.contains(alpha):
         raise NotARoot("%r" % (alpha,))
-    value = 2 * rs.inner(beta, alpha) / rs.inner(alpha, alpha)
+    value = 2 * inner(rs, beta, alpha) / inner(rs, alpha, alpha)
     if value.denominator != 1:
         raise StructureViolation("<%r, %r> is not an integer" % (beta, alpha))
     return int(value)
@@ -40,7 +66,7 @@ def cartan_combination(H, coeffs):
 
 def coroot_matrix(rs, H, root):
     """H_root as a combination of H_1..H_l."""
-    return cartan_combination(H, chevalley._coroot_coefficients(rs, root))
+    return cartan_combination(H, coroot_coefficients(rs, root))
 
 
 def _proportionality(mat, target):

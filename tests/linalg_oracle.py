@@ -33,11 +33,16 @@ def mat_scale(a, c):
 
 
 def mat_mul(a, b):
-    """a b; an entry where every product vanishes is the zero of a's ring."""
+    """a b; an entry where every product vanishes is the zero of the ring of
+    a[0][0], or of b[0][0] when a[0][0] is rational."""
     if any(len(row) != len(b) for row in a) or len({len(row) for row in b}) > 1:
         raise DimMismatch("columns of a differ from rows of b")
     bt = list(zip(*b))
-    zero = linalg.zero_of(a[0][0]) if a and b else Fraction(0)
+    zero = Fraction(0)
+    if a and b:
+        zero = linalg.zero_of(a[0][0])
+        if isinstance(zero, Fraction):
+            zero = linalg.zero_of(b[0][0])
     return [[linalg.dot(row, col, zero) for col in bt] for row in a]
 
 

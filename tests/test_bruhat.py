@@ -9,6 +9,7 @@ from pvext.errors import CellDegeneration, DimMismatch, NotUnimodular
 
 import bruhat_oracle
 import linalg_oracle
+from conftest import get_rep
 
 
 def random_sl(n, rng, steps=8):
@@ -162,7 +163,7 @@ def test_coefficients_reproduce_factors():
     rng = random.Random(107)
     from pvext import chevalley
 
-    rep = bruhat._sl_rep(4)
+    rep = get_rep("A", 3)
     for _ in range(10):
         m = random_sl(4, rng)
         form = bruhat.bruhat_decompose(m, "negative")
@@ -182,7 +183,7 @@ def test_positive_convention_coefficients_rebuild():
     rng = random.Random(108)
     from pvext import chevalley
 
-    rep = bruhat._sl_rep(3)
+    rep = get_rep("A", 2)
     for _ in range(10):
         m = random_sl(3, rng)
         form = bruhat.bruhat_decompose(m, "positive")
@@ -200,7 +201,7 @@ def test_peeling_is_row_operations(monkeypatch, upper):
     from pvext import chevalley
 
     rng = random.Random(109)
-    rep = bruhat._sl_rep(5)
+    rep = get_rep("A", 4)
     roots = [(-b if upper else b) for b in rep.rs.neg_order]
     x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in roots]
     u = linalg.eye(5)
@@ -311,7 +312,7 @@ def test_decomposition_multiplies_only_to_recompose(monkeypatch, convention):
     rng = random.Random(116)
     inputs = [random_sl(n, rng) for n in (3, 4, 5, 6) for _ in range(5)]
     for n in (3, 4, 5, 6):
-        bruhat._sl_rep(n)
+        bruhat._peel_blocks(n)
     calls = []
     mat_mul = linalg.mat_mul
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))

@@ -321,3 +321,64 @@ def test_calibration_file_signs():
     assert all("," in k for table in data.values() for k in table)
     # the table lists sign flips only; every other root keeps +1
     assert all(v == -1 for table in data.values() for v in table.values())
+
+
+def test_a0_refuses_coefficients_of_another_length(rep_a2):
+    # a third coefficient used to be dropped, and a missing one raised a
+    # bare IndexError
+    for s in ([1, 2, 3], [1]):
+        with pytest.raises(DimMismatch):
+            rep_a2.a0_plus(s)
+        with pytest.raises(DimMismatch):
+            rep_a2.a0_minus(s)
+    assert linalg.mat_eq(rep_a2.a0_plus([1, 2]), [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+
+
+ALL_SYSTEMS = (
+    [("A", r) for r in range(1, 9)]
+    + [(t, r) for t in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(3, 9)]
+    + [("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_integer_coroot_coefficients_equal_the_bilinear_form(system):
+    rs = rootsys.build_root_system(*system)
+    for root in rs.roots:
+        want = chevalley_oracle.coroot_coefficients(rs, root)
+        assert chevalley._coroot_coefficients(rs, root) == want
+
+
+@pytest.mark.parametrize("label", GRID)
+def test_structure_constants_are_antisymmetric(label):
+    nconst = get_rep(*_system(label)).nconst
+    assert nconst or label == "A1"
+    for (a, b), n in nconst.items():
+        assert nconst[(b, a)] == -n
+
+
+def test_axiom_sweep_brackets_each_unordered_pair_once(monkeypatch):
+    rep = get_rep("D", 5)
+    products = []
+    sp_mul = chevalley._sp_mul
+    monkeypatch.setattr(chevalley, "_sp_mul", lambda a, b: products.append(1) or sp_mul(a, b))
+    chevalley._verify_axioms(rep.rs, list(rep.H), rep.X)
+    l, roots = rep.rank, len(rep.rs.roots)
+    # two products per bracket: [H_i, H_j], [H_i, X_a], then one bracket per
+    # unordered pair of roots, a with itself included
+    brackets = l * l + l * roots + roots * (roots + 1) // 2
+    assert len(products) == 2 * brackets
+
+
+def test_weyl_representative_builds_each_simple_representative_once(monkeypatch):
+    rep = get_rep("B", 3)
+    word = rootsys.longest_weyl_word(rep.rs)
+    want = chevalley.weyl_representative(rep, word)
+    built = []
+    simple = chevalley.simple_representative
+    monkeypatch.setattr(
+        chevalley, "simple_representative", lambda rep, i: built.append(i) or simple(rep, i)
+    )
+    assert linalg.mat_eq(chevalley.weyl_representative(rep, word), want)
+    assert len(word) == 9 and sorted(built) == [1, 2, 3]

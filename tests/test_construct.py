@@ -511,6 +511,16 @@ def test_pipeline_builds_u_and_its_inverse_once(monkeypatch):
     assert eta_factors == [eta(i) for i in range(1, 7)]
 
 
+def test_pipeline_inverts_the_longest_representative_once(monkeypatch):
+    inverted = []
+    inverse = linalg.rational_inverse
+    monkeypatch.setattr(linalg, "rational_inverse", lambda m: inverted.append(m) or inverse(m))
+    data = construct.run_pipeline("B", 3).liouville
+    nw = [list(row) for row in data.nw]
+    assert sum(linalg.mat_eq(m, nw) for m in inverted if len(m) == len(nw)) == 1
+    assert linalg.mat_eq(linalg.mat_mul(nw, data.nwinv), linalg.eye(len(nw)))
+
+
 @pytest.mark.parametrize("system", [("A", 3), ("G2", 2), ("B", 3), ("D", 5)])
 def test_context_inverse_matches_the_neumann_series(system):
     ctx = construct.pipeline_context(get_rep(*system))

@@ -2,7 +2,7 @@
 the packed DiffPoly kernel against the tuple/Fraction reference, the
 row-sparse matrix product and the sparse basis combination against the
 dense ones, entrywise matrix equality against the zero difference, and the
-shared Gauss-Jordan pass against the four loops it replaced.
+shared fraction-free elimination against the four loops it replaced.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -303,6 +303,14 @@ def test_row_sparse_product_agrees_with_the_dense_product(ab):
     assert _same_matrices(linalg.mat_mul(a, b), linalg_oracle.mat_mul(a, b))
 
 
+def test_rational_times_polynomial_product_has_polynomial_zeros():
+    a = _fractions([[1, 0], [0, 0]])
+    b = [[DiffPoly.eta(1), Fraction(0)], [Fraction(0), Fraction(0)]]
+    got = linalg.mat_mul(a, b)
+    assert got == [[DiffPoly.eta(1), 0], [0, 0]]
+    assert all(isinstance(x, DiffPoly) for row in got for x in row)
+
+
 @pytest.mark.parametrize("mat_mul", [linalg.mat_mul, linalg_oracle.mat_mul])
 def test_product_checks_the_inner_dimensions(mat_mul):
     # 2 x 3 times 2 x 1 has no product; 1 x 2 times 2 x 1 has one
@@ -457,18 +465,26 @@ def test_solve_refuses_a_right_hand_side_of_another_length():
             linalg.solve_exact(linalg.eye(2), _fractions(rhs))
 
 
+wide_entries = st.one_of(
+    fraction_entries,
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**20)),
+)
+
+
 @st.composite
 def eliminations(draw):
-    """A Fraction matrix a of 0-6 rows and 1-6 columns, some rows made
+    """A Fraction matrix a of 0-6 rows and 1-6 columns, with small entries
+    or wide ones (numerators and denominators up to 10^20), some rows made
     dependent on others, and right-hand side columns for it: consistent
     (a x for a drawn x) or drawn freely, all Fraction or all DiffPoly."""
     rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
-    a = [[draw(fraction_entries) for _ in range(cols)] for _ in range(rows)]
+    a_entries = draw(st.sampled_from([fraction_entries, wide_entries]))
+    a = [[draw(a_entries) for _ in range(cols)] for _ in range(rows)]
     for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)) if rows > 1 else ():
         j = draw(st.integers(0, rows - 1).filter(lambda j: j != i))
         f = draw(coefficients)
         a[i] = [x + f * y for x, y in zip(a[i], a[j])]
-    entries = draw(st.sampled_from([fraction_entries, poly_entries]))
+    entries = draw(st.sampled_from([fraction_entries, wide_entries, poly_entries]))
     zero = linalg.zero_of(draw(entries))
     nrhs = draw(st.integers(0, 2))
     if draw(st.booleans()):
