@@ -619,14 +619,17 @@ def unipotent_element(rep, root, x):
 
 
 def torus_element(rep, i, z):
-    """t_i(z) = diag(z^{(H_i)_jj}) for an invertible scalar z."""
+    """t_i(z) = diag(z^{(H_i)_jj}) for an invertible scalar z; each
+    distinct power of z is computed once."""
     h = rep.H[i - 1]
     if not _is_diagonal(h):
         raise NonDiagonalCartan("H_%d is not diagonal" % i)
     n = rep.dim
     if isinstance(z, int):
         z = Fraction(z)
-    entries = [z ** int(h[j][j]) for j in range(n)]
+    exponents = [int(h[j][j]) for j in range(n)]
+    powers = {k: z ** k for k in dict.fromkeys(exponents)}
+    entries = [powers[k] for k in exponents]
     zero = linalg.zero_of(z)
     return [[entries[r] if r == c else zero for c in range(n)] for r in range(n)]
 

@@ -630,9 +630,10 @@ class PipelineResult:
 
 
 # The derivation's cost grows steeply with the rank: on a 2-core x86_64 host
-# the pipeline, the end-to-end check and the report take 0.84 s for D5 but
-# 199 s and 1.9 GB for D7.  A larger request is refused up front instead of
-# running for hours.
+# whose speed varies by up to 2.7x, the pipeline, the end-to-end check and
+# the report take 0.54 s for D5 in its slow phase but 88 s and 1.86 GB for D7
+# in its fast phase.  A larger request is refused up front instead of running
+# for hours.
 MAX_RANK = 8
 
 

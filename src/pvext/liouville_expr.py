@@ -10,8 +10,14 @@ where the coefficient is a DiffPoly, G is itself a normalized expression
 (the integrands of merged exponential factors add up), and the integral
 atoms are opaque: no linearity or integration-by-parts rewriting ever
 happens under an integral sign.  Products of exponentials merge; integral
-atoms compare by the canonical form of their arguments.  Normalization is
-eager, hence trivially idempotent, and equality is structural.
+atoms compare by their normalized arguments.  Normalization is eager,
+hence trivially idempotent, and equality is structural.
+
+Exponential integrands and integral arguments are interned by structure:
+each distinct normalized expression gets one positive integer id, keyed by
+its term map, and a term refers to them by id.  The canonical string of an
+interned expression is rendered on first use only, to sort terms for
+output.
 """
 
 import json
@@ -21,20 +27,32 @@ from fractions import Fraction
 from .diffpoly import DiffPoly
 
 _LOCK = threading.Lock()
-_IDS = {}  # canonical serialization -> id
-_BY_ID = []  # id-1 -> (LiouvExpr, canonical string)
+_IDS = {}  # frozenset of a normalized expression's terms -> id
+_BY_ID = []  # id-1 -> [LiouvExpr, canonical string or None until first use]
 
 _NO_EXP = 0
 
 
 def _intern(expr):
-    """Intern a normalized expression, returning a positive integer id."""
-    key = expr.canonical_string()
+    """Intern a normalized expression, returning a positive integer id.
+
+    The table is keyed by the term map, not by the canonical string, and
+    the ids partition expressions exactly as string keys would.  Two
+    normalized expressions are equal iff their term maps are: normalization
+    is eager, and by induction on depth every integrand and integral
+    argument in a key is a single id.  The canonical string is a function
+    of the term map (each id stands for one string), and it determines the
+    term map back: it lists every term once with its DiffPoly coefficient
+    in canonical form, the string of its exponential integrand and those
+    of its integral atoms with their powers, each of which names one id by
+    induction.  So equal term maps and equal strings are the same relation.
+    """
+    key = frozenset(expr.terms.items())
     with _LOCK:
         got = _IDS.get(key)
         if got is not None:
             return got
-        _BY_ID.append((expr, key))
+        _BY_ID.append([expr, None])
         ident = len(_BY_ID)
         _IDS[key] = ident
         return ident
@@ -45,7 +63,10 @@ def _by_id(ident):
 
 
 def _id_string(ident):
-    return _BY_ID[ident - 1][1]
+    entry = _BY_ID[ident - 1]
+    if entry[1] is None:
+        entry[1] = entry[0].canonical_string()
+    return entry[1]
 
 
 def _coerce_scalar(value):
@@ -157,6 +178,10 @@ class LiouvExpr:
 
     def __mul__(self, other):
         other = as_expr(other)
+        if self.terms == _ONE_TERMS:
+            return other
+        if other.terms == _ONE_TERMS:
+            return self
         out = {}
         for (e1, a1), c1 in self.terms.items():
             for (e2, a2), c2 in other.terms.items():
@@ -185,28 +210,32 @@ class LiouvExpr:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """self^n for an integer n.
+
+        A single exponential monomial q e^{int G} (rational q, no integral
+        atoms) is raised in one step to q^n e^{int nG}.  That is the n-fold
+        product: a product multiplies the coefficients and adds the
+        integrands of the exponentials, so n factors give q^n and
+        G + ... + G = nG, and for n < 0 the inverse q^-1 e^{int -G} gives
+        q^n and -nG the same way.  Other expressions are multiplied out
+        and have no negative powers.
+        """
         if not isinstance(n, int):
             raise TypeError("integer powers only")
+        if len(self.terms) == 1:
+            (e, atoms), c = next(iter(self.terms.items()))
+            if not atoms and c.is_rational():
+                g = _by_id(e) * n if e != _NO_EXP else LiouvExpr.zero()
+                power_e = _intern(g) if g.terms else _NO_EXP
+                return LiouvExpr({(power_e, ()): DiffPoly.rational(c.constant_term() ** n)})
         if n < 0:
-            return self._inverse() ** (-n)
+            raise ValueError(
+                "only exponential monomials with rational coefficients are invertible"
+            )
         result = LiouvExpr.one()
         for _ in range(n):
             result = result * self
         return result
-
-    def _inverse(self):
-        """Inverse of a single exponential monomial with rational coefficient."""
-        if len(self.terms) != 1:
-            raise ValueError("only exponential monomials are invertible")
-        (e, atoms), c = next(iter(self.terms.items()))
-        if atoms:
-            raise ValueError("integral atoms are not invertible")
-        if not c.is_rational():
-            raise ValueError("coefficient is not rational")
-        q = c.constant_term()
-        g = -_by_id(e) if e != _NO_EXP else LiouvExpr.zero()
-        inv_e = _intern(g) if g.terms else _NO_EXP
-        return LiouvExpr({(inv_e, ()): DiffPoly.rational(Fraction(1) / q)})
 
     # ----- differential structure -----
 
@@ -302,6 +331,9 @@ class LiouvExpr:
         for chunk in chunks[1:]:
             out += " - " + chunk[1:] if chunk.startswith("-") else " + " + chunk
         return out
+
+
+_ONE_TERMS = LiouvExpr.one().terms
 
 
 def _merge_atoms(a1, a2):

@@ -84,6 +84,35 @@ class RootSystem:
         """The indices of one height; () when no root has it."""
         return self.bands.get(height, ())
 
+    @cached_property
+    def _strings(self):
+        """beta -> {alpha -> (r, q)} over coefficient vectors, with r and q
+        the numbers of steps by -beta and by +beta from alpha that stay in
+        Phi, for every pair of roots with alpha != +-beta.
+
+        Each run alpha - r*beta, ..., alpha + q*beta of roots is walked
+        once, up from its bottom, and its member at position p of n gets
+        (p, n - 1 - p).  The walk runs on the integer codes sum_j k_j 16^j,
+        which add as the vectors do.  No root has a coefficient above 3 in
+        absolute value (G2's 3 alpha_1 + 2 alpha_2 is the largest), so the
+        sum or difference of two roots has digits below 8 in absolute
+        value, where the balanced base-16 expansion is unique: such a
+        vector is a root iff its code is a root's code."""
+        root_of = {sum(k << 4 * j for j, k in enumerate(r)): r for r in self._root_set}
+        table = {}
+        for cb, b in root_of.items():
+            strings = table[b] = {}
+            for ca in root_of:
+                if ca == cb or ca == -cb or ca - cb in root_of:
+                    continue
+                run = [ca]
+                while run[-1] + cb in root_of:
+                    run.append(run[-1] + cb)
+                top = len(run) - 1
+                for p, member in enumerate(run):
+                    strings[root_of[member]] = (p, top - p)
+        return table
+
     def heights_of_order(self):
         return tuple(b.height() for b in self.neg_order)
 
@@ -255,18 +284,10 @@ def root_string(rs, alpha, beta):
     """(r, q) with alpha - r*beta ... alpha + q*beta the beta-string."""
     if not rs.contains(alpha) or not rs.contains(beta):
         raise NotARoot("string endpoints must be roots")
-    if alpha.coeffs == beta.coeffs or alpha.coeffs == (-beta).coeffs:
+    got = rs._strings[beta.coeffs].get(alpha.coeffs)
+    if got is None:
         raise DependentRoots("string through a dependent pair")
-
-    def steps(sign):
-        k, cur = 0, alpha.coeffs
-        while True:
-            cur = tuple(a + sign * b for a, b in zip(cur, beta.coeffs))
-            if cur not in rs._root_set:
-                return k
-            k += 1
-
-    return (steps(-1), steps(1))
+    return got
 
 
 def _reflect_simple(rs, i, beta):
@@ -296,24 +317,34 @@ def longest_weyl_word(rs):
 
     Deterministic tie-break: the largest simple index that still lengthens
     the word is appended (this reproduces the alternating word for G2).
+    The search tracks w(alpha_j) for the current w = s_{i_1} ... s_{i_k}:
+    appending i gives w s_i(alpha_j) = w(alpha_j) - <alpha_j, alpha_i> w(alpha_i).
+
     Verified post hoc: the composite maps every positive root to a negative.
+    The images of the simple roots are computed afresh with weyl_action,
+    and every other root's by linearity: w is a composite of the linear
+    reflections v -> v - <v, alpha_i> alpha_i, so a root
+    beta = sum_j k_j alpha_j has w(beta) = sum_j k_j w(alpha_j), whose
+    height is sum_j k_j ht(w(alpha_j)).
     """
+    l = rs.rank
+    images = [rs.simple(j).coeffs for j in range(1, l + 1)]
     word = []
-    # track w(alpha_i) for the current w = s_{i_1} ... s_{i_k}
-    while True:
-        candidate = None
-        for i in range(rs.rank, 0, -1):
-            image = weyl_action(rs, tuple(word))(rs.simple(i))
-            if image.height() > 0:
-                candidate = i
-                break
+    # a reduced word has rs.m letters, so a longer one stops the search
+    while len(word) <= rs.m:
+        candidate = next((i for i in range(l, 0, -1) if sum(images[i - 1]) > 0), None)
         if candidate is None:
             break
         word.append(candidate)
+        wi = images[candidate - 1]
+        images = [
+            tuple(x - rs.cartan[j][candidate - 1] * y for x, y in zip(image, wi))
+            for j, image in enumerate(images)
+        ]
     act = weyl_action(rs, tuple(word))
+    simple_heights = [act(rs.simple(j)).height() for j in range(1, l + 1)]
     for root in rs.roots:
-        image = act(root)
-        if root.height() > 0 and image.height() > 0:
+        if root.is_positive() and sum(k * h for k, h in zip(root.coeffs, simple_heights)) >= 0:
             raise StructureViolation("longest element failed to negate %r" % (root,))
     if len(word) != rs.m:
         raise StructureViolation("longest word has length %d, not %d" % (len(word), rs.m))

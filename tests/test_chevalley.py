@@ -382,3 +382,28 @@ def test_weyl_representative_builds_each_simple_representative_once(monkeypatch)
     )
     assert linalg.mat_eq(chevalley.weyl_representative(rep, word), want)
     assert len(word) == 9 and sorted(built) == [1, 2, 3]
+
+
+class _CountedPowers:
+    """A scalar stand-in that records the exponents it is raised to."""
+
+    def __init__(self):
+        self.exponents = []
+
+    def __pow__(self, k):
+        self.exponents.append(k)
+        return Fraction(2) ** k
+
+    @staticmethod
+    def zero():
+        return Fraction(0)
+
+
+def test_torus_element_raises_each_distinct_power_once():
+    rep = get_rep("B", 3)
+    for i in range(1, rep.rank + 1):
+        z = _CountedPowers()
+        t = chevalley.torus_element(rep, i, z)
+        diagonal = [int(rep.H[i - 1][j][j]) for j in range(rep.dim)]
+        assert sorted(z.exponents) == sorted(set(diagonal))
+        assert [t[j][j] for j in range(rep.dim)] == [Fraction(2) ** k for k in diagonal]

@@ -347,9 +347,12 @@ def test_end_to_end_detects_corruption():
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
 )
-# Report digests of systems beyond the grid.
-BEYOND_GRID = json.loads((Path(__file__).resolve().parent / "digests_beyond_grid.json").read_text())
-DIGESTS_TESTED = dict(DIGESTS, **BEYOND_GRID)
+# Report digests of systems beyond the grid, and D6 from the rank-6 digests
+# that tests/check_rank6_digests.py checks.
+HERE = Path(__file__).resolve().parent
+BEYOND_GRID = json.loads((HERE / "digests_beyond_grid.json").read_text())
+RANK6 = json.loads((HERE / "digests_rank6.json").read_text())
+DIGESTS_TESTED = dict(DIGESTS, **BEYOND_GRID, D6=RANK6["D6"])
 
 
 def test_end_to_end_across_types():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from pvext.diffpoly import DiffPoly, parse
 from pvext.liouville_expr import LiouvExpr
 
@@ -35,6 +37,13 @@ def test_exponent_merge():
     assert e2 * e3 == LiouvExpr.exp_integral(g, 5)
     # powers fold into the integrand: e^{int g}^2 = e^{int 2g}
     assert LiouvExpr.exp_integral(g, 2) == LiouvExpr.exp_integral(g * 2)
+
+
+def test_negative_powers_need_an_exponential_monomial():
+    f = LiouvExpr.scalar(parse("n1"))
+    for x in (f, LiouvExpr.integral(f), LiouvExpr.exp_integral(f) + 1, LiouvExpr.zero()):
+        with pytest.raises(ValueError):
+            x ** -1
 
 
 def test_sum_of_equal_integrals_keeps_coefficient_outside():

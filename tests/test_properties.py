@@ -1,8 +1,10 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
 the packed DiffPoly kernel against the tuple/Fraction reference, the
 row-sparse matrix product and the sparse basis combination against the
-dense ones, entrywise matrix equality against the zero difference, and the
-shared fraction-free elimination against the four loops it replaced.
+dense ones, entrywise matrix equality against the zero difference, the
+shared fraction-free elimination against the four loops it replaced, and
+the LiouvExpr shortcuts (closed-form powers, the unit, structural interning)
+against repeated products and canonical strings.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvext import construct, diffpoly, linalg, symgroup
+from pvext import construct, diffpoly, linalg, liouville_expr, symgroup
 from pvext.diffpoly import DiffPoly, JetVar, parse
 from pvext.errors import DimMismatch
 from pvext.liouville_expr import LiouvExpr
@@ -55,6 +57,21 @@ def liouv_args(draw):
 
 
 @st.composite
+def liouv_trees(draw, depth=2):
+    """A LiouvExpr built from small scalars by sums, products, integrals and
+    exponentials of integrals, nested up to `depth` deep."""
+    kind = draw(st.sampled_from(["scalar", "sum", "prod", "int", "exp"])) if depth else "scalar"
+    if kind == "scalar":
+        return LiouvExpr.scalar(draw(polys(max_var=2, max_order=1, max_terms=2)))
+    if kind == "int":
+        return LiouvExpr.integral(draw(liouv_trees(depth - 1)))
+    if kind == "exp":
+        return LiouvExpr.exp_integral(draw(liouv_trees(depth - 1)), draw(st.integers(-2, 2)))
+    a, b = draw(liouv_trees(depth - 1)), draw(liouv_trees(depth - 1))
+    return a + b if kind == "sum" else a * b
+
+
+@st.composite
 def roots(draw):
     rep = get_rep(*draw(st.sampled_from(SYSTEMS)))
     return rep, draw(st.sampled_from(rep.rs.roots))
@@ -88,6 +105,53 @@ def test_group_law_of_torus_factors_of_an_exponential(system, data, g):
     i = data.draw(st.integers(1, rep.rank))
     z = LiouvExpr.exp_integral(LiouvExpr.scalar(g))
     assert _is_inverse_with_ldelta(symgroup.torus_matrix(rep, i, z))
+
+
+@settings(derandomize=True, deadline=None)
+@given(coefficients.filter(bool), liouv_trees(depth=1), st.integers(-4, 4))
+@example(Fraction(3), LiouvExpr.scalar(DiffPoly.eta(1)), 0)
+@example(Fraction(-1, 2), LiouvExpr.scalar(DiffPoly.eta(1) + 1), 3)
+@example(Fraction(2), LiouvExpr.scalar(DiffPoly.eta(2, 1)), -3)
+@example(Fraction(5, 3), LiouvExpr.zero(), -2)
+def test_power_of_an_exponential_monomial_is_the_repeated_product(q, g, n):
+    # q e^{int g} is raised in closed form; the reference multiplies |n|
+    # copies of it, or of its inverse q^-1 e^{int -g} when n < 0
+    x = LiouvExpr.exp_integral(g) * q
+    inverse = LiouvExpr.exp_integral(g, -1) * (1 / q)
+    assert x * inverse == LiouvExpr.one()
+    want = LiouvExpr.one()
+    for _ in range(abs(n)):
+        want = want * (x if n > 0 else inverse)
+    assert x ** n == want
+
+
+@settings(derandomize=True, deadline=None)
+@given(liouv_trees(), st.integers(0, 3))
+def test_power_of_any_expression_is_the_repeated_product(x, n):
+    want = LiouvExpr.one()
+    for _ in range(n):
+        want = want * x
+    assert x ** n == want
+
+
+@settings(derandomize=True, deadline=None)
+@given(liouv_trees(), st.one_of(liouv_trees(), st.just(None)))
+def test_structural_ids_separate_exactly_what_canonical_strings_separate(a, b):
+    # b is either another tree or a separately built copy of a
+    if b is None:
+        b = -(-a)
+    same_id = liouville_expr._intern(a) == liouville_expr._intern(b)
+    assert same_id == (a.canonical_string() == b.canonical_string())
+    assert same_id == (a == b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(liouv_trees())
+def test_one_is_the_unit_of_the_product(x):
+    for one in (LiouvExpr.one(), 1, DiffPoly.rational(1)):
+        assert x * one == one * x == x
+    # a constant other than 1 is not taken for the unit
+    assert x * 2 == 2 * x == x + x
 
 
 @settings(derandomize=True, deadline=None)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pvext import rootsys
-from pvext.errors import DependentRoots, NotARoot, UnsupportedType
+from pvext.errors import DependentRoots, NotARoot, StructureViolation, UnsupportedType
 from pvext.rootsys import Root
 
 from chevalley_oracle import cartan_integer
@@ -135,7 +135,7 @@ def test_root_string_examples():
 
 
 def test_root_string_oracle_all_pairs():
-    for t, r in [("A", 3), ("G2", 2)]:
+    for t, r in [("A", 3), ("G2", 2), ("B", 3), ("C", 4), ("D", 4)]:
         rs = rootsys.build_root_system(t, r)
         for alpha in rs.roots:
             for beta in rs.roots:
@@ -193,6 +193,15 @@ def test_longest_word_is_pinned_across_the_grid(label):
     rs = rootsys.build_root_system(type_label, rank)
     assert rs.label == label
     assert rootsys.longest_weyl_word(rs) == LONGEST_WORDS[label]
+
+
+def test_longest_word_check_recomputes_the_simple_images(monkeypatch):
+    # the post-hoc check takes w(alpha_j) from weyl_action, not from the
+    # search's bookkeeping: a wrong action is caught
+    rs = rootsys.build_root_system("B", 3)
+    monkeypatch.setattr(rootsys, "weyl_action", lambda rs, word: lambda root: root)
+    with pytest.raises(StructureViolation, match="failed to negate"):
+        rootsys.longest_weyl_word(rs)
 
 
 def test_longest_word_a3_action():
