@@ -13,8 +13,9 @@ every other root keeps the sign produced by the bracket recursion.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from . import linalg, rootsys
@@ -27,7 +28,10 @@ from .errors import (
 )
 
 
+@lru_cache(maxsize=None)
 def _load_calibration():
+    """The parsed calibration table, read once per process; build_rep only
+    reads it."""
     ref = resources.files("pvext").joinpath("data/calibration.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
@@ -38,11 +42,11 @@ class ChevalleyRep:
 
     rs: rootsys.RootSystem
     dim: int
-    H: tuple  # l diagonal integer matrices
-    X: dict  # root coeffs tuple -> integer matrix
+    H: tuple  # l diagonal matrices of ints
+    X: dict  # root coeffs tuple -> matrix of ints
     nconst: dict  # (coeffs, coeffs) -> Fraction structure constant
-    W: tuple  # W_i = [X_i, A_0^+], indexed like neg_order
-    exp_powers: dict  # root coeffs -> tuple of X^k/k! matrices
+    w_coefficients: tuple  # decompose_in_basis of W_i = [X_i, A_0^+], indexed like neg_order
+    exp_powers: dict  # root coeffs -> tuple of the int matrices X^k/k!
     solve_positions: tuple  # entry positions used by decompose_in_basis
     solve_inverse: tuple  # exact inverse extracting basis coefficients
     basis_order: tuple  # ("H", i) / ("X", coeffs) in decomposition order
@@ -77,16 +81,6 @@ class ChevalleyRep:
             root = self.rs.simple(i) if sign > 0 else -self.rs.simple(i)
             terms.append((values[i - 1], self.X[root.coeffs]))
         return linalg.combination(terms, self.dim, Fraction(0))
-
-    def w_coefficients(self, k):
-        """decompose_in_basis(W_k) for 1-based k, computed once per rep."""
-        cache = getattr(self, "_w_coefficients_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_w_coefficients_cache", cache)
-        if k not in cache:
-            cache[k] = decompose_in_basis(self, self.W[k - 1])
-        return cache[k]
 
 # ----- simple generators per type -----
 
@@ -151,8 +145,8 @@ def _is_diagonal(m):
 # build_rep and the axiom sweep work on sparse integer matrices: a dict
 # row -> {col: int} holding exactly the non-zero entries, with no empty
 # rows.  Two such maps are equal iff the matrices are, and all arithmetic
-# on them is exact.  The public ChevalleyRep fields stay dense Fraction
-# lists, built by _dense.
+# on them is exact.  The public ChevalleyRep fields are dense lists of the
+# same ints, built by _dense.
 
 
 def _entries(triples):
@@ -162,28 +156,12 @@ def _entries(triples):
     return out
 
 
-def _sparse(mat, what):
-    """The sparse integer map of a dense matrix; SpanFailure unless integral."""
-    out = {}
-    for i, row in enumerate(mat):
-        cells = {}
-        for j, x in enumerate(row):
-            if x:
-                x = Fraction(x)
-                if x.denominator != 1:
-                    raise SpanFailure("%s is not integral" % what)
-                cells[j] = x.numerator
-        if cells:
-            out[i] = cells
-    return out
-
-
 def _dense(n, a):
-    zero = Fraction(0)
-    out = [[zero] * n for _ in range(n)]
+    """The n x n list of ints with the entries of the sparse map a."""
+    out = [[0] * n for _ in range(n)]
     for i, row in a.items():
         for j, v in row.items():
-            out[i][j] = Fraction(v)
+            out[i][j] = v
     return out
 
 
@@ -306,14 +284,13 @@ def build_rep(type_label, rank):
         sx[gamma.coeffs] = xg
         sx[(-gamma).coeffs] = xn
 
-    H = [_dense(n, h) for h in sh]
+    nconst = _verify_axioms(rs, sh, sx)
     X = {coeffs: _dense(n, mat) for coeffs, mat in sx.items()}
-    nconst = _verify_axioms(rs, H, X)
-    one = linalg.eye(n)
+    one = _dense(n, {i: {i: 1} for i in range(n)})
     exp_powers = {coeffs: _divided_powers(one, X[coeffs], mat) for coeffs, mat in sx.items()}
 
     # W_b = [X_b, A_0^+]; complementary roots against the provisional
-    # ordering, then the recipe and W for the final one
+    # ordering, then the recipe and the W coordinates for the final one
     a0 = _sp_combination([sx[rs.simple(i + 1).coeffs] for i in range(l)], [1] * l)
     w = {b.coeffs: _sp_bracket(sx[b.coeffs], a0) for b in rs.neg_order}
     rs = rootsys.finalize_order(rs, _complementary_root_values(rs, sx, w))
@@ -326,15 +303,19 @@ def build_rep(type_label, rank):
     rep = ChevalleyRep(
         rs=rs,
         dim=n,
-        H=tuple(H),
+        H=tuple(_dense(n, h) for h in sh),
         X=X,
         nconst=nconst,
-        W=tuple(_dense(n, w[b.coeffs]) for b in rs.neg_order),
+        w_coefficients=(),
         exp_powers=exp_powers,
         solve_positions=tuple(positions),
         solve_inverse=tuple(tuple(row) for row in inverse),
         basis_order=tuple(basis_order),
     )
+    # decompose_in_basis reads only the basis fields filled in above
+    rep = replace(rep, w_coefficients=tuple(
+        decompose_in_basis(rep, _dense(n, w[b.coeffs])) for b in rs.neg_order
+    ))
     _verify_w_basis(rep, w, sx)
     return rep
 
@@ -371,10 +352,10 @@ def _coroot_coefficients(rs, root):
 
 
 def _divided_powers(one, dense, mat):
-    """I, X, X^2/2!, ... until zero, for X given both dense and as the
-    sparse `mat`; every power must be integral.  The tuple holds the
-    identity `one` and `dense` themselves, which the rep shares and never
-    writes to."""
+    """I, X, X^2/2!, ... until zero, as dense int matrices, for X given
+    both dense and as the sparse `mat`; every power must be integral.  The
+    tuple holds the identity `one` and `dense` themselves, which the rep
+    shares and never writes to."""
     n = len(one)
     powers = [one, dense]
     cur = mat
@@ -390,12 +371,12 @@ def _divided_powers(one, dense, mat):
     return tuple(powers)
 
 
-def _verify_axioms(rs, H, X):
+def _verify_axioms(rs, sh, sx):
     """Exhaustive Chevalley-basis checks; returns the structure constants.
 
-    H (the list of H_i) and X (root coefficients -> X_root) hold dense
-    matrices, as on a ChevalleyRep.  The checks, for all roots a, b and
-    all i, j:
+    sh (the list of H_i) and sx (root coefficients -> X_root) hold sparse
+    integer maps, the ones build_rep builds and _dense copies verbatim
+    into the ChevalleyRep.  The checks, for all roots a, b and all i, j:
 
     - [H_i, H_j] = 0;
     - [H_i, X_a] = <a, a_i> X_a, the pairing read from the Cartan matrix;
@@ -405,14 +386,10 @@ def _verify_axioms(rs, H, X):
       nconst[(a, b)];
     - [X_a, X_b] = 0 when a + b is neither 0 nor a root.
 
-    Each matrix is read once into a sparse integer map, and the identities
-    are checked with sparse integer brackets.  This checks the same
-    identities exactly as dense Fraction brackets would: a map holds
-    precisely the non-zero entries, integer sums and products are exact,
-    and two maps are equal iff the matrices are.  A non-integral entry
-    raises SpanFailure; a Chevalley basis in this representation is
-    integral, which build_rep checks for every root vector and divided
-    power anyway.
+    The identities are checked with sparse integer brackets.  This checks
+    them exactly as dense brackets would: a map holds precisely the
+    non-zero entries, integer sums and products are exact, and two maps are
+    equal iff the matrices are.
 
     The bracket br = X_a X_b - X_b X_a is multiplied out once per unordered
     pair {a, b}.  The identities of the ordered pair (a, b) are checked on
@@ -421,8 +398,6 @@ def _verify_axioms(rs, H, X):
     still checked, on the matrix the ordered sweep would have formed.
     """
     l = rs.rank
-    sh = [_sparse(h, "H_%d" % (i + 1)) for i, h in enumerate(H)]
-    sx = {coeffs: _sparse(mat, "X_%r" % (coeffs,)) for coeffs, mat in X.items()}
     for i in range(l):
         for j in range(l):
             if _sp_bracket(sh[i], sh[j]):
@@ -550,7 +525,8 @@ def _verify_w_basis(rep, W, X):
     and the per-height non-complementary blocks are square invertible.
 
     W and X map a root's coefficients to the sparse integer matrices W_root
-    and X_root that rep.W and rep.X hold densely.  The full-rank test feeds
+    and X_root; rep.X holds the latter densely and rep.w_coefficients the
+    coordinates of the former.  The full-rank test feeds
     their cells to one linalg.Echelon: the cells of a matrix are the
     non-zero entries of its flattened vector, keyed by (row, column) for
     row * n + column, which relabels the columns and keeps the rank, and
@@ -570,9 +546,8 @@ def _verify_w_basis(rep, W, X):
         noncomp_members = [i for i in members if i not in rs.comp_roots]
         coeff = []
         for k in sources:
-            decomposed = rep.w_coefficients(k)
-            coeff.append([decomposed.get(("X", rs.neg_order[i - 1].coeffs), Fraction(0))
-                          for i in noncomp_members])
+            decomposed = rep.w_coefficients[k - 1]
+            coeff.append([decomposed[("X", rs.neg_order[i - 1].coeffs)] for i in noncomp_members])
         if len(coeff) != len(noncomp_members):
             raise SpanFailure("height %d block is not square" % q)
         if coeff and linalg.rank(coeff) != len(coeff):
@@ -627,7 +602,7 @@ def torus_element(rep, i, z):
     n = rep.dim
     if isinstance(z, int):
         z = Fraction(z)
-    exponents = [int(h[j][j]) for j in range(n)]
+    exponents = [h[j][j] for j in range(n)]
     powers = {k: z ** k for k in dict.fromkeys(exponents)}
     entries = [powers[k] for k in exponents]
     zero = linalg.zero_of(z)

@@ -339,26 +339,34 @@ def liouville_solutions(ctx, data, stage1):
     """Fill in the Liouvillian tower: exponentials z and integrals y.
 
     z_i = e^{int gbar_i}.  For the simple-root indices the integrand of y_i
-    is c_i divided by the scalar that Ad(t(z)) applies to X_i (extracted by
-    explicit conjugation); deeper integrals integrate -v_i evaluated at y.
-    The assembled tower is verified symbolically:
-    ldelta(t(z) u(y)) = A_L.
+    is c_i / chi_i, where chi_i = prod_j z_j^<beta_i, alpha_j> is the
+    character by which Ad(t(z)) scales X_i = X_beta_i; deeper integrals
+    integrate -v_i evaluated at y.  The assembled tower is verified
+    symbolically: ldelta(t(z) u(y)) = A_L.
+
+    Proof of the character.  H_j is diagonal with integer entries h_r, so
+    t_j(z_j) = diag(z_j^h_r) and Ad(t_j(z_j)) multiplies entry (r, s) of
+    X_beta by z_j^(h_r - h_s).  Entry (r, s) of [H_j, X_beta] is
+    (h_r - h_s) X_beta[r][s], and build_rep checks [H_j, X_beta] =
+    <beta, alpha_j> X_beta; so X_beta is non-zero only where h_r - h_s =
+    <beta, alpha_j>, and Ad(t_j(z_j)) X_beta = z_j^<beta, alpha_j> X_beta.
+    The torus factors commute, and Ad(t(z)) is their composite.
     """
     rep = ctx.rep
     rs = rep.rs
     l, m = rs.rank, rs.m
     z = tuple(LiouvExpr.exp_integral(LiouvExpr.scalar(g)) for g in data.gbar)
 
-    torus_factors = _torus_factors(rep, z)
     values = {}
     derivs = {}
     y = []
     integrands = []
     for i in range(1, m + 1):
         if i <= l:
-            ad = symgroup.adjoint(torus_factors, rep.x_neg(i))
-            dec = chevalley.decompose_in_basis(rep, ad)
-            chi = dec[("X", rs.neg_order[i - 1].coeffs)]
+            beta = rs.neg_order[i - 1].coeffs
+            chi = LiouvExpr.one()
+            for j, zj in enumerate(z):
+                chi = chi * zj ** rootsys.pairing(rs.cartan, beta, j)
             integrand = (chi ** -1) * data.c[i - 1]
         else:
             integrand = _dp_order_le_one_eval(-stage1.v[i], values, derivs)
@@ -369,7 +377,7 @@ def liouville_solutions(ctx, data, stage1):
         values[i] = yi
         derivs[i] = integrand
 
-    tower = torus_factors + _unipotent_factors(rep, y)
+    tower = _torus_factors(rep, z) + _unipotent_factors(rep, y)
     _check_tower(rep, tower, data.A_L, VerificationFailure)
     return replace(data, z=z, y=tuple(y), y_integrands=tuple(integrands))
 

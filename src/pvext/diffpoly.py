@@ -541,9 +541,21 @@ class DiffPoly:
 
     @classmethod
     def from_json_obj(cls, obj):
+        """The polynomial of a to_json_obj object.  A coefficient is an int
+        or a string such as "p/q"; a float or a bool as a coefficient, or a
+        bool in a monomial triple, is a ValueError, so neither a binary
+        float nor a truth value is read as a number."""
         acc = _Sum()
         for item in obj["terms"]:
-            acc.add(cls.monomial(item["m"], Fraction(item["c"])))
+            c, jets = item["c"], item["m"]
+            if isinstance(c, (bool, float)):
+                raise ValueError(
+                    "polynomial coefficient %r is not exact; write it as an int or a"
+                    " string like \"1/10\"" % (c,)
+                )
+            if any(isinstance(x, bool) for jet in jets for x in jet):
+                raise ValueError("monomial triples hold ints, not booleans")
+            acc.add(cls.monomial(jets, Fraction(c)))
         return acc.result()
 
     def __repr__(self):

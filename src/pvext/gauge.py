@@ -158,12 +158,12 @@ def normalize_to_AG(rep, a):
         target = [dec.get(c, DiffPoly.zero()) for c in coords]
         columns = []
         for k in sources:
-            wdec = rep.w_coefficients(k)
-            columns.append([wdec.get(c, Fraction(0)) for c in coords])
+            wdec = rep.w_coefficients[k - 1]
+            columns.append([wdec[c] for c in coords])
         for j in comp_here:
             # X_j is a basis vector: its coordinates are a unit vector
             xkey = ("X", rs.neg_order[j - 1].coeffs)
-            columns.append([Fraction(int(c == xkey)) for c in coords])
+            columns.append([int(c == xkey) for c in coords])
         if not columns:
             continue
         matrix = [list(col) for col in zip(*columns)]

@@ -4,7 +4,7 @@ Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
 The product runs row by row over the non-zero entries, since the group
 elements it multiplies are mostly zeros; `combination` forms every sum of
-ring multiples of rational Chevalley-basis matrices the same way.  The
+ring multiples of integer Chevalley-basis matrices the same way.  The
 rational linear algebra runs over the integers: det, solve_exact and
 rational_inverse share one fraction-free Gauss-Jordan pass over rows scaled
 to integers, and rank counts the scaled rows that Echelon, a fraction-free
@@ -43,9 +43,9 @@ def mat_add(a, b):
 def combination(terms, n, zero):
     """The n x n matrix sum of c*M over the (c, M) pairs of `terms`.
 
-    Each M is a rational basis matrix (H_i, X_alpha, a divided power of
-    X_alpha), and each c lies in the ring of `zero` (Fraction, DiffPoly or
-    LiouvExpr).  Only the non-zero entries of each M are multiplied and
+    Each M is a constant matrix of ints or Fractions: a basis matrix
+    (H_i, X_alpha, a divided power of X_alpha, all of ints) or A_0^+(s).
+    Each c lies in the ring of `zero` (Fraction, DiffPoly or LiouvExpr).  Only the non-zero entries of each M are multiplied and
     added, as in mat_mul; a term with c = 0 is skipped, and c * 1 is taken
     as c.  Entry (i, j) is c_1 M_1[i][j] + c_2 M_2[i][j] + ... over the
     terms in their order, with the zero products left out: it equals the

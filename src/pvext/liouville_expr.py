@@ -119,9 +119,9 @@ class LiouvExpr:
         return cls({(_NO_EXP, ((ident, 1),)): DiffPoly.rational(1)})
 
     @classmethod
-    def exp_integral(cls, g, exponent=1):
-        """e^{int g}^exponent, folded to the integrand exponent * g."""
-        g = as_expr(g) * exponent
+    def exp_integral(cls, g):
+        """e^{int g}; e^{int 0} is 1."""
+        g = as_expr(g)
         if not g.terms:
             return cls.one()
         return cls({(_intern(g), ()): DiffPoly.rational(1)})

@@ -29,7 +29,7 @@ def _freeze(m):
 
 
 def _scaled(mat, c):
-    """c M for a rational basis matrix M, in the ring of c."""
+    """c M for an integer basis matrix M, in the ring of c."""
     return _freeze(linalg.combination([(c, mat)], len(mat), linalg.zero_of(c)))
 
 

@@ -4,11 +4,13 @@ Dense brackets for the axiom sweep, and one exact rank per candidate row
 for the solving recipe and the complementary roots.  This is how
 pvext.chevalley did it before its sparse integer sweep and single echelon
 pass; the tests require both to agree on every grid system.  D5 takes
-about a second.  inner is the bilinear form, from which cartan_integer
-computes <beta, alpha> instead of reading the Cartan matrix and
-coroot_coefficients the coroot in Fractions; coroot_matrix builds H_root
-densely.  The tests check pairings, coroots and adjoint formulas against
-them.
+about a second.  sparse_basis reads dense matrices back into the sparse
+integer maps that the sweep in pvext.chevalley checks, so that corrupted
+dense bases can be fed to it.  inner is the bilinear form, from which
+cartan_integer computes <beta, alpha> instead of reading the Cartan matrix
+and coroot_coefficients the coroot in Fractions; coroot_matrix builds
+H_root densely.  The tests check pairings, coroots and adjoint formulas
+against them.
 """
 
 from fractions import Fraction
@@ -83,6 +85,31 @@ def _proportionality(mat, target):
             elif x:
                 return None
     return c if c is not None else Fraction(0)
+
+
+def sparse(mat, what):
+    """The sparse integer map row -> {col: int} of a dense matrix, holding
+    exactly its non-zero entries; SpanFailure unless integral."""
+    out = {}
+    for i, row in enumerate(mat):
+        cells = {}
+        for j, x in enumerate(row):
+            if x:
+                x = Fraction(x)
+                if x.denominator != 1:
+                    raise SpanFailure("%s is not integral" % what)
+                cells[j] = x.numerator
+        if cells:
+            out[i] = cells
+    return out
+
+
+def sparse_basis(H, X):
+    """The dense H_i and X_root read back into the sparse maps that
+    chevalley._verify_axioms checks."""
+    sh = [sparse(h, "H_%d" % (i + 1)) for i, h in enumerate(H)]
+    sx = {coeffs: sparse(mat, "X_%r" % (coeffs,)) for coeffs, mat in X.items()}
+    return sh, sx
 
 
 def _integer_matrix(mat):

@@ -80,16 +80,16 @@ def test_bracket_a2_structure_constant(rep_a2):
     assert linalg.mat_eq(got, linalg_oracle.mat_scale(rep_a2.X[(1, 1)], n))
 
 
+def _live(coefficients):
+    return {k: v for k, v in coefficients.items() if v}
+
+
 def test_w_fixtures(rep_a3, rep_a1):
-    w = rep_a3.W
-    assert linalg.mat_eq(
-        w[5], linalg.mat_add(linalg_oracle.mat_scale(rep_a3.x_neg(4), -1), rep_a3.x_neg(5))
-    )
-    assert linalg.mat_eq(
-        w[3], linalg.mat_add(linalg_oracle.mat_scale(rep_a3.x_neg(1), -1), rep_a3.x_neg(2))
-    )
-    w1 = rep_a1.W
-    assert linalg.mat_eq(w1[0], linalg_oracle.mat_scale(rep_a1.H[0], -1))
+    # W_6 = -X_4 + X_5 and W_4 = -X_1 + X_2 on SL4, W_1 = -H_1 on SL2
+    x = [("X", b.coeffs) for b in rep_a3.rs.neg_order]
+    assert _live(rep_a3.w_coefficients[5]) == {x[3]: -1, x[4]: 1}
+    assert _live(rep_a3.w_coefficients[3]) == {x[0]: -1, x[1]: 1}
+    assert _live(rep_a1.w_coefficients[0]) == {("H", 1): -1}
 
 
 def test_complementary_roots(rep_a3, rep_g2, rep_a1):
@@ -178,7 +178,8 @@ def test_build_agrees_with_the_dense_oracle(label):
     assert tuple(positions) == rep.solve_positions
     assert tuple(tuple(row) for row in inverse) == rep.solve_inverse
     a0 = rep.a0_plus()
-    assert rep.W == tuple(linalg_oracle.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1))
+    brackets = [linalg_oracle.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1)]
+    assert rep.w_coefficients == tuple(chevalley.decompose_in_basis(rep, w) for w in brackets)
     rs0 = rootsys.build_root_system(*_system(label))
     comp = chevalley_oracle.complementary_root_values(rs0, rep.X)
     assert rootsys.finalize_order(rs0, comp) == rep.rs
@@ -196,6 +197,22 @@ def test_longest_representative_sends_root_vectors_to_root_vectors(label):
         ad = linalg.mat_mul(linalg.mat_mul(nw, rep.X[root.coeffs]), nwinv)
         image = rep.X[act(root).coeffs]
         assert linalg.mat_eq(ad, image) or linalg.mat_eq(ad, linalg_oracle.mat_scale(image, -1))
+
+
+@pytest.mark.parametrize("label", GRID)
+def test_basis_matrices_hold_ints(label):
+    rep = get_rep(*_system(label))
+    mats = list(rep.H) + list(rep.X.values())
+    mats += [power for powers in rep.exp_powers.values() for power in powers]
+    assert all(type(x) is int for mat in mats for row in mat for x in row)
+
+
+def test_calibration_is_parsed_once_per_process():
+    chevalley._load_calibration.cache_clear()
+    for system in (("A", 2), ("G2", 2), ("A", 2)):
+        chevalley.build_rep(*system)
+    info = chevalley._load_calibration.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def _corrupted_basis(rep, case):
@@ -220,9 +237,9 @@ def _corrupted_basis(rep, case):
 @pytest.mark.parametrize("label", ["B3", "G2"])
 def test_verify_axioms_rejects_corrupted_basis(label, case):
     rep = get_rep(*_system(label))
-    H, X = _corrupted_basis(rep, case)
+    sh, sx = chevalley_oracle.sparse_basis(*_corrupted_basis(rep, case))
     with pytest.raises(SpanFailure):
-        chevalley._verify_axioms(rep.rs, H, X)
+        chevalley._verify_axioms(rep.rs, sh, sx)
 
 
 def test_echelon_accepts_exactly_the_rank_raising_rows():
@@ -291,7 +308,9 @@ def test_ad_longest_solves_a0(rep_a2, rep_a3, rep_g2):
 def test_w_basis_full_rank():
     for t, r in [("A", 3), ("A", 4), ("G2", 2), ("B", 2)]:
         rep = get_rep(t, r)
-        vectors = [[x for row in w for x in row] for w in rep.W]
+        a0 = rep.a0_plus()
+        w = [linalg_oracle.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1)]
+        vectors = [[x for row in mat for x in row] for mat in w]
         for idx in rep.rs.comp_roots:
             vectors.append([x for row in rep.x_neg(idx) for x in row])
         assert linalg.rank(vectors) == rep.rs.m + rep.rank
@@ -360,10 +379,11 @@ def test_structure_constants_are_antisymmetric(label):
 
 def test_axiom_sweep_brackets_each_unordered_pair_once(monkeypatch):
     rep = get_rep("D", 5)
+    sh, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
     products = []
     sp_mul = chevalley._sp_mul
     monkeypatch.setattr(chevalley, "_sp_mul", lambda a, b: products.append(1) or sp_mul(a, b))
-    chevalley._verify_axioms(rep.rs, list(rep.H), rep.X)
+    chevalley._verify_axioms(rep.rs, sh, sx)
     l, roots = rep.rank, len(rep.rs.roots)
     # two products per bracket: [H_i, H_j], [H_i, X_a], then one bracket per
     # unordered pair of roots, a with itself included

@@ -251,6 +251,26 @@ def test_malformed_entries_are_input_errors(tmp_path, capsys):
         assert code == 1 and out == "" and "input error" in err, entry
 
 
+def test_polynomial_objects_refuse_floats_and_bools(tmp_path, capsys):
+    # a float or a bool is not an exact number: exit 1, never a computation
+    # on a binary float (exit 2) or an OverflowError traceback
+    m = tmp_path / "m.json"
+    for term, reason in (
+        ('{"c": 0.1, "m": []}', "not exact"),
+        ('{"c": 1e400, "m": []}', "not exact"),
+        ('{"c": true, "m": []}', "not exact"),
+        ('{"c": 1, "m": [[true, 0, 1]]}', "not booleans"),
+        ('{"c": "1/1", "m": [[1, false, 1]]}', "not booleans"),
+    ):
+        m.write_text('[[{"terms": [%s]}, "0"], ["0", "1"]]' % term)
+        code, out, err = run_cli(["bruhat", "--matrix", str(m)], capsys)
+        assert code == 1 and out == "" and reason in err, term
+        assert "Traceback" not in err
+    # exact coefficients are still read
+    m.write_text('[[{"terms": [{"c": 1, "m": []}]}, {"terms": [{"c": "1/10", "m": []}]}], ["0", "1"]]')
+    assert run_cli(["bruhat", "--matrix", str(m)], capsys)[0] == 0
+
+
 def test_non_scalar_entries_get_a_short_error(tmp_path, capsys):
     m = tmp_path / "m.json"
     deep = "[" * 900 + "]" * 900

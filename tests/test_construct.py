@@ -460,6 +460,23 @@ def _first_difference(got, want):
     return "first difference at offset %d: %r != %r" % (at, got[lo : at + 40], want[lo : at + 40])
 
 
+@pytest.mark.parametrize(
+    "system", GRID + [("D", 6)], ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
+)
+def test_characters_equal_the_torus_conjugation(system):
+    # the oracle conjugates X_i by t(z): Ad(t(z)) X_i = chi_i X_i, and the
+    # integrand of y_i is c_i / chi_i
+    res = get_pipeline(*system)
+    rep, data = res.rep, res.liouville
+    torus = construct._torus_factors(rep, data.z)
+    for i in range(1, rep.rank + 1):
+        x = rep.x_neg(i)
+        ad = symgroup.adjoint(torus, x)
+        chi = chevalley.decompose_in_basis(rep, ad)[("X", rep.rs.neg_order[i - 1].coeffs)]
+        assert linalg.mat_eq(ad, linalg.combination([(chi, x)], rep.dim, LiouvExpr.zero()))
+        assert data.y_integrands[i - 1] == chi ** -1 * data.c[i - 1]
+
+
 def test_report_writer_refuses_values_it_cannot_render():
     refused = [
         ([Fraction(1, 2)], "cannot render a Fraction in the report"),

@@ -167,10 +167,10 @@ def test_nth_root_is_exact_beyond_float_range():
 
 
 def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
-    # W_k and X_j depend only on the rep: after one call on a rep, only the
-    # running matrix is decomposed
+    # the coordinates of W_k are a field of the rep and those of X_j a unit
+    # vector, so only the input and the running matrix are decomposed: once
+    # in is_in_plane, once per level and once for the deepest residue
     a = linalg.mat_add(rep_a3.a0_plus(), rep_a3.x_neg(rep_a3.m))
-    gauge.normalize_to_AG(rep_a3, a)
     seen = []
     decompose = chevalley.decompose_in_basis
 
@@ -180,8 +180,8 @@ def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
 
     monkeypatch.setattr(chevalley, "decompose_in_basis", recording)
     gauge.normalize_to_AG(rep_a3, a)
-    constants = list(rep_a3.W) + [rep_a3.x_neg(j) for j in range(1, rep_a3.m + 1)]
-    assert seen
+    constants = list(rep_a3.H) + [rep_a3.x_neg(j) for j in range(1, rep_a3.m + 1)]
+    assert len(seen) == len(rep_a3.rs.bands) + 3
     assert not any(a is c for a in seen for c in constants)
 
 

@@ -66,7 +66,7 @@ def liouv_trees(draw, depth=2):
     if kind == "int":
         return LiouvExpr.integral(draw(liouv_trees(depth - 1)))
     if kind == "exp":
-        return LiouvExpr.exp_integral(draw(liouv_trees(depth - 1)), draw(st.integers(-2, 2)))
+        return LiouvExpr.exp_integral(draw(liouv_trees(depth - 1)) * draw(st.integers(-2, 2)))
     a, b = draw(liouv_trees(depth - 1)), draw(liouv_trees(depth - 1))
     return a + b if kind == "sum" else a * b
 
@@ -117,7 +117,7 @@ def test_power_of_an_exponential_monomial_is_the_repeated_product(q, g, n):
     # q e^{int g} is raised in closed form; the reference multiplies |n|
     # copies of it, or of its inverse q^-1 e^{int -g} when n < 0
     x = LiouvExpr.exp_integral(g) * q
-    inverse = LiouvExpr.exp_integral(g, -1) * (1 / q)
+    inverse = LiouvExpr.exp_integral(g * -1) * (1 / q)
     assert x * inverse == LiouvExpr.one()
     want = LiouvExpr.one()
     for _ in range(abs(n)):

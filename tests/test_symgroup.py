@@ -212,7 +212,7 @@ def test_torus_factor_over_liouvexpr():
     z1 = LiouvExpr.exp_integral(LiouvExpr.scalar(parse("0 - n3")))
     t = symgroup.torus_matrix(rep, 1, z1)
     assert t.rows[0][0] == z1
-    assert t.rows[1][1] == LiouvExpr.exp_integral(LiouvExpr.scalar(parse("0 - n3")), -1)
+    assert t.rows[1][1] == LiouvExpr.exp_integral(LiouvExpr.scalar(parse("n3")))
     assert t.rows[2][2] == LiouvExpr.one() and t.rows[3][3] == LiouvExpr.one()
     assert t.rows[0][1] == LiouvExpr.zero()
     assert t.inv[0][0] == t.rows[1][1] and t.inv[1][1] == z1
