@@ -4,8 +4,10 @@ For each supported root system this module builds integer matrices for the
 Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
 provides the group elements u_alpha(x), t_i(z) and the Weyl representatives
-n(w) as products of the simple representatives.  Every Chevalley axiom is
-checked exhaustively at build time, with sparse integer brackets.
+n(w) as products of the simple representatives; u_alpha(x) is built from
+the non-zero cells of the integer divided powers of X_alpha alone.  Every
+Chevalley axiom is checked exhaustively at build time, with sparse integer
+brackets.
 
 Sign flips for non-simple root vectors are loaded from a calibration table
 (see data/calibration.json), which lists only the roots whose sign is -1;
@@ -44,9 +46,9 @@ class ChevalleyRep:
     dim: int
     H: tuple  # l diagonal matrices of ints
     X: dict  # root coeffs tuple -> matrix of ints
-    nconst: dict  # (coeffs, coeffs) -> Fraction structure constant
+    nconst: dict  # (coeffs, coeffs) -> int structure constant N = +-(r + 1)
     w_coefficients: tuple  # decompose_in_basis of W_i = [X_i, A_0^+], indexed like neg_order
-    exp_powers: dict  # root coeffs -> tuple of the int matrices X^k/k!
+    exp_cells: dict  # root coeffs -> the (r, c, k, p) with p = (X^k/k!)[r][c] != 0, k >= 1
     solve_positions: tuple  # entry positions used by decompose_in_basis
     solve_inverse: tuple  # exact inverse extracting basis coefficients
     basis_order: tuple  # ("H", i) / ("X", coeffs) in decomposition order
@@ -145,7 +147,7 @@ def _is_diagonal(m):
 # build_rep and the axiom sweep work on sparse integer matrices: a dict
 # row -> {col: int} holding exactly the non-zero entries, with no empty
 # rows.  Two such maps are equal iff the matrices are, and all arithmetic
-# on them is exact.  The public ChevalleyRep fields are dense lists of the
+# on them is exact.  The ChevalleyRep fields H and X are dense lists of the
 # same ints, built by _dense.
 
 
@@ -286,8 +288,7 @@ def build_rep(type_label, rank):
 
     nconst = _verify_axioms(rs, sh, sx)
     X = {coeffs: _dense(n, mat) for coeffs, mat in sx.items()}
-    one = _dense(n, {i: {i: 1} for i in range(n)})
-    exp_powers = {coeffs: _divided_powers(one, X[coeffs], mat) for coeffs, mat in sx.items()}
+    exp_cells = {coeffs: _divided_power_cells(mat, n) for coeffs, mat in sx.items()}
 
     # W_b = [X_b, A_0^+]; complementary roots against the provisional
     # ordering, then the recipe and the W coordinates for the final one
@@ -307,7 +308,7 @@ def build_rep(type_label, rank):
         X=X,
         nconst=nconst,
         w_coefficients=(),
-        exp_powers=exp_powers,
+        exp_cells=exp_cells,
         solve_positions=tuple(positions),
         solve_inverse=tuple(tuple(row) for row in inverse),
         basis_order=tuple(basis_order),
@@ -351,24 +352,19 @@ def _coroot_coefficients(rs, root):
     return tuple(out)
 
 
-def _divided_powers(one, dense, mat):
-    """I, X, X^2/2!, ... until zero, as dense int matrices, for X given
-    both dense and as the sparse `mat`; every power must be integral.  The
-    tuple holds the identity `one` and `dense` themselves, which the rep
-    shares and never writes to."""
-    n = len(one)
-    powers = [one, dense]
-    cur = mat
-    k = 1
-    while True:
-        k += 1
-        cur = _sp_divide(_sp_mul(cur, mat), k, "divided power %d" % k)
-        if not cur:
-            break
+def _divided_power_cells(mat, n):
+    """The non-zero entries (r, c, k, p), p = (X^k/k!)[r][c], of the divided
+    powers X, X^2/2!, ... of the sparse X = mat, in (r, c) order; every
+    power must be integral, and X^(n+1) zero."""
+    cells = []
+    cur, k = mat, 1
+    while cur:
         if k > n:
             raise SpanFailure("root vector is not nilpotent")
-        powers.append(_dense(n, cur))
-    return tuple(powers)
+        cells += [(r, c, k, p) for r, row in cur.items() for c, p in row.items()]
+        k += 1
+        cur = _sp_divide(_sp_mul(cur, mat), k, "divided power %d" % k)
+    return tuple(sorted(cells))
 
 
 def _verify_axioms(rs, sh, sx):
@@ -383,7 +379,7 @@ def _verify_axioms(rs, sh, sx):
     - [X_a, X_-a] = H_a, the combination of the H_i from the coroot;
     - [X_a, X_b] = N X_(a+b) with |N| = r + 1 when a + b is a root, where
       b - r a, ..., b + q a is the a-string through b; N is returned as
-      nconst[(a, b)];
+      the int nconst[(a, b)];
     - [X_a, X_b] = 0 when a + b is neither 0 nor a root.
 
     The identities are checked with sparse integer brackets.  This checks
@@ -436,7 +432,7 @@ def _check_bracket(rs, sh, sx, a, b, br, nconst):
             raise SpanFailure(
                 "|N| = %s != r+1 = %d for %r, %r" % (coeff, r + 1, a.coeffs, b.coeffs)
             )
-        nconst[(a.coeffs, b.coeffs)] = coeff
+        nconst[(a.coeffs, b.coeffs)] = int(coeff)  # |coeff| = r + 1 is an integer
     elif br:
         raise SpanFailure("[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs))
 
@@ -584,13 +580,30 @@ def decompose_in_basis(rep, a):
 
 def unipotent_element(rep, root, x):
     """exp(x X_root) for a Root: the finite sum of x^k X_root^k / k! over
-    the divided powers of X_root."""
-    powers = rep.exp_powers[root.coeffs]
+    the divided powers of X_root, the one of x's ring on the diagonal.
+
+    Each (r, c, k, p) of rep.exp_cells[root] puts x^k p at (r, c), and no
+    place gets two terms: the H_i are diagonal, so the basis vectors are
+    weight vectors, X_root raises weights by root, and a non-zero
+    (X^k/k!)[r][c] needs the weight of r to be that of c plus k root, which
+    fixes k (k = 0 only on the diagonal).  So entry (r, c) of the sum is
+    the single term x^k p at a cell (x^k itself when p = 1), the ring's one
+    on the diagonal and its zero elsewhere, and every off-diagonal entry
+    is zero when x = 0.
+    """
+    cells = rep.exp_cells[root.coeffs]
     zero = linalg.zero_of(x)
-    xk = [zero + 1]
-    for _ in powers[1:]:
-        xk.append(xk[-1] * x)
-    return linalg.combination(zip(xk, powers), rep.dim, zero)
+    one = zero + 1
+    out = [[zero] * rep.dim for _ in range(rep.dim)]
+    for i, row in enumerate(out):
+        row[i] = one
+    if x:
+        xk = [one]
+        for _ in range(max(k for _, _, k, _ in cells)):
+            xk.append(xk[-1] * x)
+        for r, c, k, p in cells:
+            out[r][c] = xk[k] if p == 1 else xk[k] * p
+    return out
 
 
 def torus_element(rep, i, z):

@@ -76,7 +76,7 @@ def _torus_rescaling(rep, s):
     cartan = rep.rs.cartan
     # solve prod_j z_j^{C[i][j]} = 1/s_i multiplicatively: z_j is a product
     # of rational powers of the s_i determined by the inverse Cartan matrix
-    cinv = linalg.rational_inverse([[Fraction(c) for c in row] for row in cartan])
+    cinv = linalg.rational_inverse(cartan)
     z = []
     for j in range(l):
         value = Fraction(1)
@@ -185,7 +185,7 @@ def normalize_to_AG(rep, a):
 
     g = linalg.eye(rep.dim)
     for factor in factors:
-        g = linalg.mat_mul(factor.rows, g)
+        g = symgroup.left_multiply(factor, g)
 
     want = construct.assemble_A_G(rep, f)
     if not linalg.mat_eq(current, want):

@@ -10,7 +10,9 @@ dense bases can be fed to it.  inner is the bilinear form, from which
 cartan_integer computes <beta, alpha> instead of reading the Cartan matrix
 and coroot_coefficients the coroot in Fractions; coroot_matrix builds
 H_root densely.  The tests check pairings, coroots and adjoint formulas
-against them.
+against them.  divided_powers and unipotent_element form X^k/k! and
+exp(x X_root) = sum x^k X^k/k! densely, as pvext.chevalley did before it
+kept only the non-zero cells of the powers.
 """
 
 from fractions import Fraction
@@ -20,6 +22,32 @@ from pvext.errors import NotARoot, SpanFailure, StructureViolation
 
 import linalg_oracle
 from linalg_oracle import mat_is_zero
+
+
+def divided_powers(x_mat):
+    """[1, X, X^2/2!, ...] as dense int matrices, up to the last non-zero
+    power."""
+    n = len(x_mat)
+    powers = [[[int(i == j) for j in range(n)] for i in range(n)], x_mat]
+    while True:
+        k = len(powers)
+        product = linalg.mat_mul(powers[-1], x_mat)
+        if any(x % k for row in product for x in row):
+            raise SpanFailure("divided power %d is not integral" % k)
+        power = [[int(x) // k for x in row] for row in product]
+        if mat_is_zero(power):
+            return powers
+        powers.append(power)
+
+
+def unipotent_element(rep, root, x):
+    """exp(x X_root): the sum of x^k X^k/k! formed by linalg.combination."""
+    powers = divided_powers(rep.X[root.coeffs])
+    zero = linalg.zero_of(x)
+    xk = [zero + 1]
+    for _ in powers[1:]:
+        xk.append(xk[-1] * x)
+    return linalg.combination(zip(xk, powers), rep.dim, zero)
 
 
 def inner(rs, a, b):

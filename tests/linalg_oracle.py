@@ -1,5 +1,6 @@
 """The dense exact matrix product, the Weyl representatives built with it,
-and the four separate Gauss-Jordan loops, as a test oracle.
+the dense group-word products, and the four separate Gauss-Jordan loops, as
+a test oracle.
 
 This is how pvext.linalg multiplied matrices before its row-by-row product
 over the non-zero entries, and how pvext.bruhat built n(w) before its column
@@ -11,10 +12,15 @@ same values and the same exceptions.  mat_is_zero is the zero test the
 tests compare matrices with, and mat_sub and bracket are the difference and
 the commutator the tests build expected matrices with.  mat_scale, zeros
 and eye over any ring are the dense fold the tests hold
-pvext.linalg.combination to, and build expected matrices with.
+pvext.linalg.combination to, and build expected matrices with.  mat_add is
+the entrywise sum before pvext.linalg.mat_add passed an operand through
+beside a polynomial zero.  adjoint and product are how pvext.symgroup and
+pvext.construct applied root subgroup factors before linalg.unipotent_mul:
+two full products per letter of Ad(g), and one per letter of a word.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from pvext import linalg
 from pvext.errors import DimMismatch, NoRationalSolution
@@ -44,6 +50,24 @@ def mat_mul(a, b):
         if isinstance(zero, Fraction):
             zero = linalg.zero_of(b[0][0])
     return [[linalg.dot(row, col, zero) for col in bt] for row in a]
+
+
+def mat_add(a, b):
+    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
+        raise DimMismatch("matrix sizes differ")
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def adjoint(factors, a):
+    """Ad(g)(A) = g A g^{-1} for the ordered symgroup factors of g."""
+    for f in reversed(factors):
+        a = linalg.mat_mul(linalg.mat_mul(f.rows, a), f.inv)
+    return a
+
+
+def product(mats):
+    """m_1 m_2 ... m_k, multiplied left to right."""
+    return [list(r) for r in reduce(linalg.mat_mul, mats)]
 
 
 def mat_is_zero(a):

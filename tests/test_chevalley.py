@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from pvext import chevalley, linalg, rootsys
 from pvext.diffpoly import DiffPoly
-from pvext.errors import DimMismatch, NotInLieAlgebra, SpanFailure
+from pvext.errors import DimMismatch, NonDiagonalCartan, NotInLieAlgebra, SpanFailure
 from pvext.rootsys import Root
 
 import chevalley_oracle
@@ -128,6 +129,16 @@ def test_g2_unipotent_integer_entries(rep_g2):
     assert saw_square
 
 
+def test_torus_element_refuses_a_non_diagonal_cartan_generator(rep_a3):
+    # build_rep refuses such a basis, so the rep is edited after the build
+    h2 = [list(row) for row in rep_a3.H[1]]
+    h2[0][1] = 1
+    rep = dataclasses.replace(rep_a3, H=(rep_a3.H[0], tuple(map(tuple, h2)), rep_a3.H[2]))
+    with pytest.raises(NonDiagonalCartan, match=r"^H_2 is not diagonal$"):
+        chevalley.torus_element(rep, 2, Fraction(3))
+    assert chevalley.torus_element(rep, 1, Fraction(3)) == chevalley.torus_element(rep_a3, 1, Fraction(3))
+
+
 def test_torus_element(rep_a3):
     z = Fraction(5)
     t1 = chevalley.torus_element(rep_a3, 1, z)
@@ -203,8 +214,22 @@ def test_longest_representative_sends_root_vectors_to_root_vectors(label):
 def test_basis_matrices_hold_ints(label):
     rep = get_rep(*_system(label))
     mats = list(rep.H) + list(rep.X.values())
-    mats += [power for powers in rep.exp_powers.values() for power in powers]
     assert all(type(x) is int for mat in mats for row in mat for x in row)
+    assert all(type(p) is int for cells in rep.exp_cells.values() for *_, p in cells)
+
+
+@pytest.mark.parametrize("label", GRID + ("D6",))
+def test_exponential_cells_are_the_divided_powers(label):
+    # the dense powers X^k / k!, each cell on one power only and none on
+    # the diagonal: the fact unipotent_element builds exp(x X) on
+    rep = get_rep(*_system(label))
+    for coeffs, mat in rep.X.items():
+        powers = chevalley_oracle.divided_powers(mat)
+        want = [(r, c, k, p) for k, power in enumerate(powers[1:], start=1)
+                for r, row in enumerate(power) for c, p in enumerate(row) if p]
+        assert rep.exp_cells[coeffs] == tuple(sorted(want))
+        places = [(r, c) for r, c, _, _ in rep.exp_cells[coeffs]]
+        assert len(set(places)) == len(places) and all(r != c for r, c in places)
 
 
 def test_calibration_is_parsed_once_per_process():
@@ -374,6 +399,7 @@ def test_structure_constants_are_antisymmetric(label):
     nconst = get_rep(*_system(label)).nconst
     assert nconst or label == "A1"
     for (a, b), n in nconst.items():
+        assert type(n) is int
         assert nconst[(b, a)] == -n
 
 

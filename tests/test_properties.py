@@ -1,10 +1,12 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
 the packed DiffPoly kernel against the tuple/Fraction reference, the
 row-sparse matrix product and the sparse basis combination against the
-dense ones, entrywise matrix equality against the zero difference, the
-shared fraction-free elimination against the four loops it replaced, and
-the LiouvExpr shortcuts (closed-form powers, the unit, structural interning)
-against repeated products and canonical strings.
+dense ones, the products through the cells of root subgroup factors and the
+zero-skipping sum against the dense ones, entrywise matrix equality against
+the zero difference, the shared fraction-free elimination against the four
+loops it replaced, and the LiouvExpr shortcuts (closed-form powers, the
+unit, structural interning) against repeated products and canonical
+strings.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -17,11 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvext import construct, diffpoly, linalg, liouville_expr, symgroup
+from pvext import chevalley, construct, diffpoly, linalg, liouville_expr, symgroup
 from pvext.diffpoly import DiffPoly, JetVar, parse
 from pvext.errors import DimMismatch
 from pvext.liouville_expr import LiouvExpr
 
+import chevalley_oracle
 import diffpoly_oracle as oracle
 import linalg_oracle
 from conftest import get_rep
@@ -387,6 +390,19 @@ def test_product_checks_the_inner_dimensions(mat_mul):
     assert mat_mul(_fractions([[1, 2]]), _fractions([[1], [1]])) == [[3]]
 
 
+def test_product_through_the_cells_checks_the_shapes():
+    f = symgroup.unipotent_matrix(get_rep("A", 2), get_rep("A", 2).rs.roots[0], DiffPoly.eta(1))
+    tall, wide = _fractions([[1, 2]] * 3), _fractions([[1, 2, 3]] * 2)
+    for a, right in ((wide, False), (tall, True), ([[1, 2, 3], [1, 2]], True),
+                     (_fractions([[1, 2], [3]] + [[4, 5]]), False)):
+        with pytest.raises(DimMismatch):
+            linalg.unipotent_mul(f.rows, f.cells, a, right)
+    assert _same_matrices(linalg.unipotent_mul(f.rows, f.cells, tall), linalg.mat_mul(f.rows, tall))
+    assert _same_matrices(
+        linalg.unipotent_mul(f.rows, f.cells, wide, right=True), linalg.mat_mul(wide, f.rows)
+    )
+
+
 def test_sum_checks_the_full_shape():
     for a, b in (([[1, 2]], [[1]]), ([[1]], [[1], [2]]), ([[1], [2, 3]], [[1], [2]])):
         with pytest.raises(DimMismatch):
@@ -431,10 +447,140 @@ def test_combination_agrees_with_the_dense_fold(case):
     terms, n, zero, unreached = case
     want = linalg_oracle.zeros(n, zero)
     for c, mat in terms:
-        want = linalg.mat_add(want, linalg_oracle.mat_scale(mat, c))
+        want = linalg_oracle.mat_add(want, linalg_oracle.mat_scale(mat, c))
     got = linalg.combination(terms, n, zero)
     assert _same_matrices(got, want)
     assert all(got[i][j] is zero for i, j in unreached)
+
+
+UNIPOTENT_SYSTEMS = [("A", 2), ("B", 3), ("G2", 2)]
+ring_entries = st.sampled_from([fraction_entries, poly_entries, liouv_entries])
+
+
+@st.composite
+def sparse_matrices(draw, n, ring):
+    """An n x n matrix with up to 12 entries drawn from `ring`, the others
+    its zero; or, half the time, entries and zeros mixed with ints and
+    Fractions.  Rows and columns left empty are all zeros."""
+    mixed = draw(st.booleans())
+    entries = st.one_of(ring, st.integers(-2, 2), fraction_entries) if mixed else ring
+    zeros = st.sampled_from([0, Fraction(0), linalg.zero_of(draw(ring))]) if mixed else None
+    zero = linalg.zero_of(draw(ring))
+    a = [[draw(zeros) if mixed else zero for _ in range(n)] for _ in range(n)]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for r, c in draw(st.lists(cells, max_size=12)):
+        a[r][c] = draw(entries)
+    return a
+
+
+@st.composite
+def root_words(draw, max_letters=3):
+    """A system of UNIPOTENT_SYSTEMS, 1..max_letters root subgroup factors
+    u_root(x) with every x in one ring (zero included), and a matrix for
+    them to act on."""
+    rep = get_rep(*draw(st.sampled_from(UNIPOTENT_SYSTEMS)))
+    ring = draw(ring_entries)
+    letters = draw(st.integers(1, max_letters))
+    factors = [
+        symgroup.unipotent_matrix(rep, draw(st.sampled_from(rep.rs.roots)), draw(ring))
+        for _ in range(letters)
+    ]
+    return factors, draw(sparse_matrices(rep.dim, ring))
+
+
+def _two_term_case():
+    """A2's u_alpha(x) on a full matrix, x and the entries LiouvExprs whose
+    coefficients have two terms each, so that x*y and y*x store their terms
+    in different orders."""
+    rep = get_rep("A", 2)
+    x = LiouvExpr.scalar(DiffPoly.eta(1) + DiffPoly.eta(2))
+    y = LiouvExpr.scalar(DiffPoly.eta(3) + DiffPoly.eta(1, 1))
+    root = next(r for r in rep.rs.roots if r.is_simple())
+    return (symgroup.unipotent_matrix(rep, root, x),), [[y] * 3 for _ in range(3)]
+
+
+def _full_case():
+    """G2's u_beta(x) for a short root beta, whose exponential has two cells
+    in one row, on a full matrix of distinct polynomials, so that a change
+    in the order of any entry's sum changes the order of its terms."""
+    rep = get_rep("G2", 2)
+    root = next(r for r in rep.rs.roots if len(rep.exp_cells[r.coeffs]) > 2)
+    x = DiffPoly.eta(1) + DiffPoly.eta(2, 1)
+    a = [[DiffPoly.eta(1, r) * DiffPoly.eta(2, c) + r - c for c in range(7)] for r in range(7)]
+    return (symgroup.unipotent_matrix(rep, root, x),), a
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(root_words(max_letters=1))
+@example(_two_term_case())
+@example(_full_case())
+def test_products_through_the_cells_agree_with_the_dense_products(case):
+    (f,), a = case
+    for m, cells in ((f.rows, f.cells), (f.inv, f.inv_cells)):
+        off = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if r != c and v}
+        assert cells == off and all(m[i][i] == 1 for i in range(len(m)))
+        assert _same_matrices(linalg.unipotent_mul(m, cells, a), linalg.mat_mul(m, a))
+        assert _same_matrices(
+            linalg.unipotent_mul(m, cells, a, right=True), linalg.mat_mul(a, m)
+        )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(UNIPOTENT_SYSTEMS), st.data())
+def test_unipotent_element_is_the_dense_exponential(system, data):
+    rep = get_rep(*system)
+    root = data.draw(st.sampled_from(rep.rs.roots))
+    x = data.draw(data.draw(ring_entries))
+    got = chevalley.unipotent_element(rep, root, x)
+    assert _same_matrices(got, chevalley_oracle.unipotent_element(rep, root, x))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(root_words())
+def test_words_of_root_factors_agree_with_the_dense_products(case):
+    factors, a = case
+    assert _same_matrices(symgroup.adjoint(factors, a), linalg_oracle.adjoint(factors, a))
+    rows = [f.rows for f in factors]
+    inverses = [f.inv for f in reversed(factors)]
+    assert _same_matrices(
+        construct._product((f.rows, f.cells) for f in factors), linalg_oracle.product(rows)
+    )
+    assert _same_matrices(
+        construct._product((f.inv, f.inv_cells) for f in reversed(factors)),
+        linalg_oracle.product(inverses),
+    )
+
+
+@pytest.mark.parametrize("system", UNIPOTENT_SYSTEMS)
+def test_unipotent_product_agrees_with_the_dense_product(system):
+    rep = get_rep(*system)
+    args = [DiffPoly.eta(i) if i % 3 else Fraction(i % 2) for i in range(1, rep.m + 1)]
+    want = linalg_oracle.product(
+        chevalley.unipotent_element(rep, b, diffpoly.lift(x))
+        for b, x in zip(rep.rs.neg_order, args)
+    )
+    assert _same_matrices(construct.unipotent_product(rep, args), want)
+
+
+@st.composite
+def sum_pairs(draw):
+    """Two matrices of one shape mixing ints, Fractions, DiffPolys and
+    LiouvExprs, zeros of each ring included."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = st.one_of(
+        st.sampled_from([0, Fraction(0), DiffPoly.zero(), LiouvExpr.zero()]),
+        st.integers(-2, 2), fraction_entries, poly_entries, liouv_entries,
+    )
+    return tuple([[draw(entries) for _ in range(cols)] for _ in range(rows)] for _ in "ab")
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sum_pairs())
+@example(([[DiffPoly.zero(), DiffPoly.zero(), 0]], [[Fraction(2), DiffPoly.eta(1), DiffPoly.zero()]]))
+@example(([[LiouvExpr.zero(), DiffPoly.eta(1)]], [[DiffPoly.eta(2), LiouvExpr.zero()]]))
+def test_zero_skipping_sum_agrees_with_the_dense_sum(ab):
+    a, b = ab
+    assert _same_matrices(linalg.mat_add(a, b), linalg_oracle.mat_add(a, b))
 
 
 class _Recorder:

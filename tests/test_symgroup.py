@@ -225,3 +225,11 @@ def test_unipotent_factor_over_liouvexpr():
     assert u.rows[1][0] == y1 and u.inv[1][0] == -y1
     assert u.rows[0][0] == LiouvExpr.one()
     assert u.rows[1][1] == LiouvExpr.one()
+
+
+def test_root_factors_compare_and_hash_by_their_matrices(rep_a2):
+    # the cells are read off the matrices, so they change neither
+    root = rep_a2.rs.roots[0]
+    f, g = (symgroup.unipotent_matrix(rep_a2, root, DiffPoly.eta(1)) for _ in range(2))
+    assert f == g and hash(f) == hash(g) and f.cells == g.cells
+    assert f != symgroup.unipotent_matrix(rep_a2, root, DiffPoly.eta(2))
