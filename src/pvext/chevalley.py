@@ -557,10 +557,13 @@ def decompose_in_basis(rep, a):
     """Coefficients of a matrix over {H_i} and {X_alpha}.
 
     Returns a dict keyed by ("H", i) and ("X", coeffs); raises
-    NotInLieAlgebra when the matrix is not in the span.  Coefficients live
-    in the entry domain of `a`.
+    NotInLieAlgebra when the matrix is not in the span, and DimMismatch
+    unless it is rep.dim x rep.dim.  Coefficients live in the entry domain
+    of `a`.
     """
     n = rep.dim
+    if len(a) != n or any(len(row) != n for row in a):
+        raise DimMismatch("matrix is not %d x %d" % (n, n))
     entries = [a[pos // n][pos % n] for pos in rep.solve_positions]
     zero = linalg.zero_of(next((e for row in a for e in row if e), Fraction(0)))
     coeffs = [linalg.dot(entries, row, zero) for row in rep.solve_inverse]

@@ -11,6 +11,7 @@ an unverified result.
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 from . import chevalley, linalg, rootsys, symgroup
@@ -68,21 +69,14 @@ def _unipotent_factors(rep, args):
     return [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
 
 
-def _product(elements):
-    """m_1 m_2 ... m_k for root subgroup elements given as (m, cells) pairs
-    (symgroup.root_element), as reduce(linalg.mat_mul, [m_1, ..., m_k])
-    forms it: each step is linalg.unipotent_mul on the right."""
-    elements = iter(elements)
-    out = [list(r) for r in next(elements)[0]]
-    for m, cells in elements:
-        out = linalg.unipotent_mul(m, cells, out, right=True)
-    return out
+def _product(mats):
+    return [list(r) for r in reduce(linalg.mat_mul, mats)]
 
 
 def unipotent_product(rep, args):
     """The matrix u_1(a_1) ... u_m(a_m) over DiffPoly; rationals are lifted."""
     return _product(
-        symgroup.root_element(rep, b, lift(a)) for b, a in zip(rep.rs.neg_order, args)
+        chevalley.unipotent_element(rep, b, lift(a)) for b, a in zip(rep.rs.neg_order, args)
     )
 
 
@@ -104,8 +98,8 @@ class PipelineContext:
 def pipeline_context(rep):
     """Build the PipelineContext of a representation; run_pipeline calls it once."""
     factors = _unipotent_factors(rep, [DiffPoly.eta(i) for i in range(1, rep.m + 1)])
-    u = _product((f.rows, f.cells) for f in factors)
-    uinv = _product((f.inv, f.inv_cells) for f in reversed(factors))
+    u = _product(f.rows for f in factors)
+    uinv = _product(f.inv for f in reversed(factors))
     return PipelineContext(
         rep=rep, u=u, uinv=uinv, ldelta_u=linalg.mat_mul(linalg.mat_derive(u), uinv)
     )

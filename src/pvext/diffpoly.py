@@ -46,6 +46,11 @@ def lift(x):
     return x if isinstance(x, DiffPoly) else DiffPoly.rational(x)
 
 
+def _is_one(x):
+    """x is int 1, Fraction(1) or the DiffPoly one."""
+    return x._d == 1 and x._t == {0: 1} if isinstance(x, DiffPoly) else x == 1
+
+
 def lift_matrix(m):
     return [[lift(x) for x in row] for row in m]
 
@@ -210,7 +215,7 @@ class DiffPoly:
     """A differential polynomial with exact rational coefficients.
 
     The zero polynomial is the empty map over denominator 1.  Instances are
-    treated as immutable values: all arithmetic returns fresh objects.
+    treated as immutable values: arithmetic never changes an operand.
     """
 
     __slots__ = ("_t", "_d", "_deg")
@@ -369,7 +374,28 @@ class DiffPoly:
     def dot(pairs):
         """sum x*y over the pairs (x, y) of DiffPoly or rational entries,
         accumulated in one map; the zero polynomial when every product
-        vanishes."""
+        vanishes.  A lone pair of a DiffPoly p and a one (int 1,
+        Fraction(1) or the DiffPoly one), either way round, gives p itself.
+
+        Proof that p is what the sum gives, in value, denominator and term
+        order.  p is stored in lowest terms: non-zero numerators over a
+        positive d coprime to their gcd, or the empty map over 1, which the
+        sum also gives, since it skips a zero p.  A rational one makes the
+        sum's denominator d and adds p's numerators times 1 in p's key
+        order.  The DiffPoly one, {0: 1} over 1, scales by 1 too, and
+        add_product runs its outer loop over one key (the one's, or p's
+        when p has one term), so it adds p's numerators at k + 0 = k in
+        p's key order; deg p + 0 passes the degree check that p passed.
+        result() keeps the non-zero numerators over d and divides by their
+        gcd with d, which is 1: p's own map.
+        """
+        pairs = list(pairs)
+        if len(pairs) == 1:
+            x, y = pairs[0]
+            if isinstance(y, DiffPoly) and _is_one(x):
+                return y
+            if isinstance(x, DiffPoly) and _is_one(y):
+                return x
         acc = _Sum()
         for x, y in pairs:
             if not x or not y:

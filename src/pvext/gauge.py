@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import chevalley, construct, linalg, symgroup
 from .diffpoly import DiffPoly, lift_matrix
-from .errors import DimMismatch, NonUnitScaling, NotInLieAlgebra, VerificationFailure
+from .errors import NonUnitScaling, NotInLieAlgebra, VerificationFailure
 
 
 def is_in_plane(rep, a):
@@ -22,6 +22,7 @@ def is_in_plane(rep, a):
 
     Requires zero coefficients on the non-simple positive roots and
     nonzero constant coefficients s_i on the simple positive roots.
+    Raises DimMismatch unless a is rep.dim x rep.dim.
     """
     try:
         dec = chevalley.decompose_in_basis(rep, lift_matrix(a))
@@ -111,7 +112,7 @@ def normalize_to_AG(rep, a):
     factors is the ordered list of group factors, applied first to
     last, so g = factors[-1] ... factors[0]; f maps each complementary
     index to its DiffPoly coefficient.  Raises DimMismatch unless a is
-    rep.dim x rep.dim.
+    rep.dim x rep.dim (decompose_in_basis, through is_in_plane).
 
     Two exact checks, each raising VerificationFailure:
 
@@ -127,8 +128,6 @@ def normalize_to_AG(rep, a):
       holds for g = factors[-1] ... factors[0] because
       gauge(h, gauge(k, a)) = gauge(h k, a).
     """
-    if len(a) != rep.dim or any(len(row) != rep.dim for row in a):
-        raise DimMismatch("matrix is not %d x %d" % (rep.dim, rep.dim))
     ok, s = is_in_plane(rep, a)
     if not ok:
         raise VerificationFailure("matrix is not in the plane A_0^+(s) + b^-")
@@ -185,7 +184,7 @@ def normalize_to_AG(rep, a):
 
     g = linalg.eye(rep.dim)
     for factor in factors:
-        g = symgroup.left_multiply(factor, g)
+        g = linalg.mat_mul(factor.rows, g)
 
     want = construct.assemble_A_G(rep, f)
     if not linalg.mat_eq(current, want):

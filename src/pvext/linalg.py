@@ -4,16 +4,15 @@ Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
 The product runs row by row over the non-zero entries, since the group
 elements it multiplies are mostly zeros; `combination` forms every sum of
-ring multiples of integer Chevalley-basis matrices the same way.  A root
-subgroup element 1 + N has only a few non-zero cells in N, and
-`unipotent_mul` multiplies by it through them: the rows (or columns) N
-does not reach are the other factor's own entries, and the rest are summed
-as the product sums them.  The sum passes an operand through beside a
-polynomial zero.  The rational linear algebra runs over the integers: det,
-solve_exact and rational_inverse share one fraction-free Gauss-Jordan pass
-over rows scaled to integers, and rank counts the scaled rows that
-Echelon, a fraction-free selection of independent sparse integer rows,
-accepts.
+ring multiples of integer Chevalley-basis matrices the same way.  One
+product serves every factor: a root subgroup element 1 + N reaches most
+entries through its diagonal one alone, and DiffPoly.dot hands back the
+other factor of such a lone product as it is.  The sum passes an operand
+through beside a polynomial zero.  The rational linear algebra runs over
+the integers: det, solve_exact and rational_inverse share one
+fraction-free Gauss-Jordan pass over rows scaled to integers, and rank
+counts the scaled rows that Echelon, a fraction-free selection of
+independent sparse integer rows, accepts.
 """
 
 from fractions import Fraction
@@ -109,36 +108,6 @@ def dot(xs, ys, zero):
     return zero if acc is None else acc
 
 
-def _ring_zero(a, b):
-    """The zero of the ring of a b: that of a[0][0], or of b[0][0] when
-    a[0][0] is rational."""
-    return zero_of(b[0][0] if isinstance(a[0][0], _RATIONAL) else a[0][0])
-
-
-def _row_product(terms, width, zero):
-    """One row of a product: the sum of x*y over the (x, live row) pairs of
-    `terms`, x non-zero and the live row the non-zero (j, y) of a row of
-    the right factor; pairs in ascending k, so each entry sums in ascending
-    k.  Over DiffPoly the products of an entry accumulate into one map
-    (DiffPoly.dot); an entry no product reaches is `zero`."""
-    if isinstance(zero, DiffPoly):
-        pairs = {}
-        for x, bk in terms:
-            for j, y in bk:
-                pairs.setdefault(j, []).append((x, y))
-        return [DiffPoly.dot(pairs[j]) if j in pairs else zero for j in range(width)]
-    acc = {}
-    for x, bk in terms:
-        for j, y in bk:
-            term = x * y
-            acc[j] = term if j not in acc else acc[j] + term
-    return [acc.get(j, zero) for j in range(width)]
-
-
-def _live(row):
-    return [(j, y) for j, y in enumerate(row) if y]
-
-
 def mat_mul(a, b):
     """a b; an entry where every product vanishes is the zero of the ring
     of a[0][0], or of b[0][0] when a[0][0] is rational, so a rational
@@ -158,86 +127,29 @@ def mat_mul(a, b):
         raise DimMismatch("columns of a differ from rows of b")
     if not a or not b:
         return [[] for _ in a]
-    zero = _ring_zero(a, b)
-    live = [_live(row) for row in b]
-    return [
-        _row_product([(x, bk) for x, bk in zip(row, live) if x], width, zero) for row in a
-    ]
-
-
-def unipotent_mul(u, cells, a, right=False):
-    """mat_mul(u, a), or mat_mul(a, u) when `right`, for a unipotent u = 1 + N
-    given with the cells {(r, c): v} of N, read instead of u's entries.
-
-    u is n x n with the one of its ring on the diagonal, and N = u - 1 has
-    its non-zero entries v exactly at the cells, all off the diagonal; the
-    cells of a root subgroup element are read off its integer divided
-    powers (symgroup.root_element).  a is any matrix mat_mul multiplies
-    with u on that side.  DimMismatch when the shapes do not fit, as in
-    mat_mul.
-
-    Proof that the result is mat_mul's, entry by entry, in value, in type
-    and in the order each entry is summed.  Write one = u[0][0] and zero
-    for the ring zero mat_mul picks from u[0][0] and a[0][0].  Row i of u
-    has the non-zero entries one at i and the cells (i, c).  So in (1 + N) a
-    a row i that no cell lies in holds mat_mul's single product
-    one * a[i][j] where a[i][j] != 0, and zero elsewhere; in a (1 + N) so
-    does a column j that no cell lies in, with a[i][j] * one.  Such an
-    entry y is passed through when it has the type of zero.  A zero y of
-    that type equals zero.  A non-zero y gives a product in zero's ring,
-    so one is Fraction(1) or the one of a ring inside it, and one * y is y:
-    Fraction(1) * y is the Fraction y, LiouvExpr's product returns the
-    other factor of its one, and DiffPoly.dot of the single pair (one, y)
-    adds y's numerators, in y's key order, over y's denominator, which is
-    y's own reduced map.  An entry of another type (an int or a Fraction
-    beside DiffPoly zeros, say) gets the product mat_mul makes.  The other
-    rows (columns) are summed by `_row_product`, the routine mat_mul sums
-    each row with, from the same pairs in the same order: the live
-    entries of row r of u are listed in ascending column, and on the right
-    they are cut down to the reached columns, which only drops the
-    products of the columns passed through.
-    """
-    n = len(u)
-    width = n if right else len(a[0]) if a else 0
-    if any(len(row) != width for row in a) or not right and len(a) != n:
-        raise DimMismatch("columns of a differ from rows of b")
-    if not a or not n:
-        return [[] for _ in a] if right else []
-    one = u[0][0]
-    zero = _ring_zero(a, u) if right else _ring_zero(u, a)
-    ring = type(zero)
-    reached = {c if right else r for r, c in cells}
-    live_u = {}
-    for (r, c), v in cells.items():
-        live_u.setdefault(r, []).append((c, v))
-    for i in reached:
-        live_u.setdefault(i, []).append((i, one))
-    for live in live_u.values():
-        live.sort()  # by column alone: the columns of one row differ
-
-    def passed(y):
-        """mat_mul's entry for the lone product of y and one."""
-        if type(y) is ring:
-            return y
-        if not y:
-            return zero
-        if isinstance(zero, DiffPoly):
-            return DiffPoly.dot([(y, one) if right else (one, y)])
-        return y * one if right else one * y
-
-    if right:
-        ks = sorted(live_u)
-        out = []
+    zero = zero_of(b[0][0] if isinstance(a[0][0], _RATIONAL) else a[0][0])
+    live = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    if isinstance(zero, DiffPoly):
         for row in a:
-            got = _row_product([(row[k], live_u[k]) for k in ks if row[k]], width, zero)
-            out.append([got[j] if j in reached else passed(y) for j, y in enumerate(row)])
+            pairs = {}
+            for x, bk in zip(row, live):
+                if x:
+                    for j, y in bk:
+                        pairs.setdefault(j, []).append((x, y))
+            out.append(
+                [DiffPoly.dot(pairs[j]) if j in pairs else zero for j in range(width)]
+            )
         return out
-    live_a = {k: _live(a[k]) for i in reached for k, _ in live_u[i]}
-    return [
-        _row_product([(x, live_a[k]) for k, x in live_u[i]], width, zero) if i in reached
-        else [passed(y) for y in row]
-        for i, row in enumerate(a)
-    ]
+    for row in a:
+        acc = {}
+        for x, bk in zip(row, live):
+            if x:
+                for j, y in bk:
+                    term = x * y
+                    acc[j] = term if j not in acc else acc[j] + term
+        out.append([acc.get(j, zero) for j in range(width)])
+    return out
 
 
 def mat_eq(a, b):

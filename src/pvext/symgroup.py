@@ -3,16 +3,13 @@
 A Factor is one letter of such a word: u_root(x), t_i(z) or a constant
 rational matrix such as n(w).  Each carries its matrix, its inverse and its
 logarithmic derivative ldelta = d(M) M^{-1}, all three in closed form from
-the group law, so no symbolic inversion is ever attempted.  A root subgroup
-letter u_root(x) = 1 + N also carries the few cells of N and of the N of
-its inverse, read off the integer divided powers of X_root, and multiplies
-a matrix through them (linalg.unipotent_mul); the torus and constant
-letters multiply by linalg.mat_mul.  On products of factors this module
-computes the logarithmic derivative by the product rule, the adjoint action
-and the gauge action.
+the group law, so no symbolic inversion is ever attempted.  Every letter
+multiplies by linalg.mat_mul.  On products of factors this module computes
+the logarithmic derivative by the product rule, the adjoint action and the
+gauge action.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chevalley, linalg
@@ -21,19 +18,11 @@ from .errors import NotClosedFormInvertible
 
 @dataclass(frozen=True)
 class Factor:
-    """A group element with its inverse and ldelta; ldelta None means 0.
-
-    A root subgroup element also has `cells` and `inv_cells`, the cells
-    {(r, c): v} of rows - 1 and of inv - 1 (see root_element); they are
-    None for every other factor.  They are read off rows and inv, so
-    equality and the hash leave them out.
-    """
+    """A group element with its inverse and ldelta; ldelta None means 0."""
 
     rows: tuple
     inv: tuple
     ldelta: tuple = None
-    cells: dict = field(default=None, compare=False)
-    inv_cells: dict = field(default=None, compare=False)
 
 
 def _freeze(m):
@@ -45,24 +34,8 @@ def _scaled(mat, c):
     return _freeze(linalg.combination([(c, mat)], len(mat), linalg.zero_of(c)))
 
 
-def root_element(rep, root, x):
-    """u_root(x) = exp(x X_root) and the cells {(r, c): v} of u_root(x) - 1.
-
-    The cells are the places of rep.exp_cells[root], where some divided
-    power X^k/k!, k >= 1, is non-zero, or none when x = 0; no entry of the
-    matrix is tested.  These are the non-zero entries of u - 1: the
-    diagonal of u is the ring's one, and off it an entry is x^k times a
-    non-zero int at a cell (chevalley.unipotent_element) and zero
-    elsewhere; x^k p is non-zero when x is, since Fractions, DiffPolys and
-    LiouvExprs form domains.
-    """
-    m = chevalley.unipotent_element(rep, root, x)
-    return m, {(r, c): m[r][c] for r, c, _, _ in rep.exp_cells[root.coeffs]} if x else {}
-
-
 def unipotent_matrix(rep, root, x):
-    """u_root(x) = exp(x X_root), its inverse u_root(-x), ldelta x' X_root,
-    and the cells of both (root_element).
+    """u_root(x) = exp(x X_root), its inverse u_root(-x), ldelta x' X_root.
 
     X = X_root is constant and nilpotent, so exp(xX) = sum_k x^k X^k / k!
     is a finite sum.  Differentiating it term by term,
@@ -70,14 +43,10 @@ def unipotent_matrix(rep, root, x):
     commutes with x' X; so ldelta(exp(xX)) = x' X.  xX and -xX commute,
     so exp(xX) exp(-xX) = exp(0) = 1.
     """
-    rows, cells = root_element(rep, root, x)
-    inv, inv_cells = root_element(rep, root, -x)
     return Factor(
-        _freeze(rows),
-        _freeze(inv),
+        _freeze(chevalley.unipotent_element(rep, root, x)),
+        _freeze(chevalley.unipotent_element(rep, root, -x)),
         _scaled(rep.X[root.coeffs], linalg.derive(x)),
-        cells,
-        inv_cells,
     )
 
 
@@ -128,22 +97,10 @@ def log_derivative(g):
     return [list(r) for r in out]
 
 
-def left_multiply(f, a):
-    """f a for a factor f, as linalg.mat_mul(f.rows, a) forms it."""
-    if f.cells is None:
-        return linalg.mat_mul(f.rows, a)
-    return linalg.unipotent_mul(f.rows, f.cells, a)
-
-
 def adjoint(g, a):
-    """Ad(g)(A) = g A g^{-1} for a factor or an ordered list of factors,
-    each letter as mat_mul(mat_mul(f.rows, A), f.inv) forms it."""
+    """Ad(g)(A) = g A g^{-1} for a factor or an ordered list of factors."""
     for f in reversed(_factors(g)):
-        a = left_multiply(f, a)
-        if f.inv_cells is None:
-            a = linalg.mat_mul(a, f.inv)
-        else:
-            a = linalg.unipotent_mul(f.inv, f.inv_cells, a, right=True)
+        a = linalg.mat_mul(linalg.mat_mul(f.rows, a), f.inv)
     return a
 
 

@@ -14,9 +14,11 @@ the commutator the tests build expected matrices with.  mat_scale, zeros
 and eye over any ring are the dense fold the tests hold
 pvext.linalg.combination to, and build expected matrices with.  mat_add is
 the entrywise sum before pvext.linalg.mat_add passed an operand through
-beside a polynomial zero.  adjoint and product are how pvext.symgroup and
-pvext.construct applied root subgroup factors before linalg.unipotent_mul:
-two full products per letter of Ad(g), and one per letter of a word.
+beside a polynomial zero.  adjoint and product multiply a word of group
+factors letter by letter with the dense mat_mul here, and hold
+pvext.symgroup.adjoint and pvext.construct._product, which use the one
+row-by-row product of pvext.linalg (root subgroup factors included), to
+the same values, types and term orders.
 """
 
 from fractions import Fraction
@@ -61,13 +63,13 @@ def mat_add(a, b):
 def adjoint(factors, a):
     """Ad(g)(A) = g A g^{-1} for the ordered symgroup factors of g."""
     for f in reversed(factors):
-        a = linalg.mat_mul(linalg.mat_mul(f.rows, a), f.inv)
+        a = mat_mul(mat_mul(f.rows, a), f.inv)
     return a
 
 
 def product(mats):
     """m_1 m_2 ... m_k, multiplied left to right."""
-    return [list(r) for r in reduce(linalg.mat_mul, mats)]
+    return [list(r) for r in reduce(mat_mul, mats)]
 
 
 def mat_is_zero(a):

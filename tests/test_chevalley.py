@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from pvext.rootsys import Root
 import chevalley_oracle
 import linalg_oracle
 from linalg_oracle import mat_is_zero
-from conftest import get_rep
+from conftest import get_pipeline, get_rep
 
 
 def E(n, i, j):
@@ -353,6 +354,16 @@ def test_decompose_rejects_identity(rep_a3):
         chevalley.decompose_in_basis(rep_a3, linalg.eye(4))
 
 
+def test_decompose_refuses_a_matrix_of_another_size(rep_a2):
+    # a 4 x 4 matrix was read through its top-left 3 x 3 block, and a 2 x 2
+    # one raised a bare IndexError
+    plane = [row + [Fraction(0)] for row in rep_a2.a0_plus()] + [[Fraction(5)] * 4]
+    for a in (plane, [row[:2] for row in rep_a2.a0_plus()[:2]], rep_a2.a0_plus()[:2]):
+        with pytest.raises(DimMismatch):
+            chevalley.decompose_in_basis(rep_a2, a)
+    assert chevalley.decompose_in_basis(rep_a2, rep_a2.a0_plus())[("X", (1, 0))] == 1
+
+
 def test_calibration_file_signs():
     import json
     from importlib import resources
@@ -392,6 +403,60 @@ def test_integer_coroot_coefficients_equal_the_bilinear_form(system):
     for root in rs.roots:
         want = chevalley_oracle.coroot_coefficients(rs, root)
         assert chevalley._coroot_coefficients(rs, root) == want
+
+
+def _label(system):
+    return system[0] if system[0] == "G2" else "%s%d" % system
+
+
+def _height_counts(rs):
+    """The complementary roots by |height|, and by k the number of positive
+    roots of height k less the number of height k + 1 where that is not 0."""
+    comp = Counter(-rs.neg_order[j - 1].height() for j in rs.comp_roots)
+    pos = Counter(r.height() for r in rs.roots if r.height() > 0)
+    return comp, {k: pos[k] - pos[k + 1] for k in pos if pos[k] != pos[k + 1]}
+
+
+def _exponents(type_label, rank):
+    """The exponents of the Weyl group, ascending."""
+    if type_label == "A":
+        return list(range(1, rank + 1))
+    if type_label in "BC":
+        return list(range(1, 2 * rank, 2))
+    if type_label == "D":
+        return sorted(list(range(1, 2 * rank - 2, 2)) + [rank - 1])
+    return [1, 5]
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
+def test_complementary_heights_are_the_exponents(system):
+    # Kostant (Amer. J. Math. 81, 1959): the exponent k occurs as often as
+    # the number of positive roots of height k exceeds that of height k + 1
+    rs = get_rep(*system).rs
+    comp, want = _height_counts(rs)
+    assert comp == want
+    assert sorted(comp.elements()) == _exponents(*system)
+
+
+@pytest.mark.parametrize("system", [_system(label) for label in GRID], ids=_label)
+def test_invariant_orders_are_the_exponents(system):
+    res = get_pipeline(*system)
+    neg_order = res.rep.rs.neg_order
+    h = res.invariants.h
+    assert {j: p.order() for j, p in h.items()} == {j: -neg_order[j - 1].height() for j in h}
+    assert sorted(p.order() for p in h.values()) == _exponents(*system)
+
+
+def test_exponent_checks_fail_on_wrong_heights():
+    # B3's complementary roots have heights 1, 3, 5; moving the one of
+    # height 5 to height 4 breaks both the count and the exponent list
+    rs = get_rep("B", 3).rs
+    top = next(j for j in rs.comp_roots if rs.neg_order[j - 1].height() == -5)
+    other = next(i for i, b in enumerate(rs.neg_order, 1) if b.height() == -4)
+    moved = dataclasses.replace(rs, comp_roots=tuple(sorted(set(rs.comp_roots) - {top} | {other})))
+    comp, want = _height_counts(moved)
+    assert comp != want and sorted(comp.elements()) != _exponents("B", 3)
+    assert _height_counts(rs)[0] == want
 
 
 @pytest.mark.parametrize("label", GRID)

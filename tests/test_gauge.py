@@ -31,6 +31,14 @@ def test_is_in_plane_basics(rep_a2):
     assert not ok and s is None
 
 
+def test_is_in_plane_refuses_a_matrix_of_another_size(rep_a2):
+    # the 3 x 3 plane matrix bordered by a fourth row and column was (True, (1, 1))
+    bordered = [row + [0] for row in rep_a2.a0_plus()] + [[0, 0, 0, 7]]
+    for a in (bordered, [row[:2] for row in rep_a2.a0_plus()[:2]]):
+        with pytest.raises(DimMismatch):
+            gauge.is_in_plane(rep_a2, a)
+
+
 def test_riccati(rep_a1):
     a = [[parse("n1"), parse("1")], [parse("0"), parse("0 - n1")]]
     g, factors, f = gauge.normalize_to_AG(rep_a1, a)

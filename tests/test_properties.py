@@ -1,12 +1,12 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
 the packed DiffPoly kernel against the tuple/Fraction reference, the
-row-sparse matrix product and the sparse basis combination against the
-dense ones, the products through the cells of root subgroup factors and the
-zero-skipping sum against the dense ones, entrywise matrix equality against
-the zero difference, the shared fraction-free elimination against the four
-loops it replaced, and the LiouvExpr shortcuts (closed-form powers, the
-unit, structural interning) against repeated products and canonical
-strings.
+row-sparse matrix product (root subgroup factors and DiffPoly.dot's lone
+pairs included) and the sparse basis combination against the dense ones,
+the zero-skipping sum against the dense one, entrywise matrix equality
+against the zero difference, the shared fraction-free elimination against
+the four loops it replaced, and the LiouvExpr shortcuts (closed-form
+powers, the unit, structural interning) against repeated products and
+canonical strings.
 
 Examples come from hypothesis with a fixed derandomized seed, so every run
 checks the same cases.
@@ -370,6 +370,39 @@ def test_row_sparse_product_agrees_with_the_dense_product(ab):
     assert _same_matrices(linalg.mat_mul(a, b), linalg_oracle.mat_mul(a, b))
 
 
+def _accumulated(x, y):
+    """DiffPoly.dot of the lone pair (x, y) as the sum forms it: x*y added
+    into an empty map."""
+    acc = diffpoly._Sum()
+    if not x or not y:
+        pass
+    elif isinstance(x, DiffPoly) and isinstance(y, DiffPoly):
+        acc.add_product(x, y)
+    elif isinstance(x, DiffPoly):
+        acc.add(x, y)
+    else:
+        acc.add(diffpoly.lift(y), x)
+    return acc.result()
+
+
+units = st.sampled_from([1, Fraction(1), DiffPoly.rational(1)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.one_of(units, fraction_entries), st.one_of(poly_entries, fraction_entries, units),
+       st.booleans())
+@example(Fraction(1), Fraction(3), True)
+@example(DiffPoly.rational(1), DiffPoly.eta(1) * Fraction(1, 2) + 1, False)
+def test_a_lone_pair_is_the_accumulated_product(c, p, one_first):
+    pair = (c, p) if one_first else (p, c)
+    want = _accumulated(*pair)
+    for pairs in ([pair], iter([pair]), zip(*([x] for x in pair))):
+        got = DiffPoly.dot(pairs)
+        assert (type(got), got, _layout(got)) == (DiffPoly, want, _layout(want))
+        if isinstance(p, DiffPoly) and c == 1:
+            assert any(got is x for x in pair)
+
+
 def test_rational_times_polynomial_product_has_polynomial_zeros():
     a = _fractions([[1, 0], [0, 0]])
     b = [[DiffPoly.eta(1), Fraction(0)], [Fraction(0), Fraction(0)]]
@@ -388,19 +421,6 @@ def test_product_checks_the_inner_dimensions(mat_mul):
     with pytest.raises(DimMismatch):
         mat_mul(_fractions([[1, 1]]), _fractions([[1], [1, 2]]))
     assert mat_mul(_fractions([[1, 2]]), _fractions([[1], [1]])) == [[3]]
-
-
-def test_product_through_the_cells_checks_the_shapes():
-    f = symgroup.unipotent_matrix(get_rep("A", 2), get_rep("A", 2).rs.roots[0], DiffPoly.eta(1))
-    tall, wide = _fractions([[1, 2]] * 3), _fractions([[1, 2, 3]] * 2)
-    for a, right in ((wide, False), (tall, True), ([[1, 2, 3], [1, 2]], True),
-                     (_fractions([[1, 2], [3]] + [[4, 5]]), False)):
-        with pytest.raises(DimMismatch):
-            linalg.unipotent_mul(f.rows, f.cells, a, right)
-    assert _same_matrices(linalg.unipotent_mul(f.rows, f.cells, tall), linalg.mat_mul(f.rows, tall))
-    assert _same_matrices(
-        linalg.unipotent_mul(f.rows, f.cells, wide, right=True), linalg.mat_mul(wide, f.rows)
-    )
 
 
 def test_sum_checks_the_full_shape():
@@ -514,15 +534,13 @@ def _full_case():
 @given(root_words(max_letters=1))
 @example(_two_term_case())
 @example(_full_case())
-def test_products_through_the_cells_agree_with_the_dense_products(case):
+def test_products_with_root_factors_agree_with_the_dense_products(case):
+    # a root factor reaches most entries of a product through its diagonal
+    # one alone, so these are the checks of DiffPoly.dot's lone pairs
     (f,), a = case
-    for m, cells in ((f.rows, f.cells), (f.inv, f.inv_cells)):
-        off = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if r != c and v}
-        assert cells == off and all(m[i][i] == 1 for i in range(len(m)))
-        assert _same_matrices(linalg.unipotent_mul(m, cells, a), linalg.mat_mul(m, a))
-        assert _same_matrices(
-            linalg.unipotent_mul(m, cells, a, right=True), linalg.mat_mul(a, m)
-        )
+    for m in (f.rows, f.inv):
+        assert _same_matrices(linalg.mat_mul(m, a), linalg_oracle.mat_mul(m, a))
+        assert _same_matrices(linalg.mat_mul(a, m), linalg_oracle.mat_mul(a, m))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -542,13 +560,8 @@ def test_words_of_root_factors_agree_with_the_dense_products(case):
     assert _same_matrices(symgroup.adjoint(factors, a), linalg_oracle.adjoint(factors, a))
     rows = [f.rows for f in factors]
     inverses = [f.inv for f in reversed(factors)]
-    assert _same_matrices(
-        construct._product((f.rows, f.cells) for f in factors), linalg_oracle.product(rows)
-    )
-    assert _same_matrices(
-        construct._product((f.inv, f.inv_cells) for f in reversed(factors)),
-        linalg_oracle.product(inverses),
-    )
+    assert _same_matrices(construct._product(rows), linalg_oracle.product(rows))
+    assert _same_matrices(construct._product(inverses), linalg_oracle.product(inverses))
 
 
 @pytest.mark.parametrize("system", UNIPOTENT_SYSTEMS)
