@@ -5,11 +5,10 @@ Borel subgroup and coset representatives n(w) are fixed.  Both conventions
 are supported: "positive" (u', u upper unipotent) and "negative" (lower
 unipotent, the convention of the big-cell normal forms used elsewhere in
 this package).  Representatives are the canonical products of the
-[[0,1],[-1,0]] blocks along a deterministic reduced word.
-
-The factor coefficients are read back off the factors: x and y through the
-ordered one-parameter products u_1(x_1)...u_m(x_m), z through the diagonal
-of t.
+[[0,1],[-1,0]] blocks along a deterministic reduced word, carried as
+signed permutations.  The factor coefficients are read back off the
+factors: x and y by peeling u_1(x_1)...u_m(x_m) with row operations over
+the non-zero entries, z through the diagonal of t.
 """
 
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from functools import lru_cache
 from . import chevalley, linalg
 from .errors import (
     CellDegeneration,
+    DimMismatch,
     NotUnimodular,
     StructureViolation,
     VerificationFailure,
@@ -67,17 +67,22 @@ def reduced_word(perm):
 
 
 def representative_matrix(n, word):
-    """n(w): the product of the [[0,1],[-1,0]] blocks along the word, built
-    as column moves.
+    """n(w): the product of the [[0,1],[-1,0]] blocks along the word.
 
     The i-th block sits in rows and columns i, i+1 (1-based).  Multiplying
     by it on the right makes column i the negated column i+1 and column i+1
-    the old column i; every other column stays.
+    the old column i; every other column stays.  So every column stays one
+    signed unit vector of the identity, carried as its (row, sign), and the
+    entries are Fraction(+-1) there and Fraction(0) elsewhere, as negating
+    columns of linalg.eye gives.
     """
-    out = linalg.eye(n)
+    cols = [(j, 1) for j in range(n)]
     for i in word:
-        for row in out:
-            row[i - 1], row[i] = -row[i], row[i - 1]
+        (r, s), cols[i] = cols[i], cols[i - 1]
+        cols[i - 1] = (r, -s)
+    out = linalg.zeros(n)
+    for j, (r, s) in enumerate(cols):
+        out[r][j] = Fraction(s)
     return out
 
 
@@ -88,10 +93,10 @@ def longest_permutation(n):
 def bruhat_decompose(mat, convention="negative"):
     """The unique factorization u' n(w) t u of an exact SL_n matrix.
 
-    Raises DimMismatch unless the matrix is square (linalg.det refuses it
-    before any elimination) and NotUnimodular unless det = 1.  The negative
-    convention works on J m J (J reverses both indices) and flips the result
-    back.  One column reduction gives C = m V and u = V^{-1}
+    Raises DimMismatch if the matrix is empty or not square (linalg.det
+    refuses it before any elimination) and NotUnimodular unless det = 1.
+    The negative convention works on J m J (J reverses both indices) and
+    flips the result back.  One column reduction gives C = m V and u = V^{-1}
     (_column_reduce).  n(w) has one entry e_j = +-1 in column j, at the pivot
     row p = perm(j); with t_j = C[p][j] e_j and column p of u' = column j of
     C over C[p][j], column j of u' n(w) t is column j of C, so
@@ -105,6 +110,8 @@ def bruhat_decompose(mat, convention="negative"):
     """
     m = _frac_matrix(mat)
     n = len(m)
+    if not n:
+        raise DimMismatch("the matrix is empty")
     d = linalg.det(m)
     if d != 1:
         raise NotUnimodular("determinant is %s" % d)
@@ -226,8 +233,8 @@ def _peel_blocks(n):
     for sign in (1, -1):
         units = []
         for b in rep.rs.neg_order:
-            mat = rep.X[tuple(sign * k for k in b.coeffs)]
-            live = [(i, j, x) for i, row in enumerate(mat) for j, x in enumerate(row) if x]
+            cells = rep.exp_cells[tuple(sign * k for k in b.coeffs)]
+            live = [(r, c, p) for r, c, k, p in cells if k == 1]
             if len(live) != 1:
                 raise StructureViolation("root vector of %r is not one matrix unit" % (b,))
             units.append(live[0])
@@ -242,10 +249,13 @@ def _peel_coefficients(u, upper):
 
     The root vector of u_i is s E_rc for one matrix unit E_rc (r != c), so
     E_rc^2 = 0 and u_i(-x) = 1 - x s E_rc: multiplying by it on the left is
-    the row operation row_r -= x s row_c.
+    the row operation row_r -= x s row_c, run over the non-zero b of row c
+    only.  u holds Fractions (bruhat_decompose forms it from _frac_matrix's
+    entries by Fraction arithmetic), so where b = 0 the full-row update
+    a - f b would give a Fraction of a's value: a itself.
     """
     n = len(u)
-    residual = [list(map(Fraction, row)) for row in u]
+    residual = [list(row) for row in u]
     coeffs = [Fraction(0)] * (n * (n - 1) // 2)
     for block in _peel_blocks(n)[upper]:
         for i, r, c, _ in block:
@@ -253,7 +263,10 @@ def _peel_coefficients(u, upper):
         for i, r, c, s in block:
             f = coeffs[i] * s
             if f:
-                residual[r] = [a - f * b for a, b in zip(residual[r], residual[c])]
+                target = residual[r]
+                for j, b in enumerate(residual[c]):
+                    if b:
+                        target[j] -= f * b
     if not linalg.mat_eq(residual, linalg.eye(n)):
         raise VerificationFailure("one-parameter peeling failed")
     return tuple(coeffs)

@@ -3,11 +3,12 @@
 For each supported root system this module builds integer matrices for the
 Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
-provides the group elements u_alpha(x), t_i(z) and the Weyl representatives
-n(w) as products of the simple representatives; u_alpha(x) is built from
-the non-zero cells of the integer divided powers of X_alpha alone.  Every
-Chevalley axiom is checked exhaustively at build time, with sparse integer
-brackets.
+provides u_alpha(x), t_i(z) and the Weyl representatives n(w) as products
+of the simple representatives.  Every Chevalley axiom is checked
+exhaustively at build time, with sparse integer brackets.  The kernels
+visit only non-zero cells: u_alpha(x) those of the divided powers of
+X_alpha, decompose_in_basis the non-zero inverse entries of its recipe
+and the cells that the basis matrices reach.
 
 Sign flips for non-simple root vectors are loaded from a calibration table
 (see data/calibration.json), which lists only the roots whose sign is -1;
@@ -49,9 +50,10 @@ class ChevalleyRep:
     nconst: dict  # (coeffs, coeffs) -> int structure constant N = +-(r + 1)
     w_coefficients: tuple  # decompose_in_basis of W_i = [X_i, A_0^+], indexed like neg_order
     exp_cells: dict  # root coeffs -> the (r, c, k, p) with p = (X^k/k!)[r][c] != 0, k >= 1
-    solve_positions: tuple  # entry positions used by decompose_in_basis
-    solve_inverse: tuple  # exact inverse extracting basis coefficients
     basis_order: tuple  # ("H", i) / ("X", coeffs) in decomposition order
+    solve_positions: tuple  # the entries r * dim + c that decompose_in_basis reads
+    solve_rows: tuple  # per basis element, the (index, value != 0) pairs of its inverse row
+    support: tuple  # support[r][c]: the (k, v != 0) of basis element k at (r, c), k ascending
 
     @property
     def rank(self):
@@ -298,7 +300,7 @@ def build_rep(type_label, rank):
     basis_order = [("H", i + 1) for i in range(l)]
     basis_order += [("X", b.coeffs) for b in rs.neg_order]
     basis_order += [("X", (-b).coeffs) for b in rs.neg_order]
-    positions, inverse = _solving_recipe(
+    positions, solve_rows, support = _solving_recipe(
         [sh[key - 1] if kind == "H" else sx[key] for kind, key in basis_order], n
     )
     rep = ChevalleyRep(
@@ -309,9 +311,10 @@ def build_rep(type_label, rank):
         nconst=nconst,
         w_coefficients=(),
         exp_cells=exp_cells,
-        solve_positions=tuple(positions),
-        solve_inverse=tuple(tuple(row) for row in inverse),
         basis_order=tuple(basis_order),
+        solve_positions=tuple(positions),
+        solve_rows=solve_rows,
+        support=support,
     )
     # decompose_in_basis reads only the basis fields filled in above
     rep = replace(rep, w_coefficients=tuple(
@@ -458,7 +461,7 @@ def _proportionality(mat, target):
 
 
 def _solving_recipe(basis, n):
-    """Pick entry positions making the basis square-invertible.
+    """The ChevalleyRep fields solve_positions, solve_rows and support.
 
     `basis` lists sparse integer matrices.  Positions are tried in row-major
     order, and one is kept when its row of basis entries is independent of
@@ -483,7 +486,9 @@ def _solving_recipe(basis, n):
     inverse = linalg.rational_inverse(
         [[rows[pos].get(k, 0) for k in range(len(basis))] for pos in chosen]
     )
-    return chosen, inverse
+    solve_rows = tuple(tuple((e, v) for e, v in enumerate(row) if v) for row in inverse)
+    support = tuple(tuple(tuple(rows[i * n + j].items()) for j in range(n)) for i in range(n))
+    return chosen, solve_rows, support
 
 
 def _complementary_root_values(rs, X, W):
@@ -560,22 +565,43 @@ def decompose_in_basis(rep, a):
     NotInLieAlgebra when the matrix is not in the span, and DimMismatch
     unless it is rep.dim x rep.dim.  Coefficients live in the entry domain
     of `a`.
+
+    Proof that this is the dense decomposition.  c_k is row k of the
+    recipe's inverse dotted with the entries at rep.solve_positions;
+    linalg.dot skips pairs with a zero factor, so over the non-zero pairs
+    of rep.solve_rows it adds the same products in the same order: the
+    same value and DiffPoly term order (a lone pair of an entry and a one
+    is that entry, by the proof in DiffPoly.dot).  The dense residual check
+    compares a with R = linalg.combination of the (c_k, M_k) from `zero`,
+    which adds into (r, c) each c_k v (c_k when v = 1) with c_k and
+    v = M_k[r][c] non-zero, in ascending k: rep.support[r][c] lists those
+    (k, v) in that order, and the loop forms the same sum.  Off every
+    support R[r][c] is `zero`, and zero != x exactly when x is falsy, since
+    a Fraction, DiffPoly or LiouvExpr equals a ring zero iff its value is
+    zero.  Entries go in row-major order, so the first failing entry and
+    the message are the dense check's.
     """
     n = rep.dim
     if len(a) != n or any(len(row) != n for row in a):
         raise DimMismatch("matrix is not %d x %d" % (n, n))
     entries = [a[pos // n][pos % n] for pos in rep.solve_positions]
     zero = linalg.zero_of(next((e for row in a for e in row if e), Fraction(0)))
-    coeffs = [linalg.dot(entries, row, zero) for row in rep.solve_inverse]
-    # residual check: reconstruct and compare every entry (exact, by the
-    # proof in linalg.mat_eq)
-    basis = [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
-    recon = linalg.combination(zip(coeffs, basis), n, zero)
-    for i in range(n):
-        for j in range(n):
-            if recon[i][j] != a[i][j]:
+    coeffs = [linalg.dot([(entries[e], v) for e, v in row], zero) for row in rep.solve_rows]
+    for i, (row, cells) in enumerate(zip(a, rep.support)):
+        for j, (x, terms) in enumerate(zip(row, cells)):
+            if terms:
+                recon = zero
+                for k, v in terms:
+                    c = coeffs[k]
+                    if c:
+                        term = c if v == 1 else c * v
+                        recon = term if recon is zero else recon + term
+                outside = recon != x
+            else:
+                outside = x
+            if outside:
                 raise NotInLieAlgebra("entry (%d, %d) is outside the span" % (i, j))
-    return {bk: c for bk, c in zip(rep.basis_order, coeffs)}
+    return dict(zip(rep.basis_order, coeffs))
 
 
 # ----- group elements -----

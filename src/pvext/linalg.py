@@ -92,16 +92,17 @@ def zero_of(x):
     return _ZERO if isinstance(x, _RATIONAL) else type(x).zero()
 
 
-def dot(xs, ys, zero):
-    """The sum of x*y over the pairs, `zero` when every product vanishes.
+def dot(pairs, zero):
+    """The sum of x*y over the (x, y) pairs, `zero` when every product
+    vanishes.
 
     Over DiffPoly the products accumulate into one map (DiffPoly.dot)
     instead of a fresh polynomial per partial sum.
     """
     if isinstance(zero, DiffPoly):
-        return DiffPoly.dot(zip(xs, ys))
+        return DiffPoly.dot(pairs)
     acc = None
-    for x, y in zip(xs, ys):
+    for x, y in pairs:
         if x and y:
             term = x * y
             acc = term if acc is None else acc + term

@@ -5,24 +5,70 @@ bruhat_decompose reached u' n(w) t u by a column pass, a row pass,
 _reduce_uprime pushing the w-fixed part of u' into u with dense products,
 and, in the negative convention, a representative change folded into t.
 The tests require the new decomposition to give the same BruhatForm and
-the same exceptions.
+the same exceptions.  The oracle keeps its own representatives (the block
+product of linalg_oracle), its own recomposition and its own peel, which
+updates whole rows.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from pvext import linalg
+from pvext import chevalley, linalg
 from pvext.bruhat import (
     BruhatForm,
     _check_uprime_pattern,
     _flip,
     _frac_matrix,
     _freeze,
-    _peel_coefficients,
     _torus_coordinates,
     reduced_word,
-    representative_matrix,
 )
 from pvext.errors import NotUnimodular, StructureViolation, VerificationFailure
+
+import linalg_oracle
+from linalg_oracle import representative_matrix
+
+
+@lru_cache(maxsize=None)
+def _root_units(n, upper):
+    """(index, row, column, entry) of the one matrix unit of each root
+    vector of SL_n, in blocks of equal height, highest first."""
+    rep = chevalley.build_rep("A", n - 1)
+    out = []
+    for band in rep.rs.bands.values():
+        units = []
+        for i in band:
+            b = rep.rs.neg_order[i - 1]
+            mat = rep.X[(-b).coeffs if upper else b.coeffs]
+            (unit,) = [(r, c, x) for r, row in enumerate(mat) for c, x in enumerate(row) if x]
+            units.append((i - 1,) + unit)
+        out.append(units)
+    return out
+
+
+def _peel_coefficients(u, upper):
+    """x with u = u_1(x_1)...u_m(x_m): per block, read the coefficients,
+    then clear them by full-row operations row_r -= x s row_c."""
+    n = len(u)
+    residual = [list(map(Fraction, row)) for row in u]
+    coeffs = [Fraction(0)] * (n * (n - 1) // 2)
+    for block in _root_units(n, upper) if n > 1 else ():
+        for i, r, c, _ in block:
+            coeffs[i] = residual[r][c]
+        for i, r, c, s in block:
+            f = coeffs[i] * s
+            if f:
+                residual[r] = [a - f * b for a, b in zip(residual[r], residual[c])]
+    if residual != linalg_oracle.eye(n):
+        raise VerificationFailure("one-parameter peeling failed")
+    return tuple(coeffs)
+
+
+def _recompose(form):
+    out = [list(r) for r in form.uprime]
+    for factor in (representative_matrix(len(out), form.word), form.t, form.u):
+        out = linalg_oracle.mat_mul(out, [list(r) for r in factor])
+    return out
 
 
 def _representative_inverse(nw):
@@ -55,7 +101,7 @@ def bruhat_decompose(mat, convention="negative"):
         form = _decompose_negative(m)
     else:
         raise ValueError("convention must be 'positive' or 'negative'")
-    if not linalg.mat_eq(form.recompose(), m):
+    if _recompose(form) != m:
         raise VerificationFailure("Bruhat recomposition failed")
     return form
 

@@ -12,13 +12,16 @@ and coroot_coefficients the coroot in Fractions; coroot_matrix builds
 H_root densely.  The tests check pairings, coroots and adjoint formulas
 against them.  divided_powers and unipotent_element form X^k/k! and
 exp(x X_root) = sum x^k X^k/k! densely, as pvext.chevalley did before it
-kept only the non-zero cells of the powers.
+kept only the non-zero cells of the powers.  decompose_in_basis is the
+decomposition over the dense inverse of the solving recipe, checked by
+rebuilding the whole matrix, as pvext.chevalley did before it kept only the
+non-zero inverse entries and the cells the basis matrices reach.
 """
 
 from fractions import Fraction
 
 from pvext import linalg, rootsys
-from pvext.errors import NotARoot, SpanFailure, StructureViolation
+from pvext.errors import DimMismatch, NotARoot, NotInLieAlgebra, SpanFailure, StructureViolation
 
 import linalg_oracle
 from linalg_oracle import mat_is_zero
@@ -213,6 +216,28 @@ def solving_recipe(rep):
     if len(chosen) != b:
         raise SpanFailure("Chevalley basis is not linearly independent")
     return chosen, linalg.rational_inverse([list(row) for row in chosen_rows])
+
+
+def decompose_in_basis(rep, a, recipe):
+    """Coefficients of a over rep.basis_order, from recipe = (positions,
+    inverse) of solving_recipe(rep): the dot product of each dense row of
+    the inverse with the entries at the positions, then every entry of a
+    compared with the rebuilt combination (NotInLieAlgebra on the first
+    that differs)."""
+    n = rep.dim
+    if len(a) != n or any(len(row) != n for row in a):
+        raise DimMismatch("matrix is not %d x %d" % (n, n))
+    positions, inverse = recipe
+    entries = [a[pos // n][pos % n] for pos in positions]
+    zero = linalg.zero_of(next((e for row in a for e in row if e), Fraction(0)))
+    coeffs = [linalg.dot(zip(entries, row), zero) for row in inverse]
+    basis = [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
+    recon = linalg.combination(zip(coeffs, basis), n, zero)
+    for i in range(n):
+        for j in range(n):
+            if recon[i][j] != a[i][j]:
+                raise NotInLieAlgebra("entry (%d, %d) is outside the span" % (i, j))
+    return {bk: c for bk, c in zip(rep.basis_order, coeffs)}
 
 
 def complementary_root_values(rs, X):

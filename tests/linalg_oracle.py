@@ -51,7 +51,7 @@ def mat_mul(a, b):
         zero = linalg.zero_of(a[0][0])
         if isinstance(zero, Fraction):
             zero = linalg.zero_of(b[0][0])
-    return [[linalg.dot(row, col, zero) for col in bt] for row in a]
+    return [[linalg.dot(zip(row, col), zero) for col in bt] for row in a]
 
 
 def mat_add(a, b):

@@ -136,6 +136,17 @@ def test_non_square_matrix_is_refused():
                 bruhat.bruhat_decompose(m, convention=convention)
 
 
+def test_empty_matrix_is_refused_before_any_work(monkeypatch):
+    # det([]) is 1, so the empty matrix passed the unimodularity check and
+    # the peel asked build_rep for A of rank -1
+    calls = []
+    monkeypatch.setattr(linalg, "det", lambda m: calls.append(m) or 1)
+    for convention in ("positive", "negative"):
+        with pytest.raises(DimMismatch):
+            bruhat.bruhat_decompose([], convention=convention)
+    assert not calls
+
+
 def test_acting_on_a_non_square_normal_form_is_refused():
     # the 2 x 3 input has no product with a 2 x 2 g
     with pytest.raises(DimMismatch):

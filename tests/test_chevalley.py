@@ -188,7 +188,13 @@ def test_build_agrees_with_the_dense_oracle(label):
     assert chevalley_oracle.verify_axioms(rep.rs, rep.H, rep.X) == rep.nconst
     positions, inverse = chevalley_oracle.solving_recipe(rep)
     assert tuple(positions) == rep.solve_positions
-    assert tuple(tuple(row) for row in inverse) == rep.solve_inverse
+    # the recipe keeps the non-zero entries of the dense inverse, in order
+    assert rep.solve_rows == tuple(tuple((e, v) for e, v in enumerate(row) if v) for row in inverse)
+    mats = [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
+    assert rep.support == tuple(
+        tuple(tuple((k, mat[r][c]) for k, mat in enumerate(mats) if mat[r][c]) for c in range(rep.dim))
+        for r in range(rep.dim)
+    )
     a0 = rep.a0_plus()
     brackets = [linalg_oracle.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1)]
     assert rep.w_coefficients == tuple(chevalley.decompose_in_basis(rep, w) for w in brackets)
@@ -352,6 +358,44 @@ def test_decompose_basics(rep_a3):
 def test_decompose_rejects_identity(rep_a3):
     with pytest.raises(NotInLieAlgebra):
         chevalley.decompose_in_basis(rep_a3, linalg.eye(4))
+
+
+def _outside_the_span(rep):
+    """Three matrices just off the span of the basis: a perturbed support
+    cell, a non-zero cell that no basis matrix reaches (with that cell),
+    and the identity, a diagonal off the span of the H_i."""
+    n = rep.dim
+    mats = list(rep.H) + list(rep.X.values())
+    reached = [[any(mat[r][c] for mat in mats) for c in range(n)] for r in range(n)]
+    a = linalg.combination([(Fraction(k + 2, 3), mat) for k, mat in enumerate(mats)], n, Fraction(0))
+    r, c = next((r, c) for r in range(n) for c in range(n) if reached[r][c] and r != c)
+    perturbed = [list(row) for row in a]
+    perturbed[r][c] += 1
+    yield perturbed, None
+    off = next(((r, c) for r in range(n) for c in range(n) if not reached[r][c]), None)
+    if off:
+        stray = linalg.zeros(n)
+        stray[off[0]][off[1]] = Fraction(1)
+        yield stray, off
+    yield linalg.eye(n), None
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "D4", "G2"])
+def test_decompose_refuses_each_way_out_of_the_span(label):
+    rep = get_rep(*_system(label))
+    recipe = chevalley_oracle.solving_recipe(rep)
+    inputs = list(_outside_the_span(rep))
+    assert len(inputs) == (2 if label == "C3" else 3)  # C3 reaches every cell
+    for a, cell in inputs:
+        messages = []
+        for decompose in (chevalley.decompose_in_basis,
+                          lambda rep, a: chevalley_oracle.decompose_in_basis(rep, a, recipe)):
+            with pytest.raises(NotInLieAlgebra) as info:
+                decompose(rep, a)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        if cell:
+            assert messages[0] == "entry (%d, %d) is outside the span" % cell
 
 
 def test_decompose_refuses_a_matrix_of_another_size(rep_a2):

@@ -569,3 +569,42 @@ def test_end_to_end_detects_tower_corruption(system, part):
     broken = _corrupted_tower(res.liouville, part)
     with pytest.raises(IdentityFailure, match=r"ldelta\(t\(z\)u\(y\)\) - A_L"):
         construct.verify_end_to_end(res.rep, broken, res.invariants)
+
+
+# ----- exceptional isomorphisms -----
+
+
+def _invariants(type_label, rank, relabel=None):
+    """The invariants h_j in ascending complementary index j, with eta_i
+    renamed eta_relabel[i] when a relabelling is given."""
+    h = [hj for _, hj in sorted(get_pipeline(type_label, rank).invariants.h.items())]
+    if relabel is None:
+        return h
+    sigma = {i: DiffPoly.eta(relabel.get(i, i)) for i in range(1, rank + 1)}
+    return [hj.substitute(sigma) for hj in h]
+
+
+SWAP_12 = {1: 2, 2: 1}
+
+
+def test_d3_invariants_are_those_of_a3_under_the_swap_of_eta1_and_eta2():
+    # A3 = D3 (the 4- and 6-dimensional representations); the central node
+    # of D3 is alpha_1, that of A3 alpha_2
+    a3 = _invariants("A", 3)
+    assert _invariants("D", 3, SWAP_12) == a3
+    # negative control: without the relabelling no invariant matches
+    assert all(d != a for d, a in zip(_invariants("D", 3), a3))
+
+
+def _c2_from_b2(b2, h2c):
+    """What B2 = C2 predicts for C2's (h_2, h_4) from B2's, both in C2's
+    labelling: h_2 = 2 h_2^B and h_4 = -h_4^B + (h_2)^2/4 - (h_2)''/2."""
+    return [2 * b2[0], -b2[1] + Fraction(1, 4) * h2c * h2c - Fraction(1, 2) * h2c.derive(2)]
+
+
+def test_c2_invariants_follow_from_those_of_b2_under_the_swap_of_eta1_and_eta2():
+    # B2 = C2 (the 5- and 4-dimensional representations)
+    c2 = _invariants("C", 2)
+    assert _c2_from_b2(_invariants("B", 2, SWAP_12), c2[0]) == c2
+    # negative control: without the relabelling neither relation holds
+    assert all(x != y for x, y in zip(_c2_from_b2(_invariants("B", 2), c2[0]), c2))

@@ -2,6 +2,7 @@
 the packed DiffPoly kernel against the tuple/Fraction reference, the
 row-sparse matrix product (root subgroup factors and DiffPoly.dot's lone
 pairs included) and the sparse basis combination against the dense ones,
+the sparse basis decomposition against the dense one,
 the zero-skipping sum against the dense one, entrywise matrix equality
 against the zero difference, the shared fraction-free elimination against
 the four loops it replaced, and the LiouvExpr shortcuts (closed-form
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from pvext import chevalley, construct, diffpoly, linalg, liouville_expr, symgroup
 from pvext.diffpoly import DiffPoly, JetVar, parse
-from pvext.errors import DimMismatch
+from pvext.errors import DimMismatch, NotInLieAlgebra
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
@@ -475,6 +476,61 @@ def test_combination_agrees_with_the_dense_fold(case):
 
 UNIPOTENT_SYSTEMS = [("A", 2), ("B", 3), ("G2", 2)]
 ring_entries = st.sampled_from([fraction_entries, poly_entries, liouv_entries])
+DECOMPOSE_SYSTEMS = [("A", 2), ("B", 3), ("C", 3), ("G2", 2), ("D", 4)]
+
+
+@st.composite
+def basis_combinations(draw):
+    """A system of DECOMPOSE_SYSTEMS and a dense sum of c times a basis
+    matrix over up to 8 basis elements, every c in one ring, zeros
+    included; a third of the time one entry is then shifted by a non-zero
+    element of that ring."""
+    rep = get_rep(*draw(st.sampled_from(DECOMPOSE_SYSTEMS)))
+    ring = draw(ring_entries)
+    n = rep.dim
+    mats = list(rep.H) + list(rep.X.values())
+    a = [[linalg.zero_of(draw(ring))] * n for _ in range(n)]
+    for mat in draw(st.lists(st.sampled_from(mats), max_size=8)):
+        c = draw(ring)
+        for i, row in enumerate(mat):
+            for j, v in enumerate(row):
+                if v:
+                    a[i][j] = a[i][j] + c * v
+    if draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        a[i][j] = a[i][j] + draw(ring.filter(bool))
+    return rep, a
+
+
+_DENSE_RECIPES = {}
+
+
+def _decomposition(rep, a, dense):
+    """decompose_in_basis of a, sparse or by the dense oracle: each
+    coefficient with its type and stored term order, or the message of
+    NotInLieAlgebra."""
+    if dense:
+        label = rep.rs.label
+        if label not in _DENSE_RECIPES:
+            _DENSE_RECIPES[label] = chevalley_oracle.solving_recipe(rep)
+        decompose = lambda rep, a: chevalley_oracle.decompose_in_basis(rep, a, _DENSE_RECIPES[label])
+    else:
+        decompose = chevalley.decompose_in_basis
+    try:
+        dec = decompose(rep, a)
+    except NotInLieAlgebra as exc:
+        return str(exc)
+    return [(key, type(x), x, _layout(x)) for key, x in dec.items()]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(basis_combinations())
+@example((get_rep("A", 2), [[DiffPoly.eta(1), DiffPoly.eta(2) + 1, 0], [0, -DiffPoly.eta(1), 0],
+                            [0, 0, 0]]))
+def test_sparse_decomposition_agrees_with_the_dense_one(case):
+    # the same coefficients, types and term orders, or the same refusal
+    rep, a = case
+    assert _decomposition(rep, a, dense=False) == _decomposition(rep, a, dense=True)
 
 
 @st.composite
