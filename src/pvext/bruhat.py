@@ -38,10 +38,23 @@ class BruhatForm:
     y: tuple = ()  # coefficients of u
 
     def recompose(self):
+        """u' n(w) t u for the diagonal t that bruhat_decompose builds.
+
+        With n(w) carried as (r_j, s_j) per column (representative_columns),
+        column j of u' n(w) is s_j times column r_j of u', and the diagonal t
+        scales it by t_jj.  So entry (i, j) of u' n(w) t is
+        u'[i][r_j] s_j t_jj, the one non-zero product of the dense row by
+        column sums, formed here for the non-zero u'[i][r_j] only; every
+        other entry is Fraction(0), as the dense products of Fractions give.
+        One product by u follows.
+        """
         n = len(self.uprime)
-        nw = representative_matrix(n, self.word)
-        out = linalg.mat_mul([list(r) for r in self.uprime], nw)
-        out = linalg.mat_mul(out, [list(r) for r in self.t])
+        out = linalg.zeros(n)
+        for j, (r, s) in enumerate(representative_columns(n, self.word)):
+            scale = s * self.t[j][j]
+            for row, urow in zip(out, self.uprime):
+                if urow[r]:
+                    row[j] = urow[r] * scale
         return linalg.mat_mul(out, [list(r) for r in self.u])
 
 
@@ -66,24 +79,21 @@ def reduced_word(perm):
     return tuple(word)
 
 
-def representative_matrix(n, word):
-    """n(w): the product of the [[0,1],[-1,0]] blocks along the word.
+def representative_columns(n, word):
+    """n(w), the product of the [[0,1],[-1,0]] blocks along the word, as
+    the (row, sign) of its one non-zero entry in each column.
 
     The i-th block sits in rows and columns i, i+1 (1-based).  Multiplying
     by it on the right makes column i the negated column i+1 and column i+1
     the old column i; every other column stays.  So every column stays one
-    signed unit vector of the identity, carried as its (row, sign), and the
-    entries are Fraction(+-1) there and Fraction(0) elsewhere, as negating
-    columns of linalg.eye gives.
+    signed unit vector of the identity: n(w) has entry sign at (row, j) and
+    zero elsewhere, and its inverse is its transpose.
     """
     cols = [(j, 1) for j in range(n)]
     for i in word:
         (r, s), cols[i] = cols[i], cols[i - 1]
         cols[i - 1] = (r, -s)
-    out = linalg.zeros(n)
-    for j, (r, s) in enumerate(cols):
-        out[r][j] = Fraction(s)
-    return out
+    return cols
 
 
 def longest_permutation(n):
@@ -93,14 +103,23 @@ def longest_permutation(n):
 def bruhat_decompose(mat, convention="negative"):
     """The unique factorization u' n(w) t u of an exact SL_n matrix.
 
-    Raises DimMismatch if the matrix is empty or not square (linalg.det
-    refuses it before any elimination) and NotUnimodular unless det = 1.
-    The negative convention works on J m J (J reverses both indices) and
-    flips the result back.  One column reduction gives C = m V and u = V^{-1}
-    (_column_reduce).  n(w) has one entry e_j = +-1 in column j, at the pivot
-    row p = perm(j); with t_j = C[p][j] e_j and column p of u' = column j of
-    C over C[p][j], column j of u' n(w) t is column j of C, so
-    m = C u = u' n(w) t u.
+    Raises DimMismatch if the matrix is empty or not square, before any
+    elimination, then NotUnimodular unless det = 1, then ValueError for an
+    unknown convention.  The negative convention works on J m J (J
+    reverses both indices) and flips the result back.  One column reduction
+    gives C = m V and u = V^{-1} (_column_reduce).  n(w) has one entry
+    e_j = +-1 in column j, at the pivot row p = perm(j); with
+    t_j = C[p][j] e_j and column p of u' = column j of C over C[p][j],
+    column j of u' n(w) t is column j of C, so m = C u = u' n(w) t u.
+
+    The determinant comes out of the same reduction.  A singular m leaves a
+    zero column (_column_reduce raises "determinant is 0").  Otherwise
+    det m = det u' det n(w) det t det u = t_1 ... t_n: u' and u are
+    unipotent, det J m J = det m since J^2 = 1, and det n(w) = 1 as a
+    product of blocks [[0,1],[-1,0]] of determinant 1.  An unknown
+    convention runs the positive reduction and is refused only once the
+    determinant is 1, so a det != 1 input is NotUnimodular under any
+    convention.
 
     Proof that this is the normal form.  _check_uprime_pattern puts u' in
     the pattern of U'_w; peeling u' and u back to the identity puts both in
@@ -112,28 +131,29 @@ def bruhat_decompose(mat, convention="negative"):
     n = len(m)
     if not n:
         raise DimMismatch("the matrix is empty")
-    d = linalg.det(m)
-    if d != 1:
-        raise NotUnimodular("determinant is %s" % d)
-    if convention == "positive":
-        c, u, pivot = _column_reduce(m)
-    elif convention == "negative":
-        c, u, pivot = _column_reduce(_flip(m))
+    if any(len(row) != n for row in m):
+        raise DimMismatch("matrix is not square")
+    negative = convention == "negative"
+    c, u, pivot = _column_reduce(_flip(m) if negative else m)
+    if negative:
         c, u = _flip(c), _flip(u)
         pivot = [n - 1 - p for p in reversed(pivot)]
-    else:
-        raise ValueError("convention must be 'positive' or 'negative'")
     perm = tuple(p + 1 for p in pivot)
     word = reduced_word(perm)
-    nw = representative_matrix(n, word)
     uprime = linalg.eye(n)
     t = linalg.zeros(n)
-    for j, p in enumerate(pivot):
+    d = Fraction(1)
+    for j, (p, (_, sign)) in enumerate(zip(pivot, representative_columns(n, word))):
         lead = c[p][j]
-        t[j][j] = lead * nw[p][j]
+        t[j][j] = lead * sign
+        d *= t[j][j]
         for i in range(n):
             uprime[i][p] = c[i][j] / lead
+    if d != 1:
+        raise NotUnimodular("determinant is %s" % d)
     upper = convention == "positive"
+    if not negative and not upper:
+        raise ValueError("convention must be 'positive' or 'negative'")
     _check_uprime_pattern(uprime, perm, upper)
     form = BruhatForm(
         convention=convention,
@@ -153,7 +173,8 @@ def bruhat_decompose(mat, convention="negative"):
 
 def _column_reduce(m):
     """(C, u, pivot) with C = m V, V unit upper triangular, u = V^{-1}, and
-    pivot[j] the row of the lowest non-zero entry of column j of C.
+    pivot[j] the row of the lowest non-zero entry of column j of C; raises
+    NotUnimodular("determinant is 0") when a column of C is zero.
 
     Each column j is cleared from the bottom row upward.  An entry in the
     pivot row i of an earlier column k goes by "col j -= f col k", which
@@ -184,7 +205,8 @@ def _column_reduce(m):
                     c[r][j] -= f * c[r][k]
             u[k][j] += f
         if p is None:
-            raise StructureViolation("column %d is zero" % j)
+            # C = m V with V invertible has a zero column: det m = 0
+            raise NotUnimodular("determinant is 0")
         pivot.append(p)
         col_of_row[p] = j
     return c, u, pivot

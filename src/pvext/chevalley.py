@@ -3,8 +3,9 @@
 For each supported root system this module builds integer matrices for the
 Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
-provides u_alpha(x), t_i(z) and the Weyl representatives n(w) as products
-of the simple representatives.  Every Chevalley axiom is checked
+provides u_alpha(x), its adjoint action exp(x ad X_alpha) on coordinates,
+t_i(z) and the Weyl representatives n(w) as products of the simple
+representatives.  Every Chevalley axiom is checked
 exhaustively at build time, with sparse integer brackets.  The kernels
 visit only non-zero cells: u_alpha(x) those of the divided powers of
 X_alpha, decompose_in_basis the non-zero inverse entries of its recipe
@@ -47,7 +48,9 @@ class ChevalleyRep:
     dim: int
     H: tuple  # l diagonal matrices of ints
     X: dict  # root coeffs tuple -> matrix of ints
-    nconst: dict  # (coeffs, coeffs) -> int structure constant N = +-(r + 1)
+    # (a, b) coeffs -> the int N = +-(r + 1) with [X_a, X_b] = N X_(a+b);
+    # unipotent_adjoint reads it to act by exp(t ad X) in the gauge
+    nconst: dict
     w_coefficients: tuple  # decompose_in_basis of W_i = [X_i, A_0^+], indexed like neg_order
     exp_cells: dict  # root coeffs -> the (r, c, k, p) with p = (X^k/k!)[r][c] != 0, k >= 1
     basis_order: tuple  # ("H", i) / ("X", coeffs) in decomposition order
@@ -633,6 +636,60 @@ def unipotent_element(rep, root, x):
         for r, c, k, p in cells:
             out[r][c] = xk[k] if p == 1 else xk[k] * p
     return out
+
+
+def _bracket_with(rep, root, key):
+    """[X_root, M] for the basis element M of `key`, as (key, int) pairs:
+    -<root, a_i> X_root for H_i, the coroot of root over the H_j for
+    X_-root, N X_(root+g) for X_g with N = rep.nconst[(root, g)], and
+    nothing when root + g is neither 0 nor a root.  _verify_axioms checked
+    every one of these brackets on the matrices."""
+    kind, value = key
+    rs = rep.rs
+    if kind == "H":
+        n = -rootsys.pairing(rs.cartan, root.coeffs, value - 1)
+        return ((("X", root.coeffs), n),) if n else ()
+    total = tuple(a + b for a, b in zip(root.coeffs, value))
+    if not any(total):
+        return tuple((("H", j), c) for j, c in enumerate(_coroot_coefficients(rs, root), 1) if c)
+    n = rep.nconst.get((root.coeffs, value))
+    return ((("X", total), n),) if n else ()
+
+
+def unipotent_adjoint(rep, root, t, coords):
+    """Ad(u_root(t)) on coordinates: the coordinates of u A u^-1, for
+    u = exp(t X_root) and A with the {basis key: coefficient} map `coords`
+    (decompose_in_basis's keys; a missing key is a zero coefficient).
+    Coefficients and t share one ring, and zeros are left out.
+
+    It is sum_k t^k/k! ad(X)^k (A), X = X_root.  Proof: with L(A) = X A
+    and R(A) = A X, ad X = L - R, and L and R commute (both sides are
+    X A X).  X is nilpotent, so exp(tX) A exp(-tX) = exp(tL) exp(-tR) A,
+    both series finite, and for commuting maps exp(tL) exp(-tR) =
+    exp(t(L - R)) = exp(t ad X), whose series is finite too: ad X is
+    L - R with L, R commuting and nilpotent.  X is constant, so ad X is
+    linear over the coefficient ring, and on coordinates it is the linear
+    map of _bracket_with; the k-th term is formed as ad X of the (k-1)-th
+    times t/k, one product with t per coordinate, until it is zero.
+    """
+    zero = linalg.zero_of(t)
+    out = dict(coords)
+    term, k = coords, 0
+    while term:
+        k += 1
+        step = t * Fraction(1, k)
+        pairs = {}
+        for key, c in term.items():
+            if c:
+                for target, n in _bracket_with(rep, root, key):
+                    pairs.setdefault(target, []).append((n, c))
+        term = {}
+        for key, row in pairs.items():
+            value = linalg.dot(row, zero)
+            if value:
+                term[key] = value * step
+                out[key] = out[key] + term[key] if key in out else term[key]
+    return {key: c for key, c in out.items() if c}
 
 
 def torus_element(rep, i, z):

@@ -5,9 +5,13 @@ complementary-root components by a unipotent element (after a torus
 rescaling when s != (1,..,1)).  The construction proceeds height by
 height: at each level the correction splits over the W-basis, the W part
 is removed by one-parameter gauges and the complementary residue is the
-output f.  Two exact identities close every normalization: the residual
-matrix is A_G(f), and the returned element g satisfies
-g' + g a = A_G(f) g, i.e. gauge(g, a) = A_G(f).
+output f.  The running matrix is carried in coordinates over the
+Chevalley basis: the input is decomposed once, and each root factor acts
+on the coordinates by exp(t ad X), read off the checked structure
+constants (chevalley.unipotent_adjoint).  Two exact identities close
+every normalization: the residual coordinates are those of A_G(f), and
+the returned element g satisfies g' + g a = A_G(f) g, i.e.
+gauge(g, a) = A_G(f), checked in matrices from the factors alone.
 """
 
 from fractions import Fraction
@@ -17,28 +21,36 @@ from .diffpoly import DiffPoly, lift_matrix
 from .errors import NonUnitScaling, NotInLieAlgebra, VerificationFailure
 
 
-def is_in_plane(rep, a):
-    """Whether a matrix lies in A_0^+(s) + b^-; returns (flag, s).
+def _plane_coordinates(rep, a):
+    """(coordinates, s) for a matrix in A_0^+(s) + b^-, else (None, None).
 
-    Requires zero coefficients on the non-simple positive roots and
-    nonzero constant coefficients s_i on the simple positive roots.
-    Raises DimMismatch unless a is rep.dim x rep.dim.
+    The coordinates are decompose_in_basis's of the lifted a.  The plane
+    needs zero coefficients on the non-simple positive roots and nonzero
+    constant coefficients s_i on the simple positive roots.  Raises
+    DimMismatch unless a is rep.dim x rep.dim.
     """
     try:
         dec = chevalley.decompose_in_basis(rep, lift_matrix(a))
     except NotInLieAlgebra:
-        return False, None
+        return None, None
     s = []
     for i in range(1, rep.rank + 1):
         coef = dec.get(("X", rep.rs.simple(i).coeffs), DiffPoly.zero())
         if coef.is_zero() or not coef.is_rational():
-            return False, None
+            return None, None
         s.append(coef.constant_term())
     for b in rep.rs.neg_order:
         pos = -b
         if not pos.is_simple() and dec.get(("X", pos.coeffs)):
-            return False, None
-    return True, tuple(s)
+            return None, None
+    return dec, tuple(s)
+
+
+def is_in_plane(rep, a):
+    """Whether a matrix lies in A_0^+(s) + b^-; returns (flag, s), s None
+    outside the plane.  Raises DimMismatch unless a is rep.dim x rep.dim."""
+    dec, s = _plane_coordinates(rep, a)
+    return dec is not None, s
 
 
 def _nth_root(q, n):
@@ -112,27 +124,43 @@ def normalize_to_AG(rep, a):
     factors is the ordered list of group factors, applied first to
     last, so g = factors[-1] ... factors[0]; f maps each complementary
     index to its DiffPoly coefficient.  Raises DimMismatch unless a is
-    rep.dim x rep.dim (decompose_in_basis, through is_in_plane).
+    rep.dim x rep.dim (decompose_in_basis, in the plane test).
+
+    The running matrix is carried by its coordinates `current` over the
+    Chevalley basis, decompose_in_basis's keys with the zeros left out.
+    The input is decomposed once, by the plane test; when s != (1,..,1)
+    the torus factor gauges the matrix and the result is decomposed once
+    more.  A root factor u_b(t) then acts on the coordinates alone:
+    gauge(u, A) = Ad(u)(A) + ldelta(u), where Ad(u) is
+    chevalley.unipotent_adjoint (exp(t ad X_b), proved there) and
+    ldelta(u) = t' X_b (symgroup.unipotent_matrix) adds t' to the X_b
+    coordinate.  So `current` always holds the coordinates of the matrix
+    the factors' gauges give, and each level reads its correction there.
 
     Two exact checks, each raising VerificationFailure:
 
-    - The residual: `current`, the input after the factors' gauges in
-      turn, equals A_G(f).  Applying the factors to a once more would
-      repeat exactly the operations that built `current`, and so could
-      only agree with this check; it is not made.
-    - The returned g: g' + g a = A_G(f) g.  This is gauge(g, a) = A_G(f).
-      Proof: gauge(g, a) = g a g^{-1} + g' g^{-1}, and g is invertible
-      (each factor has its inverse in closed form).  Multiplying
-      g a g^{-1} + g' g^{-1} = A_G(f) on the right by g gives the identity
-      checked, and multiplying that by g^{-1} gives back the first.  It
-      holds for g = factors[-1] ... factors[0] because
+    - The residual: `current` equals the coordinates of A_G(f), which are
+      one on each simple positive root, f_j on X_j and zero elsewhere.
+      This is the matrix identity "the gauged input is A_G(f)": a matrix
+      is the sum of its coordinates times the basis matrices, and two
+      such sums agree iff the coordinates do, because the basis is
+      independent (build_rep's recipe raises SpanFailure unless it finds
+      one independent row of entries per basis element, so the basis has
+      full rank).  It covers the coordinate action: a wrong structure
+      constant leaves a correction the W-basis solve did not plan for.
+    - The returned g: g' + g a = A_G(f) g, in matrices, from the factors'
+      rows alone, independent of the coordinates.  This is
+      gauge(g, a) = A_G(f).  Proof: gauge(g, a) = g a g^{-1} + g' g^{-1},
+      and g is invertible (each factor has its inverse in closed form).
+      Multiplying g a g^{-1} + g' g^{-1} = A_G(f) on the right by g gives
+      the identity checked, and multiplying that by g^{-1} gives back the
+      first.  It holds for g = factors[-1] ... factors[0] because
       gauge(h, gauge(k, a)) = gauge(h k, a).
     """
-    ok, s = is_in_plane(rep, a)
-    if not ok:
+    current, s = _plane_coordinates(rep, a)
+    if current is None:
         raise VerificationFailure("matrix is not in the plane A_0^+(s) + b^-")
     a = lift_matrix(a)
-    current = a
     factors = []
     if any(Fraction(v) != 1 for v in s):
         z = _torus_rescaling(rep, s)
@@ -141,20 +169,21 @@ def normalize_to_AG(rep, a):
             torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
         tm = symgroup.constant_matrix(torus)
         factors.append(tm)
-        current = symgroup.gauge(tm, current)
+        current = chevalley.decompose_in_basis(rep, symgroup.gauge(tm, a))
+    current = {key: c for key, c in current.items() if c}
 
     rs = rep.rs
     comp = rs.comp_roots
+    zero = DiffPoly.zero()
     f = {}
     for level in [0] + list(rs.bands):
         band, sources = rs.band(level), rs.band(level - 1)
         comp_here = [i for i in band if i in comp]
-        dec = chevalley.decompose_in_basis(rep, current)
         if level == 0:
             coords = [("H", i) for i in range(1, rs.rank + 1)]
         else:
             coords = [("X", rs.neg_order[i - 1].coeffs) for i in band]
-        target = [dec.get(c, DiffPoly.zero()) for c in coords]
+        target = [current.get(c, zero) for c in coords]
         columns = []
         for k in sources:
             wdec = rep.w_coefficients[k - 1]
@@ -172,23 +201,30 @@ def normalize_to_AG(rep, a):
         for j, res in zip(comp_here, residues):
             f[j] = res
         for k, xk in zip(sources, xs):
-            factor = symgroup.unipotent_matrix(rep, rs.neg_order[k - 1], -xk)
-            factors.append(factor)
-            current = symgroup.gauge(factor, current)
+            root = rs.neg_order[k - 1]
+            factors.append(symgroup.unipotent_matrix(rep, root, -xk))
+            current = chevalley.unipotent_adjoint(rep, root, -xk, current)
+            xkey = ("X", root.coeffs)
+            moved = current.get(xkey, zero) - linalg.derive(xk)
+            if moved:
+                current[xkey] = moved
+            else:
+                current.pop(xkey, None)
 
     # deepest complementary components are whatever remains
-    dec = chevalley.decompose_in_basis(rep, current)
     for j in comp:
         if j not in f:
-            f[j] = dec.get(("X", rs.neg_order[j - 1].coeffs), DiffPoly.zero())
+            f[j] = current.get(("X", rs.neg_order[j - 1].coeffs), zero)
 
     g = linalg.eye(rep.dim)
     for factor in factors:
         g = linalg.mat_mul(factor.rows, g)
 
+    residual = {("X", rs.simple(i).coeffs): DiffPoly.rational(1) for i in range(1, rs.rank + 1)}
+    residual.update((("X", rs.neg_order[j - 1].coeffs), fj) for j, fj in f.items() if fj)
+    if current != residual:
+        raise VerificationFailure("residual coordinates are not those of A_G(f)")
     want = construct.assemble_A_G(rep, f)
-    if not linalg.mat_eq(current, want):
-        raise VerificationFailure("residual matrix is not A_G(f)")
     lg = lift_matrix(g)
     lhs = linalg.mat_add(linalg.mat_derive(lg), linalg.mat_mul(lg, a))
     if not linalg.mat_eq(lhs, linalg.mat_mul(want, lg)):

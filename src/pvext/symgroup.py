@@ -42,12 +42,20 @@ def unipotent_matrix(rep, root, x):
     d exp(xX) = sum_k k x^(k-1) x' X^k / k! = x' X exp(xX), since X^k
     commutes with x' X; so ldelta(exp(xX)) = x' X.  xX and -xX commute,
     so exp(xX) exp(-xX) = exp(0) = 1.
+
+    u_root(-x) is u_root(x) with the cells of odd k negated: each cell
+    (r, c, k, p) of rep.exp_cells holds the single term x^k p
+    (chevalley.unipotent_element proves that no cell gets two), and
+    (-x)^k p = (-1)^k x^k p.  The diagonal and the zero cells keep their
+    entries, as unipotent_element(rep, root, -x) builds them.
     """
-    return Factor(
-        _freeze(chevalley.unipotent_element(rep, root, x)),
-        _freeze(chevalley.unipotent_element(rep, root, -x)),
-        _scaled(rep.X[root.coeffs], linalg.derive(x)),
-    )
+    rows = chevalley.unipotent_element(rep, root, x)
+    inv = [list(row) for row in rows]
+    if x:
+        for r, c, k, _ in rep.exp_cells[root.coeffs]:
+            if k % 2:
+                inv[r][c] = -inv[r][c]
+    return Factor(_freeze(rows), _freeze(inv), _scaled(rep.X[root.coeffs], linalg.derive(x)))
 
 
 def torus_matrix(rep, i, z):

@@ -1,0 +1,20 @@
+"""The stdout of `pvext gauge-normalize` and `pvext bruhat` on the seeded
+inputs of tests/cli_pins.json (recorded by tests/record_cli_pins.py) stays
+byte-identical."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from pvext import cli
+
+PINS = json.loads((Path(__file__).resolve().parent / "cli_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", PINS, ids=[case["name"] for case in PINS])
+def test_cli_stdout_is_pinned(case, tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(case["matrix"]))
+    assert cli.main(case["args"] + ["--matrix", str(path)]) == 0
+    assert capsys.readouterr().out == case["stdout"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pvext.diffpoly import DiffPoly, lift_matrix, parse
 from pvext.errors import DimMismatch, NonUnitScaling, VerificationFailure
 
 from conftest import get_pipeline, get_rep
+import gauge_oracle
 import linalg_oracle
 
 
@@ -175,10 +177,9 @@ def test_nth_root_is_exact_beyond_float_range():
 
 
 def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
-    # the coordinates of W_k are a field of the rep and those of X_j a unit
-    # vector, so only the input and the running matrix are decomposed: once
-    # in is_in_plane, once per level and once for the deepest residue
-    a = linalg.mat_add(rep_a3.a0_plus(), rep_a3.x_neg(rep_a3.m))
+    # the running matrix is carried in coordinates, so the input is
+    # decomposed once, by the plane test, and never again; a torus
+    # rescaling adds one decomposition of the rescaled matrix
     seen = []
     decompose = chevalley.decompose_in_basis
 
@@ -187,10 +188,13 @@ def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
         return decompose(rep, a)
 
     monkeypatch.setattr(chevalley, "decompose_in_basis", recording)
-    gauge.normalize_to_AG(rep_a3, a)
     constants = list(rep_a3.H) + [rep_a3.x_neg(j) for j in range(1, rep_a3.m + 1)]
-    assert len(seen) == len(rep_a3.rs.bands) + 3
-    assert not any(a is c for a in seen for c in constants)
+    for s, calls in ((None, 1), ((16, 1, 1), 2)):  # s_1 = 2^4, det C = 4
+        a = linalg.mat_add(rep_a3.a0_plus(s), rep_a3.x_neg(rep_a3.m))
+        del seen[:]
+        gauge.normalize_to_AG(rep_a3, a)
+        assert len(seen) == calls
+        assert not any(a is c for a in seen for c in constants)
 
 
 def _gauges_to(g, a, want):
@@ -201,13 +205,11 @@ def _gauges_to(g, a, want):
 
 
 SCALES = (Fraction(2), Fraction(1, 2), Fraction(3, 2))
+SYSTEMS = [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G2", 2), ("D", 4)]
+SYSTEM_IDS = ["A2", "A3", "B3", "C3", "G2", "D4"]
 
 
-@pytest.mark.parametrize(
-    "system",
-    [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G2", 2), ("D", 4)],
-    ids=["A2", "A3", "B3", "C3", "G2", "D4"],
-)
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
 @pytest.mark.parametrize("rescaled", [False, True], ids=["s=1", "rescaled"])
 def test_returned_transform_gauges_the_input_to_A_G(system, rescaled):
     rep = get_rep(*system)
@@ -238,3 +240,70 @@ def test_cli_transform_gauges_the_input_to_A_G(tmp_path, capsys, rep_a2):
          for row in out["transform"]]
     f = {int(k): DiffPoly.from_json_obj(v) for k, v in out["f"].items()}
     assert _gauges_to(g, a, construct.assemble_A_G(rep_a2, f))
+
+
+def _plane_matrix(rep, rng, s=None):
+    """A_0^+(s) plus seeded polynomial multiples of every H_i and X_b, b < 0."""
+    a = dp_matrix(rep.a0_plus(s))
+    for mat in list(rep.H) + [rep.X[b.coeffs] for b in rep.rs.neg_order]:
+        p = _random_poly(rng, rep.rank, max_degree=1)
+        a = linalg.mat_add(a, [[p * x for x in row] for row in mat])
+    return a
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+def test_normalize_agrees_with_the_matrix_loop(system):
+    rep = get_rep(*system)
+    rng = random.Random("oracle:%s%d" % system)
+    d = round(abs(linalg.det([[Fraction(c) for c in row] for row in rep.rs.cartan])))
+    for index in range(4):
+        s = [rng.choice(SCALES) ** d for _ in range(rep.rank)] if index % 2 else None
+        a = _plane_matrix(rep, rng, s)
+        g, factors, f = gauge.normalize_to_AG(rep, a)
+        want_g, want_factors, want_f = gauge_oracle.normalize_to_AG(rep, a)
+        assert g == want_g
+        assert [x.rows for x in factors] == [x.rows for x in want_factors]
+        assert f == want_f
+
+
+def _random_coordinates(rep, rng):
+    coords = {}
+    for key in rep.basis_order:
+        if rng.random() < 0.7:
+            coords[key] = _random_poly(rng, rep.rank, max_degree=1) + rng.randint(-2, 2)
+    return coords
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+def test_unipotent_adjoint_is_conjugation_on_coordinates(system):
+    # exp(t ad X_b) on coordinates against decompose(u A u^-1), u = u_b(t)
+    rep = get_rep(*system)
+    rng = random.Random("adjoint:%s%d" % system)
+    for b in rep.rs.neg_order:
+        coords = _random_coordinates(rep, rng)
+        a = linalg.combination(
+            [(c, rep.H[key - 1] if kind == "H" else rep.X[key]) for (kind, key), c in coords.items()],
+            rep.dim, DiffPoly.zero(),
+        )
+        t = _random_poly(rng, rep.rank) - 1
+        u = chevalley.unipotent_element(rep, b, t)
+        conj = linalg_oracle.mat_mul(linalg_oracle.mat_mul(u, a), chevalley.unipotent_element(rep, b, -t))
+        want = {k: v for k, v in chevalley.decompose_in_basis(rep, conj).items() if v}
+        assert chevalley.unipotent_adjoint(rep, b, t, coords) == want
+
+
+def test_residual_check_fires_on_a_flipped_structure_constant():
+    # a wrong [X_b, X_a] moves the gauged coordinates off the W-basis solve
+    rep = get_rep("A", 3)
+    a = dp_matrix(rep.a0_plus())
+    for i in range(rep.rank):
+        a = linalg.mat_add(a, [[DiffPoly.eta(i + 1) * x for x in row] for row in rep.H[i]])
+    gauge.normalize_to_AG(rep, a)
+    simple = {rep.rs.simple(i).coeffs for i in range(1, rep.rank + 1)}
+    flips = [(b, s) for b, s in rep.nconst if s in simple and sum(b) < -1]
+    assert flips
+    for key in flips:
+        nconst = dict(rep.nconst)
+        nconst[key] = -nconst[key]
+        with pytest.raises(VerificationFailure, match="residual coordinates"):
+            gauge.normalize_to_AG(dataclasses.replace(rep, nconst=nconst), a)

@@ -233,3 +233,25 @@ def test_root_factors_compare_and_hash_by_their_matrices(rep_a2):
     f, g = (symgroup.unipotent_matrix(rep_a2, root, DiffPoly.eta(1)) for _ in range(2))
     assert f == g and hash(f) == hash(g)
     assert f != symgroup.unipotent_matrix(rep_a2, root, DiffPoly.eta(2))
+
+
+INVERSE_SYSTEMS = (
+    [("A", r) for r in range(1, 7)] + [("B", r) for r in range(2, 6)]
+    + [("C", r) for r in range(2, 6)] + [("D", r) for r in range(3, 6)] + [("G2", 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "system", INVERSE_SYSTEMS, ids=["G2" if t == "G2" else "%s%d" % (t, r) for t, r in INVERSE_SYSTEMS]
+)
+def test_unipotent_inverse_is_the_element_at_minus_x(system):
+    # the inverse negates the odd-k cells of u(x); entry for entry, types
+    # included, it is unipotent_element(rep, root, -x)
+    rep = get_rep(*system)
+    xs = (parse("n1' - 2 n1^2 + 3/2"), Fraction(-3, 2), DiffPoly.zero(), Fraction(0))
+    for root in rep.rs.roots:
+        for x in xs:
+            got = symgroup.unipotent_matrix(rep, root, x).inv
+            want = chevalley.unipotent_element(rep, root, -x)
+            assert got == tuple(tuple(row) for row in want)
+            assert [[type(e) for e in row] for row in got] == [[type(e) for e in row] for row in want]
