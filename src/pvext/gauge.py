@@ -146,10 +146,12 @@ def normalize_to_AG(rep, a):
       such sums agree iff the coordinates do, because the basis is
       independent (build_rep's recipe raises SpanFailure unless it finds
       one independent row of entries per basis element, so the basis has
-      full rank).  It covers the coordinate action: a wrong structure
-      constant leaves a correction the W-basis solve did not plan for.
+      full rank).  It fires when the coordinate action goes wrong where
+      the level solves do not look, e.g. a wrong [X_b, X_alpha_i] leaves
+      a W-component of the image of A_0^+ uncorrected.
     - The returned g: g' + g a = A_G(f) g, in matrices, from the factors'
-      rows alone, independent of the coordinates.  This is
+      rows alone (exp_cells, not nconst), so it also catches coordinates
+      that drifted into a wrong x or f the residual accepts.  This is
       gauge(g, a) = A_G(f).  Proof: gauge(g, a) = g a g^{-1} + g' g^{-1},
       and g is invertible (each factor has its inverse in closed form).
       Multiplying g a g^{-1} + g' g^{-1} = A_G(f) on the right by g gives

@@ -307,3 +307,23 @@ def test_residual_check_fires_on_a_flipped_structure_constant():
         nconst[key] = -nconst[key]
         with pytest.raises(VerificationFailure, match="residual coordinates"):
             gauge.normalize_to_AG(dataclasses.replace(rep, nconst=nconst), a)
+
+
+@pytest.mark.parametrize("system", [("A", 3), ("B", 3), ("G2", 2)], ids=["A3", "B3", "G2"])
+def test_no_flipped_structure_constant_passes_unnoticed(system):
+    # the residual or the matrix g-check catches every sign the coordinate
+    # action uses; a flip that changes nothing is a constant it never reads
+    rep = get_rep(*system)
+    a = _plane_matrix(rep, random.Random("flip:%s%d" % system))
+    g, _, f = gauge.normalize_to_AG(rep, a)
+    caught = 0
+    for key in rep.nconst:
+        nconst = dict(rep.nconst)
+        nconst[key] = -nconst[key]
+        try:
+            got_g, _, got_f = gauge.normalize_to_AG(dataclasses.replace(rep, nconst=nconst), a)
+        except VerificationFailure:
+            caught += 1
+        else:
+            assert got_g == g and got_f == f
+    assert caught
