@@ -5,8 +5,11 @@ Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
 provides u_alpha(x), its adjoint action exp(x ad X_alpha) on coordinates,
 t_i(z) and the Weyl representatives n(w) as products of the simple
-representatives.  Every Chevalley axiom is checked
-exhaustively at build time, with sparse integer brackets.  The kernels
+representatives.  Every Chevalley axiom is checked exhaustively at build
+time: with sparse integer brackets for the pairs of root vectors whose
+supports meet, as a zero bracket for the other pairs, and cell by cell
+for the Cartan generators.  The coordinates of the W_i are read off the
+checked structure constants.  The kernels
 visit only non-zero cells: u_alpha(x) those of the divided powers of
 X_alpha, decompose_in_basis the non-zero inverse entries of its recipe
 and the cells that the basis matrices reach.
@@ -51,7 +54,9 @@ class ChevalleyRep:
     # (a, b) coeffs -> the int N = +-(r + 1) with [X_a, X_b] = N X_(a+b);
     # unipotent_adjoint reads it to act by exp(t ad X) in the gauge
     nconst: dict
-    w_coefficients: tuple  # decompose_in_basis of W_i = [X_i, A_0^+], indexed like neg_order
+    # coordinates of W_i = [X_i, A_0^+] over basis_order, read off nconst
+    # by _w_coordinates; indexed like neg_order
+    w_coefficients: tuple
     exp_cells: dict  # root coeffs -> the (r, c, k, p) with p = (X^k/k!)[r][c] != 0, k >= 1
     basis_order: tuple  # ("H", i) / ("X", coeffs) in decomposition order
     solve_positions: tuple  # the entries r * dim + c that decompose_in_basis reads
@@ -221,7 +226,8 @@ def _sp_bracket(a, b):
 def _sp_combination(mats, coeffs):
     acc = {}
     for c, m in zip(coeffs, mats):
-        acc = _sp_add(acc, m, c)
+        if c:
+            acc = _sp_add(acc, m, c)
     return acc
 
 
@@ -249,9 +255,7 @@ def build_rep(type_label, rank):
     n, E, F = _simple_generators(rs)
     l = rs.rank
     sh = [_sp_bracket(E[i], F[i]) for i in range(l)]
-    for i in range(l):
-        if any(set(row) != {r} for r, row in sh[i].items()):
-            raise SpanFailure("H_%d is not diagonal" % (i + 1))
+    coroots = _coroot_matrices(rs, sh)
 
     sx = {}
     for i in range(l):
@@ -280,7 +284,7 @@ def build_rep(type_label, rank):
         )
         if not xg or not xn:
             raise SpanFailure("vanishing root vector for %r" % (gamma,))
-        hg = _sp_combination(sh, _coroot_coefficients(rs, gamma))
+        hg = coroots[gamma.coeffs]
         br = _sp_bracket(xg, xn)
         if br == hg:
             pass
@@ -291,7 +295,7 @@ def build_rep(type_label, rank):
         sx[gamma.coeffs] = xg
         sx[(-gamma).coeffs] = xn
 
-    nconst = _verify_axioms(rs, sh, sx)
+    nconst = _verify_axioms(rs, sh, sx, coroots)
     X = {coeffs: _dense(n, mat) for coeffs, mat in sx.items()}
     exp_cells = {coeffs: _divided_power_cells(mat, n) for coeffs, mat in sx.items()}
 
@@ -319,10 +323,7 @@ def build_rep(type_label, rank):
         solve_rows=solve_rows,
         support=support,
     )
-    # decompose_in_basis reads only the basis fields filled in above
-    rep = replace(rep, w_coefficients=tuple(
-        decompose_in_basis(rep, _dense(n, w[b.coeffs])) for b in rs.neg_order
-    ))
+    rep = replace(rep, w_coefficients=_w_coordinates(rep))
     _verify_w_basis(rep, w, sx)
     return rep
 
@@ -373,14 +374,28 @@ def _divided_power_cells(mat, n):
     return tuple(sorted(cells))
 
 
-def _verify_axioms(rs, sh, sx):
+def _coroot_matrices(rs, sh):
+    """Root coefficients -> the sparse coroot H_root, the combination of the
+    H_i in sh with the _coroot_coefficients of root, for every root; the
+    coefficients of -root are those of root negated, so H_-root = -H_root."""
+    out = {}
+    for r in rs.roots:
+        if r.height() > 0:
+            out[r.coeffs] = _sp_combination(sh, _coroot_coefficients(rs, r))
+            out[(-r).coeffs] = _sp_scale(out[r.coeffs], -1)
+    return out
+
+
+def _verify_axioms(rs, sh, sx, coroots):
     """Exhaustive Chevalley-basis checks; returns the structure constants.
 
     sh (the list of H_i) and sx (root coefficients -> X_root) hold sparse
     integer maps, the ones build_rep builds and _dense copies verbatim
-    into the ChevalleyRep.  The checks, for all roots a, b and all i, j:
+    into the ChevalleyRep, and coroots is _coroot_matrices(rs, sh), which
+    build_rep also reads in its recursion.
+    The checks, for all roots a, b and all i, j:
 
-    - [H_i, H_j] = 0;
+    - H_i is diagonal, and [H_i, H_j] = 0;
     - [H_i, X_a] = <a, a_i> X_a, the pairing read from the Cartan matrix;
     - [X_a, X_-a] = H_a, the combination of the H_i from the coroot;
     - [X_a, X_b] = N X_(a+b) with |N| = r + 1 when a + b is a root, where
@@ -388,44 +403,77 @@ def _verify_axioms(rs, sh, sx):
       the int nconst[(a, b)];
     - [X_a, X_b] = 0 when a + b is neither 0 nor a root.
 
-    The identities are checked with sparse integer brackets.  This checks
+    The identities are checked with sparse integer maps.  This checks
     them exactly as dense brackets would: a map holds precisely the
     non-zero entries, integer sums and products are exact, and two maps are
     equal iff the matrices are.
 
-    The bracket br = X_a X_b - X_b X_a is multiplied out once per unordered
-    pair {a, b}.  The identities of the ordered pair (a, b) are checked on
-    br and those of (b, a) on -br, which is [X_b, X_a] exactly, since
-    [X_b, X_a] = X_b X_a - X_a X_b = -[X_a, X_b]; so every ordered pair is
-    still checked, on the matrix the ordered sweep would have formed.
+    [H_i, X_a] is checked cell by cell.  For a diagonal H with entries h_r,
+    (H X)[r][c] = h_r X[r][c] and (X H)[r][c] = X[r][c] h_c, so
+    [H, X][r][c] = (h_r - h_c) X[r][c].  Off the cells of X both sides of
+    [H, X] = p X are zero, and on a cell, where X[r][c] != 0, they agree
+    iff h_r - h_c = p, the test made.
+
+    The bracket of two root vectors is multiplied out only for a chained
+    unordered pair {a, b}: one where some column of a non-zero entry of
+    X_a is the row of a non-zero entry of X_b, or the other way round.
+    (X_a X_b)[r][c] = sum_k X_a[r][k] X_b[k][c] has a non-zero product only
+    when column k of X_a and row k of X_b both hold one; so for a pair that
+    is not chained X_a X_b = X_b X_a = 0 and [X_a, X_b] = 0 exactly.  The
+    identities of such a pair are then those of the zero bracket: they
+    hold when a + b is neither 0 nor a root, and otherwise _check_bracket
+    is run on the empty map, which is that zero bracket, and raises as a
+    multiplied-out zero would.  Whether a + b is a root or 0 is read off
+    the integer codes sum_j k_j 16^j of the roots, which add as the vectors
+    do and are unique for them (rootsys.RootSystem._strings proves this).
+    A chained pair has br = X_a X_b - X_b X_a formed once.  The identities
+    of the ordered pair (a, b) are checked on br and those of (b, a) on
+    -br, which is [X_b, X_a] exactly, since [X_b, X_a] = X_b X_a - X_a X_b
+    = -[X_a, X_b]; so every ordered pair is still checked, on the matrix
+    the ordered sweep would have formed.
     """
     l = rs.rank
+    for i, h in enumerate(sh):
+        if any(set(row) != {r} for r, row in h.items()):
+            raise SpanFailure("H_%d is not diagonal" % (i + 1))
     for i in range(l):
         for j in range(l):
             if _sp_bracket(sh[i], sh[j]):
                 raise SpanFailure("[H_%d, H_%d] != 0" % (i + 1, j + 1))
+    diagonals = [{r: row[r] for r, row in h.items()} for h in sh]
+    rows, cols = {}, {}
     for root in rs.roots:
         mat = sx[root.coeffs]
-        for i in range(l):
-            want = _sp_scale(mat, rootsys.pairing(rs.cartan, root.coeffs, i))
-            if _sp_bracket(sh[i], mat) != want:
+        for i, h in enumerate(diagonals):
+            p = rootsys.pairing(rs.cartan, root.coeffs, i)
+            if any(h.get(r, 0) - h.get(c, 0) != p for r, row in mat.items() for c in row):
                 raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
+        rows[root.coeffs] = set(mat)
+        cols[root.coeffs] = set().union(*mat.values())
+    code = {r.coeffs: sum(k << 4 * j for j, k in enumerate(r.coeffs)) for r in rs.roots}
+    bracketed = set(code.values()) | {0}
     nconst = {}
     roots = rs.roots
     for k, a in enumerate(roots):
         for b in roots[k:]:
-            br = _sp_bracket(sx[a.coeffs], sx[b.coeffs])
-            _check_bracket(rs, sh, sx, a, b, br, nconst)
+            x, y = a.coeffs, b.coeffs
+            if cols[x] & rows[y] or cols[y] & rows[x]:
+                br = _sp_bracket(sx[x], sx[y])
+            elif code[x] + code[y] in bracketed:
+                br = {}
+            else:
+                continue
+            _check_bracket(rs, coroots, sx, a, b, br, nconst)
             if b != a:
-                _check_bracket(rs, sh, sx, b, a, _sp_scale(br, -1), nconst)
+                _check_bracket(rs, coroots, sx, b, a, _sp_scale(br, -1), nconst)
     return nconst
 
 
-def _check_bracket(rs, sh, sx, a, b, br, nconst):
+def _check_bracket(rs, coroots, sx, a, b, br, nconst):
     """The identities of the ordered pair (a, b) on br = [X_a, X_b]."""
     total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
     if not any(total):
-        if br != _sp_combination(sh, _coroot_coefficients(rs, a)):
+        if br != coroots[a.coeffs]:
             raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
     elif total in rs._root_set:
         coeff = _proportionality(br, sx[total])
@@ -524,6 +572,33 @@ def _complementary_root_values(rs, X, W):
     return comp
 
 
+def _w_coordinates(rep):
+    """The coordinates of each W_b = [X_b, A_0^+] over rep.basis_order, b
+    in neg_order, as decompose_in_basis(rep, W_b) returns them: one
+    Fraction per key.
+
+    A_0^+ is the sum of the X_alpha_i, so W_b = sum_i [X_b, X_alpha_i], and
+    _bracket_with reads each of those brackets off the identities that
+    _verify_axioms checked on the matrices: the coroot H_b over the H_j
+    when b = -alpha_i, nconst[(b, alpha_i)] X_(b+alpha_i) when b + alpha_i
+    is a root, and 0 otherwise.  Adding them gives W_b as a combination of
+    basis matrices.  These coordinates are the only ones: build_rep's
+    recipe finds one independent row of entries per basis element (or
+    raises SpanFailure), so the basis matrices are linearly independent,
+    and a matrix in their span has one combination.  decompose_in_basis
+    solves for that combination, so the two agree key for key.
+    """
+    simples = [("X", rep.rs.simple(i).coeffs) for i in range(1, rep.rank + 1)]
+    out = []
+    for b in rep.rs.neg_order:
+        coords = dict.fromkeys(rep.basis_order, Fraction(0))
+        for simple in simples:
+            for key, n in _bracket_with(rep, b, simple):
+                coords[key] += n
+        out.append(coords)
+    return tuple(out)
+
+
 def _verify_w_basis(rep, W, X):
     """{W_i} plus the complementary root vectors spans b^- with full rank,
     and the per-height non-complementary blocks are square invertible.
@@ -536,6 +611,12 @@ def _verify_w_basis(rep, W, X):
     row * n + column, which relabels the columns and keeps the rank, and
     the number of vectors Echelon accepts is their rank, by the proof in
     its docstring.
+
+    One decomposition then checks the coordinates that _w_coordinates read
+    off the structure constants against the matrices: the sum of the W_b
+    must decompose to the sum of their coordinates.  Decomposition is
+    linear, so the two agree when every W_b's coordinates are right, and a
+    single wrong coordinate makes them differ.
     """
     rs = rep.rs
     vectors = [W[b.coeffs] for b in rs.neg_order]
@@ -543,6 +624,14 @@ def _verify_w_basis(rep, W, X):
     span = linalg.Echelon()
     if sum(span.add(_cells(v)) for v in vectors) != rs.m + rs.rank:
         raise SpanFailure("W basis of b^- has deficient rank")
+    total = _sp_combination([W[b.coeffs] for b in rs.neg_order], [1] * rs.m)
+    want = dict.fromkeys(rep.basis_order, 0)
+    for coords in rep.w_coefficients:
+        for key, c in coords.items():
+            if c:
+                want[key] += c
+    if decompose_in_basis(rep, _dense(rep.dim, total)) != want:
+        raise SpanFailure("the W coordinates do not sum to those of the summed W")
     for q, members in rs.bands.items():
         sources = rs.band(q - 1)
         if not sources:

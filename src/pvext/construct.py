@@ -223,18 +223,34 @@ def adjoint_on_A0(ctx):
     return Stage2Coeffs(g=g, ell=tuple(ell), p=tuple(p))
 
 
+def _signed_permutation_inverse(p):
+    """P^-1 = P^T for a signed permutation matrix P: one entry +-1 in each
+    row and each column, every other entry 0; StructureViolation otherwise.
+
+    (P P^T)[r][s] = sum_k P[r][k] P[s][k].  Row r has its one non-zero
+    entry in a column k_r, and k_r != k_s for r != s, since column k_r
+    holds only one.  So the sum has no non-zero product off the diagonal,
+    and on it the one product (+-1)^2 = 1: P P^T = 1, and P^T is P^-1.
+    """
+    unit = [0] * (len(p) - 1) + [1]
+    if any(sorted(map(abs, line)) != unit for line in list(p) + list(zip(*p))):
+        raise StructureViolation("n(wbar) is not a signed permutation matrix")
+    return [list(column) for column in zip(*p)]
+
+
 def build_A_L(ctx, stage2):
     """Solve for the constants c and the linear forms gbar, assemble A_L.
 
     c is determined by Ad(n(wbar))(A_0^-(c)) = A_0^+ and gbar by
     Ad(n(wbar))(sum gbar_i H_i) = sum -g_i H_i; both identities are
-    re-verified by direct conjugation on the assembled data.
+    re-verified by direct conjugation on the assembled data.  n(wbar) is a
+    signed permutation, inverted by its transpose.
     """
     rep = ctx.rep
     rs = rep.rs
     l = rs.rank
     nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rs))
-    nwinv = linalg.rational_inverse(nw)
+    nwinv = _signed_permutation_inverse(nw)
 
     c = []
     for i in range(1, l + 1):

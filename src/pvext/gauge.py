@@ -165,11 +165,7 @@ def normalize_to_AG(rep, a):
     a = lift_matrix(a)
     factors = []
     if any(Fraction(v) != 1 for v in s):
-        z = _torus_rescaling(rep, s)
-        torus = linalg.eye(rep.dim)
-        for j in range(rep.rank):
-            torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
-        tm = symgroup.constant_matrix(torus)
+        tm = symgroup.constant_torus(rep, _torus_rescaling(rep, s))
         factors.append(tm)
         current = chevalley.decompose_in_basis(rep, symgroup.gauge(tm, a))
     current = {key: c for key, c in current.items() if c}

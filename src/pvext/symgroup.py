@@ -1,7 +1,7 @@
 """Group elements as words in one-parameter subgroups.
 
 A Factor is one letter of such a word: u_root(x), t_i(z) or a constant
-rational matrix such as n(w).  Each carries its matrix, its inverse and its
+torus element t(z).  Each carries its matrix, its inverse and its
 logarithmic derivative ldelta = d(M) M^{-1}, all three in closed form from
 the group law, so no symbolic inversion is ever attempted.  Every letter
 multiplies by linalg.mat_mul.  On products of factors this module computes
@@ -72,12 +72,20 @@ def torus_matrix(rep, i, z):
     )
 
 
-def constant_matrix(m):
-    """A constant invertible rational matrix, e.g. n(w); its ldelta is 0."""
-    rows = _freeze(m)
-    if not all(isinstance(x, (int, Fraction)) for row in rows for x in row):
-        raise ValueError("a constant factor needs rational entries")
-    return Factor(rows, _freeze(linalg.rational_inverse(rows)))
+def constant_torus(rep, z):
+    """t(z) = t_1(z_1) ... t_l(z_l) for rational constants z_j, its inverse
+    and ldelta 0.  The t_j are diagonal, so t(z) is the diagonal matrix of
+    the products d_r of their entries, and t(z)^-1 = diag(1/d_r)."""
+    if not all(isinstance(zj, (int, Fraction)) for zj in z):
+        raise ValueError("a constant torus needs rational z")
+    diagonal = [Fraction(1)] * rep.dim
+    for j, zj in enumerate(z, start=1):
+        t = chevalley.torus_element(rep, j, zj)
+        diagonal = [d * t[r][r] for r, d in enumerate(diagonal)]
+    rows, inv = linalg.zeros(rep.dim), linalg.zeros(rep.dim)
+    for r, d in enumerate(diagonal):
+        rows[r][r], inv[r][r] = d, 1 / d
+    return Factor(_freeze(rows), _freeze(inv))
 
 
 def _factors(g):

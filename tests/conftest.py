@@ -1,6 +1,6 @@
 import pytest
 
-from pvext import chevalley, construct, linalg
+from pvext import chevalley, construct, linalg, symgroup
 
 import linalg_oracle
 from linalg_oracle import mat_is_zero
@@ -51,6 +51,13 @@ def sl4_result():
 @pytest.fixture(scope="session")
 def g2_result():
     return get_pipeline("G2", 2)
+
+
+def constant_factor(m):
+    """A constant invertible rational matrix such as n(w) as a
+    symgroup.Factor: its inverse by Gauss-Jordan elimination, ldelta 0."""
+    rows = tuple(map(tuple, m))
+    return symgroup.Factor(rows, tuple(map(tuple, linalg.rational_inverse(rows))))
 
 
 def neumann_inverse(m, one):

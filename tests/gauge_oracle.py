@@ -13,6 +13,8 @@ from pvext.diffpoly import DiffPoly, lift_matrix
 from pvext.errors import VerificationFailure
 from pvext.gauge import _torus_rescaling, is_in_plane
 
+from conftest import constant_factor
+
 
 def normalize_to_AG(rep, a):
     """(g, factors, f) as pvext.gauge.normalize_to_AG returns them."""
@@ -27,7 +29,7 @@ def normalize_to_AG(rep, a):
         torus = linalg.eye(rep.dim)
         for j in range(rep.rank):
             torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
-        tm = symgroup.constant_matrix(torus)
+        tm = constant_factor(torus)
         factors.append(tm)
         current = symgroup.gauge(tm, current)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -203,6 +204,41 @@ def test_build_agrees_with_the_dense_oracle(label):
     assert rootsys.finalize_order(rs0, comp) == rep.rs
 
 
+SYSTEMS_A1_TO_RANK_8 = (
+    [("A", r) for r in range(1, 9)]
+    + [(t, r) for t in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(3, 9)]
+    + [("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("system", SYSTEMS_A1_TO_RANK_8, ids=lambda s: "%s%d" % s if s[0] != "G2" else "G2")
+def test_w_coefficients_are_the_decomposed_brackets(system):
+    # the coordinates read off nconst are those decompose_in_basis solves for
+    rep = get_rep(*system)
+    a0 = rep.a0_plus()
+    for i in range(1, rep.m + 1):
+        w = linalg_oracle.bracket(rep.x_neg(i), a0)
+        assert rep.w_coefficients[i - 1] == chevalley.decompose_in_basis(rep, w)
+        assert tuple(rep.w_coefficients[i - 1]) == rep.basis_order
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_w_basis_check_refuses_a_wrong_coordinate(label):
+    rep = get_rep(*_system(label))
+    a0 = rep.a0_plus()
+    W = {b.coeffs: chevalley_oracle.sparse(linalg_oracle.bracket(rep.X[b.coeffs], a0), "W")
+         for b in rep.rs.neg_order}
+    _, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
+    chevalley._verify_w_basis(rep, W, sx)
+    for k, key in enumerate(rep.basis_order[: rep.m]):
+        coords = [dict(c) for c in rep.w_coefficients]
+        coords[k][key] += 1
+        wrong = dataclasses.replace(rep, w_coefficients=tuple(coords))
+        with pytest.raises(SpanFailure, match="do not sum"):
+            chevalley._verify_w_basis(wrong, W, sx)
+
+
 @pytest.mark.parametrize("label", GRID)
 def test_longest_representative_sends_root_vectors_to_root_vectors(label):
     # Ad(n(wbar)) X_beta = +-X_{wbar beta} for every root beta
@@ -260,18 +296,38 @@ def _corrupted_basis(rep, case):
         mat[i][j] = Fraction(1)
     elif case == "negated":
         X[rep.rs.neg_order[-1].coeffs] = linalg_oracle.mat_scale(X[rep.rs.neg_order[-1].coeffs], -1)
+    elif case == "empty":
+        X[rep.rs.simple(1).coeffs] = linalg.zeros(rep.dim)
+    elif case == "offdiagonal":
+        H[0][0][1] = 1
     else:
         H[0][0][0] += 1
     return H, X
 
 
-@pytest.mark.parametrize("case", ["scaled", "stray", "negated", "cartan"])
+def _corruption_message(rep, case):
+    # the check each corruption trips first; an empty X_alpha_1 has no cell
+    # to fail [H_i, X] on and meets no other support, so the unchained pair
+    # (alpha_2, alpha_1) trips, whose sum is a root although its bracket is 0
+    a1, a2 = rep.rs.simple(1).coeffs, rep.rs.simple(2).coeffs
+    return {
+        "scaled": "|N| = ",
+        "stray": "[H_1, X_%r] is off" % (a1,),
+        "negated": "[X_a, X_-a] != H_a for %r" % ((-rep.rs.neg_order[-1]).coeffs,),
+        "cartan": "[H_1, X_%r] is off" % (a1,),
+        "empty": "[X_%r, X_%r] not proportional to X_sum" % (a2, a1),
+        "offdiagonal": "H_1 is not diagonal",
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["scaled", "stray", "negated", "cartan", "empty", "offdiagonal"])
 @pytest.mark.parametrize("label", ["B3", "G2"])
 def test_verify_axioms_rejects_corrupted_basis(label, case):
     rep = get_rep(*_system(label))
     sh, sx = chevalley_oracle.sparse_basis(*_corrupted_basis(rep, case))
-    with pytest.raises(SpanFailure):
-        chevalley._verify_axioms(rep.rs, sh, sx)
+    message = _corruption_message(rep, case)
+    with pytest.raises(SpanFailure, match=re.escape(message)):
+        chevalley._verify_axioms(rep.rs, sh, sx, chevalley._coroot_matrices(rep.rs, sh))
 
 
 def test_echelon_accepts_exactly_the_rank_raising_rows():
@@ -517,13 +573,22 @@ def test_axiom_sweep_brackets_each_unordered_pair_once(monkeypatch):
     sh, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
     products = []
     sp_mul = chevalley._sp_mul
+    coroots = chevalley._coroot_matrices(rep.rs, sh)
     monkeypatch.setattr(chevalley, "_sp_mul", lambda a, b: products.append(1) or sp_mul(a, b))
-    chevalley._verify_axioms(rep.rs, sh, sx)
-    l, roots = rep.rank, len(rep.rs.roots)
-    # two products per bracket: [H_i, H_j], [H_i, X_a], then one bracket per
-    # unordered pair of roots, a with itself included
-    brackets = l * l + l * roots + roots * (roots + 1) // 2
-    assert len(products) == 2 * brackets
+    chevalley._verify_axioms(rep.rs, sh, sx, coroots)
+    l, roots, n = rep.rank, rep.rs.roots, rep.dim
+    # the columns and the rows that hold a non-zero entry of each X_a
+    cols = {a: {c for r in range(n) for c in range(n) if rep.X[a.coeffs][r][c]} for a in roots}
+    rows = {a: {r for r in range(n) if any(rep.X[a.coeffs][r])} for a in roots}
+    chained = sum(
+        1 for k, a in enumerate(roots) for b in roots[k:] if cols[a] & rows[b] or cols[b] & rows[a]
+    )
+    # two products per bracket: [H_i, H_j], then one bracket per unordered
+    # pair of roots, a with itself included, where X_a X_b or X_b X_a can
+    # be non-zero; [H_i, X_a] is checked on the cells of X_a, with no product
+    assert len(products) == 2 * (l * l + chained)
+    # a third of the sweep that brackets every unordered pair
+    assert 3 * len(products) <= 2 * (l * l + l * len(roots) + len(roots) * (len(roots) + 1) // 2)
 
 
 def test_weyl_representative_builds_each_simple_representative_once(monkeypatch):

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from pvext import chevalley, construct, linalg, symgroup
+from pvext import chevalley, construct, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
-from pvext.errors import IdentityFailure
+from pvext.errors import IdentityFailure, StructureViolation
 from pvext.liouville_expr import LiouvExpr
 
 from conftest import get_pipeline, get_rep, neumann_inverse
@@ -532,13 +532,36 @@ def test_pipeline_builds_u_and_its_inverse_once(monkeypatch):
 
 
 def test_pipeline_inverts_the_longest_representative_once(monkeypatch):
-    inverted = []
-    inverse = linalg.rational_inverse
+    # once, by its transpose: n(wbar) never reaches the Gauss-Jordan inverse
+    inverted, transposed = [], []
+    inverse, transpose = linalg.rational_inverse, construct._signed_permutation_inverse
     monkeypatch.setattr(linalg, "rational_inverse", lambda m: inverted.append(m) or inverse(m))
+    monkeypatch.setattr(
+        construct, "_signed_permutation_inverse", lambda m: transposed.append(m) or transpose(m)
+    )
     data = construct.run_pipeline("B", 3).liouville
     nw = [list(row) for row in data.nw]
-    assert sum(linalg.mat_eq(m, nw) for m in inverted if len(m) == len(nw)) == 1
+    assert not any(linalg.mat_eq(m, nw) for m in inverted if len(m) == len(nw))
+    assert len(transposed) == 1 and linalg.mat_eq(transposed[0], nw)
     assert linalg.mat_eq(linalg.mat_mul(nw, data.nwinv), linalg.eye(len(nw)))
+
+
+@pytest.mark.parametrize("system", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
+def test_longest_representative_is_inverted_by_its_transpose(system):
+    rep = get_rep(*system)
+    nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
+    assert construct._signed_permutation_inverse(nw) == linalg.rational_inverse(nw)
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 1], [1, 1]],  # two non-zero entries in a row
+    [[0, 2], [Fraction(1, 2), 0]],  # one per row and column, not +-1
+    [[1, 0], [1, 0]],  # a column with two, a column with none
+    [[0, 0], [0, 1]],  # a zero row
+])
+def test_a_non_signed_permutation_is_refused(entries):
+    with pytest.raises(StructureViolation, match="signed permutation"):
+        construct._signed_permutation_inverse(entries)
 
 
 @pytest.mark.parametrize("system", [("A", 3), ("G2", 2), ("B", 3), ("D", 5)])

@@ -9,13 +9,13 @@ from pvext.errors import NotClosedFormInvertible, NotInLieAlgebra
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
-from conftest import get_rep, neumann_inverse
+from conftest import constant_factor, get_rep, neumann_inverse
 import linalg_oracle
 from linalg_oracle import mat_is_zero
 
 
 def test_logderiv_identity(rep_a3):
-    m = symgroup.constant_matrix(linalg.eye(4))
+    m = constant_factor(linalg.eye(4))
     assert mat_is_zero(symgroup.log_derivative(m))
 
 
@@ -37,7 +37,7 @@ def test_logderiv_torus_exponential(rep_a3):
 
 def test_adjoint_identity(rep_a2):
     a = [[DiffPoly.eta(1) * x for x in row] for row in rep_a2.H[0]]
-    g = symgroup.constant_matrix(linalg.eye(3))
+    g = constant_factor(linalg.eye(3))
     assert linalg.mat_eq(symgroup.adjoint(g, a), a)
 
 
@@ -74,7 +74,7 @@ def test_adjoint_formula_on_opposite_vector(rep_a3):
 
 def test_gauge_identity_and_zero(rep_a2):
     a = [[DiffPoly.eta(1) * x for x in row] for row in rep_a2.a0_plus()]
-    ident = symgroup.constant_matrix(linalg.eye(3))
+    ident = constant_factor(linalg.eye(3))
     assert linalg.mat_eq(symgroup.gauge(ident, a), a)
     u = symgroup.unipotent_matrix(rep_a2, rep_a2.rs.neg_order[0], DiffPoly.eta(1))
     zero = linalg_oracle.zeros(3, DiffPoly.zero())
@@ -134,7 +134,7 @@ def _random_structured_factors(rep, rng, count):
         else:
             word = tuple(rng.randint(1, rep.rank) for _ in range(rng.randint(1, 3)))
             factors.append(
-                symgroup.constant_matrix(chevalley.weyl_representative(rep, word))
+                constant_factor(chevalley.weyl_representative(rep, word))
             )
     return factors
 
@@ -199,12 +199,15 @@ def test_adjoint_preserves_brackets():
 
 
 def test_tag_truthfulness():
-    # a constant factor is rational; its inverse comes from exact elimination
+    # a constant torus factor is rational, its closed-form inverse is the
+    # one exact elimination finds, and its ldelta is 0
+    rep = get_rep("B", 3)
     with pytest.raises(ValueError):
-        symgroup.constant_matrix(((DiffPoly.eta(1), DiffPoly.zero()), (DiffPoly.zero(), DiffPoly.eta(1))))
-    g = symgroup.constant_matrix(((1, 2), (0, 1)))
-    assert g.ldelta is None
-    assert linalg.mat_eq(g.inv, [[1, -2], [0, 1]])
+        symgroup.constant_torus(rep, (DiffPoly.eta(1), 1, 1))
+    t = symgroup.constant_torus(rep, (Fraction(2), Fraction(-1, 3), 5))
+    assert t.ldelta is None
+    assert t.inv == constant_factor(t.rows).inv
+    assert linalg.mat_eq(linalg.mat_mul(t.rows, t.inv), linalg.eye(rep.dim))
 
 
 def test_torus_factor_over_liouvexpr():
