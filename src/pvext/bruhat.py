@@ -93,7 +93,7 @@ def representative_columns(n, word):
     for i in word:
         (r, s), cols[i] = cols[i], cols[i - 1]
         cols[i - 1] = (r, -s)
-    return cols
+    return tuple(cols)
 
 
 def longest_permutation(n):

@@ -31,6 +31,7 @@ from .errors import (
     NonDiagonalCartan,
     NotInLieAlgebra,
     SpanFailure,
+    StructureViolation,
     UnsupportedRep,
 )
 
@@ -805,11 +806,37 @@ def simple_representative(rep, i):
     return linalg.mat_mul(linalg.mat_mul(up, down), up)
 
 
+def _signed_columns(p):
+    """(row, int sign) of the one entry +-1 in each column of p; StructureViolation
+    unless each row and column of p holds exactly one +-1 and zeros elsewhere."""
+    unit = [0] * (len(p) - 1) + [1]
+    if any(sorted(map(abs, line)) != unit for line in list(p) + list(zip(*p))):
+        raise StructureViolation("n(w) is not a signed permutation matrix")
+    return tuple(next((r, int(x)) for r, x in enumerate(col) if x) for col in zip(*p))
+
+
 def weyl_representative(rep, word):
-    """n(w) = n(w_{i_1}) ... n(w_{i_k}) for a word (i_1, ..., i_k) of
-    1-based simple indices; each distinct n(w_i) is built once."""
-    simple = {i: simple_representative(rep, i) for i in dict.fromkeys(word)}
-    out = linalg.eye(rep.dim)
+    """n(w) = n(w_{i_1}) ... n(w_{i_k}) for a word of 1-based simple indices,
+    as the (row, sign) of its one entry +-1 in each column; each distinct
+    n(w_i) is built once and read by _signed_columns.  If P holds p_r at
+    (q_r, r) and S holds s_j at (r_j, j), column j of P S is s_j times column
+    r_j of P, s_j p_{r_j} at row q_{r_j}; since j -> r_j and r -> q_r are
+    bijections, P S is again a signed permutation, composed on the columns."""
+    simple = {i: _signed_columns(simple_representative(rep, i)) for i in dict.fromkeys(word)}
+    out = tuple((j, 1) for j in range(rep.dim))
     for i in word:
-        out = linalg.mat_mul(out, simple[i])
+        out = tuple((out[r][0], s * out[r][1]) for r, s in simple[i])
     return out
+
+
+def weyl_adjoint(nw, m):
+    """Ad(N)(M) = N M N^-1 for N given as weyl_representative's columns
+    (r_j, s_j): entry (r_i, r_j) is M[i][j] when s_i = s_j, else -M[i][j].
+
+    (N N^T)[a][b] = sum_i N[a][i] N[b][i] is s_i^2 = 1 for a = b = r_i and 0
+    otherwise, so N^-1 = N^T; of (N M N^T)[a][b] = sum_{i,j} N[a][i] M[i][j]
+    N[b][j] only s_i s_j M[i][j] is left, for the i, j with r_i = a, r_j = b.
+    """
+    # (i, s_i) for the i with r_i = a, in the order of the rows a
+    back = [(i, s) for _, i, s in sorted((r, i, s) for i, (r, s) in enumerate(nw))]
+    return [[m[i][j] if s == t else -m[i][j] for j, t in back] for i, s in back]

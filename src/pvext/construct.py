@@ -47,8 +47,7 @@ class LiouvilleData:
     c: tuple
     gbar: tuple
     A_L: tuple
-    nw: tuple
-    nwinv: tuple
+    nw: tuple  # n(wbar) as chevalley.weyl_representative's columns
     z: tuple = ()
     y: tuple = ()
     y_integrands: tuple = ()
@@ -223,53 +222,30 @@ def adjoint_on_A0(ctx):
     return Stage2Coeffs(g=g, ell=tuple(ell), p=tuple(p))
 
 
-def _signed_permutation_inverse(p):
-    """P^-1 = P^T for a signed permutation matrix P: one entry +-1 in each
-    row and each column, every other entry 0; StructureViolation otherwise.
-
-    (P P^T)[r][s] = sum_k P[r][k] P[s][k].  Row r has its one non-zero
-    entry in a column k_r, and k_r != k_s for r != s, since column k_r
-    holds only one.  So the sum has no non-zero product off the diagonal,
-    and on it the one product (+-1)^2 = 1: P P^T = 1, and P^T is P^-1.
-    """
-    unit = [0] * (len(p) - 1) + [1]
-    if any(sorted(map(abs, line)) != unit for line in list(p) + list(zip(*p))):
-        raise StructureViolation("n(wbar) is not a signed permutation matrix")
-    return [list(column) for column in zip(*p)]
-
-
 def build_A_L(ctx, stage2):
     """Solve for the constants c and the linear forms gbar, assemble A_L.
 
     c is determined by Ad(n(wbar))(A_0^-(c)) = A_0^+ and gbar by
     Ad(n(wbar))(sum gbar_i H_i) = sum -g_i H_i; both identities are
     re-verified by direct conjugation on the assembled data.  n(wbar) is a
-    signed permutation, inverted by its transpose.
+    signed permutation, so each conjugation is a relabelling (weyl_adjoint).
     """
     rep = ctx.rep
-    rs = rep.rs
-    l = rs.rank
-    nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rs))
-    nwinv = _signed_permutation_inverse(nw)
+    l = rep.rank
+    nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
 
     c = []
     for i in range(1, l + 1):
-        ad = linalg.mat_mul(linalg.mat_mul(nw, rep.x_neg(i)), nwinv)
-        dec = chevalley.decompose_in_basis(rep, ad)
+        dec = chevalley.decompose_in_basis(rep, chevalley.weyl_adjoint(nw, rep.x_neg(i)))
         live = [(k, val) for k, val in dec.items() if val]
         if len(live) != 1 or live[0][0][0] != "X":
             raise StructureViolation("Ad(n(wbar)) does not permute root lines")
         c.append(Fraction(1) / live[0][1])
-    check = linalg.mat_mul(linalg.mat_mul(nw, rep.a0_minus(c)), nwinv)
-    if not linalg.mat_eq(check, rep.a0_plus()):
+    if not linalg.mat_eq(chevalley.weyl_adjoint(nw, rep.a0_minus(c)), rep.a0_plus()):
         raise VerificationFailure("Ad(n(wbar))(A_0^-(c)) != A_0^+")
 
-    hmat = []
-    for i in range(1, l + 1):
-        ad = linalg.mat_mul(linalg.mat_mul(nw, rep.H[i - 1]), nwinv)
-        dec = chevalley.decompose_in_basis(rep, ad)
-        hmat.append([dec.get(("H", k), Fraction(0)) for k in range(1, l + 1)])
-    columns = [list(row) for row in zip(*hmat)]
+    decs = [chevalley.decompose_in_basis(rep, chevalley.weyl_adjoint(nw, h)) for h in rep.H]
+    columns = [[dec.get(("H", k), Fraction(0)) for dec in decs] for k in range(1, l + 1)]
     rhs = [[-stage2.g[k] for k in range(l)]]
     gbar = tuple(linalg.solve_exact(columns, rhs)[0])
 
@@ -277,20 +253,14 @@ def build_A_L(ctx, stage2):
     al = linalg.mat_add(combo, rep.a0_minus(c))
 
     # re-verify the Cartan identity by direct conjugation
-    lhs = linalg.mat_mul(linalg.mat_mul(nw, combo), nwinv)
+    lhs = chevalley.weyl_adjoint(nw, combo)
     want = linalg.combination(
         [(-g, h) for g, h in zip(stage2.g, rep.H)], rep.dim, DiffPoly.zero()
     )
     if not linalg.mat_eq(lhs, want):
         raise VerificationFailure("gbar conjugation identity failed")
 
-    return LiouvilleData(
-        c=tuple(c),
-        gbar=gbar,
-        A_L=tuple(tuple(r) for r in al),
-        nw=tuple(tuple(r) for r in nw),
-        nwinv=tuple(tuple(r) for r in nwinv),
-    )
+    return LiouvilleData(c=tuple(c), gbar=gbar, A_L=tuple(tuple(r) for r in al), nw=nw)
 
 
 def _extract_constant(expr):
@@ -406,8 +376,8 @@ def logderiv_Y(ctx, data, stage2):
     """
     rep = ctx.rep
     rs = rep.rs
-    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, data.nw), data.A_L)
-    ad = linalg.mat_mul(linalg.mat_mul(ad, data.nwinv), ctx.uinv)
+    ad = chevalley.weyl_adjoint(data.nw, data.A_L)
+    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, ad), ctx.uinv)
     total = linalg.mat_add(ctx.ldelta_u, ad)
     dec = chevalley.decompose_in_basis(rep, total)
     _check_positive_part(rep, dec, "ldelta(Y)")
@@ -609,17 +579,17 @@ def verify_end_to_end(rep, data, inv):
     """Check d(Y) = A_G(h) Y through an equivalent DiffPoly identity.
 
     Write the fundamental matrix Y = U N T with U = u(eta_1..eta_l,
-    f_(l+1)..f_m) over DiffPoly, N = n(wbar) rational and T = t(z) u(y)
-    Liouvillian.  The tower identity ldelta(T) = A_L is re-verified first,
-    so dT = A_L T.  Since dN = 0,
+    f_(l+1)..f_m) over DiffPoly, N = n(wbar) a signed permutation and
+    T = t(z) u(y) Liouvillian.  ldelta(T) = A_L is re-verified first, so
+    dT = A_L T.  Since dN = 0,
 
-        d(Y) - A_G(h) Y = dU N T + U N A_L T - A_G(h) U N T = M T,
-        M = dU N + U N A_L - A_G(h) U N.
+        d(Y) - A_G(h) Y = (dU N + U N A_L - A_G(h) U N) T = M N T,
+        M = dU + U B - A_G(h) U,  B = N A_L N^-1 = weyl_adjoint(N, A_L).
 
-    T is invertible: t(z) is diagonal with products of the exponentials
-    z_i^(+-1) on the diagonal, and u(y) is unipotent.  So M T = 0 if and
-    only if M = 0, and row r of d(Y) - A_G(h) Y vanishes if and only if
-    row r of M does.  Every factor of M has DiffPoly or rational entries,
+    N T is invertible (t(z) is diagonal with products of the exponentials
+    z_i^(+-1) on the diagonal, u(y) is unipotent), so M N T = 0 if and only
+    if M = 0, and row r of d(Y) - A_G(h) Y, row r of M times N T, vanishes
+    if and only if row r of M does.  Every factor of M has DiffPoly or rational entries,
     and DiffPoly embeds in the Liouvillian algebra through
     LiouvExpr.scalar, an injective ring map that commutes with the
     derivation; so M = 0 over the Liouvillian algebra if and only if
@@ -631,10 +601,10 @@ def verify_end_to_end(rep, data, inv):
     u = unipotent_product(
         rep, [DiffPoly.eta(i) if i <= l else inv.f[i] for i in range(1, m + 1)]
     )
-    un = linalg.mat_mul(u, data.nw)
-    lhs = linalg.mat_add(linalg.mat_derive(un), linalg.mat_mul(un, data.A_L))
-    rhs = linalg.mat_mul(assemble_A_G(rep, inv.h), un)
-    _require_equal(rep, lhs, rhs, IdentityFailure, "(d(Y) - A_G(h) Y) T^-1")
+    b = chevalley.weyl_adjoint(data.nw, data.A_L)
+    lhs = linalg.mat_add(linalg.mat_derive(u), linalg.mat_mul(u, b))
+    rhs = linalg.mat_mul(assemble_A_G(rep, inv.h), u)
+    _require_equal(rep, lhs, rhs, IdentityFailure, "(d(Y) - A_G(h) Y) (n(wbar) T)^-1")
     return {
         "entries_checked": rep.dim * rep.dim,
         "liouville_identity": "ok",

@@ -16,6 +16,9 @@ kept only the non-zero cells of the powers.  decompose_in_basis is the
 decomposition over the dense inverse of the solving recipe, checked by
 rebuilding the whole matrix, as pvext.chevalley did before it kept only the
 non-zero inverse entries and the cells the basis matrices reach.
+weyl_representative is n(w) as the dense product of the simple
+representatives, one matrix product per letter, as pvext.chevalley built
+it before it composed the (row, sign) of each column.
 """
 
 from fractions import Fraction
@@ -51,6 +54,17 @@ def unipotent_element(rep, root, x):
     for _ in powers[1:]:
         xk.append(xk[-1] * x)
     return linalg.combination(zip(xk, powers), rep.dim, zero)
+
+
+def weyl_representative(rep, word):
+    """n(w) = n(w_{i_1}) ... n(w_{i_k}) densely, each n(w_i) formed as
+    u_{alpha_i}(1) u_{-alpha_i}(-1) u_{alpha_i}(1) from unipotent_element."""
+    out = linalg_oracle.eye(rep.dim)
+    for i in word:
+        alpha = rep.rs.simple(i)
+        up = unipotent_element(rep, alpha, Fraction(1))
+        out = linalg_oracle.product([out, up, unipotent_element(rep, -alpha, Fraction(-1)), up])
+    return out
 
 
 def inner(rs, a, b):

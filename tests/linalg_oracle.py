@@ -6,6 +6,8 @@ This is how pvext.linalg multiplied matrices before its row-by-row product
 over the non-zero entries, and how pvext.bruhat built n(w) before its column
 moves: one row-by-column dot product per entry, and one matrix product per
 letter of the word.  The tests require both to agree, value and type.
+signed_permutation reads a (row, sign) per column back into that dense
+matrix.
 rational_inverse, det, solve_exact and rank are the loops pvext.linalg ran
 before one shared elimination pass backed all four; the tests require the
 same values and the same exceptions.  mat_is_zero is the zero test the
@@ -103,6 +105,15 @@ def representative_matrix(n, word):
     out = linalg.eye(n)
     for i in word:
         out = mat_mul(out, simple_block(n, i))
+    return out
+
+
+def signed_permutation(columns):
+    """The dense Fraction matrix with entry s at (r, j) for the (r, s) of
+    column j, as pvext carries n(w)."""
+    out = zeros(len(columns))
+    for j, (r, s) in enumerate(columns):
+        out[r][j] = Fraction(s)
     return out
 
 

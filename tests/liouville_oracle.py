@@ -4,15 +4,17 @@ Multiplies the fundamental matrix Y = u(eta_1..eta_l, f_(l+1)..f_m)
 n(wbar) t(z) u(y) out over the Liouvillian expression algebra and compares
 d(Y) with A_G(h) Y entrywise.  It relies on no identity of the pipeline,
 so it cross-checks construct.verify_end_to_end, which checks an equivalent
-polynomial identity.  It takes seconds from rank 4 on, so the tests run it
+polynomial identity; n(wbar) is chevalley_oracle's dense product, not
+pvext's relabelling.  It takes seconds from rank 4 on, so the tests run it
 on small systems only.
 """
 
-from pvext import construct, linalg, symgroup
+from pvext import construct, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly
 from pvext.errors import IdentityFailure
 from pvext.liouville_expr import LiouvExpr
 
+import chevalley_oracle
 import linalg_oracle
 
 
@@ -25,7 +27,8 @@ def verify_by_liouville_product(rep, data, inv):
     y_mat = linalg_oracle.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
     for root, a in zip(rep.rs.neg_order, args):
         y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, a).rows)
-    y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in data.nw])
+    nw = chevalley_oracle.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
+    y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in nw])
     for i, zi in enumerate(data.z, start=1):
         y_mat = linalg.mat_mul(y_mat, symgroup.torus_matrix(rep, i, zi).rows)
     for root, yi in zip(rep.rs.neg_order, data.y):

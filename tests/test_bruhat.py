@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pvext import bruhat, linalg
+from pvext import bruhat, chevalley, linalg
 from pvext.errors import CellDegeneration, DimMismatch, NotUnimodular
 
 import bruhat_oracle
@@ -241,19 +241,21 @@ def _words():
             yield n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 3 * n)))
 
 
-def _dense(n, columns):
-    out = linalg.zeros(n)
-    for j, (r, s) in enumerate(columns):
-        out[r][j] = Fraction(s)
-    return out
-
-
 def test_representative_is_the_block_product_and_its_transpose_the_inverse():
     for n, word in _words():
-        nw = _dense(n, bruhat.representative_columns(n, word))
+        nw = linalg_oracle.signed_permutation(bruhat.representative_columns(n, word))
         want = linalg_oracle.representative_matrix(n, word)
         assert nw == want
         assert [list(c) for c in zip(*nw)] == linalg.rational_inverse(nw)
+
+
+def test_representative_columns_are_the_chevalley_representative():
+    # the SL_n blocks [[0, 1], [-1, 0]] are the A_(n-1) representatives
+    # u_a(1) u_-a(-1) u_a(1); both builders give the same columns
+    for n, word in _words():
+        if n > 1:
+            want = bruhat.representative_columns(n, word)
+            assert chevalley.weyl_representative(get_rep("A", n - 1), word) == want
 
 
 def test_representative_is_column_moves(monkeypatch):

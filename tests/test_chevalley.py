@@ -8,7 +8,13 @@ import pytest
 
 from pvext import chevalley, linalg, rootsys
 from pvext.diffpoly import DiffPoly
-from pvext.errors import DimMismatch, NonDiagonalCartan, NotInLieAlgebra, SpanFailure
+from pvext.errors import (
+    DimMismatch,
+    NonDiagonalCartan,
+    NotInLieAlgebra,
+    SpanFailure,
+    StructureViolation,
+)
 from pvext.rootsys import Root
 
 import chevalley_oracle
@@ -153,7 +159,7 @@ def test_torus_element(rep_a3):
 
 def test_sl4_longest_representative_is_pinned(rep_a3):
     word = rootsys.longest_weyl_word(rep_a3.rs)
-    nw = chevalley.weyl_representative(rep_a3, word)
+    nw = linalg_oracle.signed_permutation(chevalley.weyl_representative(rep_a3, word))
     want = [
         [0, 0, 0, 1],
         [0, 0, -1, 0],
@@ -161,9 +167,7 @@ def test_sl4_longest_representative_is_pinned(rep_a3):
         [-1, 0, 0, 0],
     ]
     assert linalg.mat_eq(nw, [[Fraction(v) for v in row] for row in want])
-    assert linalg.mat_eq(
-        chevalley.weyl_representative(rep_a3, ()), linalg.eye(4)
-    )
+    assert chevalley.weyl_representative(rep_a3, ()) == ((0, 1), (1, 1), (2, 1), (3, 1))
 
 
 def test_axioms_exhaustive():
@@ -204,7 +208,8 @@ def test_build_agrees_with_the_dense_oracle(label):
     assert rootsys.finalize_order(rs0, comp) == rep.rs
 
 
-SYSTEMS_A1_TO_RANK_8 = (
+# A1-A8, B2-B8, C2-C8, D3-D8 and G2
+ALL_SYSTEMS = (
     [("A", r) for r in range(1, 9)]
     + [(t, r) for t in "BC" for r in range(2, 9)]
     + [("D", r) for r in range(3, 9)]
@@ -212,7 +217,11 @@ SYSTEMS_A1_TO_RANK_8 = (
 )
 
 
-@pytest.mark.parametrize("system", SYSTEMS_A1_TO_RANK_8, ids=lambda s: "%s%d" % s if s[0] != "G2" else "G2")
+def _label(system):
+    return system[0] if system[0] == "G2" else "%s%d" % system
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
 def test_w_coefficients_are_the_decomposed_brackets(system):
     # the coordinates read off nconst are those decompose_in_basis solves for
     rep = get_rep(*system)
@@ -245,10 +254,9 @@ def test_longest_representative_sends_root_vectors_to_root_vectors(label):
     rep = get_rep(*_system(label))
     word = rootsys.longest_weyl_word(rep.rs)
     nw = chevalley.weyl_representative(rep, word)
-    nwinv = linalg.rational_inverse(nw)
     act = rootsys.weyl_action(rep.rs, word)
     for root in rep.rs.roots:
-        ad = linalg.mat_mul(linalg.mat_mul(nw, rep.X[root.coeffs]), nwinv)
+        ad = chevalley.weyl_adjoint(nw, rep.X[root.coeffs])
         image = rep.X[act(root).coeffs]
         assert linalg.mat_eq(ad, image) or linalg.mat_eq(ad, linalg_oracle.mat_scale(image, -1))
 
@@ -364,11 +372,10 @@ def test_ad_weyl_sends_root_vectors_to_root_vectors():
     for t, r in [("A", 3), ("G2", 2)]:
         rep = get_rep(t, r)
         for i in range(1, rep.rank + 1):
-            nw = chevalley.simple_representative(rep, i)
-            nwinv = linalg.rational_inverse(nw)
+            nw = chevalley.weyl_representative(rep, (i,))
             act = rootsys.weyl_action(rep.rs, (i,))
             for root in rep.rs.roots:
-                ad = linalg.mat_mul(linalg.mat_mul(nw, rep.X[root.coeffs]), nwinv)
+                ad = chevalley.weyl_adjoint(nw, rep.X[root.coeffs])
                 image = rep.X[act(root).coeffs]
                 plus = linalg.mat_eq(ad, image)
                 minus = linalg.mat_eq(ad, linalg_oracle.mat_scale(image, -1))
@@ -379,18 +386,16 @@ def test_ad_longest_solves_a0(rep_a2, rep_a3, rep_g2):
     # existence of nonzero rational c with Ad(n(wbar))(A_0^-(c)) = A_0^+
     for rep in (rep_a2, rep_a3, rep_g2):
         nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
-        nwinv = linalg.rational_inverse(nw)
         c = []
         for i in range(1, rep.rank + 1):
-            ad = linalg.mat_mul(linalg.mat_mul(nw, rep.x_neg(i)), nwinv)
+            ad = chevalley.weyl_adjoint(nw, rep.x_neg(i))
             dec = chevalley.decompose_in_basis(rep, ad)
             live = {k: v for k, v in dec.items() if v}
             assert len(live) == 1
             ((kind, key), lam) = next(iter(live.items()))
             assert kind == "X" and Root(key).is_simple()
             c.append(1 / lam)
-        check = linalg.mat_mul(linalg.mat_mul(nw, rep.a0_minus(c)), nwinv)
-        assert linalg.mat_eq(check, rep.a0_plus())
+        assert linalg.mat_eq(chevalley.weyl_adjoint(nw, rep.a0_minus(c)), rep.a0_plus())
 
 
 def test_w_basis_full_rank():
@@ -489,24 +494,12 @@ def test_a0_refuses_coefficients_of_another_length(rep_a2):
     assert linalg.mat_eq(rep_a2.a0_plus([1, 2]), [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
 
 
-ALL_SYSTEMS = (
-    [("A", r) for r in range(1, 9)]
-    + [(t, r) for t in "BC" for r in range(2, 9)]
-    + [("D", r) for r in range(3, 9)]
-    + [("G2", 2)]
-)
-
-
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_integer_coroot_coefficients_equal_the_bilinear_form(system):
     rs = rootsys.build_root_system(*system)
     for root in rs.roots:
         want = chevalley_oracle.coroot_coefficients(rs, root)
         assert chevalley._coroot_coefficients(rs, root) == want
-
-
-def _label(system):
-    return system[0] if system[0] == "G2" else "%s%d" % system
 
 
 def _height_counts(rs):
@@ -600,8 +593,42 @@ def test_weyl_representative_builds_each_simple_representative_once(monkeypatch)
     monkeypatch.setattr(
         chevalley, "simple_representative", lambda rep, i: built.append(i) or simple(rep, i)
     )
-    assert linalg.mat_eq(chevalley.weyl_representative(rep, word), want)
+    assert chevalley.weyl_representative(rep, word) == want
     assert len(word) == 9 and sorted(built) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
+def test_weyl_representative_is_the_dense_product(system):
+    # the columns composed by relabelling are the dense product of the
+    # simple representatives, for the longest word and each simple index
+    rep = get_rep(*system)
+    for word in [rootsys.longest_weyl_word(rep.rs)] + [(i,) for i in range(1, rep.rank + 1)]:
+        nw = chevalley.weyl_representative(rep, word)
+        assert all(type(s) is int for _, s in nw)
+        assert linalg_oracle.signed_permutation(nw) == chevalley_oracle.weyl_representative(rep, word)
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
+def test_weyl_adjoint_is_the_dense_conjugation(system):
+    # Ad(n(wbar))(M) by relabelling equals N M N^T multiplied out, on every
+    # H_i and X_beta
+    rep = get_rep(*system)
+    nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
+    dense = linalg_oracle.signed_permutation(nw)
+    transpose = [list(col) for col in zip(*dense)]
+    for mat in list(rep.H) + list(rep.X.values()):
+        assert chevalley.weyl_adjoint(nw, mat) == linalg_oracle.product([dense, mat, transpose])
+
+
+@pytest.mark.parametrize("entries", [
+    [[0, 1], [1, 1]],  # two non-zero entries in a row
+    [[0, 2], [Fraction(1, 2), 0]],  # one per row and column, not +-1
+    [[1, 0], [1, 0]],  # a column with two, a column with none
+    [[0, 0], [0, 1]],  # a zero row
+])
+def test_a_non_signed_permutation_is_refused(entries):
+    with pytest.raises(StructureViolation, match="signed permutation"):
+        chevalley._signed_columns(entries)
 
 
 class _CountedPowers:

@@ -8,9 +8,11 @@ import pytest
 
 from pvext import chevalley, construct, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
-from pvext.errors import IdentityFailure, StructureViolation
+from pvext.errors import IdentityFailure
 from pvext.liouville_expr import LiouvExpr
 
+import chevalley_oracle
+import linalg_oracle
 from conftest import get_pipeline, get_rep, neumann_inverse
 from liouville_oracle import verify_by_liouville_product
 from report_oracle import report_json_obj
@@ -104,7 +106,7 @@ def test_a1_A_L():
     res = get_pipeline("A", 1)
     rep = res.rep
     assert linalg.mat_eq(
-        [list(r) for r in res.liouville.nw], [[0, 1], [-1, 0]]
+        linalg_oracle.signed_permutation(res.liouville.nw), [[0, 1], [-1, 0]]
     )
     assert res.liouville.c == (Fraction(-1),)
     assert res.liouville.gbar[0] == parse("0 - n1")
@@ -410,7 +412,7 @@ def test_end_to_end_detects_nonconstant_corruption_on_b3(part):
 def test_end_to_end_failure_names_the_system():
     res = get_pipeline("B", 3)
     broken = _corrupted(res.invariants, "h", max(res.invariants.h), DiffPoly.eta(1, 1))
-    product = r"^B3: \(d\(Y\) - A_G\(h\) Y\) T\^-1 is nonzero at entry"
+    product = r"^B3: \(d\(Y\) - A_G\(h\) Y\) \(n\(wbar\) T\)\^-1 is nonzero at entry"
     with pytest.raises(IdentityFailure, match=product):
         construct.verify_end_to_end(res.rep, res.liouville, broken)
     al = [list(row) for row in res.liouville.A_L]
@@ -531,37 +533,29 @@ def test_pipeline_builds_u_and_its_inverse_once(monkeypatch):
     assert eta_factors == [eta(i) for i in range(1, 7)]
 
 
-def test_pipeline_inverts_the_longest_representative_once(monkeypatch):
-    # once, by its transpose: n(wbar) never reaches the Gauss-Jordan inverse
-    inverted, transposed = [], []
-    inverse, transpose = linalg.rational_inverse, construct._signed_permutation_inverse
-    monkeypatch.setattr(linalg, "rational_inverse", lambda m: inverted.append(m) or inverse(m))
-    monkeypatch.setattr(
-        construct, "_signed_permutation_inverse", lambda m: transposed.append(m) or transpose(m)
-    )
-    data = construct.run_pipeline("B", 3).liouville
-    nw = [list(row) for row in data.nw]
-    assert not any(linalg.mat_eq(m, nw) for m in inverted if len(m) == len(nw))
-    assert len(transposed) == 1 and linalg.mat_eq(transposed[0], nw)
-    assert linalg.mat_eq(linalg.mat_mul(nw, data.nwinv), linalg.eye(len(nw)))
+def test_pipeline_never_multiplies_by_the_dense_longest_representative(monkeypatch):
+    # n(wbar) acts by relabelling only: neither a matrix product nor the
+    # Gauss-Jordan inverse sees it as a dense operand, in the pipeline or in
+    # the end-to-end check
+    rep = get_rep("B", 3)
+    nw = chevalley_oracle.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
+    operands = []
+    mat_mul, inverse = linalg.mat_mul, linalg.rational_inverse
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: operands.extend((a, b)) or mat_mul(a, b))
+    monkeypatch.setattr(linalg, "rational_inverse", lambda m: operands.append(m) or inverse(m))
+    res = construct.run_pipeline("B", 3)
+    construct.verify_end_to_end(res.rep, res.liouville, res.invariants)
+    assert operands
+    shaped = [m for m in operands if len(m) == len(nw) and all(len(r) == len(nw) for r in m)]
+    assert not any(linalg.mat_eq(m, nw) for m in shaped)
 
 
 @pytest.mark.parametrize("system", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
 def test_longest_representative_is_inverted_by_its_transpose(system):
     rep = get_rep(*system)
     nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
-    assert construct._signed_permutation_inverse(nw) == linalg.rational_inverse(nw)
-
-
-@pytest.mark.parametrize("entries", [
-    [[0, 1], [1, 1]],  # two non-zero entries in a row
-    [[0, 2], [Fraction(1, 2), 0]],  # one per row and column, not +-1
-    [[1, 0], [1, 0]],  # a column with two, a column with none
-    [[0, 0], [0, 1]],  # a zero row
-])
-def test_a_non_signed_permutation_is_refused(entries):
-    with pytest.raises(StructureViolation, match="signed permutation"):
-        construct._signed_permutation_inverse(entries)
+    dense = linalg_oracle.signed_permutation(nw)
+    assert [list(col) for col in zip(*dense)] == linalg.rational_inverse(dense)
 
 
 @pytest.mark.parametrize("system", [("A", 3), ("G2", 2), ("B", 3), ("D", 5)])

@@ -134,7 +134,7 @@ def _random_structured_factors(rep, rng, count):
         else:
             word = tuple(rng.randint(1, rep.rank) for _ in range(rng.randint(1, 3)))
             factors.append(
-                constant_factor(chevalley.weyl_representative(rep, word))
+                constant_factor(chevalley_oracle.weyl_representative(rep, word))
             )
     return factors
 
