@@ -477,26 +477,27 @@ def _check_bracket(rs, coroots, sx, a, b, br, nconst):
         if br != coroots[a.coeffs]:
             raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
     elif total in rs._root_set:
-        coeff = _proportionality(br, sx[total])
-        if coeff is None:
+        ratio = _proportionality(br, sx[total])
+        if ratio is None:
             raise SpanFailure(
                 "[X_%r, X_%r] not proportional to X_sum" % (a.coeffs, b.coeffs)
             )
         r, _ = rootsys.root_string(rs, b, a)
-        if abs(coeff) != r + 1:
+        p, q = ratio
+        if p % q or abs(p // q) != r + 1:
             raise SpanFailure(
-                "|N| = %s != r+1 = %d for %r, %r" % (coeff, r + 1, a.coeffs, b.coeffs)
+                "|N| = %s != r+1 = %d for %r, %r" % (Fraction(p, q), r + 1, a.coeffs, b.coeffs)
             )
-        nconst[(a.coeffs, b.coeffs)] = int(coeff)  # |coeff| = r + 1 is an integer
+        nconst[(a.coeffs, b.coeffs)] = p // q
     elif br:
         raise SpanFailure("[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs))
 
 
 def _proportionality(mat, target):
-    """The Fraction c with mat == c * target for sparse integer maps, or
-    None.  With p/q the ratio at the first entry of target, mat == (p/q)
-    target iff both have the same cells and q mat[i][j] == p target[i][j]
-    at each of them, a test in integers."""
+    """The ints (p, q), q != 0, with mat == (p/q) * target for sparse integer
+    maps, or None.  With p/q the ratio at the first entry of target, mat ==
+    (p/q) target iff both have the same cells and q mat[i][j] == p
+    target[i][j] at each of them, a test in integers."""
     if mat.keys() != target.keys():
         return None
     p = q = None
@@ -509,7 +510,7 @@ def _proportionality(mat, target):
                 p, q = got[j], t
             elif got[j] * q != p * t:
                 return None
-    return Fraction(0) if q is None else Fraction(p, q)
+    return (0, 1) if q is None else (p, q)
 
 
 def _solving_recipe(basis, n):

@@ -711,9 +711,9 @@ def _json_chunks(value):
     Dicts (string keys, in sorted() order, as sort_keys sorts them), lists
     and tuples render as json renders them, and a LiouvExpr as its small
     to_json_obj tree, with its DiffPolys kept.  Strings and ints render as
-    json renders them, and a DiffPoly from its terms, through one
-    MonomialTable shared by every polynomial of the value.  Any other value
-    is a TypeError: nothing is rendered by str().
+    json renders them, and a DiffPoly at its depth, through one MonomialTable
+    shared by every polynomial of the value; its text is a chunk of its own.
+    Any other value is a TypeError: nothing is rendered by str().
     """
     table = MonomialTable()
     stack = []  # per open container: iterator over (text before, item), closing text
@@ -742,17 +742,17 @@ def _json_chunks(value):
                 head += opener + closer
         else:
             if isinstance(value, DiffPoly):
-                text = table.json_text(value)
-                if stack:
-                    text = text.replace("\n", "\n" + " " * len(stack))
+                text = table.json_text(value, len(stack))
             elif isinstance(value, str):
                 text = encode_basestring_ascii(value)
             elif type(value) is int:
                 text = int.__repr__(value)
             else:
                 raise TypeError("cannot render a %s in the report" % type(value).__name__)
-            yield head + text
-            head = ""
+            if head:
+                yield head
+                head = ""
+            yield text
         while stack:
             items, closer = stack[-1]
             item = next(items, None)

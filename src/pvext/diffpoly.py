@@ -627,81 +627,95 @@ class MonomialTable(dict):
     degree neither is a prefix of the other (its other exponents would add
     up to 0), so the keys order as the graded lexicographic order on the
     sorted (JetVar, exponent) tuples, the canonical order.  The table also
-    keeps the JSON text [v, k, e] of each factor code, at depth 0.
+    keeps the JSON text [v, k, e] of each factor code, per depth.
 
     MonomialTable(p) ranks the jet variables of p; MonomialTable() ranks
-    every registered one.  A polynomial with a jet the table has not ranked
-    (one registered after the table was built) makes it rank all registered
-    jets again and drop what it has cached, before it is sorted.
+    every registered one.  A key is read in one walk over its non-zero
+    fields.  The field of a slot is non-zero exactly when the slot occurs,
+    so a key has a field outside the ranked slots' fields exactly when one
+    of its slots has no code.  Then the table ranks all registered jets
+    again and clears every key computed earlier, so a sort that met the key
+    sorts once more, with all its keys under the new ranks.
     """
 
-    __slots__ = ("jets", "_code", "_shared", "_mask", "_factor_json")
+    __slots__ = ("jets", "_code", "_shared", "_factor_json")
 
     def __init__(self, p=None):
-        super().__init__()
         self._rank(range(len(_JETS)) if p is None else [s for s, _ in _factors(_union(p._t))])
 
     def _rank(self, slots):
         order = sorted(slots, key=_JETS.__getitem__)
         self.jets = [_JETS[s] for s in order]
-        self._code = {s: r << FIELD_BITS for r, s in enumerate(order)}
+        self._code = {FIELD_BITS * (s + 1): r << FIELD_BITS for r, s in enumerate(order)}
         self._shared = {}
-        self._mask = reduce(or_, [_MASK << FIELD_BITS * (s + 1) for s in order], _MASK)
-        self._factor_json = _FactorJson(self.jets)
+        self._factor_json = {}
         self.clear()
 
     def __missing__(self, key):
-        code, share = self._code, self._shared.setdefault
-        codes = [code[s] | e for s, e in _factors(key)]
-        # one int object per distinct code, not one per key
-        got = self[key] = (key & _MASK, *sorted(map(share, codes, codes)))
+        code, share = self._code, self._shared.setdefault  # one int object per distinct code
+        codes, rest = [], key
+        try:
+            while rest > _MASK:  # some slot's field is left: read the top one
+                shift = (rest.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+                e = rest >> shift
+                codes.append(share(c := code[shift] | e, c))
+                rest ^= e << shift
+        except KeyError:
+            self._rank(range(len(_JETS)))
+            return self[key]
+        got = self[key] = (rest, *sorted(codes))  # rest is the degree field
         return got
 
     def ordered(self, p):
         """The packed monomials of p in canonical order, leading term first."""
-        t = p._t
-        if _union(t) & ~self._mask:
-            self._rank(range(len(_JETS)))
-        return sorted(t, key=self.__getitem__, reverse=True)
+        jets = self.jets
+        keys = sorted(p._t, key=self.__getitem__, reverse=True)
+        if self.jets is not jets:  # re-ranked: the keys before are stale
+            keys.sort(key=self.__getitem__, reverse=True)
+        return keys
 
-    def json_text(self, p):
-        """p.to_json_obj() as json.dumps(..., sort_keys=True, indent=1)
-        writes it, from the table's keys and factor texts.  Each distinct
-        coefficient is rendered once per polynomial; it needs no escaping,
-        as "p/q" is ASCII digits, '-' and '/'."""
-        t, d = p._t, p._d
+    def json_text(self, p, depth=0):
+        """p.to_json_obj() as json.dumps(..., sort_keys=True, indent=1) writes it
+        `depth` containers deep, in one pass and one join.  Each numerator's "c"
+        text is built once per polynomial ("p/q" is ASCII: nothing to escape)."""
+        t, d, pad = p._t, p._d, "\n" + " " * depth
         if not t:
-            return '{\n "terms": []\n}'
+            return '{%s "terms": []%s}' % (pad, pad)
         keys = self.ordered(p)
-        factor_json = self._factor_json  # after ordered(), which may re-rank
-        coeff_text = {}
-        out = []
-        for k in keys:
-            c = t[k]
-            coeff = coeff_text.get(c)
-            if coeff is None:
-                coeff = coeff_text[c] = "%d/%d" % _ratio(c, d)
-            codes = self[k][:0:-1]
-            if codes:
-                factors = ",\n    ".join([factor_json[x] for x in codes])
-                out.append('\n  {\n   "c": "%s",\n   "m": [\n    %s\n   ]\n  }' % (coeff, factors))
+        factor_json = self._factor_json.get(depth)  # after ordered(), which may re-rank
+        if factor_json is None:
+            factor_json = self._factor_json[depth] = _FactorJson(self.jets, pad)
+        heads, closed, empty = {}, pad + "   ]" + pad + "  }", "]" + pad + "  }"
+        head_text = ',\n  {\n   "c": "%d/%d",\n   "m": ['.replace("\n", pad)
+        out = ['{%s "terms": [' % pad]
+        for codes, c in zip(map(self.__getitem__, keys), map(t.__getitem__, keys)):
+            head = heads.get(c)
+            if head is None:
+                head = heads[c] = head_text % _ratio(c, d)
+            if len(codes) > 1:
+                out += head, factor_json[-codes[-1]]  # the first factor has no comma
+                out += map(factor_json.__getitem__, codes[-2:0:-1])
+                out.append(closed)
             else:
-                out.append('\n  {\n   "c": "%s",\n   "m": []\n  }' % coeff)
-        return '{\n "terms": [%s\n ]\n}' % ",".join(out)
+                out += head, empty
+        out[1] = out[1][1:]  # nor does the first term
+        out.append(pad + " ]" + pad + "}")
+        return "".join(out)
 
 
 class _FactorJson(dict):
-    """Factor code -> the JSON text of its [v, k, e] at depth 0."""
+    """Factor code x -> "," and the JSON text of its [v, k, e], each line led
+    by `pad`; -x -> the same text without the comma."""
 
-    __slots__ = ("jets",)
+    __slots__ = ("jets", "pad")
 
-    def __init__(self, jets):
-        super().__init__()
-        self.jets = jets
+    def __init__(self, jets, pad):
+        self.jets, self.pad = jets, pad
 
     def __missing__(self, x):
-        v, k = self.jets[x >> FIELD_BITS]
-        got = self[x] = "[\n     %d,\n     %d,\n     %d\n    ]" % (v, k, x & _MASK)
+        v, k = self.jets[abs(x) >> FIELD_BITS]
+        text = ",\n    [\n     %d,\n     %d,\n     %d\n    ]" % (v, k, abs(x) & _MASK)
+        got = self[x] = text.replace("\n", self.pad)[x < 0 :]
         return got
 
 

@@ -6,11 +6,11 @@
 Each system runs `run_pipeline` and streams `construct.report_chunks`
 through SHA-256 in a fresh process, one system at a time, and the digest
 is compared with `tests/digests_rank6.json`.  One line per system gives
-the digest, the wall seconds of the pipeline and the report, and the
-child's peak resident set (`ru_maxrss`).  The exit status is 1 when a
-digest differs.  Standard library only; pvext is imported from `src/`.
-These systems take tens of seconds each, so pytest does not collect this
-file.
+the digest, then the wall seconds of the pipeline and the child's peak
+resident set (`ru_maxrss`) after it, then the same for the report.  The
+exit status is 1 when a digest differs.  Standard library only; pvext is
+imported from `src/`.  These systems take tens of seconds each, so pytest
+does not collect this file.
 """
 
 import hashlib
@@ -26,18 +26,25 @@ DIGESTS = HERE / "digests_rank6.json"
 SRC = HERE.parent / "src"
 
 
+def _peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _report_digest(label):
-    """(SHA-256 of the report, wall seconds, peak RSS in MB) of one system."""
+    """The SHA-256 of one system's report, then (wall seconds, peak RSS in
+    MB) after the pipeline and after the report."""
     sys.path.insert(0, str(SRC))
     from pvext import construct
 
     start = time.perf_counter()
-    digest = hashlib.sha256()
     result = construct.run_pipeline(label[0], int(label[1:]))
+    pipeline = (time.perf_counter() - start, _peak_rss_mb())
+    start = time.perf_counter()
+    digest = hashlib.sha256()
     for chunk in construct.report_chunks(result):
         digest.update(chunk.encode("utf-8"))
-    wall = time.perf_counter() - start
-    return digest.hexdigest(), wall, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    report = (time.perf_counter() - start, _peak_rss_mb())
+    return digest.hexdigest(), pipeline, report
 
 
 def main(labels):
@@ -46,12 +53,12 @@ def main(labels):
     failed = False
     for label in labels or sorted(want):
         with spawn.Pool(1) as pool:
-            digest, wall, rss = pool.apply(_report_digest, (label,))
+            digest, pipeline, report = pool.apply(_report_digest, (label,))
         ok = digest == want.get(label)
         failed |= not ok
         print(
-            "%s %s %s wall %.2f s peak RSS %.1f MB"
-            % (label, digest, "ok" if ok else "MISMATCH", wall, rss),
+            "%s %s %s pipeline %.2f s peak RSS %.1f MB, report %.2f s peak RSS %.1f MB"
+            % (label, digest, "ok" if ok else "MISMATCH", *pipeline, *report),
             flush=True,
         )
     return 1 if failed else 0

@@ -1,11 +1,14 @@
 """Record tests/cli_pins.json: seeded inputs for `pvext gauge-normalize` and
-`pvext bruhat`, each with the exact stdout the CLI printed for it.
+`pvext bruhat`, and the systems of `pvext derive --format text`, each with
+the exact stdout the CLI printed for it.
 
     PYTHONPATH=src python3 tests/record_cli_pins.py
 
 test_cli_pins.py replays every case and compares stdout byte for byte.  The
 pins hold the output of the dense gauge and Bruhat kernels these cases were
-first recorded with; re-record only for an intended change of output.
+first recorded with, and the text rendering of the polynomials (the same
+monomial order as the JSON report) that the derive cases were recorded
+with; re-record only for an intended change of output.
 """
 
 import contextlib
@@ -32,6 +35,7 @@ GAUGE_CASES = [
     ("B", 3, (4, Fraction(1, 4), 9), 2),
 ]
 BRUHAT_SIZES = (3, 4, 5, 6)
+DERIVE_SYSTEMS = (("A", 3), ("B", 3), ("G2", 2))
 
 
 def _poly(rng, rank, terms):
@@ -73,13 +77,16 @@ def sl_matrix(n, rng):
 
 
 def run_cli(args, matrix):
-    """The stdout of `pvext ARGS --matrix FILE` with FILE holding matrix."""
+    """The stdout of `pvext ARGS --matrix FILE` with FILE holding matrix, or
+    of `pvext ARGS` when matrix is None."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "matrix.json"
-        path.write_text(json.dumps(matrix))
+        if matrix is not None:
+            path = Path(tmp) / "matrix.json"
+            path.write_text(json.dumps(matrix))
+            args = args + ["--matrix", str(path)]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(args + ["--matrix", str(path)])
+            code = cli.main(args)
     if code:
         raise SystemExit("pvext %s exited %d" % (" ".join(args), code))
     return out.getvalue()
@@ -100,6 +107,10 @@ def cases():
             rng = random.Random(name)
             args = ["bruhat", "--convention", convention]
             out.append({"name": name, "args": args, "matrix": sl_matrix(n, rng)})
+    for type_label, rank in DERIVE_SYSTEMS:
+        label = type_label if type_label == "G2" else "%s%d" % (type_label, rank)
+        args = ["derive", "--type", type_label, "--rank", str(rank), "--format", "text"]
+        out.append({"name": "derive-text-%s" % label, "args": args, "matrix": None})
     return out
 
 

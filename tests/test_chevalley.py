@@ -338,6 +338,22 @@ def test_verify_axioms_rejects_corrupted_basis(label, case):
         chevalley._verify_axioms(rep.rs, sh, sx, chevalley._coroot_matrices(rep.rs, sh))
 
 
+def test_check_bracket_refuses_a_fractional_structure_constant():
+    # [X_a1, X_a2] = (3/2) X_sum on A2, where r + 1 = 1: the integer part of
+    # the ratio would pass, so the ratio must divide out before its size counts
+    rep = get_rep("A", 2)
+    sh, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
+    a, b = rep.rs.simple(1), rep.rs.simple(2)
+    total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    br = {i: {j: 3 * v for j, v in row.items()} for i, row in sx[total].items()}
+    sx[total] = {i: {j: 2 * v for j, v in row.items()} for i, row in sx[total].items()}
+    coroots = chevalley._coroot_matrices(rep.rs, sh)
+    nconst = {}
+    with pytest.raises(SpanFailure, match=re.escape("|N| = 3/2 != r+1 = 1 for")):
+        chevalley._check_bracket(rep.rs, coroots, sx, a, b, br, nconst)
+    assert nconst == {}
+
+
 def test_echelon_accepts_exactly_the_rank_raising_rows():
     rng = random.Random(4)
     for _ in range(200):

@@ -316,6 +316,61 @@ def test_one_monomial_table_renders_many_polynomials(cases):
         assert got == want.replace("\n", "\n" + " " * depth)
 
 
+def _oracle_order(p):
+    """The packed monomials of p sorted by the reference's canonical key."""
+    return sorted(p._t, key=lambda k: oracle.term_sort_key(diffpoly._monomial(k)), reverse=True)
+
+
+def _pair(*terms):
+    """(packed kernel, reference) of the sum of c * monomial(jets) over the
+    (c, jets) terms, in that order."""
+    return (
+        sum((DiffPoly.monomial(jets, c) for c, jets in terms), DiffPoly.zero()),
+        sum((oracle.DiffPoly.monomial(jets, c) for c, jets in terms), oracle.DiffPoly.zero()),
+    )
+
+
+def _nested_writes_the_oracle_json(p, ref):
+    """The report writer renders p nested 0-6 lists deep as json.dumps
+    renders the reference's object."""
+    value, obj = p, ref.to_json_obj()
+    for _ in range(7):
+        assert "".join(construct._json_chunks(value)) == json.dumps(obj, sort_keys=True, indent=1)
+        value, obj = [value], [obj]
+
+
+@settings(derandomize=True, deadline=None)
+@given(poly_pairs())
+@example(_pair((Fraction(-3, 2), [])))
+@example(_pair((1, [(1, 0, 255)]), (2, [(1, 0, 254), (2, 1, 1)]), (-1, [(2, 0, 1)]), (7, [])))
+def test_monomial_table_orders_as_the_oracle(pair):
+    # a constant term and an exponent of 255 (the top of a field) are always
+    # checked; one table ranks every registered jet, the other p's only
+    p, ref = pair
+    want = _oracle_order(p)
+    assert diffpoly.MonomialTable().ordered(p) == want
+    assert diffpoly.MonomialTable(p).ordered(p) == want
+    _nested_writes_the_oracle_json(p, ref)
+
+
+def test_a_jet_registered_after_the_table_re_ranks_it_mid_sort():
+    # eta_3 eta_3' gets its key under the old ranks before late^2 re-ranks
+    # the table.  The late jet ranks below eta_3, so the re-rank moves every
+    # eta_3 jet up: under the old ranks eta_3 eta_3' would sort below late^2
+    DiffPoly.eta(3) * DiffPoly.eta(3, 1)  # registered before the table
+    table = diffpoly.MonomialTable()
+    order = _fresh_jet(2)
+    p, ref = _pair(
+        (1, [(3, 0, 1), (3, 1, 1)]), (1, [(2, order, 2)]), (1, [(1, 0, 1), (2, order, 1)]), (-2, [])
+    )
+    assert diffpoly._monomial(next(iter(p._t))) == ((JetVar(3, 0), 1), (JetVar(3, 1), 1))
+    assert JetVar(2, order) not in table.jets
+    assert table.ordered(p) == _oracle_order(p)
+    assert JetVar(2, order) in table.jets
+    assert table.json_text(p) == json.dumps(ref.to_json_obj(), sort_keys=True, indent=1)
+    _nested_writes_the_oracle_json(p, ref)
+
+
 fraction_entries = st.one_of(st.just(Fraction(0)), coefficients)
 poly_entries = st.one_of(st.just(DiffPoly.zero()), polys(max_terms=2))
 liouv_entries = st.one_of(st.just(LiouvExpr.zero()), liouv_args())
