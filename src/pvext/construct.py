@@ -6,7 +6,8 @@ Stages are strictly sequential; every structural claim the construction
 relies on (coefficient shapes, variable ranges, full-rank eliminations,
 vanishing Cartan components) is asserted as the pipeline runs, and a
 violation raises StructureViolation or RankFailure rather than producing
-an unverified result.
+an unverified result.  The shapes and variable ranges are one invariant,
+the principal grading, checked on every stage output (_graded_split).
 """
 
 from dataclasses import dataclass, field, replace
@@ -108,6 +109,47 @@ def _xcoef(rep, dec, i):
     return dec.get(("X", rep.rs.neg_order[i - 1].coeffs), DiffPoly.zero())
 
 
+def _weights(rs, count):
+    """{v: |ht beta_v|} for eta_1..eta_count."""
+    return dict(enumerate((-h for h in rs.heights_of_order()[:count]), start=1))
+
+
+def _graded_split(rs, weights, poly, w, where):
+    """The (linear, nonlinear) split of a stage output of weight w under
+    `weights`, or a StructureViolation naming the system and `where`.
+
+    The principal grading (Kostant, Amer. J. Math. 81, 1959) gives
+    eta_i^(k) the weight |ht beta_i| + k.  A torus element scales X_beta by
+    lambda^(ht beta) and the derivation adds one, so v_i, the X_i
+    coefficient ell_i + p_i of Ad(u)(A_0^+) and the raw h_i weigh
+    |ht beta_i| + 1, g_i weighs 1, and, in eta_1..eta_l, f_k weighs
+    |ht beta_k| and h_j |ht beta_j| + 1.  A factor weighs at least 1, so a
+    term of weight W >= 1 is not constant and its factor eta_j^(k) weighs
+    W less the rest of the term.  With the checks that stay, this implies
+    the bounds the stages checked before:
+    - g_i (W = 1): one eta_j, k = 0 and |ht beta_j| = 1, so j <= l.
+    - ell_i + p_i (order 0): a linear eta_j has |ht beta_j| = W, in the
+      band of height ht beta_i - 1 (ell_i = 0 if it is empty); a factor of
+      a term of degree >= 2 has |ht beta_j| <= W - 1 = |ht beta_i|.
+    - v_i (every term of order 1 and degree >= 2): the rest of a term
+      weighs at least 1, or 2 if k = 0, as it then holds a factor of order
+      1; so |ht beta_j| <= |ht beta_i| - 1, down to height ht beta_i + 1.
+    - q_i = h_i - eta_i' - ell_i, the nonlinear part of h_i: a factor has
+      |ht beta_j| + k <= W - 1 = |ht beta_i|, so it lies in the bands down
+      to height ht beta_i, and down to ht beta_i + 1 if k >= 1.
+    - f_k and h_j (eta_1..eta_l weigh 1): a term weighs its degree plus
+      its derivative orders, so lbar_k and lhat_j are purely of order
+      W - 1, and pbar_k and phat_j have degree >= 2 and order <= W - 2.
+    """
+    split = poly.graded_split(weights, w)
+    if split is None:
+        raise StructureViolation(
+            "%s: %s is not homogeneous of weight %d in eta_1..eta_%d"
+            % (rs.label, where, w, len(weights))
+        )
+    return split
+
+
 def _check_positive_part(rep, dec, where, allow_cartan=False):
     """Simple positive components are one, other positives zero; the
     Cartan components must vanish unless explicitly allowed."""
@@ -136,6 +178,7 @@ def logderiv_unipotent(ctx):
     rep = ctx.rep
     rs = rep.rs
     m = rep.m
+    weights = _weights(rs, m)
     dec = chevalley.decompose_in_basis(rep, ctx.ldelta_u)
     for i in range(1, rep.rank + 1):
         if dec.get(("H", i)):
@@ -150,36 +193,37 @@ def logderiv_unipotent(ctx):
             if vi:
                 raise StructureViolation("v_%d should vanish" % i)
             continue
-        s2 = max(rs.band(rs.neg_order[i - 1].height() + 1), default=0)
-        if vi:
-            if vi.order() != 1 or vi.min_term_order() != 1:
-                raise StructureViolation("v_%d has a term of order != 1" % i)
-            if vi.min_term_degree() < 2:
-                raise StructureViolation("v_%d has a linear term" % i)
-            if vi.variables()[-1] > s2:
-                raise StructureViolation("v_%d uses variables beyond eta_%d" % (i, s2))
+        linear, _ = _graded_split(rs, weights, vi, weights[i] + 1, "logderiv_unipotent: v_%d" % i)
+        if vi and (vi.order() != 1 or vi.min_term_order() != 1):
+            raise StructureViolation("v_%d has a term of order != 1" % i)
+        if linear:
+            raise StructureViolation("v_%d has a linear term" % i)
         v[i] = vi
     return Stage1Coeffs(v=v)
 
 
 def adjoint_on_A0(ctx):
-    """Stage 2: decompose Ad(u(eta_m))(A_0^+) and assert its shape."""
+    """Stage 2: decompose Ad(u(eta_m))(A_0^+) and assert its shape.
+
+    eliminate_noncomplementary checks the per-height systems of the ell_i
+    square and of full rank: its row for h_i = eta_i' + ell_i + q_i holds
+    the coefficients of eta_k, to which eta_i' and q_i add nothing, since
+    logderiv_Y refuses a linear term in q_i.
+    """
     rep = ctx.rep
     m, l = rep.m, rep.rank
     ad = linalg.mat_mul(linalg.mat_mul(ctx.u, rep.a0_plus()), ctx.uinv)
     dec = chevalley.decompose_in_basis(rep, ad)
     _check_positive_part(rep, dec, "Ad(u)(A_0^+)", allow_cartan=True)
     rs = rep.rs
+    weights = _weights(rs, m)
 
     g = tuple(dec.get(("H", i), DiffPoly.zero()) for i in range(1, l + 1))
     gmat = []
-    for gi in g:
+    for i, gi in enumerate(g, start=1):
         if gi.is_zero():
             raise StructureViolation("a Cartan coefficient vanishes")
-        if gi.order() != 0 or any(d != 1 for d in (gi.degree(), gi.min_term_degree())):
-            raise StructureViolation("Cartan coefficients must be linear forms")
-        if any(v > l for v in gi.variables()):
-            raise StructureViolation("Cartan coefficients live in eta_1..eta_l")
+        _graded_split(rs, weights, gi, 1, "adjoint_on_A0: g_%d" % i)
         gmat.append([gi.coefficient_of_jet(k, 0) for k in range(1, l + 1)])
     if linalg.rank(gmat) != l:
         raise StructureViolation("Cartan coefficients are linearly dependent")
@@ -187,38 +231,12 @@ def adjoint_on_A0(ctx):
     ell, p = [], []
     for i in range(1, m + 1):
         coef = _xcoef(rep, dec, i)
-        height = rs.neg_order[i - 1].height()
-        band = rs.band(height - 1)
-        li = coef.linear_part()
-        pi = coef.nonlinear_part()
-        if li and not band:
-            raise StructureViolation("ell_%d nonzero with empty band" % i)
-        for jv in li.jet_variables():
-            if jv.order != 0 or not (band[0] <= jv.var <= band[-1]):
-                raise StructureViolation("ell_%d outside its height band" % i)
-        i2 = rs.band(height)[-1]
-        if pi.order() != 0:
-            raise StructureViolation("p_%d contains derivatives" % i)
-        if pi and pi.min_term_degree() < 2:
-            raise StructureViolation("p_%d has a linear term" % i)
-        if any(v > i2 for v in pi.variables()):
-            raise StructureViolation("p_%d uses variables beyond eta_%d" % (i, i2))
+        where = "adjoint_on_A0: the X_%d coefficient" % i
+        li, pi = _graded_split(rs, weights, coef, weights[i] + 1, where)
+        if coef.order() != 0:
+            raise StructureViolation("the X_%d coefficient contains derivatives" % i)
         ell.append(li)
         p.append(pi)
-
-    # the per-height non-complementary systems are square of full rank
-    for q, band in rs.bands.items():
-        eqs = [i for i in band if i not in rs.comp_roots]
-        unknowns = rs.band(q - 1)
-        if len(eqs) != len(unknowns):
-            raise RankFailure("height %d system is not square" % q)
-        if not eqs:
-            continue
-        mat = [
-            [ell[i - 1].coefficient_of_jet(k, 0) for k in unknowns] for i in eqs
-        ]
-        if linalg.rank(mat) != len(eqs):
-            raise RankFailure("height %d system is rank-deficient" % q)
     return Stage2Coeffs(g=g, ell=tuple(ell), p=tuple(p))
 
 
@@ -376,6 +394,7 @@ def logderiv_Y(ctx, data, stage2):
     """
     rep = ctx.rep
     rs = rep.rs
+    weights = _weights(rs, rep.m)
     ad = chevalley.weyl_adjoint(data.nw, data.A_L)
     ad = linalg.mat_mul(linalg.mat_mul(ctx.u, ad), ctx.uinv)
     total = linalg.mat_add(ctx.ldelta_u, ad)
@@ -385,23 +404,11 @@ def logderiv_Y(ctx, data, stage2):
     h = []
     for i in range(1, rep.m + 1):
         hi = _xcoef(rep, dec, i)
-        qi = hi - DiffPoly.eta(i, 1) - stage2.ell[i - 1]
-        height = rs.neg_order[i - 1].height()
-        s2 = max(rs.band(height + 1), default=0)
-        i2 = rs.band(height)[-1]
-        if qi and qi.min_term_degree() < 2:
+        linear, nonlinear = _graded_split(rs, weights, hi, weights[i] + 1, "logderiv_Y: h_%d" % i)
+        if linear != DiffPoly.eta(i, 1) + stage2.ell[i - 1]:
             raise StructureViolation("q_%d has a linear term" % i)
-        for jv in qi.jet_variables():
-            if jv.order > 1:
-                raise StructureViolation("q_%d has order > 1" % i)
-            if jv.order == 1 and jv.var > s2:
-                raise StructureViolation(
-                    "q_%d differentiates eta_%d beyond eta_%d" % (i, jv.var, s2)
-                )
-            if jv.var > i2:
-                raise StructureViolation(
-                    "q_%d uses eta_%d beyond eta_%d" % (i, jv.var, i2)
-                )
+        if nonlinear.order() > 1:
+            raise StructureViolation("q_%d has order > 1" % i)
         h.append(hi)
     return h
 
@@ -423,6 +430,7 @@ def eliminate_noncomplementary(ctx, h_all):
     """
     rs = ctx.rep.rs
     l = rs.rank
+    weights = _weights(rs, l)
     comp = rs.comp_roots
     noncomp_simple = [i for i in rs.band(-1) if i not in comp]
 
@@ -443,7 +451,7 @@ def eliminate_noncomplementary(ctx, h_all):
         a, rhs = [], []
         for i in eqs:
             hi = h_all[i - 1]
-            row = [hi.linear_part().coefficient_of_jet(k, 0) for k in unknowns]
+            row = [hi.coefficient_of_jet(k, 0) for k in unknowns]
             a.append(row)
             rest = hi - sum(
                 (DiffPoly.eta(k) * coef for k, coef in zip(unknowns, row)),
@@ -455,28 +463,14 @@ def eliminate_noncomplementary(ctx, h_all):
         solution = linalg.solve_exact(a, [rhs])[0]
         band_matrix = []
         for k, fk in zip(unknowns, solution):
-            lin, nonlin = fk.linear_part(), fk.nonlinear_part()
-            want_order = abs(q)
+            where = "eliminate_noncomplementary: f_%d" % k
+            lin, nonlin = _graded_split(rs, weights, fk, 1 - q, where)
             for jv in lin.jet_variables():
-                if jv.order != want_order:
-                    raise StructureViolation(
-                        "lbar_%d is not purely of order %d" % (k, want_order)
-                    )
                 if jv.var not in noncomp_simple:
-                    raise StructureViolation(
-                        "lbar_%d involves eta_%d" % (k, jv.var)
-                    )
-            if nonlin and nonlin.min_term_degree() < 2:
-                raise StructureViolation("pbar_%d has a linear term" % k)
-            if nonlin.order() > abs(q + 1):
-                raise StructureViolation(
-                    "pbar_%d exceeds order %d" % (k, abs(q + 1))
-                )
+                    raise StructureViolation("lbar_%d involves eta_%d" % (k, jv.var))
             sigma[k] = fk
             lbar[k], pbar[k] = lin, nonlin
-            band_matrix.append(
-                [lin.coefficient_of_jet(v, want_order) for v in noncomp_simple]
-            )
+            band_matrix.append([lin.coefficient_of_jet(v, -q) for v in noncomp_simple])
         if linalg.rank(band_matrix) != len(band_matrix):
             raise RankFailure("lbar system at height %d is rank-deficient" % (q - 1))
         if prev_matrix is not None and q <= -2:
@@ -504,41 +498,27 @@ def invariants(ctx, h_all, parts):
     """Reduce the complementary h_j to invariants in eta_1..eta_l.
 
     `parts` is the tuple returned by eliminate_noncomplementary.  Splits
-    each invariant into its linear and nonlinear part and asserts the order
-    bounds and the two full-rank criteria (the ignored-derivative square
-    system and its prolongation to the maximal order).
+    each invariant into its linear and nonlinear part and asserts the two
+    full-rank criteria (the ignored-derivative square system and its
+    prolongation to the maximal order).
     """
     rep = ctx.rep
     l = rep.rank
+    weights = _weights(rep.rs, l)
     heights = rep.rs.heights_of_order()
     f, lbar, pbar, sigma, images = parts
     comp = rep.rs.comp_roots
     h, lhat, phat = {}, {}, {}
     for j in comp:
         hj = h_all[j - 1].substitute(sigma, images)
-        lin, nonlin = hj.linear_part(), hj.nonlinear_part()
-        want_order = abs(heights[j - 1])
-        if any(jv.order != want_order for jv in lin.jet_variables()):
-            raise StructureViolation(
-                "lhat_%d is not purely of order %d" % (j, want_order)
-            )
-        if nonlin and nonlin.min_term_degree() < 2:
-            raise StructureViolation("phat_%d has a linear term" % j)
-        if nonlin.order() > want_order - 1:
-            raise StructureViolation(
-                "phat_%d exceeds order %d" % (j, want_order - 1)
-            )
+        where = "invariants: h_%d" % j
+        lin, nonlin = _graded_split(rep.rs, weights, hj, 1 - heights[j - 1], where)
         h[j], lhat[j], phat[j] = hj, lin, nonlin
 
+    # ignoring derivatives sums the coefficients of eta_v over all orders;
+    # lhat_j has the one order |ht beta_j| (_graded_split)
     ignore = [
-        [
-            sum(
-                (lhat[j].coefficient_of_jet(v, k) for k in range(rep.m + 1)),
-                Fraction(0),
-            )
-            for v in range(1, l + 1)
-        ]
-        for j in comp
+        [lhat[j].coefficient_of_jet(v, -heights[j - 1]) for v in range(1, l + 1)] for j in comp
     ]
     if linalg.rank(ignore) != l:
         raise RankFailure("ignored-derivative invariant system is rank-deficient")

@@ -491,10 +491,6 @@ class DiffPoly:
         """Sorted list of the jet variables occurring in the polynomial."""
         return sorted(_JETS[slot] for slot, _ in _factors(_union(self._t)))
 
-    def variables(self):
-        """Sorted list of var indices occurring in the polynomial."""
-        return sorted({jv.var for jv in self.jet_variables()})
-
     def order(self):
         """Highest derivative order present; 0 for the zero polynomial."""
         return max((jv.order for jv in self.jet_variables()), default=0)
@@ -512,17 +508,39 @@ class DiffPoly:
             self._deg = max((k & _MASK for k in self._t), default=0)
         return self._deg
 
-    def min_term_degree(self):
-        return min((k & _MASK for k in self._t), default=0)
+    def graded_split(self, weights, w):
+        """(linear part, nonlinear part) when every term weighs w; None when
+        one weighs otherwise or has a variable `weights` does not hold.
 
-    def _part(self, keep):
-        return _normal({k: c for k, c in self._t.items() if keep(k & _MASK)}, self._d)
-
-    def linear_part(self):
-        return self._part(lambda degree: degree == 1)
-
-    def nonlinear_part(self):
-        return self._part(lambda degree: degree != 1)
+        eta_v^(k) weighs weights[v] + k >= 0, and a term the sum over the
+        bits b of b times the sum of the fields of its key masked to the
+        factors whose weight has bit b.  2^FIELD_BITS is 1 mod _MASK, so
+        that field sum is the masked key mod _MASK, or _MASK when a
+        non-zero masked key is 0 mod _MASK: it is at most the degree, at
+        most EXPONENT_LIMIT = _MASK.
+        """
+        t = self._t
+        masks = {}
+        for slot, _ in _factors(_union(t)):
+            jv = _JETS[slot]
+            if jv.var not in weights:
+                return None
+            fw, b = weights[jv.var] + jv.order, 1
+            while fw:
+                if fw & 1:
+                    masks[b] = masks.get(b, 0) | _MASK << FIELD_BITS * (slot + 1)
+                fw, b = fw >> 1, b << 1
+        masks = tuple(masks.items())
+        linear, nonlinear = {}, {}
+        for key, c in t.items():
+            total = 0
+            for b, mask in masks:
+                if x := key & mask:
+                    total += b * (x % _MASK or _MASK)
+            if total != w:
+                return None
+            (linear if key & _MASK == 1 else nonlinear)[key] = c
+        return _normal(linear, self._d), _normal(nonlinear, self._d)
 
     def constant_term(self):
         return Fraction(self._t.get(0, 0), self._d)

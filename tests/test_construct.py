@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from pvext import chevalley, construct, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
-from pvext.errors import IdentityFailure
+from pvext.errors import IdentityFailure, RankFailure, StructureViolation
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
@@ -586,6 +587,129 @@ def test_end_to_end_detects_tower_corruption(system, part):
     broken = _corrupted_tower(res.liouville, part)
     with pytest.raises(IdentityFailure, match=r"ldelta\(t\(z\)u\(y\)\) - A_L"):
         construct.verify_end_to_end(res.rep, broken, res.invariants)
+
+
+# ----- the principal grading -----
+
+
+def _context_with(rep, i, extra):
+    """The PipelineContext of u(eta) with its argument eta_i replaced by
+    eta_i + extra.  u and its inverse are built from the same factors, so
+    every matrix stays in the Lie algebra and only the weights are wrong."""
+    args = [eta(k) for k in range(1, rep.m + 1)]
+    args[i - 1] = args[i - 1] + extra
+    factors = construct._unipotent_factors(rep, args)
+    u = construct._product(f.rows for f in factors)
+    uinv = construct._product(f.inv for f in reversed(factors))
+    ldelta_u = linalg.mat_mul(linalg.mat_derive(u), uinv)
+    return construct.PipelineContext(rep=rep, u=u, uinv=uinv, ldelta_u=ldelta_u)
+
+
+def _not_of_weight(label, where, w, variables):
+    return "^%s$" % re.escape(
+        "%s: %s is not homogeneous of weight %d in eta_1..eta_%d"
+        % (label, where, w, variables)
+    )
+
+
+# per system: the simple index whose coefficient in Ad(u)(A_0^+) and in
+# ldelta(Y) first carries the term eta_1 given to eta_(l+1), and the first
+# invariant h_j that reads the image of eta_(l+1), with its weight
+FAULT_SITES = {"B3": (1, 7, 4), "G2": (1, 2, 2)}
+
+
+def _first_noncomplementary_simple(rs):
+    return next(i for i in rs.band(-1) if i not in rs.comp_roots)
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_grading_check_fires_on_each_coefficient_stage(system):
+    """eta_(l+1), of weight 2, gains a term eta_1 of weight 1.
+
+    Stage 1 meets it first in v_(l+1), whose X coefficient carries its
+    derivative; Ad(u)(A_0^+) and ldelta(Y) meet it in the coefficient of a
+    simple root, through the bracket of X_(l+1) with A_0^+.  The Cartan
+    coefficients g_i read only eta_1..eta_l, so they are reached through
+    eta_1 gaining eta_1^2 instead.
+    """
+    res = get_pipeline(*system)
+    rep = res.rep
+    label, l, m = rep.rs.label, rep.rank, rep.m
+    simple = FAULT_SITES[label][0]
+    bad = _context_with(rep, l + 1, eta(1))
+    with pytest.raises(
+        StructureViolation, match=_not_of_weight(label, "logderiv_unipotent: v_%d" % (l + 1), 3, m)
+    ):
+        construct.logderiv_unipotent(bad)
+    with pytest.raises(
+        StructureViolation,
+        match=_not_of_weight(label, "adjoint_on_A0: the X_%d coefficient" % simple, 2, m),
+    ):
+        construct.adjoint_on_A0(bad)
+    with pytest.raises(
+        StructureViolation, match=_not_of_weight(label, "logderiv_Y: h_%d" % simple, 2, m)
+    ):
+        construct.logderiv_Y(bad, res.liouville, res.stage2)
+    with pytest.raises(
+        StructureViolation, match=_not_of_weight(label, "adjoint_on_A0: g_1", 1, m)
+    ):
+        construct.adjoint_on_A0(_context_with(rep, 1, eta(1) * eta(1)))
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_grading_check_fires_on_the_eliminated_and_the_invariants(system):
+    """eta_1 eta_1' (weight 3) is added to a raw h_i of weight 2, and a term
+    eta_(l+1) to one image of sigma.
+
+    The elimination solves for f in eta_1..eta_l by substituting images that
+    its own checks have put in eta_1..eta_l, and a raw h_i in a variable
+    sigma does not yet cover is a MissingAssignment; so no input of
+    eliminate_noncomplementary reaches the check's missing-variable arm,
+    and the corrupted image of sigma is handed to invariants instead.
+    """
+    res = get_pipeline(*system)
+    rs = res.rep.rs
+    label, l = rs.label, rs.rank
+    ctx = construct.pipeline_context(res.rep)
+    extra = eta(1) * eta(1, 1)
+    h = list(res.h_raw)
+    h[_first_noncomplementary_simple(rs) - 1] += extra
+    with pytest.raises(
+        StructureViolation,
+        match=_not_of_weight(label, "eliminate_noncomplementary: f_%d" % (l + 1), 2, l),
+    ):
+        construct.eliminate_noncomplementary(ctx, h)
+    comp = rs.comp_roots[0]  # the complementary index of height 1
+    h = list(res.h_raw)
+    h[comp - 1] += extra
+    parts = construct.eliminate_noncomplementary(ctx, h)
+    with pytest.raises(
+        StructureViolation, match=_not_of_weight(label, "invariants: h_%d" % comp, 2, l)
+    ):
+        construct.invariants(ctx, h, parts)
+    f, lbar, pbar, sigma, _ = construct.eliminate_noncomplementary(ctx, list(res.h_raw))
+    sigma = dict(sigma)
+    sigma[l + 1] += eta(l + 1)
+    _, j, w = FAULT_SITES[label]
+    with pytest.raises(
+        StructureViolation, match=_not_of_weight(label, "invariants: h_%d" % j, w, l)
+    ):
+        construct.invariants(ctx, list(res.h_raw), (f, lbar, pbar, sigma, {}))
+
+
+def test_height_system_rank_is_checked_where_it_is_solved():
+    """Without its order-0 linear terms, a non-complementary h_i of height 1
+    gives the height -1 system a zero row."""
+    res = get_pipeline("B", 3)
+    ctx = construct.pipeline_context(res.rep)
+    h = list(res.h_raw)
+    i = _first_noncomplementary_simple(res.rep.rs)
+    h[i - 1] -= sum(
+        (eta(k) * h[i - 1].coefficient_of_jet(k, 0) for k in range(1, res.rep.m + 1)),
+        DiffPoly.zero(),
+    )
+    with pytest.raises(RankFailure, match="^height -1 system is rank-deficient$"):
+        construct.eliminate_noncomplementary(ctx, h)
 
 
 # ----- exceptional isomorphisms -----

@@ -60,19 +60,46 @@ def test_substitute_missing():
 def test_structure_queries():
     p = parse("n1'' + 3 n1 n1'")
     assert p.order() == 2 and p.degree() == 2
-    assert p.linear_part() == parse("n1''")
-    assert p.nonlinear_part() == parse("3 n1 n1'")
+    assert p.graded_split({1: 1}, 3) == (parse("n1''"), parse("3 n1 n1'"))
 
 
 def test_structure_zero_convention():
     p = DiffPoly.zero()
     assert p.order() == 0 and p.degree() == 0
-    assert p.linear_part().is_zero() and p.nonlinear_part().is_zero()
+    # the zero polynomial is homogeneous of every weight, in any variables
+    assert p.graded_split({}, 4) == (DiffPoly.zero(), DiffPoly.zero())
 
 
 def test_linear_part_mixed():
     p = parse("n2' + n1' + n1^2 + n2(n2 - n1)")
-    assert p.linear_part() == parse("n2' + n1'")
+    assert p.graded_split({1: 1, 2: 1}, 2) == (
+        parse("n2' + n1'"), parse("n1^2 + n2^2 - n2 n1")
+    )
+
+
+def test_graded_split_weighs_by_the_map_plus_the_order():
+    # eta_3 weighs 2, eta_1 weighs 1: eta_3', eta_1 eta_3 and eta_1 eta_1' weigh 3,
+    # eta_1'^2 weighs 4
+    p = parse("1/2 n3' - n1 n3 + n1 n1'")
+    assert p.graded_split({1: 1, 3: 2}, 3) == (parse("1/2 n3'"), parse("n1 n1' - n1 n3"))
+    assert parse("n1'^2 + n3^2").graded_split({1: 1, 3: 2}, 4) == (0, parse("n1'^2 + n3^2"))
+    # fields that add up to the exponent limit, 255 = 0 mod 255
+    top = DiffPoly.eta(1) ** 100 * DiffPoly.eta(2) ** 155
+    assert top.graded_split({1: 1, 2: 1}, 255) == (0, top)
+    assert top.graded_split({1: 1, 2: 1}, 0) is None
+
+
+def test_graded_split_refuses_a_term_of_another_weight():
+    assert parse("n1'' + n1 n1'").graded_split({1: 1}, 3) == (parse("n1''"), parse("n1 n1'"))
+    assert parse("n1'' + n1 n1' + n1 n1''").graded_split({1: 1}, 3) is None
+    assert parse("n1'' + 2").graded_split({1: 1}, 3) is None
+    assert parse("n1''").graded_split({1: 1}, 2) is None
+
+
+def test_graded_split_refuses_a_variable_outside_the_map():
+    assert parse("n1 n2").graded_split({1: 1, 2: 1}, 2) == (DiffPoly.zero(), parse("n1 n2"))
+    assert parse("n1 n2").graded_split({1: 1}, 2) is None
+    assert parse("n1' + n2").graded_split({1: 1}, 2) is None
 
 
 def _random_poly(rng, nvars=3, max_order=2, nterms=4):

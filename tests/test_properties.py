@@ -241,13 +241,42 @@ def test_kernel_ring_operations_agree_with_the_reference(a, b, n):
     assert _agree(p ** n, ref_p ** n)
 
 
+def _weight(mon, weights):
+    """The weight of a reference monomial, eta_v^(k) weighing weights[v] + k;
+    None when one of its variables has no weight."""
+    if any(jv.var not in weights for jv, _ in mon):
+        return None
+    return sum(e * (weights[jv.var] + jv.order) for jv, e in mon)
+
+
 @settings(derandomize=True, deadline=None)
-@given(poly_pairs(), st.integers(1, 2))
-def test_kernel_structure_agrees_with_the_reference(a, times):
+@given(
+    poly_pairs(),
+    st.integers(1, 2),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    st.data(),
+)
+def test_kernel_structure_agrees_with_the_reference(a, times, ws, data):
     p, ref = a
     assert _agree(p.derive(times), ref.derive(times))
-    assert _agree(p.linear_part(), ref.linear_part())
-    assert _agree(p.nonlinear_part(), ref.nonlinear_part())
+    # the weight map covers eta_1..eta_len(ws); eta_3 may be left out
+    weights = dict(enumerate(ws, start=1))
+    found = sorted({_weight(mon, weights) for mon in ref.terms} - {None})
+    w = data.draw(st.sampled_from(found) if found else st.integers(0, 8))
+    got = p.graded_split(weights, w)
+    if all(_weight(mon, weights) == w for mon in ref.terms):
+        assert _agree(got[0], ref.linear_part()) and _agree(got[1], ref.nonlinear_part())
+    else:
+        assert got is None
+    # the component of weight w, built twice, splits as the reference does
+    part = {mon: c for mon, c in ref.terms.items() if _weight(mon, weights) == w}
+    ref_w = oracle.DiffPoly(part)
+    p_w = sum(
+        (DiffPoly.monomial([(*jv, e) for jv, e in mon], c) for mon, c in part.items()),
+        DiffPoly.zero(),
+    )
+    lin, nonlin = p_w.graded_split(weights, w)
+    assert _agree(lin, ref_w.linear_part()) and _agree(nonlin, ref_w.nonlinear_part())
     for var in range(1, 4):
         for order in range(4):
             assert p.coefficient_of_jet(var, order) == ref.coefficient_of_jet(var, order)
