@@ -3,16 +3,16 @@
 For each supported root system this module builds integer matrices for the
 Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
-provides u_alpha(x), its adjoint action exp(x ad X_alpha) on coordinates,
-t_i(z) and the Weyl representatives n(w) as products of the simple
-representatives.  Every Chevalley axiom is checked exhaustively at build
-time: with sparse integer brackets for the pairs of root vectors whose
-supports meet, as a zero bracket for the other pairs, and cell by cell
-for the Cartan generators.  The coordinates of the W_i are read off the
-checked structure constants.  The kernels
-visit only non-zero cells: u_alpha(x) those of the divided powers of
-X_alpha, decompose_in_basis the non-zero inverse entries of its recipe
-and the cells that the basis matrices reach.
+provides u_alpha(x), its adjoint action exp(x ad X_alpha) and its gauge on
+coordinates, t_i(z) and the Weyl representatives n(w) as products of the
+simple representatives.  Every Chevalley axiom is checked exhaustively at
+build time: with sparse integer brackets for the pairs of root vectors
+whose supports meet, as a zero bracket for the other pairs, and cell by
+cell for the Cartan generators.  The coordinates of the W_i are read off
+the checked structure constants.  The kernels visit only non-zero cells:
+u_alpha(x) those of the divided powers of X_alpha, decompose_in_basis the
+non-zero inverse entries of its recipe and the cells that the basis
+matrices reach.
 
 Sign flips for non-simple root vectors are loaded from a calibration table
 (see data/calibration.json), which lists only the roots whose sign is -1;
@@ -53,7 +53,7 @@ class ChevalleyRep:
     H: tuple  # l diagonal matrices of ints
     X: dict  # root coeffs tuple -> matrix of ints
     # (a, b) coeffs -> the int N = +-(r + 1) with [X_a, X_b] = N X_(a+b);
-    # unipotent_adjoint reads it to act by exp(t ad X) in the gauge
+    # unipotent_adjoint reads it to act by exp(t ad X) on coordinates
     nconst: dict
     # coordinates of W_i = [X_i, A_0^+] over basis_order, read off nconst
     # by _w_coordinates; indexed like neg_order
@@ -781,6 +781,15 @@ def unipotent_adjoint(rep, root, t, coords):
                 term[key] = value * step
                 out[key] = out[key] + term[key] if key in out else term[key]
     return {key: c for key, c in out.items() if c}
+
+
+def unipotent_gauge(rep, root, t, coords):
+    """gauge(u, A) = Ad(u)(A) + ldelta(u) on coordinates, u = u_root(t), as
+    Ad(u)(A + t' X) by unipotent_adjoint: ldelta(u) = t' X for X = X_root
+    (proved in symgroup.unipotent_matrix), and Ad(u) fixes X, as ad X (X)
+    = [X, X] = 0."""
+    key = ("X", root.coeffs)
+    return unipotent_adjoint(rep, root, t, {**coords, key: coords.get(key, 0) + linalg.derive(t)})
 
 
 def torus_element(rep, i, z):

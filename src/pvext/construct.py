@@ -2,12 +2,13 @@
 Liouvillian defining matrix, its solution tower, the differential
 invariants, and the generic defining matrix.
 
-Stages are strictly sequential; every structural claim the construction
-relies on (coefficient shapes, variable ranges, full-rank eliminations,
-vanishing Cartan components) is asserted as the pipeline runs, and a
-violation raises StructureViolation or RankFailure rather than producing
-an unverified result.  The shapes and variable ranges are one invariant,
-the principal grading, checked on every stage output (_graded_split).
+Stages run in order on Chevalley coordinates, ldelta and Ad of u(eta)
+being chevalley.unipotent_gauge and unipotent_adjoint folded over its root
+factors (_fold); verify_end_to_end re-checks the derivation in matrices.
+Every structural claim is asserted as the pipeline runs, and a violation
+raises StructureViolation or RankFailure (naming the system and the stage
+up to A_L and ldelta(Y)).  The shapes and variable ranges are one
+invariant, the principal grading, checked on every stage output.
 """
 
 from dataclasses import dataclass, field, replace
@@ -69,44 +70,22 @@ def _unipotent_factors(rep, args):
     return [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
 
 
-def _product(mats):
-    return [list(r) for r in reduce(linalg.mat_mul, mats)]
-
-
 def unipotent_product(rep, args):
     """The matrix u_1(a_1) ... u_m(a_m) over DiffPoly; rationals are lifted."""
-    return _product(
-        chevalley.unipotent_element(rep, b, lift(a)) for b, a in zip(rep.rs.neg_order, args)
-    )
+    pairs = zip(rep.rs.neg_order, args)
+    factors = [chevalley.unipotent_element(rep, b, lift(a)) for b, a in pairs]
+    return [list(r) for r in reduce(linalg.mat_mul, factors)]
 
 
-@dataclass(frozen=True)
-class PipelineContext:
-    """What the construct stages share, built once per run.
-
-    u = u_1(eta_1)...u_m(eta_m) with its inverse u_m(-eta_m)...u_1(-eta_1)
-    and ldelta(u) = du u^{-1}.  The height bands of the ordered negative
-    roots are rep.rs.bands.
-    """
-
-    rep: object
-    u: list
-    uinv: list
-    ldelta_u: list
-
-
-def pipeline_context(rep):
-    """Build the PipelineContext of a representation; run_pipeline calls it once."""
-    factors = _unipotent_factors(rep, [DiffPoly.eta(i) for i in range(1, rep.m + 1)])
-    u = _product(f.rows for f in factors)
-    uinv = _product(f.inv for f in reversed(factors))
-    return PipelineContext(
-        rep=rep, u=u, uinv=uinv, ldelta_u=linalg.mat_mul(linalg.mat_derive(u), uinv)
-    )
-
-
-def _xcoef(rep, dec, i):
-    return dec.get(("X", rep.rs.neg_order[i - 1].coeffs), DiffPoly.zero())
+def _fold(step, rep, args, coords):
+    """step(u, A) on A's coordinates `coords` for u = u_1(a_1)...u_m(a_m),
+    step being chevalley.unipotent_gauge or unipotent_adjoint.  The factors
+    act from the last to the first, as Ad(hk) = Ad(h) Ad(k) and gauge(hk, A)
+    = gauge(h, gauge(k, A)): both sides are hk A (hk)^-1 + h k' k^-1 h^-1 +
+    h' h^-1, since (hk)' = h' k + h k'."""
+    for root, a in reversed(list(zip(rep.rs.neg_order, args))):
+        coords = step(rep, root, a, coords)
+    return coords
 
 
 def _weights(rs, count):
@@ -150,97 +129,90 @@ def _graded_split(rs, weights, poly, w, where):
     return split
 
 
-def _check_positive_part(rep, dec, where, allow_cartan=False):
-    """Simple positive components are one, other positives zero; the
-    Cartan components must vanish unless explicitly allowed."""
-    if not allow_cartan:
-        for i in range(1, rep.rank + 1):
-            if dec.get(("H", i)):
-                raise StructureViolation("%s: H_%d component is nonzero" % (where, i))
+def _check_positive_part(rep, dec, where, simple, allow_cartan=False):
+    """The simple positive components are `simple`, the other positive ones
+    zero, then the Cartan ones zero unless allowed; `where` names the system
+    and the stage."""
     for b in rep.rs.neg_order:
-        pos = (-b).coeffs
-        coef = dec.get(("X", pos), DiffPoly.zero())
-        if rootsys.Root(pos).is_simple():
-            if coef != DiffPoly.rational(1):
-                raise StructureViolation(
-                    "%s: simple positive component is %r" % (where, coef)
-                )
-        elif coef:
-            raise StructureViolation("%s: positive component %r" % (where, pos))
+        pos = -b
+        coef = dec.get(("X", pos.coeffs), DiffPoly.zero())
+        if coef != (simple if pos.is_simple() else 0):
+            raise StructureViolation("%s: positive component %r is %r" % (where, pos.coeffs, coef))
+    for i in range(1, rep.rank + 1):
+        if dec.get(("H", i)) and not allow_cartan:
+            raise StructureViolation("%s: H_%d component is nonzero" % (where, i))
 
 
-def logderiv_unipotent(ctx):
-    """Stage 1: decompose ldelta(u_1(eta_1)...u_m(eta_m)).
+def logderiv_unipotent(rep, eta):
+    """Stage 1: ldelta(u) = gauge(u, 0) for u = u_1(eta_1)...u_m(eta_m).
 
     Returns Stage1Coeffs; the coefficient of X_i is eta_i' + v_i with the
     shape claims of the first coefficient lemma asserted.
     """
-    rep = ctx.rep
-    rs = rep.rs
-    m = rep.m
+    rs, m = rep.rs, rep.m
     weights = _weights(rs, m)
-    dec = chevalley.decompose_in_basis(rep, ctx.ldelta_u)
-    for i in range(1, rep.rank + 1):
-        if dec.get(("H", i)):
-            raise StructureViolation("ldelta(u) has a Cartan component")
-    for b in rep.rs.neg_order:
-        if dec.get(("X", (-b).coeffs)):
-            raise StructureViolation("ldelta(u) has a positive component")
+    where = "%s: logderiv_unipotent" % rs.label
+    # formed before the fold, which derives eta_m first, so that eta_1'..eta_m'
+    # take the packed-monomial slots after eta_1..eta_m in index order, where
+    # the keys of the invariants, in eta_1..eta_l, stay short
+    primes = [DiffPoly.eta(i, 1) for i in range(1, m + 1)]
+    dec = _fold(chevalley.unipotent_gauge, rep, eta, {})
+    _check_positive_part(rep, dec, where, DiffPoly.zero())
     v = {}
-    for i in range(1, m + 1):
-        vi = _xcoef(rep, dec, i) - DiffPoly.eta(i, 1)
+    for i, (b, prime) in enumerate(zip(rs.neg_order, primes), start=1):
+        vi = dec.get(("X", b.coeffs), DiffPoly.zero()) - prime
         if i <= rep.rank:
             if vi:
-                raise StructureViolation("v_%d should vanish" % i)
+                raise StructureViolation("%s: v_%d should vanish" % (where, i))
             continue
         linear, _ = _graded_split(rs, weights, vi, weights[i] + 1, "logderiv_unipotent: v_%d" % i)
         if vi and (vi.order() != 1 or vi.min_term_order() != 1):
-            raise StructureViolation("v_%d has a term of order != 1" % i)
+            raise StructureViolation("%s: v_%d has a term of order != 1" % (where, i))
         if linear:
-            raise StructureViolation("v_%d has a linear term" % i)
+            raise StructureViolation("%s: v_%d has a linear term" % (where, i))
         v[i] = vi
     return Stage1Coeffs(v=v)
 
 
-def adjoint_on_A0(ctx):
-    """Stage 2: decompose Ad(u(eta_m))(A_0^+) and assert its shape.
+def adjoint_on_A0(rep, eta):
+    """Stage 2: Ad(u)(A_0^+) on coordinates, for u = u_1(eta_1)...u_m(eta_m),
+    with its shape asserted.
 
     eliminate_noncomplementary checks the per-height systems of the ell_i
     square and of full rank: its row for h_i = eta_i' + ell_i + q_i holds
     the coefficients of eta_k, to which eta_i' and q_i add nothing, since
     logderiv_Y refuses a linear term in q_i.
     """
-    rep = ctx.rep
-    m, l = rep.m, rep.rank
-    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, rep.a0_plus()), ctx.uinv)
-    dec = chevalley.decompose_in_basis(rep, ad)
-    _check_positive_part(rep, dec, "Ad(u)(A_0^+)", allow_cartan=True)
-    rs = rep.rs
+    rs, m, l = rep.rs, rep.m, rep.rank
     weights = _weights(rs, m)
+    where = "%s: adjoint_on_A0" % rs.label
+    a0 = {("X", rs.simple(i).coeffs): DiffPoly.rational(1) for i in range(1, l + 1)}
+    dec = _fold(chevalley.unipotent_adjoint, rep, eta, a0)
+    _check_positive_part(rep, dec, where, DiffPoly.rational(1), allow_cartan=True)
 
     g = tuple(dec.get(("H", i), DiffPoly.zero()) for i in range(1, l + 1))
     gmat = []
     for i, gi in enumerate(g, start=1):
         if gi.is_zero():
-            raise StructureViolation("a Cartan coefficient vanishes")
+            raise StructureViolation("%s: the Cartan coefficient g_%d vanishes" % (where, i))
         _graded_split(rs, weights, gi, 1, "adjoint_on_A0: g_%d" % i)
         gmat.append([gi.coefficient_of_jet(k, 0) for k in range(1, l + 1)])
     if linalg.rank(gmat) != l:
-        raise StructureViolation("Cartan coefficients are linearly dependent")
+        raise StructureViolation("%s: Cartan coefficients are linearly dependent" % where)
 
     ell, p = [], []
-    for i in range(1, m + 1):
-        coef = _xcoef(rep, dec, i)
-        where = "adjoint_on_A0: the X_%d coefficient" % i
-        li, pi = _graded_split(rs, weights, coef, weights[i] + 1, where)
+    for i, b in enumerate(rs.neg_order, start=1):
+        coef = dec.get(("X", b.coeffs), DiffPoly.zero())
+        what = "adjoint_on_A0: the X_%d coefficient" % i
+        li, pi = _graded_split(rs, weights, coef, weights[i] + 1, what)
         if coef.order() != 0:
-            raise StructureViolation("the X_%d coefficient contains derivatives" % i)
+            raise StructureViolation("%s: the X_%d coefficient contains derivatives" % (where, i))
         ell.append(li)
         p.append(pi)
     return Stage2Coeffs(g=g, ell=tuple(ell), p=tuple(p))
 
 
-def build_A_L(ctx, stage2):
+def build_A_L(rep, stage2):
     """Solve for the constants c and the linear forms gbar, assemble A_L.
 
     c is determined by Ad(n(wbar))(A_0^-(c)) = A_0^+ and gbar by
@@ -248,7 +220,6 @@ def build_A_L(ctx, stage2):
     re-verified by direct conjugation on the assembled data.  n(wbar) is a
     signed permutation, so each conjugation is a relabelling (weyl_adjoint).
     """
-    rep = ctx.rep
     l = rep.rank
     nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
 
@@ -339,24 +310,53 @@ def _check_tower(rep, tower, A_L, error):
     )
 
 
-def liouville_solutions(ctx, data, stage1):
+def _character(rs, z, beta):
+    """chi_beta(z) = prod_j z_j^<beta, alpha_j>, by which Ad(t(z)) scales X_beta.
+
+    Proof.  H_j is diagonal with integer entries h_r, so t_j(z_j) =
+    diag(z_j^h_r) and Ad(t_j(z_j)) multiplies entry (r, s) of X_beta by
+    z_j^(h_r - h_s).  Entry (r, s) of [H_j, X_beta] is (h_r - h_s)
+    X_beta[r][s], and build_rep checks [H_j, X_beta] = <beta, alpha_j>
+    X_beta; so X_beta is non-zero only where h_r - h_s = <beta, alpha_j>,
+    and Ad(t_j(z_j)) X_beta = z_j^<beta, alpha_j> X_beta.  The torus
+    factors commute, and Ad(t(z)) is their composite.
+    """
+    chi = LiouvExpr.one()
+    for j, zj in enumerate(z):
+        chi = chi * zj ** rootsys.pairing(rs.cartan, beta, j)
+    return chi
+
+
+def _check_tower_coordinates(rep, data):
+    """The coordinates of ldelta(t(z) u(y)) = sum (z_i'/z_i) H_i +
+    Ad(t(z))(gauge(u(y), 0)), checked against A_L's: a difference raises
+    VerificationFailure naming the basis key.  ldelta(ab) = ldelta(a) +
+    Ad(a)(ldelta(b)); the t_i(z_i) are diagonal, so they commute and
+    ldelta(t(z)) is the sum (symgroup.torus_matrix); Ad(t(z)) fixes the H_i
+    and scales X_beta by _character.  The check is exact: the basis is
+    independent (gauge.normalize_to_AG), and a LiouvExpr equals a DiffPoly
+    exactly when it is that polynomial as a scalar."""
+    out = {("H", i): linalg.derive(zi) * zi ** -1 for i, zi in enumerate(data.z, start=1)}
+    for key, c in _fold(chevalley.unipotent_gauge, rep, data.y, {}).items():
+        c = c * _character(rep.rs, data.z, key[1]) if key[0] == "X" else c
+        out[key] = out[key] + c if key in out else c
+    for key, c in chevalley.decompose_in_basis(rep, data.A_L).items():
+        if out.get(key, LiouvExpr.zero()) != lift(c):
+            raise VerificationFailure(
+                "%s: liouville_solutions: ldelta(t(z)u(y)) - A_L is nonzero at %s_%s"
+                % ((rep.rs.label,) + key)
+            )
+    return out
+
+
+def liouville_solutions(rep, data, stage1):
     """Fill in the Liouvillian tower: exponentials z and integrals y.
 
     z_i = e^{int gbar_i}.  For the simple-root indices the integrand of y_i
-    is c_i / chi_i, where chi_i = prod_j z_j^<beta_i, alpha_j> is the
-    character by which Ad(t(z)) scales X_i = X_beta_i; deeper integrals
-    integrate -v_i evaluated at y.  The assembled tower is verified
-    symbolically: ldelta(t(z) u(y)) = A_L.
-
-    Proof of the character.  H_j is diagonal with integer entries h_r, so
-    t_j(z_j) = diag(z_j^h_r) and Ad(t_j(z_j)) multiplies entry (r, s) of
-    X_beta by z_j^(h_r - h_s).  Entry (r, s) of [H_j, X_beta] is
-    (h_r - h_s) X_beta[r][s], and build_rep checks [H_j, X_beta] =
-    <beta, alpha_j> X_beta; so X_beta is non-zero only where h_r - h_s =
-    <beta, alpha_j>, and Ad(t_j(z_j)) X_beta = z_j^<beta, alpha_j> X_beta.
-    The torus factors commute, and Ad(t(z)) is their composite.
+    is c_i / chi_i, with chi_i the character of beta_i (_character);
+    deeper integrals integrate -v_i evaluated at y.  The assembled tower
+    is verified in coordinates: ldelta(t(z) u(y)) = A_L.
     """
-    rep = ctx.rep
     rs = rep.rs
     l, m = rs.rank, rs.m
     z = tuple(LiouvExpr.exp_integral(LiouvExpr.scalar(g)) for g in data.gbar)
@@ -367,10 +367,7 @@ def liouville_solutions(ctx, data, stage1):
     integrands = []
     for i in range(1, m + 1):
         if i <= l:
-            beta = rs.neg_order[i - 1].coeffs
-            chi = LiouvExpr.one()
-            for j, zj in enumerate(z):
-                chi = chi * zj ** rootsys.pairing(rs.cartan, beta, j)
+            chi = _character(rs, z, rs.neg_order[i - 1].coeffs)
             integrand = (chi ** -1) * data.c[i - 1]
         else:
             integrand = _dp_order_le_one_eval(-stage1.v[i], values, derivs)
@@ -381,39 +378,40 @@ def liouville_solutions(ctx, data, stage1):
         values[i] = yi
         derivs[i] = integrand
 
-    tower = _torus_factors(rep, z) + _unipotent_factors(rep, y)
-    _check_tower(rep, tower, data.A_L, VerificationFailure)
-    return replace(data, z=z, y=tuple(y), y_integrands=tuple(integrands))
+    data = replace(data, z=z, y=tuple(y), y_integrands=tuple(integrands))
+    _check_tower_coordinates(rep, data)
+    return data
 
 
-def logderiv_Y(ctx, data, stage2):
-    """Coefficients h_i of ldelta(Y) for Y = u(eta_m) n(wbar) t(z) u(y).
+def logderiv_Y(rep, eta, data, stage2):
+    """Coefficients h_i of ldelta(Y) for Y = u(eta_m) n(wbar) T, T = t(z) u(y).
 
-    Computed as ldelta(u(eta_m)) + Ad(u(eta_m) n(wbar))(A_L); the Cartan
+    ldelta(Y) = gauge(u, ldelta(n(wbar) T)), and ldelta(n(wbar) T) =
+    Ad(n(wbar))(A_L), as n(wbar) is constant and ldelta(T) = A_L.  The Cartan
     components must vanish and the positive part must be exactly A_0^+.
     """
-    rep = ctx.rep
     rs = rep.rs
     weights = _weights(rs, rep.m)
-    ad = chevalley.weyl_adjoint(data.nw, data.A_L)
-    ad = linalg.mat_mul(linalg.mat_mul(ctx.u, ad), ctx.uinv)
-    total = linalg.mat_add(ctx.ldelta_u, ad)
-    dec = chevalley.decompose_in_basis(rep, total)
-    _check_positive_part(rep, dec, "ldelta(Y)")
+    ad = chevalley.decompose_in_basis(rep, chevalley.weyl_adjoint(data.nw, data.A_L))
+    dec = _fold(
+        chevalley.unipotent_gauge, rep, eta, {key: lift(c) for key, c in ad.items() if c}
+    )
+    where = "%s: logderiv_Y" % rs.label
+    _check_positive_part(rep, dec, where, DiffPoly.rational(1))
 
     h = []
-    for i in range(1, rep.m + 1):
-        hi = _xcoef(rep, dec, i)
+    for i, b in enumerate(rs.neg_order, start=1):
+        hi = dec.get(("X", b.coeffs), DiffPoly.zero())
         linear, nonlinear = _graded_split(rs, weights, hi, weights[i] + 1, "logderiv_Y: h_%d" % i)
         if linear != DiffPoly.eta(i, 1) + stage2.ell[i - 1]:
-            raise StructureViolation("q_%d has a linear term" % i)
+            raise StructureViolation("%s: q_%d has a linear term" % (where, i))
         if nonlinear.order() > 1:
-            raise StructureViolation("q_%d has order > 1" % i)
+            raise StructureViolation("%s: q_%d has order > 1" % (where, i))
         h.append(hi)
     return h
 
 
-def eliminate_noncomplementary(ctx, h_all):
+def eliminate_noncomplementary(rep, h_all):
     """Solve the non-complementary equations h_i = 0 height by height.
 
     Returns (f, lbar, pbar, sigma, images): eta_i = f_i for every index
@@ -428,7 +426,7 @@ def eliminate_noncomplementary(ctx, h_all):
     <= l.  The full-rank facts of the equivalent triangular system are
     asserted on the way.
     """
-    rs = ctx.rep.rs
+    rs = rep.rs
     l = rs.rank
     weights = _weights(rs, l)
     comp = rs.comp_roots
@@ -494,7 +492,7 @@ def eliminate_noncomplementary(ctx, h_all):
     return f, lbar, pbar, sigma, images
 
 
-def invariants(ctx, h_all, parts):
+def invariants(rep, h_all, parts):
     """Reduce the complementary h_j to invariants in eta_1..eta_l.
 
     `parts` is the tuple returned by eliminate_noncomplementary.  Splits
@@ -502,7 +500,6 @@ def invariants(ctx, h_all, parts):
     full-rank criteria (the ignored-derivative square system and its
     prolongation to the maximal order).
     """
-    rep = ctx.rep
     l = rep.rank
     weights = _weights(rep.rs, l)
     heights = rep.rs.heights_of_order()
@@ -622,13 +619,13 @@ def run_pipeline(type_label, rank):
             % (type_label, rank, MAX_RANK)
         )
     rep = chevalley.build_rep(type_label, rank)
-    ctx = pipeline_context(rep)
-    stage1 = logderiv_unipotent(ctx)
-    stage2 = adjoint_on_A0(ctx)
-    data = liouville_solutions(ctx, build_A_L(ctx, stage2), stage1)
-    h_all = logderiv_Y(ctx, data, stage2)
-    parts = eliminate_noncomplementary(ctx, h_all)
-    inv = invariants(ctx, h_all, parts)
+    eta = tuple(DiffPoly.eta(i) for i in range(1, rep.m + 1))
+    stage1 = logderiv_unipotent(rep, eta)
+    stage2 = adjoint_on_A0(rep, eta)
+    data = liouville_solutions(rep, build_A_L(rep, stage2), stage1)
+    h_all = logderiv_Y(rep, eta, data, stage2)
+    parts = eliminate_noncomplementary(rep, h_all)
+    inv = invariants(rep, h_all, parts)
     ag = assemble_A_G(rep, inv.h)
     return PipelineResult(
         rep=rep,

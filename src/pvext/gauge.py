@@ -6,12 +6,13 @@ rescaling when s != (1,..,1)).  The construction proceeds height by
 height: at each level the correction splits over the W-basis, the W part
 is removed by one-parameter gauges and the complementary residue is the
 output f.  The running matrix is carried in coordinates over the
-Chevalley basis: the input is decomposed once, and each root factor acts
-on the coordinates by exp(t ad X), read off the checked structure
-constants (chevalley.unipotent_adjoint).  Two exact identities close
-every normalization: the residual coordinates are those of A_G(f), and
-the returned element g satisfies g' + g a = A_G(f) g, i.e.
-gauge(g, a) = A_G(f), checked in matrices from the factors alone.
+Chevalley basis: the input is decomposed once, and each root factor gauges
+the coordinates by exp(t ad X) plus t' X, read off the checked structure
+constants (chevalley.unipotent_gauge, the step the construct stages
+share).  Two exact identities close every normalization: the residual
+coordinates are those of A_G(f), and the returned element g satisfies
+g' + g a = A_G(f) g, i.e. gauge(g, a) = A_G(f), checked in matrices from
+the factors alone.
 """
 
 from fractions import Fraction
@@ -130,12 +131,10 @@ def normalize_to_AG(rep, a):
     Chevalley basis, decompose_in_basis's keys with the zeros left out.
     The input is decomposed once, by the plane test; when s != (1,..,1)
     the torus factor gauges the matrix and the result is decomposed once
-    more.  A root factor u_b(t) then acts on the coordinates alone:
-    gauge(u, A) = Ad(u)(A) + ldelta(u), where Ad(u) is
-    chevalley.unipotent_adjoint (exp(t ad X_b), proved there) and
-    ldelta(u) = t' X_b (symgroup.unipotent_matrix) adds t' to the X_b
-    coordinate.  So `current` always holds the coordinates of the matrix
-    the factors' gauges give, and each level reads its correction there.
+    more.  A root factor u_b(t) then acts on the coordinates alone, by
+    gauge(u, A) = Ad(u)(A) + t' X_b (chevalley.unipotent_gauge, proved
+    there).  So `current` always holds the coordinates of the matrix the
+    factors' gauges give, and each level reads its correction there.
 
     Two exact checks, each raising VerificationFailure:
 
@@ -201,13 +200,7 @@ def normalize_to_AG(rep, a):
         for k, xk in zip(sources, xs):
             root = rs.neg_order[k - 1]
             factors.append(symgroup.unipotent_matrix(rep, root, -xk))
-            current = chevalley.unipotent_adjoint(rep, root, -xk, current)
-            xkey = ("X", root.coeffs)
-            moved = current.get(xkey, zero) - linalg.derive(xk)
-            if moved:
-                current[xkey] = moved
-            else:
-                current.pop(xkey, None)
+            current = chevalley.unipotent_gauge(rep, root, -xk, current)
 
     # deepest complementary components are whatever remains
     for j in comp:

@@ -18,7 +18,7 @@ pvext.linalg.combination to, and build expected matrices with.  mat_add is
 the entrywise sum before pvext.linalg.mat_add passed an operand through
 beside a polynomial zero.  adjoint and product multiply a word of group
 factors letter by letter with the dense mat_mul here, and hold
-pvext.symgroup.adjoint and pvext.construct._product, which use the one
+pvext.symgroup.adjoint and construct_oracle.product, which use the one
 row-by-row product of pvext.linalg (root subgroup factors included), to
 the same values, types and term orders.
 """

@@ -9,10 +9,11 @@ import pytest
 
 from pvext import chevalley, construct, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
-from pvext.errors import IdentityFailure, RankFailure, StructureViolation
+from pvext.errors import IdentityFailure, RankFailure, StructureViolation, VerificationFailure
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
+import construct_oracle
 import linalg_oracle
 from conftest import get_pipeline, get_rep, neumann_inverse
 from liouville_oracle import verify_by_liouville_product
@@ -512,26 +513,16 @@ def test_report_matches_recorded_digest(label):
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIGESTS_TESTED[label]
 
 
-def test_pipeline_builds_u_and_its_inverse_once(monkeypatch):
-    contexts, eta_factors = [], []
-    context, factor = construct.pipeline_context, symgroup.unipotent_matrix
-
-    def counting_context(rep):
-        contexts.append(context(rep))
-        return contexts[-1]
-
-    def counting_factor(rep, root, x):
-        if isinstance(x, DiffPoly):
-            eta_factors.append(x)
-        return factor(rep, root, x)
-
-    monkeypatch.setattr(construct, "pipeline_context", counting_context)
-    monkeypatch.setattr(symgroup, "unipotent_matrix", counting_factor)
-    construct.run_pipeline("A", 3)
-    assert len(contexts) == 1
-    # each u_i(eta_i) is built once and carries its own inverse; the
-    # Liouville stage builds only u_i(y_i) factors, over LiouvExpr
-    assert eta_factors == [eta(i) for i in range(1, 7)]
+def test_pipeline_multiplies_no_polynomial_matrix(monkeypatch):
+    # the stages act on Chevalley coordinates: no matrix product of theirs
+    # has a DiffPoly or LiouvExpr entry
+    operands = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda a, b: operands.extend((a, b)) or mat_mul(a, b))
+    construct.run_pipeline("B", 3)
+    assert operands
+    rings = (DiffPoly, LiouvExpr)
+    assert not [m for m in operands if any(isinstance(x, rings) for row in m for x in row)]
 
 
 def test_pipeline_never_multiplies_by_the_dense_longest_representative(monkeypatch):
@@ -559,12 +550,6 @@ def test_longest_representative_is_inverted_by_its_transpose(system):
     assert [list(col) for col in zip(*dense)] == linalg.rational_inverse(dense)
 
 
-@pytest.mark.parametrize("system", [("A", 3), ("G2", 2), ("B", 3), ("D", 5)])
-def test_context_inverse_matches_the_neumann_series(system):
-    ctx = construct.pipeline_context(get_rep(*system))
-    assert linalg.mat_eq(ctx.uinv, neumann_inverse(ctx.u, DiffPoly.rational(1)))
-
-
 def _corrupted_tower(data, part):
     """The Liouvillian data with one tower entry perturbed."""
     drift = LiouvExpr.integral(LiouvExpr.scalar(eta(1)))
@@ -589,20 +574,33 @@ def test_end_to_end_detects_tower_corruption(system, part):
         construct.verify_end_to_end(res.rep, broken, res.invariants)
 
 
+@pytest.mark.parametrize("part", ["first y", "last y", "z_1"])
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_tower_check_in_coordinates_names_the_corrupted_key(system, part):
+    """A drift in y_1 or y_m first shows in the coordinate of X_1 or X_m, and
+    a drift in z_1 in the coordinate z_1'/z_1 of H_1, the first key."""
+    res = get_pipeline(*system)
+    rs = res.rep.rs
+    key = {
+        "first y": "X_%s" % (rs.neg_order[0].coeffs,),
+        "last y": "X_%s" % (rs.neg_order[-1].coeffs,),
+        "z_1": "H_1",
+    }[part]
+    message = "%s: liouville_solutions: ldelta(t(z)u(y)) - A_L is nonzero at %s" % (rs.label, key)
+    with pytest.raises(VerificationFailure, match="^%s$" % re.escape(message)):
+        construct._check_tower_coordinates(res.rep, _corrupted_tower(res.liouville, part))
+
+
 # ----- the principal grading -----
 
 
-def _context_with(rep, i, extra):
-    """The PipelineContext of u(eta) with its argument eta_i replaced by
-    eta_i + extra.  u and its inverse are built from the same factors, so
-    every matrix stays in the Lie algebra and only the weights are wrong."""
+def _args_with(rep, i, extra):
+    """The arguments eta_1..eta_m of u(eta) with eta_i replaced by
+    eta_i + extra.  u stays a product of root factors, so every stage output
+    stays in the Lie algebra and only the coefficients are wrong."""
     args = [eta(k) for k in range(1, rep.m + 1)]
     args[i - 1] = args[i - 1] + extra
-    factors = construct._unipotent_factors(rep, args)
-    u = construct._product(f.rows for f in factors)
-    uinv = construct._product(f.inv for f in reversed(factors))
-    ldelta_u = linalg.mat_mul(linalg.mat_derive(u), uinv)
-    return construct.PipelineContext(rep=rep, u=u, uinv=uinv, ldelta_u=ldelta_u)
+    return args
 
 
 def _not_of_weight(label, where, w, variables):
@@ -636,24 +634,24 @@ def test_grading_check_fires_on_each_coefficient_stage(system):
     rep = res.rep
     label, l, m = rep.rs.label, rep.rank, rep.m
     simple = FAULT_SITES[label][0]
-    bad = _context_with(rep, l + 1, eta(1))
+    bad = _args_with(rep, l + 1, eta(1))
     with pytest.raises(
         StructureViolation, match=_not_of_weight(label, "logderiv_unipotent: v_%d" % (l + 1), 3, m)
     ):
-        construct.logderiv_unipotent(bad)
+        construct.logderiv_unipotent(rep, bad)
     with pytest.raises(
         StructureViolation,
         match=_not_of_weight(label, "adjoint_on_A0: the X_%d coefficient" % simple, 2, m),
     ):
-        construct.adjoint_on_A0(bad)
+        construct.adjoint_on_A0(rep, bad)
     with pytest.raises(
         StructureViolation, match=_not_of_weight(label, "logderiv_Y: h_%d" % simple, 2, m)
     ):
-        construct.logderiv_Y(bad, res.liouville, res.stage2)
+        construct.logderiv_Y(rep, bad, res.liouville, res.stage2)
     with pytest.raises(
         StructureViolation, match=_not_of_weight(label, "adjoint_on_A0: g_1", 1, m)
     ):
-        construct.adjoint_on_A0(_context_with(rep, 1, eta(1) * eta(1)))
+        construct.adjoint_on_A0(rep, _args_with(rep, 1, eta(1) * eta(1)))
 
 
 @pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
@@ -670,7 +668,6 @@ def test_grading_check_fires_on_the_eliminated_and_the_invariants(system):
     res = get_pipeline(*system)
     rs = res.rep.rs
     label, l = rs.label, rs.rank
-    ctx = construct.pipeline_context(res.rep)
     extra = eta(1) * eta(1, 1)
     h = list(res.h_raw)
     h[_first_noncomplementary_simple(rs) - 1] += extra
@@ -678,30 +675,29 @@ def test_grading_check_fires_on_the_eliminated_and_the_invariants(system):
         StructureViolation,
         match=_not_of_weight(label, "eliminate_noncomplementary: f_%d" % (l + 1), 2, l),
     ):
-        construct.eliminate_noncomplementary(ctx, h)
+        construct.eliminate_noncomplementary(res.rep, h)
     comp = rs.comp_roots[0]  # the complementary index of height 1
     h = list(res.h_raw)
     h[comp - 1] += extra
-    parts = construct.eliminate_noncomplementary(ctx, h)
+    parts = construct.eliminate_noncomplementary(res.rep, h)
     with pytest.raises(
         StructureViolation, match=_not_of_weight(label, "invariants: h_%d" % comp, 2, l)
     ):
-        construct.invariants(ctx, h, parts)
-    f, lbar, pbar, sigma, _ = construct.eliminate_noncomplementary(ctx, list(res.h_raw))
+        construct.invariants(res.rep, h, parts)
+    f, lbar, pbar, sigma, _ = construct.eliminate_noncomplementary(res.rep, list(res.h_raw))
     sigma = dict(sigma)
     sigma[l + 1] += eta(l + 1)
     _, j, w = FAULT_SITES[label]
     with pytest.raises(
         StructureViolation, match=_not_of_weight(label, "invariants: h_%d" % j, w, l)
     ):
-        construct.invariants(ctx, list(res.h_raw), (f, lbar, pbar, sigma, {}))
+        construct.invariants(res.rep, list(res.h_raw), (f, lbar, pbar, sigma, {}))
 
 
 def test_height_system_rank_is_checked_where_it_is_solved():
     """Without its order-0 linear terms, a non-complementary h_i of height 1
     gives the height -1 system a zero row."""
     res = get_pipeline("B", 3)
-    ctx = construct.pipeline_context(res.rep)
     h = list(res.h_raw)
     i = _first_noncomplementary_simple(res.rep.rs)
     h[i - 1] -= sum(
@@ -709,7 +705,164 @@ def test_height_system_rank_is_checked_where_it_is_solved():
         DiffPoly.zero(),
     )
     with pytest.raises(RankFailure, match="^height -1 system is rank-deficient$"):
-        construct.eliminate_noncomplementary(ctx, h)
+        construct.eliminate_noncomplementary(res.rep, h)
+
+
+# ----- the stages' shape checks -----
+
+
+def _fires(label, call, message):
+    with pytest.raises(StructureViolation, match="^%s$" % re.escape(label + ": " + message)):
+        call()
+
+
+# per system: an index i and a term whose sum with eta_i gives v_i a linear
+# term of its own weight
+LINEAR_TERM = {"B3": (4, eta(5)), "G2": (3, eta(3))}
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_stage_checks_fire_on_corrupted_arguments(system):
+    """Each corruption keeps u(eta) a product of root factors and every stage
+    output homogeneous, so only the check named fires.
+
+    - eta_1 + eta_1^2 gives v_1 = 2 eta_1 eta_1'.
+    - eta_(l+1) + eta_1' gives v_(l+1) the term eta_1'' of order 2; the X_1
+      coefficient of Ad(u)(A_0^+) the derivative eta_1', through the
+      bracket of X_(l+1) with A_0^+; and h_1 the linear term eta_1' that
+      ell_1 lacks.
+    - v_i gains a linear term from a second eta of the height of beta_i:
+      on B3, eta_4 + eta_5 (both of height -2).  G2 has one root of each
+      height below -1, so there eta_3 is doubled and v_3 gains eta_3'.
+    - eta_1 replaced by 0 makes g_1 = -eta_1 vanish, and eta_2 replaced by
+      eta_1 makes g_2 = -eta_1 a multiple of g_1.
+    - 2 eta_1 leaves ldelta(Y) the Cartan component -eta_1 H_1, since the
+      A_L of the true g_1 = -eta_1 cancels only the original one.
+    - eta_j + eta_1 eta_1' for the first eta_j of height -3 gives h_j the
+      term (eta_1 eta_1')' of order 2.
+    The Cartan and positive components of ldelta(u) and the positive part
+    of Ad(u)(A_0^+) are out of reach: brackets of negative root vectors are
+    negative root vectors, and [X_-beta, X_alpha_i] is a positive root
+    vector for no positive beta.
+    """
+    res = get_pipeline(*system)
+    rep = res.rep
+    label, l = rep.rs.label, rep.rank
+
+    def stage1(i, extra):
+        return lambda: construct.logderiv_unipotent(rep, _args_with(rep, i, extra))
+
+    def stage2(i, extra):
+        return lambda: construct.adjoint_on_A0(rep, _args_with(rep, i, extra))
+
+    def ldelta_y(i, extra):
+        args = _args_with(rep, i, extra)
+        return lambda: construct.logderiv_Y(rep, args, res.liouville, res.stage2)
+
+    i, extra = LINEAR_TERM[label]
+    j = rep.rs.band(-3)[0]
+    _fires(label, stage1(1, eta(1) * eta(1)), "logderiv_unipotent: v_1 should vanish")
+    _fires(
+        label,
+        stage1(l + 1, eta(1, 1)),
+        "logderiv_unipotent: v_%d has a term of order != 1" % (l + 1),
+    )
+    _fires(label, stage1(i, extra), "logderiv_unipotent: v_%d has a linear term" % i)
+    _fires(
+        label,
+        stage2(l + 1, eta(1, 1)),
+        "adjoint_on_A0: the X_1 coefficient contains derivatives",
+    )
+    _fires(label, stage2(1, -eta(1)), "adjoint_on_A0: the Cartan coefficient g_1 vanishes")
+    _fires(
+        label,
+        stage2(2, eta(1) - eta(2)),
+        "adjoint_on_A0: Cartan coefficients are linearly dependent",
+    )
+    _fires(label, ldelta_y(l + 1, eta(1, 1)), "logderiv_Y: q_1 has a linear term")
+    _fires(label, ldelta_y(1, eta(1)), "logderiv_Y: H_1 component is nonzero")
+    _fires(label, ldelta_y(j, eta(1) * eta(1, 1)), "logderiv_Y: q_%d has order > 1" % j)
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_positive_part_check_fires_on_a_corrupted_A_L(system):
+    """A_L + X_(l+1), with beta_(l+1) = -alpha_1 - alpha_2: the longest
+    element of B3 and G2 is -1, so Ad(n(wbar)) maps X_(l+1) to a multiple
+    of X_(alpha_1 + alpha_2), which the factor u_2(eta_2) brackets into
+    eta_2 X_alpha_1 (the sign is that of the calibrated bases)."""
+    res = get_pipeline(*system)
+    rep = res.rep
+    label, l = rep.rs.label, rep.rank
+    al = linalg.mat_add([list(r) for r in res.liouville.A_L], rep.x_neg(l + 1))
+    data = dataclasses.replace(res.liouville, A_L=tuple(tuple(r) for r in al))
+    eta_args = [eta(k) for k in range(1, rep.m + 1)]
+    _fires(
+        label,
+        lambda: construct.logderiv_Y(rep, eta_args, data, res.stage2),
+        "logderiv_Y: positive component %r is DiffPoly(η2 +1)" % (rep.rs.simple(1).coeffs,),
+    )
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_integrand_order_check_fires_on_a_corrupted_v(system):
+    # y_(l+1) integrates -v_(l+1) evaluated at y and its first derivatives
+    res = get_pipeline(*system)
+    rep = res.rep
+    l = rep.rank
+    v = dict(res.stage1.v)
+    v[l + 1] = v[l + 1] + eta(1) * eta(1, 2)
+    data = construct.build_A_L(rep, res.stage2)
+    with pytest.raises(StructureViolation, match="^integrand of order > 1$"):
+        construct.liouville_solutions(rep, data, construct.Stage1Coeffs(v=v))
+
+
+# ----- the coordinate stages against the matrix path -----
+
+ORACLE_SYSTEMS = (
+    [("A", r) for r in range(1, 9)]
+    + [(t, r) for t in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(3, 9)]
+    + [("G2", 2)]
+)
+
+
+def _nonzero(coords):
+    return {key: c for key, c in coords.items() if c}
+
+
+@pytest.mark.parametrize(
+    "system", ORACLE_SYSTEMS, ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
+)
+def test_coordinate_stages_equal_the_matrix_path(system):
+    """Stage 1, stage 2, ldelta(Y) and the tower, key by key with the zeros
+    left out, against u, u^-1 and ldelta(u) multiplied out in matrices and
+    decomposed (tests/construct_oracle.py)."""
+    rep = get_rep(*system)
+    rs, l = rep.rs, rep.rank
+    eta_args = tuple(eta(i) for i in range(1, rep.m + 1))
+    path = construct_oracle.UnipotentPath(rep, eta_args)
+    simple = {("X", rs.simple(i).coeffs): DiffPoly.rational(1) for i in range(1, l + 1)}
+    xkeys = [("X", b.coeffs) for b in rs.neg_order]
+
+    stage1 = construct.logderiv_unipotent(rep, eta_args)
+    got = {key: eta(i, 1) + stage1.v.get(i, 0) for i, key in enumerate(xkeys, start=1)}
+    assert _nonzero(got) == path.ldelta_coordinates()
+
+    stage2 = construct.adjoint_on_A0(rep, eta_args)
+    got = dict(simple)
+    got.update((("H", i), g) for i, g in enumerate(stage2.g, start=1))
+    got.update((key, e + p) for key, e, p in zip(xkeys, stage2.ell, stage2.p))
+    assert _nonzero(got) == path.adjoint_coordinates(rep.a0_plus())
+
+    data = construct.liouville_solutions(rep, construct.build_A_L(rep, stage2), stage1)
+    want = construct_oracle.tower_coordinates(rep, data.z, data.y)
+    assert _nonzero(construct._check_tower_coordinates(rep, data)) == want
+
+    h = construct.logderiv_Y(rep, eta_args, data, stage2)
+    got = dict(simple)
+    got.update(zip(xkeys, h))
+    want = path.gauge_coordinates(chevalley.weyl_adjoint(data.nw, data.A_L))
+    assert _nonzero(got) == want
 
 
 # ----- exceptional isomorphisms -----

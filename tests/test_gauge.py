@@ -294,6 +294,27 @@ def test_unipotent_adjoint_is_conjugation_on_coordinates(system):
         assert chevalley.unipotent_adjoint(rep, b, t, coords) == want
 
 
+@pytest.mark.parametrize("system", SYSTEMS, ids=SYSTEM_IDS)
+def test_unipotent_gauge_is_the_gauge_on_coordinates(system):
+    # Ad(u)(A) + t' X_b on coordinates against decompose(u A u^-1 + u' u^-1)
+    rep = get_rep(*system)
+    rng = random.Random("gauge:%s%d" % system)
+    for b in rep.rs.neg_order:
+        coords = _random_coordinates(rep, rng)
+        a = linalg.combination(
+            [(c, rep.H[key - 1] if kind == "H" else rep.X[key]) for (kind, key), c in coords.items()],
+            rep.dim, DiffPoly.zero(),
+        )
+        t = _random_poly(rng, rep.rank) - 1
+        u, uinv = chevalley.unipotent_element(rep, b, t), chevalley.unipotent_element(rep, b, -t)
+        conj = linalg_oracle.mat_mul(linalg_oracle.mat_mul(u, a), uinv)
+        ldelta = linalg_oracle.mat_mul(linalg.mat_derive(u), uinv)
+        want = {k: v for k, v in chevalley.decompose_in_basis(rep, linalg.mat_add(conj, ldelta)).items() if v}
+        assert chevalley.unipotent_gauge(rep, b, t, coords) == want
+        dt = t.derive()
+        assert chevalley.unipotent_gauge(rep, b, t, {}) == ({("X", b.coeffs): dt} if dt else {})
+
+
 def test_residual_check_fires_on_a_flipped_structure_constant():
     # a wrong [X_b, X_a] moves the gauged coordinates off the W-basis solve
     rep = get_rep("A", 3)

@@ -24,32 +24,45 @@ SITES = {
         "test_construct::test_grading_check_fires_on_each_coefficient_stage",
         "test_construct::test_grading_check_fires_on_the_eliminated_and_the_invariants",
     ),
-    # _check_positive_part
-    ("StructureViolation", "%s: H_%d component is nonzero"): UNFIRED,
-    ("StructureViolation", "%s: simple positive component is %r"): UNFIRED,
-    ("StructureViolation", "%s: positive component %r"): UNFIRED,
+    # _check_positive_part, called by logderiv_unipotent, adjoint_on_A0 and
+    # logderiv_Y
+    ("StructureViolation", "%s: positive component %r is %r"):
+        ("test_construct::test_positive_part_check_fires_on_a_corrupted_A_L",),
+    ("StructureViolation", "%s: H_%d component is nonzero"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
     # logderiv_unipotent
-    ("StructureViolation", "ldelta(u) has a Cartan component"): UNFIRED,
-    ("StructureViolation", "ldelta(u) has a positive component"): UNFIRED,
-    ("StructureViolation", "v_%d should vanish"): UNFIRED,
-    ("StructureViolation", "v_%d has a term of order != 1"): UNFIRED,
-    ("StructureViolation", "v_%d has a linear term"): UNFIRED,
+    ("StructureViolation", "%s: v_%d should vanish"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
+    ("StructureViolation", "%s: v_%d has a term of order != 1"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
+    ("StructureViolation", "%s: v_%d has a linear term"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
     # adjoint_on_A0
-    ("StructureViolation", "a Cartan coefficient vanishes"): UNFIRED,
-    ("StructureViolation", "Cartan coefficients are linearly dependent"): UNFIRED,
-    ("StructureViolation", "the X_%d coefficient contains derivatives"): UNFIRED,
+    ("StructureViolation", "%s: the Cartan coefficient g_%d vanishes"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
+    ("StructureViolation", "%s: Cartan coefficients are linearly dependent"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
+    ("StructureViolation", "%s: the X_%d coefficient contains derivatives"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
     # build_A_L
     ("StructureViolation", "Ad(n(wbar)) does not permute root lines"): UNFIRED,
     ("VerificationFailure", "Ad(n(wbar))(A_0^-(c)) != A_0^+"): UNFIRED,
     ("VerificationFailure", "gbar conjugation identity failed"): UNFIRED,
     # _dp_order_le_one_eval
-    ("StructureViolation", "integrand of order > 1"): UNFIRED,
-    # _require_equal, for the tower and the end-to-end identity
+    ("StructureViolation", "integrand of order > 1"):
+        ("test_construct::test_integrand_order_check_fires_on_a_corrupted_v",),
+    # _check_tower_coordinates, the tower check of liouville_solutions
+    ("VerificationFailure",
+     "%s: liouville_solutions: ldelta(t(z)u(y)) - A_L is nonzero at %s_%s"):
+        ("test_construct::test_tower_check_in_coordinates_names_the_corrupted_key",),
+    # _require_equal, for the end-to-end check's tower and identity
     ("error", "%s: %s is nonzero at entry (%d, %d)"):
         ("test_construct::test_end_to_end_failure_names_the_system",),
     # logderiv_Y
-    ("StructureViolation", "q_%d has a linear term"): UNFIRED,
-    ("StructureViolation", "q_%d has order > 1"): UNFIRED,
+    ("StructureViolation", "%s: q_%d has a linear term"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
+    ("StructureViolation", "%s: q_%d has order > 1"):
+        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
     # eliminate_noncomplementary
     ("RankFailure", "no equations for the height %d band"): UNFIRED,
     ("RankFailure", "height %d system is not square"): UNFIRED,
@@ -94,7 +107,7 @@ def _test_names(module):
 
 def test_every_raise_site_in_construct_is_listed_once():
     assert _raise_sites() == Counter(SITES.keys())
-    assert sum(exc in ("StructureViolation", "RankFailure") for exc, _ in SITES) == 24
+    assert sum(exc in ("StructureViolation", "RankFailure") for exc, _ in SITES) == 21
 
 
 def test_every_named_firing_test_exists():
