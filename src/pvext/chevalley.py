@@ -10,9 +10,9 @@ build time: with sparse integer brackets for the pairs of root vectors
 whose supports meet, as a zero bracket for the other pairs, and cell by
 cell for the Cartan generators.  The coordinates of the W_i are read off
 the checked structure constants.  The kernels visit only non-zero cells:
-u_alpha(x) those of the divided powers of X_alpha, decompose_in_basis the
-non-zero inverse entries of its recipe and the cells that the basis
-matrices reach.
+u_alpha(x) those of the divided powers of X_alpha, and decompose_in_basis
+and its inverse compose those of the basis matrices (rep.cells), where a
+root vector owns its off-diagonal cells and the H_i hold the diagonal.
 
 Sign flips for non-simple root vectors are loaded from a calibration table
 (see data/calibration.json), which lists only the roots whose sign is -1;
@@ -60,9 +60,9 @@ class ChevalleyRep:
     w_coefficients: tuple
     exp_cells: dict  # root coeffs -> the (r, c, k, p) with p = (X^k/k!)[r][c] != 0, k >= 1
     basis_order: tuple  # ("H", i) / ("X", coeffs) in decomposition order
+    cells: dict  # basis key -> the (r, c, v) with v = M[r][c] != 0, in row-major order
     solve_positions: tuple  # the entries r * dim + c that decompose_in_basis reads
-    solve_rows: tuple  # per basis element, the (index, value != 0) pairs of its inverse row
-    support: tuple  # support[r][c]: the (k, v != 0) of basis element k at (r, c), k ascending
+    cartan_solve: tuple  # per H_i, the (r, w != 0): its coordinate is sum w a[r][r]
 
     @property
     def rank(self):
@@ -89,11 +89,8 @@ class ChevalleyRep:
             raise DimMismatch("%d principal nilpotent coefficients for rank %d" % (len(values), l))
         if any(not v for v in values):
             raise ValueError("principal nilpotent coefficients must be nonzero")
-        terms = []
-        for i in range(1, l + 1):
-            root = self.rs.simple(i) if sign > 0 else -self.rs.simple(i)
-            terms.append((values[i - 1], self.X[root.coeffs]))
-        return linalg.combination(terms, self.dim, Fraction(0))
+        roots = [self.rs.simple(i) if sign > 0 else -self.rs.simple(i) for i in range(1, l + 1)]
+        return compose(self, {("X", r.coeffs): v for r, v in zip(roots, values)}, Fraction(0))
 
 # ----- simple generators per type -----
 
@@ -301,16 +298,19 @@ def build_rep(type_label, rank):
     exp_cells = {coeffs: _divided_power_cells(mat, n) for coeffs, mat in sx.items()}
 
     # W_b = [X_b, A_0^+]; complementary roots against the provisional
-    # ordering, then the recipe and the W coordinates for the final one
+    # ordering, then the cells and the W coordinates for the final one
     a0 = _sp_combination([sx[rs.simple(i + 1).coeffs] for i in range(l)], [1] * l)
     w = {b.coeffs: _sp_bracket(sx[b.coeffs], a0) for b in rs.neg_order}
     rs = rootsys.finalize_order(rs, _complementary_root_values(rs, sx, w))
     basis_order = [("H", i + 1) for i in range(l)]
     basis_order += [("X", b.coeffs) for b in rs.neg_order]
     basis_order += [("X", (-b).coeffs) for b in rs.neg_order]
-    positions, solve_rows, support = _solving_recipe(
-        [sh[key - 1] if kind == "H" else sx[key] for kind, key in basis_order], n
-    )
+    mats = [sh[key - 1] if kind == "H" else sx[key] for kind, key in basis_order]
+    cells = {key: tuple((*rc, v) for rc, v in sorted(_cells(mat).items()))
+             for key, mat in zip(basis_order, mats)}
+    rows, cartan_solve = _cartan_solve(sh, n)
+    positions = [r * (n + 1) for r in rows]
+    positions += [cells[key][0][0] * n + cells[key][0][1] for key in basis_order[l:]]
     rep = ChevalleyRep(
         rs=rs,
         dim=n,
@@ -320,9 +320,9 @@ def build_rep(type_label, rank):
         w_coefficients=(),
         exp_cells=exp_cells,
         basis_order=tuple(basis_order),
-        solve_positions=tuple(positions),
-        solve_rows=solve_rows,
-        support=support,
+        cells=cells,
+        solve_positions=tuple(sorted(positions)),
+        cartan_solve=cartan_solve,
     )
     rep = replace(rep, w_coefficients=_w_coordinates(rep))
     _verify_w_basis(rep, w, sx)
@@ -513,35 +513,25 @@ def _proportionality(mat, target):
     return (0, 1) if q is None else (p, q)
 
 
-def _solving_recipe(basis, n):
-    """The ChevalleyRep fields solve_positions, solve_rows and support.
+def _cartan_solve(sh, n):
+    """The diagonal rows that decompose_in_basis reads for the H_i, and per
+    H_i the (r, w != 0) pairs of its row of their inverse.
 
-    `basis` lists sparse integer matrices.  Positions are tried in row-major
-    order, and one is kept when its row of basis entries is independent of
-    the rows kept so far, until there is one per basis element.  One
-    linalg.Echelon pass decides this; its docstring proves that it accepts
-    a row exactly when rank(kept + [row]) == len(kept) + 1.
+    The rows are the first l, in order, whose weights (H_1[r][r], ...,
+    H_l[r][r]) are independent; one linalg.Echelon pass over these
+    l-vectors decides it, by the proof in its docstring, and SpanFailure
+    is raised when fewer than l are.  With D the l x l matrix of their
+    weights, D^-1 is the one rational_inverse of build_rep, and the
+    coordinates c of the H_i in a diagonal with entries d_r, which are
+    sum_i c_i H_i[r][r] = d_r, are c = D^-1 (d_r) over the chosen rows.
     """
-    rows = [{} for _ in range(n * n)]
-    for k, mat in enumerate(basis):
-        for i, row in mat.items():
-            for j, v in row.items():
-                rows[i * n + j][k] = v
+    weights = [[h.get(r, {}).get(r, 0) for h in sh] for r in range(n)]
     echelon = linalg.Echelon()
-    chosen = []
-    for pos, row in enumerate(rows):
-        if len(chosen) == len(basis):
-            break
-        if echelon.add(row):
-            chosen.append(pos)
-    if len(chosen) != len(basis):
+    rows = [r for r in range(n) if echelon.add(dict(enumerate(weights[r])))]
+    if len(rows) != len(sh):
         raise SpanFailure("Chevalley basis is not linearly independent")
-    inverse = linalg.rational_inverse(
-        [[rows[pos].get(k, 0) for k in range(len(basis))] for pos in chosen]
-    )
-    solve_rows = tuple(tuple((e, v) for e, v in enumerate(row) if v) for row in inverse)
-    support = tuple(tuple(tuple(rows[i * n + j].items()) for j in range(n)) for i in range(n))
-    return chosen, solve_rows, support
+    inverse = linalg.rational_inverse([weights[r] for r in rows])
+    return rows, tuple(tuple((r, w) for r, w in zip(rows, row) if w) for row in inverse)
 
 
 def _complementary_root_values(rs, X, W):
@@ -584,11 +574,12 @@ def _w_coordinates(rep):
     _verify_axioms checked on the matrices: the coroot H_b over the H_j
     when b = -alpha_i, nconst[(b, alpha_i)] X_(b+alpha_i) when b + alpha_i
     is a root, and 0 otherwise.  Adding them gives W_b as a combination of
-    basis matrices.  These coordinates are the only ones: build_rep's
-    recipe finds one independent row of entries per basis element (or
-    raises SpanFailure), so the basis matrices are linearly independent,
-    and a matrix in their span has one combination.  decompose_in_basis
-    solves for that combination, so the two agree key for key.
+    basis matrices.  These coordinates are the only ones: the root vectors
+    own disjoint off-diagonal cells and the H_i the diagonal, where
+    build_rep finds l independent rows (or raises SpanFailure), so the
+    basis matrices are linearly independent (decompose_in_basis), and a
+    matrix in their span has one combination.  decompose_in_basis solves
+    for that combination, so the two agree key for key.
     """
     simples = [("X", rep.rs.simple(i).coeffs) for i in range(1, rep.rank + 1)]
     out = []
@@ -655,47 +646,76 @@ def _verify_w_basis(rep, W, X):
 def decompose_in_basis(rep, a):
     """Coefficients of a matrix over {H_i} and {X_alpha}.
 
-    Returns a dict keyed by ("H", i) and ("X", coeffs); raises
-    NotInLieAlgebra when the matrix is not in the span, and DimMismatch
-    unless it is rep.dim x rep.dim.  Coefficients live in the entry domain
-    of `a`.
+    Returns a dict keyed by ("H", i) and ("X", coeffs) in rep.basis_order;
+    raises NotInLieAlgebra when the matrix is not in the span, and
+    DimMismatch unless it is rep.dim x rep.dim.  Coefficients live in the
+    entry domain of `a`.
 
-    Proof that this is the dense decomposition.  c_k is row k of the
-    recipe's inverse dotted with the entries at rep.solve_positions;
-    linalg.dot skips pairs with a zero factor, so over the non-zero pairs
-    of rep.solve_rows it adds the same products in the same order: the
-    same value and DiffPoly term order (a lone pair of an entry and a one
-    is that entry, by the proof in DiffPoly.dot).  The dense residual check
-    compares a with R = linalg.combination of the (c_k, M_k) from `zero`,
-    which adds into (r, c) each c_k v (c_k when v = 1) with c_k and
-    v = M_k[r][c] non-zero, in ascending k: rep.support[r][c] lists those
-    (k, v) in that order, and the loop forms the same sum.  Off every
-    support R[r][c] is `zero`, and zero != x exactly when x is falsy, since
-    a Fraction, DiffPoly or LiouvExpr equals a ring zero iff its value is
-    zero.  Entries go in row-major order, so the first failing entry and
-    the message are the dense check's.
+    Cells.  _verify_axioms checks [H_i, X_b] = <b, a_i> X_b at each cell
+    (r, c) of X_b as H_i[r][r] - H_i[c][c] = <b, a_i>.  These l pairings fix
+    b, the Cartan matrix being invertible, and are all 0 for no root; so a
+    cell belongs to one root vector at most, and the diagonal to none.
+
+    Proof.  If a = sum_k c_k M_k, then a[r][c] = c_b v at the first cell
+    (r, c, v) of X_b, and a[r][r] = sum_i c_i H_i[r][r] is solved at the
+    rows of rep.cartan_solve (_cartan_solve).  The non-zero X_b on disjoint
+    cells and the H_i, independent on those rows, are independent, so these
+    c are the only candidates, and a is in the span iff compose(rep, c,
+    zero) equals a.  The check runs in row-major order and names the first
+    entry that differs.  Where no term reaches, compose leaves `zero`
+    itself, and zero != x iff x is non-zero (a Fraction, DiffPoly or
+    LiouvExpr equals a ring zero iff its value is zero): x's truth is tested.
+
+    rep.solve_positions are the cells that a row-major greedy selection of
+    independent rows of basis entries keeps: the first cell of X_b holds
+    the row v e_b and its later cells repeat it, and a diagonal row, with
+    no X entry, is new when its weights are.  So the selected block is
+    diagonal in X beside the H block, and its inverse holds the lone
+    Fraction(1, v) that linalg.dot forms c_b with, and the H block's inverse.
     """
     n = rep.dim
     if len(a) != n or any(len(row) != n for row in a):
         raise DimMismatch("matrix is not %d x %d" % (n, n))
-    entries = [a[pos // n][pos % n] for pos in rep.solve_positions]
     zero = linalg.zero_of(next((e for row in a for e in row if e), Fraction(0)))
-    coeffs = [linalg.dot([(entries[e], v) for e, v in row], zero) for row in rep.solve_rows]
-    for i, (row, cells) in enumerate(zip(a, rep.support)):
-        for j, (x, terms) in enumerate(zip(row, cells)):
-            if terms:
-                recon = zero
-                for k, v in terms:
-                    c = coeffs[k]
-                    if c:
-                        term = c if v == 1 else c * v
-                        recon = term if recon is zero else recon + term
-                outside = recon != x
-            else:
-                outside = x
-            if outside:
+    coeffs = {}
+    for key, pairs in zip(rep.basis_order, rep.cartan_solve):
+        coeffs[key] = linalg.dot([(a[r][r], w) for r, w in pairs], zero)
+    for key in rep.basis_order[rep.rank:]:
+        r, c, v = rep.cells[key][0]
+        coeffs[key] = linalg.dot([(a[r][c], _reciprocal(v))], zero)
+    for i, (row, recon) in enumerate(zip(a, compose(rep, coeffs, zero))):
+        for j, (x, y) in enumerate(zip(row, recon)):
+            if x if y is zero else y != x:
                 raise NotInLieAlgebra("entry (%d, %d) is outside the span" % (i, j))
-    return dict(zip(rep.basis_order, coeffs))
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def _reciprocal(v):
+    """Fraction(1, v), made once per int v: basis entries are a few small ints."""
+    return Fraction(1, v)
+
+
+def compose(rep, coords, zero):
+    """The matrix sum of c M over a {basis key: coefficient} map, each c in
+    the ring of `zero`; the inverse of decompose_in_basis.
+
+    Each non-zero c puts c v at each cell (r, c, v) of its key, c itself
+    when v = 1, and a cell no term reaches holds `zero` itself.  An
+    off-diagonal cell belongs to one root vector at most and the diagonal
+    to the H_i alone (decompose_in_basis), so an off-diagonal cell gets one
+    term, and the diagonal adds the H terms in basis order, the H_i first.
+    """
+    n = rep.dim
+    out = [[zero] * n for _ in range(n)]
+    for key in rep.basis_order:
+        c = coords.get(key)
+        if c:
+            for r, col, v in rep.cells[key]:
+                term = c if v == 1 else c * v
+                row = out[r]
+                row[col] = term if row[col] is zero else row[col] + term
+    return out
 
 
 # ----- group elements -----
@@ -828,10 +848,15 @@ def _signed_columns(p):
 def weyl_representative(rep, word):
     """n(w) = n(w_{i_1}) ... n(w_{i_k}) for a word of 1-based simple indices,
     as the (row, sign) of its one entry +-1 in each column; each distinct
-    n(w_i) is built once and read by _signed_columns.  If P holds p_r at
-    (q_r, r) and S holds s_j at (r_j, j), column j of P S is s_j times column
-    r_j of P, s_j p_{r_j} at row q_{r_j}; since j -> r_j and r -> q_r are
-    bijections, P S is again a signed permutation, composed on the columns."""
+    n(w_i) is built once and read by _signed_columns, which checks that it
+    is a signed permutation: n(w) maps the weight line of mu to that of
+    w(mu), and the weights of the basis vectors, read off the H_i
+    diagonals, are pairwise distinct in every supported representation (a
+    test checks them all), so each line is one basis vector.  If P holds
+    p_r at (q_r, r) and S holds s_j at (r_j, j), column j of P S is s_j
+    times column r_j of P, s_j p_{r_j} at row q_{r_j}; since j -> r_j and
+    r -> q_r are bijections, P S is again a signed permutation, composed on
+    the columns."""
     simple = {i: _signed_columns(simple_representative(rep, i)) for i in dict.fromkeys(word)}
     out = tuple((j, 1) for j in range(rep.dim))
     for i in word:

@@ -219,36 +219,38 @@ def build_A_L(rep, stage2):
     Ad(n(wbar))(sum gbar_i H_i) = sum -g_i H_i; both identities are
     re-verified by direct conjugation on the assembled data.  n(wbar) is a
     signed permutation, so each conjugation is a relabelling (weyl_adjoint).
+    The X_i and H_i conjugated to find c and gbar are the matrices rep.X
+    and rep.H, and the identities are re-verified on matrices composed
+    from rep.cells, so each check fires when the two disagree.
     """
-    l = rep.rank
-    nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
+    rs, l = rep.rs, rep.rank
+    where = "%s: build_A_L" % rs.label
+    nw = chevalley.weyl_representative(rep, rootsys.longest_weyl_word(rs))
 
     c = []
     for i in range(1, l + 1):
         dec = chevalley.decompose_in_basis(rep, chevalley.weyl_adjoint(nw, rep.x_neg(i)))
         live = [(k, val) for k, val in dec.items() if val]
         if len(live) != 1 or live[0][0][0] != "X":
-            raise StructureViolation("Ad(n(wbar)) does not permute root lines")
+            raise StructureViolation("%s: Ad(n(wbar)) sends X_%d off the root lines" % (where, i))
         c.append(Fraction(1) / live[0][1])
     if not linalg.mat_eq(chevalley.weyl_adjoint(nw, rep.a0_minus(c)), rep.a0_plus()):
-        raise VerificationFailure("Ad(n(wbar))(A_0^-(c)) != A_0^+")
+        raise VerificationFailure("%s: Ad(n(wbar))(A_0^-(c)) != A_0^+" % where)
 
     decs = [chevalley.decompose_in_basis(rep, chevalley.weyl_adjoint(nw, h)) for h in rep.H]
     columns = [[dec.get(("H", k), Fraction(0)) for dec in decs] for k in range(1, l + 1)]
     rhs = [[-stage2.g[k] for k in range(l)]]
     gbar = tuple(linalg.solve_exact(columns, rhs)[0])
 
-    combo = linalg.combination(zip(gbar, rep.H), rep.dim, DiffPoly.zero())
-    al = linalg.mat_add(combo, rep.a0_minus(c))
+    zero = DiffPoly.zero()
+    cartan = {("H", i): gi for i, gi in enumerate(gbar, start=1)}
+    want = {("H", i): -gi for i, gi in enumerate(stage2.g, start=1)}
+    lhs = chevalley.weyl_adjoint(nw, chevalley.compose(rep, cartan, zero))
+    if not linalg.mat_eq(lhs, chevalley.compose(rep, want, zero)):
+        raise VerificationFailure("%s: Ad(n(wbar))(sum gbar_i H_i) != -sum g_i H_i" % where)
 
-    # re-verify the Cartan identity by direct conjugation
-    lhs = chevalley.weyl_adjoint(nw, combo)
-    want = linalg.combination(
-        [(-g, h) for g, h in zip(stage2.g, rep.H)], rep.dim, DiffPoly.zero()
-    )
-    if not linalg.mat_eq(lhs, want):
-        raise VerificationFailure("gbar conjugation identity failed")
-
+    cartan.update((("X", (-rs.simple(i)).coeffs), lift(ci)) for i, ci in enumerate(c, start=1))
+    al = chevalley.compose(rep, cartan, zero)
     return LiouvilleData(c=tuple(c), gbar=gbar, A_L=tuple(tuple(r) for r in al), nw=nw)
 
 
@@ -535,9 +537,10 @@ def invariants(rep, h_all, parts):
 def assemble_A_G(rep, h):
     """A_G(h) = A_0^+ + sum of h_j X_j over the complementary indices j;
     `h` maps each complementary index to its DiffPoly coefficient."""
-    terms = [(DiffPoly.rational(1), rep.a0_plus())]
-    terms += [(hj, rep.x_neg(j)) for j, hj in sorted(h.items())]
-    return linalg.combination(terms, rep.dim, DiffPoly.zero())
+    rs = rep.rs
+    coords = {("X", rs.simple(i).coeffs): DiffPoly.rational(1) for i in range(1, rs.rank + 1)}
+    coords.update((("X", rs.neg_order[j - 1].coeffs), hj) for j, hj in h.items())
+    return chevalley.compose(rep, coords, DiffPoly.zero())
 
 
 def specialize(rep, inv, sigma):

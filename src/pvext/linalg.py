@@ -3,12 +3,12 @@
 Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
 The product runs row by row over the non-zero entries, since the group
-elements it multiplies are mostly zeros; `combination` forms every sum of
-ring multiples of integer Chevalley-basis matrices the same way.  One
-product serves every factor: a root subgroup element 1 + N reaches most
-entries through its diagonal one alone, and DiffPoly.dot hands back the
-other factor of such a lone product as it is.  The sum passes an operand
-through beside a polynomial zero.  The rational linear algebra runs over
+elements it multiplies are mostly zeros.  One product serves every
+factor: a root subgroup element 1 + N reaches most entries through its
+diagonal one alone, and DiffPoly.dot hands back the other factor of such
+a lone product as it is.  The sum passes an operand through beside a
+polynomial zero.  Sums of multiples of Chevalley-basis matrices are
+chevalley.compose, over the cells of each basis matrix.  The rational linear algebra runs over
 the integers: det, solve_exact and rational_inverse share one
 fraction-free Gauss-Jordan pass over rows scaled to integers, and rank
 counts the scaled rows that Echelon, a fraction-free selection of
@@ -61,30 +61,6 @@ def _add(x, y):
 def mat_add(a, b):
     _require_shape(a, b)
     return [[_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def combination(terms, n, zero):
-    """The n x n matrix sum of c*M over the (c, M) pairs of `terms`.
-
-    Each M is a constant matrix of ints or Fractions: a basis matrix
-    (H_i or X_alpha, of ints) or A_0^+(s).  Each c lies in the ring of
-    `zero` (Fraction, DiffPoly or LiouvExpr).  Only the non-zero entries of
-    each M are multiplied and added, as in mat_mul; a term with c = 0 is
-    skipped, and c * 1 is taken as c.  Entry (i, j) is c_1 M_1[i][j] +
-    c_2 M_2[i][j] + ... over the terms in their order, with the zero
-    products left out: it equals the entry of the dense sum zero + c_1 M_1
-    + c_2 M_2 + ..., and an entry no term reaches is `zero` itself.
-    """
-    out = [[zero] * n for _ in range(n)]
-    for c, mat in terms:
-        if not c:
-            continue
-        for row, mrow in zip(out, mat):
-            for j, x in enumerate(mrow):
-                if x:
-                    term = c if x == 1 else c * x
-                    row[j] = term if row[j] is zero else row[j] + term
-    return out
 
 
 def zero_of(x):

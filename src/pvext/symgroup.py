@@ -29,11 +29,6 @@ def _freeze(m):
     return tuple(tuple(row) for row in m)
 
 
-def _scaled(mat, c):
-    """c M for an integer basis matrix M, in the ring of c."""
-    return _freeze(linalg.combination([(c, mat)], len(mat), linalg.zero_of(c)))
-
-
 def unipotent_matrix(rep, root, x):
     """u_root(x) = exp(x X_root), its inverse u_root(-x), ldelta x' X_root.
 
@@ -55,7 +50,9 @@ def unipotent_matrix(rep, root, x):
         for r, c, k, _ in rep.exp_cells[root.coeffs]:
             if k % 2:
                 inv[r][c] = -inv[r][c]
-    return Factor(_freeze(rows), _freeze(inv), _scaled(rep.X[root.coeffs], linalg.derive(x)))
+    dx = linalg.derive(x)
+    ldelta = chevalley.compose(rep, {("X", root.coeffs): dx}, linalg.zero_of(dx))
+    return Factor(_freeze(rows), _freeze(inv), _freeze(ldelta))
 
 
 def torus_matrix(rep, i, z):
@@ -65,10 +62,11 @@ def torus_matrix(rep, i, z):
     d(z^h) z^(-h) = h z^(h-1) z' z^(-h) = h z'/z, and z^h z^(-h) = 1.
     """
     zinv = z ** -1
+    c = linalg.derive(z) * zinv
     return Factor(
         _freeze(chevalley.torus_element(rep, i, z)),
         _freeze(chevalley.torus_element(rep, i, zinv)),
-        _scaled(rep.H[i - 1], linalg.derive(z) * zinv),
+        _freeze(chevalley.compose(rep, {("H", i): c}, linalg.zero_of(c))),
     )
 
 

@@ -14,8 +14,8 @@ against them.  divided_powers and unipotent_element form X^k/k! and
 exp(x X_root) = sum x^k X^k/k! densely, as pvext.chevalley did before it
 kept only the non-zero cells of the powers.  decompose_in_basis is the
 decomposition over the dense inverse of the solving recipe, checked by
-rebuilding the whole matrix, as pvext.chevalley did before it kept only the
-non-zero inverse entries and the cells the basis matrices reach.
+rebuilding the whole matrix, as pvext.chevalley did before it read each
+root vector at its first cell and the H_i through an l x l inverse.
 weyl_representative is n(w) as the dense product of the simple
 representatives, one matrix product per letter, as pvext.chevalley built
 it before it composed the (row, sign) of each column.
@@ -47,13 +47,13 @@ def divided_powers(x_mat):
 
 
 def unipotent_element(rep, root, x):
-    """exp(x X_root): the sum of x^k X^k/k! formed by linalg.combination."""
+    """exp(x X_root): the sum of x^k X^k/k! formed by linalg_oracle.combination."""
     powers = divided_powers(rep.X[root.coeffs])
     zero = linalg.zero_of(x)
     xk = [zero + 1]
     for _ in powers[1:]:
         xk.append(xk[-1] * x)
-    return linalg.combination(zip(xk, powers), rep.dim, zero)
+    return linalg_oracle.combination(zip(xk, powers), rep.dim, zero)
 
 
 def weyl_representative(rep, word):
@@ -246,7 +246,7 @@ def decompose_in_basis(rep, a, recipe):
     zero = linalg.zero_of(next((e for row in a for e in row if e), Fraction(0)))
     coeffs = [linalg.dot(zip(entries, row), zero) for row in inverse]
     basis = [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
-    recon = linalg.combination(zip(coeffs, basis), n, zero)
+    recon = linalg_oracle.combination(zip(coeffs, basis), n, zero)
     for i in range(n):
         for j in range(n):
             if recon[i][j] != a[i][j]:

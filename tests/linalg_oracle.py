@@ -13,8 +13,9 @@ before one shared elimination pass backed all four; the tests require the
 same values and the same exceptions.  mat_is_zero is the zero test the
 tests compare matrices with, and mat_sub and bracket are the difference and
 the commutator the tests build expected matrices with.  mat_scale, zeros
-and eye over any ring are the dense fold the tests hold
-pvext.linalg.combination to, and build expected matrices with.  mat_add is
+and eye over any ring build expected matrices, and combination is the
+dense fold zero + c_1 M_1 + c_2 M_2 + ... that the tests hold
+pvext.chevalley.compose to and build matrices of coordinates with.  mat_add is
 the entrywise sum before pvext.linalg.mat_add passed an operand through
 beside a polynomial zero.  adjoint and product multiply a word of group
 factors letter by letter with the dense mat_mul here, and hold
@@ -40,6 +41,15 @@ def eye(n, one=Fraction(1), zero=Fraction(0)):
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
+
+
+def combination(terms, n, zero):
+    """The n x n sum zero + c_1 M_1 + c_2 M_2 + ... over the (c, M) pairs of
+    `terms`, every entry of every c M added."""
+    out = zeros(n, zero)
+    for c, mat in terms:
+        out = mat_add(out, mat_scale(mat, c))
+    return out
 
 
 def mat_mul(a, b):

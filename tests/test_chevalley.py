@@ -191,21 +191,22 @@ def _system(label):
 def test_build_agrees_with_the_dense_oracle(label):
     rep = get_rep(*_system(label))
     assert chevalley_oracle.verify_axioms(rep.rs, rep.H, rep.X) == rep.nconst
-    positions, inverse = chevalley_oracle.solving_recipe(rep)
+    positions, _ = chevalley_oracle.solving_recipe(rep)
     assert tuple(positions) == rep.solve_positions
-    # the recipe keeps the non-zero entries of the dense inverse, in order
-    assert rep.solve_rows == tuple(tuple((e, v) for e, v in enumerate(row) if v) for row in inverse)
-    mats = [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
-    assert rep.support == tuple(
-        tuple(tuple((k, mat[r][c]) for k, mat in enumerate(mats) if mat[r][c]) for c in range(rep.dim))
-        for r in range(rep.dim)
-    )
+    assert rep.cells == {
+        key: tuple((r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v)
+        for key, mat in zip(rep.basis_order, _basis_matrices(rep))
+    }
     a0 = rep.a0_plus()
     brackets = [linalg_oracle.bracket(rep.x_neg(i), a0) for i in range(1, rep.m + 1)]
     assert rep.w_coefficients == tuple(chevalley.decompose_in_basis(rep, w) for w in brackets)
     rs0 = rootsys.build_root_system(*_system(label))
     comp = chevalley_oracle.complementary_root_values(rs0, rep.X)
     assert rootsys.finalize_order(rs0, comp) == rep.rs
+
+
+def _basis_matrices(rep):
+    return [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
 
 
 # A1-A8, B2-B8, C2-C8, D3-D8 and G2
@@ -219,6 +220,55 @@ ALL_SYSTEMS = (
 
 def _label(system):
     return system[0] if system[0] == "G2" else "%s%d" % system
+
+
+def _outcome(decompose, rep, a):
+    """The coefficients with their types, or the refusal's message."""
+    try:
+        return [(key, type(c), c) for key, c in decompose(rep, a).items()]
+    except NotInLieAlgebra as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
+def test_decomposition_agrees_with_the_dense_oracle(system):
+    """Every basis matrix, whose coordinates are those of its key, a seeded
+    sum of all of them, that sum with one seeded entry shifted, and with
+    one diagonal entry shifted, which no H combination matches: the dense
+    recipe's coefficients or its refusal, and compose inverts the
+    decomposition."""
+    rep = get_rep(*system)
+    n = rep.dim
+    recipe = chevalley_oracle.solving_recipe(rep)
+    assert tuple(recipe[0]) == rep.solve_positions
+    dense = lambda rep, a: chevalley_oracle.decompose_in_basis(rep, a, recipe)
+    rng = random.Random("decompose:%s" % _label(system))
+    mats = _basis_matrices(rep)
+    for key, mat in zip(rep.basis_order, mats):
+        want = [(k, Fraction, Fraction(k == key)) for k in rep.basis_order]
+        assert _outcome(chevalley.decompose_in_basis, rep, mat) == want
+        assert chevalley.compose(rep, {key: Fraction(1)}, Fraction(0)) == mat
+    terms = [(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), mat) for mat in mats]
+    total = linalg_oracle.combination(terms, n, Fraction(0))
+    got = _outcome(chevalley.decompose_in_basis, rep, total)
+    assert got == _outcome(dense, rep, total)
+    assert chevalley.compose(rep, {key: c for key, _, c in got}, Fraction(0)) == total
+    r = rng.randrange(n)
+    for cell in [(rng.randrange(n), rng.randrange(n)), (r, r)]:
+        shifted = [list(row) for row in total]
+        shifted[cell[0]][cell[1]] += 1
+        got = _outcome(chevalley.decompose_in_basis, rep, shifted)
+        assert got == _outcome(dense, rep, shifted)
+    assert got.startswith("entry ")
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
+def test_basis_weights_are_pairwise_distinct(system):
+    # one-dimensional weight lines: the reason n(w) is a signed permutation
+    # (chevalley.weyl_representative)
+    rep = get_rep(*system)
+    weights = {tuple(h[r][r] for h in rep.H) for r in range(rep.dim)}
+    assert len(weights) == rep.dim
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
@@ -366,22 +416,17 @@ def test_echelon_accepts_exactly_the_rank_raising_rows():
                 accepted.append(row)
 
 
-def test_build_rep_solves_the_recipe_once(monkeypatch):
-    calls = {"recipe": 0, "inverse": 0, "rank": 0}
-
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(chevalley, "_solving_recipe", counted("recipe", chevalley._solving_recipe))
-    monkeypatch.setattr(linalg, "rational_inverse", counted("inverse", linalg.rational_inverse))
-    monkeypatch.setattr(linalg, "rank", counted("rank", linalg.rank))
+def test_build_rep_inverts_one_cartan_block(monkeypatch):
+    # the H_i weights at l diagonal rows, 5 x 5 on D5; a dense recipe over
+    # every cell inverts the 45 x 45 block of the whole basis
+    sizes, ranks = [], []
+    inverse, rank = linalg.rational_inverse, linalg.rank
+    monkeypatch.setattr(linalg, "rational_inverse", lambda m: sizes.append(len(m)) or inverse(m))
+    monkeypatch.setattr(linalg, "rank", lambda m: ranks.append(1) or rank(m))
     chevalley.build_rep("D", 5)
-    assert calls["recipe"] == 1 and calls["inverse"] == 1
+    assert sizes == [5]
     # one rank per candidate position and root made this 181
-    assert calls["rank"] <= 10
+    assert len(ranks) <= 10
 
 
 def test_ad_weyl_sends_root_vectors_to_root_vectors():
@@ -444,7 +489,7 @@ def _outside_the_span(rep):
     n = rep.dim
     mats = list(rep.H) + list(rep.X.values())
     reached = [[any(mat[r][c] for mat in mats) for c in range(n)] for r in range(n)]
-    a = linalg.combination([(Fraction(k + 2, 3), mat) for k, mat in enumerate(mats)], n, Fraction(0))
+    a = linalg_oracle.combination([(Fraction(k + 2, 3), mat) for k, mat in enumerate(mats)], n, Fraction(0))
     r, c = next((r, c) for r in range(n) for c in range(n) if reached[r][c] and r != c)
     perturbed = [list(row) for row in a]
     perturbed[r][c] += 1

@@ -477,7 +477,7 @@ def test_characters_equal_the_torus_conjugation(system):
         x = rep.x_neg(i)
         ad = symgroup.adjoint(torus, x)
         chi = chevalley.decompose_in_basis(rep, ad)[("X", rep.rs.neg_order[i - 1].coeffs)]
-        assert linalg.mat_eq(ad, linalg.combination([(chi, x)], rep.dim, LiouvExpr.zero()))
+        assert linalg.mat_eq(ad, linalg_oracle.combination([(chi, x)], rep.dim, LiouvExpr.zero()))
         assert data.y_integrands[i - 1] == chi ** -1 * data.c[i - 1]
 
 
@@ -801,6 +801,41 @@ def test_positive_part_check_fires_on_a_corrupted_A_L(system):
         lambda: construct.logderiv_Y(rep, eta_args, data, res.stage2),
         "logderiv_Y: positive component %r is DiffPoly(η2 +1)" % (rep.rs.simple(1).coeffs,),
     )
+
+
+def _with_basis_matrix(rep, key, mat):
+    """rep with the matrix of one basis key replaced; rep.cells, from which
+    A_0^+, A_0^-, A_L and the Cartan sums are composed, keeps the true one."""
+    kind, value = key
+    if kind == "H":
+        return dataclasses.replace(rep, H=rep.H[: value - 1] + (mat,) + rep.H[value:])
+    return dataclasses.replace(rep, X={**rep.X, value: mat})
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_build_A_L_checks_fire_on_a_corrupted_basis_matrix(system):
+    """build_A_L conjugates rep.X and rep.H to find c and gbar, and checks
+    the two identities on matrices composed from rep.cells.
+    - X_1 + X_2 in place of X_1 is conjugated onto two root lines.
+    - 2 X_1 halves c_1, so Ad(n(wbar))(A_0^-(c)) is 1/2 at a simple root.
+    - 2 H_1 halves gbar_1 (the longest element of B3 and G2 is -1, so
+      Ad(n(wbar)) H_1 = -H_1), and the Cartan identity fails."""
+    res = get_pipeline(*system)
+    rep = res.rep
+    label = rep.rs.label
+    x1 = ("X", rep.rs.neg_order[0].coeffs)
+    corrupted = [
+        (StructureViolation, (x1, linalg_oracle.mat_add(rep.x_neg(1), rep.x_neg(2))),
+         "Ad(n(wbar)) sends X_1 off the root lines"),
+        (VerificationFailure, (x1, linalg_oracle.mat_scale(rep.x_neg(1), 2)),
+         "Ad(n(wbar))(A_0^-(c)) != A_0^+"),
+        (VerificationFailure, (("H", 1), linalg_oracle.mat_scale(rep.H[0], 2)),
+         "Ad(n(wbar))(sum gbar_i H_i) != -sum g_i H_i"),
+    ]
+    for error, (key, mat), message in corrupted:
+        broken = _with_basis_matrix(rep, key, mat)
+        with pytest.raises(error, match="^%s$" % re.escape("%s: build_A_L: %s" % (label, message))):
+            construct.build_A_L(broken, res.stage2)
 
 
 @pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])

@@ -1,9 +1,9 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
 the packed DiffPoly kernel against the tuple/Fraction reference, the
 row-sparse matrix product (root subgroup factors and DiffPoly.dot's lone
-pairs included) and the sparse basis combination against the dense ones,
-the sparse basis decomposition against the dense one,
-the zero-skipping sum against the dense one, entrywise matrix equality
+pairs included) and the basis composition over cells against the dense
+fold, the sparse basis decomposition against the dense one, the
+zero-skipping sum against the dense one, entrywise matrix equality
 against the zero difference, the shared fraction-free elimination against
 the four loops it replaced, and the LiouvExpr shortcuts (closed-form
 powers, the unit, structural interning) against repeated products and
@@ -515,12 +515,17 @@ def test_sum_checks_the_full_shape():
             linalg.mat_add(_fractions(a), _fractions(b))
 
 
+def _basis_matrix(rep, key):
+    kind, value = key
+    return rep.H[value - 1] if kind == "H" else rep.X[value]
+
+
 @st.composite
-def combinations(draw):
-    """(terms, n, zero, unreached): 0-4 pairs (c, M) with c in the ring of
-    `zero`, zero coefficients included, and M an n x n rational matrix that
-    is zero at the positions in `unreached`."""
-    n = draw(st.integers(1, 4))
+def basis_maps(draw):
+    """(rep, coords, zero): a system of DECOMPOSE_SYSTEMS and a map of 0-4
+    of its basis keys, in drawn order, to coefficients in the ring of
+    `zero`, zero coefficients included."""
+    rep = get_rep(*draw(st.sampled_from(DECOMPOSE_SYSTEMS)))
     coeffs, zero = draw(
         st.sampled_from(
             [
@@ -530,33 +535,27 @@ def combinations(draw):
             ]
         )
     )
-    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    unreached = draw(st.sets(cells, max_size=3))
-    terms = []
-    for _ in range(draw(st.integers(0, 4))):
-        entries = st.one_of(fraction_entries, st.sampled_from([Fraction(1), Fraction(-1)]))
-        mat = [
-            [Fraction(0) if (i, j) in unreached else draw(entries) for j in range(n)]
-            for i in range(n)
-        ]
-        terms.append((draw(coeffs), mat))
-    return terms, n, zero, unreached
+    keys = draw(st.lists(st.sampled_from(rep.basis_order), max_size=4, unique=True))
+    return rep, {key: draw(coeffs) for key in keys}, zero
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
-@given(combinations())
-@example(([], 2, DiffPoly.zero(), set()))
-@example(([(Fraction(0), [[Fraction(1)]])], 1, LiouvExpr.zero(), set()))
-@example(([(DiffPoly.rational(1), [[1, 0], [0, 0]]), (DiffPoly.eta(1), [[1, 0], [2, 0]])], 2,
-          DiffPoly.zero(), {(0, 1), (1, 1)}))
-def test_combination_agrees_with_the_dense_fold(case):
-    terms, n, zero, unreached = case
-    want = linalg_oracle.zeros(n, zero)
-    for c, mat in terms:
-        want = linalg_oracle.mat_add(want, linalg_oracle.mat_scale(mat, c))
-    got = linalg.combination(terms, n, zero)
-    assert _same_matrices(got, want)
-    assert all(got[i][j] is zero for i, j in unreached)
+@given(basis_maps())
+@example((get_rep("A", 2), {}, DiffPoly.zero()))
+@example((get_rep("A", 2), {("X", (1, 0)): Fraction(0)}, LiouvExpr.zero()))
+# two H terms on the diagonal, given out of basis order
+@example((get_rep("A", 2), {("H", 2): DiffPoly.eta(1), ("H", 1): DiffPoly.rational(1)},
+          DiffPoly.zero()))
+def test_compose_agrees_with_the_dense_fold(case):
+    # the dense fold adds every term in basis order; a cell that no
+    # non-zero term reaches is the zero itself
+    rep, coords, zero = case
+    terms = [(coords[key], _basis_matrix(rep, key)) for key in rep.basis_order if key in coords]
+    got = chevalley.compose(rep, coords, zero)
+    assert _same_matrices(got, linalg_oracle.combination(terms, rep.dim, zero))
+    reached = {(r, col) for key, c in coords.items() if c for r, col, _ in rep.cells[key]}
+    n = rep.dim
+    assert all(got[r][c] is zero for r in range(n) for c in range(n) if (r, c) not in reached)
 
 
 UNIPOTENT_SYSTEMS = [("A", 2), ("B", 3), ("G2", 2)]
@@ -748,12 +747,15 @@ class _Recorder:
         return x
 
 
-def test_combination_multiplies_only_the_non_zero_entries():
+def test_compose_multiplies_only_the_non_zero_entries():
+    # X_alpha_3 of B3 holds a 1 and a 2; c * 1 is taken as c
+    rep = get_rep("B", 3)
     c = _Recorder()
-    mat = _fractions([[0, 2, 0], [0, 0, 0], [-1, 0, 0]])
-    got = linalg.combination([(c, mat)], 3, Fraction(0))
-    assert got == mat
-    assert c.seen == [2, -1]
+    key = ("X", rep.rs.simple(3).coeffs)
+    got = chevalley.compose(rep, {key: c}, Fraction(0))
+    mat = rep.X[key[1]]
+    assert got == [[c if x == 1 else x for x in row] for row in mat]
+    assert c.seen == [2]
 
 
 @st.composite

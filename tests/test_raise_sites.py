@@ -45,9 +45,12 @@ SITES = {
     ("StructureViolation", "%s: the X_%d coefficient contains derivatives"):
         ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
     # build_A_L
-    ("StructureViolation", "Ad(n(wbar)) does not permute root lines"): UNFIRED,
-    ("VerificationFailure", "Ad(n(wbar))(A_0^-(c)) != A_0^+"): UNFIRED,
-    ("VerificationFailure", "gbar conjugation identity failed"): UNFIRED,
+    ("StructureViolation", "%s: Ad(n(wbar)) sends X_%d off the root lines"):
+        ("test_construct::test_build_A_L_checks_fire_on_a_corrupted_basis_matrix",),
+    ("VerificationFailure", "%s: Ad(n(wbar))(A_0^-(c)) != A_0^+"):
+        ("test_construct::test_build_A_L_checks_fire_on_a_corrupted_basis_matrix",),
+    ("VerificationFailure", "%s: Ad(n(wbar))(sum gbar_i H_i) != -sum g_i H_i"):
+        ("test_construct::test_build_A_L_checks_fire_on_a_corrupted_basis_matrix",),
     # _dp_order_le_one_eval
     ("StructureViolation", "integrand of order > 1"):
         ("test_construct::test_integrand_order_check_fires_on_a_corrupted_v",),
