@@ -9,11 +9,20 @@ this package).  Representatives are the canonical products of the
 signed permutations.  The factor coefficients are read back off the
 factors: x and y by peeling u_1(x_1)...u_m(x_m) with row operations over
 the non-zero entries, z through the diagonal of t.
+
+The arithmetic runs over the integers.  Each column of the reduction and
+each row of the peel and of the recomposition is a scaled vector: n ints
+followed by a positive int d, standing for the ints over d.  A move on it
+is fraction-free, v -> a v - b w (_eliminate), in the style of
+linalg._reduce.  Fractions are made only at the boundary: the entries of
+the factors and the coefficients that a BruhatForm holds, and the entries
+that recompose returns.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import chevalley, linalg
 from .errors import (
@@ -23,6 +32,7 @@ from .errors import (
     StructureViolation,
     VerificationFailure,
 )
+from .linalg import _divide, _integer_row, _remove_content
 
 
 @dataclass(frozen=True)
@@ -38,28 +48,30 @@ class BruhatForm:
     y: tuple = ()  # coefficients of u
 
     def recompose(self):
-        """u' n(w) t u for the diagonal t that bruhat_decompose builds.
-
-        With n(w) carried as (r_j, s_j) per column (representative_columns),
-        column j of u' n(w) is s_j times column r_j of u', and the diagonal t
-        scales it by t_jj.  So entry (i, j) of u' n(w) t is
-        u'[i][r_j] s_j t_jj, the one non-zero product of the dense row by
-        column sums, formed here for the non-zero u'[i][r_j] only; every
-        other entry is Fraction(0), as the dense products of Fractions give.
-        One product by u follows.
+        """u' n(w) t u as Fractions: entry (i, j) is int j of row i of the
+        integer product (_product) over that row's denominator, and
+        Fraction(0) where the int is 0, as the dense product of Fractions
+        gives.  bruhat_decompose checks the same product against its input.
         """
-        n = len(self.uprime)
-        out = linalg.zeros(n)
-        for j, (r, s) in enumerate(representative_columns(n, self.word)):
-            scale = s * self.t[j][j]
-            for row, urow in zip(out, self.uprime):
-                if urow[r]:
-                    row[j] = urow[r] * scale
-        return linalg.mat_mul(out, [list(r) for r in self.u])
+        rows = _product(_scaled_rows(self.uprime), self.word, self.t, _scaled_rows(self.u))
+        return [[_divide(x, row[-1]) for x in row[:-1]] for row in rows]
 
 
-def _frac_matrix(m):
-    return [[Fraction(x) for x in row] for row in m]
+def _exact_matrix(m):
+    """m as row lists of ints and Fractions: an entry of another type
+    becomes Fraction(x), which raises for what it cannot read as one."""
+    return [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in m]
+
+
+def _scaled_rows(m):
+    """Each row of the rational matrix m as a scaled vector: its entries
+    times the lcm d of their denominators (_integer_row), then d."""
+    out = []
+    for row in m:
+        ints, d = _integer_row(row)
+        ints.append(d)
+        out.append(ints)
+    return out
 
 
 def reduced_word(perm):
@@ -107,54 +119,71 @@ def bruhat_decompose(mat, convention="negative"):
     elimination, then NotUnimodular unless det = 1, then ValueError for an
     unknown convention.  The negative convention works on J m J (J
     reverses both indices) and flips the result back.  One column reduction
-    gives C = m V and u = V^{-1} (_column_reduce).  n(w) has one entry
-    e_j = +-1 in column j, at the pivot row p = perm(j); with
-    t_j = C[p][j] e_j and column p of u' = column j of C over C[p][j],
-    column j of u' n(w) t is column j of C, so m = C u = u' n(w) t u.
+    gives C = m V and u = V^{-1} (_column_reduce), with each column of C a
+    scaled vector v over its denominator d.  n(w) has one entry e_j = +-1
+    in column j, at the pivot row p = perm(j); with t_j = (v[p] / d) e_j and
+    column p of u' = column j of C over its pivot entry, v / v[p], column j
+    of u' n(w) t is column j of C, so m = C u = u' n(w) t u.
 
     The determinant comes out of the same reduction.  A singular m leaves a
     zero column (_column_reduce raises "determinant is 0").  Otherwise
     det m = det u' det n(w) det t det u = t_1 ... t_n: u' and u are
     unipotent, det J m J = det m since J^2 = 1, and det n(w) = 1 as a
-    product of blocks [[0,1],[-1,0]] of determinant 1.  An unknown
+    product of blocks [[0,1],[-1,0]] of determinant 1.  Its partial
+    products t_1 ... t_i are the subtorus coordinates z_i of
+    t = t_1(z_1)...t_{n-1}(z_{n-1}), and the last is det m.  An unknown
     convention runs the positive reduction and is refused only once the
     determinant is 1, so a det != 1 input is NotUnimodular under any
     convention.
 
+    Each scaled column v / d equals the column of C that the reduction over
+    Fractions formed (_column_reduce), so u' = v / v[p], t_j = (v[p] / d) e_j,
+    their partial products z and the determinant are the values that pass
+    read off C, and the peels return its x and y (_peel_coefficients).
+
     Proof that this is the normal form.  _check_uprime_pattern puts u' in
     the pattern of U'_w; peeling u' and u back to the identity puts both in
     U (lower unipotent in the negative convention); t is diagonal as built;
-    the recomposition check gives m = u' n(w) t u.  That factorization is
-    unique, so any other correct elimination gives the same one.
+    the recomposition check, the integer product of _product cross-
+    multiplied against the input's scaled columns, gives m = u' n(w) t u.
+    That factorization is unique, so any other correct elimination gives
+    the same one.
     """
-    m = _frac_matrix(mat)
+    m = _exact_matrix(mat)
     n = len(m)
     if not n:
         raise DimMismatch("the matrix is empty")
     if any(len(row) != n for row in m):
         raise DimMismatch("matrix is not square")
     negative = convention == "negative"
-    c, u, pivot = _column_reduce(_flip(m) if negative else m)
+    cols = _scaled_rows(zip(*m))  # kept as they are for the recomposition check
+    c, u, pivot = _column_reduce(_flip_columns(cols) if negative else [list(v) for v in cols])
     if negative:
-        c, u = _flip(c), _flip(u)
+        c, u = _flip_columns(c), _flip(u)
         pivot = [n - 1 - p for p in reversed(pivot)]
     perm = tuple(p + 1 for p in pivot)
     word = reduced_word(perm)
-    uprime = linalg.eye(n)
-    t = linalg.zeros(n)
-    d = Fraction(1)
-    for j, (p, (_, sign)) in enumerate(zip(pivot, representative_columns(n, word))):
-        lead = c[p][j]
-        t[j][j] = lead * sign
-        d *= t[j][j]
-        for i in range(n):
-            uprime[i][p] = c[i][j] / lead
-    if d != 1:
-        raise NotUnimodular("determinant is %s" % d)
+    signs = [s for _, s in representative_columns(n, word)]
+    z, num, den = [], 1, 1
+    for v, p, s in zip(c, pivot, signs):
+        num *= v[p] * s
+        den *= v[n]
+        z.append(Fraction(num, den))
+    if num != den:
+        raise NotUnimodular("determinant is %s" % z[-1])
     upper = convention == "positive"
     if not negative and not upper:
         raise ValueError("convention must be 'positive' or 'negative'")
-    _check_uprime_pattern(uprime, perm, upper)
+    uprime = linalg.eye(n)
+    t = linalg.zeros(n)
+    for j, (v, p, s) in enumerate(zip(c, pivot, signs)):
+        lead = v[p]
+        t[j][j] = Fraction(lead * s, v[n])
+        for i, x in enumerate(v[:n]):
+            if x and i != p:
+                uprime[i][p] = Fraction(x, lead)
+    uprime_rows, u_rows = _scaled_rows(uprime), _scaled_rows(u)
+    _check_uprime_pattern(uprime_rows, perm, upper)
     form = BruhatForm(
         convention=convention,
         uprime=_freeze(uprime),
@@ -162,19 +191,38 @@ def bruhat_decompose(mat, convention="negative"):
         word=word,
         t=_freeze(t),
         u=_freeze(u),
-        x=_peel_coefficients(uprime, upper),
-        z=_torus_coordinates(t),
-        y=_peel_coefficients(u, upper),
+        x=_peel_coefficients(uprime_rows, upper),
+        z=tuple(z[:-1]),
+        y=_peel_coefficients(u_rows, upper),
     )
-    if not linalg.mat_eq(form.recompose(), m):
-        raise VerificationFailure("Bruhat recomposition failed")
+    for i, row in enumerate(_product(uprime_rows, word, t, u_rows)):
+        if any(x * v[n] != v[i] * row[n] for x, v in zip(row, cols)):
+            raise VerificationFailure("Bruhat recomposition failed")
     return form
 
 
-def _column_reduce(m):
-    """(C, u, pivot) with C = m V, V unit upper triangular, u = V^{-1}, and
-    pivot[j] the row of the lowest non-zero entry of column j of C; raises
-    NotUnimodular("determinant is 0") when a column of C is zero.
+def _eliminate(v, a, b, w):
+    """v -> a v - b w for scaled vectors v, w and ints a > 0, b: the ints
+    of v become a v_r - b w_r, over w's non-zero ints only, and the
+    denominator d_v of v becomes a d_v.  In value, v / d_v loses
+    (b d_w / (a d_v)) times w / d_w.  The content (the gcd of the ints and
+    the denominator) is removed when a != 1, which keeps the value."""
+    if a != 1:
+        v[:] = [a * x for x in v]
+    for r in range(len(w) - 1):
+        y = w[r]
+        if y:
+            v[r] -= b * y
+    if a != 1:
+        _remove_content(v)
+
+
+def _column_reduce(cols):
+    """(C, u, pivot) for m given by its scaled columns: C = m V as scaled
+    columns (cols, reduced in place), V unit upper triangular, u = V^{-1}
+    as Fractions, and pivot[j] the row of the lowest non-zero entry of
+    column j of C; raises NotUnimodular("determinant is 0") when a column
+    of C is zero.
 
     Each column j is cleared from the bottom row upward.  An entry in the
     pivot row i of an earlier column k goes by "col j -= f col k", which
@@ -182,34 +230,46 @@ def _column_reduce(m):
     lowest entry left is the pivot.  So above its pivot, column j keeps
     only rows that are the pivots of later columns.  The move is m -> mE,
     E = 1 - f e_k e_j^T, so u -> E^{-1} u with E^{-1} = 1 + f e_k e_j^T:
-    "row k += f row j" on u, and row j of u is still e_j.
+    "row k += f row j" on u, and row j of u is still e_j.  Each (k, j) is
+    met once at most, so u[k][j] = f, the one Fraction a move makes.
+
+    With x = v_j[i] and y = v_k[i], f = (x / d_j) / (y / d_k), and the move
+    is _eliminate(v_j, y / g, x / g, v_k) for g = gcd(x, y) with the sign
+    of y, which zeroes row i and subtracts (x / g) d_k / ((y / g) d_j) = f
+    times column k in value.  Proof that this is the pass over Fractions,
+    which held C as Fractions and subtracted f times column k: by induction
+    each scaled column v / d equals that pass's column, so its ints are the
+    non-zero rational multiple d of it (by _integer_row at the start, and
+    after each move by the subtraction of f).  Multiples share their zero
+    entries, so both passes meet the same non-zero entries, earlier pivots
+    and f, and return the same C, pivots and u.
     """
-    n = len(m)
-    c = [list(row) for row in m]
+    n = len(cols)
     u = linalg.eye(n)
     pivot = []
     col_of_row = {}
-    for j in range(n):
+    for j, v in enumerate(cols):
         p = None
         for i in range(n - 1, -1, -1):
-            if not c[i][j]:
+            x = v[i]
+            if not x:
                 continue
             k = col_of_row.get(i)
             if k is None:
                 if p is None:
                     p = i
                 continue
-            f = c[i][j] / c[i][k]
-            for r in range(i + 1):
-                if c[r][k]:
-                    c[r][j] -= f * c[r][k]
-            u[k][j] += f
+            w = cols[k]
+            y = w[i]
+            u[k][j] = Fraction(x * w[n], y * v[n])
+            g = gcd(x, y) if y > 0 else -gcd(x, y)
+            _eliminate(v, y // g, x // g, w)
         if p is None:
             # C = m V with V invertible has a zero column: det m = 0
             raise NotUnimodular("determinant is 0")
         pivot.append(p)
         col_of_row[p] = j
-    return c, u, pivot
+    return cols, u, pivot
 
 
 def _flip(m):
@@ -218,12 +278,19 @@ def _flip(m):
     return [list(row[::-1]) for row in reversed(m)]
 
 
+def _flip_columns(cols):
+    """J m J for m given by its scaled columns: the columns in reverse
+    order, each with its ints reversed and its denominator kept last."""
+    return [v[-2::-1] + v[-1:] for v in reversed(cols)]
+
+
 def _freeze(m):
     return tuple(tuple(row) for row in m)
 
 
 def _check_uprime_pattern(uprime, perm, upper):
-    """u' must lie in U cap n(w) U^opp n(w)^{-1}."""
+    """u' must lie in U cap n(w) U^opp n(w)^{-1}; u' is given by its
+    scaled rows, whose first n entries have the zero pattern of u'."""
     n = len(uprime)
     inv = {v: k + 1 for k, v in enumerate(perm)}
     for i in range(1, n + 1):
@@ -266,43 +333,79 @@ def _peel_blocks(n):
     return tuple(out)
 
 
-def _peel_coefficients(u, upper):
-    """Coefficients x with u = u_1(x_1)...u_m(x_m) in the root ordering.
+def _peel_coefficients(rows, upper):
+    """Coefficients x with u = u_1(x_1)...u_m(x_m) in the root ordering,
+    for u given by its scaled rows (left as they are).
 
     The root vector of u_i is s E_rc for one matrix unit E_rc (r != c), so
     E_rc^2 = 0 and u_i(-x) = 1 - x s E_rc: multiplying by it on the left is
-    the row operation row_r -= x s row_c, run over the non-zero b of row c
-    only.  u holds Fractions (bruhat_decompose forms it from _frac_matrix's
-    entries by Fraction arithmetic), so where b = 0 the full-row update
-    a - f b would give a Fraction of a's value: a itself.
+    the row operation row_r -= f row_c, f = x s = p / q in lowest terms.
+    With row r = T / d_T and row c = S / d_S this is _eliminate(T, a, b, S)
+    with a = q d_S and b = p d_T over their gcd, which subtracts
+    (b / a) (d_S / d_T) = f times row c in value, over the non-zero ints of
+    S only.  x_i = T[c] / d_T is the one Fraction made per root.
+
+    Proof that this is the peel over Fractions, which held the rows as
+    Fractions: by induction each scaled row equals that peel's row in
+    value, so its ints are d_T times it, and both peels read the same x,
+    skip the same f = 0 and visit the same non-zero entries of row c.  The
+    residual is the identity exactly when each row is zero off the
+    diagonal and has its denominator on it.
     """
-    n = len(u)
-    residual = [list(row) for row in u]
+    n = len(rows)
+    residual = [list(row) for row in rows]
     coeffs = [Fraction(0)] * (n * (n - 1) // 2)
     for block in _peel_blocks(n)[upper]:
         for i, r, c, _ in block:
-            coeffs[i] = residual[r][c]
+            row = residual[r]
+            coeffs[i] = _divide(row[c], row[n])
         for i, r, c, s in block:
-            f = coeffs[i] * s
-            if f:
-                target = residual[r]
-                for j, b in enumerate(residual[c]):
-                    if b:
-                        target[j] -= f * b
-    if not linalg.mat_eq(residual, linalg.eye(n)):
-        raise VerificationFailure("one-parameter peeling failed")
+            x = coeffs[i]
+            if x:
+                target, source = residual[r], residual[c]
+                a, b = x.denominator * source[n], s * x.numerator * target[n]
+                g = gcd(a, b)
+                _eliminate(target, a // g, b // g, source)
+    for r, row in enumerate(residual):
+        if row[r] != row[n] or any(row[:r]) or any(row[r + 1:n]):
+            raise VerificationFailure("one-parameter peeling failed")
     return tuple(coeffs)
 
 
-def _torus_coordinates(t):
-    """z with t = t_1(z_1)...t_{n-1}(z_{n-1}); z_i = d_1 ... d_i."""
-    n = len(t)
-    z = []
-    acc = Fraction(1)
-    for i in range(n - 1):
-        acc *= Fraction(t[i][i])
-        z.append(acc)
-    return tuple(z)
+def _product(uprime_rows, word, t, u_rows):
+    """The rows of u' n(w) t u as scaled vectors, from the scaled rows of u'
+    and u, the word of w and the diagonal of t: one integer product.
+
+    Row j of t u is t_jj times row j of u: with t_jj = p_j / q_j in lowest
+    terms and row j of u = b_j / e_j, it is p_j b_j / (q_j e_j), and over
+    the common denominator L = lcm(q_j e_j) it is the ints
+    B_j = p_j (L / (q_j e_j)) b_j.  Column j of u' n(w) is s_j times
+    column r_j of u' (representative_columns), so row i of u' n(w) is the
+    ints s_j a_i[r_j] over the denominator d_i of row i of u'.  Row i of
+    (u' n(w)) (t u) is the ints sum_j s_j a_i[r_j] B_j over d_i L, summed
+    over the non-zero a_i[r_j] and the non-zero ints of B_j only.
+    """
+    n = len(u_rows)
+    scale = [(t[j][j].numerator, t[j][j].denominator * b[n]) for j, b in enumerate(u_rows)]
+    common = lcm(*(q for _, q in scale))
+    right = [
+        [(k, p * (common // q) * y) for k, y in enumerate(b[:n]) if y]
+        for (p, q), b in zip(scale, u_rows)
+    ]
+    out = []
+    cols = representative_columns(n, word)
+    for a in uprime_rows:
+        acc = [0] * n
+        for (r, s), bj in zip(cols, right):
+            x = a[r]
+            if x:
+                if s < 0:
+                    x = -x
+                for k, y in bj:
+                    acc[k] += x * y
+        acc.append(a[n] * common)
+        out.append(acc)
+    return out
 
 
 def act_on_normal_form(y0, g):
@@ -313,7 +416,7 @@ def act_on_normal_form(y0, g):
     the open cell of the longest Weyl element.
     """
     n = len(y0)
-    prod = linalg.mat_mul(_frac_matrix(y0), _frac_matrix(g))
+    prod = linalg.mat_mul(_exact_matrix(y0), _exact_matrix(g))
     form = bruhat_decompose(prod, convention="negative")
     if form.perm != longest_permutation(n):
         raise CellDegeneration(

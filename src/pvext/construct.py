@@ -6,8 +6,8 @@ Stages run in order on Chevalley coordinates, ldelta and Ad of u(eta)
 being chevalley.unipotent_gauge and unipotent_adjoint folded over its root
 factors (_fold); verify_end_to_end re-checks the derivation in matrices.
 Every structural claim is asserted as the pipeline runs, and a violation
-raises StructureViolation or RankFailure (naming the system and the stage
-up to A_L and ldelta(Y)).  The shapes and variable ranges are one
+raises StructureViolation or RankFailure, whose message starts with the
+system and the stage.  The shapes and variable ranges are one
 invariant, the principal grading, checked on every stage output.
 """
 
@@ -272,16 +272,17 @@ def _extract_constant(expr):
     return q, expr * (Fraction(1) / q)
 
 
-def _dp_order_le_one_eval(poly, values, derivs):
+def _dp_order_le_one_eval(poly, values, derivs, where):
     """Evaluate a DiffPoly of order <= 1 with eta_i -> values[i] and
-    eta_i' -> derivs[i], over LiouvExpr."""
+    eta_i' -> derivs[i], over LiouvExpr; a higher derivative raises a
+    StructureViolation naming `where`, the system and the stage."""
 
     def value_of(jv):
         if jv.order == 0:
             return values[jv.var]
         if jv.order == 1:
             return derivs[jv.var]
-        raise StructureViolation("integrand of order > 1")
+        raise StructureViolation("%s: integrand of order > 1" % where)
 
     return poly.evaluate(value_of, LiouvExpr)
 
@@ -372,7 +373,9 @@ def liouville_solutions(rep, data, stage1):
             chi = _character(rs, z, rs.neg_order[i - 1].coeffs)
             integrand = (chi ** -1) * data.c[i - 1]
         else:
-            integrand = _dp_order_le_one_eval(-stage1.v[i], values, derivs)
+            integrand = _dp_order_le_one_eval(
+                -stage1.v[i], values, derivs, "%s: liouville_solutions" % rs.label
+            )
         q, monic = _extract_constant(integrand)
         yi = LiouvExpr.integral(monic) * q
         y.append(yi)
@@ -430,6 +433,7 @@ def eliminate_noncomplementary(rep, h_all):
     """
     rs = rep.rs
     l = rs.rank
+    stage = "%s: eliminate_noncomplementary" % rs.label
     weights = _weights(rs, l)
     comp = rs.comp_roots
     noncomp_simple = [i for i in rs.band(-1) if i not in comp]
@@ -444,10 +448,10 @@ def eliminate_noncomplementary(rep, h_all):
         unknowns = rs.band(q - 1)
         if not eqs:
             if unknowns:
-                raise RankFailure("no equations for the height %d band" % (q - 1))
+                raise RankFailure("%s: no equations for the height %d band" % (stage, q - 1))
             continue
         if len(eqs) != len(unknowns):
-            raise RankFailure("height %d system is not square" % q)
+            raise RankFailure("%s: height %d system is not square" % (stage, q))
         a, rhs = [], []
         for i in eqs:
             hi = h_all[i - 1]
@@ -459,7 +463,7 @@ def eliminate_noncomplementary(rep, h_all):
             )
             rhs.append((-rest).substitute(sigma, images))
         if linalg.rank(a) != len(eqs):
-            raise RankFailure("height %d system is rank-deficient" % q)
+            raise RankFailure("%s: height %d system is rank-deficient" % (stage, q))
         solution = linalg.solve_exact(a, [rhs])[0]
         band_matrix = []
         for k, fk in zip(unknowns, solution):
@@ -467,12 +471,16 @@ def eliminate_noncomplementary(rep, h_all):
             lin, nonlin = _graded_split(rs, weights, fk, 1 - q, where)
             for jv in lin.jet_variables():
                 if jv.var not in noncomp_simple:
-                    raise StructureViolation("lbar_%d involves eta_%d" % (k, jv.var))
+                    raise StructureViolation(
+                        "%s: lbar_%d involves eta_%d" % (stage, k, jv.var)
+                    )
             sigma[k] = fk
             lbar[k], pbar[k] = lin, nonlin
             band_matrix.append([lin.coefficient_of_jet(v, -q) for v in noncomp_simple])
         if linalg.rank(band_matrix) != len(band_matrix):
-            raise RankFailure("lbar system at height %d is rank-deficient" % (q - 1))
+            raise RankFailure(
+                "%s: lbar system at height %d is rank-deficient" % (stage, q - 1)
+            )
         if prev_matrix is not None and q <= -2:
             # the prolonged previous system, with complementary rows gone,
             # must span the same row space as the current one
@@ -486,7 +494,7 @@ def eliminate_noncomplementary(rep, h_all):
                 linalg.rank(keep) == linalg.rank(band_matrix) == linalg.rank(stacked)
             ):
                 raise RankFailure(
-                    "height %d system is not equivalent to its predecessor" % q
+                    "%s: height %d system is not equivalent to its predecessor" % (stage, q)
                 )
         prev_matrix = band_matrix
         prev_band = unknowns
@@ -503,6 +511,7 @@ def invariants(rep, h_all, parts):
     prolongation to the maximal order).
     """
     l = rep.rank
+    stage = "%s: invariants" % rep.rs.label
     weights = _weights(rep.rs, l)
     heights = rep.rs.heights_of_order()
     f, lbar, pbar, sigma, images = parts
@@ -520,7 +529,7 @@ def invariants(rep, h_all, parts):
         [lhat[j].coefficient_of_jet(v, -heights[j - 1]) for v in range(1, l + 1)] for j in comp
     ]
     if linalg.rank(ignore) != l:
-        raise RankFailure("ignored-derivative invariant system is rank-deficient")
+        raise RankFailure("%s: ignored-derivative invariant system is rank-deficient" % stage)
 
     top = abs(heights[-1])
     prolonged = []
@@ -530,7 +539,7 @@ def invariants(rep, h_all, parts):
             [prolong.coefficient_of_jet(v, top) for v in range(1, l + 1)]
         )
     if linalg.rank(prolonged) != l:
-        raise RankFailure("prolonged invariant system is rank-deficient")
+        raise RankFailure("%s: prolonged invariant system is rank-deficient" % stage)
     return InvariantSet(f=f, h=h, lhat=lhat, phat=phat, lbar=lbar, pbar=pbar)
 
 

@@ -159,9 +159,9 @@ def _integer_row(row, extra=()):
     """(row + extra) times the lcm d of the denominators of its rational
     entries, and d: the rationals become ints, ring elements are multiplied
     by d."""
-    d = lcm(*(x.denominator for x in row),
-            *(x.denominator for x in extra if isinstance(x, _RATIONAL)))
-    out = [x.numerator * (d // x.denominator) for x in row]
+    dens = [x.denominator for x in row]
+    d = lcm(*dens, *(x.denominator for x in extra if isinstance(x, _RATIONAL)))
+    out = [x.numerator * (d // e) for x, e in zip(row, dens)]
     for x in extra:
         if isinstance(x, _RATIONAL):
             out.append(x.numerator * (d // x.denominator))

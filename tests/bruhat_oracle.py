@@ -7,26 +7,65 @@ and, in the negative convention, a representative change folded into t.
 The tests require the new decomposition to give the same BruhatForm and
 the same exceptions.  The oracle keeps its own representatives (the block
 product of linalg_oracle), its own recomposition and its own peel, which
-updates whole rows.
+updates whole rows, and its own copies of the small helpers it shares in
+purpose with pvext.bruhat, so that a change there cannot change the oracle
+too.  It imports only the BruhatForm record and the reduced word.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from pvext import chevalley, linalg
-from pvext.bruhat import (
-    BruhatForm,
-    _check_uprime_pattern,
-    _flip,
-    _frac_matrix,
-    _freeze,
-    _torus_coordinates,
-    reduced_word,
+from pvext.bruhat import BruhatForm, longest_permutation, reduced_word
+from pvext.errors import (
+    CellDegeneration,
+    DimMismatch,
+    NotUnimodular,
+    StructureViolation,
+    VerificationFailure,
 )
-from pvext.errors import NotUnimodular, StructureViolation, VerificationFailure
 
 import linalg_oracle
 from linalg_oracle import representative_matrix
+
+
+def _frac_matrix(m):
+    return [[Fraction(x) for x in row] for row in m]
+
+
+def _flip(m):
+    """J m J for the antidiagonal permutation matrix J: m with both indices
+    reversed."""
+    return [list(row[::-1]) for row in reversed(m)]
+
+
+def _freeze(m):
+    return tuple(tuple(row) for row in m)
+
+
+def _check_uprime_pattern(uprime, perm, upper):
+    """u' must lie in U cap n(w) U^opp n(w)^{-1}."""
+    n = len(uprime)
+    inv = {v: k + 1 for k, v in enumerate(perm)}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and uprime[i - 1][j - 1]:
+                if upper:
+                    ok = i < j and inv[i] > inv[j]
+                else:
+                    ok = i > j and inv[i] < inv[j]
+                if not ok:
+                    raise StructureViolation("u' outside U'_w at (%d, %d)" % (i, j))
+
+
+def _torus_coordinates(t):
+    """z with t = t_1(z_1)...t_{n-1}(z_{n-1}); z_i = d_1 ... d_i."""
+    z = []
+    acc = Fraction(1)
+    for i in range(len(t) - 1):
+        acc *= Fraction(t[i][i])
+        z.append(acc)
+    return tuple(z)
 
 
 @lru_cache(maxsize=None)
@@ -89,10 +128,12 @@ def bruhat_decompose(mat, convention="negative"):
 
     The permutation is found by deterministic elimination; all factors are
     exact and the recomposition is asserted to reproduce the input
-    bit-exactly.  Raises NotUnimodular unless det = 1.
+    bit-exactly.  Raises DimMismatch for an empty or non-square matrix,
+    NotUnimodular unless det = 1, then ValueError for an unknown convention.
     """
     m = _frac_matrix(mat)
-    n = len(m)
+    if not m:
+        raise DimMismatch("the matrix is empty")
     if linalg.det(m) != 1:
         raise NotUnimodular("determinant is %s" % linalg.det(m))
     if convention == "positive":
@@ -245,3 +286,12 @@ def _decompose_negative(m):
         z=_torus_coordinates([list(r) for r in t]),
         y=_peel_coefficients([list(r) for r in u], upper=False),
     )
+
+
+def act_on_normal_form(y0, g):
+    """The BruhatForm of Y0 g in the negative convention; CellDegeneration
+    unless w is the longest element."""
+    form = bruhat_decompose(linalg_oracle.mat_mul(_frac_matrix(y0), _frac_matrix(g)), "negative")
+    if form.perm != longest_permutation(len(y0)):
+        raise CellDegeneration("translate left the big cell: w = %r" % (form.perm,))
+    return form

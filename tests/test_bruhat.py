@@ -1,11 +1,22 @@
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import prod
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pvext import bruhat, chevalley, linalg
-from pvext.errors import CellDegeneration, DimMismatch, NotUnimodular
+from pvext.errors import (
+    CellDegeneration,
+    DimMismatch,
+    NotUnimodular,
+    StructureViolation,
+    VerificationFailure,
+)
 
 import bruhat_oracle
 import linalg_oracle
@@ -225,7 +236,9 @@ def test_peeling_is_row_operations(monkeypatch, upper):
     calls = []
     mat_mul = linalg.mat_mul
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
-    assert bruhat._peel_coefficients(u, upper) == tuple(x)
+    rows = bruhat._scaled_rows(u)
+    assert bruhat._peel_coefficients(rows, upper) == tuple(x)
+    assert rows == bruhat._scaled_rows(u)
     assert not calls
 
 
@@ -308,9 +321,9 @@ def _oracle_inputs():
     yield [[Fraction(0)] * 3 for _ in range(3)]
 
 
-def _outcome(convention, decompose, m):
+def _outcome(call, *args):
     try:
-        form = decompose(m, convention)
+        form = call(*args)
     except Exception as exc:
         return type(exc), str(exc)
     return form, repr(form)
@@ -322,14 +335,16 @@ def test_decomposition_agrees_with_the_old_chain(convention):
     # and representative change must end where the column reduction does
     seen = set()
     for m in _oracle_inputs():
-        got = _outcome(convention, bruhat.bruhat_decompose, m)
-        assert got == _outcome(convention, bruhat_oracle.bruhat_decompose, m)
+        got = _outcome(bruhat.bruhat_decompose, m, convention)
+        assert got == _outcome(bruhat_oracle.bruhat_decompose, m, convention)
         seen.add(got[0].perm if isinstance(got[0], bruhat.BruhatForm) else got[0])
     assert NotUnimodular in seen and len(seen) > 30
 
 
 @pytest.mark.parametrize("convention", ["negative", "positive"])
 def test_decomposition_multiplies_only_to_recompose(monkeypatch, convention):
+    # the recomposition check is one integer product (bruhat._product), so
+    # no dense product of Fraction matrices remains
     rng = random.Random(116)
     inputs = [random_sl(n, rng) for n in (3, 4, 5, 6) for _ in range(5)]
     for n in (3, 4, 5, 6):
@@ -340,5 +355,184 @@ def test_decomposition_multiplies_only_to_recompose(monkeypatch, convention):
     for m in inputs:
         del calls[:]
         form = bruhat.bruhat_decompose(m, convention)
-        assert len(calls) == 1
+        assert not calls
         assert form.word
+
+
+# ----- every check of bruhat_decompose fires on one corrupted input -----
+
+
+def _corrupt_reduction(monkeypatch, corrupt):
+    """Make bruhat_decompose see `corrupt` applied to the result (C, u,
+    pivot) of its column reduction, in the frame of the reduction."""
+    reduce = bruhat._column_reduce
+
+    def corrupted(cols):
+        c, u, pivot = reduce(cols)
+        corrupt(c, u)
+        return c, u, pivot
+
+    monkeypatch.setattr(bruhat, "_column_reduce", corrupted)
+
+
+@pytest.mark.parametrize("convention", ["negative", "positive"])
+def test_recomposition_check_fires_on_a_corrupted_u(monkeypatch, convention):
+    # u is upper unipotent in the reduction's frame and stays so, so it
+    # peels; it is no longer V^{-1}, and nothing but the product sees that
+    def corrupt(c, u):
+        u[0][-1] += 1
+
+    _corrupt_reduction(monkeypatch, corrupt)
+    with pytest.raises(VerificationFailure, match="^Bruhat recomposition failed$"):
+        bruhat.bruhat_decompose(random_sl(4, random.Random(117), steps=20), convention)
+
+
+@pytest.mark.parametrize("convention, cell", [("negative", "(3, 2)"), ("positive", "(1, 2)")])
+def test_uprime_pattern_check_fires_on_a_corrupted_column(monkeypatch, convention, cell):
+    # the identity's column 1 has its pivot in row 1; a 1 in row 0, the
+    # pivot row of the earlier column 0, puts an entry of u' at a pair that
+    # w = 1 fixes, and leaves t and the determinant as they were
+    def corrupt(c, u):
+        c[1][0] = c[1][-1]
+
+    _corrupt_reduction(monkeypatch, corrupt)
+    message = "u' outside U'_w at %s" % cell
+    with pytest.raises(StructureViolation, match="^%s$" % re.escape(message)):
+        bruhat.bruhat_decompose(linalg.eye(3), convention)
+
+
+@pytest.mark.parametrize("convention", ["negative", "positive"])
+def test_peel_check_fires_when_a_root_is_left_out(monkeypatch, convention):
+    blocks = bruhat._peel_blocks
+
+    def without_the_first_block(n):
+        return tuple(side[1:] for side in blocks(n))
+
+    # the first block holds the simple roots; some of their coefficients
+    # in u' and u are not 0, and nothing clears those entries now
+    monkeypatch.setattr(bruhat, "_peel_blocks", without_the_first_block)
+    m = random_sl(4, random.Random(118), steps=20)
+    with pytest.raises(VerificationFailure, match="^one-parameter peeling failed$"):
+        bruhat.bruhat_decompose(m, convention)
+
+
+@pytest.mark.parametrize("convention", ["negative", "positive"])
+def test_root_vector_check_fires_on_a_corrupted_representation(monkeypatch, convention):
+    # a second matrix unit in the root vector of the convention's first root
+    rep = chevalley.build_rep("A", 2)
+    root = rep.rs.neg_order[0]
+    key = root.coeffs if convention == "negative" else (-root).coeffs
+    cells = dict(rep.exp_cells)
+    cells[key] += ((0, 0, 1, 1),)
+    broken = SimpleNamespace(rs=rep.rs, exp_cells=cells)
+    monkeypatch.setattr(chevalley, "build_rep", lambda *_: broken)
+    message = "root vector of %r is not one matrix unit" % (root,)
+    bruhat._peel_blocks.cache_clear()
+    try:
+        with pytest.raises(StructureViolation, match="^%s$" % re.escape(message)):
+            bruhat.bruhat_decompose(random_sl(3, random.Random(119)), convention)
+    finally:
+        bruhat._peel_blocks.cache_clear()
+
+
+# ----- the decomposition against the oracle, on any input -----
+
+CONVENTIONS = st.sampled_from(["negative", "positive"] * 3 + ["sideways"])
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**9),
+)
+NONZERO = st.builds(
+    lambda sign, x: sign * x,
+    st.sampled_from([1, -1]),
+    st.one_of(
+        st.integers(1, 9),
+        st.fractions(min_value=Fraction(1, 10**9), max_value=1000, max_denominator=10**9),
+    ),
+)
+
+
+@st.composite
+def _ldu(draw, n, perm):
+    """L P D U for a unit lower L, the permutation matrix P of perm, a
+    diagonal D and a unit upper U; det = sign(perm) prod(D), which the kind
+    drawn makes 1, something else, or 0."""
+    d = [draw(NONZERO) for _ in range(n)]
+    kind = draw(st.sampled_from(["sl", "sl", "sl", "det", "singular"]))
+    if kind == "sl":
+        sign = linalg.det([[int(perm[j] == i) for j in range(n)] for i in range(n)])
+        d[-1] = sign / prod(d[:-1])
+    elif kind == "singular":
+        d[draw(st.integers(0, n - 1))] = 0
+    lower = [[1 if i == j else draw(ENTRIES) if i > j else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(ENTRIES) if i < j else 0 for j in range(n)] for i in range(n)]
+    pd = [[d[j] if perm[j] == i else 0 for j in range(n)] for i in range(n)]
+    return linalg_oracle.mat_mul(linalg_oracle.mat_mul(lower, pd), upper)
+
+
+@st.composite
+def _dense(draw, n):
+    """A matrix of drawn entries, its first row divided by its
+    determinant when the draw asks for det 1 and the determinant is not 0."""
+    m = [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+    det = linalg.det(m)
+    if det and draw(st.booleans()):
+        m[0] = [x / det for x in m[0]]
+    return m
+
+
+@st.composite
+def _any_input(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["ldu"] * 7 + ["dense"] * 3 + ["empty", "wide", "ragged"]))
+    if kind == "ldu":
+        return draw(_ldu(n, draw(st.permutations(range(n)))))
+    if kind == "dense":
+        return draw(_dense(n))
+    if kind == "empty":
+        return []
+    m = draw(_dense(n))
+    if kind == "wide":
+        return [row + [draw(ENTRIES)] for row in m]
+    m[draw(st.integers(0, n - 1))].pop()
+    return m
+
+
+def _check_entries_are_fractions(outcome):
+    form = outcome[0]
+    if isinstance(form, bruhat.BruhatForm):
+        for factor in (form.uprime, form.t, form.u):
+            assert all(type(x) is Fraction for row in factor for x in row)
+        assert all(type(x) is Fraction for x in form.x + form.z + form.y)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_any_input(), CONVENTIONS)
+def test_decomposition_agrees_with_the_oracle_on_any_input(m, convention):
+    # the same BruhatForm, or the same exception with the same message: the
+    # refusals come in the order empty, not square, det 0, det != 1,
+    # convention
+    got = _outcome(bruhat.bruhat_decompose, m, convention)
+    assert got == _outcome(bruhat_oracle.bruhat_decompose, m, convention)
+    _check_entries_are_fractions(got)
+
+
+@st.composite
+def _translates(draw):
+    """(Y0, g) of one size: Y0 of det 1 in the big cell or another cell, g
+    of det 1, lower triangular or not, or of another determinant."""
+    n = draw(st.integers(1, 8))
+    longest = tuple(range(n - 1, -1, -1))
+    perm = draw(st.one_of(st.just(longest), st.permutations(range(n))))
+    y0 = draw(_ldu(n, perm))
+    g = draw(_ldu(n, tuple(range(n)) if draw(st.booleans()) else longest))
+    return y0, g
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_translates())
+def test_action_agrees_with_the_oracle(pair):
+    got = _outcome(bruhat.act_on_normal_form, *pair)
+    assert got == _outcome(bruhat_oracle.act_on_normal_form, *pair)
+    _check_entries_are_fractions(got)

@@ -1,12 +1,13 @@
-"""The inventory of construct's raise sites: each check, and the test that
-makes it fire.
+"""The inventory of construct's and bruhat's raise sites: each check, and
+the test that makes it fire.
 
-Every `raise` in src/pvext/construct.py is listed below by its exception
-and its message template, with the tests that fire it as "module::test", or
-UNFIRED while no test does.  The test fails when a site is added, removed or
-reworded without this list following, and when a named test is gone.  The
-StructureViolation and RankFailure sites are the pipeline's structural
-checks, and their number is pinned too.
+Every `raise` in src/pvext/construct.py and src/pvext/bruhat.py is listed
+below by its exception and its message template, with the tests that fire
+it as "module::test", or UNFIRED while no test does.  The test fails when a
+site is added, removed or reworded without this list following, and when a
+named test is gone.  The StructureViolation and RankFailure sites of
+construct are the pipeline's structural checks, and their number is pinned
+too.  No site of bruhat is UNFIRED.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONSTRUCT = ROOT / "src" / "pvext" / "construct.py"
+BRUHAT = ROOT / "src" / "pvext" / "bruhat.py"
 
 UNFIRED = ()
 
@@ -51,8 +53,8 @@ SITES = {
         ("test_construct::test_build_A_L_checks_fire_on_a_corrupted_basis_matrix",),
     ("VerificationFailure", "%s: Ad(n(wbar))(sum gbar_i H_i) != -sum g_i H_i"):
         ("test_construct::test_build_A_L_checks_fire_on_a_corrupted_basis_matrix",),
-    # _dp_order_le_one_eval
-    ("StructureViolation", "integrand of order > 1"):
+    # _dp_order_le_one_eval, called by liouville_solutions
+    ("StructureViolation", "%s: integrand of order > 1"):
         ("test_construct::test_integrand_order_check_fires_on_a_corrupted_v",),
     # _check_tower_coordinates, the tower check of liouville_solutions
     ("VerificationFailure",
@@ -67,16 +69,16 @@ SITES = {
     ("StructureViolation", "%s: q_%d has order > 1"):
         ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
     # eliminate_noncomplementary
-    ("RankFailure", "no equations for the height %d band"): UNFIRED,
-    ("RankFailure", "height %d system is not square"): UNFIRED,
-    ("RankFailure", "height %d system is rank-deficient"):
+    ("RankFailure", "%s: no equations for the height %d band"): UNFIRED,
+    ("RankFailure", "%s: height %d system is not square"): UNFIRED,
+    ("RankFailure", "%s: height %d system is rank-deficient"):
         ("test_construct::test_height_system_rank_is_checked_where_it_is_solved",),
-    ("StructureViolation", "lbar_%d involves eta_%d"): UNFIRED,
-    ("RankFailure", "lbar system at height %d is rank-deficient"): UNFIRED,
-    ("RankFailure", "height %d system is not equivalent to its predecessor"): UNFIRED,
+    ("StructureViolation", "%s: lbar_%d involves eta_%d"): UNFIRED,
+    ("RankFailure", "%s: lbar system at height %d is rank-deficient"): UNFIRED,
+    ("RankFailure", "%s: height %d system is not equivalent to its predecessor"): UNFIRED,
     # invariants
-    ("RankFailure", "ignored-derivative invariant system is rank-deficient"): UNFIRED,
-    ("RankFailure", "prolonged invariant system is rank-deficient"): UNFIRED,
+    ("RankFailure", "%s: ignored-derivative invariant system is rank-deficient"): UNFIRED,
+    ("RankFailure", "%s: prolonged invariant system is rank-deficient"): UNFIRED,
     # run_pipeline
     ("RankCeiling", "%s rank %d is above the derivation's rank ceiling of %d"):
         ("test_cli::test_derive_refuses_ranks_above_the_ceiling",),
@@ -85,6 +87,47 @@ SITES = {
         ("test_construct::test_report_writer_refuses_values_it_cannot_render",),
     ("TypeError", "cannot render a %s in the report"):
         ("test_construct::test_report_writer_refuses_values_it_cannot_render",),
+}
+
+BRUHAT_SITES = {
+    # bruhat_decompose's refusals, in the order they are checked
+    ("DimMismatch", "the matrix is empty"): (
+        "test_bruhat::test_empty_matrix_is_refused_before_any_work",
+        "test_bruhat::test_decomposition_agrees_with_the_oracle_on_any_input",
+    ),
+    ("DimMismatch", "matrix is not square"): (
+        "test_bruhat::test_non_square_matrix_is_refused",
+        "test_bruhat::test_decomposition_agrees_with_the_oracle_on_any_input",
+    ),
+    # _column_reduce
+    ("NotUnimodular", "determinant is 0"): (
+        "test_bruhat::test_not_unimodular_takes_no_determinant",
+        "test_bruhat::test_decomposition_agrees_with_the_oracle_on_any_input",
+    ),
+    ("NotUnimodular", "determinant is %s"): (
+        "test_bruhat::test_not_unimodular_takes_no_determinant",
+        "test_bruhat::test_decomposition_agrees_with_the_oracle_on_any_input",
+    ),
+    ("ValueError", "convention must be 'positive' or 'negative'"): (
+        "test_bruhat::test_not_unimodular_takes_no_determinant",
+        "test_bruhat::test_decomposition_agrees_with_the_oracle_on_any_input",
+    ),
+    # its checks of the factors
+    ("StructureViolation", "u' outside U'_w at (%d, %d)"):
+        ("test_bruhat::test_uprime_pattern_check_fires_on_a_corrupted_column",),
+    # _peel_blocks
+    ("StructureViolation", "root vector of %r is not one matrix unit"):
+        ("test_bruhat::test_root_vector_check_fires_on_a_corrupted_representation",),
+    # _peel_coefficients
+    ("VerificationFailure", "one-parameter peeling failed"):
+        ("test_bruhat::test_peel_check_fires_when_a_root_is_left_out",),
+    ("VerificationFailure", "Bruhat recomposition failed"):
+        ("test_bruhat::test_recomposition_check_fires_on_a_corrupted_u",),
+    # act_on_normal_form
+    ("CellDegeneration", "translate left the big cell: w = %r"): (
+        "test_bruhat::test_act_cell_degeneration",
+        "test_bruhat::test_action_agrees_with_the_oracle",
+    ),
 }
 
 
@@ -98,8 +141,8 @@ def _template(node):
     return call.func.id, message.value
 
 
-def _raise_sites():
-    tree = ast.parse(CONSTRUCT.read_text(encoding="utf-8"))
+def _raise_sites(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     return Counter(_template(node) for node in ast.walk(tree) if isinstance(node, ast.Raise))
 
 
@@ -109,12 +152,18 @@ def _test_names(module):
 
 
 def test_every_raise_site_in_construct_is_listed_once():
-    assert _raise_sites() == Counter(SITES.keys())
+    assert _raise_sites(CONSTRUCT) == Counter(SITES.keys())
     assert sum(exc in ("StructureViolation", "RankFailure") for exc, _ in SITES) == 21
 
 
+def test_every_raise_site_in_bruhat_is_listed_once_and_fired():
+    assert _raise_sites(BRUHAT) == Counter(BRUHAT_SITES.keys())
+    assert all(BRUHAT_SITES.values())
+
+
 def test_every_named_firing_test_exists():
-    named = {name for tests in SITES.values() for name in tests}
+    sites = list(SITES.values()) + list(BRUHAT_SITES.values())
+    named = {name for tests in sites for name in tests}
     missing = []
     for name in sorted(named):
         module, test = name.split("::")
