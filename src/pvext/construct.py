@@ -292,25 +292,20 @@ def _torus_factors(rep, z):
     return [symgroup.torus_matrix(rep, i, zi) for i, zi in enumerate(z, start=1)]
 
 
-def _require_equal(rep, lhs, rhs, error, what):
-    """Raise `error`, naming the system and the first entry where two
-    matrices differ."""
-    for r, (row_l, row_r) in enumerate(zip(lhs, rhs)):
-        for c, (x, y) in enumerate(zip(row_l, row_r)):
-            if x != y:
-                raise error(
-                    "%s: %s is nonzero at entry (%d, %d)" % (rep.rs.label, what, r, c)
-                )
-
-
-def _check_tower(rep, tower, A_L, error):
-    """Raise `error` unless ldelta of the factor product t(z)u(y) is A_L.
+def _check_tower(rep, tower, A_L):
+    """Raise IdentityFailure, naming the system and the first entry, row by
+    row, where ldelta of the factor product t(z)u(y) differs from A_L.
 
     A LiouvExpr compares equal to a DiffPoly exactly when it is that
     polynomial as a scalar, so A_L is compared without lifting it."""
-    _require_equal(
-        rep, symgroup.log_derivative(tower), A_L, error, "ldelta(t(z)u(y)) - A_L"
-    )
+    got = symgroup.log_derivative(tower)
+    for r, (row_l, row_r) in enumerate(zip(got, A_L)):
+        for c, (x, y) in enumerate(zip(row_l, row_r)):
+            if x != y:
+                raise IdentityFailure(
+                    "%s: ldelta(t(z)u(y)) - A_L is nonzero at entry (%d, %d)"
+                    % (rep.rs.label, r, c)
+                )
 
 
 def _character(rs, z, beta):
@@ -583,17 +578,24 @@ def verify_end_to_end(rep, data, inv):
     LiouvExpr.scalar, an injective ring map that commutes with the
     derivation; so M = 0 over the Liouvillian algebra if and only if
     M = 0 entrywise over DiffPoly, which is what is checked.
+    linalg.gauge_defect sums each entry of M once, from the rows of U, B
+    and A_G(h), and tests it for zero exactly, without forming dU, U B or
+    A_G(h) U; a failure names the system and the first entry, row by row,
+    that is not zero.
     """
     l, m = rep.rank, rep.m
     tower = _torus_factors(rep, data.z) + _unipotent_factors(rep, data.y)
-    _check_tower(rep, tower, data.A_L, IdentityFailure)
+    _check_tower(rep, tower, data.A_L)
     u = unipotent_product(
         rep, [DiffPoly.eta(i) if i <= l else inv.f[i] for i in range(1, m + 1)]
     )
     b = chevalley.weyl_adjoint(data.nw, data.A_L)
-    lhs = linalg.mat_add(linalg.mat_derive(u), linalg.mat_mul(u, b))
-    rhs = linalg.mat_mul(assemble_A_G(rep, inv.h), u)
-    _require_equal(rep, lhs, rhs, IdentityFailure, "(d(Y) - A_G(h) Y) (n(wbar) T)^-1")
+    entry = linalg.gauge_defect(u, b, assemble_A_G(rep, inv.h))
+    if entry is not None:
+        raise IdentityFailure(
+            "%s: (d(Y) - A_G(h) Y) (n(wbar) T)^-1 is nonzero at entry (%d, %d)"
+            % (rep.rs.label, *entry)
+        )
     return {
         "entries_checked": rep.dim * rep.dim,
         "liouville_identity": "ok",

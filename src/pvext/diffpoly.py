@@ -114,12 +114,24 @@ def _monomial(key):
     return tuple(sorted((_JETS[slot], e) for slot, e in _factors(key)))
 
 
+_STEPS = {}  # slot -> _derivative_step(slot)
+
+
 def _derivative_step(slot):
     """What the derivation adds to a monomial to trade one power of the
     slot's jet variable for one power of its next derivative; the degree
-    is kept."""
-    jv = _JETS[slot]
-    return _unit(_slot(JetVar(jv.var, jv.order + 1))) - _unit(slot)
+    is kept.
+
+    The steps live in one process-wide table, read by _Sum.add_derivative
+    and through it by DiffPoly.derive.  A slot's jet variable never changes
+    and the registry only grows, so a step once stored stays right for the
+    life of the process; two threads that compute one step store one value.
+    """
+    step = _STEPS.get(slot)
+    if step is None:
+        jv = _JETS[slot]
+        step = _STEPS[slot] = _unit(_slot(JetVar(jv.var, jv.order + 1))) - _unit(slot)
+    return step
 
 
 def _ratio(c, d):
@@ -205,6 +217,40 @@ class _Sum:
             for k2, c2 in b.items():
                 k = k1 + k2
                 t[k] = get(k, 0) + c1 * c2
+
+    def add_derivative(self, p, n=1):
+        """Add n * p' for a DiffPoly p and an int n, without building p'.
+
+        The derivation sends a monomial prod v_s^e_s to the sum over its
+        factors of e_s times the monomial with one v_s traded for its next
+        derivative: the key plus the slot's step."""
+        s = n * self._scale_to(p._d)
+        t = self.t
+        get = t.get
+        steps = _STEPS
+        for key, c in p._t.items():
+            c *= s
+            for slot, e in _factors(key):
+                step = steps.get(slot)
+                if step is None:
+                    step = _derivative_step(slot)
+                k = key + step
+                t[k] = get(k, 0) + c * e
+
+    def add_pair(self, x, y, n=1):
+        """Add n * x * y for DiffPoly or rational x and y and an int n."""
+        if isinstance(x, DiffPoly):
+            if isinstance(y, DiffPoly):
+                self.add_product(x, y, n)
+            else:
+                self.add(x, y * n)
+        else:
+            self.add(lift(y), x * n)
+
+    def is_zero(self):
+        """Whether the sum is zero: every numerator over the one positive
+        common denominator is 0."""
+        return not any(self.t.values())
 
     def result(self, d=1):
         """The accumulated sum divided by d."""
@@ -398,15 +444,8 @@ class DiffPoly:
                 return x
         acc = _Sum()
         for x, y in pairs:
-            if not x or not y:
-                continue
-            if isinstance(x, DiffPoly):
-                if isinstance(y, DiffPoly):
-                    acc.add_product(x, y)
-                else:
-                    acc.add(x, y)
-            else:
-                acc.add(lift(y), x)
+            if x and y:
+                acc.add_pair(x, y)
         return acc.result()
 
     # ----- differential structure -----
@@ -414,19 +453,10 @@ class DiffPoly:
     def derive(self, times=1):
         """Apply the derivation eta_i^(k) -> eta_i^(k+1), Leibniz on products."""
         p = self
-        steps = {}
         for _ in range(times):
-            out = {}
-            get = out.get
-            for key, c in p._t.items():
-                for slot, e in _factors(key):
-                    step = steps.get(slot)
-                    if step is None:
-                        step = steps[slot] = _derivative_step(slot)
-                    k = key + step
-                    out[k] = get(k, 0) + c * e
-            _drop_zeros(out, [k for k, c in out.items() if not c])
-            p = _normal(out, p._d)
+            acc = _Sum()
+            acc.add_derivative(p)
+            p = acc.result()
         return p
 
     def substitute(self, sigma, images=None):

@@ -12,7 +12,7 @@ constants (chevalley.unipotent_gauge, the step the construct stages
 share).  Two exact identities close every normalization: the residual
 coordinates are those of A_G(f), and the returned element g satisfies
 g' + g a = A_G(f) g, i.e. gauge(g, a) = A_G(f), checked in matrices from
-the factors alone.
+the factors alone, every entry summed once by linalg.gauge_defect.
 """
 
 from fractions import Fraction
@@ -150,13 +150,17 @@ def normalize_to_AG(rep, a):
       a W-component of the image of A_0^+ uncorrected.
     - The returned g: g' + g a = A_G(f) g, in matrices, from the factors'
       rows alone (exp_cells, not nconst), so it also catches coordinates
-      that drifted into a wrong x or f the residual accepts.  This is
-      gauge(g, a) = A_G(f).  Proof: gauge(g, a) = g a g^{-1} + g' g^{-1},
-      and g is invertible (each factor has its inverse in closed form).
-      Multiplying g a g^{-1} + g' g^{-1} = A_G(f) on the right by g gives
-      the identity checked, and multiplying that by g^{-1} gives back the
-      first.  It holds for g = factors[-1] ... factors[0] because
-      gauge(h, gauge(k, a)) = gauge(h k, a).
+      that drifted into a wrong x or f the residual accepts, or a factor
+      whose rows are wrong.  This is gauge(g, a) = A_G(f).  Proof:
+      gauge(g, a) = g a g^{-1} + g' g^{-1}, and g is invertible (each
+      factor has its inverse in closed form).  Multiplying g a g^{-1} +
+      g' g^{-1} = A_G(f) on the right by g gives the identity checked, and
+      multiplying that by g^{-1} gives back the first.  It holds for
+      g = factors[-1] ... factors[0] because gauge(h, gauge(k, a)) =
+      gauge(h k, a).  linalg.gauge_defect sums each entry of g' + g a -
+      A_G(f) g once and tests it for zero, exactly, without forming g',
+      g a or A_G(f) g; the failure names the system and the first entry
+      that is not zero, row by row.
     """
     current, s = _plane_coordinates(rep, a)
     if current is None:
@@ -215,9 +219,10 @@ def normalize_to_AG(rep, a):
     residual.update((("X", rs.neg_order[j - 1].coeffs), fj) for j, fj in f.items() if fj)
     if current != residual:
         raise VerificationFailure("residual coordinates are not those of A_G(f)")
-    want = construct.assemble_A_G(rep, f)
-    lg = lift_matrix(g)
-    lhs = linalg.mat_add(linalg.mat_derive(lg), linalg.mat_mul(lg, a))
-    if not linalg.mat_eq(lhs, linalg.mat_mul(want, lg)):
-        raise VerificationFailure("the returned g fails g' + g a = A_G(f) g")
+    entry = linalg.gauge_defect(g, a, construct.assemble_A_G(rep, f))
+    if entry is not None:
+        raise VerificationFailure(
+            "%s: normalize_to_AG: g' + g a - A_G(f) g is nonzero at entry (%d, %d)"
+            % (rs.label, *entry)
+        )
     return g, factors, f

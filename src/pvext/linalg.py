@@ -8,17 +8,23 @@ factor: a root subgroup element 1 + N reaches most entries through its
 diagonal one alone, and DiffPoly.dot hands back the other factor of such
 a lone product as it is.  The sum passes an operand through beside a
 polynomial zero.  Sums of multiples of Chevalley-basis matrices are
-chevalley.compose, over the cells of each basis matrix.  The rational linear algebra runs over
+chevalley.compose, over the cells of each basis matrix.  The identity
+g' + g b = a g, which closes both the gauge normalization and the
+end-to-end check, is tested by gauge_defect in one pass over the rows of
+g: each entry of g' + g b - a g is summed in one accumulator and tested
+for zero, and no product, derivative or difference matrix is formed (the
+proof is in its docstring).  The rational linear algebra runs over
 the integers: det, solve_exact and rational_inverse share one
 fraction-free Gauss-Jordan pass over rows scaled to integers, and rank
 counts the scaled rows that Echelon, a fraction-free selection of
 independent sparse integer rows, accepts.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, _Sum
 from .errors import DimMismatch, NoRationalSolution
 
 
@@ -147,9 +153,60 @@ def derive(x):
     return _ZERO if isinstance(x, _RATIONAL) else x.derive()
 
 
-def mat_derive(a):
-    """Entrywise derivation."""
-    return [[derive(x) for x in row] for row in a]
+def gauge_defect(g, b, a):
+    """The first entry (r, c), in row-major order, where g' + g b - a g is
+    not zero, or None when g' + g b = a g holds.  g is n x m, b is m x m
+    and a is n x n, else DimMismatch; the entries are DiffPolys or
+    rationals.
+
+    No matrix is formed.  Each row of g and of b is listed once as its
+    non-zero (column, entry) pairs, as in mat_mul.  Row r is then summed
+    entry by entry, each entry (r, c) in one accumulator (diffpoly._Sum):
+    g[r][c]' goes in through add_derivative, every product g[r][k] b[k][c]
+    with sign + and every a[r][k] g[k][c] with sign - through add_pair.
+    An entry is zero exactly when every accumulated numerator is 0, and
+    one that no term reaches is zero; no result polynomial is built and
+    nothing is normalized.
+
+    Proof.  The accumulator holds the sum of the entry's terms as integer
+    numerators on packed monomials over one positive common denominator:
+    before a term over d is added the common denominator is scaled to a
+    multiple of d, and the term adds its numerators times common / d.
+    Distinct packed keys are distinct monomials, which are independent
+    over Q, so the entry is zero iff every numerator is 0.  The rows are
+    scanned in order and the entries of a row in ascending column, so the
+    first entry found is the first (r, c), row by row, where g' + g b and
+    a g differ: the one a row-major comparison of the two composed
+    matrices finds.  The derivation keeps degrees, and add_product checks
+    the degrees of each product it adds (_check_degrees), so
+    ExponentOverflow comes only from a product g[r][k] b[k][c] or
+    a[r][k] g[k][c] that really passes the limit, as in mat_mul.
+    """
+    n, m = len(g), len(b)
+    if (
+        len(a) != n
+        or any(len(row) != n for row in a)
+        or any(len(row) != m for row in g)
+        or any(len(row) != m for row in b)
+    ):
+        raise DimMismatch("g' + g b - a g needs g n x m, b m x m and a n x n")
+    live_g = [[(k, x) for k, x in enumerate(row) if x] for row in g]
+    live_b = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    for r, (row_g, row_a) in enumerate(zip(live_g, a)):
+        acc = defaultdict(_Sum)
+        for c, x in row_g:
+            if isinstance(x, DiffPoly):
+                acc[c].add_derivative(x)
+            for j, y in live_b[c]:
+                acc[j].add_pair(x, y)
+        for k, x in enumerate(row_a):
+            if x:
+                for c, y in live_g[k]:
+                    acc[c].add_pair(x, y, -1)
+        for c in sorted(acc):
+            if not acc[c].is_zero():
+                return r, c
+    return None
 
 
 # ----- rational routines, computed over the integers -----

@@ -1,20 +1,23 @@
-"""Check the JSON reports of the rank-6 systems against recorded digests.
+"""Check the rank-6 systems end to end and their JSON reports against
+recorded digests.
 
     python3 tests/check_rank6_digests.py           # B6, C6 and D6
     python3 tests/check_rank6_digests.py D6        # some of them
 
-Each system runs `run_pipeline` and streams `construct.report_chunks`
-through SHA-256 in a fresh process, one system at a time, and the digest
-is compared with `tests/digests_rank6.json`.  One line per system gives
-the digest, then the wall seconds of the pipeline, its reference seconds
-and the child's peak resident set (`ru_maxrss`) after it, then the same
-for the report.  Reference seconds are wall seconds corrected for the
-host's speed by `perfbench/speed.py`'s `SpeedSampler`, whose probe runs
-every 10 ms during both phases (and adds a few percent to their wall
+Each system runs `run_pipeline`, then `verify_end_to_end`, then streams
+`construct.report_chunks` through SHA-256, in a fresh process, one system
+at a time, and the digest is compared with `tests/digests_rank6.json`.
+One line per system gives the digest, then for each of the three phases
+(pipeline, check, report) its wall seconds, its reference seconds and the
+child's peak resident set (`ru_maxrss`) after it; the report's peak is
+thus taken after the check.  Reference seconds are wall seconds corrected
+for the host's speed by `perfbench/speed.py`'s `SpeedSampler`, whose probe
+runs every 10 ms during every phase (and adds a few percent to its wall
 time); compare two commits in reference seconds, over several runs.  The
-exit status is 1 when a digest differs.  Standard library only; pvext is
-imported from `src/`.  These systems take tens of seconds each, so pytest
-does not collect this file.
+exit status is 1 when a digest differs or the check raises; the line then
+names the failure.  Standard library only; pvext is imported from `src/`.
+These systems take tens of seconds each, so pytest does not collect this
+file.
 """
 
 import hashlib
@@ -35,25 +38,44 @@ def _peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def _timed(sampler, phase):
+    """phase()'s value, then (wall seconds, reference seconds, peak RSS in
+    MB) after it."""
+    start = time.perf_counter()
+    out = phase()
+    seconds = time.perf_counter() - start
+    return out, (seconds, sampler.reference_seconds(start, seconds), _peak_rss_mb())
+
+
 def _report_digest(label):
-    """The SHA-256 of one system's report, then (wall seconds, reference
-    seconds, peak RSS in MB) after the pipeline and after the report."""
+    """The SHA-256 of one system's report, the end-to-end check's failure
+    text (None when it passes), then (wall seconds, reference seconds, peak
+    RSS in MB) after the pipeline, after the check and after the report."""
     sys.path[:0] = [str(SRC), str(PERFBENCH)]
     from pvext import construct
+    from pvext.errors import PvextError
     from speed import SpeedSampler
 
-    with SpeedSampler() as sampler:
-        start = time.perf_counter()
-        result = construct.run_pipeline(label[0], int(label[1:]))
-        seconds = time.perf_counter() - start
-        pipeline = (seconds, sampler.reference_seconds(start, seconds), _peak_rss_mb())
-        start = time.perf_counter()
+    def check():
+        try:
+            construct.verify_end_to_end(result.rep, result.liouville, result.invariants)
+        except PvextError as exc:
+            return "%s: %s" % (type(exc).__name__, exc)
+        return None
+
+    def report():
         digest = hashlib.sha256()
         for chunk in construct.report_chunks(result):
             digest.update(chunk.encode("utf-8"))
-        seconds = time.perf_counter() - start
-        report = (seconds, sampler.reference_seconds(start, seconds), _peak_rss_mb())
-    return digest.hexdigest(), pipeline, report
+        return digest.hexdigest()
+
+    with SpeedSampler() as sampler:
+        result, pipeline = _timed(
+            sampler, lambda: construct.run_pipeline(label[0], int(label[1:]))
+        )
+        failure, checked = _timed(sampler, check)
+        digest, reported = _timed(sampler, report)
+    return digest, failure, pipeline, checked, reported
 
 
 def main(labels):
@@ -62,15 +84,18 @@ def main(labels):
     failed = False
     for label in labels or sorted(want):
         with spawn.Pool(1) as pool:
-            digest, pipeline, report = pool.apply(_report_digest, (label,))
+            digest, failure, pipeline, checked, report = pool.apply(_report_digest, (label,))
         ok = digest == want.get(label)
-        failed |= not ok
+        failed |= not ok or failure is not None
         print(
             "%s %s %s pipeline %.2f s (%.2f ref s) peak RSS %.1f MB,"
+            " check %.2f s (%.2f ref s) peak RSS %.1f MB,"
             " report %.2f s (%.2f ref s) peak RSS %.1f MB"
-            % (label, digest, "ok" if ok else "MISMATCH", *pipeline, *report),
+            % (label, digest, "ok" if ok else "MISMATCH", *pipeline, *checked, *report),
             flush=True,
         )
+        if failure is not None:
+            print("%s end-to-end check FAILED: %s" % (label, failure), flush=True)
     return 1 if failed else 0
 
 

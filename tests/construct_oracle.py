@@ -13,6 +13,8 @@ from functools import reduce
 
 from pvext import chevalley, linalg, symgroup
 
+import linalg_oracle
+
 
 def product(mats):
     """The matrix product of a word, one linalg.mat_mul per letter."""
@@ -32,7 +34,7 @@ class UnipotentPath:
         self.rep = rep
         self.u = product(f.rows for f in factors)
         self.uinv = product(f.inv for f in reversed(factors))
-        self.ldelta = linalg.mat_mul(linalg.mat_derive(self.u), self.uinv)
+        self.ldelta = linalg.mat_mul(linalg_oracle.mat_derive(self.u), self.uinv)
 
     def adjoint(self, a):
         """u a u^-1."""

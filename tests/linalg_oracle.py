@@ -21,7 +21,9 @@ beside a polynomial zero.  adjoint and product multiply a word of group
 factors letter by letter with the dense mat_mul here, and hold
 pvext.symgroup.adjoint and construct_oracle.product, which use the one
 row-by-row product of pvext.linalg (root subgroup factors included), to
-the same values, types and term orders.
+the same values, types and term orders.  mat_derive is the entrywise
+derivative that, with mat_mul and mat_add, composes g' + g b and a g for
+the tests of pvext.linalg.gauge_defect, which forms neither.
 """
 
 from fractions import Fraction
@@ -82,6 +84,11 @@ def adjoint(factors, a):
 def product(mats):
     """m_1 m_2 ... m_k, multiplied left to right."""
     return [list(r) for r in reduce(mat_mul, mats)]
+
+
+def mat_derive(a):
+    """Entrywise derivation."""
+    return [[linalg.derive(x) for x in row] for row in a]
 
 
 def mat_is_zero(a):

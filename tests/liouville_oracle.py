@@ -34,5 +34,5 @@ def verify_by_liouville_product(rep, data, inv):
     for root, yi in zip(rep.rs.neg_order, data.y):
         y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, yi).rows)
     ag = [[LiouvExpr.scalar(x) for x in row] for row in construct.assemble_A_G(rep, inv.h)]
-    if not linalg.mat_eq(linalg.mat_derive(y_mat), linalg.mat_mul(ag, y_mat)):
+    if not linalg.mat_eq(linalg_oracle.mat_derive(y_mat), linalg.mat_mul(ag, y_mat)):
         raise IdentityFailure("d(Y) - A_G(h) Y is nonzero over LiouvExpr")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -200,7 +201,7 @@ def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
 def _gauges_to(g, a, want):
     """g' + g a == want g: gauge(g, a) == want for an invertible g."""
     g, a = lift_matrix(g), lift_matrix(a)
-    lhs = linalg.mat_add(linalg.mat_derive(g), linalg.mat_mul(g, a))
+    lhs = linalg.mat_add(linalg_oracle.mat_derive(g), linalg.mat_mul(g, a))
     return linalg.mat_eq(lhs, linalg.mat_mul(want, g))
 
 
@@ -308,7 +309,7 @@ def test_unipotent_gauge_is_the_gauge_on_coordinates(system):
         t = _random_poly(rng, rep.rank) - 1
         u, uinv = chevalley.unipotent_element(rep, b, t), chevalley.unipotent_element(rep, b, -t)
         conj = linalg_oracle.mat_mul(linalg_oracle.mat_mul(u, a), uinv)
-        ldelta = linalg_oracle.mat_mul(linalg.mat_derive(u), uinv)
+        ldelta = linalg_oracle.mat_mul(linalg_oracle.mat_derive(u), uinv)
         want = {k: v for k, v in chevalley.decompose_in_basis(rep, linalg.mat_add(conj, ldelta)).items() if v}
         assert chevalley.unipotent_gauge(rep, b, t, coords) == want
         dt = t.derive()
@@ -350,3 +351,32 @@ def test_no_flipped_structure_constant_passes_unnoticed(system):
         else:
             assert got_g == g and got_f == f
     assert caught
+
+
+@pytest.mark.parametrize("system, fired", [(("B", 3), 8), (("G2", 2), 4)], ids=["B3", "G2"])
+def test_g_check_fires_on_a_doubled_exponential_cell(system, fired):
+    # u_b(x) is built from exp_cells, the coordinate action from nconst: a
+    # doubled cell of a root used as a factor leaves the residual right and
+    # g wrong, and only the matrix check of g sees it
+    rep = get_rep(*system)
+    a = _plane_matrix(rep, random.Random("cells:%s%d" % system))
+    g, _, f = gauge.normalize_to_AG(rep, a)
+    message = r"^%s: normalize_to_AG: g' \+ g a - A_G\(f\) g is nonzero at entry \(\d+, \d+\)$" % (
+        rep.rs.label
+    )
+    caught = []
+    for key, cells in rep.exp_cells.items():
+        r, c, k, p = cells[-1]
+        broken = dataclasses.replace(
+            rep, exp_cells={**rep.exp_cells, key: cells[:-1] + ((r, c, k, 2 * p),)}
+        )
+        try:
+            got_g, _, got_f = gauge.normalize_to_AG(broken, a)
+        except VerificationFailure as exc:
+            assert re.match(message, str(exc))
+            caught.append(key)
+        else:
+            # a positive root, or a root whose factor is never taken
+            assert got_g == g and got_f == f
+    assert len(caught) == fired
+    assert all(sum(key) < 0 for key in caught)

@@ -4,7 +4,8 @@ row-sparse matrix product (root subgroup factors and DiffPoly.dot's lone
 pairs included) and the basis composition over cells against the dense
 fold, the sparse basis decomposition against the dense one, the
 zero-skipping sum against the dense one, entrywise matrix equality
-against the zero difference, the shared fraction-free elimination against
+against the zero difference, the one-pass check of g' + g b = a g
+against the composed matrices, the shared fraction-free elimination against
 the four loops it replaced, and the LiouvExpr shortcuts (closed-form
 powers, the unit, structural interning) against repeated products and
 canonical strings.
@@ -22,14 +23,14 @@ from hypothesis import strategies as st
 
 from pvext import chevalley, construct, diffpoly, linalg, liouville_expr, symgroup
 from pvext.diffpoly import DiffPoly, JetVar, parse
-from pvext.errors import DimMismatch, NotInLieAlgebra
+from pvext.errors import DimMismatch, ExponentOverflow, NotInLieAlgebra
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
 import construct_oracle
 import diffpoly_oracle as oracle
 import linalg_oracle
-from conftest import get_rep
+from conftest import get_rep, neumann_inverse
 
 SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
 
@@ -85,7 +86,7 @@ def roots(draw):
 def _is_inverse_with_ldelta(factor):
     n = len(factor.rows)
     one = linalg.mat_mul(factor.rows, factor.inv)
-    literal = linalg.mat_mul(linalg.mat_derive(factor.rows), factor.inv)
+    literal = linalg.mat_mul(linalg_oracle.mat_derive(factor.rows), factor.inv)
     return linalg.mat_eq(one, linalg.eye(n)) and linalg.mat_eq(factor.ldelta, literal)
 
 
@@ -800,6 +801,97 @@ def test_entrywise_equality_rejects_unequal_row_counts():
 def test_entrywise_equality_rejects_unequal_row_lengths():
     with pytest.raises(DimMismatch):
         linalg.mat_eq([[Fraction(1), Fraction(0)]], [[Fraction(1), Fraction(0), Fraction(5)]])
+
+
+ONES = (1, Fraction(1), DiffPoly.rational(1))
+mixed_entries = st.one_of(
+    st.sampled_from([0, Fraction(0), DiffPoly.zero()]),
+    st.integers(-2, 2), fraction_entries, poly_entries,
+)
+
+
+@st.composite
+def defect_triples(draw):
+    """(g, b, a), all n x n for n in 1..8, with int, Fraction and DiffPoly
+    entries mixed.  g is a zero matrix, an identity with ones of each type,
+    a unipotent 1 + N with N strictly upper triangular and sparse, or
+    arbitrary.  For the identity and the unipotent g, a is first the a
+    that makes g' + g b = a g hold, (g' + g b) g^-1, and then up to three
+    of its entries are drawn again."""
+    n = draw(st.integers(1, 8))
+    sparse = st.one_of(st.just(0), st.just(DiffPoly.zero()), mixed_entries)
+
+    def matrix(entries):
+        return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+    kind = draw(st.sampled_from(["zero", "identity", "unipotent", "arbitrary"]))
+    b = matrix(sparse)
+    if kind == "arbitrary":
+        return matrix(sparse), b, matrix(sparse)
+    if kind == "zero":
+        return matrix(st.sampled_from([0, Fraction(0), DiffPoly.zero()])), b, matrix(sparse)
+    g = [[draw(st.sampled_from(ONES)) if i == j else 0 for j in range(n)] for i in range(n)]
+    if kind == "unipotent":
+        for _ in range(draw(st.integers(0, n)) if n > 1 else 0):
+            i = draw(st.integers(0, n - 2))
+            g[i][draw(st.integers(i + 1, n - 1))] = draw(mixed_entries)
+    lhs = linalg_oracle.mat_add(linalg_oracle.mat_derive(g), linalg_oracle.mat_mul(g, b))
+    a = linalg_oracle.mat_mul(lhs, neumann_inverse(g, DiffPoly.rational(1)))
+    for _ in range(draw(st.integers(0, 3))):
+        a[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(mixed_entries)
+    return g, b, a
+
+
+def _first_difference(g, b, a):
+    """The first (r, c), row by row, where g' + g b and a g differ, both
+    composed in full by the oracle; None when they agree."""
+    lhs = linalg_oracle.mat_add(linalg_oracle.mat_derive(g), linalg_oracle.mat_mul(g, b))
+    rhs = linalg_oracle.mat_mul(a, g)
+    return next(
+        ((r, c) for r, (row_l, row_r) in enumerate(zip(lhs, rhs))
+         for c, (x, y) in enumerate(zip(row_l, row_r)) if x != y),
+        None,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(defect_triples())
+# products of degree 255, the limit, and no overflow; then a first
+# difference at (0, 1), after an entry that agrees
+@example(([[DiffPoly.eta(1)]], [[DiffPoly.eta(1) ** 254]], [[DiffPoly.eta(1) ** 254]]))
+@example((
+    [[1, DiffPoly.eta(2)], [0, Fraction(1)]],
+    [[0, DiffPoly.eta(1)], [Fraction(1, 2), 0]],
+    [[DiffPoly.eta(2) * Fraction(1, 2), DiffPoly.eta(1) + DiffPoly.eta(2, 1)], [Fraction(1, 2), 0]],
+))
+def test_gauge_defect_agrees_with_the_composed_matrices(gba):
+    assert linalg.gauge_defect(*gba) == _first_difference(*gba)
+
+
+def test_gauge_defect_checks_the_shapes():
+    one, two = [[1]], [[1, 0], [0, 1]]
+    for g, b, a in (
+        (two, one, two),  # g has a column per row of b
+        (two, two, one),  # a has a row per row of g
+        ([[1, 0]], [[1], [0]], one),  # b is square
+        ([[1, 0], [0]], two, two),  # the rows of g have one length
+        (two, two, [[1, 0], [0]]),  # so do those of a
+    ):
+        with pytest.raises(DimMismatch):
+            linalg.gauge_defect(g, b, a)
+    assert linalg.gauge_defect([[1, 0]], two, one) is None
+    assert linalg.gauge_defect([], [], []) is None
+
+
+def test_gauge_defect_overflows_only_where_a_product_does():
+    # g b or a g has degree 1 + 255: the composition and the kernel raise
+    # (at degree 255 neither does, as the first example above shows)
+    g, big = [[DiffPoly.eta(1)]], [[DiffPoly.eta(1) ** 255]]
+    for check in (_first_difference, linalg.gauge_defect):
+        with pytest.raises(ExponentOverflow):
+            check(g, big, [[0]])
+        with pytest.raises(ExponentOverflow):
+            check(g, [[0]], big)
 
 
 @pytest.mark.parametrize("routine", [linalg.det, linalg.rational_inverse])

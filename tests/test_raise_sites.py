@@ -60,8 +60,11 @@ SITES = {
     ("VerificationFailure",
      "%s: liouville_solutions: ldelta(t(z)u(y)) - A_L is nonzero at %s_%s"):
         ("test_construct::test_tower_check_in_coordinates_names_the_corrupted_key",),
-    # _require_equal, for the end-to-end check's tower and identity
-    ("error", "%s: %s is nonzero at entry (%d, %d)"):
+    # _check_tower, the end-to-end check's tower
+    ("IdentityFailure", "%s: ldelta(t(z)u(y)) - A_L is nonzero at entry (%d, %d)"):
+        ("test_construct::test_end_to_end_failure_names_the_system",),
+    # verify_end_to_end's identity, through linalg.gauge_defect
+    ("IdentityFailure", "%s: (d(Y) - A_G(h) Y) (n(wbar) T)^-1 is nonzero at entry (%d, %d)"):
         ("test_construct::test_end_to_end_failure_names_the_system",),
     # logderiv_Y
     ("StructureViolation", "%s: q_%d has a linear term"):
