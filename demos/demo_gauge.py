@@ -16,7 +16,7 @@ def main():
     print("2x2 plane matrix:")
     for row in a:
         print("   ", [x.text() for x in row])
-    g, factors, f = gauge.normalize_to_AG(rep, a)
+    g, word, f = gauge.normalize_to_AG(rep, a)
     print("transforming element u:")
     for row in g:
         print("   ", [x.text() for x in row])
@@ -33,7 +33,7 @@ def main():
             a, [[DiffPoly.eta(i + 1) * x for x in row] for row in rep3.H[i]]
         )
     print("rank-3 matrix A_0^+ + eta_1 H_1 + eta_2 H_2 + eta_3 H_3; normalizing...")
-    g, factors, f = gauge.normalize_to_AG(rep3, a)
+    g, word, f = gauge.normalize_to_AG(rep3, a)
     for j, fj in sorted(f.items()):
         print("  f[%d] = %s" % (j, fj.text()))
 

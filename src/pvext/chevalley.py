@@ -4,11 +4,13 @@ For each supported root system this module builds integer matrices for the
 Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
 provides u_alpha(x), its adjoint action exp(x ad X_alpha) and its gauge on
-coordinates, t_i(z) and the Weyl representatives n(w) as products of the
-simple representatives.  Every Chevalley axiom is checked exhaustively at
-build time: with sparse integer brackets for the pairs of root vectors
-whose supports meet, as a zero bracket for the other pairs, and cell by
-cell for the Cartan generators.  The coordinates of the W_i are read off
+coordinates, t_i(z) and the characters chi_beta by which the torus scales
+root vectors, the matrix of a word of such letters (word_element, which
+every product of letters goes through), and the Weyl representatives n(w)
+as products of the simple representatives.  Every Chevalley axiom is
+checked exhaustively at build time: with sparse integer brackets for the
+pairs of root vectors whose supports meet, as a zero bracket for the other
+pairs, and cell by cell for the Cartan generators.  The coordinates of the W_i are read off
 the checked structure constants.  The kernels visit only non-zero cells:
 u_alpha(x) those of the divided powers of X_alpha, and decompose_in_basis
 and its inverse compose those of the basis matrices (rep.cells), where a
@@ -22,8 +24,9 @@ every other root keeps the sign produced by the bracket recursion.
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from importlib import resources
+from operator import mul
 
 from . import linalg, rootsys
 from .errors import (
@@ -828,12 +831,38 @@ def torus_element(rep, i, z):
     return [[entries[r] if r == c else zero for c in range(n)] for r in range(n)]
 
 
+def character(rs, z, beta):
+    """chi_beta(z) = prod_j z_j^<beta, alpha_j>, in the ring of the z_j
+    (Fraction or LiouvExpr), by which Ad(t(z)) scales X_beta for the
+    coefficient vector beta; t(z) = t_1(z_1) ... t_l(z_l).
+
+    Proof.  H_j is diagonal with integer entries h_r, so t_j(z_j) =
+    diag(z_j^h_r) and Ad(t_j(z_j)) multiplies entry (r, s) of X_beta by
+    z_j^(h_r - h_s).  Entry (r, s) of [H_j, X_beta] is (h_r - h_s)
+    X_beta[r][s], and build_rep checks [H_j, X_beta] = <beta, alpha_j>
+    X_beta; so X_beta is non-zero only where h_r - h_s = <beta, alpha_j>,
+    and Ad(t_j(z_j)) X_beta = z_j^<beta, alpha_j> X_beta.  The t_j(z_j)
+    are diagonal and commute, and Ad(t(z)) is the composite of theirs.
+    Ad(t(z)) fixes each H_i, as diagonal matrices commute.
+    """
+    return reduce(mul, (zj ** rootsys.pairing(rs.cartan, beta, j) for j, zj in enumerate(z)))
+
+
+def word_element(rep, word):
+    """The matrix of a non-empty word of letters (key, t), the product of
+    the letters' matrices in the word's order: unipotent_element for
+    ("X", coeffs) and torus_element for ("H", i)."""
+    mats = [
+        torus_element(rep, v, t) if kind == "H" else unipotent_element(rep, rootsys.Root(v), t)
+        for (kind, v), t in word
+    ]
+    return reduce(linalg.mat_mul, mats)
+
+
 def simple_representative(rep, i):
     """n(w_i) = u_{alpha_i}(1) u_{-alpha_i}(-1) u_{alpha_i}(1)."""
-    rs = rep.rs
-    up = unipotent_element(rep, rs.simple(i), Fraction(1))
-    down = unipotent_element(rep, -rs.simple(i), Fraction(-1))
-    return linalg.mat_mul(linalg.mat_mul(up, down), up)
+    up, down = ("X", rep.rs.simple(i).coeffs), ("X", (-rep.rs.simple(i)).coeffs)
+    return word_element(rep, ((up, Fraction(1)), (down, Fraction(-1)), (up, Fraction(1))))
 
 
 def _signed_columns(p):

@@ -15,7 +15,7 @@ from importlib import resources
 
 from . import bruhat as bruhat_mod
 from . import chevalley, construct, gauge
-from .diffpoly import DiffPoly, frac_text, lift_matrix, parse as parse_poly
+from .diffpoly import DiffPoly, frac_text, parse as parse_poly
 from .errors import ExponentOverflow, PvextError, UnsupportedType
 
 _TYPES = ("A", "B", "C", "D", "G2")
@@ -222,13 +222,13 @@ def cmd_bruhat(args):
 def cmd_gauge_normalize(args):
     type_label, rank = _require_system(args)
     rep = chevalley.build_rep(type_label, rank)
-    a = lift_matrix(_load_matrix(args.matrix))
+    a = _load_matrix(args.matrix)
     if len(a) != rep.dim:
         raise ValueError(
             "type %s rank %d needs a %dx%d matrix, the file holds %dx%d"
             % (type_label, rank, rep.dim, rep.dim, len(a), len(a))
         )
-    g, factors, f = gauge.normalize_to_AG(rep, a)
+    g, _, f = gauge.normalize_to_AG(rep, a)
     obj = {
         "transform": construct.matrix_json(g),
         "f": {str(k): v.to_json_obj() for k, v in sorted(f.items())},

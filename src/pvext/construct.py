@@ -13,7 +13,6 @@ invariant, the principal grading, checked on every stage output.
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 from . import chevalley, linalg, rootsys, symgroup
@@ -72,9 +71,8 @@ def _unipotent_factors(rep, args):
 
 def unipotent_product(rep, args):
     """The matrix u_1(a_1) ... u_m(a_m) over DiffPoly; rationals are lifted."""
-    pairs = zip(rep.rs.neg_order, args)
-    factors = [chevalley.unipotent_element(rep, b, lift(a)) for b, a in pairs]
-    return [list(r) for r in reduce(linalg.mat_mul, factors)]
+    word = [(("X", b.coeffs), lift(a)) for b, a in zip(rep.rs.neg_order, args)]
+    return chevalley.word_element(rep, word)
 
 
 def _fold(step, rep, args, coords):
@@ -308,35 +306,18 @@ def _check_tower(rep, tower, A_L):
                 )
 
 
-def _character(rs, z, beta):
-    """chi_beta(z) = prod_j z_j^<beta, alpha_j>, by which Ad(t(z)) scales X_beta.
-
-    Proof.  H_j is diagonal with integer entries h_r, so t_j(z_j) =
-    diag(z_j^h_r) and Ad(t_j(z_j)) multiplies entry (r, s) of X_beta by
-    z_j^(h_r - h_s).  Entry (r, s) of [H_j, X_beta] is (h_r - h_s)
-    X_beta[r][s], and build_rep checks [H_j, X_beta] = <beta, alpha_j>
-    X_beta; so X_beta is non-zero only where h_r - h_s = <beta, alpha_j>,
-    and Ad(t_j(z_j)) X_beta = z_j^<beta, alpha_j> X_beta.  The torus
-    factors commute, and Ad(t(z)) is their composite.
-    """
-    chi = LiouvExpr.one()
-    for j, zj in enumerate(z):
-        chi = chi * zj ** rootsys.pairing(rs.cartan, beta, j)
-    return chi
-
-
 def _check_tower_coordinates(rep, data):
     """The coordinates of ldelta(t(z) u(y)) = sum (z_i'/z_i) H_i +
     Ad(t(z))(gauge(u(y), 0)), checked against A_L's: a difference raises
     VerificationFailure naming the basis key.  ldelta(ab) = ldelta(a) +
     Ad(a)(ldelta(b)); the t_i(z_i) are diagonal, so they commute and
     ldelta(t(z)) is the sum (symgroup.torus_matrix); Ad(t(z)) fixes the H_i
-    and scales X_beta by _character.  The check is exact: the basis is
-    independent (gauge.normalize_to_AG), and a LiouvExpr equals a DiffPoly
-    exactly when it is that polynomial as a scalar."""
+    and scales X_beta by chevalley.character.  The check is exact: the
+    basis is independent (decompose_in_basis), and a LiouvExpr equals a
+    DiffPoly exactly when it is that polynomial as a scalar."""
     out = {("H", i): linalg.derive(zi) * zi ** -1 for i, zi in enumerate(data.z, start=1)}
     for key, c in _fold(chevalley.unipotent_gauge, rep, data.y, {}).items():
-        c = c * _character(rep.rs, data.z, key[1]) if key[0] == "X" else c
+        c = c * chevalley.character(rep.rs, data.z, key[1]) if key[0] == "X" else c
         out[key] = out[key] + c if key in out else c
     for key, c in chevalley.decompose_in_basis(rep, data.A_L).items():
         if out.get(key, LiouvExpr.zero()) != lift(c):
@@ -351,7 +332,7 @@ def liouville_solutions(rep, data, stage1):
     """Fill in the Liouvillian tower: exponentials z and integrals y.
 
     z_i = e^{int gbar_i}.  For the simple-root indices the integrand of y_i
-    is c_i / chi_i, with chi_i the character of beta_i (_character);
+    is c_i / chi_i, with chi_i the character of beta_i (chevalley.character);
     deeper integrals integrate -v_i evaluated at y.  The assembled tower
     is verified in coordinates: ldelta(t(z) u(y)) = A_L.
     """
@@ -365,7 +346,7 @@ def liouville_solutions(rep, data, stage1):
     integrands = []
     for i in range(1, m + 1):
         if i <= l:
-            chi = _character(rs, z, rs.neg_order[i - 1].coeffs)
+            chi = chevalley.character(rs, z, rs.neg_order[i - 1].coeffs)
             integrand = (chi ** -1) * data.c[i - 1]
         else:
             integrand = _dp_order_le_one_eval(

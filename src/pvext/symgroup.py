@@ -1,16 +1,16 @@
-"""Group elements as words in one-parameter subgroups.
+"""Group elements as words in one-parameter subgroups, in matrices.
 
-A Factor is one letter of such a word: u_root(x), t_i(z) or a constant
-torus element t(z).  Each carries its matrix, its inverse and its
-logarithmic derivative ldelta = d(M) M^{-1}, all three in closed form from
-the group law, so no symbolic inversion is ever attempted.  Every letter
-multiplies by linalg.mat_mul.  On products of factors this module computes
-the logarithmic derivative by the product rule, the adjoint action and the
-gauge action.
+A Factor is one letter of such a word, u_root(x) or t_i(z), as its matrix,
+its inverse and its logarithmic derivative ldelta = d(M) M^{-1}, all three
+in closed form from the group law, so no symbolic inversion is ever
+attempted.  On products of factors this module computes the logarithmic
+derivative by the product rule, the adjoint action and the gauge action.
+The end-to-end check's tower identity and the test oracles use them; the
+stages and the gauge normalization act on Chevalley coordinates instead,
+and form a word's matrix alone by chevalley.word_element.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import chevalley, linalg
 from .errors import NotClosedFormInvertible
@@ -68,22 +68,6 @@ def torus_matrix(rep, i, z):
         _freeze(chevalley.torus_element(rep, i, zinv)),
         _freeze(chevalley.compose(rep, {("H", i): c}, linalg.zero_of(c))),
     )
-
-
-def constant_torus(rep, z):
-    """t(z) = t_1(z_1) ... t_l(z_l) for rational constants z_j, its inverse
-    and ldelta 0.  The t_j are diagonal, so t(z) is the diagonal matrix of
-    the products d_r of their entries, and t(z)^-1 = diag(1/d_r)."""
-    if not all(isinstance(zj, (int, Fraction)) for zj in z):
-        raise ValueError("a constant torus needs rational z")
-    diagonal = [Fraction(1)] * rep.dim
-    for j, zj in enumerate(z, start=1):
-        t = chevalley.torus_element(rep, j, zj)
-        diagonal = [d * t[r][r] for r, d in enumerate(diagonal)]
-    rows, inv = linalg.zeros(rep.dim), linalg.zeros(rep.dim)
-    for r, d in enumerate(diagonal):
-        rows[r][r], inv[r][r] = d, 1 / d
-    return Factor(_freeze(rows), _freeze(inv))
 
 
 def _factors(g):

@@ -1,9 +1,11 @@
 """The matrix loop pvext.gauge.normalize_to_AG ran before it carried the
 running matrix in coordinates, as a test oracle.
 
-Each root factor gauges the whole DiffPoly matrix with two products, and
-every height level decomposes the result again.  The tests require the
-coordinate loop to return the same transform, factors and f.
+The torus and each root factor gauge the whole DiffPoly matrix as
+symgroup.Factor matrices, every height level decomposes the result again,
+and g is the product of the factors' rows.  The tests require the
+coordinate loop to return the same transform (entry types included), word
+of letters and f.
 """
 
 from fractions import Fraction
@@ -18,15 +20,16 @@ import linalg_oracle
 
 
 def normalize_to_AG(rep, a):
-    """(g, factors, f) as pvext.gauge.normalize_to_AG returns them."""
+    """(g, word, f) as pvext.gauge.normalize_to_AG returns them."""
     ok, s = is_in_plane(rep, a)
     if not ok:
         raise VerificationFailure("matrix is not in the plane A_0^+(s) + b^-")
     a = lift_matrix(a)
     current = a
-    factors = []
+    factors, word = [], []
     if any(Fraction(v) != 1 for v in s):
         z = _torus_rescaling(rep, s)
+        word = [(("H", j + 1), zj) for j, zj in enumerate(z)]
         torus = linalg.eye(rep.dim)
         for j in range(rep.rank):
             torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
@@ -59,6 +62,7 @@ def normalize_to_AG(rep, a):
         for k, xk in zip(sources, solution[: len(sources)]):
             factor = symgroup.unipotent_matrix(rep, rs.neg_order[k - 1], -xk)
             factors.append(factor)
+            word.append((("X", rs.neg_order[k - 1].coeffs), -xk))
             current = symgroup.gauge(factor, current)
 
     dec = chevalley.decompose_in_basis(rep, current)
@@ -77,4 +81,4 @@ def normalize_to_AG(rep, a):
     lhs = linalg.mat_add(linalg_oracle.mat_derive(lg), linalg.mat_mul(lg, a))
     if not linalg.mat_eq(lhs, linalg.mat_mul(want, lg)):
         raise VerificationFailure("the returned g fails g' + g a = A_G(f) g")
-    return g, factors, f
+    return g, word, f

@@ -25,7 +25,9 @@ from pvext.diffpoly import DiffPoly, frac_text
 OUT = Path(__file__).resolve().parent / "cli_pins.json"
 
 # (type, rank, s, terms): s None for A_0^+, else the simple-root scalings of
-# A_0^+(s); terms the most terms in one added polynomial
+# A_0^+(s); terms the most terms in one added polynomial, 0 for the bare
+# A_0^+(s), whose every root letter has t = 0 and whose transform still has
+# DiffPoly entries
 GAUGE_CASES = [
     ("A", 2, None, 2),
     ("B", 3, None, 2),
@@ -33,6 +35,8 @@ GAUGE_CASES = [
     ("D", 4, None, 1),
     ("G2", 2, (2, 3), 2),
     ("B", 3, (4, Fraction(1, 4), 9), 2),
+    ("A", 2, None, 0),
+    ("G2", 2, (2, 3), 0),
 ]
 BRUHAT_SIZES = (3, 4, 5, 6)
 DERIVE_SYSTEMS = (("A", 3), ("B", 3), ("G2", 2))
@@ -97,7 +101,7 @@ def cases():
     for type_label, rank, s, terms in GAUGE_CASES:
         rep = chevalley.build_rep(type_label, rank)
         label = type_label if type_label == "G2" else "%s%d" % (type_label, rank)
-        name = "gauge-%s%s" % (label, "" if s is None else "-rescaled")
+        name = "gauge-%s%s%s" % (label, "" if s is None else "-rescaled", "" if terms else "-bare")
         rng = random.Random(name)
         args = ["gauge-normalize", "--type", type_label, "--rank", str(rank)]
         out.append({"name": name, "args": args, "matrix": plane_matrix(rep, s, terms, rng)})

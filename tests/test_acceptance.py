@@ -371,7 +371,7 @@ def test_criterion_10_gauge():
     rng = random.Random(1000)
     rep1 = get_rep("A", 1)
     a = [[parse("0"), parse("1")], [parse("n1' + n1^2"), parse("0")]]
-    g, factors, f = gauge.normalize_to_AG(rep1, a)
+    g, word, f = gauge.normalize_to_AG(rep1, a)
     assert f == {1: parse("n1' + n1^2")}
     count = 0
     for t, r in [("A", 2), ("A", 3)]:

@@ -3,11 +3,14 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from pvext import chevalley, linalg, rootsys
 from pvext.diffpoly import DiffPoly
+from pvext.liouville_expr import LiouvExpr
 from pvext.errors import (
     DimMismatch,
     NonDiagonalCartan,
@@ -260,6 +263,29 @@ def test_decomposition_agrees_with_the_dense_oracle(system):
         got = _outcome(chevalley.decompose_in_basis, rep, shifted)
         assert got == _outcome(dense, rep, shifted)
     assert got.startswith("entry ")
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
+def test_character_is_the_torus_conjugation(system):
+    # chi_beta(z) X_beta = t(z) X_beta t(z)^-1 for every root, t(z) the
+    # product of the torus_element matrices and t(z)^-1 that at 1/z, with
+    # rational z and with exponentials z_j = e^{int eta_j}
+    rep = get_rep(*system)
+    rng = random.Random("character:%s" % _label(system))
+    rational = [Fraction(rng.choice((-3, -2, 2, 3)), rng.randint(1, 3)) for _ in range(rep.rank)]
+    liouville = [LiouvExpr.exp_integral(LiouvExpr.scalar(DiffPoly.eta(j))) for j in range(1, rep.rank + 1)]
+    for z in (rational, liouville):
+        diagonal, inverse = [], []
+        for zs, out in ((z, diagonal), ([zj ** -1 for zj in z], inverse)):
+            ts = [chevalley.torus_element(rep, j, zj) for j, zj in enumerate(zs, start=1)]
+            out.extend(reduce(mul, (t[r][r] for t in ts)) for r in range(rep.dim))
+        for root in rep.rs.roots:
+            chi = chevalley.character(rep.rs, z, root.coeffs)
+            assert type(chi) is type(z[0])
+            x = rep.X[root.coeffs]
+            conj = [[diagonal[r] * v * inverse[c] if v else 0 for c, v in enumerate(row)]
+                    for r, row in enumerate(x)]
+            assert conj == [[chi * v if v else 0 for v in row] for row in x]
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)

@@ -44,7 +44,7 @@ def test_is_in_plane_refuses_a_matrix_of_another_size(rep_a2):
 
 def test_riccati(rep_a1):
     a = [[parse("n1"), parse("1")], [parse("0"), parse("0 - n1")]]
-    g, factors, f = gauge.normalize_to_AG(rep_a1, a)
+    g, word, f = gauge.normalize_to_AG(rep_a1, a)
     assert f == {1: parse("n1' + n1^2")}
     want_u = chevalley.unipotent_element(rep_a1, rep_a1.rs.neg_order[0], parse("n1"))
     assert linalg.mat_eq(g, want_u)
@@ -52,7 +52,7 @@ def test_riccati(rep_a1):
 
 def test_idempotence(rep_a1):
     a = [[DiffPoly.zero(), DiffPoly.rational(1)], [parse("n1' + n1^2"), DiffPoly.zero()]]
-    g, factors, f = gauge.normalize_to_AG(rep_a1, a)
+    g, word, f = gauge.normalize_to_AG(rep_a1, a)
     assert linalg.mat_eq(g, linalg.eye(2))
     assert f == {1: parse("n1' + n1^2")}
 
@@ -60,14 +60,27 @@ def test_idempotence(rep_a1):
 def test_rescaling_square(rep_a1):
     # s = 4 admits the rational rescaling z = 1/2
     a = [[DiffPoly.zero(), DiffPoly.rational(4)], [parse("n2"), DiffPoly.zero()]]
-    g, factors, f = gauge.normalize_to_AG(rep_a1, a)
+    g, word, f = gauge.normalize_to_AG(rep_a1, a)
     assert f == {1: parse("4 n2")}
 
 
 def test_rescaling_radical_refused(rep_a1):
     a = [[DiffPoly.zero(), DiffPoly.rational(2)], [DiffPoly.zero(), DiffPoly.zero()]]
-    with pytest.raises(NonUnitScaling):
+    radical = r"^A1: normalize_to_AG: rescaling needs the radical \(2\)\^\(1/2\)$"
+    with pytest.raises(NonUnitScaling, match=radical):
         gauge.normalize_to_AG(rep_a1, a)
+
+
+def test_rescaling_check_fires_on_a_wrong_character(monkeypatch):
+    # the coordinates are rescaled by chevalley.character, and z is checked
+    # through it: a character off by a factor of 2 fails the check
+    rep = get_rep("B", 3)
+    a = rep.a0_plus((4, Fraction(1, 4), 9))
+    gauge.normalize_to_AG(rep, a)
+    character = chevalley.character
+    monkeypatch.setattr(chevalley, "character", lambda rs, z, beta: 2 * character(rs, z, beta))
+    with pytest.raises(NonUnitScaling, match=r"^B3: normalize_to_AG: chi_alpha_1\(z\) s_1 != 1$"):
+        gauge.normalize_to_AG(rep, a)
 
 
 def test_normalize_refuses_a_matrix_of_another_size(rep_a1):
@@ -77,9 +90,21 @@ def test_normalize_refuses_a_matrix_of_another_size(rep_a1):
 
 
 def test_not_in_plane_rejected(rep_a2):
-    a = dp_matrix(rep_a2.X[(1, 1)])
-    with pytest.raises(VerificationFailure):
-        gauge.normalize_to_AG(rep_a2, a)
+    # the message names the system, the stage and the offending coordinate
+    # or entry
+    plane = r"^A2: normalize_to_AG: matrix is not in the plane A_0\^\+\(s\) \+ b\^-: "
+    a0 = rep_a2.a0_plus()
+    cases = [
+        (linalg.eye(3), r"entry \(2, 2\) is outside the span$"),
+        (dp_matrix(rep_a2.X[(1, 1)]), r"the X_\(1, 0\) coefficient is not a nonzero constant$"),
+        (linalg.mat_add(dp_matrix(a0), [[DiffPoly.eta(1) * x for x in row] for row in rep_a2.X[(0, 1)]]),
+         r"the X_\(0, 1\) coefficient is not a nonzero constant$"),
+        (linalg.mat_add(a0, rep_a2.X[(1, 1)]), r"the X_\(1, 1\) coefficient is nonzero$"),
+    ]
+    for a, what in cases:
+        with pytest.raises(VerificationFailure, match=plane + what):
+            gauge.normalize_to_AG(rep_a2, a)
+        assert gauge.is_in_plane(rep_a2, a) == (False, None)
 
 
 def test_cross_check_with_construct_invariants():
@@ -93,7 +118,7 @@ def test_cross_check_with_construct_invariants():
             a = linalg.mat_add(
                 a, [[DiffPoly.eta(i + 1) * x for x in row] for row in rep.H[i]]
             )
-        g, factors, f = gauge.normalize_to_AG(rep, a)
+        g, word, f = gauge.normalize_to_AG(rep, a)
         assert f == res.invariants.h
 
 
@@ -121,7 +146,7 @@ def test_randomized_plane_matrices():
                 a = linalg.mat_add(
                     a, [[p * x for x in row] for row in rep.X[b.coeffs]]
                 )
-            g, factors, f = gauge.normalize_to_AG(rep, a)
+            g, word, f = gauge.normalize_to_AG(rep, a)
             assert set(f) == set(rep.rs.comp_roots)
 
 
@@ -135,7 +160,7 @@ def test_rescaling_nonsymmetric_cartan():
     a = linalg.mat_add(a, [[DiffPoly.eta(1) * x for x in row] for row in rep.H[0]])
     ok, s = gauge.is_in_plane(rep, a)
     assert ok and s == (Fraction(2), Fraction(3))
-    g, factors, f = gauge.normalize_to_AG(rep, a)
+    g, word, f = gauge.normalize_to_AG(rep, a)
     assert set(f) == {2, 6}
 
 
@@ -147,7 +172,7 @@ def test_rescaling_b2_square_and_radical():
     )
     a = dp_matrix(base)
     a = linalg.mat_add(a, [[DiffPoly.eta(2) * x for x in row] for row in rep.H[1]])
-    g, factors, f = gauge.normalize_to_AG(rep, a)  # s = (4, 1): z_2 = 1/2
+    g, word, f = gauge.normalize_to_AG(rep, a)  # s = (4, 1): z_2 = 1/2
     assert set(f) == set(rep.rs.comp_roots)
     bad = dp_matrix(linalg.mat_add(
         linalg_oracle.mat_scale(rep.X[(1, 0)], Fraction(2)),
@@ -165,7 +190,7 @@ def test_rescaling_a2_cube():
         dp_matrix(rep.X[(0, 1)]),
     ))
     a = linalg.mat_add(a, [[DiffPoly.eta(1) * x for x in row] for row in rep.H[0]])
-    g, factors, f = gauge.normalize_to_AG(rep, a)
+    g, word, f = gauge.normalize_to_AG(rep, a)
     assert set(f) == set(rep.rs.comp_roots)
 
 
@@ -178,24 +203,31 @@ def test_nth_root_is_exact_beyond_float_range():
 
 
 def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
-    # the running matrix is carried in coordinates, so the input is
-    # decomposed once, by the plane test, and never again; a torus
-    # rescaling adds one decomposition of the rescaled matrix
-    seen = []
-    decompose = chevalley.decompose_in_basis
+    # the running matrix is carried in coordinates, so the input is lifted
+    # and decomposed once, by the plane test, and never again, a torus
+    # rescaling included; each root letter's t is derived once, by the
+    # coordinate gauge step, and the g-check derives in its accumulators
+    seen, derived, lifted = [], [], []
+    decompose, derive, lift = chevalley.decompose_in_basis, DiffPoly.derive, gauge.lift_matrix
 
     def recording(rep, a):
         seen.append(a)
         return decompose(rep, a)
 
     monkeypatch.setattr(chevalley, "decompose_in_basis", recording)
+    monkeypatch.setattr(DiffPoly, "derive", lambda p: derived.append(p) or derive(p))
+    monkeypatch.setattr(gauge, "lift_matrix", lambda a: lifted.append(a) or lift(a))
     constants = list(rep_a3.H) + [rep_a3.x_neg(j) for j in range(1, rep_a3.m + 1)]
-    for s, calls in ((None, 1), ((16, 1, 1), 2)):  # s_1 = 2^4, det C = 4
+    for s in (None, (16, 1, 1)):  # s_1 = 2^4, det C = 4
         a = linalg.mat_add(rep_a3.a0_plus(s), rep_a3.x_neg(rep_a3.m))
-        del seen[:]
-        gauge.normalize_to_AG(rep_a3, a)
-        assert len(seen) == calls
+        a = linalg.mat_add(a, [[DiffPoly.eta(1) * x for x in row] for row in rep_a3.H[0]])
+        del seen[:], derived[:], lifted[:]
+        _, word, _ = gauge.normalize_to_AG(rep_a3, a)
+        assert len(seen) == 1 and len(lifted) == 1
         assert not any(a is c for a in seen for c in constants)
+        letters = [t for (kind, _), t in word if kind == "X"]
+        assert len(letters) == 6 and any(letters)
+        assert sorted(map(id, derived)) == sorted(map(id, letters))
 
 
 def _gauges_to(g, a, want):
@@ -223,8 +255,8 @@ def test_returned_transform_gauges_the_input_to_A_G(system, rescaled):
         for mat in list(rep.H) + [rep.X[b.coeffs] for b in rep.rs.neg_order[:3]]:
             p = _random_poly(rng, rep.rank, max_degree=1)
             a = linalg.mat_add(a, [[p * x for x in row] for row in mat])
-        g, factors, f = gauge.normalize_to_AG(rep, a)
-        assert (factors[0].ldelta is None) == rescaled  # the constant torus factor
+        g, word, f = gauge.normalize_to_AG(rep, a)
+        assert (word[0][0][0] == "H") == rescaled  # the constant torus letters come first
         assert _gauges_to(g, a, construct.assemble_A_G(rep, f))
 
 
@@ -241,6 +273,16 @@ def test_cli_transform_gauges_the_input_to_A_G(tmp_path, capsys, rep_a2):
          for row in out["transform"]]
     f = {int(k): DiffPoly.from_json_obj(v) for k, v in out["f"].items()}
     assert _gauges_to(g, a, construct.assemble_A_G(rep_a2, f))
+
+
+def _fraction_plane_matrix(rep, rng, s=None):
+    """A_0^+(s) plus seeded rational multiples of every H_i and X_b, b < 0,
+    as a matrix of Fractions."""
+    a = rep.a0_plus(s)
+    for mat in list(rep.H) + [rep.X[b.coeffs] for b in rep.rs.neg_order]:
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        a = linalg.mat_add(a, [[c * x for x in row] for row in mat])
+    return a
 
 
 def _plane_matrix(rep, rng, s=None):
@@ -260,13 +302,16 @@ def test_normalize_agrees_with_the_matrix_loop(system):
     for index in range(4):
         s = [rng.choice(SCALES) ** d for _ in range(rep.rank)] if index % 2 else None
         a = _plane_matrix(rep, rng, s)
-        g, factors, f = gauge.normalize_to_AG(rep, a)
-        want_g, want_factors, want_f = gauge_oracle.normalize_to_AG(rep, a)
-        assert g == want_g
-        # rows, inverses and ldelta: the closed-form torus inverse is the
-        # oracle's Gauss-Jordan one
-        assert factors == want_factors
-        assert f == want_f
+        inputs = [a, _fraction_plane_matrix(rep, rng, s)]
+        for a in inputs:
+            g, word, f = gauge.normalize_to_AG(rep, a)
+            want_g, want_word, want_f = gauge_oracle.normalize_to_AG(rep, a)
+            assert g == want_g
+            assert [list(map(type, row)) for row in g] == [list(map(type, row)) for row in want_g]
+            assert word == want_word
+            assert [type(t) for _, t in word] == [type(t) for _, t in want_word]
+            assert (word[0][0] == ("H", 1)) == (s is not None)
+            assert f == want_f
 
 
 def _random_coordinates(rep, rng):
@@ -329,7 +374,10 @@ def test_residual_check_fires_on_a_flipped_structure_constant():
     for key in flips:
         nconst = dict(rep.nconst)
         nconst[key] = -nconst[key]
-        with pytest.raises(VerificationFailure, match="residual coordinates"):
+        with pytest.raises(
+            VerificationFailure,
+            match=r"^A3: normalize_to_AG: residual coordinates are not those of A_G\(f\)$",
+        ):
             gauge.normalize_to_AG(dataclasses.replace(rep, nconst=nconst), a)
 
 
@@ -380,3 +428,24 @@ def test_g_check_fires_on_a_doubled_exponential_cell(system, fired):
             assert got_g == g and got_f == f
     assert len(caught) == fired
     assert all(sum(key) < 0 for key in caught)
+
+
+def test_g_check_fires_on_a_corrupted_torus_diagonal():
+    # t(z) is built from the diagonals of the H_i (torus_element), the
+    # rescaled coordinates from the characters: one diagonal entry of H_j
+    # off by one leaves the residual right and g wrong by z_j at one row
+    rep = get_rep("B", 3)
+    s = (4, Fraction(1, 4), 9)
+    a = _plane_matrix(rep, random.Random("torus:B3"), s)
+    g, word, f = gauge.normalize_to_AG(rep, a)
+    z = gauge._torus_rescaling(rep, s)
+    assert word[:3] == [(("H", j), zj) for j, zj in enumerate(z, start=1)]
+    assert all(zj != 1 for zj in z)
+    message = r"^B3: normalize_to_AG: g' \+ g a - A_G\(f\) g is nonzero at entry \(\d+, \d+\)$"
+    for j in range(rep.rank):
+        for r in range(rep.dim):
+            h = [list(row) for row in rep.H[j]]
+            h[r][r] += 1
+            broken = dataclasses.replace(rep, H=rep.H[:j] + (h,) + rep.H[j + 1:])
+            with pytest.raises(VerificationFailure, match=message):
+                gauge.normalize_to_AG(broken, a)

@@ -1,4 +1,5 @@
-"""Every function and method in src/pvext is used by the program.
+"""Every function and method in src/pvext is used by the program, and
+every name a src/pvext module imports is used in that module.
 
 A definition counts as used when its name is referred to somewhere outside
 its own body, in src/pvext, demos or perfbench: as a name, as an attribute,
@@ -59,4 +60,24 @@ def test_every_function_is_named_outside_its_own_definition():
                 continue
             if used[name] - _references(node)[name] <= 0:
                 unused.append("%s:%d %s" % (path.name, node.lineno, name))
+    assert unused == []
+
+
+def _imported_names(tree):
+    """(line, name) of each name a module's import statements bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".", 1)[0]
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # __init__.py imports the submodules to export them
+    unused = []
+    for path, tree in _trees(SRC):
+        if path.name == "__init__.py":
+            continue
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for line, name in _imported_names(tree) if name not in names]
     assert unused == []

@@ -1,13 +1,14 @@
-"""The inventory of construct's and bruhat's raise sites: each check, and
-the test that makes it fire.
+"""The inventory of construct's, bruhat's and gauge's raise sites: each
+check, and the test that makes it fire.
 
-Every `raise` in src/pvext/construct.py and src/pvext/bruhat.py is listed
-below by its exception and its message template, with the tests that fire
-it as "module::test", or UNFIRED while no test does.  The test fails when a
-site is added, removed or reworded without this list following, and when a
-named test is gone.  The StructureViolation and RankFailure sites of
-construct are the pipeline's structural checks, and their number is pinned
-too.  No site of bruhat is UNFIRED.
+Every `raise` in src/pvext/construct.py, src/pvext/bruhat.py and
+src/pvext/gauge.py is listed below by its exception and its message
+template, with the tests that fire it as "module::test", or UNFIRED while
+no test does.  The test fails when a site is added, removed or reworded
+without this list following, and when a named test is gone.  The
+StructureViolation and RankFailure sites of construct are the pipeline's
+structural checks, and their number is pinned too.  No site of bruhat or
+gauge is UNFIRED.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONSTRUCT = ROOT / "src" / "pvext" / "construct.py"
 BRUHAT = ROOT / "src" / "pvext" / "bruhat.py"
+GAUGE = ROOT / "src" / "pvext" / "gauge.py"
 
 UNFIRED = ()
 
@@ -133,6 +135,28 @@ BRUHAT_SITES = {
     ),
 }
 
+GAUGE_SITES = {
+    # normalize_to_AG's plane test, naming the coordinate or the entry
+    ("VerificationFailure", "%s: normalize_to_AG: matrix is not in the plane A_0^+(s) + b^-: %s"): (
+        "test_gauge::test_not_in_plane_rejected",
+    ),
+    # _torus_rescaling: a radical, then chi_alpha_i(z) s_i = 1, which no
+    # input reaches (the proof is in its docstring) and a wrong character does
+    ("NonUnitScaling", "%s: normalize_to_AG: rescaling needs the radical (%s)^(1/%d)"): (
+        "test_gauge::test_rescaling_radical_refused",
+        "test_gauge::test_rescaling_b2_square_and_radical",
+    ),
+    ("NonUnitScaling", "%s: normalize_to_AG: chi_alpha_%d(z) s_%d != 1"):
+        ("test_gauge::test_rescaling_check_fires_on_a_wrong_character",),
+    # the residual coordinates, then the matrix check of g
+    ("VerificationFailure", "%s: normalize_to_AG: residual coordinates are not those of A_G(f)"):
+        ("test_gauge::test_residual_check_fires_on_a_flipped_structure_constant",),
+    ("VerificationFailure", "%s: normalize_to_AG: g' + g a - A_G(f) g is nonzero at entry (%d, %d)"): (
+        "test_gauge::test_g_check_fires_on_a_doubled_exponential_cell",
+        "test_gauge::test_g_check_fires_on_a_corrupted_torus_diagonal",
+    ),
+}
+
 
 def _template(node):
     """(exception name, message template) of a raise statement whose
@@ -164,8 +188,13 @@ def test_every_raise_site_in_bruhat_is_listed_once_and_fired():
     assert all(BRUHAT_SITES.values())
 
 
+def test_every_raise_site_in_gauge_is_listed_once_and_fired():
+    assert _raise_sites(GAUGE) == Counter(GAUGE_SITES.keys())
+    assert all(GAUGE_SITES.values())
+
+
 def test_every_named_firing_test_exists():
-    sites = list(SITES.values()) + list(BRUHAT_SITES.values())
+    sites = list(SITES.values()) + list(BRUHAT_SITES.values()) + list(GAUGE_SITES.values())
     named = {name for tests in sites for name in tests}
     missing = []
     for name in sorted(named):

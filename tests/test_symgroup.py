@@ -198,18 +198,6 @@ def test_adjoint_preserves_brackets():
         assert linalg.mat_eq(_dp_lift(lhs), rhs)
 
 
-def test_tag_truthfulness():
-    # a constant torus factor is rational, its closed-form inverse is the
-    # one exact elimination finds, and its ldelta is 0
-    rep = get_rep("B", 3)
-    with pytest.raises(ValueError):
-        symgroup.constant_torus(rep, (DiffPoly.eta(1), 1, 1))
-    t = symgroup.constant_torus(rep, (Fraction(2), Fraction(-1, 3), 5))
-    assert t.ldelta is None
-    assert t.inv == constant_factor(t.rows).inv
-    assert linalg.mat_eq(linalg.mat_mul(t.rows, t.inv), linalg.eye(rep.dim))
-
-
 def test_torus_factor_over_liouvexpr():
     rep = get_rep("A", 3)
     z1 = LiouvExpr.exp_integral(LiouvExpr.scalar(parse("0 - n3")))
