@@ -5,14 +5,16 @@ Cartan generators H_i and all root vectors X_alpha in a faithful defining
 representation, derives the W-basis and the complementary roots, and
 provides u_alpha(x), its adjoint action exp(x ad X_alpha) and its gauge on
 coordinates, t_i(z) and the characters chi_beta by which the torus scales
-root vectors, the matrix of a word of such letters (word_element, which
-every product of letters goes through), and the Weyl representatives n(w)
-as products of the simple representatives.  Every Chevalley axiom is
+root vectors, a letter's action on a matrix through its cells
+(letter_product and letter_adjoint) and with it the matrix of a word of
+letters (word_element), and the Weyl representatives n(w) as products of
+the simple representatives.  Every Chevalley axiom is
 checked exhaustively at build time: with sparse integer brackets for the
 pairs of root vectors whose supports meet, as a zero bracket for the other
 pairs, and cell by cell for the Cartan generators.  The coordinates of the W_i are read off
 the checked structure constants.  The kernels visit only non-zero cells:
-u_alpha(x) those of the divided powers of X_alpha, and decompose_in_basis
+u_alpha(x) and the letter kernels those of the divided powers of X_alpha
+(and a torus letter its integer diagonal), and decompose_in_basis
 and its inverse compose those of the basis matrices (rep.cells), where a
 root vector owns its off-diagonal cells and the H_i hold the diagonal.
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
 from importlib import resources
-from operator import mul
+from operator import itemgetter, mul
 
 from . import linalg, rootsys
 from .errors import (
@@ -724,6 +726,17 @@ def compose(rep, coords, zero):
 # ----- group elements -----
 
 
+def _cell_values(rep, coeffs, x):
+    """The (r, c, k, x^k p) of the cells (r, c, k, p) of rep.exp_cells[coeffs],
+    in (r, c) order, for a non-zero x: x^k itself when p = 1, each power of
+    x formed once, by repeated products with x."""
+    cells = rep.exp_cells[coeffs]
+    xk = [linalg.zero_of(x) + 1]
+    for _ in range(max(k for _, _, k, _ in cells)):
+        xk.append(xk[-1] * x)
+    return [(r, c, k, xk[k] if p == 1 else xk[k] * p) for r, c, k, p in cells]
+
+
 def unipotent_element(rep, root, x):
     """exp(x X_root) for a Root: the finite sum of x^k X_root^k / k! over
     the divided powers of X_root, the one of x's ring on the diagonal.
@@ -737,18 +750,14 @@ def unipotent_element(rep, root, x):
     on the diagonal and its zero elsewhere, and every off-diagonal entry
     is zero when x = 0.
     """
-    cells = rep.exp_cells[root.coeffs]
     zero = linalg.zero_of(x)
     one = zero + 1
     out = [[zero] * rep.dim for _ in range(rep.dim)]
     for i, row in enumerate(out):
         row[i] = one
     if x:
-        xk = [one]
-        for _ in range(max(k for _, _, k, _ in cells)):
-            xk.append(xk[-1] * x)
-        for r, c, k, p in cells:
-            out[r][c] = xk[k] if p == 1 else xk[k] * p
+        for r, c, _, value in _cell_values(rep, root.coeffs, x):
+            out[r][c] = value
     return out
 
 
@@ -808,26 +817,42 @@ def unipotent_adjoint(rep, root, t, coords):
 
 def unipotent_gauge(rep, root, t, coords):
     """gauge(u, A) = Ad(u)(A) + ldelta(u) on coordinates, u = u_root(t), as
-    Ad(u)(A + t' X) by unipotent_adjoint: ldelta(u) = t' X for X = X_root
-    (proved in symgroup.unipotent_matrix), and Ad(u) fixes X, as ad X (X)
-    = [X, X] = 0."""
+    Ad(u)(A + t' X) by unipotent_adjoint: ldelta(u) = t' X for X = X_root,
+    and Ad(u) fixes X, as ad X (X) = [X, X] = 0.
+
+    ldelta(u) = u' u^-1 = t' X: X is constant and nilpotent, so exp(tX) =
+    sum_k t^k X^k / k! is a finite sum, and term by term (exp(tX))' =
+    sum_k k t^(k-1) t' X^k / k! = t' X exp(tX), since X^k commutes with
+    t' X."""
     key = ("X", root.coeffs)
     return unipotent_adjoint(rep, root, t, {**coords, key: coords.get(key, 0) + linalg.derive(t)})
 
 
-def torus_element(rep, i, z):
-    """t_i(z) = diag(z^{(H_i)_jj}) for an invertible scalar z; each
-    distinct power of z is computed once."""
+def _torus_exponents(rep, i):
+    """The integer diagonal h_j of H_i; NonDiagonalCartan unless H_i is
+    diagonal."""
     h = rep.H[i - 1]
     if not _is_diagonal(h):
         raise NonDiagonalCartan("H_%d is not diagonal" % i)
-    n = rep.dim
+    return [h[j][j] for j in range(rep.dim)]
+
+
+def _torus_diagonal(rep, i, z):
+    """(h, d): the integer diagonal h_j of H_i and the diagonal d_j = z^h_j
+    of t_i(z), each distinct power of z formed once, an int z taken as a
+    Fraction."""
+    exponents = _torus_exponents(rep, i)
     if isinstance(z, int):
         z = Fraction(z)
-    exponents = [h[j][j] for j in range(n)]
     powers = {k: z ** k for k in dict.fromkeys(exponents)}
-    entries = [powers[k] for k in exponents]
+    return exponents, [powers[k] for k in exponents]
+
+
+def torus_element(rep, i, z):
+    """t_i(z) = diag(z^{(H_i)_jj}) for an invertible scalar z."""
+    _, entries = _torus_diagonal(rep, i, z)
     zero = linalg.zero_of(z)
+    n = rep.dim
     return [[entries[r] if r == c else zero for c in range(n)] for r in range(n)]
 
 
@@ -848,15 +873,161 @@ def character(rs, z, beta):
     return reduce(mul, (zj ** rootsys.pairing(rs.cartan, beta, j) for j, zj in enumerate(z)))
 
 
+# ----- letters acting on matrices -----
+
+
+def _lines(cells, one, by_row=False, inverse=False):
+    """The lines of u = u_b(t) through its cells, from _cell_values' cells
+    of a non-zero t, or of u^-1 for `inverse`: each column c of u with a
+    cell maps to its non-zero entries (r, u[r][c]) in ascending r, the
+    diagonal one included; with `by_row`, each row r with a cell to its
+    (k, u[r][k]) in ascending k.
+
+    u = unipotent_element(rep, b, t) has `one` on the diagonal, x^k p at
+    each cell and no other non-zero entry, so the other lines are the
+    identity's.  u^-1 = u_b(-t): tX and -tX commute, so exp(tX) exp(-tX)
+    = exp(0) = 1, and (-t)^k p = (-1)^k t^k p negates the cells of odd k.
+    """
+    lines = {}
+    for r, c, k, value in cells:
+        if inverse and k % 2:
+            value = -value
+        lines.setdefault(r if by_row else c, []).append((c if by_row else r, value))
+    for j, line in lines.items():
+        line.append((j, one))
+        line.sort(key=itemgetter(0))
+    return lines
+
+
+def _product_zero(a00, b00):
+    """The zero linalg.mat_mul(a, b) gives an entry that no product reaches:
+    that of a[0][0]'s ring, or of b[0][0]'s when a[0][0] is rational."""
+    return linalg.zero_of(b00 if isinstance(a00, (int, Fraction)) else a00)
+
+
+def _column_operations(m, lines, zero):
+    """m L for the matrix L whose columns other than the identity's are
+    `lines` (as _lines gives them), as linalg.mat_mul(m, L) forms it when
+    m's entries are of the type of `zero`, mat_mul's zero for m L; m
+    itself when there are no such lines.
+
+    Entry (i, c) of m L sums m[i][k] L[k][c] over the non-zero L[k][c] of
+    column c in ascending k, the diagonal one included, in one linalg.dot:
+    the pairs, their order and the accumulator of linalg.mat_mul(m, L),
+    whose non-DiffPoly sum is linalg.dot's and whose DiffPoly sum is
+    DiffPoly.dot of the same pairs, the zero factors left out as mat_mul
+    leaves them out, and an entry with no pair left is `zero`, as there.
+    So those entries are mat_mul's in value, type and term order.  In any
+    other column c, L[c][c] is a one (the ring's one, or z^0) and the
+    column's only entry, so mat_mul's entry is m[i][c] * one, or its zero
+    when m[i][c] is zero: m[i][c] itself in value, and in type and term
+    order too when m[i][c] is of the type of `zero`.  DiffPoly.dot hands a DiffPoly back as it is beside a rational
+    or DiffPoly one, a LiouvExpr times the one of any ring is that
+    LiouvExpr, and a Fraction times Fraction(1) is that Fraction; a zero of
+    the type of `zero` is that zero.
+    """
+    if not lines:
+        return m
+    out = []
+    for row in m:
+        new = list(row)
+        for c, line in lines.items():
+            pairs = [(row[k], y) for k, y in line if row[k]]
+            new[c] = linalg.dot(pairs, zero) if pairs else zero
+        out.append(new)
+    return out
+
+
+def letter_product(rep, m, letter):
+    """m L for a matrix m with rep.dim columns and the matrix L of a letter
+    (key, t), without forming L (_column_operations).  When m's entries
+    are all of the type of linalg.mat_mul(m, L)'s zero (that of m's ring,
+    or of t's when m's is rational), it is mat_mul(m, L) in value, type
+    and term order; its values are right for any m.  A root letter u_b(t)
+    differs from the identity in the columns through its cells, none when
+    t = 0, when m itself is returned, and t_i(z) = diag(z^h_j) in the
+    columns with h_j != 0."""
+    (kind, v), t = letter
+    if kind == "H":
+        exponents, diagonal = _torus_diagonal(rep, v, t)
+        lines = {j: [(j, d)] for j, (e, d) in enumerate(zip(exponents, diagonal)) if e}
+        return _column_operations(m, lines, _product_zero(m[0][0], diagonal[0]))
+    if not t:
+        return m
+    one = linalg.zero_of(t) + 1
+    return _column_operations(m, _lines(_cell_values(rep, v, t), one), _product_zero(m[0][0], one))
+
+
+def letter_adjoint(rep, letter, m):
+    """Ad(L)(m) = L m L^-1 for a rep.dim x rep.dim matrix m and the matrix L
+    of a letter (key, t), without forming L or L^-1.  When m's entries are
+    all of the type of linalg.mat_mul(L, m)'s zero (that of m's ring, or
+    of t's when m's is rational), it is
+    linalg.mat_mul(linalg.mat_mul(L, m), L^-1) in value, type and term
+    order; its values are right for any m.  A root letter with t = 0
+    returns m itself.
+
+    A root letter u = u_b(t) acts by row operations, then column
+    operations.  Row r of u m is row r of m when row r of u is the
+    identity's (the argument of _column_operations, with the one on the
+    left); otherwise entry (r, c) sums u[r][k] m[k][c] over row r's
+    non-zero u[r][k] in ascending k, in one linalg.dot, with mat_mul's
+    pairs in mat_mul's order.  The rows of u m are of the type of that
+    zero again, which is mat_mul's zero for (u m) u^-1 too, and (u m) u^-1
+    is _column_operations over the lines of u^-1 (_lines).
+
+    A torus letter t_i(z) = diag(z^h_j) scales entry (r, c) by
+    z^(h_r - h_c): (t m t^-1)[r][c] = z^h_r m[r][c] z^-h_c, and the powers
+    of an invertible z multiply by adding exponents.  The product
+    z^(h_r - h_c) m[r][c] is formed once per non-zero entry with
+    h_r != h_c, in one linalg.dot, and each power once; the other entries
+    stay as they are.
+    """
+    (kind, v), t = letter
+    if kind == "H":
+        exponents = _torus_exponents(rep, v)
+        z = Fraction(t) if isinstance(t, int) else t
+        zero = _product_zero(z, m[0][0])
+        powers = {}
+        out = []
+        for hr, row in zip(exponents, m):
+            new = list(row)
+            for c, (hc, x) in enumerate(zip(exponents, row)):
+                if hr != hc and x:
+                    e = hr - hc
+                    if e not in powers:
+                        powers[e] = z ** e
+                    new[c] = linalg.dot([(powers[e], x)], zero)
+            out.append(new)
+        return out
+    if not t:
+        return m
+    one = linalg.zero_of(t) + 1
+    zero = _product_zero(one, m[0][0])
+    cells = _cell_values(rep, v, t)
+    um = list(m)
+    for r, line in _lines(cells, one, by_row=True).items():
+        um[r] = new = []
+        for c in range(rep.dim):
+            pairs = [(y, m[k][c]) for k, y in line if m[k][c]]
+            new.append(linalg.dot(pairs, zero) if pairs else zero)
+    return _column_operations(um, _lines(cells, one, inverse=True), zero)
+
+
 def word_element(rep, word):
     """The matrix of a non-empty word of letters (key, t), the product of
-    the letters' matrices in the word's order: unipotent_element for
-    ("X", coeffs) and torus_element for ("H", i)."""
-    mats = [
-        torus_element(rep, v, t) if kind == "H" else unipotent_element(rep, rootsys.Root(v), t)
-        for (kind, v), t in word
-    ]
-    return reduce(linalg.mat_mul, mats)
+    the letters' matrices in the word's order: the first letter's matrix,
+    unipotent_element for ("X", coeffs) and torus_element for ("H", i),
+    times each later letter by letter_product, left to right.  When each
+    letter's t is rational or of the first letter's ring, as in every
+    word of pvext, the entries stay of that ring, and this is the
+    linalg.mat_mul product of the letters' matrices in value, type and
+    term order."""
+    ((kind, v), t), *rest = word
+    m = torus_element(rep, v, t) if kind == "H" else unipotent_element(rep, rootsys.Root(v), t)
+    for letter in rest:
+        m = letter_product(rep, m, letter)
+    return m
 
 
 def simple_representative(rep, i):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from . import chevalley, linalg, rootsys, symgroup
+from . import chevalley, linalg, rootsys
 from .diffpoly import DiffPoly, MonomialTable, frac_text, lift
 from .errors import (
     IdentityFailure,
@@ -62,11 +62,6 @@ class InvariantSet:
     phat: dict
     lbar: dict = field(default_factory=dict)
     pbar: dict = field(default_factory=dict)
-
-
-def _unipotent_factors(rep, args):
-    """u_1(a_1), ..., u_m(a_m) as group factors."""
-    return [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
 
 
 def unipotent_product(rep, args):
@@ -285,19 +280,39 @@ def _dp_order_le_one_eval(poly, values, derivs, where):
     return poly.evaluate(value_of, LiouvExpr)
 
 
-def _torus_factors(rep, z):
-    """t_1(z_1), ..., t_l(z_l) as group factors."""
-    return [symgroup.torus_matrix(rep, i, zi) for i, zi in enumerate(z, start=1)]
-
-
-def _check_tower(rep, tower, A_L):
+def _check_tower_matrix(rep, data):
     """Raise IdentityFailure, naming the system and the first entry, row by
-    row, where ldelta of the factor product t(z)u(y) differs from A_L.
+    row, where ldelta(t(z)u(y)) differs from A_L, in matrices.
 
-    A LiouvExpr compares equal to a DiffPoly exactly when it is that
-    polynomial as a scalar, so A_L is compared without lifting it."""
-    got = symgroup.log_derivative(tower)
-    for r, (row_l, row_r) in enumerate(zip(got, A_L)):
+    T = t(z)u(y) is the word of the letters t_i(z_i), i = 1..l, then
+    u_(beta_i)(y_i), i = 1..m.  ldelta(T) = T' T^-1 is built letter by
+    letter from the last letter to the first, by ldelta(L R) = ldelta(L) +
+    Ad(L)(ldelta(R)): (L R)' (L R)^-1 = L' L^-1 + L R' R^-1 L^-1.  The last
+    letter's ldelta is the start, as Ad(L) of the zero matrix is zero.  A
+    root letter u_b(y) has ldelta y' X_b (proved in
+    chevalley.unipotent_gauge), and a torus letter t_i(z) = diag(z^h_j)
+    has ldelta (z'/z) H_i: on the diagonal (z^h)' z^-h = h z'/z.  Each
+    ldelta is added at the cells of its basis matrix, into the check's
+    own running matrix, and Ad(L) acts by chevalley.letter_adjoint, from
+    rep.exp_cells and the integer diagonals of the H_i.  Neither reads the
+    structure constants or the characters, which the coordinate check of
+    liouville_solutions reads; so the two checks are one identity by two
+    independent routes.  A LiouvExpr compares equal to a DiffPoly exactly
+    when it is that polynomial as a scalar, so A_L is compared without
+    lifting it.
+    """
+    word = [(("H", i), zi) for i, zi in enumerate(data.z, start=1)]
+    word += [(("X", b.coeffs), yi) for b, yi in zip(rep.rs.neg_order, data.y)]
+    got = [[LiouvExpr.zero()] * rep.dim for _ in range(rep.dim)]
+    for k, letter in enumerate(reversed(word)):
+        key, t = letter
+        if k:
+            got = chevalley.letter_adjoint(rep, letter, got)
+        c = linalg.derive(t) * t ** -1 if key[0] == "H" else linalg.derive(t)
+        if c:
+            for r, col, v in rep.cells[key]:
+                got[r][col] = got[r][col] + (c if v == 1 else c * v)
+    for r, (row_l, row_r) in enumerate(zip(got, data.A_L)):
         for c, (x, y) in enumerate(zip(row_l, row_r)):
             if x != y:
                 raise IdentityFailure(
@@ -311,7 +326,7 @@ def _check_tower_coordinates(rep, data):
     Ad(t(z))(gauge(u(y), 0)), checked against A_L's: a difference raises
     VerificationFailure naming the basis key.  ldelta(ab) = ldelta(a) +
     Ad(a)(ldelta(b)); the t_i(z_i) are diagonal, so they commute and
-    ldelta(t(z)) is the sum (symgroup.torus_matrix); Ad(t(z)) fixes the H_i
+    ldelta(t(z)) is the sum (_check_tower_matrix); Ad(t(z)) fixes the H_i
     and scales X_beta by chevalley.character.  The check is exact: the
     basis is independent (decompose_in_basis), and a LiouvExpr equals a
     DiffPoly exactly when it is that polynomial as a scalar."""
@@ -565,8 +580,7 @@ def verify_end_to_end(rep, data, inv):
     that is not zero.
     """
     l, m = rep.rank, rep.m
-    tower = _torus_factors(rep, data.z) + _unipotent_factors(rep, data.y)
-    _check_tower(rep, tower, data.A_L)
+    _check_tower_matrix(rep, data)
     u = unipotent_product(
         rep, [DiffPoly.eta(i) if i <= l else inv.f[i] for i in range(1, m + 1)]
     )
@@ -597,9 +611,11 @@ class PipelineResult:
 
 # The derivation's cost grows steeply with the rank: on a 2-core x86_64 host
 # whose speed varies by up to 2.7x, the pipeline, the end-to-end check and
-# the report take 0.54 s for D5 in its slow phase but 88 s and 1.86 GB for D7
-# in its fast phase.  A larger request is refused up front instead of running
-# for hours.
+# the report take 0.54 s for D5 in its slow phase but 192 s for D7 (138
+# reference seconds, perfbench/speed.py) in one cold process, whose peak
+# resident set is 414 MB after the pipeline, 856 MB after the check and
+# 1.03 GB after the report.  A larger request is refused up front instead
+# of running for hours.
 MAX_RANK = 8
 
 

@@ -173,6 +173,28 @@ def _normal(t, d):
     return DiffPoly(t, d)
 
 
+def _image_power(sigma, images, slot, e):
+    """The image of the jet variable in `slot` to the power e under the
+    substitution sigma, cached in `images` (DiffPoly.substitute).  A module
+    function rather than a closure of substitute: a recursive closure holds
+    itself, and with it the cache, in a reference cycle that outlives the
+    call until the cyclic garbage collector runs."""
+    got = images.get((slot, e))
+    if got is None:
+        if e > 1:
+            got = _image_power(sigma, images, slot, 1) ** e
+        elif _JETS[slot].order == 0:
+            try:
+                got = lift(sigma[_JETS[slot].var])
+            except KeyError:
+                raise MissingAssignment("no assignment for eta_%d" % _JETS[slot].var) from None
+        else:
+            jv = _JETS[slot]
+            got = _image_power(sigma, images, _slot(JetVar(jv.var, jv.order - 1)), 1).derive()
+        images[slot, e] = got
+    return got
+
+
 class _Sum:
     """A sum of rational multiples of DiffPolys, accumulated in one map
     over a common denominator."""
@@ -470,38 +492,19 @@ class DiffPoly:
         """
         if images is None:
             images = {}
-
-        def power(slot, e):
-            got = images.get((slot, e))
-            if got is None:
-                if e > 1:
-                    got = power(slot, 1) ** e
-                elif _JETS[slot].order == 0:
-                    try:
-                        got = lift(sigma[_JETS[slot].var])
-                    except KeyError:
-                        raise MissingAssignment(
-                            "no assignment for eta_%d" % _JETS[slot].var
-                        ) from None
-                else:
-                    jv = _JETS[slot]
-                    got = power(_slot(JetVar(jv.var, jv.order - 1)), 1).derive()
-                images[slot, e] = got
-            return got
-
         acc = _Sum()
         for key, c in self._t.items():
             factors = _factors(key)
             if not factors:
                 acc.add(DiffPoly.rational(c))
                 continue
-            prod = power(*factors[0])
+            prod = _image_power(sigma, images, *factors[0])
             for slot, e in factors[1:-1]:
-                prod = prod * power(slot, e)
+                prod = prod * _image_power(sigma, images, slot, e)
             if len(factors) == 1:
                 acc.add(prod, c)
             else:
-                acc.add_product(prod, power(*factors[-1]), c)
+                acc.add_product(prod, _image_power(sigma, images, *factors[-1]), c)
         return acc.result(self._d)
 
     def evaluate(self, value_of, ring):

@@ -125,9 +125,9 @@ def normalize_to_AG(rep, a):
     Returns (g, word, f).  word lists the letters (key, t) of the
     transform, applied first to last: (("H", j), z_j) for the constant
     torus t(z) when s != (1,..,1), then (("X", b), t) for each root letter
-    u_b(t), t = 0 included; symgroup.unipotent_matrix and torus_matrix
-    rebuild a letter's Factor.  g = letter_k ... letter_1 is the word's
-    matrix (chevalley.word_element), with DiffPoly entries.  f maps each
+    u_b(t), t = 0 included.  g = letter_k ... letter_1 is the word's
+    matrix (chevalley.word_element, which multiplies by each letter
+    through its cells), with DiffPoly entries.  f maps each
     complementary index to its DiffPoly coefficient.  Raises DimMismatch
     unless a is rep.dim x rep.dim (decompose_in_basis, in the plane test).
 
@@ -152,7 +152,7 @@ def normalize_to_AG(rep, a):
       [X_b, X_alpha_i] leaves a W-component of the image of A_0^+
       uncorrected.
     - The returned g: g' + g a = A_G(f) g, in matrices, from the letters'
-      matrices alone (exp_cells and torus_element, not nconst or the
+      matrices alone (exp_cells and the H_i diagonals, not nconst or the
       characters), so it also catches coordinates that drifted into a
       wrong x or f the residual accepts, or a letter whose matrix is
       wrong.  This is gauge(g, a) = A_G(f).  Proof: gauge(g, a) = g a

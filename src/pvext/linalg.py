@@ -2,11 +2,11 @@
 
 Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
-The product runs row by row over the non-zero entries, since the group
-elements it multiplies are mostly zeros.  One product serves every
-factor: a root subgroup element 1 + N reaches most entries through its
-diagonal one alone, and DiffPoly.dot hands back the other factor of such
-a lone product as it is.  The sum passes an operand through beside a
+The product runs row by row over the non-zero entries, since the
+matrices it multiplies are mostly zeros, and DiffPoly.dot hands back the
+other factor of a lone product by a one as it is; a group letter acts on
+a matrix through its cells instead (chevalley.letter_product), with the
+same accumulator per entry.  The sum passes an operand through beside a
 polynomial zero.  Sums of multiples of Chevalley-basis matrices are
 chevalley.compose, over the cells of each basis matrix.  The identity
 g' + g b = a g, which closes both the gauge normalization and the

@@ -5,6 +5,14 @@ from pvext import chevalley, construct, linalg, symgroup
 import linalg_oracle
 from linalg_oracle import mat_is_zero
 
+# every supported system: A1-A8, B2-B8, C2-C8, D3-D8 and G2
+ALL_SYSTEMS = (
+    [("A", r) for r in range(1, 9)]
+    + [(t, r) for t in "BC" for r in range(2, 9)]
+    + [("D", r) for r in range(3, 9)]
+    + [("G2", 2)]
+)
+
 _REPS = {}
 _PIPELINES = {}
 

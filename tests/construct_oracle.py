@@ -13,6 +13,7 @@ from functools import reduce
 
 from pvext import chevalley, linalg, symgroup
 
+import factor_oracle
 import linalg_oracle
 
 
@@ -30,7 +31,7 @@ class UnipotentPath:
     """u(args) and u^-1 built once from the factors, acting in matrices."""
 
     def __init__(self, rep, args):
-        factors = [symgroup.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
+        factors = [factor_oracle.unipotent_matrix(rep, b, a) for b, a in zip(rep.rs.neg_order, args)]
         self.rep = rep
         self.u = product(f.rows for f in factors)
         self.uinv = product(f.inv for f in reversed(factors))
@@ -56,6 +57,6 @@ class UnipotentPath:
 
 def tower_coordinates(rep, z, y):
     """The coordinates of ldelta(t(z) u(y)) from the group factors' matrices."""
-    torus = [symgroup.torus_matrix(rep, i, zi) for i, zi in enumerate(z, start=1)]
-    unipotent = [symgroup.unipotent_matrix(rep, b, yi) for b, yi in zip(rep.rs.neg_order, y)]
+    torus = [factor_oracle.torus_matrix(rep, i, zi) for i, zi in enumerate(z, start=1)]
+    unipotent = [factor_oracle.unipotent_matrix(rep, b, yi) for b, yi in zip(rep.rs.neg_order, y)]
     return coordinates(rep, symgroup.log_derivative(torus + unipotent))

@@ -15,6 +15,7 @@ from pvext.diffpoly import DiffPoly, lift_matrix
 from pvext.errors import VerificationFailure
 from pvext.gauge import _torus_rescaling, is_in_plane
 
+import factor_oracle
 from conftest import constant_factor
 import linalg_oracle
 
@@ -60,7 +61,7 @@ def normalize_to_AG(rep, a):
         for j, res in zip(comp_here, solution[len(sources):]):
             f[j] = res
         for k, xk in zip(sources, solution[: len(sources)]):
-            factor = symgroup.unipotent_matrix(rep, rs.neg_order[k - 1], -xk)
+            factor = factor_oracle.unipotent_matrix(rep, rs.neg_order[k - 1], -xk)
             factors.append(factor)
             word.append((("X", rs.neg_order[k - 1].coeffs), -xk))
             current = symgroup.gauge(factor, current)

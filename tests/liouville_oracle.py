@@ -9,12 +9,13 @@ pvext's relabelling.  It takes seconds from rank 4 on, so the tests run it
 on small systems only.
 """
 
-from pvext import construct, linalg, rootsys, symgroup
+from pvext import construct, linalg, rootsys
 from pvext.diffpoly import DiffPoly
 from pvext.errors import IdentityFailure
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
+import factor_oracle
 import linalg_oracle
 
 
@@ -26,13 +27,13 @@ def verify_by_liouville_product(rep, data, inv):
     ]
     y_mat = linalg_oracle.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
     for root, a in zip(rep.rs.neg_order, args):
-        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, a).rows)
+        y_mat = linalg.mat_mul(y_mat, factor_oracle.unipotent_matrix(rep, root, a).rows)
     nw = chevalley_oracle.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
     y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in nw])
     for i, zi in enumerate(data.z, start=1):
-        y_mat = linalg.mat_mul(y_mat, symgroup.torus_matrix(rep, i, zi).rows)
+        y_mat = linalg.mat_mul(y_mat, factor_oracle.torus_matrix(rep, i, zi).rows)
     for root, yi in zip(rep.rs.neg_order, data.y):
-        y_mat = linalg.mat_mul(y_mat, symgroup.unipotent_matrix(rep, root, yi).rows)
+        y_mat = linalg.mat_mul(y_mat, factor_oracle.unipotent_matrix(rep, root, yi).rows)
     ag = [[LiouvExpr.scalar(x) for x in row] for row in construct.assemble_A_G(rep, inv.h)]
     if not linalg.mat_eq(linalg_oracle.mat_derive(y_mat), linalg.mat_mul(ag, y_mat)):
         raise IdentityFailure("d(Y) - A_G(h) Y is nonzero over LiouvExpr")

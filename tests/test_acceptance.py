@@ -14,6 +14,7 @@ from pvext.diffpoly import DiffPoly, parse
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
+import factor_oracle
 import linalg_oracle
 from conftest import constant_factor, get_pipeline, get_rep
 
@@ -219,10 +220,10 @@ def _random_factor(rep, rng):
     if kind == "unipotent":
         root = rng.choice(rep.rs.neg_order + tuple(-b for b in rep.rs.neg_order))
         arg = DiffPoly.eta(rng.randint(1, rep.m), rng.randint(0, 1)) * rng.randint(1, 3)
-        return symgroup.unipotent_matrix(rep, root, arg)
+        return factor_oracle.unipotent_matrix(rep, root, arg)
     if kind == "torus":
         z = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
-        return symgroup.torus_matrix(rep, rng.randint(1, rep.rank), z)
+        return factor_oracle.torus_matrix(rep, rng.randint(1, rep.rank), z)
     word = tuple(rng.randint(1, rep.rank) for _ in range(rng.randint(1, 3)))
     return constant_factor(chevalley_oracle.weyl_representative(rep, word))
 

@@ -23,7 +23,7 @@ from pvext.rootsys import Root
 import chevalley_oracle
 import linalg_oracle
 from linalg_oracle import mat_is_zero
-from conftest import get_pipeline, get_rep
+from conftest import ALL_SYSTEMS, get_pipeline, get_rep
 
 
 def E(n, i, j):
@@ -210,15 +210,6 @@ def test_build_agrees_with_the_dense_oracle(label):
 
 def _basis_matrices(rep):
     return [rep.H[key - 1] if kind == "H" else rep.X[key] for kind, key in rep.basis_order]
-
-
-# A1-A8, B2-B8, C2-C8, D3-D8 and G2
-ALL_SYSTEMS = (
-    [("A", r) for r in range(1, 9)]
-    + [(t, r) for t in "BC" for r in range(2, 9)]
-    + [("D", r) for r in range(3, 9)]
-    + [("G2", 2)]
-)
 
 
 def _label(system):

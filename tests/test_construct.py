@@ -7,15 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from pvext import chevalley, construct, linalg, rootsys, symgroup
+from pvext import bruhat, chevalley, construct, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
 from pvext.errors import IdentityFailure, RankFailure, StructureViolation, VerificationFailure
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
 import construct_oracle
+import factor_oracle
 import linalg_oracle
-from conftest import get_pipeline, get_rep, neumann_inverse
+from conftest import ALL_SYSTEMS, get_pipeline, get_rep, neumann_inverse
 from liouville_oracle import verify_by_liouville_product
 from report_oracle import report_json_obj
 
@@ -472,7 +473,7 @@ def test_characters_equal_the_torus_conjugation(system):
     # integrand of y_i is c_i / chi_i
     res = get_pipeline(*system)
     rep, data = res.rep, res.liouville
-    torus = construct._torus_factors(rep, data.z)
+    torus = [factor_oracle.torus_matrix(rep, i, zi) for i, zi in enumerate(data.z, start=1)]
     for i in range(1, rep.rank + 1):
         x = rep.x_neg(i)
         ad = symgroup.adjoint(torus, x)
@@ -514,15 +515,17 @@ def test_report_matches_recorded_digest(label):
 
 
 def test_pipeline_multiplies_no_polynomial_matrix(monkeypatch):
-    # the stages act on Chevalley coordinates: no matrix product of theirs
-    # has a DiffPoly or LiouvExpr entry
+    # the stages act on Chevalley coordinates, and words of letters act by
+    # chevalley.letter_product: the pipeline makes no dense matrix product
     operands = []
     mat_mul = linalg.mat_mul
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: operands.extend((a, b)) or mat_mul(a, b))
     construct.run_pipeline("B", 3)
+    assert operands == []
+    # the patch is live: a product that pvext makes through linalg.mat_mul
+    # is recorded
+    bruhat.act_on_normal_form(linalg.eye(2), [[0, 1], [-1, 0]])
     assert operands
-    rings = (DiffPoly, LiouvExpr)
-    assert not [m for m in operands if any(isinstance(x, rings) for row in m for x in row)]
 
 
 def test_pipeline_never_multiplies_by_the_dense_longest_representative(monkeypatch):
@@ -572,6 +575,27 @@ def test_end_to_end_detects_tower_corruption(system, part):
     broken = _corrupted_tower(res.liouville, part)
     with pytest.raises(IdentityFailure, match=r"ldelta\(t\(z\)u\(y\)\) - A_L"):
         construct.verify_end_to_end(res.rep, broken, res.invariants)
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_tower_checks_take_independent_routes(system):
+    """One divided-power cell of the first root of height -2 is corrupted.
+    No simple representative reads it, and its letter u(y_(l+1)) is not
+    the tower's last, whose matrix ldelta(t(z)u(y)) never reads.  The
+    coordinate check of liouville_solutions, which reads the structure
+    constants and the characters, still passes and returns the same
+    tower, and the matrix re-check of verify_end_to_end, which acts with
+    the letters' cells, fires."""
+    res = get_pipeline(*system)
+    rep = res.rep
+    root = rep.rs.neg_order[rep.rank].coeffs
+    (r, c, k, p), *rest = rep.exp_cells[root]
+    bad = dataclasses.replace(rep, exp_cells={**rep.exp_cells, root: ((r, c, k, p + 1), *rest)})
+    data = construct.liouville_solutions(bad, construct.build_A_L(bad, res.stage2), res.stage1)
+    assert data == res.liouville
+    message = "%s: ldelta(t(z)u(y)) - A_L is nonzero at entry" % rep.rs.label
+    with pytest.raises(IdentityFailure, match="^%s" % re.escape(message)):
+        construct.verify_end_to_end(bad, data, res.invariants)
 
 
 @pytest.mark.parametrize("part", ["first y", "last y", "z_1"])
@@ -854,20 +878,12 @@ def test_integrand_order_check_fires_on_a_corrupted_v(system):
 
 # ----- the coordinate stages against the matrix path -----
 
-ORACLE_SYSTEMS = (
-    [("A", r) for r in range(1, 9)]
-    + [(t, r) for t in "BC" for r in range(2, 9)]
-    + [("D", r) for r in range(3, 9)]
-    + [("G2", 2)]
-)
-
-
 def _nonzero(coords):
     return {key: c for key, c in coords.items() if c}
 
 
 @pytest.mark.parametrize(
-    "system", ORACLE_SYSTEMS, ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
+    "system", ALL_SYSTEMS, ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
 )
 def test_coordinate_stages_equal_the_matrix_path(system):
     """Stage 1, stage 2, ldelta(Y) and the tower, key by key with the zeros

@@ -1,3 +1,4 @@
+import gc
 import json
 import pickle
 import random
@@ -50,6 +51,19 @@ def test_substitute_verbatim():
     target = parse("n1'' + 3 n1 n1' + n1^3 - n3 n1' - n3 n1^2")
     got = parse("n6").substitute({6: target})
     assert got == target
+
+
+def test_substitute_leaves_no_reference_cycle():
+    # a cycle through the image cache would keep every cached power alive
+    # until the cyclic collector runs
+    p, sigma = parse("n4'^2 n1 + n4^3"), {1: parse("n2 + 1"), 4: parse("n1' + n1^2")}
+    gc.collect()
+    gc.disable()
+    try:
+        p.substitute(sigma)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_substitute_missing():

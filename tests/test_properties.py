@@ -1,8 +1,9 @@
 """Property tests: the group law of the factors, the DiffPoly round trips,
 the packed DiffPoly kernel against the tuple/Fraction reference, the
 row-sparse matrix product (root subgroup factors and DiffPoly.dot's lone
-pairs included) and the basis composition over cells against the dense
-fold, the sparse basis decomposition against the dense one, the
+pairs included), the letter kernels (a letter's right product and its
+conjugation through its cells) against the dense products, and the basis
+composition over cells against the dense fold, the sparse basis decomposition against the dense one, the
 zero-skipping sum against the dense one, entrywise matrix equality
 against the zero difference, the one-pass check of g' + g b = a g
 against the composed matrices, the shared fraction-free elimination against
@@ -29,8 +30,9 @@ from pvext.liouville_expr import LiouvExpr
 import chevalley_oracle
 import construct_oracle
 import diffpoly_oracle as oracle
+import factor_oracle
 import linalg_oracle
-from conftest import get_rep, neumann_inverse
+from conftest import ALL_SYSTEMS, get_rep, neumann_inverse
 
 SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
 
@@ -94,14 +96,14 @@ def _is_inverse_with_ldelta(factor):
 @given(roots(), polys())
 def test_group_law_of_unipotent_factors_over_diffpoly(rep_root, x):
     rep, root = rep_root
-    assert _is_inverse_with_ldelta(symgroup.unipotent_matrix(rep, root, x))
+    assert _is_inverse_with_ldelta(factor_oracle.unipotent_matrix(rep, root, x))
 
 
 @settings(derandomize=True, deadline=None)
 @given(roots(), liouv_args())
 def test_group_law_of_unipotent_factors_over_liouvexpr(rep_root, x):
     rep, root = rep_root
-    assert _is_inverse_with_ldelta(symgroup.unipotent_matrix(rep, root, x))
+    assert _is_inverse_with_ldelta(factor_oracle.unipotent_matrix(rep, root, x))
 
 
 @settings(derandomize=True, deadline=None)
@@ -110,7 +112,7 @@ def test_group_law_of_torus_factors_of_an_exponential(system, data, g):
     rep = get_rep(*system)
     i = data.draw(st.integers(1, rep.rank))
     z = LiouvExpr.exp_integral(LiouvExpr.scalar(g))
-    assert _is_inverse_with_ldelta(symgroup.torus_matrix(rep, i, z))
+    assert _is_inverse_with_ldelta(factor_oracle.torus_matrix(rep, i, z))
 
 
 @settings(derandomize=True, deadline=None)
@@ -643,7 +645,7 @@ def root_words(draw, max_letters=3):
     ring = draw(ring_entries)
     letters = draw(st.integers(1, max_letters))
     factors = [
-        symgroup.unipotent_matrix(rep, draw(st.sampled_from(rep.rs.roots)), draw(ring))
+        factor_oracle.unipotent_matrix(rep, draw(st.sampled_from(rep.rs.roots)), draw(ring))
         for _ in range(letters)
     ]
     return factors, draw(sparse_matrices(rep.dim, ring))
@@ -657,7 +659,7 @@ def _two_term_case():
     x = LiouvExpr.scalar(DiffPoly.eta(1) + DiffPoly.eta(2))
     y = LiouvExpr.scalar(DiffPoly.eta(3) + DiffPoly.eta(1, 1))
     root = next(r for r in rep.rs.roots if r.is_simple())
-    return (symgroup.unipotent_matrix(rep, root, x),), [[y] * 3 for _ in range(3)]
+    return (factor_oracle.unipotent_matrix(rep, root, x),), [[y] * 3 for _ in range(3)]
 
 
 def _full_case():
@@ -668,7 +670,7 @@ def _full_case():
     root = next(r for r in rep.rs.roots if len(rep.exp_cells[r.coeffs]) > 2)
     x = DiffPoly.eta(1) + DiffPoly.eta(2, 1)
     a = [[DiffPoly.eta(1, r) * DiffPoly.eta(2, c) + r - c for c in range(7)] for r in range(7)]
-    return (symgroup.unipotent_matrix(rep, root, x),), a
+    return (factor_oracle.unipotent_matrix(rep, root, x),), a
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -714,6 +716,63 @@ def test_unipotent_product_agrees_with_the_dense_product(system):
         for b, x in zip(rep.rs.neg_order, args)
     )
     assert _same_matrices(construct.unipotent_product(rep, args), want)
+
+
+@st.composite
+def letter_cases(draw):
+    """A system of ALL_SYSTEMS, a letter (key, t) with its factor_oracle
+    Factor, and a matrix m with entries of one ring, its zero included.
+    t is drawn from the ring or the Fractions, zero included; a torus
+    letter's z != 1 is a Fraction, or over LiouvExpr an exponential."""
+    rep = get_rep(*draw(st.sampled_from(ALL_SYSTEMS)))
+    ring = draw(ring_entries)
+    n = rep.dim
+    if draw(st.integers(0, 2)) == 0:
+        i = draw(st.integers(1, rep.rank))
+        z = draw(coefficients.filter(lambda q: q not in (0, 1)))
+        if ring is liouv_entries and draw(st.booleans()):
+            z = LiouvExpr.exp_integral(LiouvExpr.scalar(draw(polys(max_order=1, max_terms=2)))) * z
+        letter, factor = (("H", i), z), factor_oracle.torus_matrix(rep, i, z)
+    else:
+        root = draw(st.sampled_from(rep.rs.roots))
+        t = draw(st.one_of(ring, fraction_entries))
+        letter, factor = (("X", root.coeffs), t), factor_oracle.unipotent_matrix(rep, root, t)
+    zero = linalg.zero_of(draw(ring))
+    m = [[zero] * n for _ in range(n)]
+    for r, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12)):
+        m[r][c] = draw(ring)
+    return rep, letter, factor, m
+
+
+def _g2_full_case():
+    """_full_case's G2 matrix and short root letter, as a letter case."""
+    (factor,), a = _full_case()
+    rep = get_rep("G2", 2)
+    root = next(r for r in rep.rs.roots if len(rep.exp_cells[r.coeffs]) > 2)
+    return rep, (("X", root.coeffs), DiffPoly.eta(1) + DiffPoly.eta(2, 1)), factor, a
+
+
+def _exponential_torus_case():
+    """B3's t_2(z) for z = 3 e^(int eta_1) on a full LiouvExpr matrix."""
+    rep = get_rep("B", 3)
+    z = LiouvExpr.exp_integral(LiouvExpr.scalar(DiffPoly.eta(1))) * 3
+    a = [[LiouvExpr.scalar(DiffPoly.eta(1, r) + c) for c in range(7)] for r in range(7)]
+    return rep, (("H", 2), z), factor_oracle.torus_matrix(rep, 2, z), a
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(letter_cases())
+@example(_g2_full_case())
+@example(_exponential_torus_case())
+def test_letters_act_as_the_dense_products(case):
+    # m L by column operations and L m L^-1 by row and column operations
+    # (or the torus scaling) are the dense products in value, type and
+    # term order
+    rep, letter, factor, m = case
+    got = chevalley.letter_product(rep, m, letter)
+    assert _same_matrices(got, linalg_oracle.product([m, factor.rows]))
+    got = chevalley.letter_adjoint(rep, letter, m)
+    assert _same_matrices(got, linalg_oracle.adjoint([factor], m))
 
 
 @st.composite

@@ -9,6 +9,7 @@ from pvext.errors import NotClosedFormInvertible, NotInLieAlgebra
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
+import factor_oracle
 from conftest import constant_factor, get_rep, neumann_inverse
 import linalg_oracle
 from linalg_oracle import mat_is_zero
@@ -21,7 +22,7 @@ def test_logderiv_identity(rep_a3):
 
 def test_logderiv_unipotent_generator(rep_a3):
     for i in range(1, 7):
-        u = symgroup.unipotent_matrix(rep_a3, rep_a3.rs.neg_order[i - 1], DiffPoly.eta(i))
+        u = factor_oracle.unipotent_matrix(rep_a3, rep_a3.rs.neg_order[i - 1], DiffPoly.eta(i))
         ld = symgroup.log_derivative(u)
         want = [[DiffPoly.eta(i, 1) * x for x in row] for row in rep_a3.x_neg(i)]
         assert linalg.mat_eq(ld, want)
@@ -29,7 +30,7 @@ def test_logderiv_unipotent_generator(rep_a3):
 
 def test_logderiv_torus_exponential(rep_a3):
     z = LiouvExpr.exp_integral(LiouvExpr.scalar(parse("0 - n3")))
-    t = symgroup.torus_matrix(rep_a3, 1, z)
+    t = factor_oracle.torus_matrix(rep_a3, 1, z)
     ld = symgroup.log_derivative(t)
     want = [[LiouvExpr.scalar(parse("0 - n3") * x) for x in row] for row in rep_a3.H[0]]
     assert linalg.mat_eq(linalg_oracle.mat_sub(ld, want), linalg_oracle.zeros(4, LiouvExpr.zero()))
@@ -45,7 +46,7 @@ def test_adjoint_formulas_on_cartan(rep_a3):
     # Ad(u_beta(x))(H_alpha) = H_alpha - <alpha, beta> x X_beta
     x = DiffPoly.eta(1)
     for beta in rep_a3.rs.roots:
-        u = symgroup.unipotent_matrix(rep_a3, beta, x)
+        u = factor_oracle.unipotent_matrix(rep_a3, beta, x)
         for i in range(1, 4):
             alpha = rep_a3.rs.simple(i)
             got = symgroup.adjoint(u, [[DiffPoly.rational(v) for v in row] for row in rep_a3.H[i - 1]])
@@ -61,7 +62,7 @@ def test_adjoint_formula_on_opposite_vector(rep_a3):
     # Ad(u_beta(x))(X_{-beta}) = X_{-beta} + x H_beta - x^2 X_beta
     x = DiffPoly.eta(2)
     for beta in rep_a3.rs.roots:
-        u = symgroup.unipotent_matrix(rep_a3, beta, x)
+        u = factor_oracle.unipotent_matrix(rep_a3, beta, x)
         got = symgroup.adjoint(
             u, [[DiffPoly.rational(v) for v in row] for row in rep_a3.X[(-beta).coeffs]]
         )
@@ -76,7 +77,7 @@ def test_gauge_identity_and_zero(rep_a2):
     a = [[DiffPoly.eta(1) * x for x in row] for row in rep_a2.a0_plus()]
     ident = constant_factor(linalg.eye(3))
     assert linalg.mat_eq(symgroup.gauge(ident, a), a)
-    u = symgroup.unipotent_matrix(rep_a2, rep_a2.rs.neg_order[0], DiffPoly.eta(1))
+    u = factor_oracle.unipotent_matrix(rep_a2, rep_a2.rs.neg_order[0], DiffPoly.eta(1))
     zero = linalg_oracle.zeros(3, DiffPoly.zero())
     assert linalg.mat_eq(symgroup.gauge(u, zero), symgroup.log_derivative(u))
 
@@ -87,7 +88,7 @@ def test_gauge_riccati(rep_a1):
         [[DiffPoly.rational(v) for v in row] for row in rep_a1.a0_plus()],
         [[DiffPoly.eta(1) * v for v in row] for row in rep_a1.H[0]],
     )
-    u = symgroup.unipotent_matrix(rep_a1, rep_a1.rs.neg_order[0], DiffPoly.eta(1))
+    u = factor_oracle.unipotent_matrix(rep_a1, rep_a1.rs.neg_order[0], DiffPoly.eta(1))
     got = symgroup.gauge(u, a)
     want = [
         [DiffPoly.zero(), DiffPoly.rational(1)],
@@ -127,10 +128,10 @@ def _random_structured_factors(rep, rng, count):
         if kind == "unipotent":
             root = rng.choice(rep.rs.neg_order + tuple(-b for b in rep.rs.neg_order))
             arg = DiffPoly.eta(rng.randint(1, rep.m), rng.randint(0, 1)) * rng.randint(1, 3)
-            factors.append(symgroup.unipotent_matrix(rep, root, arg))
+            factors.append(factor_oracle.unipotent_matrix(rep, root, arg))
         elif kind == "torus":
             z = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
-            factors.append(symgroup.torus_matrix(rep, rng.randint(1, rep.rank), z))
+            factors.append(factor_oracle.torus_matrix(rep, rng.randint(1, rep.rank), z))
         else:
             word = tuple(rng.randint(1, rep.rank) for _ in range(rng.randint(1, 3)))
             factors.append(
@@ -201,7 +202,7 @@ def test_adjoint_preserves_brackets():
 def test_torus_factor_over_liouvexpr():
     rep = get_rep("A", 3)
     z1 = LiouvExpr.exp_integral(LiouvExpr.scalar(parse("0 - n3")))
-    t = symgroup.torus_matrix(rep, 1, z1)
+    t = factor_oracle.torus_matrix(rep, 1, z1)
     assert t.rows[0][0] == z1
     assert t.rows[1][1] == LiouvExpr.exp_integral(LiouvExpr.scalar(parse("n3")))
     assert t.rows[2][2] == LiouvExpr.one() and t.rows[3][3] == LiouvExpr.one()
@@ -212,7 +213,7 @@ def test_torus_factor_over_liouvexpr():
 def test_unipotent_factor_over_liouvexpr():
     rep = get_rep("A", 3)
     y1 = LiouvExpr.integral(LiouvExpr.exp_integral(LiouvExpr.scalar(parse("-2 n3 + n2")))) * Fraction(-1)
-    u = symgroup.unipotent_matrix(rep, rep.rs.neg_order[0], y1)
+    u = factor_oracle.unipotent_matrix(rep, rep.rs.neg_order[0], y1)
     assert u.rows[1][0] == y1 and u.inv[1][0] == -y1
     assert u.rows[0][0] == LiouvExpr.one()
     assert u.rows[1][1] == LiouvExpr.one()
@@ -221,9 +222,9 @@ def test_unipotent_factor_over_liouvexpr():
 def test_root_factors_compare_and_hash_by_their_matrices(rep_a2):
     # a factor is its matrix, its inverse and its ldelta, compared as values
     root = rep_a2.rs.roots[0]
-    f, g = (symgroup.unipotent_matrix(rep_a2, root, DiffPoly.eta(1)) for _ in range(2))
+    f, g = (factor_oracle.unipotent_matrix(rep_a2, root, DiffPoly.eta(1)) for _ in range(2))
     assert f == g and hash(f) == hash(g)
-    assert f != symgroup.unipotent_matrix(rep_a2, root, DiffPoly.eta(2))
+    assert f != factor_oracle.unipotent_matrix(rep_a2, root, DiffPoly.eta(2))
 
 
 INVERSE_SYSTEMS = (
@@ -242,7 +243,7 @@ def test_unipotent_inverse_is_the_element_at_minus_x(system):
     xs = (parse("n1' - 2 n1^2 + 3/2"), Fraction(-3, 2), DiffPoly.zero(), Fraction(0))
     for root in rep.rs.roots:
         for x in xs:
-            got = symgroup.unipotent_matrix(rep, root, x).inv
+            got = factor_oracle.unipotent_matrix(rep, root, x).inv
             want = chevalley.unipotent_element(rep, root, -x)
             assert got == tuple(tuple(row) for row in want)
             assert [[type(e) for e in row] for row in got] == [[type(e) for e in row] for row in want]
