@@ -20,8 +20,9 @@ def main():
     print("fixed representatives of the simple reflections:")
     for i in (1, 2):
         print("  n(w_%d):" % i)
-        for row in chevalley.simple_representative(rep, i):
-            print("     ", [int(x) for x in row])
+        columns = chevalley.weyl_representative(rep, (i,))
+        for r in range(rep.dim):
+            print("     ", [s if row == r else 0 for row, s in columns])
     word = rootsys.longest_weyl_word(rs)
     print("longest word:", word, "(the alternating word of length 6)")
     print()

@@ -8,10 +8,15 @@ coordinates, t_i(z) and the characters chi_beta by which the torus scales
 root vectors, a letter's action on a matrix through its cells
 (letter_product and letter_adjoint) and with it the matrix of a word of
 letters (word_element), and the Weyl representatives n(w) as products of
-the simple representatives.  Every Chevalley axiom is
-checked exhaustively at build time: with sparse integer brackets for the
-pairs of root vectors whose supports meet, as a zero bracket for the other
-pairs, and cell by cell for the Cartan generators.  The coordinates of the W_i are read off
+the simple representatives, each read as signed columns by taking the unit
+vectors through its three letters' cells in ints.  Every Chevalley axiom is
+checked exhaustively at build time: with sparse integer brackets, each
+formed in one pass, for the pairs of root vectors whose supports meet, as
+a zero bracket for the other pairs, and cell by cell for the Cartan
+generators.  The build and the sweep handle roots as coefficient vectors
+and the integer codes of rootsys: whether a sum of roots is 0 or a root,
+the string lengths and the Cartan pairings come from the root system's
+tables.  The coordinates of the W_i are read off
 the checked structure constants.  The kernels visit only non-zero cells:
 u_alpha(x) and the letter kernels those of the divided powers of X_alpha
 (and a torus letter its integer diagonal), and decompose_in_basis
@@ -94,7 +99,9 @@ class ChevalleyRep:
             raise DimMismatch("%d principal nilpotent coefficients for rank %d" % (len(values), l))
         if any(not v for v in values):
             raise ValueError("principal nilpotent coefficients must be nonzero")
-        roots = [self.rs.simple(i) if sign > 0 else -self.rs.simple(i) for i in range(1, l + 1)]
+        roots = [self.rs.simple(i) for i in range(1, l + 1)]
+        if sign < 0:
+            roots = [self.rs.negative(r) for r in roots]
         return compose(self, {("X", r.coeffs): v for r, v in zip(roots, values)}, Fraction(0))
 
 # ----- simple generators per type -----
@@ -223,7 +230,32 @@ def _sp_divide(a, k, what):
 
 
 def _sp_bracket(a, b):
-    return _sp_add(_sp_mul(a, b), _sp_mul(b, a), -1)
+    """[a, b] = a b - b a in one pass: the products of a b and the negated
+    ones of b a add into one accumulator per entry, and the zero entries are
+    dropped at the end.  Each entry is the exact integer sum of those
+    products, so the map holds the non-zero entries of the bracket, as
+    _sp_mul and _sp_add would give them."""
+    acc = {}
+    for i, row in a.items():
+        for k, v in row.items():
+            other = b.get(k)
+            if other:
+                out = acc.setdefault(i, {})
+                for j, w in other.items():
+                    out[j] = out.get(j, 0) + v * w
+    for i, row in b.items():
+        for k, v in row.items():
+            other = a.get(k)
+            if other:
+                out = acc.setdefault(i, {})
+                for j, w in other.items():
+                    out[j] = out.get(j, 0) - v * w
+    out = {}
+    for i, row in acc.items():
+        kept = {j: v for j, v in row.items() if v}
+        if kept:
+            out[i] = kept
+    return out
 
 
 def _sp_combination(mats, coeffs):
@@ -262,41 +294,41 @@ def build_rep(type_label, rank):
 
     sx = {}
     for i in range(l):
-        sx[rs.simple(i + 1).coeffs] = E[i]
-        sx[(-rs.simple(i + 1)).coeffs] = F[i]
+        alpha = rs.simple(i + 1)
+        sx[alpha.coeffs] = E[i]
+        sx[rs.negative(alpha).coeffs] = F[i]
 
     # bracket recursion over positive roots of ascending height
     positives = sorted(
         (r for r in rs.roots if r.height() > 0), key=lambda r: (r.height(), r.coeffs)
     )
     for gamma in positives:
-        if gamma.coeffs in sx:
+        g, ng = gamma.coeffs, rs.negative(gamma).coeffs
+        if g in sx:
             continue
-        i, beta = _decomposition_step(rs, gamma)
-        r, _ = rootsys.root_string(rs, beta, rs.simple(i))
-        sign = signs.get(gamma.coeffs, 1)
+        alpha, beta = _decomposition_step(rs, g)
+        r, _ = rootsys.root_string(rs, beta, alpha)
+        sign = signs.get(g, 1)
         xg = _sp_divide(
-            _sp_scale(_sp_bracket(sx[rs.simple(i).coeffs], sx[beta.coeffs]), sign),
-            r + 1,
-            "root vector for %r" % (gamma,),
+            _sp_scale(_sp_bracket(sx[alpha], sx[beta]), sign), r + 1, "root vector for %r" % (g,)
         )
         xn = _sp_divide(
-            _sp_scale(_sp_bracket(sx[(-rs.simple(i)).coeffs], sx[(-beta).coeffs]), -sign),
+            _sp_scale(_sp_bracket(sx[_negated(alpha)], sx[_negated(beta)]), -sign),
             r + 1,
-            "root vector for %r" % (-gamma,),
+            "root vector for %r" % (ng,),
         )
         if not xg or not xn:
-            raise SpanFailure("vanishing root vector for %r" % (gamma,))
-        hg = coroots[gamma.coeffs]
+            raise SpanFailure("vanishing root vector for %r" % (g,))
+        hg = coroots[g]
         br = _sp_bracket(xg, xn)
         if br == hg:
             pass
         elif br == _sp_scale(hg, -1):
             xn = _sp_scale(xn, -1)
         else:
-            raise SpanFailure("[X,Y] not proportional to the coroot for %r" % (gamma,))
-        sx[gamma.coeffs] = xg
-        sx[(-gamma).coeffs] = xn
+            raise SpanFailure("[X,Y] not proportional to the coroot for %r" % (g,))
+        sx[g] = xg
+        sx[ng] = xn
 
     nconst = _verify_axioms(rs, sh, sx, coroots)
     X = {coeffs: _dense(n, mat) for coeffs, mat in sx.items()}
@@ -334,12 +366,22 @@ def build_rep(type_label, rank):
     return rep
 
 
+def _negated(coeffs):
+    return tuple(-k for k in coeffs)
+
+
 def _decomposition_step(rs, gamma):
-    """Minimal simple index i with gamma - alpha_i a positive root."""
-    for i in range(1, rs.rank + 1):
-        diff = tuple(g - s for g, s in zip(gamma.coeffs, rs.simple(i).coeffs))
-        if min(diff) >= 0 and any(diff) and diff in rs._root_set:
-            return i, rootsys.Root(diff)
+    """(alpha_i, gamma - alpha_i) as coefficient vectors for the minimal
+    simple index i with gamma - alpha_i a root, for the coefficients of a
+    positive root gamma.  Such a difference is a positive root: its
+    coefficients are gamma's but one, lowered by 1, so it has no negative
+    coefficient but -1, and a root with a -1 and otherwise 0 would make
+    gamma 0.  The codes decide whether it is a root (rootsys codes)."""
+    code = rs.codes[gamma]
+    for i in range(rs.rank):
+        beta = rs.root_of_code.get(code - (1 << 4 * i))
+        if beta is not None:
+            return rs.simple(i + 1).coeffs, beta
     raise SpanFailure("no descent for %r" % (gamma,))
 
 
@@ -350,12 +392,11 @@ def _coroot_coefficients(rs, root):
     2 root/(root, root) is sum_j (c_j d_j / d) alpha_j^vee with
     d = (root, root)/2, so coefficient j is 2 c_j d_j / (root, root).  And
     (root, root) = sum_j c_j (alpha_j, root) = sum_j c_j d_j <root, alpha_j>,
-    the pairing read from the integer Cartan matrix; every quantity is an
-    integer, and a remainder raises SpanFailure.
+    the pairing read from rs.pairings; every quantity is an integer, and a
+    remainder raises SpanFailure.
     """
-    c = root.coeffs
-    weighted = [cj * dj for cj, dj in zip(c, rs.root_lengths())]
-    norm = sum(w * rootsys.pairing(rs.cartan, c, j) for j, w in enumerate(weighted))
+    weighted = [cj * dj for cj, dj in zip(root.coeffs, rs.root_lengths())]
+    norm = sum(w * p for w, p in zip(weighted, rs.pairings[root.coeffs]))
     out = []
     for w in weighted:
         q, r = divmod(2 * w, norm)
@@ -388,7 +429,7 @@ def _coroot_matrices(rs, sh):
     for r in rs.roots:
         if r.height() > 0:
             out[r.coeffs] = _sp_combination(sh, _coroot_coefficients(rs, r))
-            out[(-r).coeffs] = _sp_scale(out[r.coeffs], -1)
+            out[rs.negative(r).coeffs] = _sp_scale(out[r.coeffs], -1)
     return out
 
 
@@ -402,7 +443,7 @@ def _verify_axioms(rs, sh, sx, coroots):
     The checks, for all roots a, b and all i, j:
 
     - H_i is diagonal, and [H_i, H_j] = 0;
-    - [H_i, X_a] = <a, a_i> X_a, the pairing read from the Cartan matrix;
+    - [H_i, X_a] = <a, a_i> X_a, the pairing read from rs.pairings;
     - [X_a, X_-a] = H_a, the combination of the H_i from the coroot;
     - [X_a, X_b] = N X_(a+b) with |N| = r + 1 when a + b is a root, where
       b - r a, ..., b + q a is the a-string through b; N is returned as
@@ -412,7 +453,9 @@ def _verify_axioms(rs, sh, sx, coroots):
     The identities are checked with sparse integer maps.  This checks
     them exactly as dense brackets would: a map holds precisely the
     non-zero entries, integer sums and products are exact, and two maps are
-    equal iff the matrices are.
+    equal iff the matrices are.  The roots are handled as their
+    coefficient vectors and integer codes throughout, so the sweep builds
+    no Root.
 
     [H_i, X_a] is checked cell by cell.  For a diagonal H with entries h_r,
     (H X)[r][c] = h_r X[r][c] and (X H)[r][c] = X[r][c] h_c, so
@@ -430,13 +473,9 @@ def _verify_axioms(rs, sh, sx, coroots):
     hold when a + b is neither 0 nor a root, and otherwise _check_bracket
     is run on the empty map, which is that zero bracket, and raises as a
     multiplied-out zero would.  Whether a + b is a root or 0 is read off
-    the integer codes sum_j k_j 16^j of the roots, which add as the vectors
-    do and are unique for them (rootsys.RootSystem._strings proves this).
-    A chained pair has br = X_a X_b - X_b X_a formed once.  The identities
-    of the ordered pair (a, b) are checked on br and those of (b, a) on
-    -br, which is [X_b, X_a] exactly, since [X_b, X_a] = X_b X_a - X_a X_b
-    = -[X_a, X_b]; so every ordered pair is still checked, on the matrix
-    the ordered sweep would have formed.
+    the integer codes of the roots (rootsys RootSystem.codes).  A chained
+    pair has br = X_a X_b - X_b X_a formed once, and _check_bracket checks
+    the identities of both ordered pairs on it.
     """
     l = rs.rank
     for i, h in enumerate(sh):
@@ -447,55 +486,67 @@ def _verify_axioms(rs, sh, sx, coroots):
             if _sp_bracket(sh[i], sh[j]):
                 raise SpanFailure("[H_%d, H_%d] != 0" % (i + 1, j + 1))
     diagonals = [{r: row[r] for r, row in h.items()} for h in sh]
+    keys = [root.coeffs for root in rs.roots]
     rows, cols = {}, {}
-    for root in rs.roots:
-        mat = sx[root.coeffs]
-        for i, h in enumerate(diagonals):
-            p = rootsys.pairing(rs.cartan, root.coeffs, i)
+    for x in keys:
+        mat = sx[x]
+        for i, (h, p) in enumerate(zip(diagonals, rs.pairings[x])):
             if any(h.get(r, 0) - h.get(c, 0) != p for r, row in mat.items() for c in row):
-                raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
-        rows[root.coeffs] = set(mat)
-        cols[root.coeffs] = set().union(*mat.values())
-    code = {r.coeffs: sum(k << 4 * j for j, k in enumerate(r.coeffs)) for r in rs.roots}
-    bracketed = set(code.values()) | {0}
+                raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, x))
+        rows[x] = set(mat)
+        cols[x] = set().union(*mat.values())
+    code = rs.codes
+    bracketed = rs.root_of_code.keys() | {0}
     nconst = {}
-    roots = rs.roots
-    for k, a in enumerate(roots):
-        for b in roots[k:]:
-            x, y = a.coeffs, b.coeffs
-            if cols[x] & rows[y] or cols[y] & rows[x]:
+    for k, x in enumerate(keys):
+        rows_x, cols_x = rows[x], cols[x]
+        for y in keys[k:]:
+            if not cols_x.isdisjoint(rows[y]) or not cols[y].isdisjoint(rows_x):
                 br = _sp_bracket(sx[x], sx[y])
             elif code[x] + code[y] in bracketed:
                 br = {}
             else:
                 continue
-            _check_bracket(rs, coroots, sx, a, b, br, nconst)
-            if b != a:
-                _check_bracket(rs, coroots, sx, b, a, _sp_scale(br, -1), nconst)
+            _check_bracket(rs, coroots, sx, x, y, br, nconst)
     return nconst
 
 
 def _check_bracket(rs, coroots, sx, a, b, br, nconst):
-    """The identities of the ordered pair (a, b) on br = [X_a, X_b]."""
-    total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-    if not any(total):
-        if br != coroots[a.coeffs]:
-            raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
-    elif total in rs._root_set:
-        ratio = _proportionality(br, sx[total])
+    """The identities of the ordered pair (a, b) of coefficient vectors on
+    br = [X_a, X_b], then for b != a those of (b, a) on [X_b, X_a] =
+    X_b X_a - X_a X_b = -br.  Whether a + b is 0 or a root is read off the
+    codes, and r by rootsys.root_string on them.
+
+    -br is formed only for a + b = 0, where it is compared with H_b.  When
+    a + b is a root, -br is proportional to X_(a+b) iff br is, and
+    _proportionality(-br, X_(a+b)) is (-p, q) for br's (p, q): it takes p
+    at the first entry of X_(a+b), which -br negates, and each test
+    got * q == p * t holds for br iff its negation does for -br.  So (b, a)
+    is tested on the ratio (-p, q), against the r of the b-string through
+    a.  When a + b is neither, -br vanishes iff br does, which is the test
+    made; this is the only branch a = b reaches, 2a being no root.
+    """
+    total = rs.codes[a] + rs.codes[b]
+    if not total:
+        for x, got in ((a, br), (b, _sp_scale(br, -1))):
+            if got != coroots[x]:
+                raise SpanFailure("[X_a, X_-a] != H_a for %r" % (x,))
+    elif total in rs.root_of_code:
+        ratio = _proportionality(br, sx[rs.root_of_code[total]])
         if ratio is None:
             raise SpanFailure(
-                "[X_%r, X_%r] not proportional to X_sum" % (a.coeffs, b.coeffs)
+                "[X_%r, X_%r] not proportional to X_sum" % (a, b)
             )
-        r, _ = rootsys.root_string(rs, b, a)
         p, q = ratio
-        if p % q or abs(p // q) != r + 1:
-            raise SpanFailure(
-                "|N| = %s != r+1 = %d for %r, %r" % (Fraction(p, q), r + 1, a.coeffs, b.coeffs)
-            )
-        nconst[(a.coeffs, b.coeffs)] = p // q
+        for x, y, p in ((a, b, p), (b, a, -p)):
+            r, _ = rootsys.root_string(rs, y, x)
+            if p % q or abs(p // q) != r + 1:
+                raise SpanFailure(
+                    "|N| = %s != r+1 = %d for %r, %r" % (Fraction(p, q), r + 1, x, y)
+                )
+            nconst[(x, y)] = p // q
     elif br:
-        raise SpanFailure("[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs))
+        raise SpanFailure("[X_%r, X_%r] should vanish" % (a, b))
 
 
 def _proportionality(mat, target):
@@ -770,13 +821,14 @@ def _bracket_with(rep, root, key):
     kind, value = key
     rs = rep.rs
     if kind == "H":
-        n = -rootsys.pairing(rs.cartan, root.coeffs, value - 1)
+        n = -rs.pairings[root.coeffs][value - 1]
         return ((("X", root.coeffs), n),) if n else ()
-    total = tuple(a + b for a, b in zip(root.coeffs, value))
-    if not any(total):
-        return tuple((("H", j), c) for j, c in enumerate(_coroot_coefficients(rs, root), 1) if c)
     n = rep.nconst.get((root.coeffs, value))
-    return ((("X", total), n),) if n else ()
+    if n:
+        return ((("X", rs.root_of_code[rs.codes[root.coeffs] + rs.codes[value]]), n),)
+    if rs.codes[root.coeffs] + rs.codes[value]:
+        return ()
+    return tuple((("H", j), c) for j, c in enumerate(_coroot_coefficients(rs, root), 1) if c)
 
 
 def unipotent_adjoint(rep, root, t, coords):
@@ -1030,34 +1082,61 @@ def word_element(rep, word):
     return m
 
 
-def simple_representative(rep, i):
-    """n(w_i) = u_{alpha_i}(1) u_{-alpha_i}(-1) u_{alpha_i}(1)."""
-    up, down = ("X", rep.rs.simple(i).coeffs), ("X", (-rep.rs.simple(i)).coeffs)
-    return word_element(rep, ((up, Fraction(1)), (down, Fraction(-1)), (up, Fraction(1))))
+def _unipotent_apply(cells, x, v):
+    """u v for u = exp(x X) with the exp_cells `cells` of X and an int x,
+    and a vector v as its {row: non-zero int} map: u is the identity plus
+    x^k p at each cell (r, c, k, p) (unipotent_element), so (u v)[r] is
+    v[r] plus the x^k p v[c] of the cells in row r."""
+    out = dict(v)
+    for r, c, k, p in cells:
+        y = v.get(c)
+        if y:
+            out[r] = out.get(r, 0) + x ** k * p * y
+    return {r: y for r, y in out.items() if y}
 
 
-def _signed_columns(p):
-    """(row, int sign) of the one entry +-1 in each column of p; StructureViolation
-    unless each row and column of p holds exactly one +-1 and zeros elsewhere."""
-    unit = [0] * (len(p) - 1) + [1]
-    if any(sorted(map(abs, line)) != unit for line in list(p) + list(zip(*p))):
+def _simple_columns(rep, i):
+    """n(w_i) = u_{alpha_i}(1) u_{-alpha_i}(-1) u_{alpha_i}(1) as the (row,
+    sign) of each column (_signed_columns): column j is n(w_i) e_j, the unit
+    vector e_j taken through the three letters, rightmost first, by
+    _unipotent_apply on ints."""
+    alpha = rep.rs.simple(i)
+    up, down = rep.exp_cells[alpha.coeffs], rep.exp_cells[rep.rs.negative(alpha).coeffs]
+    columns = []
+    for j in range(rep.dim):
+        v = {j: 1}
+        for cells, x in ((up, 1), (down, -1), (up, 1)):
+            v = _unipotent_apply(cells, x, v)
+        columns.append(v)
+    return _signed_columns(columns)
+
+
+def _signed_columns(columns):
+    """(row, sign) of the one non-zero entry of each column, for columns
+    given as {row: non-zero entry} maps; StructureViolation unless every
+    column holds one entry, +-1, and no two share a row.  Those are the
+    signed permutation matrices: n columns on n distinct rows leave one
+    entry in each row too."""
+    out = tuple(next(iter(col.items())) for col in columns if len(col) == 1)
+    rows = {r for r, s in out if s == 1 or s == -1}
+    if len(out) != len(columns) or len(rows) != len(out):
         raise StructureViolation("n(w) is not a signed permutation matrix")
-    return tuple(next((r, int(x)) for r, x in enumerate(col) if x) for col in zip(*p))
+    return out
 
 
 def weyl_representative(rep, word):
     """n(w) = n(w_{i_1}) ... n(w_{i_k}) for a word of 1-based simple indices,
     as the (row, sign) of its one entry +-1 in each column; each distinct
-    n(w_i) is built once and read by _signed_columns, which checks that it
-    is a signed permutation: n(w) maps the weight line of mu to that of
-    w(mu), and the weights of the basis vectors, read off the H_i
+    n(w_i) is read once by _simple_columns, whose _signed_columns checks
+    that it is a signed permutation: n(w) maps the weight line of mu to that
+    of w(mu), and the weights of the basis vectors, read off the H_i
     diagonals, are pairwise distinct in every supported representation (a
     test checks them all), so each line is one basis vector.  If P holds
     p_r at (q_r, r) and S holds s_j at (r_j, j), column j of P S is s_j
     times column r_j of P, s_j p_{r_j} at row q_{r_j}; since j -> r_j and
     r -> q_r are bijections, P S is again a signed permutation, composed on
     the columns."""
-    simple = {i: _signed_columns(simple_representative(rep, i)) for i in dict.fromkeys(word)}
+    simple = {i: _simple_columns(rep, i) for i in dict.fromkeys(word)}
     out = tuple((j, 1) for j in range(rep.dim))
     for i in word:
         out = tuple((out[r][0], s * out[r][1]) for r, s in simple[i])

@@ -4,6 +4,12 @@ Roots are integer coefficient vectors over the simple basis.  The negative
 roots carry the canonical ordering used throughout the construction: heights
 non-increasing, complementary roots placed last within each height block,
 and ascending lexicographic order on coefficient vectors otherwise.
+
+A RootSystem keeps tables built once from its roots: the integer code of
+each root, under which a sum or difference of two roots is a root iff its
+code is one (RootSystem.codes), the Cartan pairings of each root, its
+simple roots and the negation of each root as its own Root values.
+root_string counts string lengths on the codes.
 """
 
 from dataclasses import dataclass, replace
@@ -59,17 +65,66 @@ class RootSystem:
         return "%s%d" % (self.type_label, self.rank)
 
     def simple(self, i):
-        """The i-th simple root, 1-based."""
-        return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
+        """The i-th simple root, 1-based; NotARoot for any other i.  An i
+        below 1 is refused before the lookup, where -1 would index the last
+        simple root."""
+        if i < 1 or i > self.rank:
+            raise NotARoot("no simple root %r in rank %d" % (i, self.rank))
+        return self._simple_roots[i - 1]
+
+    def negative(self, root):
+        """-root for a root of the system: the system's own Root, so no new
+        one is built and validated."""
+        return self._negatives[root.coeffs]
 
     def contains(self, root):
         return root.coeffs in self._root_set
 
     # Derived data is cached on first use, outside the fields, so that
-    # `replace` never carries a stale copy.
+    # `replace` never carries a stale copy; finalize_order carries over
+    # those in _ROOT_TABLES, which depend on roots and cartan alone.
     @cached_property
     def _root_set(self):
         return frozenset(r.coeffs for r in self.roots)
+
+    @cached_property
+    def _simple_roots(self):
+        return tuple(Root(tuple(int(j == i) for j in range(self.rank))) for i in range(self.rank))
+
+    @cached_property
+    def _negatives(self):
+        own = {r.coeffs: r for r in self.roots}
+        return {c: own[tuple(-k for k in c)] for c in own}
+
+    @cached_property
+    def codes(self):
+        """Coefficient vector -> the integer code sum_j k_j 16^j of each root.
+
+        Codes add as the vectors do.  No root has a coefficient above 3 in
+        absolute value (G2's 3 alpha_1 + 2 alpha_2 is the largest), so the
+        sum or difference of two roots has digits below 8 in absolute
+        value, where the balanced base-16 expansion is unique: such a
+        vector is 0 iff its code is 0, and a root iff its code is a root's
+        code (root_of_code)."""
+        return {r.coeffs: sum(k << 4 * j for j, k in enumerate(r.coeffs)) for r in self.roots}
+
+    @cached_property
+    def root_of_code(self):
+        """The inverse of codes: code -> coefficient vector."""
+        return {code: coeffs for coeffs, code in self.codes.items()}
+
+    @cached_property
+    def pairings(self):
+        """Coefficient vector -> (<root, alpha_1>, ..., <root, alpha_l>) of
+        each root, read from the integer Cartan matrix; a negative root's
+        are its positive's negated, the pairing being linear."""
+        out = {}
+        for r in self.roots:
+            if r.height() > 0:
+                p = tuple(pairing(self.cartan, r.coeffs, i) for i in range(self.rank))
+                out[r.coeffs] = p
+                out[tuple(-k for k in r.coeffs)] = tuple(-x for x in p)
+        return out
 
     @cached_property
     def bands(self):
@@ -83,35 +138,6 @@ class RootSystem:
     def band(self, height):
         """The indices of one height; () when no root has it."""
         return self.bands.get(height, ())
-
-    @cached_property
-    def _strings(self):
-        """beta -> {alpha -> (r, q)} over coefficient vectors, with r and q
-        the numbers of steps by -beta and by +beta from alpha that stay in
-        Phi, for every pair of roots with alpha != +-beta.
-
-        Each run alpha - r*beta, ..., alpha + q*beta of roots is walked
-        once, up from its bottom, and its member at position p of n gets
-        (p, n - 1 - p).  The walk runs on the integer codes sum_j k_j 16^j,
-        which add as the vectors do.  No root has a coefficient above 3 in
-        absolute value (G2's 3 alpha_1 + 2 alpha_2 is the largest), so the
-        sum or difference of two roots has digits below 8 in absolute
-        value, where the balanced base-16 expansion is unique: such a
-        vector is a root iff its code is a root's code."""
-        root_of = {sum(k << 4 * j for j, k in enumerate(r)): r for r in self._root_set}
-        table = {}
-        for cb, b in root_of.items():
-            strings = table[b] = {}
-            for ca in root_of:
-                if ca == cb or ca == -cb or ca - cb in root_of:
-                    continue
-                run = [ca]
-                while run[-1] + cb in root_of:
-                    run.append(run[-1] + cb)
-                top = len(run) - 1
-                for p, member in enumerate(run):
-                    strings[root_of[member]] = (p, top - p)
-        return table
 
     def heights_of_order(self):
         return tuple(b.height() for b in self.neg_order)
@@ -271,23 +297,41 @@ def order_negative_roots(rs, comp_roots):
     )
 
 
+_ROOT_TABLES = ("_root_set", "_simple_roots", "_negatives", "codes", "root_of_code", "pairings")
+
+
 def finalize_order(rs, comp_roots):
     """Install complementary roots and return the reordered system."""
     order = order_negative_roots(rs, comp_roots)
     comp_idx = tuple(
         sorted(order.index(r) + 1 for r in comp_roots)
     )
-    return replace(rs, neg_order=order, comp_roots=comp_idx)
+    out = replace(rs, neg_order=order, comp_roots=comp_idx)
+    # the tables of roots and cartan, which the reordering leaves as they are
+    out.__dict__.update((k, v) for k, v in rs.__dict__.items() if k in _ROOT_TABLES)
+    return out
 
 
 def root_string(rs, alpha, beta):
-    """(r, q) with alpha - r*beta ... alpha + q*beta the beta-string."""
-    if not rs.contains(alpha) or not rs.contains(beta):
+    """(r, q) with alpha - r*beta ... alpha + q*beta the beta-string, for
+    the coefficient vectors alpha and beta of two roots with alpha != +-beta.
+
+    r and q count the steps by -beta and by +beta from alpha that stay in
+    Phi, on the integer codes: each vector tested is a root plus or minus a
+    root, so its code decides it (RootSystem.codes)."""
+    codes = rs.codes
+    if alpha not in codes or beta not in codes:
         raise NotARoot("string endpoints must be roots")
-    got = rs._strings[beta.coeffs].get(alpha.coeffs)
-    if got is None:
+    a, b = codes[alpha], codes[beta]
+    if a == b or a == -b:
         raise DependentRoots("string through a dependent pair")
-    return got
+    counts = []
+    for step in (-b, b):
+        k, code = 0, a + step
+        while code in rs.root_of_code:
+            k, code = k + 1, code + step
+        counts.append(k)
+    return tuple(counts)
 
 
 def _reflect_simple(rs, i, beta):

@@ -18,12 +18,27 @@ rebuilding the whole matrix, as pvext.chevalley did before it read each
 root vector at its first cell and the H_i through an l x l inverse.
 weyl_representative is n(w) as the dense product of the simple
 representatives, one matrix product per letter, as pvext.chevalley built
-it before it composed the (row, sign) of each column.
+it before it composed the (row, sign) of each column and read each simple
+representative's columns off the exp_cells in ints.
+
+build_rep is pvext.chevalley.build_rep as it was before the build ran on
+integer root codes: the bracket recursion and sparse_verify_axioms, the
+dict-of-dicts axiom sweep, handle roots as validated Root values, take
+each string length from root_string, which walks coefficient vectors
+rather than integer codes, form every bracket as two
+sparse products and a sum (sp_bracket), and check each ordered pair of a
+chained bracket on its own matrix, -br formed for the reverse pair.  Its
+coroots come from the bilinear form (coroot_coefficients) and its W
+coordinates from decomposing the W matrices, so neither reads the
+pairing table.  The tests require every field of the two
+representations to agree on every supported system.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
-from pvext import linalg, rootsys
+from pvext import chevalley, linalg, rootsys
+from pvext.chevalley import ChevalleyRep
 from pvext.errors import DimMismatch, NotARoot, NotInLieAlgebra, SpanFailure, StructureViolation
 
 import linalg_oracle
@@ -89,6 +104,26 @@ def coroot_coefficients(rs, root):
             raise SpanFailure("non-integral coroot coefficient for %r" % (root,))
         out.append(int(value))
     return tuple(out)
+
+
+def _is_root(rs, coeffs):
+    try:
+        return rootsys.Root(coeffs).coeffs in rs._root_set
+    except NotARoot:
+        return False
+
+
+def root_string(rs, alpha, beta):
+    """(r, q) of the beta-string through alpha, for Root values, by walking
+    the coefficient vectors alpha - beta, alpha - 2 beta, ... and alpha +
+    beta, ... while they are roots."""
+    counts = []
+    for sign in (-1, 1):
+        k = 0
+        while _is_root(rs, tuple(a + sign * (k + 1) * b for a, b in zip(alpha.coeffs, beta.coeffs))):
+            k += 1
+        counts.append(k)
+    return tuple(counts)
 
 
 def cartan_integer(rs, beta, alpha):
@@ -205,7 +240,7 @@ def _check_bracket(rs, H, X, a, b, br, nconst):
         coeff = _proportionality(br, X[total])
         if coeff is None:
             raise SpanFailure("[X_a, X_b] not proportional to X_sum")
-        r, _ = rootsys.root_string(rs, b, a)
+        r, _ = root_string(rs, b, a)
         if abs(coeff) != r + 1:
             raise SpanFailure("|N| != r+1")
         nconst[(a.coeffs, b.coeffs)] = coeff
@@ -281,3 +316,221 @@ def complementary_root_values(rs, X):
         if need:
             raise SpanFailure("cannot complete level %d" % q)
     return comp
+
+
+# ----- the build before integer root codes -----
+
+
+def sp_mul(a, b):
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + x * y
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def sp_add(a, b, s=1):
+    """a + s b."""
+    out = {i: dict(row) for i, row in a.items()}
+    for i, row in b.items():
+        acc = out.setdefault(i, {})
+        for j, v in row.items():
+            x = acc.get(j, 0) + s * v
+            if x:
+                acc[j] = x
+            else:
+                acc.pop(j, None)
+        if not acc:
+            del out[i]
+    return out
+
+
+def sp_scale(a, c):
+    if not c:
+        return {}
+    return {i: {j: c * v for j, v in row.items()} for i, row in a.items()}
+
+
+def sp_divide(a, k, what):
+    if any(v % k for row in a.values() for v in row.values()):
+        raise SpanFailure("%s is not integral" % what)
+    return {i: {j: v // k for j, v in row.items()} for i, row in a.items()}
+
+
+def sp_bracket(a, b):
+    return sp_add(sp_mul(a, b), sp_mul(b, a), -1)
+
+
+def sp_combination(mats, coeffs):
+    acc = {}
+    for c, m in zip(coeffs, mats):
+        if c:
+            acc = sp_add(acc, m, c)
+    return acc
+
+
+def _decomposition_step(rs, gamma):
+    """Minimal simple index i with gamma - alpha_i a positive root."""
+    for i in range(1, rs.rank + 1):
+        diff = tuple(g - s for g, s in zip(gamma.coeffs, rs.simple(i).coeffs))
+        if min(diff) >= 0 and any(diff) and diff in rs._root_set:
+            return i, rootsys.Root(diff)
+    raise SpanFailure("no descent for %r" % (gamma,))
+
+
+def sparse_coroots(rs, sh):
+    """Root coefficients -> the sparse coroot over the H_i in sh, with the
+    coefficients from the bilinear form."""
+    return {r.coeffs: sp_combination(sh, coroot_coefficients(rs, r)) for r in rs.roots}
+
+
+def sparse_verify_axioms(rs, sh, sx, coroots):
+    """The dict-of-dicts sweep over Root values: [H_i, H_j] and [H_i, X_a]
+    as in pvext.chevalley._verify_axioms, then for each unordered pair
+    {a, b} whose supports chain the bracket as two products and a sum, the
+    zero bracket for a pair that does not chain and sums to 0 or a root,
+    and the identities of (a, b) on br and of (b, a) on -br."""
+    l = rs.rank
+    for i, h in enumerate(sh):
+        if any(set(row) != {r} for r, row in h.items()):
+            raise SpanFailure("H_%d is not diagonal" % (i + 1))
+    for i in range(l):
+        for j in range(l):
+            if sp_bracket(sh[i], sh[j]):
+                raise SpanFailure("[H_%d, H_%d] != 0" % (i + 1, j + 1))
+    diagonals = [{r: row[r] for r, row in h.items()} for h in sh]
+    rows, cols = {}, {}
+    for root in rs.roots:
+        mat = sx[root.coeffs]
+        for i, h in enumerate(diagonals):
+            p = rootsys.pairing(rs.cartan, root.coeffs, i)
+            if any(h.get(r, 0) - h.get(c, 0) != p for r, row in mat.items() for c in row):
+                raise SpanFailure("[H_%d, X_%r] is off" % (i + 1, root.coeffs))
+        rows[root.coeffs] = set(mat)
+        cols[root.coeffs] = set().union(*mat.values())
+    nconst = {}
+    roots = rs.roots
+    for k, a in enumerate(roots):
+        for b in roots[k:]:
+            x, y = a.coeffs, b.coeffs
+            total = tuple(u + v for u, v in zip(x, y))
+            if cols[x] & rows[y] or cols[y] & rows[x]:
+                br = sp_bracket(sx[x], sx[y])
+            elif not any(total) or total in rs._root_set:
+                br = {}
+            else:
+                continue
+            _sparse_check_bracket(rs, coroots, sx, a, b, br, nconst)
+            if b != a:
+                _sparse_check_bracket(rs, coroots, sx, b, a, sp_scale(br, -1), nconst)
+    return nconst
+
+
+def _sparse_ratio(mat, target):
+    """The Fraction c with mat == c * target for sparse integer maps, or
+    None."""
+    want = {(i, j): v for i, row in target.items() for j, v in row.items()}
+    got = {(i, j): v for i, row in mat.items() for j, v in row.items()}
+    if got.keys() != want.keys():
+        return None
+    ratios = {Fraction(got[cell], v) for cell, v in want.items()}
+    if len(ratios) > 1:
+        return None
+    return ratios.pop() if ratios else Fraction(0)
+
+
+def _sparse_check_bracket(rs, coroots, sx, a, b, br, nconst):
+    total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    if not any(total):
+        if br != coroots[a.coeffs]:
+            raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
+    elif total in rs._root_set:
+        c = _sparse_ratio(br, sx[total])
+        if c is None:
+            raise SpanFailure("[X_%r, X_%r] not proportional to X_sum" % (a.coeffs, b.coeffs))
+        r, _ = root_string(rs, b, a)
+        if c.denominator != 1 or abs(c) != r + 1:
+            raise SpanFailure("|N| = %s != r+1 = %d for %r, %r" % (c, r + 1, a.coeffs, b.coeffs))
+        nconst[(a.coeffs, b.coeffs)] = int(c)
+    elif br:
+        raise SpanFailure("[X_%r, X_%r] should vanish" % (a.coeffs, b.coeffs))
+
+
+def build_rep(type_label, rank):
+    """The representation as pvext.chevalley.build_rep built it before its
+    root codes: the recursion and the sweep over Root values, the coroots
+    from the bilinear form, the W coordinates by decomposition; the steps
+    this leaves to pvext.chevalley are the generators, the divided powers,
+    the complementary roots, the cell maps and the closing W-basis check."""
+    rs = rootsys.build_root_system(type_label, rank)
+    signs = {
+        tuple(int(v) for v in key.split(",")): int(value)
+        for key, value in chevalley._load_calibration().get(rs.label, {}).items()
+    }
+    n, E, F = chevalley._simple_generators(rs)
+    l = rs.rank
+    sh = [sp_bracket(E[i], F[i]) for i in range(l)]
+    coroots = sparse_coroots(rs, sh)
+    sx = {}
+    for i in range(l):
+        sx[rs.simple(i + 1).coeffs] = E[i]
+        sx[(-rs.simple(i + 1)).coeffs] = F[i]
+    positives = sorted((r for r in rs.roots if r.height() > 0), key=lambda r: (r.height(), r.coeffs))
+    for gamma in positives:
+        if gamma.coeffs in sx:
+            continue
+        i, beta = _decomposition_step(rs, gamma)
+        r, _ = root_string(rs, beta, rs.simple(i))
+        sign = signs.get(gamma.coeffs, 1)
+        xg = sp_divide(sp_scale(sp_bracket(sx[rs.simple(i).coeffs], sx[beta.coeffs]), sign),
+                       r + 1, "root vector for %r" % (gamma.coeffs,))
+        xn = sp_divide(sp_scale(sp_bracket(sx[(-rs.simple(i)).coeffs], sx[(-beta).coeffs]), -sign),
+                       r + 1, "root vector for %r" % ((-gamma).coeffs,))
+        if not xg or not xn:
+            raise SpanFailure("vanishing root vector for %r" % (gamma.coeffs,))
+        hg = coroots[gamma.coeffs]
+        br = sp_bracket(xg, xn)
+        if br == sp_scale(hg, -1):
+            xn = sp_scale(xn, -1)
+        elif br != hg:
+            raise SpanFailure("[X,Y] not proportional to the coroot for %r" % (gamma.coeffs,))
+        sx[gamma.coeffs] = xg
+        sx[(-gamma).coeffs] = xn
+    nconst = sparse_verify_axioms(rs, sh, sx, coroots)
+
+    a0 = sp_combination([sx[rs.simple(i + 1).coeffs] for i in range(l)], [1] * l)
+    w = {b.coeffs: sp_bracket(sx[b.coeffs], a0) for b in rs.neg_order}
+    rs = rootsys.finalize_order(rs, chevalley._complementary_root_values(rs, sx, w))
+    basis_order = [("H", i + 1) for i in range(l)]
+    basis_order += [("X", b.coeffs) for b in rs.neg_order]
+    basis_order += [("X", (-b).coeffs) for b in rs.neg_order]
+    mats = [sh[key - 1] if kind == "H" else sx[key] for kind, key in basis_order]
+    cells = {key: tuple(sorted((r, c, v) for r, row in mat.items() for c, v in row.items()))
+             for key, mat in zip(basis_order, mats)}
+    rows, cartan_solve = chevalley._cartan_solve(sh, n)
+    positions = [r * (n + 1) for r in rows]
+    positions += [cells[key][0][0] * n + cells[key][0][1] for key in basis_order[l:]]
+    rep = ChevalleyRep(
+        rs=rs,
+        dim=n,
+        H=tuple(chevalley._dense(n, h) for h in sh),
+        X={coeffs: chevalley._dense(n, mat) for coeffs, mat in sx.items()},
+        nconst=nconst,
+        w_coefficients=(),
+        exp_cells={coeffs: chevalley._divided_power_cells(mat, n) for coeffs, mat in sx.items()},
+        basis_order=tuple(basis_order),
+        cells=cells,
+        solve_positions=tuple(sorted(positions)),
+        cartan_solve=cartan_solve,
+    )
+    coordinates = tuple(
+        chevalley.decompose_in_basis(rep, chevalley._dense(n, w[b.coeffs])) for b in rs.neg_order
+    )
+    rep = replace(rep, w_coefficients=coordinates)
+    chevalley._verify_w_basis(rep, w, sx)
+    return rep

@@ -17,6 +17,7 @@ from pvext.errors import (
     NotInLieAlgebra,
     SpanFailure,
     StructureViolation,
+    UnsupportedRep,
 )
 from pvext.rootsys import Root
 
@@ -49,8 +50,8 @@ def test_a1_matrices(rep_a1):
 
 
 def test_g2_weyl_representatives_match_fixed_matrices(rep_g2):
-    n1 = chevalley.simple_representative(rep_g2, 1)
-    n2 = chevalley.simple_representative(rep_g2, 2)
+    n1 = linalg_oracle.signed_permutation(chevalley.weyl_representative(rep_g2, (1,)))
+    n2 = linalg_oracle.signed_permutation(chevalley.weyl_representative(rep_g2, (2,)))
     want_n1 = [
         [-1, 0, 0, 0, 0, 0, 0],
         [0, 0, 0, 0, 0, 0, -1],
@@ -179,7 +180,7 @@ def test_axioms_exhaustive():
         rep = get_rep(t, r)
         # spot-check |N| = r+1 against the independent string computation
         for (a, b), n in rep.nconst.items():
-            ra, _ = rootsys.root_string(rep.rs, Root(b), Root(a))
+            ra, _ = rootsys.root_string(rep.rs, b, a)
             assert abs(n) == ra + 1
 
 
@@ -206,6 +207,19 @@ def test_build_agrees_with_the_dense_oracle(label):
     rs0 = rootsys.build_root_system(*_system(label))
     comp = chevalley_oracle.complementary_root_values(rs0, rep.X)
     assert rootsys.finalize_order(rs0, comp) == rep.rs
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda system: _label(system))
+def test_build_agrees_with_the_build_over_root_values(system):
+    # every field of the representation, the structure constants included,
+    # equals that of the dict-of-dicts build over validated Root values and
+    # root_string; dicts in the same order
+    rep, want = get_rep(*system), chevalley_oracle.build_rep(*system)
+    for field in dataclasses.fields(chevalley.ChevalleyRep):
+        got, expected = getattr(rep, field.name), getattr(want, field.name)
+        assert got == expected, field.name
+        if isinstance(got, dict):
+            assert list(got.items()) == list(expected.items()), field.name
 
 
 def _basis_matrices(rep):
@@ -401,8 +415,12 @@ def test_verify_axioms_rejects_corrupted_basis(label, case):
     rep = get_rep(*_system(label))
     sh, sx = chevalley_oracle.sparse_basis(*_corrupted_basis(rep, case))
     message = _corruption_message(rep, case)
-    with pytest.raises(SpanFailure, match=re.escape(message)):
+    with pytest.raises(SpanFailure, match=re.escape(message)) as raised:
         chevalley._verify_axioms(rep.rs, sh, sx, chevalley._coroot_matrices(rep.rs, sh))
+    # the sweep over Root values stops at the same check, with the same text
+    with pytest.raises(SpanFailure) as oracle:
+        chevalley_oracle.sparse_verify_axioms(rep.rs, sh, sx, chevalley_oracle.sparse_coroots(rep.rs, sh))
+    assert str(oracle.value) == str(raised.value)
 
 
 def test_check_bracket_refuses_a_fractional_structure_constant():
@@ -410,8 +428,8 @@ def test_check_bracket_refuses_a_fractional_structure_constant():
     # the ratio would pass, so the ratio must divide out before its size counts
     rep = get_rep("A", 2)
     sh, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
-    a, b = rep.rs.simple(1), rep.rs.simple(2)
-    total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
+    a, b = rep.rs.simple(1).coeffs, rep.rs.simple(2).coeffs
+    total = tuple(x + y for x, y in zip(a, b))
     br = {i: {j: 3 * v for j, v in row.items()} for i, row in sx[total].items()}
     sx[total] = {i: {j: 2 * v for j, v in row.items()} for i, row in sx[total].items()}
     coroots = chevalley._coroot_matrices(rep.rs, sh)
@@ -642,9 +660,10 @@ def test_structure_constants_are_antisymmetric(label):
 def test_axiom_sweep_brackets_each_unordered_pair_once(monkeypatch):
     rep = get_rep("D", 5)
     sh, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
-    products = []
-    sp_mul = chevalley._sp_mul
+    brackets, products = [], []
+    sp_bracket, sp_mul = chevalley._sp_bracket, chevalley._sp_mul
     coroots = chevalley._coroot_matrices(rep.rs, sh)
+    monkeypatch.setattr(chevalley, "_sp_bracket", lambda a, b: brackets.append(1) or sp_bracket(a, b))
     monkeypatch.setattr(chevalley, "_sp_mul", lambda a, b: products.append(1) or sp_mul(a, b))
     chevalley._verify_axioms(rep.rs, sh, sx, coroots)
     l, roots, n = rep.rank, rep.rs.roots, rep.dim
@@ -654,25 +673,51 @@ def test_axiom_sweep_brackets_each_unordered_pair_once(monkeypatch):
     chained = sum(
         1 for k, a in enumerate(roots) for b in roots[k:] if cols[a] & rows[b] or cols[b] & rows[a]
     )
-    # two products per bracket: [H_i, H_j], then one bracket per unordered
-    # pair of roots, a with itself included, where X_a X_b or X_b X_a can
-    # be non-zero; [H_i, X_a] is checked on the cells of X_a, with no product
-    assert len(products) == 2 * (l * l + chained)
+    # one fused bracket each: [H_i, H_j], then one per unordered pair of
+    # roots, a with itself included, where X_a X_b or X_b X_a can be
+    # non-zero; [H_i, X_a] is checked on the cells of X_a, with no product
+    assert len(brackets) == l * l + chained and products == []
     # a third of the sweep that brackets every unordered pair
-    assert 3 * len(products) <= 2 * (l * l + l * len(roots) + len(roots) * (len(roots) + 1) // 2)
+    assert 3 * len(brackets) <= l * l + l * len(roots) + len(roots) * (len(roots) + 1) // 2
+
+
+@pytest.mark.parametrize("label", ["B3", "G2", "D5"])
+def test_axiom_sweep_builds_no_root(label, monkeypatch):
+    # the sweep reads roots as coefficient vectors and integer codes
+    rep = get_rep(*_system(label))
+    sh, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
+    coroots = chevalley._coroot_matrices(rep.rs, sh)
+    built = []
+    post_init = Root.__post_init__
+    monkeypatch.setattr(Root, "__post_init__", lambda root: built.append(root) or post_init(root))
+    assert chevalley._verify_axioms(rep.rs, sh, sx, coroots) == rep.nconst
+    assert built == []
+
+
+def test_fused_bracket_is_the_difference_of_the_products():
+    rng = random.Random(7)
+    for _ in range(200):
+        a, b = ({r: {c: rng.choice([-2, -1, 1, 3]) for c in rng.sample(range(5), 2)}
+                 for r in rng.sample(range(5), 3)} for _ in range(2))
+        want = chevalley._sp_add(chevalley._sp_mul(a, b), chevalley._sp_mul(b, a), -1)
+        assert chevalley._sp_bracket(a, b) == want
 
 
 def test_weyl_representative_builds_each_simple_representative_once(monkeypatch):
+    # each distinct n(w_i) is read once, as columns of ints through the
+    # exp_cells, with no matrix product and no Fraction
     rep = get_rep("B", 3)
     word = rootsys.longest_weyl_word(rep.rs)
     want = chevalley.weyl_representative(rep, word)
-    built = []
-    simple = chevalley.simple_representative
-    monkeypatch.setattr(
-        chevalley, "simple_representative", lambda rep, i: built.append(i) or simple(rep, i)
-    )
+    built, columns = [], []
+    simple, signed = chevalley._simple_columns, chevalley._signed_columns
+    monkeypatch.setattr(chevalley, "_simple_columns", lambda rep, i: built.append(i) or simple(rep, i))
+    monkeypatch.setattr(chevalley, "_signed_columns", lambda cols: columns.append(cols) or signed(cols))
+    monkeypatch.setattr(linalg, "mat_mul", None)
     assert chevalley.weyl_representative(rep, word) == want
     assert len(word) == 9 and sorted(built) == [1, 2, 3]
+    assert len(columns) == 3 and all(len(cols) == rep.dim for cols in columns)
+    assert all(type(x) is int for cols in columns for col in cols for x in col.values())
 
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
@@ -705,8 +750,9 @@ def test_weyl_adjoint_is_the_dense_conjugation(system):
     [[0, 0], [0, 1]],  # a zero row
 ])
 def test_a_non_signed_permutation_is_refused(entries):
+    columns = [{r: x for r, x in enumerate(col) if x} for col in zip(*entries)]
     with pytest.raises(StructureViolation, match="signed permutation"):
-        chevalley._signed_columns(entries)
+        chevalley._signed_columns(columns)
 
 
 class _CountedPowers:
@@ -732,3 +778,152 @@ def test_torus_element_raises_each_distinct_power_once():
         diagonal = [int(rep.H[i - 1][j][j]) for j in range(rep.dim)]
         assert sorted(z.exponents) == sorted(set(diagonal))
         assert [t[j][j] for j in range(rep.dim)] == [Fraction(2) ** k for k in diagonal]
+
+
+# ----- corrupted inputs of build_rep, each with the check it trips first -----
+#
+# One entry of a simple generator E_i, written into _simple_generators'
+# output, or one calibration sign.  No single corrupted generator entry or
+# sign gets past the bracket recursion to the pair checks of the sweep on
+# B3 or G2 (every entry value and sign in -3..3 was tried): the recursion
+# builds each X_gamma from brackets and checks [X_gamma, X_-gamma] against
+# the coroot.  The pair checks are fired on corrupted bases of the sweep
+# itself (test_verify_axioms_rejects_corrupted_basis and the tests below).
+
+GENERATOR_CORRUPTIONS = {
+    "B3": (
+        ((0, 5, 0, 1), "H_1 is not diagonal"),
+        ((0, 1, 0, 1), "[H_1, X_(1, 0, 0)] is off"),
+        ((0, 0, 0, 1), "[X,Y] not proportional to the coroot for (1, 1, 0)"),
+        ((2, 2, 2, 1), "root vector for (0, 1, 2) is not integral"),
+    ),
+    "G2": (
+        ((0, 3, 1, 2), "H_1 is not diagonal"),
+        ((0, 2, 3, 3), "[H_1, X_(1, 0)] is off"),
+        ((0, 0, 0, 1), "[X,Y] not proportional to the coroot for (1, 1)"),
+        ((0, 2, 1, 1), "root vector for (2, 1) is not integral"),
+    ),
+}
+
+
+@pytest.mark.parametrize("label, entry, message", [
+    (label, entry, message)
+    for label, cases in GENERATOR_CORRUPTIONS.items() for entry, message in cases
+])
+def test_build_rep_refuses_a_corrupted_generator_entry(label, entry, message, monkeypatch):
+    i, r, c, v = entry
+    generators = chevalley._simple_generators
+
+    def corrupted(rs):
+        n, E, F = generators(rs)
+        E[i].setdefault(r, {})[c] = v
+        return n, E, F
+
+    monkeypatch.setattr(chevalley, "_simple_generators", corrupted)
+    with pytest.raises(SpanFailure, match="^%s$" % re.escape(message)):
+        chevalley.build_rep(*_system(label))
+
+
+@pytest.mark.parametrize("label, root", [("B3", (0, 1, 1)), ("G2", (1, 1))])
+@pytest.mark.parametrize("sign, message", [
+    (0, "vanishing root vector for %r"),
+    (2, "[X,Y] not proportional to the coroot for %r"),
+])
+def test_build_rep_refuses_a_corrupted_calibration_sign(label, root, sign, message, monkeypatch):
+    table = dict(chevalley._load_calibration())
+    table[label] = {**table.get(label, {}), ",".join(map(str, root)): sign}
+    monkeypatch.setattr(chevalley, "_load_calibration", lambda: table)
+    with pytest.raises(SpanFailure, match="^%s$" % re.escape(message % (root,))):
+        chevalley.build_rep(*_system(label))
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_descent_is_refused_for_a_simple_root(label):
+    # every positive root the recursion meets is simple or has a descent;
+    # a simple root has none
+    rs = get_rep(*_system(label)).rs
+    for i in range(1, rs.rank + 1):
+        alpha = rs.simple(i).coeffs
+        with pytest.raises(SpanFailure, match="^no descent for %s$" % re.escape(repr(alpha))):
+            chevalley._decomposition_step(rs, alpha)
+
+
+def test_divided_powers_refuse_a_non_nilpotent_matrix():
+    # X = (2) on a line: X^k/k! = 2^k/k! stays integral through k = 2 > n
+    with pytest.raises(SpanFailure, match="^root vector is not nilpotent$"):
+        chevalley._divided_power_cells({0: {0: 2}}, 1)
+
+
+def test_sweep_refuses_a_bracket_that_should_vanish():
+    # G2: one cell of X_(2, 1) negated keeps its weights, and the first
+    # pair whose bracket it breaks is (alpha_2, (2, 1)), whose sum (2, 2) is
+    # no root
+    rep = get_rep("G2", 2)
+    X = {coeffs: [list(row) for row in mat] for coeffs, mat in rep.X.items()}
+    X[(2, 1)][5][3] *= -1
+    sh, sx = chevalley_oracle.sparse_basis(rep.H, X)
+    with pytest.raises(SpanFailure, match=re.escape("[X_(0, 1), X_(2, 1)] should vanish")):
+        chevalley._verify_axioms(rep.rs, sh, sx, chevalley._coroot_matrices(rep.rs, sh))
+    # B3: a non-zero bracket for (alpha_1, alpha_1), 2 alpha_1 being no root
+    rep = get_rep("B", 3)
+    sh, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
+    a = rep.rs.simple(1).coeffs
+    with pytest.raises(SpanFailure, match=re.escape("[X_%r, X_%r] should vanish" % (a, a))):
+        chevalley._check_bracket(rep.rs, chevalley._coroot_matrices(rep.rs, sh), sx, a, a, {0: {0: 1}}, {})
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_weyl_representative_refuses_a_corrupted_exponential_cell(label):
+    # a fresh rep, as its exp_cells are corrupted in place
+    rep = chevalley.build_rep(*_system(label))
+    alpha = rep.rs.simple(1).coeffs
+    r, c, k, p = rep.exp_cells[alpha][0]
+    rep.exp_cells[alpha] = ((r, c, k, 2 * p),) + rep.exp_cells[alpha][1:]
+    with pytest.raises(StructureViolation, match=r"^n\(w\) is not a signed permutation matrix$"):
+        chevalley.weyl_representative(rep, (1,))
+    assert chevalley.weyl_representative(rep, (2,)) == chevalley.weyl_representative(get_rep(*_system(label)), (2,))
+
+
+def test_a0_refuses_a_zero_coefficient(rep_a2):
+    with pytest.raises(ValueError, match="^principal nilpotent coefficients must be nonzero$"):
+        rep_a2.a0_plus([1, 0])
+
+
+def test_generators_refuse_an_unsupported_type():
+    rs = dataclasses.replace(rootsys.build_root_system("A", 2), type_label="E")
+    with pytest.raises(UnsupportedRep, match="^no representation for type E$"):
+        chevalley._simple_generators(rs)
+
+
+def test_cartan_solve_refuses_dependent_weights():
+    # H_2 = 2 H_1 leaves one independent weight row
+    with pytest.raises(SpanFailure, match="^Chevalley basis is not linearly independent$"):
+        chevalley._cartan_solve([{0: {0: 1}, 1: {1: -1}}, {0: {0: 2}, 1: {1: -2}}], 2)
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_complementary_roots_refuse_corrupted_vectors(label):
+    rep = get_rep(*_system(label))
+    rs0 = rootsys.build_root_system(*_system(label))
+    _, sx = chevalley_oracle.sparse_basis(rep.H, rep.X)
+    a0 = rep.a0_plus()
+    W = {b.coeffs: chevalley_oracle.sparse(linalg_oracle.bracket(rep.X[b.coeffs], a0), "W")
+         for b in rs0.neg_order}
+    # the root vectors of height -1 made zero, with the W intact
+    zeroed = {**sx, **{rs0.neg_order[k - 1].coeffs: {} for k in rs0.band(-1)}}
+    with pytest.raises(SpanFailure, match="^cannot complete level -1$"):
+        chevalley._complementary_root_values(rs0, zeroed, W)
+    # the W of a root of height -2 made zero
+    W[rs0.neg_order[rs0.band(-2)[0] - 1].coeffs] = {}
+    with pytest.raises(SpanFailure, match="^W vectors at height -1 are dependent$"):
+        chevalley._complementary_root_values(rs0, sx, W)
+    with pytest.raises(SpanFailure, match=r"^W basis of b\^- has deficient rank$"):
+        chevalley._verify_w_basis(rep, W, sx)
+
+
+def test_coroot_coefficients_refuse_the_lengths_of_another_type():
+    # B3's roots with C3's root lengths: (0, 1, 2) gets a coefficient 1/2
+    rs = dataclasses.replace(rootsys.build_root_system("B", 3), type_label="C")
+    message = "non-integral coroot coefficient for Root(coeffs=(0, 1, 2))"
+    with pytest.raises(SpanFailure, match="^%s$" % re.escape(message)):
+        chevalley._coroot_coefficients(rs, Root((0, 1, 2)))

@@ -1,14 +1,17 @@
-"""The inventory of construct's, bruhat's and gauge's raise sites: each
-check, and the test that makes it fire.
+"""The inventory of construct's, bruhat's, gauge's, chevalley's and
+rootsys' raise sites: each check, and the test that makes it fire.
 
-Every `raise` in src/pvext/construct.py, src/pvext/bruhat.py and
-src/pvext/gauge.py is listed below by its exception and its message
-template, with the tests that fire it as "module::test", or UNFIRED while
-no test does.  The test fails when a site is added, removed or reworded
-without this list following, and when a named test is gone.  The
-StructureViolation and RankFailure sites of construct are the pipeline's
-structural checks, and their number is pinned too.  No site of bruhat or
-gauge is UNFIRED.
+Every `raise` in src/pvext/construct.py, src/pvext/bruhat.py,
+src/pvext/gauge.py, src/pvext/chevalley.py and src/pvext/rootsys.py is
+listed below by its exception and its message template (the source of the
+argument when it is not a string), with the tests that fire it as
+"module::test", or UNFIRED while no test does.  The test fails when a site
+is added, removed or reworded without this list following, and when a named
+test is gone.  The StructureViolation and RankFailure sites of construct are
+the pipeline's structural checks, and the SpanFailure and
+StructureViolation sites of chevalley build_rep's; their numbers are pinned
+too, and so is the number of UNFIRED sites in chevalley and rootsys.  No
+site of bruhat or gauge is UNFIRED.
 """
 
 import ast
@@ -19,6 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 CONSTRUCT = ROOT / "src" / "pvext" / "construct.py"
 BRUHAT = ROOT / "src" / "pvext" / "bruhat.py"
 GAUGE = ROOT / "src" / "pvext" / "gauge.py"
+CHEVALLEY = ROOT / "src" / "pvext" / "chevalley.py"
+ROOTSYS = ROOT / "src" / "pvext" / "rootsys.py"
 
 UNFIRED = ()
 
@@ -160,13 +165,129 @@ GAUGE_SITES = {
 }
 
 
+CHEVALLEY_SITES = {
+    # ChevalleyRep._a0
+    ("DimMismatch", "%d principal nilpotent coefficients for rank %d"):
+        ("test_chevalley::test_a0_refuses_coefficients_of_another_length",),
+    ("ValueError", "principal nilpotent coefficients must be nonzero"):
+        ("test_chevalley::test_a0_refuses_a_zero_coefficient",),
+    # _simple_generators
+    ("UnsupportedRep", "no representation for type %s"):
+        ("test_chevalley::test_generators_refuse_an_unsupported_type",),
+    # build_rep's bracket recursion, with _sp_divide and _decomposition_step
+    ("SpanFailure", "%s is not integral"):
+        ("test_chevalley::test_build_rep_refuses_a_corrupted_generator_entry",),
+    ("SpanFailure", "vanishing root vector for %r"):
+        ("test_chevalley::test_build_rep_refuses_a_corrupted_calibration_sign",),
+    ("SpanFailure", "[X,Y] not proportional to the coroot for %r"): (
+        "test_chevalley::test_build_rep_refuses_a_corrupted_generator_entry",
+        "test_chevalley::test_build_rep_refuses_a_corrupted_calibration_sign",
+    ),
+    ("SpanFailure", "no descent for %r"):
+        ("test_chevalley::test_descent_is_refused_for_a_simple_root",),
+    # _coroot_coefficients
+    ("SpanFailure", "non-integral coroot coefficient for %r"):
+        ("test_chevalley::test_coroot_coefficients_refuse_the_lengths_of_another_type",),
+    # _divided_power_cells
+    ("SpanFailure", "root vector is not nilpotent"):
+        ("test_chevalley::test_divided_powers_refuse_a_non_nilpotent_matrix",),
+    # _verify_axioms
+    ("SpanFailure", "H_%d is not diagonal"): (
+        "test_chevalley::test_build_rep_refuses_a_corrupted_generator_entry",
+        "test_chevalley::test_verify_axioms_rejects_corrupted_basis",
+    ),
+    # diagonal maps commute, and diagonality is checked just before
+    ("SpanFailure", "[H_%d, H_%d] != 0"): UNFIRED,
+    ("SpanFailure", "[H_%d, X_%r] is off"): (
+        "test_chevalley::test_build_rep_refuses_a_corrupted_generator_entry",
+        "test_chevalley::test_verify_axioms_rejects_corrupted_basis",
+    ),
+    # _check_bracket
+    ("SpanFailure", "[X_a, X_-a] != H_a for %r"):
+        ("test_chevalley::test_verify_axioms_rejects_corrupted_basis",),
+    ("SpanFailure", "[X_%r, X_%r] not proportional to X_sum"):
+        ("test_chevalley::test_verify_axioms_rejects_corrupted_basis",),
+    ("SpanFailure", "|N| = %s != r+1 = %d for %r, %r"): (
+        "test_chevalley::test_verify_axioms_rejects_corrupted_basis",
+        "test_chevalley::test_check_bracket_refuses_a_fractional_structure_constant",
+    ),
+    ("SpanFailure", "[X_%r, X_%r] should vanish"):
+        ("test_chevalley::test_sweep_refuses_a_bracket_that_should_vanish",),
+    # _cartan_solve
+    ("SpanFailure", "Chevalley basis is not linearly independent"):
+        ("test_chevalley::test_cartan_solve_refuses_dependent_weights",),
+    # _complementary_root_values
+    ("SpanFailure", "W vectors at height %d are dependent"):
+        ("test_chevalley::test_complementary_roots_refuse_corrupted_vectors",),
+    ("SpanFailure", "cannot complete level %d"):
+        ("test_chevalley::test_complementary_roots_refuse_corrupted_vectors",),
+    # when every level completes, level q adds |band q| - |band q - 1|
+    # roots, which sum to |band -1| = rank
+    ("SpanFailure", "expected %d complementary roots, found %d"): UNFIRED,
+    # _verify_w_basis
+    ("SpanFailure", "W basis of b^- has deficient rank"):
+        ("test_chevalley::test_complementary_roots_refuse_corrupted_vectors",),
+    ("SpanFailure", "the W coordinates do not sum to those of the summed W"):
+        ("test_chevalley::test_w_basis_check_refuses_a_wrong_coordinate",),
+    # no corruption found reaches these past the rank check before them
+    ("SpanFailure", "height %d block is not square"): UNFIRED,
+    ("SpanFailure", "height %d block is singular"): UNFIRED,
+    # decompose_in_basis
+    ("DimMismatch", "matrix is not %d x %d"):
+        ("test_chevalley::test_decompose_refuses_a_matrix_of_another_size",),
+    ("NotInLieAlgebra", "entry (%d, %d) is outside the span"): (
+        "test_chevalley::test_decompose_rejects_identity",
+        "test_chevalley::test_decompose_refuses_each_way_out_of_the_span",
+    ),
+    # _torus_exponents
+    ("NonDiagonalCartan", "H_%d is not diagonal"):
+        ("test_chevalley::test_torus_element_refuses_a_non_diagonal_cartan_generator",),
+    # n(w): _signed_columns
+    ("StructureViolation", "n(w) is not a signed permutation matrix"): (
+        "test_chevalley::test_a_non_signed_permutation_is_refused",
+        "test_chevalley::test_weyl_representative_refuses_a_corrupted_exponential_cell",
+    ),
+}
+
+ROOTSYS_SITES = {
+    ("NotARoot", "mixed-sign coefficient vector %r"):
+        ("test_rootsys::test_mixed_sign_rejected",),
+    ("NotARoot", "no simple root %r in rank %d"):
+        ("test_rootsys::test_simple_root_index_out_of_range_is_refused",),
+    # _simple_half_lengths
+    ("UnsupportedType", "type_label"):
+        ("test_rootsys::test_half_lengths_refuse_an_unknown_type",),
+    # build_root_system
+    ("UnsupportedType", "unknown type %r"): ("test_rootsys::test_inadmissible",),
+    ("UnsupportedType", "G2 has rank 2"): ("test_rootsys::test_inadmissible",),
+    ("UnsupportedType", "%s requires rank >= %d"): ("test_rootsys::test_inadmissible",),
+    ("UnsupportedType", "generated %d positive roots for %s_%d, expected %d"):
+        ("test_rootsys::test_root_count_is_checked_against_the_known_count",),
+    # root_string
+    ("NotARoot", "string endpoints must be roots"):
+        ("test_rootsys::test_root_string_refuses_a_vector_that_is_no_root",),
+    ("DependentRoots", "string through a dependent pair"):
+        ("test_rootsys::test_root_string_dependent",),
+    # _reflect_simple
+    ("NotARoot", "%r"): ("test_rootsys::test_reflection_refuses_a_vector_that_is_no_root",),
+    # longest_weyl_word
+    ("StructureViolation", "longest element failed to negate %r"):
+        ("test_rootsys::test_longest_word_check_recomputes_the_simple_images",),
+    ("StructureViolation", "longest word has length %d, not %d"):
+        ("test_rootsys::test_longest_word_length_is_checked",),
+}
+
+
 def _template(node):
     """(exception name, message template) of a raise statement whose
-    exception is called with one string, formatted with % or not."""
+    exception is called with one string, formatted with % or not, or with
+    one other expression, whose source stands for the template."""
     call = node.exc
     message = call.args[0]
     if isinstance(message, ast.BinOp) and isinstance(message.op, ast.Mod):
         message = message.left
+    if not isinstance(message, ast.Constant):
+        return call.func.id, ast.unparse(message)
     return call.func.id, message.value
 
 
@@ -195,8 +316,20 @@ def test_every_raise_site_in_gauge_is_listed_once_and_fired():
     assert all(GAUGE_SITES.values())
 
 
+def test_every_raise_site_in_chevalley_is_listed_once():
+    assert _raise_sites(CHEVALLEY) == Counter(CHEVALLEY_SITES.keys())
+    assert sum(exc in ("SpanFailure", "StructureViolation") for exc, _ in CHEVALLEY_SITES) == 22
+    assert sum(tests == UNFIRED for tests in CHEVALLEY_SITES.values()) == 4
+
+
+def test_every_raise_site_in_rootsys_is_listed_once_and_fired():
+    assert _raise_sites(ROOTSYS) == Counter(ROOTSYS_SITES.keys())
+    assert all(ROOTSYS_SITES.values())
+
+
 def test_every_named_firing_test_exists():
-    sites = list(SITES.values()) + list(BRUHAT_SITES.values()) + list(GAUGE_SITES.values())
+    sites = [tests for table in (SITES, BRUHAT_SITES, GAUGE_SITES, CHEVALLEY_SITES, ROOTSYS_SITES)
+             for tests in table.values()]
     named = {name for tests in sites for name in tests}
     missing = []
     for name in sorted(named):

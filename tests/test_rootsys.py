@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from pvext import rootsys
 from pvext.errors import DependentRoots, NotARoot, StructureViolation, UnsupportedType
 from pvext.rootsys import Root
 
+import chevalley_oracle
 from chevalley_oracle import cartan_integer
 
 
@@ -89,6 +91,33 @@ def test_mixed_sign_rejected():
         Root((1, -1))
 
 
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_simple_root_index_out_of_range_is_refused(i):
+    # 0 and rank + 1 are past either end, and -1 would index the last root
+    rs = rootsys.build_root_system("A", 3)
+    with pytest.raises(NotARoot, match=re.escape("no simple root %d in rank 3" % i)):
+        rs.simple(i)
+    assert [rs.simple(j).coeffs for j in (1, 2, 3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_tables_are_those_of_the_roots():
+    # codes add as the vectors do; pairings are the Cartan matrix's;
+    # negations and simple roots are the system's own values, built once;
+    # finalize_order carries the tables over unchanged
+    rs = rootsys.build_root_system("B", 3)
+    for root in rs.roots:
+        c = root.coeffs
+        assert rs.codes[c] == sum(k * 16 ** j for j, k in enumerate(c))
+        assert rs.root_of_code[rs.codes[c]] == c
+        assert rs.pairings[c] == tuple(rootsys.pairing(rs.cartan, c, i) for i in range(3))
+        assert rs.negative(root) == -root and rs.negative(root) in rs.roots
+    assert rs.simple(2) is rs.simple(2)
+    final = rootsys.finalize_order(rs, [rs.neg_order[0]])
+    for table in ("codes", "root_of_code", "pairings"):
+        assert getattr(final, table) is getattr(rs, table)
+    assert final.simple(1) is rs.simple(1)
+
+
 def test_cartan_diagonal():
     rs = rootsys.build_root_system("A", 3)
     for i in range(1, 4):
@@ -110,7 +139,7 @@ def test_cartan_g2_short_long():
     # forced by -3a1 - a2 being a root; cross-check via the root string:
     # the string extends three steps against beta = -a1
     assert cartan_integer(rs, rs.simple(2), rs.simple(1)) == -3
-    r, q = rootsys.root_string(rs, rs.simple(2), -rs.simple(1))
+    r, q = rootsys.root_string(rs, rs.simple(2).coeffs, (-rs.simple(1)).coeffs)
     assert (r, q) == (3, 0)
 
 
@@ -120,18 +149,11 @@ def test_cartan_not_a_root():
         cartan_integer(rs, Root((2, 0)), rs.simple(1))
 
 
-def _contains_safe(rs, coeffs):
-    try:
-        return Root(coeffs).coeffs in rs._root_set
-    except NotARoot:
-        return False
-
-
 def test_root_string_examples():
     rs = rootsys.build_root_system("A", 3)
     # r, q maximal with alpha - r beta and alpha + q beta roots
-    assert rootsys.root_string(rs, rs.simple(2), -rs.simple(1)) == (1, 0)
-    assert rootsys.root_string(rs, rs.simple(1), rs.simple(3)) == (0, 0)
+    assert rootsys.root_string(rs, rs.simple(2).coeffs, (-rs.simple(1)).coeffs) == (1, 0)
+    assert rootsys.root_string(rs, rs.simple(1).coeffs, rs.simple(3).coeffs) == (0, 0)
 
 
 def test_root_string_oracle_all_pairs():
@@ -141,20 +163,22 @@ def test_root_string_oracle_all_pairs():
             for beta in rs.roots:
                 if alpha.coeffs in (beta.coeffs, (-beta).coeffs):
                     continue
-                got = rootsys.root_string(rs, alpha, beta)
-                want_r = 0
-                while _contains_safe(rs, tuple(a - (want_r + 1) * b for a, b in zip(alpha.coeffs, beta.coeffs))):
-                    want_r += 1
-                want_q = 0
-                while _contains_safe(rs, tuple(a + (want_q + 1) * b for a, b in zip(alpha.coeffs, beta.coeffs))):
-                    want_q += 1
-                assert got == (want_r, want_q)
+                got = rootsys.root_string(rs, alpha.coeffs, beta.coeffs)
+                assert got == chevalley_oracle.root_string(rs, alpha, beta)
 
 
 def test_root_string_dependent():
     rs = rootsys.build_root_system("A", 2)
-    with pytest.raises(DependentRoots):
-        rootsys.root_string(rs, rs.simple(1), rs.simple(1))
+    for beta in (rs.simple(1), -rs.simple(1)):
+        with pytest.raises(DependentRoots):
+            rootsys.root_string(rs, rs.simple(1).coeffs, beta.coeffs)
+
+
+def test_root_string_refuses_a_vector_that_is_no_root():
+    rs = rootsys.build_root_system("A", 2)
+    for alpha, beta in (((2, 0), (0, 1)), ((0, 1), (1, -1))):
+        with pytest.raises(NotARoot, match="^string endpoints must be roots$"):
+            rootsys.root_string(rs, alpha, beta)
 
 
 def test_longest_word_a1():
@@ -229,7 +253,7 @@ def test_height_additive():
         for a in rs.roots:
             for b in rs.roots:
                 total = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-                if _contains_safe(rs, total):
+                if chevalley_oracle._is_root(rs, total):
                     assert Root(total).height() == a.height() + b.height()
 
 
@@ -304,3 +328,29 @@ def test_weyl_sample_permutes_roots():
             act = rootsys.weyl_action(rs, word)
             images = {act(root).coeffs for root in rs.roots}
             assert images == {root.coeffs for root in rs.roots}
+
+
+def test_half_lengths_refuse_an_unknown_type():
+    # build_root_system refuses the type before it asks for lengths
+    with pytest.raises(UnsupportedType, match="^E$"):
+        rootsys._simple_half_lengths("E", 6)
+
+
+def test_root_count_is_checked_against_the_known_count(monkeypatch):
+    monkeypatch.setitem(rootsys._POSITIVE_COUNT, "A", lambda l: l)
+    with pytest.raises(UnsupportedType, match="^generated 6 positive roots for A_3, expected 3$"):
+        rootsys.build_root_system("A", 3)
+
+
+def test_reflection_refuses_a_vector_that_is_no_root():
+    rs = rootsys.build_root_system("A", 2)
+    with pytest.raises(NotARoot, match=re.escape("Root(coeffs=(2, 0))")):
+        rootsys.weyl_action(rs, (1,))(Root((2, 0)))
+
+
+def test_longest_word_length_is_checked():
+    # one negative root short: the search runs one letter past m
+    rs = rootsys.build_root_system("A", 3)
+    short = replace(rs, neg_order=rs.neg_order[:-1])
+    with pytest.raises(StructureViolation, match="^longest word has length 6, not 5$"):
+        rootsys.longest_weyl_word(short)
