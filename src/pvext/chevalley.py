@@ -393,10 +393,14 @@ def _coroot_coefficients(rs, root):
     d = (root, root)/2, so coefficient j is 2 c_j d_j / (root, root).  And
     (root, root) = sum_j c_j (alpha_j, root) = sum_j c_j d_j <root, alpha_j>,
     the pairing read from rs.pairings; every quantity is an integer, and a
-    remainder raises SpanFailure.
+    remainder raises SpanFailure.  So does a norm (root, root) <= 0: the
+    form is positive definite, so that norm means the lengths are not the
+    root system's.
     """
     weighted = [cj * dj for cj, dj in zip(root.coeffs, rs.root_lengths())]
     norm = sum(w * p for w, p in zip(weighted, rs.pairings[root.coeffs]))
+    if norm <= 0:
+        raise SpanFailure("root norm %d of %r is not positive" % (norm, root))
     out = []
     for w in weighted:
         q, r = divmod(2 * w, norm)

@@ -24,7 +24,7 @@ from .errors import (
     StructureViolation,
     VerificationFailure,
 )
-from .liouville_expr import LiouvExpr
+from .liouville_expr import LiouvExpr, _by_id
 
 
 @dataclass(frozen=True)
@@ -500,6 +500,13 @@ def invariants(rep, h_all, parts):
     each invariant into its linear and nonlinear part and asserts the two
     full-rank criteria (the ignored-derivative square system and its
     prolongation to the maximal order).
+
+    No input that passes the first criterion fails the second.  The graded
+    split has made lhat_j purely of order |ht beta_j| (_graded_split), and
+    deriving c eta_v^(k) n times gives c eta_v^(k+n); so the coefficient of
+    eta_v^(top) in the prolonged lhat_j is that of eta_v^(|ht beta_j|) in
+    lhat_j, and the two matrices are equal entry by entry.  The second
+    check stays as the paper states the criteria.
     """
     l = rep.rank
     stage = "%s: invariants" % rep.rs.label
@@ -611,11 +618,12 @@ class PipelineResult:
 
 # The derivation's cost grows steeply with the rank: on a 2-core x86_64 host
 # whose speed varies by up to 2.7x, the pipeline, the end-to-end check and
-# the report take 0.54 s for D5 in its slow phase but 192 s for D7 (138
-# reference seconds, perfbench/speed.py) in one cold process, whose peak
-# resident set is 414 MB after the pipeline, 856 MB after the check and
-# 1.03 GB after the report.  A larger request is refused up front instead
-# of running for hours.
+# the report take 0.54 s for D5 in its slow phase but 105 s for D7 (73
+# reference seconds, perfbench/speed.py: 32 for the pipeline, 29 for the
+# check and 12 for the report) in one cold process, whose peak resident set
+# is 412 MB after the pipeline, 850 MB after the check and 1.01 GB after
+# the report.  A larger request is refused up front instead of running for
+# hours.
 MAX_RANK = 8
 
 
@@ -691,6 +699,16 @@ def _same(p):
     return p
 
 
+class _Nested:
+    """An exponential integrand or integral argument of a LiouvExpr in the
+    report, by its intern id: `_json_chunks` renders it once per report."""
+
+    __slots__ = ("ident",)
+
+    def __init__(self, ident):
+        self.ident = ident
+
+
 def _json_chunks(value):
     """The text json.dumps(value, sort_keys=True, indent=1) writes, in
     chunks, from one generator frame that keeps the open containers on a
@@ -703,14 +721,37 @@ def _json_chunks(value):
     shared by every polynomial of the value; its text is a chunk of its own.
     Any other value is a TypeError: nothing is rendered by str().
     """
-    table = MonomialTable()
+    return _chunks(value, 0, MonomialTable(), {})
+
+
+def _chunks(value, base, table, memo):
+    r"""_json_chunks of a value that sits `base` containers deep.
+
+    An interned expression nested in a LiouvExpr (an exponential integrand
+    or an integral argument) is rendered once per report: the first time it
+    is met, at depth `at`, its text is kept in `memo` under its intern id,
+    and a later occurrence at depth d is that text with every "\n" followed
+    by `at` spaces turned into "\n" followed by d spaces.  Proof that this
+    is the text at depth d.  A container at depth d opens on its own line's
+    tail, puts each item on a line led by d + 1 spaces and closes on a line
+    led by d spaces, and a DiffPoly's text at depth d is json's, which
+    indents the same way; so in a value rendered at depth d every line break
+    is followed by d plus its line's nesting level in the value spaces, at
+    least d.  No rendered string holds a raw newline (json escapes it as a
+    backslash and an n, and the "c" texts are digits and "/"), so every
+    "\n" is a line break.  Each break thus starts exactly one match of "\n"
+    and `at` spaces, the matches do not overlap, and replacing each one
+    moves its line from at + level spaces to d + level, as rendering at
+    depth d would.  Polynomial texts are not kept: they make up nearly all
+    of a report, and a memo of them would hold it whole.
+    """
     stack = []  # per open container: iterator over (text before, item), closing text
     head = ""
     while True:
         if isinstance(value, LiouvExpr):
-            value = value._json_tree(_same)
+            value = value._json_tree(_same, _Nested)
         if isinstance(value, (dict, list, tuple)):
-            pad = "\n" + " " * (len(stack) + 1)
+            pad = "\n" + " " * (base + len(stack) + 1)
             seps = [pad] + ["," + pad] * (len(value) - 1)
             if isinstance(value, dict):
                 if not all(isinstance(key, str) for key in value):
@@ -729,8 +770,18 @@ def _json_chunks(value):
             else:
                 head += opener + closer
         else:
+            depth = base + len(stack)
             if isinstance(value, DiffPoly):
-                text = table.json_text(value, len(stack))
+                text = table.json_text(value, depth)
+            elif isinstance(value, _Nested):
+                got = memo.get(value.ident)
+                if got is None:
+                    text = "".join(_chunks(_by_id(value.ident), depth, table, memo))
+                    memo[value.ident] = depth, text
+                else:
+                    at, text = got
+                    if at != depth:
+                        text = text.replace("\n" + " " * at, "\n" + " " * depth)
             elif isinstance(value, str):
                 text = encode_basestring_ascii(value)
             elif type(value) is int:

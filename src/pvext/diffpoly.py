@@ -195,6 +195,25 @@ def _image_power(sigma, images, slot, e):
     return got
 
 
+def _trie_value(node, sigma, images):
+    """The value of a node of DiffPoly.substitute's factor trie, as a _Sum:
+    its numerator (under the key None) plus image(slot, e) times the value
+    of the child, over its edges (slot, e).  A child that is a bare
+    numerator n adds n * image(slot, e) without a product.  A module
+    function, like _image_power, so that the recursion holds no cycle."""
+    acc = _Sum()
+    for factor, child in node.items():
+        if factor is None:
+            acc.add(_ONE, child)
+        elif len(child) == 1 and None in child:
+            acc.add(_image_power(sigma, images, *factor), child[None])
+        else:
+            acc.add_product(
+                _image_power(sigma, images, *factor), _trie_value(child, sigma, images).result()
+            )
+    return acc
+
+
 class _Sum:
     """A sum of rational multiples of DiffPolys, accumulated in one map
     over a common denominator."""
@@ -489,23 +508,60 @@ class DiffPoly:
         `images` is a dict that caches the powers of the images of jet
         variables; one dict may serve several calls as long as no key of
         sigma changes its value in between.
+
+        The monomials are evaluated through a trie of their factors, a
+        multivariate Horner scheme (Ceberio and Kreinovich, ACM SIGSAM
+        Bulletin 38, 2004).  Each monomial is decoded once, and its
+        (slot, exponent) factors are ordered by a rank fixed for the call:
+        the slot whose image has the most terms first, then the slot that
+        occurs in the most monomials, then the lower slot.  The ordered
+        factors spell the monomial's path from the root, and its numerator
+        sits at the path's end.  The value of a node is its numerator plus,
+        over its edges (slot, e), image(slot, e) times the value of the
+        child, each edge one _Sum.add_product (_trie_value); the result is
+        the root's value over the denominator.
+
+        Proof that this is the substitution.  The substitution is a ring
+        map, fixed by its images of the jet variables, so sigma(P) is the
+        sum over the monomials c prod v_s^e_s of c prod image(s, e), in any
+        order of the factors.  Unfolding the node values from the leaves,
+        the value of a node is the sum, over the monomials whose path runs
+        through it, of the numerator times the images of the factors below
+        the node; at the root that is every monomial with all its factors.
+        Distinct monomials have distinct factor sets, hence distinct paths,
+        so each one is counted once.  Regrouping a sum of products by
+        distributivity is exact over Q.  A monomial with no factor is the
+        root's own numerator.
+
+        Proof that ExponentOverflow comes only from a real product.  The
+        trie forms two kinds of product: powers image(s, 1)^e in
+        _image_power, which the per-monomial loop forms too, and an edge's
+        image(s, e) times a child's value, which it raises on only when
+        their degrees add up beyond the limit (_check_degrees, exact over a
+        domain).  A child's value is a sum of products of images of the
+        factors below the edge, one per monomial through it, so its degree
+        is at most the degree of one such product, and the edge's product
+        has at most the degree of that monomial's product of the images of
+        its factors from the edge down, a genuine product of images.
         """
         if images is None:
             images = {}
-        acc = _Sum()
-        for key, c in self._t.items():
-            factors = _factors(key)
-            if not factors:
-                acc.add(DiffPoly.rational(c))
-                continue
-            prod = _image_power(sigma, images, *factors[0])
-            for slot, e in factors[1:-1]:
-                prod = prod * _image_power(sigma, images, slot, e)
-            if len(factors) == 1:
-                acc.add(prod, c)
-            else:
-                acc.add_product(prod, _image_power(sigma, images, *factors[-1]), c)
-        return acc.result(self._d)
+        decoded = [(_factors(key), c) for key, c in self._t.items()]
+        occurrences = {}
+        for factors, _ in decoded:
+            for slot, _ in factors:
+                occurrences[slot] = occurrences.get(slot, 0) + 1
+        rank = {
+            slot: (-len(_image_power(sigma, images, slot, 1)._t), -n, slot)
+            for slot, n in occurrences.items()
+        }
+        root = {}
+        for factors, c in decoded:
+            node = root
+            for factor in sorted(factors, key=lambda f: rank[f[0]]):
+                node = node.setdefault(factor, {})
+            node[None] = c
+        return _trie_value(root, sigma, images).result(self._d)
 
     def evaluate(self, value_of, ring):
         """The image under the ring map sending each jet variable jv to
@@ -663,6 +719,9 @@ class DiffPoly:
             else:
                 chunks.append(body)
         return " ".join(chunks)
+
+
+_ONE = DiffPoly({0: 1})
 
 
 class MonomialTable(dict):

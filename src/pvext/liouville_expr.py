@@ -69,6 +69,10 @@ def _id_string(ident):
     return entry[1]
 
 
+def _nested_json_obj(ident):
+    return _by_id(ident).to_json_obj()
+
+
 def _coerce_scalar(value):
     if isinstance(value, DiffPoly):
         return value
@@ -272,22 +276,21 @@ class LiouvExpr:
 
     def to_json_obj(self):
         """Canonical tree: sum of products of scalar/expint/int factors."""
-        return self._json_tree(DiffPoly.to_json_obj)
+        return self._json_tree(DiffPoly.to_json_obj, _nested_json_obj)
 
-    def _json_tree(self, poly):
+    def _json_tree(self, poly, nested):
         """The to_json_obj() tree with poly(c) in place of the JSON object
-        of each DiffPoly c in it."""
+        of each DiffPoly c in it, and nested(ident) in place of the tree of
+        each exponential integrand and integral argument, by intern id."""
         if not self.terms:
             return {"op": "scalar", "p": poly(DiffPoly.zero())}
         terms = []
         for (e, atoms), c in self._sorted_terms():
             factors = [{"op": "scalar", "p": poly(c)}]
             if e != _NO_EXP:
-                factors.append(
-                    {"op": "expint", "k": 1, "g": _by_id(e)._json_tree(poly)}
-                )
+                factors.append({"op": "expint", "k": 1, "g": nested(e)})
             for ident, k in sorted(atoms, key=lambda ik: (_id_string(ik[0]), ik[1])):
-                node = {"op": "int", "arg": _by_id(ident)._json_tree(poly)}
+                node = {"op": "int", "arg": nested(ident)}
                 if k != 1:
                     node = {"op": "pow", "k": k, "base": node}
                 factors.append(node)

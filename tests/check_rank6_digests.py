@@ -17,9 +17,10 @@ runs every 10 ms during every phase (and adds a few percent to its wall
 time); compare two commits in reference seconds, over several runs.  The
 exit status is 1 when a digest differs or the check raises; the line then
 names the failure.  Standard library only; pvext is imported from `src/`.
-These systems take tens of seconds each, so pytest does not collect this
-file.  D7 takes about three minutes and peaks near 1 GB, so it runs only
-when named.
+Each system runs in a fresh process, so that the peaks are its own;
+pytest does not collect this file, and tests/test_construct.py checks the
+B6, C6 and D6 digests in the test process.  D7 takes minutes and peaks near
+1 GB, so it runs only when named.
 """
 
 import hashlib

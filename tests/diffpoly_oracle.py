@@ -4,12 +4,39 @@ Monomials are sorted tuples of ((var, order), exponent) pairs mapping to
 nonzero Fraction coefficients, so equality of canonical forms is structural
 equality.  This is the representation pvext.diffpoly used before it packed
 exponents into integers; the property tests require both to agree.
+
+`substitute_per_monomial` is the packed kernel's substitution before it
+went through a factor trie: one product of images per monomial.
 """
 
 from fractions import Fraction
 
+from pvext import diffpoly as packed
 from pvext.diffpoly import JetVar
 from pvext.errors import MissingAssignment
+
+
+def substitute_per_monomial(p, sigma, images=None):
+    """packed.DiffPoly.substitute one monomial at a time: each monomial's
+    images, in slot order, are multiplied into one product, and the last
+    factor goes straight into the sum.  `images` is the same cache of image
+    powers that the kernel's substitution fills."""
+    if images is None:
+        images = {}
+    acc = packed._Sum()
+    for key, c in p._t.items():
+        factors = packed._factors(key)
+        if not factors:
+            acc.add(packed.DiffPoly.rational(c))
+            continue
+        prod = packed._image_power(sigma, images, *factors[0])
+        for slot, e in factors[1:-1]:
+            prod = prod * packed._image_power(sigma, images, slot, e)
+        if len(factors) == 1:
+            acc.add(prod, c)
+        else:
+            acc.add_product(prod, packed._image_power(sigma, images, *factors[-1]), c)
+    return acc.result(p._d)
 
 
 def frac_text(q):

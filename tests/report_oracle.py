@@ -2,11 +2,26 @@
 
 `report_json_obj` builds the whole report as nested dicts and lists, and
 json.dumps(report_json_obj(r), sort_keys=True, indent=1) is the text that
-`construct.report_json(r)` must equal byte for byte.
+`construct.report_json(r)` must equal byte for byte.  `tree_json_obj`
+turns any tree the report writer takes into the object json.dumps writes
+for it.
 """
 
 from pvext.construct import matrix_json
-from pvext.diffpoly import frac_text
+from pvext.diffpoly import DiffPoly, frac_text
+from pvext.liouville_expr import LiouvExpr
+
+
+def tree_json_obj(value):
+    """The tree with every DiffPoly and LiouvExpr replaced by its
+    to_json_obj() object, each nested expression rendered in full."""
+    if isinstance(value, (DiffPoly, LiouvExpr)):
+        return value.to_json_obj()
+    if isinstance(value, dict):
+        return {key: tree_json_obj(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [tree_json_obj(item) for item in value]
+    return value
 
 
 def report_json_obj(result):

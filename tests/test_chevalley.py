@@ -927,3 +927,12 @@ def test_coroot_coefficients_refuse_the_lengths_of_another_type():
     message = "non-integral coroot coefficient for Root(coeffs=(0, 1, 2))"
     with pytest.raises(SpanFailure, match="^%s$" % re.escape(message)):
         chevalley._coroot_coefficients(rs, Root((0, 1, 2)))
+
+
+def test_coroot_coefficients_refuse_a_root_norm_of_zero():
+    # G2's roots with A2's root lengths: (1, 1) pairs to 1 - 1 = 0 with
+    # itself, which no root of a positive definite form does
+    rs = dataclasses.replace(rootsys.build_root_system("G2", 2), type_label="A")
+    message = "root norm 0 of Root(coeffs=(1, 1)) is not positive"
+    with pytest.raises(SpanFailure, match="^%s$" % re.escape(message)):
+        chevalley._coroot_coefficients(rs, Root((1, 1)))

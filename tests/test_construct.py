@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pvext import bruhat, chevalley, construct, linalg, rootsys, symgroup
+from pvext import bruhat, chevalley, construct, diffpoly, linalg, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
 from pvext.errors import IdentityFailure, RankFailure, StructureViolation, VerificationFailure
 from pvext.liouville_expr import LiouvExpr
@@ -18,7 +18,7 @@ import factor_oracle
 import linalg_oracle
 from conftest import ALL_SYSTEMS, get_pipeline, get_rep, neumann_inverse
 from liouville_oracle import verify_by_liouville_product
-from report_oracle import report_json_obj
+from report_oracle import report_json_obj, tree_json_obj
 
 
 def eta(i, k=0):
@@ -352,12 +352,12 @@ def test_end_to_end_detects_corruption():
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
 )
-# Report digests of systems beyond the grid, and D6 from the rank-6 digests
-# that tests/check_rank6_digests.py checks.
+# Report digests of systems beyond the grid, and B6, C6 and D6 from the
+# rank-6 digests that tests/check_rank6_digests.py checks.
 HERE = Path(__file__).resolve().parent
 BEYOND_GRID = json.loads((HERE / "digests_beyond_grid.json").read_text())
 RANK6 = json.loads((HERE / "digests_rank6.json").read_text())
-DIGESTS_TESTED = dict(DIGESTS, **BEYOND_GRID, D6=RANK6["D6"])
+DIGESTS_TESTED = dict(DIGESTS, **BEYOND_GRID, B6=RANK6["B6"], C6=RANK6["C6"], D6=RANK6["D6"])
 
 
 def test_end_to_end_across_types():
@@ -496,6 +496,39 @@ def test_report_writer_refuses_values_it_cannot_render():
             "".join(construct._json_chunks(value))
 
 
+def test_report_writer_reindents_a_nested_expression_met_at_another_depth():
+    # g is the integrand of the exponential and the argument of the squared
+    # integral (one level deeper, under "base"), and x is met at five depths:
+    # the writer renders g once and moves it both deeper and shallower
+    g = LiouvExpr.scalar(parse("n1' n2 - 1/2 n1^2")) + LiouvExpr.integral(parse("n2"))
+    x = LiouvExpr.exp_integral(g) * LiouvExpr.integral(g) ** 2 + LiouvExpr.integral(g)
+    tree = {"deep": [[[[x]]]], "top": x, "a": [x, {"b": [x]}], "z": [[x, g]]}
+    want = json.dumps(tree_json_obj(tree), sort_keys=True, indent=1)
+    assert "".join(construct._json_chunks(tree)) == want
+
+
+def test_report_renders_each_nested_expression_once(monkeypatch):
+    # D5's y_1..y_5 hold 20 expressions whose integrands and integral
+    # arguments are 25 distinct interned ones, met 330 times: 45 trees,
+    # against 350 when every occurrence was rendered.  Canonical strings,
+    # which build trees too, are not counted.
+    res = get_pipeline("D", 5)
+    built = []
+    tree = LiouvExpr._json_tree
+
+    def counted(self, poly, nested):
+        if nested is construct._Nested:
+            built.append(self)
+        return tree(self, poly, nested)
+
+    monkeypatch.setattr(LiouvExpr, "_json_tree", counted)
+    "".join(construct._json_chunks(res.liouville.y))
+    assert len(built) == 45
+    built.clear()
+    construct.report_json(res)
+    assert len(built) == len(set(map(id, built))) == 55
+
+
 def test_report_writer_renders_empty_containers_as_json_does():
     for value in ({}, [], [[]], {"a": {}}, [{}, [], [[], {}]], {"a": [], "b": {"c": []}}):
         assert "".join(construct._json_chunks(value)) == json.dumps(value, sort_keys=True, indent=1)
@@ -510,8 +543,11 @@ def test_structural_claims_across_systems():
 
 @pytest.mark.parametrize("label", sorted(DIGESTS_TESTED))
 def test_report_matches_recorded_digest(label):
-    report = construct.report_json(get_pipeline(label[0], int(label[1:])))
-    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIGESTS_TESTED[label]
+    # streamed, as `pvext derive` writes it: B6's report is 239 MB of text
+    digest = hashlib.sha256()
+    for chunk in construct.report_chunks(get_pipeline(label[0], int(label[1:]))):
+        digest.update(chunk.encode("utf-8"))
+    assert digest.hexdigest() == DIGESTS_TESTED[label]
 
 
 def test_pipeline_multiplies_no_polynomial_matrix(monkeypatch):
@@ -730,6 +766,47 @@ def test_height_system_rank_is_checked_where_it_is_solved():
     )
     with pytest.raises(RankFailure, match="^B3: eliminate_noncomplementary: height -1 system is rank-deficient$"):
         construct.eliminate_noncomplementary(res.rep, h)
+
+
+def test_invariants_substitute_through_the_factor_trie(monkeypatch):
+    # the pair products of term maps that D5's invariants multiply out: 57.6k
+    # through the factor trie, 155.8k with one product of images per monomial
+    res = get_pipeline("D", 5)
+    h = list(res.h_raw)
+    parts = construct.eliminate_noncomplementary(res.rep, h)
+    pairs = []
+    add_product, mul = diffpoly._Sum.add_product, DiffPoly.__mul__
+
+    def counted_add_product(self, p, q, n=1):
+        pairs.append(len(p._t) * len(q._t))
+        return add_product(self, p, q, n)
+
+    def counted_mul(self, other):
+        if isinstance(other, DiffPoly):
+            pairs.append(len(self._t) * len(other._t))
+        return mul(self, other)
+
+    monkeypatch.setattr(diffpoly._Sum, "add_product", counted_add_product)
+    monkeypatch.setattr(DiffPoly, "__mul__", counted_mul)
+    assert construct.invariants(res.rep, h, parts).h == res.invariants.h
+    assert 0 < sum(pairs) <= 60_000
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_ignored_derivative_rank_is_checked_on_the_invariants(system):
+    """The last complementary raw h_j has the one linear term eta_j'.
+    Without it, h_j(sigma) is a sum of products of at least two images, each
+    without a constant term, so lhat_j = 0 and the ignored-derivative system
+    has a zero row.  The prolonged system's rank check is not reached: its
+    matrix is the same one (construct.invariants)."""
+    res = get_pipeline(*system)
+    label, j = res.rep.rs.label, res.rep.rs.comp_roots[-1]
+    h = list(res.h_raw)
+    h[j - 1] -= eta(j, 1)
+    parts = construct.eliminate_noncomplementary(res.rep, h)
+    message = "^%s: invariants: ignored-derivative invariant system is rank-deficient$" % label
+    with pytest.raises(RankFailure, match=message):
+        construct.invariants(res.rep, h, parts)
 
 
 # ----- the stages' shape checks -----

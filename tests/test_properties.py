@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from pvext import chevalley, construct, diffpoly, linalg, liouville_expr, symgroup
 from pvext.diffpoly import DiffPoly, JetVar, parse
-from pvext.errors import DimMismatch, ExponentOverflow, NotInLieAlgebra
+from pvext.errors import DimMismatch, ExponentOverflow, MissingAssignment, NotInLieAlgebra
 from pvext.liouville_expr import LiouvExpr
 
 import chevalley_oracle
@@ -293,6 +293,83 @@ def test_kernel_substitution_agrees_with_the_reference(a, images):
     sigma = {i: image for i, (image, _) in enumerate(images, start=1)}
     ref_sigma = {i: image for i, (_, image) in enumerate(images, start=1)}
     assert _agree(p.substitute(sigma), ref.substitute(ref_sigma))
+
+
+@st.composite
+def substitutions(draw, max_var=3):
+    """A substitution of some of eta_1..eta_max_var: each image a polynomial
+    in eta_1..eta_5 of order at most 1, a rational or zero."""
+    sigma = {}
+    for var in range(1, max_var + 1):
+        kind = draw(st.sampled_from(["poly", "poly", "rational", "zero", "missing"]))
+        if kind == "poly":
+            sigma[var] = draw(polys(max_var=5, max_order=1, max_terms=3))
+        elif kind == "rational":
+            sigma[var] = draw(coefficients)
+        elif kind == "zero":
+            sigma[var] = DiffPoly.zero()
+    return sigma
+
+
+def _substituted(substitute, p, sigma, images):
+    """substitute(p, sigma, images), or the MissingAssignment it raises."""
+    try:
+        return substitute(p, sigma, images)
+    except MissingAssignment as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, deadline=None)
+@given(poly_pairs(), poly_pairs(), substitutions())
+@example((parse("n1^2 n2' n3 + 2 n1^2 n2' - n1 n3''"), None), (DiffPoly.zero(), None),
+         {1: parse("n4 n5' + 1"), 2: Fraction(3, 2), 3: parse("n4^2 - n5")})
+def test_substitution_trie_agrees_with_the_per_monomial_loop(a, b, sigma):
+    # repeated factors (exponents up to 3), derived jets (orders up to 2),
+    # rational and zero images, and variables sigma leaves out; the second
+    # polynomial fills the shared image cache first
+    (p, _), (q, _) = a, b
+    want = _substituted(oracle.substitute_per_monomial, p, sigma, {})
+    assert _substituted(DiffPoly.substitute, p, sigma, {}) == want
+    shared, fresh = {}, {}
+    _substituted(DiffPoly.substitute, q, sigma, shared)
+    assert _substituted(DiffPoly.substitute, p, sigma, shared) == want
+    # the cache holds the same image powers the loop computes
+    _substituted(oracle.substitute_per_monomial, q, sigma, fresh)
+    _substituted(oracle.substitute_per_monomial, p, sigma, fresh)
+    assert all(shared[key] == fresh[key] for key in shared.keys() & fresh.keys())
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 100),
+    st.integers(1, 3),
+    st.integers(1, 100),
+    st.booleans(),
+    st.sampled_from([Fraction(1), Fraction(-5, 3)]),
+)
+@example(3, 85, 1, 1, False, Fraction(1))
+@example(3, 85, 1, 1, True, Fraction(1))
+@example(2, 100, 3, 19, False, Fraction(1))
+@example(2, 100, 3, 18, False, Fraction(1))
+@example(4, 64, 1, 50, True, Fraction(1))
+def test_substitution_overflows_only_on_a_real_product(a, d1, b, d2, zero_second, c):
+    # c eta_1^a eta_2'^b + eta_3 under eta_1 -> eta_4^d1 + 1/2 and eta_2 ->
+    # eta_5^d2, or a constant, whose derivative is 0: the image of
+    # eta_1^a is formed either way, and the product of degree
+    # a d1 + b d2 only when eta_2' has a non-zero image
+    p = DiffPoly.monomial([(1, 0, a), (2, 1, b)], c) + DiffPoly.eta(3)
+    sigma = {
+        1: DiffPoly.eta(4) ** d1 + Fraction(1, 2),
+        2: DiffPoly.rational(7) if zero_second else DiffPoly.eta(5) ** d2,
+        3: DiffPoly.eta(6),
+    }
+    real = a * d1 if zero_second else a * d1 + b * d2
+    if real > diffpoly.EXPONENT_LIMIT:
+        with pytest.raises(ExponentOverflow):
+            p.substitute(sigma)
+    else:
+        assert p.substitute(sigma) == oracle.substitute_per_monomial(p, sigma)
 
 
 @settings(derandomize=True, deadline=None)
