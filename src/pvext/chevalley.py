@@ -784,36 +784,20 @@ def compose(rep, coords, zero):
 def _cell_values(rep, coeffs, x):
     """The (r, c, k, x^k p) of the cells (r, c, k, p) of rep.exp_cells[coeffs],
     in (r, c) order, for a non-zero x: x^k itself when p = 1, each power of
-    x formed once, by repeated products with x."""
+    x formed once, by repeated products with x.
+
+    They are the off-diagonal non-zero entries of u = exp(x X), X = X_coeffs,
+    which has x's one on the diagonal: u sums x^k X^k / k! over the divided
+    powers, and no cell gets two terms.  The H_i are diagonal, so the basis
+    vectors are weight vectors and X raises weights by the root; a non-zero
+    (X^k/k!)[r][c] needs the weight of r to be that of c plus k times the
+    root, which fixes k (k = 0 only on the diagonal).
+    """
     cells = rep.exp_cells[coeffs]
     xk = [linalg.zero_of(x) + 1]
     for _ in range(max(k for _, _, k, _ in cells)):
         xk.append(xk[-1] * x)
     return [(r, c, k, xk[k] if p == 1 else xk[k] * p) for r, c, k, p in cells]
-
-
-def unipotent_element(rep, root, x):
-    """exp(x X_root) for a Root: the finite sum of x^k X_root^k / k! over
-    the divided powers of X_root, the one of x's ring on the diagonal.
-
-    Each (r, c, k, p) of rep.exp_cells[root] puts x^k p at (r, c), and no
-    place gets two terms: the H_i are diagonal, so the basis vectors are
-    weight vectors, X_root raises weights by root, and a non-zero
-    (X^k/k!)[r][c] needs the weight of r to be that of c plus k root, which
-    fixes k (k = 0 only on the diagonal).  So entry (r, c) of the sum is
-    the single term x^k p at a cell (x^k itself when p = 1), the ring's one
-    on the diagonal and its zero elsewhere, and every off-diagonal entry
-    is zero when x = 0.
-    """
-    zero = linalg.zero_of(x)
-    one = zero + 1
-    out = [[zero] * rep.dim for _ in range(rep.dim)]
-    for i, row in enumerate(out):
-        row[i] = one
-    if x:
-        for r, c, _, value in _cell_values(rep, root.coeffs, x):
-            out[r][c] = value
-    return out
 
 
 def _bracket_with(rep, root, key):
@@ -904,14 +888,6 @@ def _torus_diagonal(rep, i, z):
     return exponents, [powers[k] for k in exponents]
 
 
-def torus_element(rep, i, z):
-    """t_i(z) = diag(z^{(H_i)_jj}) for an invertible scalar z."""
-    _, entries = _torus_diagonal(rep, i, z)
-    zero = linalg.zero_of(z)
-    n = rep.dim
-    return [[entries[r] if r == c else zero for c in range(n)] for r in range(n)]
-
-
 def character(rs, z, beta):
     """chi_beta(z) = prod_j z_j^<beta, alpha_j>, in the ring of the z_j
     (Fraction or LiouvExpr), by which Ad(t(z)) scales X_beta for the
@@ -939,10 +915,10 @@ def _lines(cells, one, by_row=False, inverse=False):
     diagonal one included; with `by_row`, each row r with a cell to its
     (k, u[r][k]) in ascending k.
 
-    u = unipotent_element(rep, b, t) has `one` on the diagonal, x^k p at
-    each cell and no other non-zero entry, so the other lines are the
-    identity's.  u^-1 = u_b(-t): tX and -tX commute, so exp(tX) exp(-tX)
-    = exp(0) = 1, and (-t)^k p = (-1)^k t^k p negates the cells of odd k.
+    u has `one` on the diagonal, x^k p at each cell and no other non-zero
+    entry (_cell_values), so the other lines are the identity's.  u^-1 =
+    u_b(-t): tX and -tX commute, so exp(tX) exp(-tX) = exp(0) = 1, and
+    (-t)^k p = (-1)^k t^k p negates the cells of odd k.
     """
     lines = {}
     for r, c, k, value in cells:
@@ -1072,16 +1048,16 @@ def letter_adjoint(rep, letter, m):
 
 def word_element(rep, word):
     """The matrix of a non-empty word of letters (key, t), the product of
-    the letters' matrices in the word's order: the first letter's matrix,
-    unipotent_element for ("X", coeffs) and torus_element for ("H", i),
-    times each later letter by letter_product, left to right.  When each
-    letter's t is rational or of the first letter's ring, as in every
-    word of pvext, the entries stay of that ring, and this is the
-    linalg.mat_mul product of the letters' matrices in value, type and
-    term order."""
-    ((kind, v), t), *rest = word
-    m = torus_element(rep, v, t) if kind == "H" else unipotent_element(rep, rootsys.Root(v), t)
-    for letter in rest:
+    the letters' matrices in the word's order: the identity of the first
+    letter's ring (an int t taken as a Fraction) times each letter by
+    letter_product, left to right.  When each letter's t is rational or of
+    the first letter's ring, as in every word of pvext, the entries stay
+    of that ring, and this is the linalg.mat_mul product of the letters'
+    matrices in value, type and term order."""
+    zero = linalg.zero_of(word[0][1])
+    one = zero + 1
+    m = [[one if r == c else zero for c in range(rep.dim)] for r in range(rep.dim)]
+    for letter in word:
         m = letter_product(rep, m, letter)
     return m
 
@@ -1089,7 +1065,7 @@ def word_element(rep, word):
 def _unipotent_apply(cells, x, v):
     """u v for u = exp(x X) with the exp_cells `cells` of X and an int x,
     and a vector v as its {row: non-zero int} map: u is the identity plus
-    x^k p at each cell (r, c, k, p) (unipotent_element), so (u v)[r] is
+    x^k p at each cell (r, c, k, p) (_cell_values), so (u v)[r] is
     v[r] plus the x^k p v[c] of the cells in row r."""
     out = dict(v)
     for r, c, k, p in cells:

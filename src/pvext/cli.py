@@ -3,7 +3,9 @@
 Subcommands: derive (run the full construction for a type/rank), verify
 (byte-exact comparison of a derivation against golden fixtures), bruhat
 (normal form of an exact SL_n matrix), gauge-normalize (gauge a plane
-matrix to the generic shape).  Exit codes: 0 ok, 1 usage error, 2
+matrix to the generic shape).  Their JSON documents stream through one
+writer, liouville_expr.json_chunks; only verify calls json.dumps, on the
+fixture it compares with.  Exit codes: 0 ok, 1 usage error, 2
 computation failure, 3 fixture mismatch.
 """
 
@@ -17,6 +19,7 @@ from . import bruhat as bruhat_mod
 from . import chevalley, construct, gauge
 from .diffpoly import DiffPoly, frac_text, parse as parse_poly
 from .errors import ExponentOverflow, PvextError, UnsupportedType
+from .liouville_expr import json_chunks
 
 _TYPES = ("A", "B", "C", "D", "G2")
 
@@ -206,8 +209,8 @@ def cmd_bruhat(args):
     m = [[_rational_entry(x) for x in row] for row in _load_matrix(args.matrix)]
     form = bruhat_mod.bruhat_decompose(m, convention=args.convention)
     obj = {
-        "w": list(form.perm),
-        "word": list(form.word),
+        "w": form.perm,
+        "word": form.word,
         "uprime": [[frac_text(x) for x in row] for row in form.uprime],
         "t": [frac_text(form.t[i][i]) for i in range(len(form.t))],
         "u": [[frac_text(x) for x in row] for row in form.u],
@@ -215,7 +218,7 @@ def cmd_bruhat(args):
         "z": [frac_text(x) for x in form.z],
         "y": [frac_text(x) for x in form.y],
     }
-    _write_output([json.dumps(obj, sort_keys=True, indent=1)], args.output)
+    _write_output(json_chunks(obj), args.output)
     return 0
 
 
@@ -230,11 +233,11 @@ def cmd_gauge_normalize(args):
         )
     g, _, f = gauge.normalize_to_AG(rep, a)
     obj = {
-        "transform": construct.matrix_json(g),
-        "f": {str(k): v.to_json_obj() for k, v in sorted(f.items())},
-        "f_text": {str(k): v.text() for k, v in sorted(f.items())},
+        "transform": g,
+        "f": {str(k): v for k, v in f.items()},
+        "f_text": {str(k): v.text() for k, v in f.items()},
     }
-    _write_output([json.dumps(obj, sort_keys=True, indent=1)], args.output)
+    _write_output(json_chunks(obj), args.output)
     return 0
 
 

@@ -8,15 +8,15 @@ factors (_fold); verify_end_to_end re-checks the derivation in matrices.
 Every structural claim is asserted as the pipeline runs, and a violation
 raises StructureViolation or RankFailure, whose message starts with the
 system and the stage.  The shapes and variable ranges are one
-invariant, the principal grading, checked on every stage output.
+invariant, the principal grading, checked on every stage output.  The
+report is a tree of the results, written by liouville_expr.json_chunks.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from . import chevalley, linalg, rootsys
-from .diffpoly import DiffPoly, MonomialTable, frac_text, lift
+from .diffpoly import DiffPoly, frac_text, lift
 from .errors import (
     IdentityFailure,
     RankCeiling,
@@ -24,7 +24,7 @@ from .errors import (
     StructureViolation,
     VerificationFailure,
 )
-from .liouville_expr import LiouvExpr, _by_id
+from .liouville_expr import LiouvExpr, json_chunks
 
 
 @dataclass(frozen=True)
@@ -660,17 +660,9 @@ def run_pipeline(type_label, rank):
 # ----- serialization -----
 
 
-def _entry_json(x):
-    return frac_text(x) if isinstance(x, (int, Fraction)) else x.to_json_obj()
-
-
-def matrix_json(m):
-    return [[_entry_json(x) for x in row] for row in m]
-
-
 def _report_tree(result):
     """The report as a tree of dicts, lists, strings, ints and the pipeline's
-    own DiffPoly and LiouvExpr values, which `_json_chunks` renders."""
+    own DiffPoly and LiouvExpr values, which `json_chunks` renders."""
     inv = result.invariants
     return {
         "system": {
@@ -695,122 +687,10 @@ def _report_tree(result):
     }
 
 
-def _same(p):
-    return p
-
-
-class _Nested:
-    """An exponential integrand or integral argument of a LiouvExpr in the
-    report, by its intern id: `_json_chunks` renders it once per report."""
-
-    __slots__ = ("ident",)
-
-    def __init__(self, ident):
-        self.ident = ident
-
-
-def _json_chunks(value):
-    """The text json.dumps(value, sort_keys=True, indent=1) writes, in
-    chunks, from one generator frame that keeps the open containers on a
-    stack.
-
-    Dicts (string keys, in sorted() order, as sort_keys sorts them), lists
-    and tuples render as json renders them, and a LiouvExpr as its small
-    to_json_obj tree, with its DiffPolys kept.  Strings and ints render as
-    json renders them, and a DiffPoly at its depth, through one MonomialTable
-    shared by every polynomial of the value; its text is a chunk of its own.
-    Any other value is a TypeError: nothing is rendered by str().
-    """
-    return _chunks(value, 0, MonomialTable(), {})
-
-
-def _chunks(value, base, table, memo):
-    r"""_json_chunks of a value that sits `base` containers deep.
-
-    An interned expression nested in a LiouvExpr (an exponential integrand
-    or an integral argument) is rendered once per report: the first time it
-    is met, at depth `at`, its text is kept in `memo` under its intern id,
-    and a later occurrence at depth d is that text with every "\n" followed
-    by `at` spaces turned into "\n" followed by d spaces.  Proof that this
-    is the text at depth d.  A container at depth d opens on its own line's
-    tail, puts each item on a line led by d + 1 spaces and closes on a line
-    led by d spaces, and a DiffPoly's text at depth d is json's, which
-    indents the same way; so in a value rendered at depth d every line break
-    is followed by d plus its line's nesting level in the value spaces, at
-    least d.  No rendered string holds a raw newline (json escapes it as a
-    backslash and an n, and the "c" texts are digits and "/"), so every
-    "\n" is a line break.  Each break thus starts exactly one match of "\n"
-    and `at` spaces, the matches do not overlap, and replacing each one
-    moves its line from at + level spaces to d + level, as rendering at
-    depth d would.  Polynomial texts are not kept: they make up nearly all
-    of a report, and a memo of them would hold it whole.
-    """
-    stack = []  # per open container: iterator over (text before, item), closing text
-    head = ""
-    while True:
-        if isinstance(value, LiouvExpr):
-            value = value._json_tree(_same, _Nested)
-        if isinstance(value, (dict, list, tuple)):
-            pad = "\n" + " " * (base + len(stack) + 1)
-            seps = [pad] + ["," + pad] * (len(value) - 1)
-            if isinstance(value, dict):
-                if not all(isinstance(key, str) for key in value):
-                    raise TypeError("report keys must be strings, got %r" % (list(value),))
-                opener, closer = "{", "}"
-                items = [
-                    (sep + encode_basestring_ascii(key) + ": ", value[key])
-                    for sep, key in zip(seps, sorted(value))
-                ]
-            else:
-                opener, closer = "[", "]"
-                items = zip(seps, value)
-            if value:
-                stack.append((iter(items), pad[:-1] + closer))
-                head += opener
-            else:
-                head += opener + closer
-        else:
-            depth = base + len(stack)
-            if isinstance(value, DiffPoly):
-                text = table.json_text(value, depth)
-            elif isinstance(value, _Nested):
-                got = memo.get(value.ident)
-                if got is None:
-                    text = "".join(_chunks(_by_id(value.ident), depth, table, memo))
-                    memo[value.ident] = depth, text
-                else:
-                    at, text = got
-                    if at != depth:
-                        text = text.replace("\n" + " " * at, "\n" + " " * depth)
-            elif isinstance(value, str):
-                text = encode_basestring_ascii(value)
-            elif type(value) is int:
-                text = int.__repr__(value)
-            else:
-                raise TypeError("cannot render a %s in the report" % type(value).__name__)
-            if head:
-                yield head
-                head = ""
-            yield text
-        while stack:
-            items, closer = stack[-1]
-            item = next(items, None)
-            if item is not None:
-                sep, value = item
-                head += sep
-                break
-            head += closer
-            stack.pop()
-        else:
-            if head:
-                yield head
-            return
-
-
 def report_chunks(result):
     """The JSON report, json.dumps(..., sort_keys=True, indent=1) of the
     pipeline result, as a stream of text chunks."""
-    return _json_chunks(_report_tree(result))
+    return json_chunks(_report_tree(result))
 
 
 def report_json(result):

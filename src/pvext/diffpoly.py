@@ -259,13 +259,13 @@ class _Sum:
                 k = k1 + k2
                 t[k] = get(k, 0) + c1 * c2
 
-    def add_derivative(self, p, n=1):
-        """Add n * p' for a DiffPoly p and an int n, without building p'.
+    def add_derivative(self, p):
+        """Add p' for a DiffPoly p, without building p'.
 
         The derivation sends a monomial prod v_s^e_s to the sum over its
         factors of e_s times the monomial with one v_s traded for its next
         derivative: the key plus the slot's step."""
-        s = n * self._scale_to(p._d)
+        s = self._scale_to(p._d)
         t = self.t
         get = t.get
         steps = _STEPS

@@ -16,15 +16,15 @@ hence trivially idempotent, and equality is structural.
 Exponential integrands and integral arguments are interned by structure:
 each distinct normalized expression gets one positive integer id, keyed by
 its term map, and a term refers to them by id.  The canonical string of an
-interned expression is rendered on first use only, to sort terms for
-output.
+interned expression, which sorts terms for output, is rendered on first
+use only, by json_chunks: pvext's one JSON writer, also of every document.
 """
 
-import json
 import threading
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, MonomialTable
 
 _LOCK = threading.Lock()
 _IDS = {}  # frozenset of a normalized expression's terms -> id
@@ -63,14 +63,24 @@ def _by_id(ident):
 
 
 def _id_string(ident):
+    """The canonical string of an interned expression: json.dumps(tree,
+    sort_keys=True, separators=(",", ":")) of its tree, nested ones in full.
+
+    It is json_chunks' text, json.dumps(tree, sort_keys=True, indent=1),
+    without each line break and the indent after it, and with ":" for ": ".
+    Proof.  json.dumps writes the same tokens in both, and indent=1 only
+    adds a break and indent after each "[", "{" and ",", and before the
+    closing bracket of a non-empty container, and writes ": " for ":".  A
+    string never holds a raw newline (json escapes it), and a line starts
+    with a token after its indent, so the breaks and indents are what goes.
+    No string here (op names, keys, "p/q" coefficients) holds a colon, so
+    every ": " is a key separator.
+    """
     entry = _BY_ID[ident - 1]
     if entry[1] is None:
-        entry[1] = entry[0].canonical_string()
+        lines = "".join(json_chunks(entry[0])).split("\n")
+        entry[1] = "".join(line.lstrip(" ") for line in lines).replace(": ", ":")
     return entry[1]
-
-
-def _nested_json_obj(ident):
-    return _by_id(ident).to_json_obj()
 
 
 def _coerce_scalar(value):
@@ -274,23 +284,20 @@ class LiouvExpr:
 
         return sorted(self.terms.items(), key=key)
 
-    def to_json_obj(self):
-        """Canonical tree: sum of products of scalar/expint/int factors."""
-        return self._json_tree(DiffPoly.to_json_obj, _nested_json_obj)
-
-    def _json_tree(self, poly, nested):
-        """The to_json_obj() tree with poly(c) in place of the JSON object
-        of each DiffPoly c in it, and nested(ident) in place of the tree of
-        each exponential integrand and integral argument, by intern id."""
+    def _json_tree(self):
+        """The canonical tree, a sum of products of scalar, expint and int
+        factors, for json_chunks: each DiffPoly coefficient as it is, and
+        each exponential integrand and integral argument as the _Nested
+        marker of its intern id."""
         if not self.terms:
-            return {"op": "scalar", "p": poly(DiffPoly.zero())}
+            return {"op": "scalar", "p": DiffPoly.zero()}
         terms = []
         for (e, atoms), c in self._sorted_terms():
-            factors = [{"op": "scalar", "p": poly(c)}]
+            factors = [{"op": "scalar", "p": c}]
             if e != _NO_EXP:
-                factors.append({"op": "expint", "k": 1, "g": nested(e)})
+                factors.append({"op": "expint", "k": 1, "g": _Nested(e)})
             for ident, k in sorted(atoms, key=lambda ik: (_id_string(ik[0]), ik[1])):
-                node = {"op": "int", "arg": nested(ident)}
+                node = {"op": "int", "arg": _Nested(ident)}
                 if k != 1:
                     node = {"op": "pow", "k": k, "base": node}
                 factors.append(node)
@@ -301,9 +308,6 @@ class LiouvExpr:
         if len(terms) == 1:
             return terms[0]
         return {"op": "sum", "args": terms}
-
-    def canonical_string(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     def __repr__(self):
         return "LiouvExpr(%s)" % self.text()
@@ -358,3 +362,110 @@ def as_expr(value):
         raise TypeError("cannot coerce %r to LiouvExpr" % type(value))
     return LiouvExpr.scalar(coerced)
 
+
+class _Nested:
+    """An exponential integrand or integral argument in a LiouvExpr's tree,
+    by its intern id: json_chunks renders it once per value it writes."""
+
+    __slots__ = ("ident",)
+
+    def __init__(self, ident):
+        self.ident = ident
+
+
+def json_chunks(value):
+    """The text json.dumps(value, sort_keys=True, indent=1) writes, in
+    chunks, from one generator frame that keeps the open containers on a
+    stack: the report, the CLI documents and the canonical strings.
+
+    Dicts (string keys, in sorted() order, as sort_keys sorts them), lists
+    and tuples render as json renders them, and a LiouvExpr as its small
+    _json_tree.  Strings and ints render as json renders them, and a
+    DiffPoly at its depth, through one MonomialTable shared by every
+    polynomial of the value; its text is a chunk of its own.  Any other
+    value is a TypeError: nothing is rendered by str().
+    """
+    return _chunks(value, 0, MonomialTable(), {})
+
+
+def _chunks(value, base, table, memo):
+    r"""json_chunks of a value that sits `base` containers deep.
+
+    An interned expression nested in a LiouvExpr (an exponential integrand
+    or an integral argument) is rendered once per value: the first time it
+    is met, at depth `at`, its text is kept in `memo` under its intern id,
+    and a later occurrence at depth d is that text with every "\n" followed
+    by `at` spaces turned into "\n" followed by d spaces.  Proof that this
+    is the text at depth d.  A container at depth d opens on its own line's
+    tail, puts each item on a line led by d + 1 spaces and closes on a line
+    led by d spaces, and a DiffPoly's text at depth d is json's, which
+    indents the same way; so in a value rendered at depth d every line break
+    is followed by d plus its line's nesting level in the value spaces, at
+    least d.  No rendered string holds a raw newline (json escapes it as a
+    backslash and an n, and the "c" texts are digits and "/"), so every
+    "\n" is a line break.  Each break thus starts exactly one match of "\n"
+    and `at` spaces, the matches do not overlap, and replacing each one
+    moves its line from at + level spaces to d + level, as rendering at
+    depth d would.  Polynomial texts are not kept: they make up nearly all
+    of a report, and a memo of them would hold it whole.
+    """
+    stack = []  # per open container: iterator over (text before, item), closing text
+    head = ""
+    while True:
+        if isinstance(value, LiouvExpr):
+            value = value._json_tree()
+        if isinstance(value, (dict, list, tuple)):
+            pad = "\n" + " " * (base + len(stack) + 1)
+            seps = [pad] + ["," + pad] * (len(value) - 1)
+            if isinstance(value, dict):
+                if not all(isinstance(key, str) for key in value):
+                    raise TypeError("report keys must be strings, got %r" % (list(value),))
+                opener, closer = "{", "}"
+                items = [
+                    (sep + encode_basestring_ascii(key) + ": ", value[key])
+                    for sep, key in zip(seps, sorted(value))
+                ]
+            else:
+                opener, closer = "[", "]"
+                items = zip(seps, value)
+            if value:
+                stack.append((iter(items), pad[:-1] + closer))
+                head += opener
+            else:
+                head += opener + closer
+        else:
+            depth = base + len(stack)
+            if isinstance(value, DiffPoly):
+                text = table.json_text(value, depth)
+            elif isinstance(value, _Nested):
+                got = memo.get(value.ident)
+                if got is None:
+                    text = "".join(_chunks(_by_id(value.ident), depth, table, memo))
+                    memo[value.ident] = depth, text
+                else:
+                    at, text = got
+                    if at != depth:
+                        text = text.replace("\n" + " " * at, "\n" + " " * depth)
+            elif isinstance(value, str):
+                text = encode_basestring_ascii(value)
+            elif type(value) is int:
+                text = int.__repr__(value)
+            else:
+                raise TypeError("cannot render a %s in the report" % type(value).__name__)
+            if head:
+                yield head
+                head = ""
+            yield text
+        while stack:
+            items, closer = stack[-1]
+            item = next(items, None)
+            if item is not None:
+                sep, value = item
+                head += sep
+                break
+            head += closer
+            stack.pop()
+        else:
+            if head:
+                yield head
+            return

@@ -14,7 +14,7 @@ ALL_SYSTEMS = (
 )
 
 _REPS = {}
-_PIPELINES = {}
+_PIPELINES = {}  # below rank 6, every pipeline built; of rank 6 and above, the last one
 
 
 def get_rep(type_label, rank):
@@ -25,8 +25,14 @@ def get_rep(type_label, rank):
 
 
 def get_pipeline(type_label, rank):
+    """The pipeline of the system, built once and kept for the session
+    below rank 6.  Of rank 6 and above only the last one is kept (B6's
+    report alone is 239 MB of text), so the session holds one at a time."""
     key = (type_label, rank)
     if key not in _PIPELINES:
+        if rank >= 6:
+            for large in [k for k in _PIPELINES if k[1] >= 6]:
+                del _PIPELINES[large]
         _PIPELINES[key] = construct.run_pipeline(type_label, rank)
     return _PIPELINES[key]
 

@@ -17,6 +17,16 @@ def _freeze(m):
     return tuple(tuple(row) for row in m)
 
 
+def root_letter(rep, root, x):
+    """u_root(x), the matrix of the one-letter word ((("X", root), x),)."""
+    return chevalley.word_element(rep, [(("X", root.coeffs), x)])
+
+
+def torus_letter(rep, i, z):
+    """t_i(z), the matrix of the one-letter word ((("H", i), z),)."""
+    return chevalley.word_element(rep, [(("H", i), z)])
+
+
 def unipotent_matrix(rep, root, x):
     """u_root(x) = exp(x X_root), its inverse u_root(-x), ldelta x' X_root.
 
@@ -28,11 +38,11 @@ def unipotent_matrix(rep, root, x):
 
     u_root(-x) is u_root(x) with the cells of odd k negated: each cell
     (r, c, k, p) of rep.exp_cells holds the single term x^k p
-    (chevalley.unipotent_element proves that no cell gets two), and
+    (chevalley._cell_values proves that no cell gets two), and
     (-x)^k p = (-1)^k x^k p.  The diagonal and the zero cells keep their
-    entries, as unipotent_element(rep, root, -x) builds them.
+    entries, as root_letter(rep, root, -x) builds them.
     """
-    rows = chevalley.unipotent_element(rep, root, x)
+    rows = root_letter(rep, root, x)
     inv = [list(row) for row in rows]
     if x:
         for r, c, k, _ in rep.exp_cells[root.coeffs]:
@@ -52,7 +62,7 @@ def torus_matrix(rep, i, z):
     zinv = z ** -1
     c = linalg.derive(z) * zinv
     return symgroup.Factor(
-        _freeze(chevalley.torus_element(rep, i, z)),
-        _freeze(chevalley.torus_element(rep, i, zinv)),
+        _freeze(torus_letter(rep, i, z)),
+        _freeze(torus_letter(rep, i, zinv)),
         _freeze(chevalley.compose(rep, {("H", i): c}, linalg.zero_of(c))),
     )

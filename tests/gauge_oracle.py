@@ -33,7 +33,7 @@ def normalize_to_AG(rep, a):
         word = [(("H", j + 1), zj) for j, zj in enumerate(z)]
         torus = linalg.eye(rep.dim)
         for j in range(rep.rank):
-            torus = linalg.mat_mul(torus, chevalley.torus_element(rep, j + 1, z[j]))
+            torus = linalg.mat_mul(torus, factor_oracle.torus_letter(rep, j + 1, z[j]))
         tm = constant_factor(torus)
         factors.append(tm)
         current = symgroup.gauge(tm, current)

@@ -19,6 +19,7 @@ from pvext.errors import (
 )
 
 import bruhat_oracle
+import factor_oracle
 import linalg_oracle
 from conftest import get_rep
 
@@ -187,8 +188,6 @@ def test_sl1_is_the_trivial_form(convention):
 def test_coefficients_reproduce_factors():
     # x/z/y tuples rebuild the factors through the one-parameter products
     rng = random.Random(107)
-    from pvext import chevalley
-
     rep = get_rep("A", 3)
     for _ in range(10):
         m = random_sl(4, rng)
@@ -196,19 +195,17 @@ def test_coefficients_reproduce_factors():
         rebuilt = linalg.eye(4)
         for i, root in enumerate(rep.rs.neg_order):
             rebuilt = linalg.mat_mul(
-                rebuilt, chevalley.unipotent_element(rep, root, form.x[i])
+                rebuilt, factor_oracle.root_letter(rep, root, form.x[i])
             )
         assert linalg.mat_eq(rebuilt, [list(r) for r in form.uprime])
         rebuilt_t = linalg.eye(4)
         for i, z in enumerate(form.z, start=1):
-            rebuilt_t = linalg.mat_mul(rebuilt_t, chevalley.torus_element(rep, i, z))
+            rebuilt_t = linalg.mat_mul(rebuilt_t, factor_oracle.torus_letter(rep, i, z))
         assert linalg.mat_eq(rebuilt_t, [list(r) for r in form.t])
 
 
 def test_positive_convention_coefficients_rebuild():
     rng = random.Random(108)
-    from pvext import chevalley
-
     rep = get_rep("A", 2)
     for _ in range(10):
         m = random_sl(3, rng)
@@ -216,7 +213,7 @@ def test_positive_convention_coefficients_rebuild():
         rebuilt = linalg.eye(3)
         for i, root in enumerate(rep.rs.neg_order):
             rebuilt = linalg.mat_mul(
-                rebuilt, chevalley.unipotent_element(rep, -root, form.y[i])
+                rebuilt, factor_oracle.root_letter(rep, -root, form.y[i])
             )
         assert linalg.mat_eq(rebuilt, [list(r) for r in form.u])
 
@@ -224,15 +221,13 @@ def test_positive_convention_coefficients_rebuild():
 @pytest.mark.parametrize("upper", [False, True], ids=["lower", "upper"])
 def test_peeling_is_row_operations(monkeypatch, upper):
     # each u_i(-x) is one row operation: peeling multiplies no matrices
-    from pvext import chevalley
-
     rng = random.Random(109)
     rep = get_rep("A", 4)
     roots = [(-b if upper else b) for b in rep.rs.neg_order]
     x = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in roots]
     u = linalg.eye(5)
     for root, xi in zip(roots, x):
-        u = linalg.mat_mul(u, chevalley.unipotent_element(rep, root, xi))
+        u = linalg.mat_mul(u, factor_oracle.root_letter(rep, root, xi))
     calls = []
     mat_mul = linalg.mat_mul
     monkeypatch.setattr(linalg, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))

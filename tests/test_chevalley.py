@@ -22,6 +22,7 @@ from pvext.errors import (
 from pvext.rootsys import Root
 
 import chevalley_oracle
+import factor_oracle
 import linalg_oracle
 from linalg_oracle import mat_is_zero
 from conftest import ALL_SYSTEMS, get_pipeline, get_rep
@@ -113,7 +114,7 @@ def test_complementary_roots(rep_a3, rep_g2, rep_a1):
 
 def test_unipotent_simple_expansion(rep_a3):
     for i in range(1, 7):
-        u = chevalley.unipotent_element(rep_a3, rep_a3.rs.neg_order[i - 1], DiffPoly.eta(i))
+        u = factor_oracle.root_letter(rep_a3, rep_a3.rs.neg_order[i - 1], DiffPoly.eta(i))
         want = linalg.mat_add(
             linalg_oracle.eye(4, DiffPoly.rational(1), DiffPoly.zero()),
             [[DiffPoly.eta(i) * x for x in row] for row in rep_a3.x_neg(i)],
@@ -123,7 +124,7 @@ def test_unipotent_simple_expansion(rep_a3):
 
 def test_unipotent_zero_is_identity(rep_g2):
     for root in rep_g2.rs.neg_order:
-        u = chevalley.unipotent_element(rep_g2, root, Fraction(0))
+        u = factor_oracle.root_letter(rep_g2, root, Fraction(0))
         assert linalg.mat_eq(u, linalg.eye(7))
 
 
@@ -131,7 +132,7 @@ def test_g2_unipotent_integer_entries(rep_g2):
     # short-root exponentials include x^2/2 divided powers with integer result
     saw_square = False
     for root in rep_g2.rs.neg_order:
-        u = chevalley.unipotent_element(rep_g2, root, DiffPoly.eta(1))
+        u = factor_oracle.root_letter(rep_g2, root, DiffPoly.eta(1))
         for row in u:
             for entry in row:
                 for coeff in entry.terms.values():
@@ -147,15 +148,15 @@ def test_torus_element_refuses_a_non_diagonal_cartan_generator(rep_a3):
     h2[0][1] = 1
     rep = dataclasses.replace(rep_a3, H=(rep_a3.H[0], tuple(map(tuple, h2)), rep_a3.H[2]))
     with pytest.raises(NonDiagonalCartan, match=r"^H_2 is not diagonal$"):
-        chevalley.torus_element(rep, 2, Fraction(3))
-    assert chevalley.torus_element(rep, 1, Fraction(3)) == chevalley.torus_element(rep_a3, 1, Fraction(3))
+        factor_oracle.torus_letter(rep, 2, Fraction(3))
+    assert factor_oracle.torus_letter(rep, 1, Fraction(3)) == factor_oracle.torus_letter(rep_a3, 1, Fraction(3))
 
 
 def test_torus_element(rep_a3):
     z = Fraction(5)
-    t1 = chevalley.torus_element(rep_a3, 1, z)
+    t1 = factor_oracle.torus_letter(rep_a3, 1, z)
     assert linalg.mat_eq(t1, [[5, 0, 0, 0], [0, Fraction(1, 5), 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert linalg.mat_eq(chevalley.torus_element(rep_a3, 2, Fraction(1)), linalg.eye(4))
+    assert linalg.mat_eq(factor_oracle.torus_letter(rep_a3, 2, Fraction(1)), linalg.eye(4))
     # Ad(t_1(z))(X_{-a1}) = z^-2 X_{-a1}
     ad = linalg.mat_mul(linalg.mat_mul(t1, rep_a3.x_neg(1)), linalg.rational_inverse(t1))
     assert linalg.mat_eq(ad, linalg_oracle.mat_scale(rep_a3.x_neg(1), z ** -2))
@@ -273,7 +274,7 @@ def test_decomposition_agrees_with_the_dense_oracle(system):
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=_label)
 def test_character_is_the_torus_conjugation(system):
     # chi_beta(z) X_beta = t(z) X_beta t(z)^-1 for every root, t(z) the
-    # product of the torus_element matrices and t(z)^-1 that at 1/z, with
+    # product of the t_j(z_j) matrices and t(z)^-1 that at 1/z, with
     # rational z and with exponentials z_j = e^{int eta_j}
     rep = get_rep(*system)
     rng = random.Random("character:%s" % _label(system))
@@ -282,7 +283,7 @@ def test_character_is_the_torus_conjugation(system):
     for z in (rational, liouville):
         diagonal, inverse = [], []
         for zs, out in ((z, diagonal), ([zj ** -1 for zj in z], inverse)):
-            ts = [chevalley.torus_element(rep, j, zj) for j, zj in enumerate(zs, start=1)]
+            ts = [factor_oracle.torus_letter(rep, j, zj) for j, zj in enumerate(zs, start=1)]
             out.extend(reduce(mul, (t[r][r] for t in ts)) for r in range(rep.dim))
         for root in rep.rs.roots:
             chi = chevalley.character(rep.rs, z, root.coeffs)
@@ -774,7 +775,7 @@ def test_torus_element_raises_each_distinct_power_once():
     rep = get_rep("B", 3)
     for i in range(1, rep.rank + 1):
         z = _CountedPowers()
-        t = chevalley.torus_element(rep, i, z)
+        t = factor_oracle.torus_letter(rep, i, z)
         diagonal = [int(rep.H[i - 1][j][j]) for j in range(rep.dim)]
         assert sorted(z.exponents) == sorted(set(diagonal))
         assert [t[j][j] for j in range(rep.dim)] == [Fraction(2) ** k for k in diagonal]

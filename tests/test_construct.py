@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from pvext import bruhat, chevalley, construct, diffpoly, linalg, rootsys, symgroup
+from pvext import bruhat, chevalley, construct, diffpoly, linalg, liouville_expr, rootsys, symgroup
 from pvext.diffpoly import DiffPoly, parse
 from pvext.errors import IdentityFailure, RankFailure, StructureViolation, VerificationFailure
-from pvext.liouville_expr import LiouvExpr
+from pvext.liouville_expr import LiouvExpr, json_chunks
 
 import chevalley_oracle
 import construct_oracle
@@ -18,7 +18,7 @@ import factor_oracle
 import linalg_oracle
 from conftest import ALL_SYSTEMS, get_pipeline, get_rep, neumann_inverse
 from liouville_oracle import verify_by_liouville_product
-from report_oracle import report_json_obj, tree_json_obj
+from report_oracle import compact_string, report_json_obj, tree_json_obj
 
 
 def eta(i, k=0):
@@ -360,13 +360,18 @@ RANK6 = json.loads((HERE / "digests_rank6.json").read_text())
 DIGESTS_TESTED = dict(DIGESTS, **BEYOND_GRID, B6=RANK6["B6"], C6=RANK6["C6"], D6=RANK6["D6"])
 
 
+def _end_to_end_ok(res):
+    report = construct.verify_end_to_end(res.rep, res.liouville, res.invariants)
+    return report["status"] == "ok"
+
+
 def test_end_to_end_across_types():
     # beyond the required systems: the defining identity holds for every
-    # system whose report digest is tested below
+    # system whose report digest is tested below; a rank-6 system's check
+    # runs in its digest test, on the pipeline built for both
     for label in sorted(DIGESTS_TESTED):
-        res = get_pipeline(label[0], int(label[1:]))
-        report = construct.verify_end_to_end(res.rep, res.liouville, res.invariants)
-        assert report["status"] == "ok"
+        if label not in RANK6:
+            assert _end_to_end_ok(get_pipeline(label[0], int(label[1:])))
 
 
 def _corrupted(inv, part, index, delta):
@@ -465,23 +470,6 @@ def _first_difference(got, want):
     return "first difference at offset %d: %r != %r" % (at, got[lo : at + 40], want[lo : at + 40])
 
 
-@pytest.mark.parametrize(
-    "system", GRID + [("D", 6)], ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
-)
-def test_characters_equal_the_torus_conjugation(system):
-    # the oracle conjugates X_i by t(z): Ad(t(z)) X_i = chi_i X_i, and the
-    # integrand of y_i is c_i / chi_i
-    res = get_pipeline(*system)
-    rep, data = res.rep, res.liouville
-    torus = [factor_oracle.torus_matrix(rep, i, zi) for i, zi in enumerate(data.z, start=1)]
-    for i in range(1, rep.rank + 1):
-        x = rep.x_neg(i)
-        ad = symgroup.adjoint(torus, x)
-        chi = chevalley.decompose_in_basis(rep, ad)[("X", rep.rs.neg_order[i - 1].coeffs)]
-        assert linalg.mat_eq(ad, linalg_oracle.combination([(chi, x)], rep.dim, LiouvExpr.zero()))
-        assert data.y_integrands[i - 1] == chi ** -1 * data.c[i - 1]
-
-
 def test_report_writer_refuses_values_it_cannot_render():
     refused = [
         ([Fraction(1, 2)], "cannot render a Fraction in the report"),
@@ -493,7 +481,7 @@ def test_report_writer_refuses_values_it_cannot_render():
     ]
     for value, message in refused:
         with pytest.raises(TypeError, match="^%s$" % message):
-            "".join(construct._json_chunks(value))
+            "".join(json_chunks(value))
 
 
 def test_report_writer_reindents_a_nested_expression_met_at_another_depth():
@@ -504,34 +492,43 @@ def test_report_writer_reindents_a_nested_expression_met_at_another_depth():
     x = LiouvExpr.exp_integral(g) * LiouvExpr.integral(g) ** 2 + LiouvExpr.integral(g)
     tree = {"deep": [[[[x]]]], "top": x, "a": [x, {"b": [x]}], "z": [[x, g]]}
     want = json.dumps(tree_json_obj(tree), sort_keys=True, indent=1)
-    assert "".join(construct._json_chunks(tree)) == want
+    assert "".join(json_chunks(tree)) == want
 
 
 def test_report_renders_each_nested_expression_once(monkeypatch):
     # D5's y_1..y_5 hold 20 expressions whose integrands and integral
     # arguments are 25 distinct interned ones, met 330 times: 45 trees,
-    # against 350 when every occurrence was rendered.  Canonical strings,
-    # which build trees too, are not counted.
+    # against 350 when every occurrence was rendered.  Canonical strings
+    # build trees too, so they are rendered before the count starts.
     res = get_pipeline("D", 5)
+    construct.report_json(res)
     built = []
     tree = LiouvExpr._json_tree
 
-    def counted(self, poly, nested):
-        if nested is construct._Nested:
-            built.append(self)
-        return tree(self, poly, nested)
+    def counted(self):
+        built.append(self)
+        return tree(self)
 
     monkeypatch.setattr(LiouvExpr, "_json_tree", counted)
-    "".join(construct._json_chunks(res.liouville.y))
+    "".join(json_chunks(res.liouville.y))
     assert len(built) == 45
     built.clear()
     construct.report_json(res)
     assert len(built) == len(set(map(id, built))) == 55
 
 
+def test_canonical_strings_on_the_grid_are_the_oracle_compact_strings():
+    # every expression interned so far, those of the grid's pipelines
+    # included: _id_string against json.dumps of the oracle's tree
+    for system in GRID:
+        get_pipeline(*system)
+    idents = range(1, len(liouville_expr._BY_ID) + 1)
+    assert [i for i in idents if liouville_expr._id_string(i) != compact_string(i)] == []
+
+
 def test_report_writer_renders_empty_containers_as_json_does():
     for value in ({}, [], [[]], {"a": {}}, [{}, [], [[], {}]], {"a": [], "b": {"c": []}}):
-        assert "".join(construct._json_chunks(value)) == json.dumps(value, sort_keys=True, indent=1)
+        assert "".join(json_chunks(value)) == json.dumps(value, sort_keys=True, indent=1)
 
 
 def test_structural_claims_across_systems():
@@ -543,11 +540,34 @@ def test_structural_claims_across_systems():
 
 @pytest.mark.parametrize("label", sorted(DIGESTS_TESTED))
 def test_report_matches_recorded_digest(label):
-    # streamed, as `pvext derive` writes it: B6's report is 239 MB of text
+    # streamed, as `pvext derive` writes it: B6's report is 239 MB of text.
+    # A rank-6 pipeline, which get_pipeline keeps only until the next one,
+    # is checked end to end here too
+    res = get_pipeline(label[0], int(label[1:]))
     digest = hashlib.sha256()
-    for chunk in construct.report_chunks(get_pipeline(label[0], int(label[1:]))):
+    for chunk in construct.report_chunks(res):
         digest.update(chunk.encode("utf-8"))
     assert digest.hexdigest() == DIGESTS_TESTED[label]
+    if label in RANK6:
+        assert _end_to_end_ok(res)
+
+
+@pytest.mark.parametrize(
+    "system", GRID + [("D", 6)], ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
+)
+def test_characters_equal_the_torus_conjugation(system):
+    # the oracle conjugates X_i by t(z): Ad(t(z)) X_i = chi_i X_i, and the
+    # integrand of y_i is c_i / chi_i.  It runs after the digest tests, so
+    # that D6's pipeline is the one built there
+    res = get_pipeline(*system)
+    rep, data = res.rep, res.liouville
+    torus = [factor_oracle.torus_matrix(rep, i, zi) for i, zi in enumerate(data.z, start=1)]
+    for i in range(1, rep.rank + 1):
+        x = rep.x_neg(i)
+        ad = symgroup.adjoint(torus, x)
+        chi = chevalley.decompose_in_basis(rep, ad)[("X", rep.rs.neg_order[i - 1].coeffs)]
+        assert linalg.mat_eq(ad, linalg_oracle.combination([(chi, x)], rep.dim, LiouvExpr.zero()))
+        assert data.y_integrands[i - 1] == chi ** -1 * data.c[i - 1]
 
 
 def test_pipeline_multiplies_no_polynomial_matrix(monkeypatch):

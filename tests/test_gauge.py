@@ -11,6 +11,7 @@ from pvext.diffpoly import DiffPoly, lift_matrix, parse
 from pvext.errors import DimMismatch, NonUnitScaling, VerificationFailure
 
 from conftest import get_pipeline, get_rep
+import factor_oracle
 import gauge_oracle
 import linalg_oracle
 
@@ -46,7 +47,7 @@ def test_riccati(rep_a1):
     a = [[parse("n1"), parse("1")], [parse("0"), parse("0 - n1")]]
     g, word, f = gauge.normalize_to_AG(rep_a1, a)
     assert f == {1: parse("n1' + n1^2")}
-    want_u = chevalley.unipotent_element(rep_a1, rep_a1.rs.neg_order[0], parse("n1"))
+    want_u = factor_oracle.root_letter(rep_a1, rep_a1.rs.neg_order[0], parse("n1"))
     assert linalg.mat_eq(g, want_u)
 
 
@@ -334,8 +335,8 @@ def test_unipotent_adjoint_is_conjugation_on_coordinates(system):
             rep.dim, DiffPoly.zero(),
         )
         t = _random_poly(rng, rep.rank) - 1
-        u = chevalley.unipotent_element(rep, b, t)
-        conj = linalg_oracle.mat_mul(linalg_oracle.mat_mul(u, a), chevalley.unipotent_element(rep, b, -t))
+        u = factor_oracle.root_letter(rep, b, t)
+        conj = linalg_oracle.mat_mul(linalg_oracle.mat_mul(u, a), factor_oracle.root_letter(rep, b, -t))
         want = {k: v for k, v in chevalley.decompose_in_basis(rep, conj).items() if v}
         assert chevalley.unipotent_adjoint(rep, b, t, coords) == want
 
@@ -352,7 +353,7 @@ def test_unipotent_gauge_is_the_gauge_on_coordinates(system):
             rep.dim, DiffPoly.zero(),
         )
         t = _random_poly(rng, rep.rank) - 1
-        u, uinv = chevalley.unipotent_element(rep, b, t), chevalley.unipotent_element(rep, b, -t)
+        u, uinv = factor_oracle.root_letter(rep, b, t), factor_oracle.root_letter(rep, b, -t)
         conj = linalg_oracle.mat_mul(linalg_oracle.mat_mul(u, a), uinv)
         ldelta = linalg_oracle.mat_mul(linalg_oracle.mat_derive(u), uinv)
         want = {k: v for k, v in chevalley.decompose_in_basis(rep, linalg.mat_add(conj, ldelta)).items() if v}

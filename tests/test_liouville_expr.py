@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from pvext import liouville_expr
 from pvext.diffpoly import DiffPoly, parse
 from pvext.liouville_expr import LiouvExpr
 
@@ -105,6 +107,10 @@ def test_derivation_leibniz_on_random_trees():
         assert (a + b).derive() == a.derive() + b.derive()
 
 
+def _string(expr):
+    return liouville_expr._id_string(liouville_expr._intern(expr))
+
+
 def test_canonical_string_matches_equality():
     # The canonical string interns integrands and integral arguments, so it
     # must separate exactly the expressions that == separates.
@@ -112,4 +118,17 @@ def test_canonical_string_matches_equality():
     exprs = [_random_expr(rng, 3) for _ in range(40)]
     for a in exprs:
         for b in exprs:
-            assert (a.canonical_string() == b.canonical_string()) == (a == b)
+            assert (_string(a) == _string(b)) == (a == b)
+
+
+def test_expressions_refuse_what_they_cannot_hold():
+    with pytest.raises(TypeError, match=r"^scalar expects a DiffPoly or rational$"):
+        LiouvExpr.scalar(1.5)
+    with pytest.raises(TypeError, match=r"^cannot coerce <class 'str'> to LiouvExpr$"):
+        LiouvExpr.one() + "x"
+    x = LiouvExpr.integral(DiffPoly.eta(1))
+    with pytest.raises(TypeError, match=r"^integer powers only$"):
+        x ** Fraction(1, 2)
+    message = r"^only exponential monomials with rational coefficients are invertible$"
+    with pytest.raises(ValueError, match=message):
+        x ** -1

@@ -25,13 +25,14 @@ from hypothesis import strategies as st
 from pvext import chevalley, construct, diffpoly, linalg, liouville_expr, symgroup
 from pvext.diffpoly import DiffPoly, JetVar, parse
 from pvext.errors import DimMismatch, ExponentOverflow, MissingAssignment, NotInLieAlgebra
-from pvext.liouville_expr import LiouvExpr
+from pvext.liouville_expr import LiouvExpr, json_chunks
 
 import chevalley_oracle
 import construct_oracle
 import diffpoly_oracle as oracle
 import factor_oracle
 import linalg_oracle
+import report_oracle
 from conftest import ALL_SYSTEMS, get_rep, neumann_inverse
 
 SYSTEMS = [("A", 2), ("A", 3), ("B", 2), ("G2", 2)]
@@ -149,8 +150,17 @@ def test_structural_ids_separate_exactly_what_canonical_strings_separate(a, b):
     if b is None:
         b = -(-a)
     same_id = liouville_expr._intern(a) == liouville_expr._intern(b)
-    assert same_id == (a.canonical_string() == b.canonical_string())
+    assert same_id == (report_oracle.canonical_string(a) == report_oracle.canonical_string(b))
     assert same_id == (a == b)
+
+
+@settings(derandomize=True, deadline=None)
+@given(liouv_trees(depth=3))
+def test_canonical_string_is_the_oracle_compact_json(x):
+    # _id_string reads the indented text of the one JSON writer; the oracle
+    # is json.dumps of the dict tree with the compact separators
+    ident = liouville_expr._intern(x)
+    assert liouville_expr._id_string(ident) == report_oracle.canonical_string(x)
 
 
 @settings(derandomize=True, deadline=None)
@@ -190,15 +200,15 @@ def test_json_text_is_the_indented_json_of_the_object(p, depth):
     for _ in range(depth):
         obj, value = [obj], [value]
     want = json.dumps(obj, sort_keys=True, indent=1)
-    assert "".join(construct._json_chunks(value)) == want
+    assert "".join(json_chunks(value)) == want
 
 
 @settings(derandomize=True, deadline=None)
 @given(st.lists(st.one_of(st.just(LiouvExpr.zero()), liouv_args()), max_size=3))
 def test_report_writer_renders_a_liouvexpr_as_its_json_object(exprs):
     # the writer keeps the DiffPolys of the tree and renders them itself
-    want = json.dumps([x.to_json_obj() for x in exprs], sort_keys=True, indent=1)
-    assert "".join(construct._json_chunks(exprs)) == want
+    want = json.dumps([report_oracle.json_obj(x) for x in exprs], sort_keys=True, indent=1)
+    assert "".join(json_chunks(exprs)) == want
 
 
 @settings(derandomize=True, deadline=None)
@@ -445,7 +455,7 @@ def _nested_writes_the_oracle_json(p, ref):
     renders the reference's object."""
     value, obj = p, ref.to_json_obj()
     for _ in range(7):
-        assert "".join(construct._json_chunks(value)) == json.dumps(obj, sort_keys=True, indent=1)
+        assert "".join(json_chunks(value)) == json.dumps(obj, sort_keys=True, indent=1)
         value, obj = [value], [obj]
 
 
@@ -769,7 +779,7 @@ def test_unipotent_element_is_the_dense_exponential(system, data):
     rep = get_rep(*system)
     root = data.draw(st.sampled_from(rep.rs.roots))
     x = data.draw(data.draw(ring_entries))
-    got = chevalley.unipotent_element(rep, root, x)
+    got = chevalley.word_element(rep, [(("X", root.coeffs), x)])
     assert _same_matrices(got, chevalley_oracle.unipotent_element(rep, root, x))
 
 
@@ -789,7 +799,7 @@ def test_unipotent_product_agrees_with_the_dense_product(system):
     rep = get_rep(*system)
     args = [DiffPoly.eta(i) if i % 3 else Fraction(i % 2) for i in range(1, rep.m + 1)]
     want = linalg_oracle.product(
-        chevalley.unipotent_element(rep, b, diffpoly.lift(x))
+        chevalley.word_element(rep, [(("X", b.coeffs), diffpoly.lift(x))])
         for b, x in zip(rep.rs.neg_order, args)
     )
     assert _same_matrices(construct.unipotent_product(rep, args), want)

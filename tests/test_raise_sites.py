@@ -1,9 +1,10 @@
-"""The inventory of construct's, bruhat's, gauge's, chevalley's and
-rootsys' raise sites: each check, and the test that makes it fire.
+"""The inventory of construct's, bruhat's, gauge's, chevalley's,
+rootsys' and liouville_expr's raise sites: each check, and the test that
+makes it fire.
 
 Every `raise` in src/pvext/construct.py, src/pvext/bruhat.py,
-src/pvext/gauge.py, src/pvext/chevalley.py and src/pvext/rootsys.py is
-listed below by its exception and its message template (the source of the
+src/pvext/gauge.py, src/pvext/chevalley.py, src/pvext/rootsys.py and
+src/pvext/liouville_expr.py is listed below by its exception and its message template (the source of the
 argument when it is not a string), with the tests that fire it as
 "module::test", or UNFIRED while no test does.  The test fails when a site
 is added, removed or reworded without this list following, and when a named
@@ -11,7 +12,7 @@ test is gone.  The StructureViolation and RankFailure sites of construct are
 the pipeline's structural checks, and the SpanFailure and
 StructureViolation sites of chevalley build_rep's; their numbers are pinned
 too, and so is the number of UNFIRED sites in chevalley and rootsys.  No
-site of bruhat or gauge is UNFIRED.
+site of bruhat, gauge or liouville_expr is UNFIRED.
 """
 
 import ast
@@ -24,6 +25,7 @@ BRUHAT = ROOT / "src" / "pvext" / "bruhat.py"
 GAUGE = ROOT / "src" / "pvext" / "gauge.py"
 CHEVALLEY = ROOT / "src" / "pvext" / "chevalley.py"
 ROOTSYS = ROOT / "src" / "pvext" / "rootsys.py"
+LIOUVILLE_EXPR = ROOT / "src" / "pvext" / "liouville_expr.py"
 
 UNFIRED = ()
 
@@ -96,11 +98,6 @@ SITES = {
     # run_pipeline
     ("RankCeiling", "%s rank %d is above the derivation's rank ceiling of %d"):
         ("test_cli::test_derive_refuses_ranks_above_the_ceiling",),
-    # _json_chunks
-    ("TypeError", "report keys must be strings, got %r"):
-        ("test_construct::test_report_writer_refuses_values_it_cannot_render",),
-    ("TypeError", "cannot render a %s in the report"):
-        ("test_construct::test_report_writer_refuses_values_it_cannot_render",),
 }
 
 BRUHAT_SITES = {
@@ -282,6 +279,25 @@ ROOTSYS_SITES = {
 }
 
 
+LIOUVILLE_EXPR_SITES = {
+    # LiouvExpr.scalar and as_expr, the coercion of every operand
+    ("TypeError", "scalar expects a DiffPoly or rational"):
+        ("test_liouville_expr::test_expressions_refuse_what_they_cannot_hold",),
+    ("TypeError", "cannot coerce %r to LiouvExpr"):
+        ("test_liouville_expr::test_expressions_refuse_what_they_cannot_hold",),
+    # LiouvExpr.__pow__
+    ("TypeError", "integer powers only"):
+        ("test_liouville_expr::test_expressions_refuse_what_they_cannot_hold",),
+    ("ValueError", "only exponential monomials with rational coefficients are invertible"):
+        ("test_liouville_expr::test_expressions_refuse_what_they_cannot_hold",),
+    # json_chunks
+    ("TypeError", "report keys must be strings, got %r"):
+        ("test_construct::test_report_writer_refuses_values_it_cannot_render",),
+    ("TypeError", "cannot render a %s in the report"):
+        ("test_construct::test_report_writer_refuses_values_it_cannot_render",),
+}
+
+
 def _template(node):
     """(exception name, message template) of a raise statement whose
     exception is called with one string, formatted with % or not, or with
@@ -331,9 +347,14 @@ def test_every_raise_site_in_rootsys_is_listed_once_and_fired():
     assert all(ROOTSYS_SITES.values())
 
 
+def test_every_raise_site_in_liouville_expr_is_listed_once_and_fired():
+    assert _raise_sites(LIOUVILLE_EXPR) == Counter(LIOUVILLE_EXPR_SITES.keys())
+    assert all(LIOUVILLE_EXPR_SITES.values())
+
+
 def test_every_named_firing_test_exists():
-    sites = [tests for table in (SITES, BRUHAT_SITES, GAUGE_SITES, CHEVALLEY_SITES, ROOTSYS_SITES)
-             for tests in table.values()]
+    tables = (SITES, BRUHAT_SITES, GAUGE_SITES, CHEVALLEY_SITES, ROOTSYS_SITES, LIOUVILLE_EXPR_SITES)
+    sites = [tests for table in tables for tests in table.values()]
     named = {name for tests in sites for name in tests}
     missing = []
     for name in sorted(named):

@@ -238,12 +238,12 @@ INVERSE_SYSTEMS = (
 )
 def test_unipotent_inverse_is_the_element_at_minus_x(system):
     # the inverse negates the odd-k cells of u(x); entry for entry, types
-    # included, it is unipotent_element(rep, root, -x)
+    # included, it is root_letter(rep, root, -x)
     rep = get_rep(*system)
     xs = (parse("n1' - 2 n1^2 + 3/2"), Fraction(-3, 2), DiffPoly.zero(), Fraction(0))
     for root in rep.rs.roots:
         for x in xs:
             got = factor_oracle.unipotent_matrix(rep, root, x).inv
-            want = chevalley.unipotent_element(rep, root, -x)
+            want = factor_oracle.root_letter(rep, root, -x)
             assert got == tuple(tuple(row) for row in want)
             assert [[type(e) for e in row] for row in got] == [[type(e) for e in row] for row in want]
