@@ -53,7 +53,8 @@ class BruhatForm:
         Fraction(0) where the int is 0, as the dense product of Fractions
         gives.  bruhat_decompose checks the same product against its input.
         """
-        rows = _product(_scaled_rows(self.uprime), self.word, self.t, _scaled_rows(self.u))
+        nw = representative_columns(len(self.u), self.word)
+        rows = _product(_scaled_rows(self.uprime), nw, self.t, _scaled_rows(self.u))
         return [[_divide(x, row[-1]) for x in row[:-1]] for row in rows]
 
 
@@ -163,7 +164,8 @@ def bruhat_decompose(mat, convention="negative"):
         pivot = [n - 1 - p for p in reversed(pivot)]
     perm = tuple(p + 1 for p in pivot)
     word = reduced_word(perm)
-    signs = [s for _, s in representative_columns(n, word)]
+    nw = representative_columns(n, word)
+    signs = [s for _, s in nw]
     z, num, den = [], 1, 1
     for v, p, s in zip(c, pivot, signs):
         num *= v[p] * s
@@ -195,7 +197,7 @@ def bruhat_decompose(mat, convention="negative"):
         z=tuple(z[:-1]),
         y=_peel_coefficients(u_rows, upper),
     )
-    for i, row in enumerate(_product(uprime_rows, word, t, u_rows)):
+    for i, row in enumerate(_product(uprime_rows, nw, t, u_rows)):
         if any(x * v[n] != v[i] * row[n] for x, v in zip(row, cols)):
             raise VerificationFailure("Bruhat recomposition failed")
     return form
@@ -372,15 +374,16 @@ def _peel_coefficients(rows, upper):
     return tuple(coeffs)
 
 
-def _product(uprime_rows, word, t, u_rows):
+def _product(uprime_rows, nw, t, u_rows):
     """The rows of u' n(w) t u as scaled vectors, from the scaled rows of u'
-    and u, the word of w and the diagonal of t: one integer product.
+    and u, n(w) as representative_columns gives it and the diagonal of t:
+    one integer product.
 
     Row j of t u is t_jj times row j of u: with t_jj = p_j / q_j in lowest
     terms and row j of u = b_j / e_j, it is p_j b_j / (q_j e_j), and over
     the common denominator L = lcm(q_j e_j) it is the ints
     B_j = p_j (L / (q_j e_j)) b_j.  Column j of u' n(w) is s_j times
-    column r_j of u' (representative_columns), so row i of u' n(w) is the
+    column r_j of u', with (r_j, s_j) = nw[j], so row i of u' n(w) is the
     ints s_j a_i[r_j] over the denominator d_i of row i of u'.  Row i of
     (u' n(w)) (t u) is the ints sum_j s_j a_i[r_j] B_j over d_i L, summed
     over the non-zero a_i[r_j] and the non-zero ints of B_j only.
@@ -393,10 +396,9 @@ def _product(uprime_rows, word, t, u_rows):
         for (p, q), b in zip(scale, u_rows)
     ]
     out = []
-    cols = representative_columns(n, word)
     for a in uprime_rows:
         acc = [0] * n
-        for (r, s), bj in zip(cols, right):
+        for (r, s), bj in zip(nw, right):
             x = a[r]
             if x:
                 if s < 0:

@@ -23,16 +23,14 @@ u_alpha(x) and the letter kernels those of the divided powers of X_alpha
 and its inverse compose those of the basis matrices (rep.cells), where a
 root vector owns its off-diagonal cells and the H_i hold the diagonal.
 
-Sign flips for non-simple root vectors are loaded from a calibration table
-(see data/calibration.json), which lists only the roots whose sign is -1;
-every other root keeps the sign produced by the bracket recursion.
+The bracket recursion flips the sign of a few non-simple root vectors,
+those that _SIGNS lists per system; every other root keeps the sign the
+recursion produces.
 """
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from importlib import resources
 from operator import itemgetter, mul
 
 from . import linalg, rootsys
@@ -44,14 +42,6 @@ from .errors import (
     StructureViolation,
     UnsupportedRep,
 )
-
-
-@lru_cache(maxsize=None)
-def _load_calibration():
-    """The parsed calibration table, read once per process; build_rep only
-    reads it."""
-    ref = resources.files("pvext").joinpath("data/calibration.json")
-    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -106,56 +96,47 @@ class ChevalleyRep:
 
 # ----- simple generators per type -----
 
+# The non-simple roots whose root vector the bracket recursion negates, per
+# system: with these three flips G2's h_6 is the printed expansion term for
+# term.  Every other root keeps the sign +1.
+_SIGNS = {"G2": {(2, 1): -1, (3, 1): -1, (3, 2): -1}}
+
 
 def _simple_generators(rs):
-    """(dim, E, F) with E[i], F[i] the sparse matrices of the simple root vectors."""
-    l = rs.rank
-    t = rs.type_label
-    if t == "A":
-        n = l + 1
-        E = [_entries([(i, i + 1, 1)]) for i in range(l)]
-        F = [_entries([(i + 1, i, 1)]) for i in range(l)]
-        return n, E, F
-    if t == "C":
-        n = 2 * l
-        # basis: eps_1..eps_l, -eps_l..-eps_1
-        E, F = [], []
-        for i in range(l - 1):
-            E.append(_entries([(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]))
-            F.append(_entries([(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]))
-        E.append(_entries([(l - 1, l, 1)]))
-        F.append(_entries([(l, l - 1, 1)]))
-        return n, E, F
-    if t == "B":
-        n = 2 * l + 1
-        # basis: eps_1..eps_l, 0, -eps_l..-eps_1
-        E, F = [], []
-        for i in range(l - 1):
-            E.append(_entries([(i, i + 1, 1), (2 * l - 1 - i, 2 * l - i, -1)]))
-            F.append(_entries([(i + 1, i, 1), (2 * l - i, 2 * l - 1 - i, -1)]))
-        E.append(_entries([(l - 1, l, 1), (l, l + 1, 2)]))
-        F.append(_entries([(l, l - 1, 2), (l + 1, l, 1)]))
-        return n, E, F
-    if t == "D":
-        n = 2 * l
-        # basis: eps_1..eps_l, -eps_l..-eps_1
-        E, F = [], []
-        for i in range(l - 1):
-            E.append(_entries([(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]))
-            F.append(_entries([(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]))
-        E.append(_entries([(l - 2, l, 1), (l - 1, l + 1, -1)]))
-        F.append(_entries([(l, l - 2, 1), (l + 1, l - 1, -1)]))
-        return n, E, F
+    """(dim, E, F) with E[i], F[i] the sparse matrices of the simple root
+    vectors.
+
+    A_l acts on l + 1 coordinates, E_i at the cell (i, i + 1).  B_l, C_l and
+    D_l act on the basis eps_1..eps_l, then 0 for B alone, then
+    -eps_l..-eps_1, of n = 2l + 1 or 2l vectors: for i < l - 1, E_i has 1
+    at (i, i + 1) and -1 at its mirror cell (n - 2 - i, n - 1 - i), and
+    the last E_i is per type.  F_i is E_i transposed, except B's last.
+    """
+    l, t = rs.rank, rs.type_label
     if t == "G2":
         # 7-dimensional representation; basis: v1 of weight 0, then the
         # weight vectors 2a1+a2, -a1, -a1-a2, -2a1-a2, a1, a1+a2.
-        n = 7
         e1 = _entries([(0, 2, 1), (5, 0, -2), (3, 4, 1), (1, 6, -1)])
         f1 = _entries([(2, 0, 2), (0, 5, -1), (4, 3, 1), (6, 1, -1)])
         e2 = _entries([(2, 3, -1), (6, 5, 1)])
         f2 = _entries([(3, 2, -1), (5, 6, 1)])
-        return n, [e1, e2], [f1, f2]
-    raise UnsupportedRep("no representation for type %s" % t)
+        return 7, [e1, e2], [f1, f2]
+    if t == "A":
+        n, E = l + 1, [[(i, i + 1, 1)] for i in range(l)]
+    elif t in ("B", "C", "D"):
+        n = 2 * l + (t == "B")
+        E = [[(i, i + 1, 1), (n - 2 - i, n - 1 - i, -1)] for i in range(l - 1)]
+        E.append({
+            "B": [(l - 1, l, 1), (l, l + 1, 2)],
+            "C": [(l - 1, l, 1)],
+            "D": [(l - 2, l, 1), (l - 1, l + 1, -1)],
+        }[t])
+    else:
+        raise UnsupportedRep("no representation for type %s" % t)
+    F = [[(c, r, v) for r, c, v in cells] for cells in E]
+    if t == "B":
+        F[-1] = [(l, l - 1, 2), (l + 1, l, 1)]
+    return n, [_entries(e) for e in E], [_entries(f) for f in F]
 
 
 def _is_diagonal(m):
@@ -275,18 +256,14 @@ def _cells(a):
 
 
 def build_rep(type_label, rank):
-    """Build the calibrated Chevalley representation of a (type, rank) pair.
+    """Build the Chevalley representation of a (type, rank) pair, its root
+    vectors signed by _SIGNS.
 
     The returned representation carries the finalized negative-root
     ordering, with complementary roots installed.
     """
     rs = rootsys.build_root_system(type_label, rank)
-    calibration = _load_calibration().get(rs.label, {})
-    signs = {
-        tuple(int(v) for v in key.split(",")): int(value)
-        for key, value in calibration.items()
-    }
-
+    signs = _SIGNS.get(rs.label, {})
     n, E, F = _simple_generators(rs)
     l = rs.rank
     sh = [_sp_bracket(E[i], F[i]) for i in range(l)]
@@ -944,19 +921,21 @@ def _column_operations(m, lines, zero):
     itself when there are no such lines.
 
     Entry (i, c) of m L sums m[i][k] L[k][c] over the non-zero L[k][c] of
-    column c in ascending k, the diagonal one included, in one linalg.dot:
-    the pairs, their order and the accumulator of linalg.mat_mul(m, L),
-    whose non-DiffPoly sum is linalg.dot's and whose DiffPoly sum is
-    DiffPoly.dot of the same pairs, the zero factors left out as mat_mul
-    leaves them out, and an entry with no pair left is `zero`, as there.
-    So those entries are mat_mul's in value, type and term order.  In any
-    other column c, L[c][c] is a one (the ring's one, or z^0) and the
-    column's only entry, so mat_mul's entry is m[i][c] * one, or its zero
-    when m[i][c] is zero: m[i][c] itself in value, and in type and term
-    order too when m[i][c] is of the type of `zero`.  DiffPoly.dot hands a DiffPoly back as it is beside a rational
-    or DiffPoly one, a LiouvExpr times the one of any ring is that
-    LiouvExpr, and a Fraction times Fraction(1) is that Fraction; a zero of
-    the type of `zero` is that zero.
+    column c in ascending k, the diagonal one included, in one linalg.dot.
+    linalg.mat_mul(m, L) forms the entry as linalg.dot of all the pairs
+    (m[i][k], L[k][c]) in ascending k, and both linalg.dot and DiffPoly.dot
+    skip a pair with a zero factor, so the same products go into the same
+    accumulator in the same order; DiffPoly.dot gives a lone pair's product
+    in the accumulated form (proved there), and an entry with no pair left
+    is `zero`, in value and type.  So those entries are mat_mul's in
+    value, type and term order.  In any other column c, L[c][c] is a one
+    (the ring's one, or z^0) and the column's only entry, so mat_mul's
+    entry is m[i][c] * one, or its zero when m[i][c] is zero: m[i][c]
+    itself in value, and in type and term order too when m[i][c] is of
+    the type of `zero`.  DiffPoly.dot hands a DiffPoly back as it is
+    beside a rational or DiffPoly one, a LiouvExpr times the one of any
+    ring is that LiouvExpr, and a Fraction times Fraction(1) is that
+    Fraction; a zero of the type of `zero` is that zero.
     """
     if not lines:
         return m
@@ -1003,8 +982,9 @@ def letter_adjoint(rep, letter, m):
     operations.  Row r of u m is row r of m when row r of u is the
     identity's (the argument of _column_operations, with the one on the
     left); otherwise entry (r, c) sums u[r][k] m[k][c] over row r's
-    non-zero u[r][k] in ascending k, in one linalg.dot, with mat_mul's
-    pairs in mat_mul's order.  The rows of u m are of the type of that
+    non-zero u[r][k] in ascending k, in one linalg.dot, over mat_mul's
+    pairs without a zero factor in mat_mul's order, as in
+    _column_operations.  The rows of u m are of the type of that
     zero again, which is mat_mul's zero for (u m) u^-1 too, and (u m) u^-1
     is _column_operations over the lines of u^-1 (_lines).
 

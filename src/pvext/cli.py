@@ -6,7 +6,7 @@ Subcommands: derive (run the full construction for a type/rank), verify
 matrix to the generic shape).  Their JSON documents stream through one
 writer, liouville_expr.json_chunks; only verify calls json.dumps, on the
 fixture it compares with.  Exit codes: 0 ok, 1 usage error, 2
-computation failure, 3 fixture mismatch.
+computation failure (running out of memory included), 3 fixture mismatch.
 """
 
 import argparse
@@ -16,12 +16,10 @@ from fractions import Fraction
 from importlib import resources
 
 from . import bruhat as bruhat_mod
-from . import chevalley, construct, gauge
+from . import chevalley, construct, gauge, rootsys
 from .diffpoly import DiffPoly, frac_text, parse as parse_poly
 from .errors import ExponentOverflow, PvextError, UnsupportedType
 from .liouville_expr import json_chunks
-
-_TYPES = ("A", "B", "C", "D", "G2")
 
 
 def _write_output(chunks, path):
@@ -37,12 +35,6 @@ def _write_output(chunks, path):
             tail = chunk[-1:] or tail
         if tail != "\n":
             sys.stdout.write("\n")
-
-
-def _require_system(args):
-    if args.type not in _TYPES:
-        raise UnsupportedType("unknown type %r" % args.type)
-    return args.type, args.rank
 
 
 def _report_text(result):
@@ -79,8 +71,7 @@ def _report_text(result):
 
 
 def cmd_derive(args):
-    type_label, rank = _require_system(args)
-    result = construct.run_pipeline(type_label, rank)
+    result = construct.run_pipeline(args.type, args.rank)
     if args.format == "json":
         _write_output(construct.report_chunks(result), args.output)
     else:
@@ -223,7 +214,7 @@ def cmd_bruhat(args):
 
 
 def cmd_gauge_normalize(args):
-    type_label, rank = _require_system(args)
+    type_label, rank = args.type, args.rank
     rep = chevalley.build_rep(type_label, rank)
     a = _load_matrix(args.matrix)
     if len(a) != rep.dim:
@@ -249,7 +240,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("derive", help="run the full construction")
-    p.add_argument("--type", required=True, choices=_TYPES)
+    p.add_argument("--type", required=True, choices=rootsys.TYPES)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--format", default="text", choices=("text", "json"))
     p.add_argument("--output", default=None)
@@ -266,7 +257,7 @@ def build_parser():
     p.set_defaults(func=cmd_bruhat)
 
     p = sub.add_parser("gauge-normalize", help="gauge a plane matrix to A_G(f)")
-    p.add_argument("--type", required=True, choices=_TYPES)
+    p.add_argument("--type", required=True, choices=rootsys.TYPES)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--matrix", required=True)
     p.add_argument("--output", default=None)
@@ -291,6 +282,13 @@ def main(argv=None):
     except PvextError as exc:
         sys.stderr.write("computation failed: %s: %s\n" % (type(exc).__name__, exc))
         return 2
+    except MemoryError:
+        pass
+    # out of memory; leaving the except clause freed the frames that held
+    # the computation, so the message has room
+    system = "%s rank %d " % (args.type, args.rank) if hasattr(args, "type") else ""
+    sys.stderr.write("computation failed: MemoryError: %sran out of memory\n" % system)
+    return 2
 
 
 if __name__ == "__main__":

@@ -2,13 +2,11 @@
 
 Matrices are plain lists of row lists.  Entries live in any commutative ring
 with +, -, * (Fraction, DiffPoly, or normalized Liouvillian expressions).
-The product runs row by row over the non-zero entries, since the
-matrices it multiplies are mostly zeros, and DiffPoly.dot hands back the
-other factor of a lone product by a one as it is; a group letter acts on
-a matrix through its cells instead (chevalley.letter_product), with the
-same accumulator per entry.  The sum passes an operand through beside a
-polynomial zero.  Sums of multiples of Chevalley-basis matrices are
-chevalley.compose, over the cells of each basis matrix.  The identity
+The product is the plain one: each entry is one dot product (dot) of a
+row and a column; a group letter acts on a matrix through its cells
+instead (chevalley.letter_product), with the same accumulator per entry.
+The sum adds entry by entry with +.  Sums of multiples of Chevalley-basis
+matrices are chevalley.compose, over the cells of each basis matrix.  The identity
 g' + g b = a g, which closes both the gauge normalization and the
 end-to-end check, is tested by gauge_defect in one pass over the rows of
 g: each entry of g' + g b - a g is summed in one accumulator and tested
@@ -45,28 +43,9 @@ def _require_shape(a, b):
         raise DimMismatch("matrix sizes differ")
 
 
-def _add(x, y):
-    """x + y; a zero of DiffPoly or LiouvExpr adds nothing to an operand of
-    its own type, which is returned as it is.
-
-    Proof that this is x + y in value, type and form.  DiffPoly's sum of 0
-    and y copies y's reduced numerators in y's key order over y's
-    denominator, which is y's own reduced map, and y + 0 copies y's map;
-    LiouvExpr's sum copies the term map of the one side and adds nothing
-    from the empty other.  A rational zero is not skipped: 0 + y can
-    change y's type (int 0 and Fraction y, or Fraction 0 and int y).
-    """
-    if type(x) is type(y) and not isinstance(x, _RATIONAL):
-        if not x:
-            return y
-        if not y:
-            return x
-    return x + y
-
-
 def mat_add(a, b):
     _require_shape(a, b)
-    return [[_add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def zero_of(x):
@@ -92,18 +71,12 @@ def dot(pairs, zero):
 
 
 def mat_mul(a, b):
-    """a b; an entry where every product vanishes is the zero of the ring
-    of a[0][0], or of b[0][0] when a[0][0] is rational, so a rational
-    factor times a DiffPoly matrix has DiffPoly zeros.  DimMismatch unless
+    """a b: entry (i, j) is dot(zip(row i of a, column j of b), zero), with
+    `zero` the zero of the ring of a[0][0], or of b[0][0] when a[0][0] is
+    rational, so a rational factor times a DiffPoly matrix has DiffPoly
+    zeros.  Each entry sums its products in ascending k.  DimMismatch unless
     every row of a has one entry per row of b and the rows of b have one
     length.
-
-    Gustavson's row-by-row product (ACM TOMS 4, 1978): the non-zero (j, y)
-    of each row k of b are listed once, and each non-zero a[i][k] adds
-    a[i][k]*y into entry (i, j).  Every entry sums its products in ascending
-    k, as the row-by-column dot product does, so the values and the
-    Liouvillian normal forms are the same.  Over DiffPoly the products of an
-    entry accumulate into one map (DiffPoly.dot).
     """
     width = len(b[0]) if b else 0
     if any(len(row) != len(b) for row in a) or any(len(row) != width for row in b):
@@ -111,28 +84,8 @@ def mat_mul(a, b):
     if not a or not b:
         return [[] for _ in a]
     zero = zero_of(b[0][0] if isinstance(a[0][0], _RATIONAL) else a[0][0])
-    live = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    if isinstance(zero, DiffPoly):
-        for row in a:
-            pairs = {}
-            for x, bk in zip(row, live):
-                if x:
-                    for j, y in bk:
-                        pairs.setdefault(j, []).append((x, y))
-            out.append(
-                [DiffPoly.dot(pairs[j]) if j in pairs else zero for j in range(width)]
-            )
-        return out
-    for row in a:
-        acc = {}
-        for x, bk in zip(row, live):
-            if x:
-                for j, y in bk:
-                    term = x * y
-                    acc[j] = term if j not in acc else acc[j] + term
-        out.append([acc.get(j, zero) for j in range(width)])
-    return out
+    columns = list(zip(*b))
+    return [[dot(zip(row, col), zero) for col in columns] for row in a]
 
 
 def mat_eq(a, b):
@@ -160,7 +113,7 @@ def gauge_defect(g, b, a):
     rationals.
 
     No matrix is formed.  Each row of g and of b is listed once as its
-    non-zero (column, entry) pairs, as in mat_mul.  Row r is then summed
+    non-zero (column, entry) pairs.  Row r is then summed
     entry by entry, each entry (r, c) in one accumulator (diffpoly._Sum):
     g[r][c]' goes in through add_derivative, every product g[r][k] b[k][c]
     with sign + and every a[r][k] g[k][c] with sign - through add_pair.

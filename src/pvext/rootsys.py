@@ -194,14 +194,14 @@ def _simple_half_lengths(type_label, rank):
     raise UnsupportedType(type_label)
 
 
-_ADMISSIBLE = {"A": 1, "B": 2, "C": 2, "D": 3, "G2": 2}
-
-_POSITIVE_COUNT = {
-    "A": lambda l: l * (l + 1) // 2,
-    "B": lambda l: l * l,
-    "C": lambda l: l * l,
-    "D": lambda l: l * (l - 1),
-    "G2": lambda l: 6,
+# Each supported type: its least rank and its number of positive roots at
+# rank l.
+TYPES = {
+    "A": (1, lambda l: l * (l + 1) // 2),
+    "B": (2, lambda l: l * l),
+    "C": (2, lambda l: l * l),
+    "D": (3, lambda l: l * (l - 1)),
+    "G2": (2, lambda l: 6),
 }
 
 
@@ -250,16 +250,16 @@ def build_root_system(type_label, rank):
     representation by chevalley.build_rep and installed by finalize_order,
     which applies order_negative_roots again.
     """
-    minimum = _ADMISSIBLE.get(type_label)
-    if minimum is None:
+    if type_label not in TYPES:
         raise UnsupportedType("unknown type %r" % type_label)
+    minimum, positive_count = TYPES[type_label]
     if type_label == "G2" and rank != 2:
         raise UnsupportedType("G2 has rank 2")
     if rank < minimum:
         raise UnsupportedType("%s requires rank >= %d" % (type_label, minimum))
     cartan = _cartan_matrix(type_label, rank)
     pos = _generate_positive(cartan, rank)
-    expected = _POSITIVE_COUNT[type_label](rank)
+    expected = positive_count(rank)
     if len(pos) != expected:
         raise UnsupportedType(
             "generated %d positive roots for %s_%d, expected %d"

@@ -468,10 +468,7 @@ def build_rep(type_label, rank):
     this leaves to pvext.chevalley are the generators, the divided powers,
     the complementary roots, the cell maps and the closing W-basis check."""
     rs = rootsys.build_root_system(type_label, rank)
-    signs = {
-        tuple(int(v) for v in key.split(",")): int(value)
-        for key, value in chevalley._load_calibration().get(rs.label, {}).items()
-    }
+    signs = chevalley._SIGNS.get(rs.label, {})
     n, E, F = chevalley._simple_generators(rs)
     l = rs.rank
     sh = [sp_bracket(E[i], F[i]) for i in range(l)]

@@ -2,10 +2,10 @@
 the dense group-word products, and the four separate Gauss-Jordan loops, as
 a test oracle.
 
-This is how pvext.linalg multiplied matrices before its row-by-row product
-over the non-zero entries, and how pvext.bruhat built n(w) before its column
-moves: one row-by-column dot product per entry, and one matrix product per
-letter of the word.  The tests require both to agree, value and type.
+This is how pvext.bruhat built n(w) before its column moves: one
+row-by-column dot product per entry, and one matrix product per letter of
+the word.  pvext.linalg.mat_mul is that plain product again, written on
+its own; the tests require both to agree, value, type and term order.
 signed_permutation reads a (row, sign) per column back into that dense
 matrix.
 rational_inverse, det, solve_exact and rank are the loops pvext.linalg ran
@@ -16,12 +16,11 @@ the commutator the tests build expected matrices with.  mat_scale, zeros
 and eye over any ring build expected matrices, and combination is the
 dense fold zero + c_1 M_1 + c_2 M_2 + ... that the tests hold
 pvext.chevalley.compose to and build matrices of coordinates with.  mat_add is
-the entrywise sum before pvext.linalg.mat_add passed an operand through
-beside a polynomial zero.  adjoint and product multiply a word of group
-factors letter by letter with the dense mat_mul here, and hold
-pvext.symgroup.adjoint and construct_oracle.product, which use the one
-row-by-row product of pvext.linalg (root subgroup factors included), to
-the same values, types and term orders.  mat_derive is the entrywise
+the entrywise sum, as pvext.linalg.mat_add forms it.  adjoint and product
+multiply a word of group factors letter by letter with the dense mat_mul
+here, and hold pvext.symgroup.adjoint and construct_oracle.product, which
+use pvext.linalg.mat_mul (root subgroup factors included), to the same
+values, types and term orders.  mat_derive is the entrywise
 derivative that, with mat_mul and mat_add, composes g' + g b and a g for
 the tests of pvext.linalg.gauge_defect, which forms neither.
 """

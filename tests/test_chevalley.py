@@ -365,14 +365,6 @@ def test_exponential_cells_are_the_divided_powers(label):
         assert len(set(places)) == len(places) and all(r != c for r, c in places)
 
 
-def test_calibration_is_parsed_once_per_process():
-    chevalley._load_calibration.cache_clear()
-    for system in (("A", 2), ("G2", 2), ("A", 2)):
-        chevalley.build_rep(*system)
-    info = chevalley._load_calibration.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
-
-
 def _corrupted_basis(rep, case):
     H = [[list(row) for row in h] for h in rep.H]
     X = {coeffs: [list(row) for row in mat] for coeffs, mat in rep.X.items()}
@@ -566,18 +558,14 @@ def test_decompose_refuses_a_matrix_of_another_size(rep_a2):
     assert chevalley.decompose_in_basis(rep_a2, rep_a2.a0_plus())[("X", (1, 0))] == 1
 
 
-def test_calibration_file_signs():
-    import json
-    from importlib import resources
-
-    data = json.loads(
-        resources.files("pvext").joinpath("data/calibration.json").read_text()
-    )
-    assert data["G2"]["3,2"] == -1
-    # every key is the coordinate tuple of a root
-    assert all("," in k for table in data.values() for k in table)
+def test_sign_table_flips_three_g2_roots():
+    assert chevalley._SIGNS["G2"][(3, 2)] == -1
+    # every key is the coefficient vector of a positive, non-simple root
+    for label, table in chevalley._SIGNS.items():
+        rs = get_rep(*_system(label)).rs
+        assert all(rs.contains(Root(k)) and sum(k) > 1 for k in table)
     # the table lists sign flips only; every other root keeps +1
-    assert all(v == -1 for table in data.values() for v in table.values())
+    assert all(v == -1 for table in chevalley._SIGNS.values() for v in table.values())
 
 
 def test_a0_refuses_coefficients_of_another_length(rep_a2):
@@ -784,7 +772,7 @@ def test_torus_element_raises_each_distinct_power_once():
 # ----- corrupted inputs of build_rep, each with the check it trips first -----
 #
 # One entry of a simple generator E_i, written into _simple_generators'
-# output, or one calibration sign.  No single corrupted generator entry or
+# output, or one sign of _SIGNS.  No single corrupted generator entry or
 # sign gets past the bracket recursion to the pair checks of the sweep on
 # B3 or G2 (every entry value and sign in -3..3 was tried): the recursion
 # builds each X_gamma from brackets and checks [X_gamma, X_-gamma] against
@@ -831,9 +819,7 @@ def test_build_rep_refuses_a_corrupted_generator_entry(label, entry, message, mo
     (2, "[X,Y] not proportional to the coroot for %r"),
 ])
 def test_build_rep_refuses_a_corrupted_calibration_sign(label, root, sign, message, monkeypatch):
-    table = dict(chevalley._load_calibration())
-    table[label] = {**table.get(label, {}), ",".join(map(str, root)): sign}
-    monkeypatch.setattr(chevalley, "_load_calibration", lambda: table)
+    monkeypatch.setitem(chevalley._SIGNS, label, {**chevalley._SIGNS.get(label, {}), root: sign})
     with pytest.raises(SpanFailure, match="^%s$" % re.escape(message % (root,))):
         chevalley.build_rep(*_system(label))
 
@@ -888,6 +874,49 @@ def test_weyl_representative_refuses_a_corrupted_exponential_cell(label):
 def test_a0_refuses_a_zero_coefficient(rep_a2):
     with pytest.raises(ValueError, match="^principal nilpotent coefficients must be nonzero$"):
         rep_a2.a0_plus([1, 0])
+
+
+def _cells_of(triples):
+    out = {}
+    for r, c, v in triples:
+        out.setdefault(r, {})[c] = v
+    return out
+
+
+def _written_out_generators(rs):
+    """(dim, E, F) as pvext.chevalley wrote each type's simple generators
+    out on its own, before B, C and D shared one rule."""
+    l, t = rs.rank, rs.type_label
+    if t == "A":
+        return (l + 1, [_cells_of([(i, i + 1, 1)]) for i in range(l)],
+                [_cells_of([(i + 1, i, 1)]) for i in range(l)])
+    if t == "C":
+        E = [_cells_of([(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]) for i in range(l - 1)]
+        F = [_cells_of([(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]) for i in range(l - 1)]
+        return 2 * l, E + [_cells_of([(l - 1, l, 1)])], F + [_cells_of([(l, l - 1, 1)])]
+    if t == "B":
+        E = [_cells_of([(i, i + 1, 1), (2 * l - 1 - i, 2 * l - i, -1)]) for i in range(l - 1)]
+        F = [_cells_of([(i + 1, i, 1), (2 * l - i, 2 * l - 1 - i, -1)]) for i in range(l - 1)]
+        return (2 * l + 1, E + [_cells_of([(l - 1, l, 1), (l, l + 1, 2)])],
+                F + [_cells_of([(l, l - 1, 2), (l + 1, l, 1)])])
+    if t == "D":
+        E = [_cells_of([(i, i + 1, 1), (2 * l - 2 - i, 2 * l - 1 - i, -1)]) for i in range(l - 1)]
+        F = [_cells_of([(i + 1, i, 1), (2 * l - 1 - i, 2 * l - 2 - i, -1)]) for i in range(l - 1)]
+        return (2 * l, E + [_cells_of([(l - 2, l, 1), (l - 1, l + 1, -1)])],
+                F + [_cells_of([(l, l - 2, 1), (l + 1, l - 1, -1)])])
+    e1 = _cells_of([(0, 2, 1), (5, 0, -2), (3, 4, 1), (1, 6, -1)])
+    f1 = _cells_of([(2, 0, 2), (0, 5, -1), (4, 3, 1), (6, 1, -1)])
+    e2 = _cells_of([(2, 3, -1), (6, 5, 1)])
+    f2 = _cells_of([(3, 2, -1), (5, 6, 1)])
+    return 7, [e1, e2], [f1, f2]
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: "%s%d" % s if s[0] != "G2" else "G2")
+def test_generators_are_the_written_out_tables(system):
+    # chevalley_oracle.build_rep calls _simple_generators itself, so only
+    # these tables catch a change of the generators
+    rs = rootsys.build_root_system(*system)
+    assert chevalley._simple_generators(rs) == _written_out_generators(rs)
 
 
 def test_generators_refuse_an_unsupported_type():

@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -374,3 +379,20 @@ def test_cli_exit_codes_under_fuzzing(tmp_path, capsys):
         code = cli.main(argv)
         capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
+
+
+def test_running_out_of_memory_is_a_computation_failure():
+    # B6's pipeline needs more than 100 MB of address space, and Python with
+    # pvext imported about 20 MB; the limit is set in the child only
+    limit = 100 * 2**20
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "pvext.cli", "derive", "--type", "B", "--rank", "6", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines() == ["computation failed: MemoryError: B rank 6 ran out of memory"]

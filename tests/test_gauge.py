@@ -450,3 +450,43 @@ def test_g_check_fires_on_a_corrupted_torus_diagonal():
             broken = dataclasses.replace(rep, H=rep.H[:j] + (h,) + rep.H[j + 1:])
             with pytest.raises(VerificationFailure, match=message):
                 gauge.normalize_to_AG(broken, a)
+
+
+GRID_AND_A6 = [("A", r) for r in range(1, 7)] + [
+    (t, r) for t in "BC" for r in (2, 3, 4)
+] + [("D", 3), ("D", 4), ("D", 5), ("G2", 2)]
+
+
+def _weyl_image(res):
+    """B = Ad(n(wbar))(A_L), the plane matrix whose generic normal form the
+    pipeline derives."""
+    return chevalley.weyl_adjoint(res.liouville.nw, res.liouville.A_L)
+
+
+@pytest.mark.parametrize(
+    "system", GRID_AND_A6, ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
+)
+def test_normalizing_the_weyl_image_of_A_L_gives_h_and_U(system):
+    # the unipotent normal form is unique, so gauge normalization, which
+    # solves for letter parameters band by band, must land on the pipeline's
+    # invariants and on its U = u(eta_1..eta_l, f_(l+1)..f_m)
+    res = get_pipeline(*system)
+    rep, inv = res.rep, res.invariants
+    g, _, f = gauge.normalize_to_AG(rep, _weyl_image(res))
+    assert f == inv.h
+    u = construct.unipotent_product(
+        rep, [DiffPoly.eta(i) if i <= rep.rank else inv.f[i] for i in range(1, rep.m + 1)]
+    )
+    assert linalg.mat_eq(g, u)
+
+
+@pytest.mark.parametrize("system", [("A", 1), ("A", 3), ("B", 3), ("D", 4), ("G2", 2)],
+                         ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s)
+def test_a_corrupted_coordinate_of_the_weyl_image_changes_h(system):
+    # one b^- coordinate of B, that of the lowest root, raised by one
+    res = get_pipeline(*system)
+    rep = res.rep
+    lowest = rep.X[rep.rs.neg_order[-1].coeffs]
+    corrupted = linalg.mat_add(_weyl_image(res), lowest)
+    _, _, f = gauge.normalize_to_AG(rep, corrupted)
+    assert f != res.invariants.h

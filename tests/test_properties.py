@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 
 from pvext import chevalley, construct, diffpoly, linalg, liouville_expr, symgroup
 from pvext.diffpoly import DiffPoly, JetVar, parse
-from pvext.errors import DimMismatch, ExponentOverflow, MissingAssignment, NotInLieAlgebra
+from pvext.errors import (
+    DimMismatch, ExponentOverflow, MissingAssignment, NotInLieAlgebra, NoRationalSolution,
+)
 from pvext.liouville_expr import LiouvExpr, json_chunks
 
 import chevalley_oracle
@@ -1067,6 +1069,22 @@ def test_solve_refuses_a_right_hand_side_of_another_length():
     for rhs in ([[1]], [[1, 1, 1]], [[1, 1], [1]]):
         with pytest.raises(DimMismatch):
             linalg.solve_exact(linalg.eye(2), _fractions(rhs))
+
+
+def test_inverse_refuses_a_singular_matrix():
+    with pytest.raises(NoRationalSolution, match="^matrix is singular$"):
+        linalg.rational_inverse(_fractions([[1, 2], [2, 4]]))
+
+
+def test_solve_names_the_first_column_without_a_pivot():
+    # column 1 is twice column 0
+    with pytest.raises(NoRationalSolution, match="^column 1 has no pivot$"):
+        linalg.solve_exact(_fractions([[1, 2], [2, 4], [0, 0]]), _fractions([[1, 2, 0]]))
+
+
+def test_solve_refuses_an_inconsistent_system():
+    with pytest.raises(NoRationalSolution, match="^inconsistent system$"):
+        linalg.solve_exact(_fractions([[1], [1]]), _fractions([[1, 2]]))
 
 
 wide_entries = st.one_of(

@@ -1,10 +1,10 @@
 """The inventory of construct's, bruhat's, gauge's, chevalley's,
-rootsys' and liouville_expr's raise sites: each check, and the test that
-makes it fire.
+rootsys', liouville_expr's and linalg's raise sites: each check, and the
+test that makes it fire.
 
 Every `raise` in src/pvext/construct.py, src/pvext/bruhat.py,
-src/pvext/gauge.py, src/pvext/chevalley.py, src/pvext/rootsys.py and
-src/pvext/liouville_expr.py is listed below by its exception and its message template (the source of the
+src/pvext/gauge.py, src/pvext/chevalley.py, src/pvext/rootsys.py,
+src/pvext/liouville_expr.py and src/pvext/linalg.py is listed below by its exception and its message template (the source of the
 argument when it is not a string), with the tests that fire it as
 "module::test", or UNFIRED while no test does.  The test fails when a site
 is added, removed or reworded without this list following, and when a named
@@ -12,7 +12,9 @@ test is gone.  The StructureViolation and RankFailure sites of construct are
 the pipeline's structural checks, and the SpanFailure and
 StructureViolation sites of chevalley build_rep's; their numbers are pinned
 too, and so is the number of UNFIRED sites in chevalley and rootsys.  No
-site of bruhat, gauge or liouville_expr is UNFIRED.
+site of bruhat, gauge, liouville_expr or linalg is UNFIRED.  Two sites of
+linalg share a template, so its sites are a list of pairs and each site is
+counted.
 """
 
 import ast
@@ -26,6 +28,7 @@ GAUGE = ROOT / "src" / "pvext" / "gauge.py"
 CHEVALLEY = ROOT / "src" / "pvext" / "chevalley.py"
 ROOTSYS = ROOT / "src" / "pvext" / "rootsys.py"
 LIOUVILLE_EXPR = ROOT / "src" / "pvext" / "liouville_expr.py"
+LINALG = ROOT / "src" / "pvext" / "linalg.py"
 
 UNFIRED = ()
 
@@ -298,6 +301,38 @@ LIOUVILLE_EXPR_SITES = {
 }
 
 
+LINALG_SITES = (
+    # _require_shape, called by mat_add and mat_eq
+    (("DimMismatch", "matrix sizes differ"), (
+        "test_properties::test_sum_checks_the_full_shape",
+        "test_properties::test_entrywise_equality_rejects_unequal_row_counts",
+    )),
+    (("DimMismatch", "columns of a differ from rows of b"),
+     ("test_properties::test_product_checks_the_inner_dimensions",)),
+    (("DimMismatch", "g' + g b - a g needs g n x m, b m x m and a n x n"),
+     ("test_properties::test_gauge_defect_checks_the_shapes",)),
+    # _reduce, the elimination of det, rational_inverse and solve_exact
+    (("DimMismatch", "matrix rows have unequal lengths"),
+     ("test_properties::test_solve_refuses_ragged_rows",)),
+    # _require_square, called by det and rational_inverse
+    (("DimMismatch", "matrix is not square"),
+     ("test_properties::test_determinant_and_inverse_refuse_a_non_square_matrix",)),
+    # rational_inverse
+    (("NoRationalSolution", "matrix is singular"),
+     ("test_properties::test_inverse_refuses_a_singular_matrix",)),
+    # solve_exact
+    (("DimMismatch", "right-hand side length differs from %d rows"),
+     ("test_properties::test_solve_refuses_a_right_hand_side_of_another_length",)),
+    (("NoRationalSolution", "column %d has no pivot"),
+     ("test_properties::test_solve_names_the_first_column_without_a_pivot",)),
+    (("NoRationalSolution", "inconsistent system"),
+     ("test_properties::test_solve_refuses_an_inconsistent_system",)),
+    # rank
+    (("DimMismatch", "matrix rows have unequal lengths"),
+     ("test_properties::test_rank_refuses_ragged_rows",)),
+)
+
+
 def _template(node):
     """(exception name, message template) of a raise statement whose
     exception is called with one string, formatted with % or not, or with
@@ -352,9 +387,28 @@ def test_every_raise_site_in_liouville_expr_is_listed_once_and_fired():
     assert all(LIOUVILLE_EXPR_SITES.values())
 
 
+def test_every_raise_site_in_linalg_is_listed_and_fired():
+    assert _raise_sites(LINALG) == Counter(site for site, _ in LINALG_SITES)
+    assert all(tests for _, tests in LINALG_SITES)
+    assert len(LINALG_SITES) == 10
+
+
+def test_an_unlisted_raise_site_fails_the_inventory(tmp_path):
+    changed = tmp_path / "linalg.py"
+    changed.write_text(
+        LINALG.read_text(encoding="utf-8")
+        + '\n\ndef _checked(m):\n    if not m:\n        raise DimMismatch("empty matrix")\n',
+        encoding="utf-8",
+    )
+    listed = Counter(site for site, _ in LINALG_SITES)
+    assert _raise_sites(LINALG) == listed
+    assert _raise_sites(changed) - listed == Counter({("DimMismatch", "empty matrix"): 1})
+
+
 def test_every_named_firing_test_exists():
     tables = (SITES, BRUHAT_SITES, GAUGE_SITES, CHEVALLEY_SITES, ROOTSYS_SITES, LIOUVILLE_EXPR_SITES)
     sites = [tests for table in tables for tests in table.values()]
+    sites += [tests for _, tests in LINALG_SITES]
     named = {name for tests in sites for name in tests}
     missing = []
     for name in sorted(named):

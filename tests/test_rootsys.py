@@ -337,7 +337,7 @@ def test_half_lengths_refuse_an_unknown_type():
 
 
 def test_root_count_is_checked_against_the_known_count(monkeypatch):
-    monkeypatch.setitem(rootsys._POSITIVE_COUNT, "A", lambda l: l)
+    monkeypatch.setitem(rootsys.TYPES, "A", (1, lambda l: l))
     with pytest.raises(UnsupportedType, match="^generated 6 positive roots for A_3, expected 3$"):
         rootsys.build_root_system("A", 3)
 
