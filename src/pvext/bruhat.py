@@ -14,7 +14,7 @@ The arithmetic runs over the integers.  Each column of the reduction and
 each row of the peel and of the recomposition is a scaled vector: n ints
 followed by a positive int d, standing for the ints over d.  A move on it
 is fraction-free, v -> a v - b w (_eliminate), in the style of
-linalg._reduce.  Fractions are made only at the boundary: the entries of
+linalg.Echelon.  Fractions are made only at the boundary: the entries of
 the factors and the coefficients that a BruhatForm holds, and the entries
 that recompose returns.
 """
@@ -32,7 +32,6 @@ from .errors import (
     StructureViolation,
     VerificationFailure,
 )
-from .linalg import _divide, _integer_row, _remove_content
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,13 @@ class BruhatForm:
 
     def recompose(self):
         """u' n(w) t u as Fractions: entry (i, j) is int j of row i of the
-        integer product (_product) over that row's denominator, and
-        Fraction(0) where the int is 0, as the dense product of Fractions
-        gives.  bruhat_decompose checks the same product against its input.
+        integer product (_product) over that row's denominator, as the
+        dense product of Fractions gives.  bruhat_decompose checks the same
+        product against its input.
         """
         nw = representative_columns(len(self.u), self.word)
         rows = _product(_scaled_rows(self.uprime), nw, self.t, _scaled_rows(self.u))
-        return [[_divide(x, row[-1]) for x in row[:-1]] for row in rows]
+        return [[Fraction(x, row[-1]) for x in row[:-1]] for row in rows]
 
 
 def _exact_matrix(m):
@@ -66,12 +65,11 @@ def _exact_matrix(m):
 
 def _scaled_rows(m):
     """Each row of the rational matrix m as a scaled vector: its entries
-    times the lcm d of their denominators (_integer_row), then d."""
+    times the lcm d of their denominators, then d."""
     out = []
     for row in m:
-        ints, d = _integer_row(row)
-        ints.append(d)
-        out.append(ints)
+        d = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row] + [d])
     return out
 
 
@@ -216,7 +214,9 @@ def _eliminate(v, a, b, w):
         if y:
             v[r] -= b * y
     if a != 1:
-        _remove_content(v)
+        g = gcd(*v)
+        if g > 1:
+            v[:] = [x // g for x in v]
 
 
 def _column_reduce(cols):
@@ -241,7 +241,7 @@ def _column_reduce(cols):
     times column k in value.  Proof that this is the pass over Fractions,
     which held C as Fractions and subtracted f times column k: by induction
     each scaled column v / d equals that pass's column, so its ints are the
-    non-zero rational multiple d of it (by _integer_row at the start, and
+    non-zero rational multiple d of it (by _scaled_rows at the start, and
     after each move by the subtraction of f).  Multiples share their zero
     entries, so both passes meet the same non-zero entries, earlier pivots
     and f, and return the same C, pivots and u.
@@ -360,7 +360,7 @@ def _peel_coefficients(rows, upper):
     for block in _peel_blocks(n)[upper]:
         for i, r, c, _ in block:
             row = residual[r]
-            coeffs[i] = _divide(row[c], row[n])
+            coeffs[i] = Fraction(row[c], row[n])
         for i, r, c, s in block:
             x = coeffs[i]
             if x:

@@ -702,13 +702,6 @@ def decompose_in_basis(rep, a):
     entry that differs.  Where no term reaches, compose leaves `zero`
     itself, and zero != x iff x is non-zero (a Fraction, DiffPoly or
     LiouvExpr equals a ring zero iff its value is zero): x's truth is tested.
-
-    rep.solve_positions are the cells that a row-major greedy selection of
-    independent rows of basis entries keeps: the first cell of X_b holds
-    the row v e_b and its later cells repeat it, and a diagonal row, with
-    no X entry, is new when its weights are.  So the selected block is
-    diagonal in X beside the H block, and its inverse holds the lone
-    Fraction(1, v) that linalg.dot forms c_b with, and the H block's inverse.
     """
     n = rep.dim
     if len(a) != n or any(len(row) != n for row in a):

@@ -215,8 +215,16 @@ def cmd_bruhat(args):
 
 def cmd_gauge_normalize(args):
     type_label, rank = args.type, args.rank
-    rep = chevalley.build_rep(type_label, rank)
     a = _load_matrix(args.matrix)
+    # every supported representation has more rows than its rank (l + 1,
+    # 2l + 1, 2l, 2l or 7), so a rank the matrix cannot hold is refused
+    # before the representation is built
+    if rank >= len(a):
+        raise ValueError(
+            "type %s rank %d needs at least a %dx%d matrix, the file holds %dx%d"
+            % (type_label, rank, rank + 1, rank + 1, len(a), len(a))
+        )
+    rep = chevalley.build_rep(type_label, rank)
     if len(a) != rep.dim:
         raise ValueError(
             "type %s rank %d needs a %dx%d matrix, the file holds %dx%d"

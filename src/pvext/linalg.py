@@ -11,10 +11,10 @@ g' + g b = a g, which closes both the gauge normalization and the
 end-to-end check, is tested by gauge_defect in one pass over the rows of
 g: each entry of g' + g b - a g is summed in one accumulator and tested
 for zero, and no product, derivative or difference matrix is formed (the
-proof is in its docstring).  The rational linear algebra runs over
-the integers: det, solve_exact and rational_inverse share one
-fraction-free Gauss-Jordan pass over rows scaled to integers, and rank
-counts the scaled rows that Echelon, a fraction-free selection of
+proof is in its docstring).  Every rational system the package solves
+is at most rank x rank: det, solve_exact and rational_inverse share one
+Gauss-Jordan pass over Fractions, and rank scales each row to integers
+and counts the rows that Echelon, a fraction-free selection of
 independent sparse integer rows, accepts.
 """
 
@@ -162,68 +162,24 @@ def gauge_defect(g, b, a):
     return None
 
 
-# ----- rational routines, computed over the integers -----
-
-
-def _integer_row(row, extra=()):
-    """(row + extra) times the lcm d of the denominators of its rational
-    entries, and d: the rationals become ints, ring elements are multiplied
-    by d."""
-    dens = [x.denominator for x in row]
-    d = lcm(*dens, *(x.denominator for x in extra if isinstance(x, _RATIONAL)))
-    out = [x.numerator * (d // e) for x, e in zip(row, dens)]
-    for x in extra:
-        if isinstance(x, _RATIONAL):
-            out.append(x.numerator * (d // x.denominator))
-        else:
-            out.append(x if d == 1 else x * d)
-    return out, d
-
-
-def _remove_content(row):
-    """Divide a row by the gcd g of its int entries and return g (1 when
-    the row has none or they are coprime); ring entries are multiplied by 1/g."""
-    g = gcd(*(x for x in row if type(x) is int))
-    if g > 1:
-        inv = Fraction(1, g)
-        row[:] = [x // g if type(x) is int else x * inv for x in row]
-        return g
-    return 1
+# ----- rational routines -----
 
 
 def _reduce(a, extra=None):
-    """Fraction-free Gauss-Jordan elimination of the rational matrix a; row
-    i carries extra[i] along, and pivots lie in a only, so extra may hold
-    DiffPolys.
+    """Gauss-Jordan elimination of the rational matrix a over Fractions;
+    row i carries extra[i] along, and pivots lie in a only, so extra may
+    hold DiffPolys.
 
-    Returns the rows of [a | extra], each scaled to integers and reduced
-    but not divided by its pivot, the pivot column of each leading row, and
-    det(a) when a is square (0 when it is singular).  Entry j of leading
-    row r stands for rows[r][j] / rows[r][pivots[r]]: dividing there, once
-    per entry, gives the reduced row echelon form.
-
-    Each row is first multiplied by the lcm of its rational denominators.
-    A row update is m*row - k*pivot_row, with m > 0 and k the pivot p and
-    the row's entry f in the pivot column divided by +-gcd(p, f); it visits
-    only the row's non-zero entries and the pivot row's non-zero columns.
-    A row that was multiplied by m != 1 is divided by the gcd of its
-    integer entries, which keeps the entries small.
-
-    Proof that this is the Gauss-Jordan pass over Fractions, which kept
-    pivot rows scaled to 1 and replaced a row by row - f*(pivot_row / p).
-    Both passes pick the same pivot (the first non-zero entry of the column
-    among the rows not yet leading) and update the same rows in the same
-    order, and by induction each row here is a non-zero scalar multiple of
-    the same row there: scaling by the lcm, by m or by 1/g is multiplying
-    by a non-zero rational, and m*row - k*pivot_row = m*(row - f*(pivot_row
-    / p)) when both rows are multiples of theirs.  Multiples share their
-    zero entries, so the pivots agree, and dividing each leading row by its
-    pivot entry gives the unique reduced form, with the same values.  A
-    DiffPoly entry is combined by the same +, - and scalar products in the
-    same order, so its terms are stored in the same order too.  The
-    determinant: the final coefficient block of a square full-rank a is
-    diagonal, and det(final) = (-1)^swaps * prod(lcms) * prod(m) /
-    prod(g) * det(a), each factor a row swap or scaling.
+    Returns the reduced rows of [a | extra], the pivot column of each
+    leading row, and det(a) when a is square (0 when it is singular).  Int
+    entries become Fractions first.  Column by column, the pivot is the
+    first non-zero entry among the rows not yet leading, swapped up to the
+    first of them; the pivot row is divided by its pivot when that is not
+    1, and every other row with a non-zero entry f in the column loses f
+    times it, over the pivot row's non-zero entries.  So leading row r has
+    1 at pivots[r] and 0 at the other pivot columns: the reduced row
+    echelon form.  det(a) is the product of the pivots, negated once per
+    swap.
 
     The pivot order changes no result below.  Rank, determinant, inverse
     and the solution of a full-column-rank system are unique.  Column c
@@ -239,12 +195,11 @@ def _reduce(a, extra=None):
     width = len(a[0]) if a else 0
     if any(len(row) != width for row in a):
         raise DimMismatch("matrix rows have unequal lengths")
-    rows, num, den = [], 1, 1
-    for row, e in zip(a, extra or [()] * len(a)):
-        row, d = _integer_row(row, e)
-        rows.append(row)
-        den *= d
-    pivots = []
+    rows = [
+        [Fraction(x) if type(x) is int else x for x in (*row, *e)]
+        for row, e in zip(a, extra or [()] * len(a))
+    ]
+    pivots, det_a = [], _ONE
     for col in range(width):
         r = len(pivots)
         p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -252,36 +207,23 @@ def _reduce(a, extra=None):
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            num = -num
+            det_a = -det_a
         prow = rows[r]
         piv = prow[col]
+        det_a *= piv
+        if piv != 1:
+            inv = 1 / piv
+            prow[:] = [x * inv for x in prow]
         live = [(c, prow[c]) for c in range(col, len(prow)) if prow[c]]
         for i, row in enumerate(rows):
             f = row[col]
-            if not f or i == r:
-                continue
-            g = gcd(piv, f) if piv > 0 else -gcd(piv, f)
-            m, k = piv // g, f // g
-            if m != 1:
-                row[:] = [m * x if x else x for x in row]
-                den *= m
-            for c, y in live:
-                row[c] -= k * y
-            if m != 1:
-                num *= _remove_content(row)
+            if f and i != r:
+                for c, y in live:
+                    row[c] -= f * y
         pivots.append(col)
     if len(pivots) != len(rows) or len(rows) != width:
-        return rows, pivots, _ZERO
-    for i, row in enumerate(rows):
-        num *= row[i]
-    return rows, pivots, Fraction(num, den)
-
-
-def _divide(x, p):
-    """x / p for a non-zero int p: a Fraction for an int x, else x * (1/p)."""
-    if type(x) is int:
-        return Fraction(x, p) if x else _ZERO
-    return x * Fraction(1, p)
+        det_a = _ZERO
+    return rows, pivots, det_a
 
 
 def _require_square(m):
@@ -291,13 +233,13 @@ def _require_square(m):
 
 def rational_inverse(m):
     """Exact inverse of an invertible rational matrix; the identity block
-    rides along as ints."""
+    rides along."""
     _require_square(m)
     n = len(m)
-    rows, pivots, _ = _reduce(m, [[int(i == j) for j in range(n)] for i in range(n)])
+    rows, pivots, _ = _reduce(m, eye(n))
     if len(pivots) < n:
         raise NoRationalSolution("matrix is singular")
-    return [[_divide(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    return [row[n:] for row in rows]
 
 
 def det(m):
@@ -323,8 +265,7 @@ def solve_exact(a, rhs_cols):
         raise NoRationalSolution("column %d has no pivot" % col)
     if any(x for row in rows[cols:] for x in row[cols:]):
         raise NoRationalSolution("inconsistent system")
-    return [[_divide(row[cols + k], row[r]) for r, row in enumerate(rows[:cols])]
-            for k in range(len(rhs_cols))]
+    return [[row[cols + k] for row in rows[:cols]] for k in range(len(rhs_cols))]
 
 
 def rank(m):
@@ -340,9 +281,12 @@ def rank(m):
     if any(len(row) != width for row in m):
         raise DimMismatch("matrix rows have unequal lengths")
     echelon = Echelon()
-    return sum(
-        echelon.add({c: x for c, x in enumerate(_integer_row(row)[0]) if x}) for row in m
-    )
+    accepted = 0
+    for row in m:
+        d = lcm(*(x.denominator for x in row))
+        ints = {c: x.numerator * (d // x.denominator) for c, x in enumerate(row) if x}
+        accepted += echelon.add(ints)
+    return accepted
 
 
 class Echelon:

@@ -248,6 +248,55 @@ def test_gauge_normalize_checks_the_matrix_size(tmp_path, capsys):
     assert "3x3" in err and "2x2" in err
 
 
+# One input for each refusal in cli.py: the command line before the input
+# file, the file's text, and the message the refusal writes.
+_INPUT_REFUSALS = [
+    # _read_json
+    (["verify", "--fixtures"], "[" * 100000 + "]" * 100000, ": JSON nested too deeply"),
+    # _load_fixtures
+    (["verify", "--fixtures"], "3", 'fixtures must map names to {"type", "rank", "report"}'),
+    # _parse_matrix_entry
+    (["bruhat", "--matrix"], "[[0.1]]", "matrix entry 0.1 is not exact"),
+    (["bruhat", "--matrix"], "[[null]]", "matrix entry is null"),
+    (["bruhat", "--matrix"], '[["\\u0663"]]', "matrix entry '\u0663' is not written in ASCII"),
+    # _load_matrix
+    (["bruhat", "--matrix"], "[[1, 2], [3]]", "matrix file must hold a square array of rows"),
+    (["bruhat", "--matrix"], '[["1/0"]]', "malformed matrix entry: ZeroDivisionError"),
+    # _rational_entry
+    (["bruhat", "--matrix"], '[["n1"]]', "bruhat needs rational entries, got \u03b71"),
+    # cmd_gauge_normalize: a rank the matrix cannot hold, refused before
+    # A_3000's representation is built, then the size
+    (
+        ["gauge-normalize", "--type", "A", "--rank", "3000", "--matrix"],
+        "[[1, 0], [0, 1]]",
+        "type A rank 3000 needs at least a 3001x3001 matrix, the file holds 2x2",
+    ),
+    (
+        ["gauge-normalize", "--type", "A", "--rank", "1", "--matrix"],
+        "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
+        "type A rank 1 needs a 2x2 matrix, the file holds 3x3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    _INPUT_REFUSALS,
+    ids=["nested", "fixtures", "float", "null", "ascii", "ragged", "malformed", "rational",
+         "rank", "size"],
+)
+def test_each_input_refusal_exits_1_with_one_line(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + [str(path)], capsys)
+    # each refusal comes before any computation
+    assert time.perf_counter() - start < 5
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+    assert message in err and "Traceback" not in err
+
+
 def test_malformed_entries_are_input_errors(tmp_path, capsys):
     m = tmp_path / "m.json"
     for entry in ({"x": 1}, {"terms": 3}, "1/0", None):

@@ -1051,3 +1051,46 @@ def test_c2_invariants_follow_from_those_of_b2_under_the_swap_of_eta1_and_eta2()
     assert _c2_from_b2(_invariants("B", 2, SWAP_12), c2[0]) == c2
     # negative control: without the relabelling neither relation holds
     assert all(x != y for x, y in zip(_c2_from_b2(_invariants("B", 2), c2[0]), c2))
+
+
+# ----- the Miura factorization, type A -----
+
+
+def _miura_diagonal(rank):
+    """a_1 = eta_1, a_i = eta_i - eta_(i-1), a_(l+1) = -eta_l."""
+    return [eta(1)] + [eta(i) - eta(i - 1) for i in range(2, rank + 1)] + [-eta(rank)]
+
+
+def _miura_companion(a):
+    """The companion matrix of (d - a_n)...(d - a_1): ones above the
+    diagonal, and minus the operator's coefficients of d^0..d^(n-1) in the
+    last row.  An operator is its coefficient list, d^0 first, and
+    (d - b) sum c_k d^k = sum (c_k' - b c_k) d^k + c_k d^(k+1)."""
+    op = [-a[0], DiffPoly.rational(1)]
+    for b in a[1:]:
+        out = [DiffPoly.zero()] * (len(op) + 1)
+        for k, c in enumerate(op):
+            out[k] = out[k] + c.derive() - b * c
+            out[k + 1] = out[k + 1] + c
+        op = out
+    n = len(a)
+    rows = [[DiffPoly.rational(int(j == i + 1)) for j in range(n)] for i in range(n - 1)]
+    return rows + [[-c for c in op[:-1]]]
+
+
+@pytest.mark.parametrize("rank", range(1, 9), ids=lambda r: "A%d" % r)
+def test_type_a_invariants_are_the_miura_transform(rank):
+    # B = Ad(n(wbar))(A_L) is upper bidiagonal with the Miura diagonal, and
+    # A_G(h) is the companion matrix of the factored operator
+    res = get_pipeline("A", rank)
+    a = _miura_diagonal(rank)
+    bidiagonal = [
+        [a[i] if j == i else DiffPoly.rational(int(j == i + 1)) for j in range(rank + 1)]
+        for i in range(rank + 1)
+    ]
+    image = chevalley.weyl_adjoint(res.liouville.nw, res.liouville.A_L)
+    assert linalg.mat_eq(diffpoly.lift_matrix(image), bidiagonal)
+    assert linalg.mat_eq(diffpoly.lift_matrix(res.A_G), _miura_companion(a))
+    # negative control: the factors' order matters
+    a[0], a[1] = a[1], a[0]
+    assert not linalg.mat_eq(diffpoly.lift_matrix(res.A_G), _miura_companion(a))

@@ -237,6 +237,34 @@ def test_a_full_slot_registry_refuses_new_jet_variables(monkeypatch):
     assert known * known == DiffPoly.monomial([(1, 0, 2)])
 
 
+def test_the_slot_registry_refuses_the_jet_variable_past_max_slots():
+    # filling the registry for real would leave this process's registry
+    # full, so another process fills it
+    code = (
+        "from pvext import diffpoly\n"
+        "from pvext.diffpoly import DiffPoly\n"
+        "from pvext.errors import ExponentOverflow\n"
+        "for k in range(diffpoly.MAX_SLOTS - len(diffpoly._JETS)):\n"
+        "    DiffPoly.eta(1, k)\n"
+        "try:\n"
+        "    DiffPoly.eta(2)\n"
+        "except ExponentOverflow as exc:\n"
+        "    print(len(diffpoly._JETS), exc)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    limit = diffpoly.MAX_SLOTS
+    assert out.stdout == "%d more than %d distinct jet variables\n" % (limit, limit)
+
+
+def test_monomials_and_powers_refuse_negative_exponents():
+    for jets in ([(1, -1, 1)], [(1, 0, -1)]):
+        with pytest.raises(ValueError, match="negative order or exponent in a monomial"):
+            DiffPoly.monomial(jets)
+    for n in (-1, 2.0):
+        with pytest.raises(ValueError, match="DiffPoly powers must be nonnegative integers"):
+            DiffPoly.eta(1) ** n
+
+
 def test_a_pickle_survives_another_slot_registry():
     p = parse("1/2 n1' n2^3 - 4 n7[5]")
     # the reading process registers other jet variables first

@@ -452,8 +452,8 @@ def test_g_check_fires_on_a_corrupted_torus_diagonal():
                 gauge.normalize_to_AG(broken, a)
 
 
-GRID_AND_A6 = [("A", r) for r in range(1, 7)] + [
-    (t, r) for t in "BC" for r in (2, 3, 4)
+THROUGH_RANK_5_AND_A6 = [("A", r) for r in range(1, 7)] + [
+    (t, r) for t in "BC" for r in (2, 3, 4, 5)
 ] + [("D", 3), ("D", 4), ("D", 5), ("G2", 2)]
 
 
@@ -464,7 +464,7 @@ def _weyl_image(res):
 
 
 @pytest.mark.parametrize(
-    "system", GRID_AND_A6, ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
+    "system", THROUGH_RANK_5_AND_A6, ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s
 )
 def test_normalizing_the_weyl_image_of_A_L_gives_h_and_U(system):
     # the unipotent normal form is unique, so gauge normalization, which
@@ -490,3 +490,40 @@ def test_a_corrupted_coordinate_of_the_weyl_image_changes_h(system):
     corrupted = linalg.mat_add(_weyl_image(res), lowest)
     _, _, f = gauge.normalize_to_AG(rep, corrupted)
     assert f != res.invariants.h
+
+
+def _random_specialization(rng, l):
+    """A seeded differential substitution of eta_1..eta_l: each eta_i goes
+    to c_0 + c_1 eta_j + c_2 eta_k' + c_3 eta_j eta_k, with j, k and the
+    non-zero small c drawn."""
+    sigma = {}
+    for i in range(1, l + 1):
+        j, k = rng.randint(1, l), rng.randint(1, l)
+        c = [rng.choice([-2, -1, 1, 2, 3]) for _ in range(4)]
+        sigma[i] = (c[0] + c[1] * DiffPoly.eta(j) + c[2] * DiffPoly.eta(k, 1)
+                    + c[3] * DiffPoly.eta(j) * DiffPoly.eta(k))
+    return sigma
+
+
+def _normalized_specialization(res, sigma):
+    """f of normalize_to_AG(sigma(B)), B the Weyl image of A_L."""
+    image = [[x.substitute(sigma) for x in row] for row in lift_matrix(_weyl_image(res))]
+    return gauge.normalize_to_AG(res.rep, image)[2]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [("A", 2), ("A", 3), ("G2", 2), ("B", 3), ("C", 3), ("D", 4)],
+    ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s,
+)
+def test_specialization_commutes_with_normalization(system):
+    # normalizing sigma(B) gives the invariants of sigma(B), and h is a
+    # differential polynomial in eta, so they are sigma(h)
+    res = get_pipeline(*system)
+    sigma = _random_specialization(random.Random(3700), res.rep.rank)
+    values, _ = construct.specialize(res.rep, res.invariants, sigma)
+    assert _normalized_specialization(res, sigma) == values
+    # negative control: B specialized with eta_1's constant raised by one
+    changed = dict(sigma)
+    changed[1] = sigma[1] + 1
+    assert _normalized_specialization(res, changed) != values

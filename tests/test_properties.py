@@ -1095,11 +1095,12 @@ wide_entries = st.one_of(
 
 @st.composite
 def eliminations(draw):
-    """A Fraction matrix a of 0-6 rows and 1-6 columns, with small entries
+    """A Fraction matrix a of 0-8 rows and 1-8 columns (8 is MAX_RANK, and
+    every system pvext solves is at most rank x rank), with small entries
     or wide ones (numerators and denominators up to 10^20), some rows made
     dependent on others, and right-hand side columns for it: consistent
     (a x for a drawn x) or drawn freely, all Fraction or all DiffPoly."""
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
     a_entries = draw(st.sampled_from([fraction_entries, wide_entries]))
     a = [[draw(a_entries) for _ in range(cols)] for _ in range(rows)]
     for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)) if rows > 1 else ():

@@ -1,20 +1,23 @@
 """The inventory of construct's, bruhat's, gauge's, chevalley's,
-rootsys', liouville_expr's and linalg's raise sites: each check, and the
-test that makes it fire.
+rootsys', liouville_expr's, linalg's, cli's and diffpoly's raise sites: each
+check, and the test that makes it fire.
 
 Every `raise` in src/pvext/construct.py, src/pvext/bruhat.py,
 src/pvext/gauge.py, src/pvext/chevalley.py, src/pvext/rootsys.py,
-src/pvext/liouville_expr.py and src/pvext/linalg.py is listed below by its exception and its message template (the source of the
-argument when it is not a string), with the tests that fire it as
-"module::test", or UNFIRED while no test does.  The test fails when a site
-is added, removed or reworded without this list following, and when a named
-test is gone.  The StructureViolation and RankFailure sites of construct are
-the pipeline's structural checks, and the SpanFailure and
-StructureViolation sites of chevalley build_rep's; their numbers are pinned
-too, and so is the number of UNFIRED sites in chevalley and rootsys.  No
-site of bruhat, gauge, liouville_expr or linalg is UNFIRED.  Two sites of
-linalg share a template, so its sites are a list of pairs and each site is
-counted.
+src/pvext/liouville_expr.py, src/pvext/linalg.py, src/pvext/cli.py and
+src/pvext/diffpoly.py is listed below by its exception and its message
+template (the source of the argument when it is not a string), with the
+tests that fire it as "module::test", or UNFIRED while no test does.  The
+test fails when a site is added, removed or reworded without this list
+following, and when a named test is gone.  The StructureViolation and
+RankFailure sites of construct are the pipeline's structural checks, and
+the SpanFailure and StructureViolation sites of chevalley build_rep's;
+their numbers are pinned too, and so is the number of UNFIRED sites in
+chevalley and rootsys.  No site of bruhat, gauge, liouville_expr, linalg,
+cli or diffpoly is UNFIRED.  Two sites of linalg share a template, so its
+sites are a list of pairs and each site is counted.  Each site of cli is
+an input error, fired through cli.main with exit 1, one stderr line and no
+traceback by test_cli::test_each_input_refusal_exits_1_with_one_line.
 """
 
 import ast
@@ -29,6 +32,8 @@ CHEVALLEY = ROOT / "src" / "pvext" / "chevalley.py"
 ROOTSYS = ROOT / "src" / "pvext" / "rootsys.py"
 LIOUVILLE_EXPR = ROOT / "src" / "pvext" / "liouville_expr.py"
 LINALG = ROOT / "src" / "pvext" / "linalg.py"
+CLI = ROOT / "src" / "pvext" / "cli.py"
+DIFFPOLY = ROOT / "src" / "pvext" / "diffpoly.py"
 
 UNFIRED = ()
 
@@ -333,6 +338,72 @@ LINALG_SITES = (
 )
 
 
+_REFUSAL = "test_cli::test_each_input_refusal_exits_1_with_one_line"
+
+CLI_SITES = {
+    # _read_json
+    ("ValueError", "%s: JSON nested too deeply"):
+        (_REFUSAL, "test_cli::test_deeply_nested_input_is_an_input_error"),
+    # _load_fixtures
+    ("ValueError", 'fixtures must map names to {"type", "rank", "report"}'): (_REFUSAL,),
+    # _parse_matrix_entry
+    ("ValueError", 'matrix entry %r is not exact; write fractions as strings like "1/10"'):
+        (_REFUSAL, "test_cli::test_bruhat_rejects_json_floats"),
+    ("ValueError", "matrix entry is %s; write entries as numbers or strings"):
+        (_REFUSAL, "test_cli::test_non_scalar_entries_get_a_short_error"),
+    ("ValueError", "matrix entry %r is not written in ASCII"):
+        (_REFUSAL, "test_cli::test_bruhat_rejects_non_ascii_digits"),
+    # _load_matrix
+    ("ValueError", "matrix file must hold a square array of rows"): (_REFUSAL,),
+    ("ValueError", "malformed matrix entry: %r"):
+        (_REFUSAL, "test_cli::test_malformed_entries_are_input_errors"),
+    # _rational_entry, called by cmd_bruhat
+    ("ValueError", "bruhat needs rational entries, got %s"):
+        (_REFUSAL, "test_cli::test_bruhat_rejects_polynomial_entries"),
+    # cmd_gauge_normalize: the rank before build_rep, then the size
+    ("ValueError", "type %s rank %d needs at least a %dx%d matrix, the file holds %dx%d"):
+        (_REFUSAL, "test_cli::test_gauge_normalize_checks_the_matrix_size"),
+    ("ValueError", "type %s rank %d needs a %dx%d matrix, the file holds %dx%d"): (_REFUSAL,),
+}
+
+DIFFPOLY_SITES = {
+    # _slot, the registry of jet variables
+    ("ExponentOverflow", "more than %d distinct jet variables"): (
+        "test_diffpoly::test_the_slot_registry_refuses_the_jet_variable_past_max_slots",
+        "test_diffpoly::test_a_full_slot_registry_refuses_new_jet_variables",
+    ),
+    # _check_degrees, called by every product
+    ("ExponentOverflow", "a product of degree %d exceeds the exponent limit %d"):
+        ("test_diffpoly::test_a_product_beyond_the_exponent_limit_raises",),
+    # _image_power, called by substitute
+    ("MissingAssignment", "no assignment for eta_%d"):
+        ("test_diffpoly::test_substitute_missing",),
+    # DiffPoly.monomial
+    ("ValueError", "negative order or exponent in a monomial"):
+        ("test_diffpoly::test_monomials_and_powers_refuse_negative_exponents",),
+    ("ExponentOverflow", "a monomial of degree %d exceeds the exponent limit %d"):
+        ("test_diffpoly::test_a_product_beyond_the_exponent_limit_raises",),
+    # DiffPoly.__pow__
+    ("ValueError", "DiffPoly powers must be nonnegative integers"):
+        ("test_diffpoly::test_monomials_and_powers_refuse_negative_exponents",),
+    # DiffPoly.from_json_obj
+    ("ValueError",
+     'polynomial coefficient %r is not exact; write it as an int or a string like "1/10"'):
+        ("test_cli::test_polynomial_objects_refuse_floats_and_bools",),
+    ("ValueError", "monomial triples hold ints, not booleans"):
+        ("test_cli::test_polynomial_objects_refuse_floats_and_bools",),
+    # _Parser.error, and parse on a degree past the limit
+    ("ValueError", "parse error at %d: %s"): (
+        "test_diffpoly::test_exponents_indices_and_orders_are_whole_numbers",
+        "test_diffpoly::test_digits_are_ascii_only",
+    ),
+    ("ValueError", "parse error: %s"): (
+        "test_diffpoly::test_written_exponents_above_the_limit_are_parse_errors",
+        "test_diffpoly::test_a_full_slot_registry_refuses_new_jet_variables",
+    ),
+}
+
+
 def _template(node):
     """(exception name, message template) of a raise statement whose
     exception is called with one string, formatted with % or not, or with
@@ -393,20 +464,39 @@ def test_every_raise_site_in_linalg_is_listed_and_fired():
     assert len(LINALG_SITES) == 10
 
 
+def test_every_raise_site_in_cli_is_listed_and_fired():
+    assert _raise_sites(CLI) == Counter(CLI_SITES.keys())
+    assert all(tests and tests[0] == _REFUSAL for tests in CLI_SITES.values())
+    assert len(CLI_SITES) == 10
+
+
+def test_every_raise_site_in_diffpoly_is_listed_and_fired():
+    assert _raise_sites(DIFFPOLY) == Counter(DIFFPOLY_SITES.keys())
+    assert all(DIFFPOLY_SITES.values())
+    assert len(DIFFPOLY_SITES) == 10
+
+
 def test_an_unlisted_raise_site_fails_the_inventory(tmp_path):
-    changed = tmp_path / "linalg.py"
-    changed.write_text(
-        LINALG.read_text(encoding="utf-8")
-        + '\n\ndef _checked(m):\n    if not m:\n        raise DimMismatch("empty matrix")\n',
-        encoding="utf-8",
-    )
-    listed = Counter(site for site, _ in LINALG_SITES)
-    assert _raise_sites(LINALG) == listed
-    assert _raise_sites(changed) - listed == Counter({("DimMismatch", "empty matrix"): 1})
+    for path, listed in (
+        (LINALG, Counter(site for site, _ in LINALG_SITES)),
+        (CLI, Counter(CLI_SITES.keys())),
+        (DIFFPOLY, Counter(DIFFPOLY_SITES.keys())),
+    ):
+        changed = tmp_path / path.name
+        changed.write_text(
+            path.read_text(encoding="utf-8")
+            + '\n\ndef _checked(m):\n    if not m:\n        raise DimMismatch("empty matrix")\n',
+            encoding="utf-8",
+        )
+        assert _raise_sites(path) == listed
+        assert _raise_sites(changed) - listed == Counter({("DimMismatch", "empty matrix"): 1})
 
 
 def test_every_named_firing_test_exists():
-    tables = (SITES, BRUHAT_SITES, GAUGE_SITES, CHEVALLEY_SITES, ROOTSYS_SITES, LIOUVILLE_EXPR_SITES)
+    tables = (
+        SITES, BRUHAT_SITES, GAUGE_SITES, CHEVALLEY_SITES, ROOTSYS_SITES, LIOUVILLE_EXPR_SITES,
+        CLI_SITES, DIFFPOLY_SITES,
+    )
     sites = [tests for table in tables for tests in table.values()]
     sites += [tests for _, tests in LINALG_SITES]
     named = {name for tests in sites for name in tests}
