@@ -861,7 +861,8 @@ def _torus_diagonal(rep, i, z):
 def character(rs, z, beta):
     """chi_beta(z) = prod_j z_j^<beta, alpha_j>, in the ring of the z_j
     (Fraction or LiouvExpr), by which Ad(t(z)) scales X_beta for the
-    coefficient vector beta; t(z) = t_1(z_1) ... t_l(z_l).
+    coefficient vector beta of a root, the pairings read from rs.pairings;
+    t(z) = t_1(z_1) ... t_l(z_l).
 
     Proof.  H_j is diagonal with integer entries h_r, so t_j(z_j) =
     diag(z_j^h_r) and Ad(t_j(z_j)) multiplies entry (r, s) of X_beta by
@@ -872,7 +873,7 @@ def character(rs, z, beta):
     are diagonal and commute, and Ad(t(z)) is the composite of theirs.
     Ad(t(z)) fixes each H_i, as diagonal matrices commute.
     """
-    return reduce(mul, (zj ** rootsys.pairing(rs.cartan, beta, j) for j, zj in enumerate(z)))
+    return reduce(mul, (zj ** p for zj, p in zip(z, rs.pairings[beta])))
 
 
 # ----- letters acting on matrices -----

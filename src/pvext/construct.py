@@ -630,8 +630,10 @@ MAX_RANK = 8
 def run_pipeline(type_label, rank):
     """Run every stage for the given system and return the full result.
 
-    Raises RankCeiling for a rank above MAX_RANK.
+    Raises UnsupportedType for a system rootsys does not admit, then
+    RankCeiling for a rank above MAX_RANK.
     """
+    rootsys.check_admissible(type_label, rank)
     if rank > MAX_RANK:
         raise RankCeiling(
             "%s rank %d is above the derivation's rank ceiling of %d"

@@ -381,8 +381,11 @@ class DiffPoly:
 
     def __reduce__(self):
         # packed keys depend on this process's slot registry; a pickle
-        # carries the canonical terms instead
-        return (DiffPoly.from_json_obj, (self.to_json_obj(),))
+        # carries the decoded terms, in from_json_obj's form, instead
+        terms = [
+            {"c": frac_text(c), "m": [[*jv, e] for jv, e in m]} for m, c in self.terms.items()
+        ]
+        return (DiffPoly.from_json_obj, ({"terms": terms},))
 
     def __neg__(self):
         return DiffPoly({k: -c for k, c in self._t.items()}, self._d)
@@ -565,10 +568,10 @@ class DiffPoly:
 
     def evaluate(self, value_of, ring):
         """The image under the ring map sending each jet variable jv to
-        value_of(jv); `ring` is a class with zero() and rational(q)."""
+        value_of(jv); `ring` is a class with zero() and scalar(q)."""
         total = ring.zero()
         for key, c in self._t.items():
-            acc = ring.rational(Fraction(c, self._d))
+            acc = ring.scalar(Fraction(c, self._d))
             for slot, e in _factors(key):
                 acc = acc * (value_of(_JETS[slot]) ** e)
             total = total + acc
@@ -654,27 +657,9 @@ class DiffPoly:
 
     # ----- serialization -----
 
-    def to_json_obj(self):
-        """Canonical JSON object: {"terms": [{"c": "p/q", "m": [[v,k,e],...]}]}.
-
-        Monomial factors are listed with the highest jet first, matching the
-        written convention eta_2' * eta_1.
-        """
-        t, d = self._t, self._d
-        table = MonomialTable(self)
-        return {
-            "terms": [
-                {
-                    "c": "%d/1" % t[k] if d == 1 else "%d/%d" % _ratio(t[k], d),
-                    "m": [[*table.jets[x >> FIELD_BITS], x & _MASK] for x in table[k][:0:-1]],
-                }
-                for k in table.ordered(self)
-            ]
-        }
-
     @classmethod
     def from_json_obj(cls, obj):
-        """The polynomial of a to_json_obj object.  A coefficient is an int
+        """The polynomial of a json_text object.  A coefficient is an int
         or a string such as "p/q"; a float or a bool as a coefficient, or a
         bool in a monomial triple, is a ValueError, so neither a binary
         float nor a truth value is read as a number."""
@@ -785,8 +770,9 @@ class MonomialTable(dict):
         return keys
 
     def json_text(self, p, depth=0):
-        """p.to_json_obj() as json.dumps(..., sort_keys=True, indent=1) writes it
-        `depth` containers deep, in one pass and one join.  Each numerator's "c"
+        """p as {"terms": [{"c": "p/q", "m": [[v, k, e], ...]}, ...]}, leading term
+        and highest jet first, as json.dumps(..., sort_keys=True, indent=1) writes
+        it `depth` containers deep, in one pass and one join.  Each numerator's "c"
         text is built once per polynomial ("p/q" is ASCII: nothing to escape)."""
         t, d, pad = p._t, p._d, "\n" + " " * depth
         if not t:

@@ -15,7 +15,7 @@ word's matrix g, and every failure names the system and the stage.
 
 from fractions import Fraction
 
-from . import chevalley, construct, linalg
+from . import chevalley, linalg
 from .diffpoly import DiffPoly, lift_matrix
 from .errors import NonUnitScaling, NotInLieAlgebra, VerificationFailure
 
@@ -164,7 +164,8 @@ def normalize_to_AG(rep, a):
       linalg.gauge_defect sums each entry of g' + g a - A_G(f) g once,
       over the input a as given, and tests it for zero, exactly, without
       forming g', g a or A_G(f) g; the failure names the first entry that
-      is not zero, row by row.
+      is not zero, row by row.  A_G(f) is composed from the residual
+      coordinates just checked (chevalley.compose, which skips a zero f_j).
     """
     rs = rep.rs
     current, s, offence = _plane_coordinates(rep, a)
@@ -221,7 +222,7 @@ def normalize_to_AG(rep, a):
             "%s: normalize_to_AG: residual coordinates are not those of A_G(f)" % rs.label
         )
     g = chevalley.word_element(rep, word[::-1])
-    entry = linalg.gauge_defect(g, a, construct.assemble_A_G(rep, f))
+    entry = linalg.gauge_defect(g, a, chevalley.compose(rep, residual, zero))
     if entry is not None:
         raise VerificationFailure(
             "%s: normalize_to_AG: g' + g a - A_G(f) g is nonzero at entry (%d, %d)"

@@ -107,14 +107,7 @@ class LiouvExpr:
 
     @classmethod
     def one(cls):
-        return cls.rational(1)
-
-    @classmethod
-    def rational(cls, q):
-        p = DiffPoly.rational(q)
-        if p.is_zero():
-            return cls()
-        return cls({(_NO_EXP, ()): p})
+        return cls.scalar(1)
 
     @classmethod
     def scalar(cls, p):
@@ -168,19 +161,7 @@ class LiouvExpr:
         return LiouvExpr({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
-        other = as_expr(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return LiouvExpr(out)
+        return LiouvExpr(_merge(dict(self.terms), as_expr(other).terms.items()))
 
     __radd__ = __add__
 
@@ -196,30 +177,7 @@ class LiouvExpr:
             return other
         if other.terms == _ONE_TERMS:
             return self
-        out = {}
-        for (e1, a1), c1 in self.terms.items():
-            for (e2, a2), c2 in other.terms.items():
-                c = c1 * c2
-                if not c:
-                    continue
-                if e1 == _NO_EXP:
-                    e = e2
-                elif e2 == _NO_EXP:
-                    e = e1
-                else:
-                    g = _by_id(e1) + _by_id(e2)
-                    e = _intern(g) if g.terms else _NO_EXP
-                key = (e, _merge_atoms(a1, a2))
-                s = out.get(key)
-                if s is None:
-                    out[key] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-        return LiouvExpr(out)
+        return LiouvExpr(_merge({}, _products(self.terms, other.terms)))
 
     __rmul__ = __mul__
 
@@ -255,23 +213,18 @@ class LiouvExpr:
 
     def derive(self):
         """The derivation: d(int f) = f and d(e^{int g}) = g e^{int g}."""
-        total = LiouvExpr.zero()
+        out = {}
         for (e, atoms), c in self.terms.items():
-            monomial = LiouvExpr({(e, atoms): DiffPoly.rational(1)})
             dc = c.derive()
             if dc:
-                total = total + LiouvExpr({(e, atoms): dc})
+                _merge(out, (((e, atoms), dc),))
             if e != _NO_EXP:
-                total = total + (_by_id(e) * monomial) * c
+                _merge(out, _products(_by_id(e).terms, {(e, atoms): c}))
             for idx, (ident, k) in enumerate(atoms):
-                rest = list(atoms)
-                if k == 1:
-                    del rest[idx]
-                else:
-                    rest[idx] = (ident, k - 1)
-                stub = LiouvExpr({(e, tuple(rest)): c * k})
-                total = total + _by_id(ident) * stub
-        return total
+                # d(int f)^k = k f (int f)^(k-1)
+                rest = atoms[:idx] + ((ident, k - 1),) * (k > 1) + atoms[idx + 1 :]
+                _merge(out, _products(_by_id(ident).terms, {(e, rest): c * k}))
+        return LiouvExpr(out)
 
     # ----- serialization -----
 
@@ -341,6 +294,37 @@ class LiouvExpr:
 
 
 _ONE_TERMS = LiouvExpr.one().terms
+
+
+def _merge(out, pairs):
+    """Add each (key, coefficient) of pairs into the term map out, dropping
+    a key whose coefficients cancel; returns out."""
+    for k, c in pairs:
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s = s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _products(t1, t2):
+    """The (key, coefficient) of each product of a term of t1 and one of t2,
+    whose coefficient is not zero, DiffPoly being an integral domain."""
+    for (e1, a1), c1 in t1.items():
+        for (e2, a2), c2 in t2.items():
+            if e1 == _NO_EXP:
+                e = e2
+            elif e2 == _NO_EXP:
+                e = e1
+            else:
+                g = _by_id(e1) + _by_id(e2)
+                e = _intern(g) if g.terms else _NO_EXP
+            yield (e, _merge_atoms(a1, a2)), c1 * c2
 
 
 def _merge_atoms(a1, a2):

@@ -78,15 +78,11 @@ class RootSystem:
         return self._negatives[root.coeffs]
 
     def contains(self, root):
-        return root.coeffs in self._root_set
+        return root.coeffs in self.codes
 
     # Derived data is cached on first use, outside the fields, so that
     # `replace` never carries a stale copy; finalize_order carries over
     # those in _ROOT_TABLES, which depend on roots and cartan alone.
-    @cached_property
-    def _root_set(self):
-        return frozenset(r.coeffs for r in self.roots)
-
     @cached_property
     def _simple_roots(self):
         return tuple(Root(tuple(int(j == i) for j in range(self.rank))) for i in range(self.rank))
@@ -243,6 +239,17 @@ def _generate_positive(cartan, rank):
     return roots
 
 
+def check_admissible(type_label, rank):
+    """Raise UnsupportedType unless the type is known, G2 has rank 2 and the
+    rank is at least the type's least rank."""
+    if type_label not in TYPES:
+        raise UnsupportedType("unknown type %r" % type_label)
+    if type_label == "G2" and rank != 2:
+        raise UnsupportedType("G2 has rank 2")
+    if rank < TYPES[type_label][0]:
+        raise UnsupportedType("%s requires rank >= %d" % (type_label, TYPES[type_label][0]))
+
+
 def build_root_system(type_label, rank):
     """Construct the full root system with the provisional negative ordering.
 
@@ -250,22 +257,15 @@ def build_root_system(type_label, rank):
     representation by chevalley.build_rep and installed by finalize_order,
     which applies order_negative_roots again.
     """
-    if type_label not in TYPES:
-        raise UnsupportedType("unknown type %r" % type_label)
-    minimum, positive_count = TYPES[type_label]
-    if type_label == "G2" and rank != 2:
-        raise UnsupportedType("G2 has rank 2")
-    if rank < minimum:
-        raise UnsupportedType("%s requires rank >= %d" % (type_label, minimum))
+    check_admissible(type_label, rank)
     cartan = _cartan_matrix(type_label, rank)
     pos = _generate_positive(cartan, rank)
-    expected = positive_count(rank)
+    expected = TYPES[type_label][1](rank)
     if len(pos) != expected:
         raise UnsupportedType(
             "generated %d positive roots for %s_%d, expected %d"
             % (len(pos), type_label, rank, expected)
         )
-    negatives = [Root(tuple(-k for k in v)) for v in pos]
     roots = tuple(
         [Root(v) for v in sorted(pos)] + [Root(tuple(-k for k in v)) for v in sorted(pos)]
     )
@@ -274,7 +274,7 @@ def build_root_system(type_label, rank):
         rank=rank,
         cartan=cartan,
         roots=roots,
-        neg_order=tuple(negatives),
+        neg_order=roots[len(pos) :],
     )
     return replace(rs, neg_order=order_negative_roots(rs, ()))
 
@@ -297,7 +297,7 @@ def order_negative_roots(rs, comp_roots):
     )
 
 
-_ROOT_TABLES = ("_root_set", "_simple_roots", "_negatives", "codes", "root_of_code", "pairings")
+_ROOT_TABLES = ("_simple_roots", "_negatives", "codes", "root_of_code", "pairings")
 
 
 def finalize_order(rs, comp_roots):
@@ -335,12 +335,12 @@ def root_string(rs, alpha, beta):
 
 
 def _reflect_simple(rs, i, beta):
-    """w_{alpha_i}(beta), 1-based i; <beta, alpha_i> comes straight from
-    the integer Cartan matrix, so no bilinear form is evaluated."""
+    """w_{alpha_i}(beta), 1-based i; <beta, alpha_i> is read from
+    rs.pairings, so no bilinear form is evaluated."""
     if not rs.contains(beta):
         raise NotARoot("%r" % (beta,))
     coeffs = list(beta.coeffs)
-    coeffs[i - 1] -= pairing(rs.cartan, beta.coeffs, i - 1)
+    coeffs[i - 1] -= rs.pairings[beta.coeffs][i - 1]
     return Root(tuple(coeffs))
 
 

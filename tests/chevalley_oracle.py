@@ -108,7 +108,7 @@ def coroot_coefficients(rs, root):
 
 def _is_root(rs, coeffs):
     try:
-        return rootsys.Root(coeffs).coeffs in rs._root_set
+        return rootsys.Root(coeffs).coeffs in rs.codes
     except NotARoot:
         return False
 
@@ -236,7 +236,7 @@ def _check_bracket(rs, H, X, a, b, br, nconst):
     if all(v == 0 for v in total):
         if not linalg.mat_eq(br, coroot_matrix(rs, H, a)):
             raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
-    elif total in rs._root_set:
+    elif total in rs.codes:
         coeff = _proportionality(br, X[total])
         if coeff is None:
             raise SpanFailure("[X_a, X_b] not proportional to X_sum")
@@ -378,7 +378,7 @@ def _decomposition_step(rs, gamma):
     """Minimal simple index i with gamma - alpha_i a positive root."""
     for i in range(1, rs.rank + 1):
         diff = tuple(g - s for g, s in zip(gamma.coeffs, rs.simple(i).coeffs))
-        if min(diff) >= 0 and any(diff) and diff in rs._root_set:
+        if min(diff) >= 0 and any(diff) and diff in rs.codes:
             return i, rootsys.Root(diff)
     raise SpanFailure("no descent for %r" % (gamma,))
 
@@ -421,7 +421,7 @@ def sparse_verify_axioms(rs, sh, sx, coroots):
             total = tuple(u + v for u, v in zip(x, y))
             if cols[x] & rows[y] or cols[y] & rows[x]:
                 br = sp_bracket(sx[x], sx[y])
-            elif not any(total) or total in rs._root_set:
+            elif not any(total) or total in rs.codes:
                 br = {}
             else:
                 continue
@@ -449,7 +449,7 @@ def _sparse_check_bracket(rs, coroots, sx, a, b, br, nconst):
     if not any(total):
         if br != coroots[a.coeffs]:
             raise SpanFailure("[X_a, X_-a] != H_a for %r" % (a.coeffs,))
-    elif total in rs._root_set:
+    elif total in rs.codes:
         c = _sparse_ratio(br, sx[total])
         if c is None:
             raise SpanFailure("[X_%r, X_%r] not proportional to X_sum" % (a.coeffs, b.coeffs))

@@ -25,11 +25,11 @@ def verify_by_liouville_product(rep, data, inv):
     args = [
         LiouvExpr.scalar(DiffPoly.eta(i) if i <= l else inv.f[i]) for i in range(1, m + 1)
     ]
-    y_mat = linalg_oracle.eye(rep.dim, LiouvExpr.rational(1), LiouvExpr.zero())
+    y_mat = linalg_oracle.eye(rep.dim, LiouvExpr.scalar(1), LiouvExpr.zero())
     for root, a in zip(rep.rs.neg_order, args):
         y_mat = linalg.mat_mul(y_mat, factor_oracle.unipotent_matrix(rep, root, a).rows)
     nw = chevalley_oracle.weyl_representative(rep, rootsys.longest_weyl_word(rep.rs))
-    y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.rational(x) for x in row] for row in nw])
+    y_mat = linalg.mat_mul(y_mat, [[LiouvExpr.scalar(x) for x in row] for row in nw])
     for i, zi in enumerate(data.z, start=1):
         y_mat = linalg.mat_mul(y_mat, factor_oracle.torus_matrix(rep, i, zi).rows)
     for root, yi in zip(rep.rs.neg_order, data.y):

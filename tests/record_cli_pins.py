@@ -22,6 +22,8 @@ from pathlib import Path
 from pvext import chevalley, cli, linalg
 from pvext.diffpoly import DiffPoly, frac_text
 
+import diffpoly_oracle
+
 OUT = Path(__file__).resolve().parent / "cli_pins.json"
 
 # (type, rank, s, terms): s None for A_0^+, else the simple-root scalings of
@@ -58,7 +60,7 @@ def plane_matrix(rep, s, terms, rng):
     for mat in list(rep.H) + [rep.X[b.coeffs] for b in rep.rs.neg_order[:3]]:
         p = _poly(rng, rep.rank, terms)
         a = [[x + p * y if y else x for x, y in zip(ra, rm)] for ra, rm in zip(a, mat)]
-    return [[x.to_json_obj() for x in row] for row in a]
+    return [[diffpoly_oracle.DiffPoly(x.terms).to_json_obj() for x in row] for row in a]
 
 
 def sl_matrix(n, rng):

@@ -16,6 +16,8 @@ from fractions import Fraction
 from pvext.diffpoly import DiffPoly, frac_text
 from pvext.liouville_expr import _NO_EXP, LiouvExpr, _by_id
 
+import diffpoly_oracle
+
 _COMPACT = {}  # intern id -> compact string
 
 
@@ -39,7 +41,7 @@ def expr_json_obj(expr):
     terms in the order of the compact strings of their exponential
     integrand and integral atoms, the atoms of a term in theirs."""
     if not expr.terms:
-        return {"op": "scalar", "p": DiffPoly.zero().to_json_obj()}
+        return {"op": "scalar", "p": poly_json_obj(DiffPoly.zero())}
 
     def term_key(item):
         (e, atoms), _ = item
@@ -48,7 +50,7 @@ def expr_json_obj(expr):
 
     terms = []
     for (e, atoms), c in sorted(expr.terms.items(), key=term_key):
-        factors = [{"op": "scalar", "p": c.to_json_obj()}]
+        factors = [{"op": "scalar", "p": poly_json_obj(c)}]
         if e != _NO_EXP:
             factors.append({"op": "expint", "k": 1, "g": expr_json_obj(_by_id(e))})
         for ident, k in sorted(atoms, key=lambda ik: (compact_string(ik[0]), ik[1])):
@@ -60,13 +62,19 @@ def expr_json_obj(expr):
     return terms[0] if len(terms) == 1 else {"op": "sum", "args": terms}
 
 
+def poly_json_obj(p):
+    """The JSON object of a DiffPoly, rendered by the reference from its
+    decoded terms."""
+    return diffpoly_oracle.DiffPoly(p.terms).to_json_obj()
+
+
 def json_obj(value):
     """The JSON object of a DiffPoly, a LiouvExpr or a rational."""
     if isinstance(value, LiouvExpr):
         return expr_json_obj(value)
     if isinstance(value, (int, Fraction)):
         return frac_text(value)
-    return value.to_json_obj()
+    return poly_json_obj(value)
 
 
 def matrix_json(m):

@@ -59,6 +59,19 @@ def test_derive_refuses_ranks_above_the_ceiling(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_an_inadmissible_system_above_the_ceiling_is_a_usage_error(tmp_path, capsys):
+    # the system is checked before the rank ceiling
+    fixtures = tmp_path / "fixtures.json"
+    fixtures.write_text(json.dumps({"z": {"type": "Z", "rank": 9, "report": {}}}))
+    for argv, message in (
+        (["derive", "--type", "G2", "--rank", "9"], "G2 has rank 2"),
+        (["verify", "--fixtures", str(fixtures)], "unknown type 'Z'"),
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "usage error: %s\n" % message
+
+
 def test_verify_default_fixtures(capsys):
     code, out, err = run_cli(["verify"], capsys)
     assert code == 0

@@ -1094,3 +1094,47 @@ def test_type_a_invariants_are_the_miura_transform(rank):
     # negative control: the factors' order matters
     a[0], a[1] = a[1], a[0]
     assert not linalg.mat_eq(diffpoly.lift_matrix(res.A_G), _miura_companion(a))
+
+
+# ----- the scalar equation of the first solution, types B and C -----
+
+
+def _first_row_operator(m):
+    """The coefficients c_0..c_(n-1) of y^(n) = sum c_k y^(k), the equation
+    that the first row y = e_1 Y of a fundamental matrix of Y' = M Y
+    satisfies.  y^(k) = r_k Y, where r_0 = e_1 and r_(k+1) = r_k' + r_k M,
+    and r_n = sum c_k r_k.  The rows r_0..r_(n-1) of types B and C are lower
+    triangular with non-zero constants on the diagonal (required here), so
+    the c_k follow by back substitution, dividing by constants alone."""
+    n = len(m)
+    rows = [[DiffPoly.rational(int(j == 0)) for j in range(n)]]
+    for _ in range(n):
+        r = rows[-1]
+        rows.append([
+            r[j].derive() + DiffPoly.dot((r[i], m[i][j]) for i in range(n) if m[i][j])
+            for j in range(n)
+        ])
+    for k, r in enumerate(rows[:n]):
+        assert all(not x for x in r[k + 1:]) and r[k].is_rational() and r[k]
+    c = [None] * n
+    for k in reversed(range(n)):
+        rest = rows[n][k] - DiffPoly.dot((c[j], rows[j][k]) for j in range(k + 1, n))
+        c[k] = rest * (1 / rows[k][k].constant_term())
+    return c
+
+
+@pytest.mark.parametrize(
+    "system", [(t, r) for t in "BC" for r in (2, 3, 4, 5)], ids=lambda s: "%s%d" % s
+)
+def test_b_and_c_weyl_image_and_A_G_give_one_scalar_operator(system):
+    # A_G(h) is a gauge of B = Ad(n(wbar))(A_L) by U, whose first row is e_1,
+    # so the first rows of their fundamental matrices solve one equation
+    res = get_pipeline(*system)
+    image = chevalley.weyl_adjoint(res.liouville.nw, res.liouville.A_L)
+    operator = _first_row_operator(diffpoly.lift_matrix(res.A_G))
+    assert _first_row_operator(diffpoly.lift_matrix(image)) == operator
+    # negative control: A_G with its first invariant raised by one
+    h = dict(res.invariants.h)
+    first = min(h)
+    h[first] = h[first] + 1
+    assert _first_row_operator(construct.assemble_A_G(res.rep, h)) != operator

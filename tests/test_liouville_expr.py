@@ -27,6 +27,24 @@ def test_derive_product_rule():
     assert e.derive() == want
 
 
+def test_derive_a_squared_integral_under_an_exponential():
+    # c e^{int g} (int f)^2 int h: each factor is derived in turn, and the
+    # square's derivative is 2 f int f
+    c = LiouvExpr.scalar(parse("n1 n2 + 3"))
+    g, f, h = (LiouvExpr.scalar(parse(t)) for t in ("n3", "n1'", "n2 + n3"))
+    z, i_f, i_h = LiouvExpr.exp_integral(g), LiouvExpr.integral(f), LiouvExpr.integral(h)
+    e = c * z * i_f ** 2 * i_h
+    want = (
+        c.derive() * z * i_f ** 2 * i_h
+        + c * g * z * i_f ** 2 * i_h
+        + c * z * 2 * f * i_f * i_h
+        + c * z * i_f ** 2 * h
+    )
+    [(_, atoms)] = e.terms  # one term, with an exponential and two atoms
+    assert sorted(k for _, k in atoms) == [1, 2]
+    assert e.derive() == want
+
+
 def test_exponent_cancellation():
     g = LiouvExpr.scalar(parse("n1' - n2"))
     assert LiouvExpr.exp_integral(g) * LiouvExpr.exp_integral(g * -1) == LiouvExpr.one()

@@ -183,7 +183,7 @@ def test_text_parse_round_trip(p):
 @settings(derandomize=True, deadline=None)
 @given(polys())
 def test_json_round_trip(p):
-    obj = json.loads(json.dumps(p.to_json_obj()))
+    obj = json.loads("".join(json_chunks(p)))
     assert DiffPoly.from_json_obj(obj) == p
 
 
@@ -198,7 +198,7 @@ def test_json_round_trip(p):
 def test_json_text_is_the_indented_json_of_the_object(p, depth):
     # the zero polynomial and constants (empty "m" lists) are always checked;
     # the report writer renders p nested `depth` lists deep
-    obj, value = p.to_json_obj(), p
+    obj, value = oracle.DiffPoly(p.terms).to_json_obj(), p
     for _ in range(depth):
         obj, value = [obj], [value]
     want = json.dumps(obj, sort_keys=True, indent=1)
@@ -242,7 +242,7 @@ def _agree(p, ref):
     return (
         dict(p.terms) == ref.terms
         and p.text() == ref.text()
-        and p.to_json_obj() == ref.to_json_obj()
+        and "".join(json_chunks(p)) == json.dumps(ref.to_json_obj(), sort_keys=True, indent=1)
     )
 
 

@@ -266,10 +266,17 @@ ROOTSYS_SITES = {
     # _simple_half_lengths
     ("UnsupportedType", "type_label"):
         ("test_rootsys::test_half_lengths_refuse_an_unknown_type",),
-    # build_root_system
-    ("UnsupportedType", "unknown type %r"): ("test_rootsys::test_inadmissible",),
-    ("UnsupportedType", "G2 has rank 2"): ("test_rootsys::test_inadmissible",),
+    # check_admissible, called by build_root_system and construct.run_pipeline
+    ("UnsupportedType", "unknown type %r"): (
+        "test_rootsys::test_inadmissible",
+        "test_cli::test_an_inadmissible_system_above_the_ceiling_is_a_usage_error",
+    ),
+    ("UnsupportedType", "G2 has rank 2"): (
+        "test_rootsys::test_inadmissible",
+        "test_cli::test_an_inadmissible_system_above_the_ceiling_is_a_usage_error",
+    ),
     ("UnsupportedType", "%s requires rank >= %d"): ("test_rootsys::test_inadmissible",),
+    # build_root_system
     ("UnsupportedType", "generated %d positive roots for %s_%d, expected %d"):
         ("test_rootsys::test_root_count_is_checked_against_the_known_count",),
     # root_string
