@@ -22,10 +22,6 @@ u_alpha(x) and the letter kernels those of the divided powers of X_alpha
 (and a torus letter its integer diagonal), and decompose_in_basis
 and its inverse compose those of the basis matrices (rep.cells), where a
 root vector owns its off-diagonal cells and the H_i hold the diagonal.
-
-The bracket recursion flips the sign of a few non-simple root vectors,
-those that _SIGNS lists per system; every other root keeps the sign the
-recursion produces.
 """
 
 from dataclasses import dataclass, replace
@@ -261,13 +257,30 @@ def build_rep(type_label, rank):
 
     The returned representation carries the finalized negative-root
     ordering, with complementary roots installed.
+
+    The bracket recursion only builds: for gamma = alpha + beta, alpha
+    simple (_decomposition_step), and the sign s of _SIGNS, X_gamma =
+    s [X_alpha, X_beta]/(r + 1) and X_-gamma = -s [X_-alpha, X_-beta]/(r + 1),
+    refused only when a quotient is not integral.  _verify_axioms then
+    checks every identity on the same maps, [X_gamma, X_-gamma] = H_gamma
+    among them, which a zero X_gamma fails too.  No X_-gamma needs its sign
+    corrected to pass it.  Let omega be the Chevalley involution, the
+    automorphism with omega(E_i) = -F_i, omega(F_i) = -E_i and omega(H) = -H.
+    By induction on the height, X_-gamma = -omega(X_gamma), as
+    -s [X_-alpha, X_-beta] = -s [omega X_alpha, omega X_beta] =
+    -omega(s [X_alpha, X_beta]).  And for a non-zero X in the root space of
+    gamma, [X, -omega X] = -kappa(X, omega X) t_gamma, with kappa the Killing
+    form and t_gamma its dual of gamma, is a positive multiple of the
+    coroot H_gamma (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 25.2).  So on right generators [X_gamma,
+    X_-gamma] is never -H_gamma, whatever the signs, and the sweep refuses
+    every multiple of H_gamma but H_gamma itself.
     """
     rs = rootsys.build_root_system(type_label, rank)
     signs = _SIGNS.get(rs.label, {})
     n, E, F = _simple_generators(rs)
     l = rs.rank
     sh = [_sp_bracket(E[i], F[i]) for i in range(l)]
-    coroots = _coroot_matrices(rs, sh)
 
     sx = {}
     for i in range(l):
@@ -280,34 +293,18 @@ def build_rep(type_label, rank):
         (r for r in rs.roots if r.height() > 0), key=lambda r: (r.height(), r.coeffs)
     )
     for gamma in positives:
-        g, ng = gamma.coeffs, rs.negative(gamma).coeffs
+        g = gamma.coeffs
         if g in sx:
             continue
         alpha, beta = _decomposition_step(rs, g)
         r, _ = rootsys.root_string(rs, beta, alpha)
-        sign = signs.get(g, 1)
-        xg = _sp_divide(
-            _sp_scale(_sp_bracket(sx[alpha], sx[beta]), sign), r + 1, "root vector for %r" % (g,)
-        )
-        xn = _sp_divide(
-            _sp_scale(_sp_bracket(sx[_negated(alpha)], sx[_negated(beta)]), -sign),
-            r + 1,
-            "root vector for %r" % (ng,),
-        )
-        if not xg or not xn:
-            raise SpanFailure("vanishing root vector for %r" % (g,))
-        hg = coroots[g]
-        br = _sp_bracket(xg, xn)
-        if br == hg:
-            pass
-        elif br == _sp_scale(hg, -1):
-            xn = _sp_scale(xn, -1)
-        else:
-            raise SpanFailure("[X,Y] not proportional to the coroot for %r" % (g,))
-        sx[g] = xg
-        sx[ng] = xn
+        # X_gamma from X_alpha and X_beta, then X_-gamma from X_-alpha and X_-beta
+        for t in (1, -1):
+            key, a, b = (tuple(t * k for k in v) for v in (g, alpha, beta))
+            br = _sp_scale(_sp_bracket(sx[a], sx[b]), t * signs.get(g, 1))
+            sx[key] = _sp_divide(br, r + 1, "root vector for %r" % (key,))
 
-    nconst = _verify_axioms(rs, sh, sx, coroots)
+    nconst = _verify_axioms(rs, sh, sx, _coroot_matrices(rs, sh))
     X = {coeffs: _dense(n, mat) for coeffs, mat in sx.items()}
     exp_cells = {coeffs: _divided_power_cells(mat, n) for coeffs, mat in sx.items()}
 
@@ -341,10 +338,6 @@ def build_rep(type_label, rank):
     rep = replace(rep, w_coefficients=_w_coordinates(rep))
     _verify_w_basis(rep, w, sx)
     return rep
-
-
-def _negated(coeffs):
-    return tuple(-k for k in coeffs)
 
 
 def _decomposition_step(rs, gamma):
@@ -419,8 +412,7 @@ def _verify_axioms(rs, sh, sx, coroots):
 
     sh (the list of H_i) and sx (root coefficients -> X_root) hold sparse
     integer maps, the ones build_rep builds and _dense copies verbatim
-    into the ChevalleyRep, and coroots is _coroot_matrices(rs, sh), which
-    build_rep also reads in its recursion.
+    into the ChevalleyRep, and coroots is _coroot_matrices(rs, sh).
     The checks, for all roots a, b and all i, j:
 
     - H_i is diagonal, and [H_i, H_j] = 0;

@@ -187,6 +187,9 @@ def normalize_to_AG(rep, a):
     comp = rs.comp_roots
     zero = DiffPoly.zero()
     f = {}
+    # every level solves for something: the W of the band below, or at the
+    # last level the lowest root, which is always complementary; so each f_j
+    # is solved at its own level
     for level in [0] + list(rs.bands):
         band, sources = rs.band(level), rs.band(level - 1)
         comp_here = [i for i in band if i in comp]
@@ -200,8 +203,6 @@ def normalize_to_AG(rep, a):
             # X_j is a basis vector: its coordinates are a unit vector
             xkey = ("X", rs.neg_order[j - 1].coeffs)
             columns.append([int(c == xkey) for c in coords])
-        if not columns:
-            continue
         matrix = [list(col) for col in zip(*columns)]
         solution = linalg.solve_exact(matrix, [target])[0]
         f.update(zip(comp_here, solution[len(sources):]))
@@ -209,11 +210,6 @@ def normalize_to_AG(rep, a):
             root, t = rs.neg_order[k - 1], -xk
             word.append((("X", root.coeffs), t))
             current = chevalley.unipotent_gauge(rep, root, t, current)
-
-    # deepest complementary components are whatever remains
-    for j in comp:
-        if j not in f:
-            f[j] = current.get(("X", rs.neg_order[j - 1].coeffs), zero)
 
     residual = {("X", rs.simple(i).coeffs): DiffPoly.rational(1) for i in range(1, rs.rank + 1)}
     residual.update((("X", rs.neg_order[j - 1].coeffs), fj) for j, fj in f.items() if fj)

@@ -207,35 +207,26 @@ def pairing(cartan, coeffs, i):
 
 
 def _generate_positive(cartan, rank):
-    """All positive roots by the root-string closure, height by height."""
-    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    roots = set(simples)
-    frontier = list(simples)
-    while frontier:
-        fresh = []
-        for alpha in frontier:
-            for i in range(rank):
-                # r = max k with alpha - k*alpha_i still a positive root
-                r = 0
-                cur = list(alpha)
-                while True:
-                    cur[i] -= 1
-                    t = tuple(cur)
-                    if all(x == 0 for x in t) or min(t) < 0:
-                        break
-                    if t in roots:
-                        r += 1
-                    else:
-                        break
-                q = r - pairing(cartan, alpha, i)
-                if q > 0:
-                    up = tuple(
-                        k + (1 if j == i else 0) for j, k in enumerate(alpha)
-                    )
-                    if up not in roots:
-                        roots.add(up)
-                        fresh.append(up)
-        frontier = fresh
+    """All positive roots: the orbit of the simple roots under the simple
+    reflections s_i(a) = a - <a, a_i> a_i, each applied where <a, a_i> < 0.
+
+    Each image is a positive root: s_i permutes the positive roots other
+    than a_i, which has <a_i, a_i> = 2, and it raises the height.  Every
+    positive root is reached, by induction on the height: a non-simple
+    positive b has some <b, a_i> > 0, as (b, b) = sum_i c_i (b, a_i) > 0
+    with every c_i >= 0, and then s_i b is a positive root of lower height
+    with <s_i b, a_i> = -<b, a_i> < 0, whose image under s_i is b.
+    """
+    roots, todo = set(), [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    while todo:
+        alpha = todo.pop()
+        if alpha in roots:
+            continue
+        roots.add(alpha)
+        for i in range(rank):
+            p = pairing(cartan, alpha, i)
+            if p < 0:
+                todo.append(alpha[:i] + (alpha[i] - p,) + alpha[i + 1 :])
     return roots
 
 
@@ -269,17 +260,16 @@ def build_root_system(type_label, rank):
     roots = tuple(
         [Root(v) for v in sorted(pos)] + [Root(tuple(-k for k in v)) for v in sorted(pos)]
     )
-    rs = RootSystem(
+    return RootSystem(
         type_label=type_label,
         rank=rank,
         cartan=cartan,
         roots=roots,
-        neg_order=roots[len(pos) :],
+        neg_order=order_negative_roots(roots, ()),
     )
-    return replace(rs, neg_order=order_negative_roots(rs, ()))
 
 
-def order_negative_roots(rs, comp_roots):
+def order_negative_roots(roots, comp_roots):
     """Canonical ordering of the negative roots.
 
     Heights non-increasing; within a height block the non-complementary
@@ -288,7 +278,7 @@ def order_negative_roots(rs, comp_roots):
     comp_roots is a collection of Root values (empty on the first pass).
     """
     comp = {r.coeffs for r in comp_roots}
-    negatives = [r for r in rs.roots if r.height() < 0]
+    negatives = [r for r in roots if r.height() < 0]
     return tuple(
         sorted(
             negatives,
@@ -302,7 +292,7 @@ _ROOT_TABLES = ("_simple_roots", "_negatives", "codes", "root_of_code", "pairing
 
 def finalize_order(rs, comp_roots):
     """Install complementary roots and return the reordered system."""
-    order = order_negative_roots(rs, comp_roots)
+    order = order_negative_roots(rs.roots, comp_roots)
     comp_idx = tuple(
         sorted(order.index(r) + 1 for r in comp_roots)
     )
@@ -335,13 +325,14 @@ def root_string(rs, alpha, beta):
 
 
 def _reflect_simple(rs, i, beta):
-    """w_{alpha_i}(beta), 1-based i; <beta, alpha_i> is read from
-    rs.pairings, so no bilinear form is evaluated."""
+    """w_{alpha_i}(beta) = beta - <beta, alpha_i> alpha_i, 1-based i;
+    <beta, alpha_i> is read from rs.pairings, so no bilinear form is
+    evaluated.  NotARoot unless beta is a root and alpha_i a simple root
+    (rs.simple)."""
     if not rs.contains(beta):
         raise NotARoot("%r" % (beta,))
-    coeffs = list(beta.coeffs)
-    coeffs[i - 1] -= rs.pairings[beta.coeffs][i - 1]
-    return Root(tuple(coeffs))
+    alpha, p = rs.simple(i).coeffs, rs.pairings[beta.coeffs][i - 1]
+    return Root(tuple(b - p * a for b, a in zip(beta.coeffs, alpha)))
 
 
 def weyl_action(rs, word):

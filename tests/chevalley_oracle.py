@@ -30,8 +30,14 @@ sparse products and a sum (sp_bracket), and check each ordered pair of a
 chained bracket on its own matrix, -br formed for the reverse pair.  Its
 coroots come from the bilinear form (coroot_coefficients) and its W
 coordinates from decomposing the W matrices, so neither reads the
-pairing table.  The tests require every field of the two
-representations to agree on every supported system.
+pairing table.  Its recursion still tests [X_gamma, X_-gamma] against
++-H_gamma and negates X_-gamma on -H_gamma.  The tests require every field
+of the two representations to agree on every supported system, so that
+negation is never made.
+
+positive_roots_by_strings is the root-string closure by which
+pvext.rootsys generated the positive roots before it took the orbit of the
+simple roots under the simple reflections.
 """
 
 from dataclasses import replace
@@ -124,6 +130,33 @@ def root_string(rs, alpha, beta):
             k += 1
         counts.append(k)
     return tuple(counts)
+
+
+def positive_roots_by_strings(cartan, rank):
+    """The positive roots as coefficient vectors, height by height: alpha +
+    alpha_i is a root iff q > 0 in the alpha_i-string through alpha, where
+    q = r - <alpha, alpha_i> and r counts the steps down by alpha_i that stay
+    positive roots."""
+    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        fresh = []
+        for alpha in frontier:
+            for i in range(rank):
+                r, cur = 0, list(alpha)
+                while True:
+                    cur[i] -= 1
+                    if not any(cur) or min(cur) < 0 or tuple(cur) not in roots:
+                        break
+                    r += 1
+                if r - rootsys.pairing(cartan, alpha, i) > 0:
+                    up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        fresh.append(up)
+        frontier = fresh
+    return roots
 
 
 def cartan_integer(rs, beta, alpha):

@@ -772,34 +772,41 @@ def test_torus_element_raises_each_distinct_power_once():
 # ----- corrupted inputs of build_rep, each with the check it trips first -----
 #
 # One entry of a simple generator E_i, written into _simple_generators'
-# output, or one sign of _SIGNS.  No single corrupted generator entry or
-# sign gets past the bracket recursion to the pair checks of the sweep on
-# B3 or G2 (every entry value and sign in -3..3 was tried): the recursion
-# builds each X_gamma from brackets and checks [X_gamma, X_-gamma] against
-# the coroot.  The pair checks are fired on corrupted bases of the sweep
-# itself (test_verify_axioms_rejects_corrupted_basis and the tests below).
+# output, or one sign of _SIGNS.  The bracket recursion only builds, and
+# refuses a root vector only when its bracket does not divide by r + 1;
+# every other corruption is refused by the sweep of _verify_axioms.  On B3
+# and G2 each single corrupted entry and each non-unit sign raises
+# SpanFailure (test_build_rep_refuses_every_corrupted_entry_and_sign).
+# The cases below name the check each one trips first:
+#
+# - an entry that puts H_i = [E_i, F_i] off the diagonal: "H_1 is not
+#   diagonal", B3's (0, 0, 0, 1) among them, a diagonal entry of E_1;
+# - an entry that breaks a weight: "[H_1, X_alpha_1] is off";
+# - an entry whose bracket does not divide: "root vector ... is not
+#   integral", G2's (0, 0, 0, 1) among them, at (2, 1);
+# - sign 0, a zero X_gamma: "[X_a, X_b] not proportional to X_sum" for the
+#   pair that builds gamma;
+# - sign 2, twice X_gamma: "|N| = -1/2 != r+1 = 1" for that pair.
 
 GENERATOR_CORRUPTIONS = {
     "B3": (
         ((0, 5, 0, 1), "H_1 is not diagonal"),
         ((0, 1, 0, 1), "[H_1, X_(1, 0, 0)] is off"),
-        ((0, 0, 0, 1), "[X,Y] not proportional to the coroot for (1, 1, 0)"),
+        ((0, 0, 0, 1), "H_1 is not diagonal"),
         ((2, 2, 2, 1), "root vector for (0, 1, 2) is not integral"),
     ),
     "G2": (
         ((0, 3, 1, 2), "H_1 is not diagonal"),
         ((0, 2, 3, 3), "[H_1, X_(1, 0)] is off"),
-        ((0, 0, 0, 1), "[X,Y] not proportional to the coroot for (1, 1)"),
+        ((0, 0, 0, 1), "root vector for (2, 1) is not integral"),
         ((0, 2, 1, 1), "root vector for (2, 1) is not integral"),
     ),
 }
 
 
-@pytest.mark.parametrize("label, entry, message", [
-    (label, entry, message)
-    for label, cases in GENERATOR_CORRUPTIONS.items() for entry, message in cases
-])
-def test_build_rep_refuses_a_corrupted_generator_entry(label, entry, message, monkeypatch):
+def _with_corrupted_entry(entry, monkeypatch):
+    """_simple_generators with the entry (r, c) of E_i set to v, for
+    entry = (i, r, c, v); F_i is formed before, from the true E_i."""
     i, r, c, v = entry
     generators = chevalley._simple_generators
 
@@ -809,19 +816,62 @@ def test_build_rep_refuses_a_corrupted_generator_entry(label, entry, message, mo
         return n, E, F
 
     monkeypatch.setattr(chevalley, "_simple_generators", corrupted)
+
+
+@pytest.mark.parametrize("label, entry, message", [
+    (label, entry, message)
+    for label, cases in GENERATOR_CORRUPTIONS.items() for entry, message in cases
+])
+def test_build_rep_refuses_a_corrupted_generator_entry(label, entry, message, monkeypatch):
+    _with_corrupted_entry(entry, monkeypatch)
     with pytest.raises(SpanFailure, match="^%s$" % re.escape(message)):
         chevalley.build_rep(*_system(label))
 
 
-@pytest.mark.parametrize("label, root", [("B3", (0, 1, 1)), ("G2", (1, 1))])
+@pytest.mark.parametrize("label, root, pair", [
+    ("B3", (0, 1, 1), ((0, 0, 1), (0, 1, 0))),
+    ("G2", (1, 1), ((0, 1), (1, 0))),
+], ids=["B3", "G2"])
 @pytest.mark.parametrize("sign, message", [
-    (0, "vanishing root vector for %r"),
-    (2, "[X,Y] not proportional to the coroot for %r"),
-])
-def test_build_rep_refuses_a_corrupted_calibration_sign(label, root, sign, message, monkeypatch):
+    (0, "[X_%r, X_%r] not proportional to X_sum"),
+    (2, "|N| = -1/2 != r+1 = 1 for %r, %r"),
+], ids=["sign0", "sign2"])
+def test_build_rep_refuses_a_corrupted_calibration_sign(label, root, pair, sign, message, monkeypatch):
     monkeypatch.setitem(chevalley._SIGNS, label, {**chevalley._SIGNS.get(label, {}), root: sign})
-    with pytest.raises(SpanFailure, match="^%s$" % re.escape(message % (root,))):
+    with pytest.raises(SpanFailure, match="^%s$" % re.escape(message % pair)):
         chevalley.build_rep(*_system(label))
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+def test_build_rep_refuses_every_corrupted_entry_and_sign(label, monkeypatch):
+    # every single entry of every E_i changed to another value in -3..3,
+    # and every non-simple positive root's sign set to each of -3, -2, 0, 2
+    # and 3: each build raises SpanFailure.  Sign -1 gives another valid
+    # basis, which builds.
+    type_label, rank = _system(label)
+    rs = get_rep(type_label, rank).rs
+    n, E, _ = chevalley._simple_generators(rs)
+    refused = 0
+    for i, e in enumerate(E):
+        for r in range(n):
+            for c in range(n):
+                for v in range(-3, 4):
+                    if v != e.get(r, {}).get(c, 0):
+                        with monkeypatch.context() as patch:
+                            _with_corrupted_entry((i, r, c, v), patch)
+                            with pytest.raises(SpanFailure):
+                                chevalley.build_rep(type_label, rank)
+                        refused += 1
+    assert refused == len(E) * n * n * 6
+    signs = chevalley._SIGNS.get(label, {})
+    for root in rs.roots:
+        if root.height() > 1:
+            for sign in (-3, -2, 0, 2, 3):
+                monkeypatch.setitem(chevalley._SIGNS, label, {**signs, root.coeffs: sign})
+                with pytest.raises(SpanFailure):
+                    chevalley.build_rep(type_label, rank)
+            monkeypatch.setitem(chevalley._SIGNS, label, {**signs, root.coeffs: -1})
+            assert chevalley.build_rep(type_label, rank).rs.label == label
 
 
 @pytest.mark.parametrize("label", ["B3", "G2"])

@@ -10,7 +10,7 @@ from pvext import chevalley, cli, construct, gauge, linalg
 from pvext.diffpoly import DiffPoly, lift_matrix, parse
 from pvext.errors import DimMismatch, NonUnitScaling, VerificationFailure
 
-from conftest import get_pipeline, get_rep
+from conftest import ALL_SYSTEMS, get_pipeline, get_rep
 import diffpoly_oracle
 import factor_oracle
 import gauge_oracle
@@ -230,6 +230,18 @@ def test_normalize_decomposes_no_constant_matrix_twice(monkeypatch, rep_a3):
         letters = [t for (kind, _), t in word if kind == "X"]
         assert len(letters) == 6 and any(letters)
         assert sorted(map(id, derived)) == sorted(map(id, letters))
+
+
+def test_every_level_of_the_normalization_has_columns():
+    # normalize_to_AG solves level 0 for the W of band -1 and each level q
+    # for the W of band q - 1: the heights run -1, -2, ... without a gap,
+    # so only the last level has no band below.  That level holds the
+    # lowest root alone, and it is complementary, so every level has
+    # columns and every f_j is solved at its own level.
+    for system in ALL_SYSTEMS:
+        rs = get_rep(*system).rs
+        assert list(rs.bands) == list(range(-1, -len(rs.bands) - 1, -1)), system
+        assert rs.bands[-len(rs.bands)] == (rs.m,) and rs.m in rs.comp_roots, system
 
 
 def _gauges_to(g, a, want):

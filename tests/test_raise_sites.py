@@ -1,11 +1,12 @@
 """The inventory of construct's, bruhat's, gauge's, chevalley's,
-rootsys', liouville_expr's, linalg's, cli's and diffpoly's raise sites: each
-check, and the test that makes it fire.
+rootsys', liouville_expr's, linalg's, cli's, diffpoly's and symgroup's raise
+sites: each check, and the test that makes it fire.
 
 Every `raise` in src/pvext/construct.py, src/pvext/bruhat.py,
 src/pvext/gauge.py, src/pvext/chevalley.py, src/pvext/rootsys.py,
-src/pvext/liouville_expr.py, src/pvext/linalg.py, src/pvext/cli.py and
-src/pvext/diffpoly.py is listed below by its exception and its message
+src/pvext/liouville_expr.py, src/pvext/linalg.py, src/pvext/cli.py,
+src/pvext/diffpoly.py and src/pvext/symgroup.py, which are all the modules
+of src/pvext with a `raise`, is listed below by its exception and its message
 template (the source of the argument when it is not a string), with the
 tests that fire it as "module::test", or UNFIRED while no test does.  The
 test fails when a site is added, removed or reworded without this list
@@ -14,8 +15,8 @@ RankFailure sites of construct are the pipeline's structural checks, and
 the SpanFailure and StructureViolation sites of chevalley build_rep's;
 their numbers are pinned too, and so is the number of UNFIRED sites in
 chevalley and rootsys.  No site of bruhat, gauge, liouville_expr, linalg,
-cli or diffpoly is UNFIRED.  Two sites of linalg share a template, so its
-sites are a list of pairs and each site is counted.  Each site of cli is
+cli, diffpoly or symgroup is UNFIRED.  Two sites of linalg share a
+template, so its sites are a list of pairs and each site is counted.  Each site of cli is
 an input error, fired through cli.main with exit 1, one stderr line and no
 traceback by test_cli::test_each_input_refusal_exits_1_with_one_line.
 """
@@ -34,6 +35,7 @@ LIOUVILLE_EXPR = ROOT / "src" / "pvext" / "liouville_expr.py"
 LINALG = ROOT / "src" / "pvext" / "linalg.py"
 CLI = ROOT / "src" / "pvext" / "cli.py"
 DIFFPOLY = ROOT / "src" / "pvext" / "diffpoly.py"
+SYMGROUP = ROOT / "src" / "pvext" / "symgroup.py"
 
 UNFIRED = ()
 
@@ -184,12 +186,6 @@ CHEVALLEY_SITES = {
     # build_rep's bracket recursion, with _sp_divide and _decomposition_step
     ("SpanFailure", "%s is not integral"):
         ("test_chevalley::test_build_rep_refuses_a_corrupted_generator_entry",),
-    ("SpanFailure", "vanishing root vector for %r"):
-        ("test_chevalley::test_build_rep_refuses_a_corrupted_calibration_sign",),
-    ("SpanFailure", "[X,Y] not proportional to the coroot for %r"): (
-        "test_chevalley::test_build_rep_refuses_a_corrupted_generator_entry",
-        "test_chevalley::test_build_rep_refuses_a_corrupted_calibration_sign",
-    ),
     ("SpanFailure", "no descent for %r"):
         ("test_chevalley::test_descent_is_refused_for_a_simple_root",),
     # _coroot_coefficients
@@ -214,11 +210,14 @@ CHEVALLEY_SITES = {
     # _check_bracket
     ("SpanFailure", "[X_a, X_-a] != H_a for %r"):
         ("test_chevalley::test_verify_axioms_rejects_corrupted_basis",),
-    ("SpanFailure", "[X_%r, X_%r] not proportional to X_sum"):
-        ("test_chevalley::test_verify_axioms_rejects_corrupted_basis",),
+    ("SpanFailure", "[X_%r, X_%r] not proportional to X_sum"): (
+        "test_chevalley::test_verify_axioms_rejects_corrupted_basis",
+        "test_chevalley::test_build_rep_refuses_a_corrupted_calibration_sign",
+    ),
     ("SpanFailure", "|N| = %s != r+1 = %d for %r, %r"): (
         "test_chevalley::test_verify_axioms_rejects_corrupted_basis",
         "test_chevalley::test_check_bracket_refuses_a_fractional_structure_constant",
+        "test_chevalley::test_build_rep_refuses_a_corrupted_calibration_sign",
     ),
     ("SpanFailure", "[X_%r, X_%r] should vanish"):
         ("test_chevalley::test_sweep_refuses_a_bracket_that_should_vanish",),
@@ -261,8 +260,11 @@ CHEVALLEY_SITES = {
 ROOTSYS_SITES = {
     ("NotARoot", "mixed-sign coefficient vector %r"):
         ("test_rootsys::test_mixed_sign_rejected",),
-    ("NotARoot", "no simple root %r in rank %d"):
-        ("test_rootsys::test_simple_root_index_out_of_range_is_refused",),
+    # RootSystem.simple, called by _reflect_simple among others
+    ("NotARoot", "no simple root %r in rank %d"): (
+        "test_rootsys::test_simple_root_index_out_of_range_is_refused",
+        "test_rootsys::test_reflection_refuses_a_simple_index_out_of_range",
+    ),
     # _simple_half_lengths
     ("UnsupportedType", "type_label"):
         ("test_rootsys::test_half_lengths_refuse_an_unknown_type",),
@@ -343,6 +345,14 @@ LINALG_SITES = (
     (("DimMismatch", "matrix rows have unequal lengths"),
      ("test_properties::test_rank_refuses_ragged_rows",)),
 )
+
+
+SYMGROUP_SITES = {
+    # _factors, called by log_derivative and adjoint: a plain matrix has
+    # no closed-form inverse
+    ("NotClosedFormInvertible", "not a product of group factors"):
+        ("test_symgroup::test_general_inverse_refused",),
+}
 
 
 _REFUSAL = "test_cli::test_each_input_refusal_exits_1_with_one_line"
@@ -451,7 +461,7 @@ def test_every_raise_site_in_gauge_is_listed_once_and_fired():
 
 def test_every_raise_site_in_chevalley_is_listed_once():
     assert _raise_sites(CHEVALLEY) == Counter(CHEVALLEY_SITES.keys())
-    assert sum(exc in ("SpanFailure", "StructureViolation") for exc, _ in CHEVALLEY_SITES) == 23
+    assert sum(exc in ("SpanFailure", "StructureViolation") for exc, _ in CHEVALLEY_SITES) == 21
     assert sum(tests == UNFIRED for tests in CHEVALLEY_SITES.values()) == 4
 
 
@@ -483,6 +493,20 @@ def test_every_raise_site_in_diffpoly_is_listed_and_fired():
     assert len(DIFFPOLY_SITES) == 10
 
 
+def test_every_raise_site_in_symgroup_is_listed_and_fired():
+    assert _raise_sites(SYMGROUP) == Counter(SYMGROUP_SITES.keys())
+    assert all(SYMGROUP_SITES.values())
+
+
+def test_every_module_that_raises_is_inventoried():
+    inventoried = {
+        CONSTRUCT, BRUHAT, GAUGE, CHEVALLEY, ROOTSYS, LIOUVILLE_EXPR, LINALG, CLI, DIFFPOLY,
+        SYMGROUP,
+    }
+    raising = {path for path in (ROOT / "src" / "pvext").glob("*.py") if _raise_sites(path)}
+    assert raising == inventoried
+
+
 def test_an_unlisted_raise_site_fails_the_inventory(tmp_path):
     for path, listed in (
         (LINALG, Counter(site for site, _ in LINALG_SITES)),
@@ -502,7 +526,7 @@ def test_an_unlisted_raise_site_fails_the_inventory(tmp_path):
 def test_every_named_firing_test_exists():
     tables = (
         SITES, BRUHAT_SITES, GAUGE_SITES, CHEVALLEY_SITES, ROOTSYS_SITES, LIOUVILLE_EXPR_SITES,
-        CLI_SITES, DIFFPOLY_SITES,
+        CLI_SITES, DIFFPOLY_SITES, SYMGROUP_SITES,
     )
     sites = [tests for table in tables for tests in table.values()]
     sites += [tests for _, tests in LINALG_SITES]

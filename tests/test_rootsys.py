@@ -43,6 +43,24 @@ def test_g2_roots():
     assert Root((-3, -2)) in rs.neg_order
 
 
+# every supported system through rank 12: 12 of A, 11 of B and of C, 10 of D, and G2
+SYSTEMS_TO_RANK_12 = (
+    [("A", r) for r in range(1, 13)]
+    + [(t, r) for t in "BC" for r in range(2, 13)]
+    + [("D", r) for r in range(3, 13)]
+    + [("G2", 2)]
+)
+
+
+def test_positive_roots_are_those_of_the_root_string_closure():
+    assert len(SYSTEMS_TO_RANK_12) == 45
+    for t, r in SYSTEMS_TO_RANK_12:
+        cartan = rootsys._cartan_matrix(t, r)
+        assert rootsys._generate_positive(cartan, r) == chevalley_oracle.positive_roots_by_strings(
+            cartan, r
+        ), (t, r)
+
+
 def test_a1_trivial():
     rs = rootsys.build_root_system("A", 1)
     assert {r.coeffs for r in rs.roots} == {(1,), (-1,)}
@@ -346,6 +364,14 @@ def test_reflection_refuses_a_vector_that_is_no_root():
     rs = rootsys.build_root_system("A", 2)
     with pytest.raises(NotARoot, match=re.escape("Root(coeffs=(2, 0))")):
         rootsys.weyl_action(rs, (1,))(Root((2, 0)))
+
+
+@pytest.mark.parametrize("i", [0, 4])
+def test_reflection_refuses_a_simple_index_out_of_range(i):
+    # 0 would reflect in alpha_3 through index -1, and 4 would index past the end
+    rs = rootsys.build_root_system("A", 3)
+    with pytest.raises(NotARoot, match="^no simple root %d in rank 3$" % i):
+        rootsys.weyl_action(rs, (i,))(rs.simple(1))
 
 
 def test_longest_word_length_is_checked():
