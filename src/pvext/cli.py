@@ -11,6 +11,7 @@ computation failure (running out of memory included), 3 fixture mismatch.
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -35,6 +36,15 @@ def _write_output(chunks, path):
             tail = chunk[-1:] or tail
         if tail != "\n":
             sys.stdout.write("\n")
+
+
+def _check_output(path):
+    """Refuse an --output path that is a directory or whose directory does
+    not exist, before any work."""
+    if os.path.isdir(path):
+        raise ValueError("--output %s is a directory" % path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError("--output %s is in a directory that does not exist" % path)
 
 
 def _report_text(result):
@@ -280,6 +290,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except UnsupportedType as exc:
         sys.stderr.write("usage error: %s\n" % exc)

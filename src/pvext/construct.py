@@ -51,7 +51,6 @@ class LiouvilleData:
     nw: tuple  # n(wbar) as chevalley.weyl_representative's columns
     z: tuple = ()
     y: tuple = ()
-    y_integrands: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -358,7 +357,6 @@ def liouville_solutions(rep, data, stage1):
     values = {}
     derivs = {}
     y = []
-    integrands = []
     for i in range(1, m + 1):
         if i <= l:
             chi = chevalley.character(rs, z, rs.neg_order[i - 1].coeffs)
@@ -370,34 +368,52 @@ def liouville_solutions(rep, data, stage1):
         q, monic = _extract_constant(integrand)
         yi = LiouvExpr.integral(monic) * q
         y.append(yi)
-        integrands.append(integrand)
         values[i] = yi
         derivs[i] = integrand
 
-    data = replace(data, z=z, y=tuple(y), y_integrands=tuple(integrands))
+    data = replace(data, z=z, y=tuple(y))
     _check_tower_coordinates(rep, data)
     return data
 
 
-def logderiv_Y(rep, eta, data, stage2):
-    """Coefficients h_i of ldelta(Y) for Y = u(eta_m) n(wbar) T, T = t(z) u(y).
+def logderiv_Y(rep, eta, stage2):
+    """Coefficients h_i of ldelta(Y) for Y = u(eta) n(wbar) T, T = t(z) u(y),
+    from stage 2: A_L is not conjugated.
 
-    ldelta(Y) = gauge(u, ldelta(n(wbar) T)), and ldelta(n(wbar) T) =
-    Ad(n(wbar))(A_L), as n(wbar) is constant and ldelta(T) = A_L.  The Cartan
-    components must vanish and the positive part must be exactly A_0^+.
+    ldelta(Y) = gauge(u, B), B = ldelta(n(wbar) T) = Ad(n(wbar))(A_L), as
+    n(wbar) is constant and ldelta(T) = A_L.  build_A_L checks
+    Ad(n(wbar))(A_0^-(c)) = A_0^+ and Ad(n(wbar))(sum gbar_i H_i) =
+    -sum g_i H_i, and composes A_L from those c and gbar, so B = A_0^+ -
+    sum g_i H_i.  gauge(u, A + A') = gauge(u, A) + Ad(u)(A'), Ad(u) being
+    linear over the coefficients; so ldelta(Y) is unipotent_gauge folded
+    from -sum g_i H_i, plus Ad(u)(A_0^+), whose coordinates stage 2 holds:
+    1 at each simple X, g_i at H_i and ell_i + p_i at X_i.  The Cartan
+    components must vanish, the positive part must be exactly A_0^+, and
+    h_i = eta_i' + ell_i + q_i with q_i of order <= 1 and no linear term.
+
+    No eta and no stage 2 reach the first two checks.  ldelta(u_b(t)) =
+    t' X_b (chevalley.unipotent_gauge), and ad X_b, for b negative, sends
+    H_j into the line of X_b and X_g, for g negative, to a multiple of
+    X_(b+g) or to 0, as b + g is negative, never 0.  So the fold has only
+    negative root and Cartan components, the latter exactly -g_i, and the
+    sum has the positive part A_0^+ and no Cartan part.  The checks fire
+    when the bracket table sends a pair of negative roots elsewhere.
     """
     rs = rep.rs
     weights = _weights(rs, rep.m)
-    ad = chevalley.decompose_in_basis(rep, chevalley.weyl_adjoint(data.nw, data.A_L))
-    dec = _fold(
-        chevalley.unipotent_gauge, rep, eta, {key: lift(c) for key, c in ad.items() if c}
-    )
+    cartan = {("H", i): -g for i, g in enumerate(stage2.g, start=1)}
+    dec = _fold(chevalley.unipotent_gauge, rep, eta, cartan)
+    ad = [(("X", rs.simple(i).coeffs), DiffPoly.rational(1)) for i in range(1, rep.rank + 1)]
+    ad += [(("H", i), g) for i, g in enumerate(stage2.g, start=1)]
+    ad += [(("X", b.coeffs), e + p) for b, e, p in zip(rs.neg_order, stage2.ell, stage2.p)]
+    for key, c in ad:
+        dec[key] = dec.get(key, 0) + c
     where = "%s: logderiv_Y" % rs.label
     _check_positive_part(rep, dec, where, DiffPoly.rational(1))
 
     h = []
     for i, b in enumerate(rs.neg_order, start=1):
-        hi = dec.get(("X", b.coeffs), DiffPoly.zero())
+        hi = dec[("X", b.coeffs)]
         linear, nonlinear = _graded_split(rs, weights, hi, weights[i] + 1, "logderiv_Y: h_%d" % i)
         if linear != DiffPoly.eta(i, 1) + stage2.ell[i - 1]:
             raise StructureViolation("%s: q_%d has a linear term" % (where, i))
@@ -644,7 +660,7 @@ def run_pipeline(type_label, rank):
     stage1 = logderiv_unipotent(rep, eta)
     stage2 = adjoint_on_A0(rep, eta)
     data = liouville_solutions(rep, build_A_L(rep, stage2), stage1)
-    h_all = logderiv_Y(rep, eta, data, stage2)
+    h_all = logderiv_Y(rep, eta, stage2)
     parts = eliminate_noncomplementary(rep, h_all)
     inv = invariants(rep, h_all, parts)
     ag = assemble_A_G(rep, inv.h)

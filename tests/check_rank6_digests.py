@@ -8,15 +8,18 @@ recorded digests.
 Each system runs `run_pipeline`, then `verify_end_to_end`, then streams
 `construct.report_chunks` through SHA-256, in a fresh process, one system
 at a time, and the digest is compared with `tests/digests_rank6.json`.
+Last, untimed, the raw h_i are compared with the fold from the conjugated
+A_L (`construct_oracle.logderiv_Y_by_conjugation`), the route the pipeline
+took before it built them on stage 2.
 One line per system gives the digest, then for each of the three phases
 (pipeline, check, report) its wall seconds, its reference seconds and the
 child's peak resident set (`ru_maxrss`) after it; the report's peak is
-thus taken after the check.  Reference seconds are wall seconds corrected
+thus taken after the check; the line ends with the h_i comparison.  Reference seconds are wall seconds corrected
 for the host's speed by `perfbench/speed.py`'s `SpeedSampler`, whose probe
 runs every 10 ms during every phase (and adds a few percent to its wall
 time); compare two commits in reference seconds, over several runs.  The
-exit status is 1 when a digest differs or the check raises; the line then
-names the failure.  Standard library only; pvext is imported from `src/`.
+exit status is 1 when a digest or an h_i differs or the check raises; the
+line then names the failure.  Standard library only; pvext is imported from `src/`.
 Each system runs in a fresh process, so that the peaks are its own;
 pytest does not collect this file, and tests/test_construct.py checks the
 B6, C6 and D6 digests in the test process.  D7 takes minutes and peaks near
@@ -54,11 +57,15 @@ def _timed(sampler, phase):
 def _report_digest(label):
     """The SHA-256 of one system's report, the end-to-end check's failure
     text (None when it passes), then (wall seconds, reference seconds, peak
-    RSS in MB) after the pipeline, after the check and after the report."""
-    sys.path[:0] = [str(SRC), str(PERFBENCH)]
+    RSS in MB) after the pipeline, after the check and after the report,
+    and whether the raw h_i equal the conjugation route's."""
+    sys.path[:0] = [str(SRC), str(PERFBENCH), str(HERE)]
     from pvext import construct
+    from pvext.diffpoly import DiffPoly
     from pvext.errors import PvextError
     from speed import SpeedSampler
+
+    import construct_oracle
 
     def check():
         try:
@@ -79,7 +86,9 @@ def _report_digest(label):
         )
         failure, checked = _timed(sampler, check)
         digest, reported = _timed(sampler, report)
-    return digest, failure, pipeline, checked, reported
+    eta = [DiffPoly.eta(i) for i in range(1, result.rep.m + 1)]
+    conjugated = construct_oracle.logderiv_Y_by_conjugation(result.rep, eta, result.liouville)
+    return digest, failure, pipeline, checked, reported, list(result.h_raw) == conjugated
 
 
 def main(labels):
@@ -88,14 +97,19 @@ def main(labels):
     failed = False
     for label in labels or DEFAULT:
         with spawn.Pool(1) as pool:
-            digest, failure, pipeline, checked, report = pool.apply(_report_digest, (label,))
+            digest, failure, pipeline, checked, report, same_h = pool.apply(
+                _report_digest, (label,)
+            )
         ok = digest == want.get(label)
-        failed |= not ok or failure is not None
+        failed |= not ok or failure is not None or not same_h
         print(
             "%s %s %s pipeline %.2f s (%.2f ref s) peak RSS %.1f MB,"
             " check %.2f s (%.2f ref s) peak RSS %.1f MB,"
-            " report %.2f s (%.2f ref s) peak RSS %.1f MB"
-            % (label, digest, "ok" if ok else "MISMATCH", *pipeline, *checked, *report),
+            " report %.2f s (%.2f ref s) peak RSS %.1f MB, h_raw %s"
+            % (
+                label, digest, "ok" if ok else "MISMATCH", *pipeline, *checked, *report,
+                "ok" if same_h else "MISMATCH",
+            ),
             flush=True,
         )
         if failure is not None:

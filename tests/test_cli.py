@@ -289,6 +289,13 @@ _INPUT_REFUSALS = [
         "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]",
         "type A rank 1 needs a 2x2 matrix, the file holds 3x3",
     ),
+    # _check_output, before the command runs
+    (["bruhat", "--output", ".", "--matrix"], "[[1]]", "--output . is a directory"),
+    (
+        ["bruhat", "--output", "no-such-directory/out.json", "--matrix"],
+        "[[1]]",
+        "--output no-such-directory/out.json is in a directory that does not exist",
+    ),
 ]
 
 
@@ -296,7 +303,7 @@ _INPUT_REFUSALS = [
     "argv, text, message",
     _INPUT_REFUSALS,
     ids=["nested", "fixtures", "float", "null", "ascii", "ragged", "malformed", "rational",
-         "rank", "size"],
+         "rank", "size", "output-directory", "output-parent"],
 )
 def test_each_input_refusal_exits_1_with_one_line(argv, text, message, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -308,6 +315,29 @@ def test_each_input_refusal_exits_1_with_one_line(argv, text, message, tmp_path,
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_an_unwritable_output_is_refused_before_any_work(where, tmp_path, capsys, monkeypatch):
+    # --output is checked before derive runs the pipeline and before bruhat
+    # and gauge-normalize read their matrix, and no file is made
+    def no_work(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(construct, "run_pipeline", no_work)
+    monkeypatch.setattr(cli, "_load_matrix", no_work)
+    m = tmp_path / "m.json"
+    m.write_text("[[1]]")
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+    for argv in (
+        ["derive", "--type", "B", "--rank", "5", "--format", "json"],
+        ["bruhat", "--matrix", str(m)],
+        ["gauge-normalize", "--type", "A", "--rank", "1", "--matrix", str(m)],
+    ):
+        code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("input error: --output ")
+    assert list(tmp_path.rglob("*")) == [m]
 
 
 def test_malformed_entries_are_input_errors(tmp_path, capsys):

@@ -153,8 +153,9 @@ def test_sl4_liouville_tower(sl4_result):
 
 
 def test_g2_y3(g2_result):
-    y = g2_result.liouville.y
-    integrands = g2_result.liouville.y_integrands
+    res = g2_result
+    y = res.liouville.y
+    integrands = construct_oracle.y_integrands(res.rep, res.liouville, res.stage1)
     assert y[2] == LiouvExpr.integral(y[0] * integrands[1])
 
 
@@ -165,7 +166,9 @@ def test_z_derivatives_match_gbar(sl4_result, g2_result):
 
 
 def test_y_derivatives_match_integrands(sl4_result):
-    for yi, fi in zip(sl4_result.liouville.y, sl4_result.liouville.y_integrands):
+    res = sl4_result
+    integrands = construct_oracle.y_integrands(res.rep, res.liouville, res.stage1)
+    for yi, fi in zip(res.liouville.y, integrands):
         assert yi.derive() == fi
 
 
@@ -462,6 +465,21 @@ def test_report_writer_matches_the_dict_oracle(system):
     assert same, _first_difference(got, want)
 
 
+@pytest.mark.parametrize(
+    "system",
+    [s for s in ALL_SYSTEMS if s[1] <= 5] + [("A", 6)],
+    ids=lambda s: s[0] if s[0] == "G2" else "%s%d" % s,
+)
+def test_h_raw_equals_the_fold_from_the_conjugated_A_L(system):
+    # logderiv_Y folds only the Cartan part and adds stage 2; the oracle
+    # folds from Ad(n(wbar))(A_L).  It runs after the report writer's test,
+    # so that A6's pipeline is the one built there
+    res = get_pipeline(*system)
+    eta_args = [eta(i) for i in range(1, res.rep.m + 1)]
+    want = construct_oracle.logderiv_Y_by_conjugation(res.rep, eta_args, res.liouville)
+    assert list(res.h_raw) == want
+
+
 def _first_difference(got, want):
     at = next(
         (i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
@@ -562,12 +580,13 @@ def test_characters_equal_the_torus_conjugation(system):
     res = get_pipeline(*system)
     rep, data = res.rep, res.liouville
     torus = [factor_oracle.torus_matrix(rep, i, zi) for i, zi in enumerate(data.z, start=1)]
+    integrands = construct_oracle.y_integrands(rep, data, res.stage1)
     for i in range(1, rep.rank + 1):
         x = rep.x_neg(i)
         ad = symgroup.adjoint(torus, x)
         chi = chevalley.decompose_in_basis(rep, ad)[("X", rep.rs.neg_order[i - 1].coeffs)]
         assert linalg.mat_eq(ad, linalg_oracle.combination([(chi, x)], rep.dim, LiouvExpr.zero()))
-        assert data.y_integrands[i - 1] == chi ** -1 * data.c[i - 1]
+        assert integrands[i - 1] == chi ** -1 * data.c[i - 1]
 
 
 def test_pipeline_multiplies_no_polynomial_matrix(monkeypatch):
@@ -690,8 +709,8 @@ def _not_of_weight(label, where, w, variables):
     )
 
 
-# per system: the simple index whose coefficient in Ad(u)(A_0^+) and in
-# ldelta(Y) first carries the term eta_1 given to eta_(l+1), and the first
+# per system: the simple index whose coefficient in Ad(u)(A_0^+) first
+# carries the term eta_1 given to eta_(l+1), and the first
 # invariant h_j that reads the image of eta_(l+1), with its weight
 FAULT_SITES = {"B3": (1, 7, 4), "G2": (1, 2, 2)}
 
@@ -705,10 +724,11 @@ def test_grading_check_fires_on_each_coefficient_stage(system):
     """eta_(l+1), of weight 2, gains a term eta_1 of weight 1.
 
     Stage 1 meets it first in v_(l+1), whose X coefficient carries its
-    derivative; Ad(u)(A_0^+) and ldelta(Y) meet it in the coefficient of a
-    simple root, through the bracket of X_(l+1) with A_0^+.  The Cartan
-    coefficients g_i read only eta_1..eta_l, so they are reached through
-    eta_1 gaining eta_1^2 instead.
+    derivative; Ad(u)(A_0^+) meets it in the coefficient of a simple root,
+    through the bracket of X_(l+1) with A_0^+.  ldelta(Y) takes Ad(u)(A_0^+)
+    from the true stage 2, so it meets it in h_(l+1), whose fold carries the
+    derivative as v_(l+1) does.  The Cartan coefficients g_i read only
+    eta_1..eta_l, so they are reached through eta_1 gaining eta_1^2 instead.
     """
     res = get_pipeline(*system)
     rep = res.rep
@@ -725,9 +745,9 @@ def test_grading_check_fires_on_each_coefficient_stage(system):
     ):
         construct.adjoint_on_A0(rep, bad)
     with pytest.raises(
-        StructureViolation, match=_not_of_weight(label, "logderiv_Y: h_%d" % simple, 2, m)
+        StructureViolation, match=_not_of_weight(label, "logderiv_Y: h_%d" % (l + 1), 3, m)
     ):
-        construct.logderiv_Y(rep, bad, res.liouville, res.stage2)
+        construct.logderiv_Y(rep, bad, res.stage2)
     with pytest.raises(
         StructureViolation, match=_not_of_weight(label, "adjoint_on_A0: g_1", 1, m)
     ):
@@ -786,6 +806,67 @@ def test_height_system_rank_is_checked_where_it_is_solved():
     )
     with pytest.raises(RankFailure, match="^B3: eliminate_noncomplementary: height -1 system is rank-deficient$"):
         construct.eliminate_noncomplementary(res.rep, h)
+
+
+# per system: corrupted complementary indices, and the band check of the
+# elimination that each trips first
+CORRUPTED_COMP_ROOTS = {
+    "B3": [((1, 2, 3), "no equations for the height -2 band"),
+           ((1, 2, 4), "height -1 system is not square")],
+    "G2": [((1, 2), "no equations for the height -2 band"),
+           ((3, 4), "height -1 system is not square")],
+}
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_band_checks_fire_on_corrupted_complementary_indices(system):
+    """With every simple index complementary, the height -1 band gives no
+    equation for the unknowns of height -2.  With B3's index 4 of height -2
+    complementary as well, and with G2's indices 3 and 4, the height -1
+    system has one equation for two unknowns on B3 and two for one on G2."""
+    res = get_pipeline(*system)
+    rep = res.rep
+    for comp, message in CORRUPTED_COMP_ROOTS[rep.rs.label]:
+        bad = dataclasses.replace(rep, rs=dataclasses.replace(rep.rs, comp_roots=comp))
+        message = "%s: eliminate_noncomplementary: %s" % (rep.rs.label, message)
+        with pytest.raises(RankFailure, match="^%s$" % re.escape(message)):
+            construct.eliminate_noncomplementary(bad, list(res.h_raw))
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_lbar_checks_fire_on_a_corrupted_raw_h(system):
+    """i is the first non-complementary simple index and c the complementary
+    one.  The height -1 system solves for the f_k of height -2 from
+    h_i = eta_i' + ell_i + q_i, so lbar_k is a combination of the eta_i'.
+    - eta_c' added to h_i gives lbar_(l+1) a term in eta_c, which is not an
+      unknown of the elimination.
+    - h_i without eta_i' leaves the lbar system at height -2 without the
+      column of eta_i, so it is rank-deficient.
+    - On B3, the height -3 system has the one equation h_6, so the row of
+      lbar_8 must lie on the line of the row of lbar_6, both in eta_1
+      alone; the third derivative of eta_2 added to h_6 moves it off.  G2
+      has one non-complementary simple index, so every lbar row is one
+      number, non-zero by the rank check before: the equivalence check
+      cannot fire there.
+    """
+    res = get_pipeline(*system)
+    rs = res.rep.rs
+    i = _first_noncomplementary_simple(rs)
+    c = next(k for k in rs.band(-1) if k in rs.comp_roots)
+    cases = [
+        (i, eta(c, 1), StructureViolation, "lbar_%d involves eta_%d" % (rs.rank + 1, c)),
+        (i, -eta(i, 1), RankFailure, "lbar system at height -2 is rank-deficient"),
+    ]
+    if rs.label == "B3":
+        cases.append(
+            (6, eta(2, 3), RankFailure, "height -3 system is not equivalent to its predecessor")
+        )
+    for k, extra, error, message in cases:
+        h = list(res.h_raw)
+        h[k - 1] += extra
+        message = "%s: eliminate_noncomplementary: %s" % (rs.label, message)
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            construct.eliminate_noncomplementary(res.rep, h)
 
 
 def test_invariants_substitute_through_the_factor_trie(monkeypatch):
@@ -850,21 +931,22 @@ def test_stage_checks_fire_on_corrupted_arguments(system):
     - eta_1 + eta_1^2 gives v_1 = 2 eta_1 eta_1'.
     - eta_(l+1) + eta_1' gives v_(l+1) the term eta_1'' of order 2; the X_1
       coefficient of Ad(u)(A_0^+) the derivative eta_1', through the
-      bracket of X_(l+1) with A_0^+; and h_1 the linear term eta_1' that
-      ell_1 lacks.
+      bracket of X_(l+1) with A_0^+; and h_(l+1) the linear term eta_1'',
+      as ldelta(Y) takes Ad(u)(A_0^+) from the true stage 2.
     - v_i gains a linear term from a second eta of the height of beta_i:
       on B3, eta_4 + eta_5 (both of height -2).  G2 has one root of each
       height below -1, so there eta_3 is doubled and v_3 gains eta_3'.
     - eta_1 replaced by 0 makes g_1 = -eta_1 vanish, and eta_2 replaced by
       eta_1 makes g_2 = -eta_1 a multiple of g_1.
-    - 2 eta_1 leaves ldelta(Y) the Cartan component -eta_1 H_1, since the
-      A_L of the true g_1 = -eta_1 cancels only the original one.
+    - 2 eta_1 gives h_1 the linear term 2 eta_1', where eta_1' is due.
     - eta_j + eta_1 eta_1' for the first eta_j of height -3 gives h_j the
       term (eta_1 eta_1')' of order 2.
-    The Cartan and positive components of ldelta(u) and the positive part
-    of Ad(u)(A_0^+) are out of reach: brackets of negative root vectors are
-    negative root vectors, and [X_-beta, X_alpha_i] is a positive root
-    vector for no positive beta.
+    The Cartan and positive components of ldelta(u) and ldelta(Y) and the
+    positive part of Ad(u)(A_0^+) are out of reach: brackets of negative
+    root vectors are negative root vectors, and [X_-beta, X_alpha_i] is a
+    positive root vector for no positive beta (construct.logderiv_Y).
+    test_positive_part_checks_fire_on_a_corrupted_bracket_target reaches
+    these checks through the bracket table instead.
     """
     res = get_pipeline(*system)
     rep = res.rep
@@ -878,7 +960,7 @@ def test_stage_checks_fire_on_corrupted_arguments(system):
 
     def ldelta_y(i, extra):
         args = _args_with(rep, i, extra)
-        return lambda: construct.logderiv_Y(rep, args, res.liouville, res.stage2)
+        return lambda: construct.logderiv_Y(rep, args, res.stage2)
 
     i, extra = LINEAR_TERM[label]
     j = rep.rs.band(-3)[0]
@@ -900,28 +982,73 @@ def test_stage_checks_fire_on_corrupted_arguments(system):
         stage2(2, eta(1) - eta(2)),
         "adjoint_on_A0: Cartan coefficients are linearly dependent",
     )
-    _fires(label, ldelta_y(l + 1, eta(1, 1)), "logderiv_Y: q_1 has a linear term")
-    _fires(label, ldelta_y(1, eta(1)), "logderiv_Y: H_1 component is nonzero")
+    _fires(label, ldelta_y(l + 1, eta(1, 1)), "logderiv_Y: q_%d has a linear term" % (l + 1))
+    _fires(label, ldelta_y(1, eta(1)), "logderiv_Y: q_1 has a linear term")
     _fires(label, ldelta_y(j, eta(1) * eta(1, 1)), "logderiv_Y: q_%d has order > 1" % j)
 
 
 @pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
-def test_positive_part_check_fires_on_a_corrupted_A_L(system):
-    """A_L + X_(l+1), with beta_(l+1) = -alpha_1 - alpha_2: the longest
-    element of B3 and G2 is -1, so Ad(n(wbar)) maps X_(l+1) to a multiple
-    of X_(alpha_1 + alpha_2), which the factor u_2(eta_2) brackets into
-    eta_2 X_alpha_1 (the sign is that of the calibrated bases)."""
+def test_a_corrupted_A_L_is_caught_by_both_tower_checks(system):
+    """A_L + X_(l+1) does not reach logderiv_Y, which builds on stage 2.
+    The coordinate check of liouville_solutions names the key X_(l+1), and
+    verify_end_to_end, which conjugates the A_L it is given, fires on its
+    matrix re-check of the tower."""
     res = get_pipeline(*system)
     rep = res.rep
     label, l = rep.rs.label, rep.rank
     al = linalg.mat_add([list(r) for r in res.liouville.A_L], rep.x_neg(l + 1))
     data = dataclasses.replace(res.liouville, A_L=tuple(tuple(r) for r in al))
-    eta_args = [eta(k) for k in range(1, rep.m + 1)]
-    _fires(
+    message = "%s: liouville_solutions: ldelta(t(z)u(y)) - A_L is nonzero at X_%s" % (
         label,
-        lambda: construct.logderiv_Y(rep, eta_args, data, res.stage2),
-        "logderiv_Y: positive component %r is DiffPoly(η2 +1)" % (rep.rs.simple(1).coeffs,),
+        rep.rs.neg_order[l].coeffs,
     )
+    with pytest.raises(VerificationFailure, match="^%s$" % re.escape(message)):
+        construct.liouville_solutions(rep, data, res.stage1)
+    message = "%s: ldelta(t(z)u(y)) - A_L is nonzero at entry" % label
+    with pytest.raises(IdentityFailure, match="^%s" % re.escape(message)):
+        construct.verify_end_to_end(rep, data, res.invariants)
+
+
+@pytest.mark.parametrize("system", [("B", 3), ("G2", 2)], ids=["B3", "G2"])
+def test_positive_part_checks_fire_on_a_corrupted_bracket_target(system, monkeypatch):
+    """The bracket table sends [X_1, X_2] (beta_1 = -alpha_1, beta_2 =
+    -alpha_2) off X_(-alpha_1 - alpha_2): onto X_(alpha_1 + alpha_2), a
+    positive root vector, or onto H_1.  The folds over the true eta then
+    have a positive or a Cartan component: in ldelta(u), in Ad(u)(A_0^+)
+    (whose Cartan part is allowed, and whose g_1 the grading check then
+    refuses first), and in ldelta(Y), where the sum with Ad(u)(A_0^+)
+    does not cancel it.  u_1(eta_1) acts last, so the positive component
+    is bracketed once more, onto X_(alpha_2), and alpha_2, the earlier of
+    the two in the check's order, is named."""
+    res = get_pipeline(*system)
+    rep = res.rep
+    rs = rep.rs
+    eta_args = [eta(k) for k in range(1, rep.m + 1)]
+    x1, x2 = rs.neg_order[:2]
+    bracket = chevalley._bracket_with
+    positive = ("X", (-rs.neg_order[rep.rank]).coeffs)  # alpha_1 + alpha_2
+    stages = [
+        ("logderiv_unipotent", lambda: construct.logderiv_unipotent(rep, eta_args)),
+        ("adjoint_on_A0", lambda: construct.adjoint_on_A0(rep, eta_args)),
+        ("logderiv_Y", lambda: construct.logderiv_Y(rep, eta_args, res.stage2)),
+    ]
+    for target, message in (
+        (positive, "positive component %r is " % (rs.simple(2).coeffs,)),
+        (("H", 1), "H_1 component is nonzero"),
+    ):
+
+        def corrupted(rep, root, key, target=target):
+            if root == x1 and key == ("X", x2.coeffs):
+                return tuple((target, n) for _, n in bracket(rep, root, key))
+            return bracket(rep, root, key)
+
+        monkeypatch.setattr(chevalley, "_bracket_with", corrupted)
+        for stage, call in stages:
+            if stage == "adjoint_on_A0" and target == ("H", 1):
+                continue
+            want = "%s: %s: %s" % (rs.label, stage, message)
+            with pytest.raises(StructureViolation, match="^%s" % re.escape(want)):
+                call()
 
 
 def _with_basis_matrix(rep, key, mat):
@@ -1007,7 +1134,7 @@ def test_coordinate_stages_equal_the_matrix_path(system):
     want = construct_oracle.tower_coordinates(rep, data.z, data.y)
     assert _nonzero(construct._check_tower_coordinates(rep, data)) == want
 
-    h = construct.logderiv_Y(rep, eta_args, data, stage2)
+    h = construct.logderiv_Y(rep, eta_args, stage2)
     got = dict(simple)
     got.update(zip(xkeys, h))
     want = path.gauge_coordinates(chevalley.weyl_adjoint(data.nw, data.A_L))

@@ -14,7 +14,7 @@ following, and when a named test is gone.  The StructureViolation and
 RankFailure sites of construct are the pipeline's structural checks, and
 the SpanFailure and StructureViolation sites of chevalley build_rep's;
 their numbers are pinned too, and so is the number of UNFIRED sites in
-chevalley and rootsys.  No site of bruhat, gauge, liouville_expr, linalg,
+construct, chevalley and rootsys.  No site of bruhat, gauge, liouville_expr, linalg,
 cli, diffpoly or symgroup is UNFIRED.  Two sites of linalg share a
 template, so its sites are a list of pairs and each site is counted.  Each site of cli is
 an input error, fired through cli.main with exit 1, one stderr line and no
@@ -46,11 +46,12 @@ SITES = {
         "test_construct::test_grading_check_fires_on_the_eliminated_and_the_invariants",
     ),
     # _check_positive_part, called by logderiv_unipotent, adjoint_on_A0 and
-    # logderiv_Y
+    # logderiv_Y, where no eta reaches it (construct.logderiv_Y) and a
+    # corrupted bracket table does, at each of the three calls
     ("StructureViolation", "%s: positive component %r is %r"):
-        ("test_construct::test_positive_part_check_fires_on_a_corrupted_A_L",),
+        ("test_construct::test_positive_part_checks_fire_on_a_corrupted_bracket_target",),
     ("StructureViolation", "%s: H_%d component is nonzero"):
-        ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
+        ("test_construct::test_positive_part_checks_fire_on_a_corrupted_bracket_target",),
     # logderiv_unipotent
     ("StructureViolation", "%s: v_%d should vanish"):
         ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
@@ -93,13 +94,18 @@ SITES = {
     ("StructureViolation", "%s: q_%d has order > 1"):
         ("test_construct::test_stage_checks_fire_on_corrupted_arguments",),
     # eliminate_noncomplementary
-    ("RankFailure", "%s: no equations for the height %d band"): UNFIRED,
-    ("RankFailure", "%s: height %d system is not square"): UNFIRED,
+    ("RankFailure", "%s: no equations for the height %d band"):
+        ("test_construct::test_band_checks_fire_on_corrupted_complementary_indices",),
+    ("RankFailure", "%s: height %d system is not square"):
+        ("test_construct::test_band_checks_fire_on_corrupted_complementary_indices",),
     ("RankFailure", "%s: height %d system is rank-deficient"):
         ("test_construct::test_height_system_rank_is_checked_where_it_is_solved",),
-    ("StructureViolation", "%s: lbar_%d involves eta_%d"): UNFIRED,
-    ("RankFailure", "%s: lbar system at height %d is rank-deficient"): UNFIRED,
-    ("RankFailure", "%s: height %d system is not equivalent to its predecessor"): UNFIRED,
+    ("StructureViolation", "%s: lbar_%d involves eta_%d"):
+        ("test_construct::test_lbar_checks_fire_on_a_corrupted_raw_h",),
+    ("RankFailure", "%s: lbar system at height %d is rank-deficient"):
+        ("test_construct::test_lbar_checks_fire_on_a_corrupted_raw_h",),
+    ("RankFailure", "%s: height %d system is not equivalent to its predecessor"):
+        ("test_construct::test_lbar_checks_fire_on_a_corrupted_raw_h",),
     # invariants; the prolonged system's matrix is the ignored-derivative
     # one, so its check is reached by no input (construct.invariants)
     ("RankFailure", "%s: ignored-derivative invariant system is rank-deficient"):
@@ -381,6 +387,11 @@ CLI_SITES = {
     ("ValueError", "type %s rank %d needs at least a %dx%d matrix, the file holds %dx%d"):
         (_REFUSAL, "test_cli::test_gauge_normalize_checks_the_matrix_size"),
     ("ValueError", "type %s rank %d needs a %dx%d matrix, the file holds %dx%d"): (_REFUSAL,),
+    # _check_output, called by main before any command runs
+    ("ValueError", "--output %s is a directory"):
+        (_REFUSAL, "test_cli::test_an_unwritable_output_is_refused_before_any_work"),
+    ("ValueError", "--output %s is in a directory that does not exist"):
+        (_REFUSAL, "test_cli::test_an_unwritable_output_is_refused_before_any_work"),
 }
 
 DIFFPOLY_SITES = {
@@ -447,6 +458,7 @@ def _test_names(module):
 def test_every_raise_site_in_construct_is_listed_once():
     assert _raise_sites(CONSTRUCT) == Counter(SITES.keys())
     assert sum(exc in ("StructureViolation", "RankFailure") for exc, _ in SITES) == 21
+    assert sum(tests == UNFIRED for tests in SITES.values()) == 1
 
 
 def test_every_raise_site_in_bruhat_is_listed_once_and_fired():
@@ -484,7 +496,7 @@ def test_every_raise_site_in_linalg_is_listed_and_fired():
 def test_every_raise_site_in_cli_is_listed_and_fired():
     assert _raise_sites(CLI) == Counter(CLI_SITES.keys())
     assert all(tests and tests[0] == _REFUSAL for tests in CLI_SITES.values())
-    assert len(CLI_SITES) == 10
+    assert len(CLI_SITES) == 12
 
 
 def test_every_raise_site_in_diffpoly_is_listed_and_fired():
